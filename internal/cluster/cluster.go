@@ -13,6 +13,7 @@ package cluster
 
 import (
 	"math"
+	"sort"
 
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/parallel"
@@ -127,7 +128,9 @@ func AgglomerativePool(embs [][]float64, threshold float64, linkage Linkage, poo
 // rescanned. Comparisons are strict < with the same scan order as the
 // naive double loop, so the merge sequence — and therefore the
 // clustering — is bit-identical to it (the test suite checks this
-// against a reference implementation).
+// against a reference implementation). It always starts from
+// singletons, which makes it the oracle DistMatrix.Cluster's replay is
+// tested against.
 func agglomerate(dist [][]float64, threshold float64, linkage Linkage) Result {
 	n := len(dist)
 	if n == 0 {
@@ -144,28 +147,6 @@ func agglomerate(dist [][]float64, threshold float64, linkage Linkage) Result {
 		size[i] = 1
 		parent[i] = i
 	}
-	for i := 0; i < n; i++ {
-		rowmin[i], nnIdx[i] = inf, -1
-		row := dist[i]
-		for j := i + 1; j < n; j++ {
-			if row[j] < rowmin[i] {
-				rowmin[i], nnIdx[i] = row[j], j
-			}
-		}
-	}
-	return mergeLoop(dist, threshold, linkage, active, size, parent, rowmin, nnIdx)
-}
-
-// mergeLoop is the shared merge phase of agglomerate and
-// DistMatrix.Cluster: a textbook merge sequence driven by the per-row
-// nearest-neighbour cache. Callers hand it an all-active state whose
-// rowmin/nnIdx already hold each row's nearest right-hand neighbour
-// (first j on ties) — either scanned fresh (agglomerate) or maintained
-// incrementally across Grow calls (DistMatrix). It consumes every
-// slice it is given.
-func mergeLoop(dist [][]float64, threshold float64, linkage Linkage, active []bool, size, parent []int, rowmin []float64, nnIdx []int) Result {
-	n := len(dist)
-	inf := math.Inf(1)
 	recompute := func(i int) {
 		rowmin[i], nnIdx[i] = inf, -1
 		row := dist[i]
@@ -174,6 +155,9 @@ func mergeLoop(dist [][]float64, threshold float64, linkage Linkage, active []bo
 				rowmin[i], nnIdx[i] = row[j], j
 			}
 		}
+	}
+	for i := 0; i < n; i++ {
+		recompute(i)
 	}
 	for {
 		bi, best := -1, threshold
@@ -186,22 +170,13 @@ func mergeLoop(dist [][]float64, threshold float64, linkage Linkage, active []bo
 			break
 		}
 		bj := nnIdx[bi]
-		// Merge bj into bi with the Lance–Williams update for the
-		// chosen linkage.
+		// Merge bj into bi.
 		si, sj := float64(size[bi]), float64(size[bj])
 		for k := 0; k < n; k++ {
 			if !active[k] || k == bi || k == bj {
 				continue
 			}
-			var d float64
-			switch linkage {
-			case SingleLinkage:
-				d = min(dist[bi][k], dist[bj][k])
-			case CompleteLinkage:
-				d = max(dist[bi][k], dist[bj][k])
-			default:
-				d = (si*dist[bi][k] + sj*dist[bj][k]) / (si + sj)
-			}
+			d := lanceWilliams(linkage, dist[bi][k], dist[bj][k], si, sj)
 			dist[bi][k], dist[k][bi] = d, d
 		}
 		size[bi] += size[bj]
@@ -226,7 +201,28 @@ func mergeLoop(dist [][]float64, threshold float64, linkage Linkage, active []bo
 			}
 		}
 	}
-	// Path-compress parents into dense cluster ids.
+	return denseIDs(parent)
+}
+
+// lanceWilliams is the distance from a third cluster to the merge of
+// clusters i and j, given its distances dik and djk to each and their
+// sizes. It is the only copy of this arithmetic: agglomerate and both
+// halves of DistMatrix.Cluster call it, so they cannot compile to
+// different floating-point code (arm64 may fuse x*y+z).
+func lanceWilliams(linkage Linkage, dik, djk, si, sj float64) float64 {
+	switch linkage {
+	case SingleLinkage:
+		return min(dik, djk)
+	case CompleteLinkage:
+		return max(dik, djk)
+	default:
+		return (si*dik + sj*djk) / (si + sj)
+	}
+}
+
+// denseIDs turns a merge forest (parent[i] == i at roots) into dense
+// cluster ids numbered by first member.
+func denseIDs(parent []int) Result {
 	find := func(i int) int {
 		for parent[i] != i {
 			i = parent[i]
@@ -234,8 +230,8 @@ func mergeLoop(dist [][]float64, threshold float64, linkage Linkage, active []bo
 		return i
 	}
 	idOf := make(map[int]int)
-	res := Result{Assignments: make([]int, n)}
-	for i := 0; i < n; i++ {
+	res := Result{Assignments: make([]int, len(parent))}
+	for i := range parent {
 		root := find(i)
 		id, ok := idOf[root]
 		if !ok {
@@ -248,39 +244,60 @@ func mergeLoop(dist [][]float64, threshold float64, linkage Linkage, active []bo
 	return res
 }
 
-// DistMatrix is a growable pristine pairwise cosine-distance matrix.
-// It amortizes re-clustering of a mention pool that only ever gains
-// members across execution cycles: Grow appends rows for the new
-// embeddings — computing only new-vs-old and new-vs-new pairs — while
-// the old n×n block is reused verbatim. Cluster then copies the
-// pristine matrix and runs the standard merge loop, so the result is
-// bit-identical to rebuilding the matrix from scratch (each pair's
-// distance is the same nn.CosineDistance call either way).
+// mergeStep is one recorded merge: cluster bj joined cluster bi
+// (bi < bj) at distance height.
+type mergeStep struct {
+	bi, bj int
+	height float64
+}
+
+// DistMatrix is a growable pristine pairwise cosine-distance matrix
+// with a fixed threshold and linkage. It amortizes re-clustering of a
+// mention pool that only ever gains members across execution cycles,
+// twice over. Grow appends rows for the new embeddings — computing only
+// new-vs-old and new-vs-new pairs — while the old n×n block is reused
+// verbatim. Cluster remembers the merge sequence it ran and, on the
+// grown pool, replays that sequence up to the first step an appended
+// mention would have taken part in, instead of selecting every merge
+// again from singletons. The result is bit-identical to agglomerating
+// a freshly built matrix: each pair's distance is the same
+// nn.CosineDistance call, and every Lance–Williams update runs on the
+// same operands in the same order.
 type DistMatrix struct {
-	n int
-	d [][]float64
-	// rowmin/nnIdx hold each pristine row's nearest right-hand
-	// neighbour (smallest d[i][j] over j > i, first j on ties) —
-	// exactly the all-active state the merge loop starts from.
-	// Maintaining them across Grow calls turns Cluster's former
-	// O(n²/2) initialization scan into a copy.
-	rowmin []float64
-	nnIdx  []int
-	// scratch holds Cluster's consumable copies, reused across calls
-	// so a hot surface re-clustering every cycle stops allocating (and
-	// GC-scanning) a fresh n×n matrix each time.
+	threshold float64
+	linkage   Linkage
+	n         int
+	d         [][]float64
+	// rec is the complete merge sequence of the last Cluster call,
+	// which covered the first recN embeddings. It is O(n), lives only
+	// in memory, and is empty on a new (or restored) matrix, whose
+	// first Cluster call therefore selects every merge itself.
+	rec  []mergeStep
+	recN int
+	// replayed is how many of the last Cluster call's merges came from
+	// rec.
+	replayed int
+	// scratch holds Cluster's consumable state, reused across calls so
+	// a hot surface re-clustering every cycle stops allocating (and
+	// GC-scanning) a fresh n×n matrix each time. live lists the indices
+	// of the clusters not yet merged away, ascending; every pass of the
+	// merge loop walks it instead of 0..n.
 	scratch struct {
-		d      [][]float64
+		d      []float64 // n×n, row-major
 		rowmin []float64
 		nnIdx  []int
-		active []bool
+		live   []int
 		size   []int
 		parent []int
 	}
 }
 
-// NewDistMatrix returns an empty growable distance matrix.
-func NewDistMatrix() *DistMatrix { return &DistMatrix{} }
+// NewDistMatrix returns an empty growable distance matrix that clusters
+// at the given threshold and linkage. Fixing both for the matrix's life
+// is what lets a recorded merge sequence be replayed without a key.
+func NewDistMatrix(threshold float64, linkage Linkage) *DistMatrix {
+	return &DistMatrix{threshold: threshold, linkage: linkage}
+}
 
 // Len returns the number of embeddings covered so far.
 func (m *DistMatrix) Len() int { return m.n }
@@ -308,118 +325,173 @@ func (m *DistMatrix) Grow(embs [][]float64, pool *parallel.Pool) {
 			m.d[i][j], m.d[j][i] = dd, dd
 		}
 	})
-	// Maintain the pristine nearest-neighbour cache. Old rows can only
-	// improve through the appended columns (strict < keeps first-j tie
-	// order: appended columns sit right of any cached neighbour); new
-	// rows scan their full right-hand side.
-	inf := math.Inf(1)
-	for i := oldN; i < newN; i++ {
-		m.rowmin = append(m.rowmin, inf)
-		m.nnIdx = append(m.nnIdx, -1)
-	}
-	for i := 0; i < newN; i++ {
-		row := m.d[i]
-		lo := oldN
-		if i+1 > lo {
-			lo = i + 1
-		}
-		for j := lo; j < newN; j++ {
-			if row[j] < m.rowmin[i] {
-				m.rowmin[i], m.nnIdx[i] = row[j], j
-			}
-		}
-	}
 	m.n = newN
 }
 
-// Cluster copies the pristine matrix and nearest-neighbour cache into
-// reused scratch buffers and runs the standard merge loop on the copy,
-// so the result is bit-identical to agglomerating a fresh matrix while
-// skipping both the O(n²·d) distance recomputation and the O(n²/2)
-// neighbour-cache initialization.
-func (m *DistMatrix) Cluster(threshold float64, linkage Linkage) Result {
+// row returns row i of the scratch matrix.
+func (m *DistMatrix) row(i int) []float64 { return m.scratch.d[i*m.n : (i+1)*m.n] }
+
+// Replayed returns how many merge steps of the last Cluster call were
+// taken from the previous call's recording rather than selected.
+func (m *DistMatrix) Replayed() int { return m.replayed }
+
+// Cluster agglomerates a scratch copy of the pristine matrix. The
+// merge sequence of a grown pool starts with the previous pool's for as
+// long as no pair involving an appended mention is the one to merge, so
+// Cluster replays that prefix from the recording — Lance–Williams
+// updates only, no selection and no neighbour cache — and runs the
+// ordinary loop from where the sequences part, recording as it goes.
+func (m *DistMatrix) Cluster() Result {
 	n := m.n
 	if n == 0 {
 		return Result{}
 	}
 	s := &m.scratch
-	if cap(s.d) < n {
-		s.d = make([][]float64, 0, 2*n)
+	if cap(s.d) < n*n {
+		// The matrix is overwritten by every call, so regrowing it
+		// copies nothing; a quarter of headroom per side keeps a pool
+		// growing one mention at a time from reallocating each call
+		// while holding the scratch under 1.6 n² floats.
+		side := n + n/4
+		s.d = make([]float64, 0, side*side)
+	}
+	if cap(s.live) < n {
 		s.rowmin = make([]float64, 0, 2*n)
 		s.nnIdx = make([]int, 0, 2*n)
-		s.active = make([]bool, 0, 2*n)
+		s.live = make([]int, 0, 2*n)
 		s.size = make([]int, 0, 2*n)
 		s.parent = make([]int, 0, 2*n)
 	}
-	s.d = s.d[:n]
-	s.rowmin = append(s.rowmin[:0], m.rowmin...)
-	s.nnIdx = append(s.nnIdx[:0], m.nnIdx...)
-	s.active = s.active[:n]
+	s.d = s.d[:n*n]
+	s.rowmin = s.rowmin[:n]
+	s.nnIdx = s.nnIdx[:n]
+	s.live = s.live[:n]
 	s.size = s.size[:n]
 	s.parent = s.parent[:n]
 	for i := 0; i < n; i++ {
-		if cap(s.d[i]) < n {
-			s.d[i] = make([]float64, 0, 2*n)
-		}
-		s.d[i] = append(s.d[i][:0], m.d[i]...)
-		s.active[i] = true
+		copy(m.row(i), m.d[i])
+		s.live[i] = i
 		s.size[i] = 1
 		s.parent[i] = i
 	}
-	return mergeLoop(s.d, threshold, linkage, s.active, s.size, s.parent, s.rowmin, s.nnIdx)
+	m.replayed = m.replay()
+	m.rec, m.recN = m.rec[:m.replayed], n
+	m.mergeLoop()
+	return denseIDs(s.parent)
 }
 
-// Incremental maintains clusters that grow as new mention embeddings
-// arrive in the stream, matching the paper's requirement that "both
-// the representation space for a candidate surface form and the
-// clusters drawn from its mentions are updated as and when new
-// mentions arrive".
-type Incremental struct {
-	Threshold float64
-	// members[c] holds the embeddings assigned to cluster c.
-	members [][][]float64
-}
-
-// NewIncremental returns an empty incremental clustering with the
-// given average-linkage threshold.
-func NewIncremental(threshold float64) *Incremental {
-	return &Incremental{Threshold: threshold}
-}
-
-// Count returns the number of clusters so far.
-func (c *Incremental) Count() int { return len(c.members) }
-
-// Members returns the embeddings of cluster id.
-func (c *Incremental) Members(id int) [][]float64 { return c.members[id] }
-
-// Add assigns emb to the nearest existing cluster if its average
-// cosine distance to that cluster's members is below the threshold,
-// otherwise it opens a new cluster. It returns the cluster id.
-func (c *Incremental) Add(emb []float64) int {
-	bestID, bestDist := -1, c.Threshold
-	for id, mem := range c.members {
-		total := 0.0
-		for _, m := range mem {
-			total += nn.CosineDistance(emb, m)
+// replay applies the recorded merges to the scratch state for as long
+// as the from-singletons loop would have selected exactly them, and
+// returns how many it applied. Merges among the first recN clusters
+// read and write only that block, so until an appended column is part
+// of the selected pair the old block evolves as it did last time and
+// the recorded pair is again the first strict minimum of it. An
+// appended column c takes over at the first step where some live row
+// i < c has d[i][c] below the recorded height, or equal to it with
+// i < bi: selection scans rows ascending and, within a row, columns
+// ascending, and c lies right of every recorded bj, so on equal
+// distance (i, c) precedes (bi, bj) exactly when i < bi.
+func (m *DistMatrix) replay() int {
+	s := &m.scratch
+	for t, st := range m.rec {
+		for c := m.recN; c < m.n; c++ {
+			row := m.row(c) // mirrors column c and is contiguous
+			for _, i := range s.live {
+				if i >= c {
+					break
+				}
+				if d := row[i]; d < st.height || (d == st.height && i < st.bi) {
+					return t
+				}
+			}
 		}
-		avg := total / float64(len(mem))
-		if avg < bestDist {
-			bestID, bestDist = id, avg
+		m.merge(st.bi, st.bj)
+	}
+	return len(m.rec)
+}
+
+// merge joins live cluster bj into bi (bi < bj): the Lance–Williams
+// update of row and column bi over the live clusters, then bj leaves
+// the live list. The pass has every new d[bi][k] in hand in ascending
+// k, so it also refreshes bi's entry in the nearest-neighbour cache
+// (first strict minimum right of bi, as a rescan would find it). It
+// returns the position bj held in the live list, which after the
+// removal is the number of live clusters left of bj.
+func (m *DistMatrix) merge(bi, bj int) int {
+	s := &m.scratch
+	ri, rj := m.row(bi), m.row(bj)
+	si, sj := float64(s.size[bi]), float64(s.size[bj])
+	best, arg := math.Inf(1), -1
+	for _, k := range s.live {
+		if k == bi || k == bj {
+			continue
+		}
+		d := lanceWilliams(m.linkage, ri[k], rj[k], si, sj)
+		ri[k], s.d[k*m.n+bi] = d, d
+		if k > bi && d < best {
+			best, arg = d, k
 		}
 	}
-	if bestID < 0 {
-		c.members = append(c.members, [][]float64{emb})
-		return len(c.members) - 1
-	}
-	c.members[bestID] = append(c.members[bestID], emb)
-	return bestID
+	s.rowmin[bi], s.nnIdx[bi] = best, arg
+	s.size[bi] += s.size[bj]
+	s.parent[bj] = bi
+	pj := sort.SearchInts(s.live, bj)
+	s.live = append(s.live[:pj], s.live[pj+1:]...)
+	return pj
 }
 
-// Seed initializes the incremental clustering from a batch result so
-// subsequent Adds extend the same cluster ids.
-func (c *Incremental) Seed(embs [][]float64, res Result) {
-	c.members = make([][][]float64, res.Count)
-	for i, id := range res.Assignments {
-		c.members[id] = append(c.members[id], embs[i])
+// mergeLoop is agglomerate's loop over the live list: it builds the
+// nearest-neighbour cache for the live clusters of the scratch state,
+// then selects, records and applies merges until none is closer than
+// the threshold. Selection order, tie-breaking and every floating-point
+// operation are agglomerate's; only the rows visited differ — merged
+// rows are skipped by not being listed rather than by a flag, and the
+// stale-neighbour sweep stops at bj, since a row's cached neighbour
+// lies to its right and so no row right of bj can point at bi or bj.
+func (m *DistMatrix) mergeLoop() {
+	s := &m.scratch
+	// recompute rescans the row at live position p for its nearest
+	// live neighbour to the right.
+	recompute := func(p int) {
+		i := s.live[p]
+		row := m.row(i)
+		best, arg := math.Inf(1), -1
+		for _, j := range s.live[p+1:] {
+			if row[j] < best {
+				best, arg = row[j], j
+			}
+		}
+		s.rowmin[i], s.nnIdx[i] = best, arg
+	}
+	for p := range s.live {
+		recompute(p)
+	}
+	for {
+		pi, best := -1, m.threshold
+		for p, i := range s.live {
+			if s.rowmin[i] < best {
+				pi, best = p, s.rowmin[i]
+			}
+		}
+		if pi < 0 {
+			return
+		}
+		bi := s.live[pi]
+		bj := s.nnIdx[bi]
+		m.rec = append(m.rec, mergeStep{bi, bj, best})
+		pj := m.merge(bi, bj)
+		rowBi := m.row(bi) // symmetric: rowBi[r] == d[r][bi]
+		for p, r := range s.live[:pj] {
+			if p == pi {
+				continue
+			}
+			if s.nnIdx[r] == bi || s.nnIdx[r] == bj {
+				recompute(p)
+			} else if p < pi {
+				if d := rowBi[r]; d < s.rowmin[r] || (d == s.rowmin[r] && bi < s.nnIdx[r]) {
+					s.rowmin[r], s.nnIdx[r] = d, bi
+				}
+			}
+		}
 	}
 }

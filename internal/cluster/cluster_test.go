@@ -121,39 +121,6 @@ func TestAgglomerativePartitionProperty(t *testing.T) {
 	}
 }
 
-func TestIncrementalAddMatchesSemantics(t *testing.T) {
-	inc := NewIncremental(0.5)
-	a := inc.Add([]float64{1, 0})
-	b := inc.Add([]float64{0.99, 0.05}) // close to first
-	c := inc.Add([]float64{0, 1})       // orthogonal: new cluster
-	if a != b {
-		t.Fatalf("close points split: %d vs %d", a, b)
-	}
-	if c == a {
-		t.Fatal("orthogonal point merged")
-	}
-	if inc.Count() != 2 {
-		t.Fatalf("Count = %d", inc.Count())
-	}
-	if len(inc.Members(a)) != 2 || len(inc.Members(c)) != 1 {
-		t.Fatal("membership sizes wrong")
-	}
-}
-
-func TestIncrementalSeedExtendsBatchClusters(t *testing.T) {
-	embs := [][]float64{{1, 0}, {0, 1}}
-	res := Agglomerative(embs, 0.5)
-	inc := NewIncremental(0.5)
-	inc.Seed(embs, res)
-	if inc.Count() != 2 {
-		t.Fatalf("seeded count = %d", inc.Count())
-	}
-	id := inc.Add([]float64{0.98, 0.1})
-	if id != res.Assignments[0] {
-		t.Fatalf("new mention should join x-axis cluster %d, got %d", res.Assignments[0], id)
-	}
-}
-
 func TestLinkageStrings(t *testing.T) {
 	if AverageLinkage.String() != "average" || SingleLinkage.String() != "single" || CompleteLinkage.String() != "complete" {
 		t.Fatal("linkage names wrong")
@@ -214,18 +181,18 @@ func TestDistMatrixGrowMatchesScratch(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		pool := parallel.New(workers)
-		m := NewDistMatrix()
-		for _, upto := range []int{1, 5, 6, 20, 21, 40} {
-			m.Grow(embs[:upto], pool)
-			if m.Len() != upto {
-				t.Fatalf("Len = %d, want %d", m.Len(), upto)
-			}
-			scratch := PairwiseCosineDistances(embs[:upto], nil)
-			if !reflect.DeepEqual(m.d, scratch) {
-				t.Fatalf("grown matrix differs from scratch at n=%d workers=%d", upto, workers)
-			}
-			for _, lk := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
-				got := m.Cluster(0.75, lk)
+		for _, lk := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
+			m := NewDistMatrix(0.75, lk)
+			for _, upto := range []int{1, 5, 6, 20, 21, 40} {
+				m.Grow(embs[:upto], pool)
+				if m.Len() != upto {
+					t.Fatalf("Len = %d, want %d", m.Len(), upto)
+				}
+				scratch := PairwiseCosineDistances(embs[:upto], nil)
+				if !reflect.DeepEqual(m.d, scratch) {
+					t.Fatalf("grown matrix differs from scratch at n=%d workers=%d", upto, workers)
+				}
+				got := m.Cluster()
 				want := AgglomerativeWithLinkage(embs[:upto], 0.75, lk)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("clustering differs at n=%d linkage=%v workers=%d", upto, lk, workers)
@@ -240,17 +207,17 @@ func TestDistMatrixGrowMatchesScratch(t *testing.T) {
 // Lance–Williams updates.
 func TestDistMatrixClusterPreservesPristine(t *testing.T) {
 	embs := [][]float64{{1, 0}, {0.9, 0.44}, {0, 1}, {0.5, 0.87}}
-	m := NewDistMatrix()
+	m := NewDistMatrix(0.75, AverageLinkage)
 	m.Grow(embs, nil)
 	before := make([][]float64, len(m.d))
 	for i := range m.d {
 		before[i] = append([]float64(nil), m.d[i]...)
 	}
-	m.Cluster(0.75, AverageLinkage)
+	m.Cluster()
 	if !reflect.DeepEqual(m.d, before) {
 		t.Fatal("Cluster mutated the pristine matrix")
 	}
-	if got, want := m.Cluster(0.75, AverageLinkage), Agglomerative(embs, 0.75); !reflect.DeepEqual(got, want) {
+	if got, want := m.Cluster(), Agglomerative(embs, 0.75); !reflect.DeepEqual(got, want) {
 		t.Fatal("repeat Cluster differs from scratch clustering")
 	}
 }
@@ -259,17 +226,17 @@ func TestDistMatrixClusterPreservesPristine(t *testing.T) {
 // the matrix untouched.
 func TestDistMatrixGrowNoop(t *testing.T) {
 	embs := [][]float64{{1, 0}, {0, 1}}
-	m := NewDistMatrix()
+	m := NewDistMatrix(0.75, AverageLinkage)
 	m.Grow(embs, nil)
 	m.Grow(embs, nil)
 	m.Grow(embs[:1], nil)
 	if m.Len() != 2 {
 		t.Fatalf("Len = %d", m.Len())
 	}
-	if m.Cluster(0.75, AverageLinkage).Count != 2 {
+	if m.Cluster().Count != 2 {
 		t.Fatal("orthogonal pair must stay separate")
 	}
-	if (&DistMatrix{}).Cluster(0.75, AverageLinkage).Count != 0 {
+	if NewDistMatrix(0.75, AverageLinkage).Cluster().Count != 0 {
 		t.Fatal("empty matrix must yield empty result")
 	}
 }
@@ -279,10 +246,19 @@ func TestDistMatrixGrowNoop(t *testing.T) {
 // cache replaced. Kept here to pin the cache to the reference merge
 // order bit for bit.
 func naiveAgglomerate(dist [][]float64, threshold float64, linkage Linkage) Result {
+	res, _ := naiveMerges(dist, threshold, linkage)
+	return res
+}
+
+// naiveMerges is naiveAgglomerate returning its merge sequence too, so
+// a test can compare merge order and heights, not only the partition
+// (which often survives a wrong order among tied pairs).
+func naiveMerges(dist [][]float64, threshold float64, linkage Linkage) (Result, []mergeStep) {
 	n := len(dist)
 	if n == 0 {
-		return Result{}
+		return Result{}, nil
 	}
+	var steps []mergeStep
 	active := make([]bool, n)
 	size := make([]int, n)
 	parent := make([]int, n)
@@ -309,6 +285,7 @@ func naiveAgglomerate(dist [][]float64, threshold float64, linkage Linkage) Resu
 		if bi < 0 {
 			break
 		}
+		steps = append(steps, mergeStep{bi, bj, best})
 		si, sj := float64(size[bi]), float64(size[bj])
 		for k := 0; k < n; k++ {
 			if !active[k] || k == bi || k == bj {
@@ -347,7 +324,7 @@ func naiveAgglomerate(dist [][]float64, threshold float64, linkage Linkage) Resu
 		}
 		res.Assignments[i] = id
 	}
-	return res
+	return res, steps
 }
 
 // TestAgglomerateMatchesNaiveReference pins the nearest-neighbour-

@@ -181,6 +181,16 @@ type surfaceAmort struct {
 	ccache map[string]*clusterVerdict
 }
 
+// newSurfaceAmort returns the empty state of a surface: a distance
+// matrix fixed to the engine's clustering parameters and an empty
+// verdict cache.
+func (g *Globalizer) newSurfaceAmort() *surfaceAmort {
+	return &surfaceAmort{
+		dist:   cluster.NewDistMatrix(g.cfg.ClusterThreshold, cluster.AverageLinkage),
+		ccache: make(map[string]*clusterVerdict),
+	}
+}
+
 // clusterVerdict is the cached step-4 result of one candidate cluster:
 // its pooled global embedding and the ensemble's decision. Entries are
 // immutable once stored.
@@ -704,7 +714,7 @@ func (a *amortizer) dirtyContains(sorted []string, surface string) bool {
 // which still spares the per-mention encoder work.
 func (g *Globalizer) updateSurface(sa *surfaceAmort, surface string, ms []types.Mention, mode Mode) *surfaceAmort {
 	if sa == nil || !mentionsPrefix(sa.mentions, ms) {
-		sa = &surfaceAmort{dist: cluster.NewDistMatrix(), ccache: make(map[string]*clusterVerdict)}
+		sa = g.newSurfaceAmort()
 	}
 	sa.mentions = ms
 	if g.lacksLocalSupport(ms) {
@@ -723,8 +733,8 @@ func (g *Globalizer) updateSurface(sa *surfaceAmort, surface string, ms []types.
 	if mode != ModeLocalEmbeddings {
 		tc := o.now()
 		sa.dist.Grow(sa.embs, g.pool)
-		clustering = sa.dist.Cluster(g.cfg.ClusterThreshold, cluster.AverageLinkage)
-		o.clusteringDone(tc, len(ms), clustering.Count)
+		clustering = sa.dist.Cluster()
+		o.clusteringDone(tc, len(ms), clustering.Count, sa.dist.Replayed())
 	}
 	sa.outcome = g.outcomeFromEmbeddings(surface, ms, sa.embs, mode, clustering, sa.ccache)
 	return sa

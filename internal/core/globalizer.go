@@ -612,7 +612,7 @@ func (g *Globalizer) processSurface(surface string, ms []types.Mention, mode Mod
 	if mode != ModeLocalEmbeddings {
 		tc := o.now()
 		clustering = cluster.AgglomerativePool(embs, g.cfg.ClusterThreshold, cluster.AverageLinkage, g.pool)
-		o.clusteringDone(tc, len(embs), clustering.Count)
+		o.clusteringDone(tc, len(embs), clustering.Count, 0)
 	}
 	return g.outcomeFromEmbeddings(surface, ms, embs, mode, clustering, nil)
 }

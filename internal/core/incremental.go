@@ -4,9 +4,9 @@ import (
 	"sort"
 	"time"
 
-	"nerglobalizer/internal/cluster"
 	"nerglobalizer/internal/ctrie"
 	"nerglobalizer/internal/mention"
+	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/parallel"
 	"nerglobalizer/internal/stream"
 	"nerglobalizer/internal/types"
@@ -30,7 +30,7 @@ type Incremental struct {
 	g *Globalizer
 
 	// perSurface clustering state.
-	clusters map[string]*cluster.Incremental
+	clusters map[string]*greedyClusters
 	// mentions[surface][i] belongs to cluster assign[surface][i].
 	mentions map[string][]types.Mention
 	assign   map[string][]int
@@ -52,7 +52,7 @@ func NewIncremental(g *Globalizer) *Incremental {
 	g.Reset()
 	return &Incremental{
 		g:           g,
-		clusters:    make(map[string]*cluster.Incremental),
+		clusters:    make(map[string]*greedyClusters),
 		mentions:    make(map[string][]types.Mention),
 		assign:      make(map[string][]int),
 		seen:        make(map[types.SentenceKey]map[types.Span]bool),
@@ -129,7 +129,7 @@ func (inc *Incremental) Cycle(batch []*types.Sentence) map[types.SentenceKey][]t
 	for i, m := range kept {
 		c, ok := inc.clusters[m.Surface]
 		if !ok {
-			c = cluster.NewIncremental(g.cfg.ClusterThreshold)
+			c = &greedyClusters{threshold: g.cfg.ClusterThreshold}
 			inc.clusters[m.Surface] = c
 			inc.clusterType[m.Surface] = make(map[int]types.EntityType)
 			inc.dirty[m.Surface] = make(map[int]bool)
@@ -158,7 +158,7 @@ func (inc *Incremental) Cycle(batch []*types.Sentence) map[types.SentenceKey][]t
 		}
 		for id, members := range byCluster {
 			if inc.dirty[surface][id] {
-				et, _ := g.decideClusterType(members, inc.clusters[surface].Members(id))
+				et, _ := g.decideClusterType(members, inc.clusters[surface].members[id])
 				inc.clusterType[surface][id] = et
 				delete(inc.dirty[surface], id)
 			} else if g.o != nil {
@@ -221,4 +221,38 @@ func (inc *Incremental) markSeen(m types.Mention) {
 		inc.seen[m.Key] = bySpan
 	}
 	bySpan[m.Span] = true
+}
+
+// greedyClusters is this engine's online clustering of one surface's
+// mention embeddings: each arrival joins a cluster once and is never
+// reassigned. (The batch engines re-run full agglomerative clustering
+// through cluster.DistMatrix instead; this greedy pass is what lets a
+// cycle's cost depend on the batch alone.)
+type greedyClusters struct {
+	threshold float64
+	// members[c] holds the embeddings assigned to cluster c.
+	members [][][]float64
+}
+
+// Add assigns emb to the nearest existing cluster if its average
+// cosine distance to that cluster's members is below the threshold,
+// otherwise it opens a new cluster. It returns the cluster id.
+func (c *greedyClusters) Add(emb []float64) int {
+	bestID, bestDist := -1, c.threshold
+	for id, mem := range c.members {
+		total := 0.0
+		for _, m := range mem {
+			total += nn.CosineDistance(emb, m)
+		}
+		avg := total / float64(len(mem))
+		if avg < bestDist {
+			bestID, bestDist = id, avg
+		}
+	}
+	if bestID < 0 {
+		c.members = append(c.members, [][]float64{emb})
+		return len(c.members) - 1
+	}
+	c.members[bestID] = append(c.members[bestID], emb)
+	return bestID
 }

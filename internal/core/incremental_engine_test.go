@@ -96,3 +96,19 @@ func TestResolveOverlaps(t *testing.T) {
 		t.Fatal("nil input should stay empty")
 	}
 }
+
+func TestGreedyClustersAdd(t *testing.T) {
+	c := &greedyClusters{threshold: 0.5}
+	a := c.Add([]float64{1, 0})
+	b := c.Add([]float64{0.99, 0.05}) // close to the first
+	o := c.Add([]float64{0, 1})       // orthogonal: new cluster
+	if a != b {
+		t.Fatalf("close points split: %d vs %d", a, b)
+	}
+	if o == a {
+		t.Fatal("orthogonal point merged")
+	}
+	if len(c.members) != 2 || len(c.members[a]) != 2 || len(c.members[o]) != 1 {
+		t.Fatalf("membership sizes wrong: %v", c.members)
+	}
+}

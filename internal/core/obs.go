@@ -52,6 +52,7 @@ type pipeObs struct {
 	surfacesReused     *obs.Counter
 	clustersFormed     *obs.Counter
 	clusterMerges      *obs.Counter
+	mergesReplayed     *obs.Counter
 	clustersClassified *obs.Counter
 	verdictCacheHits   *obs.Counter
 
@@ -105,6 +106,7 @@ func newPipeObs(reg *obs.Registry) *pipeObs {
 		surfacesReused:     reg.Counter("ner_surface_outcomes_reused_total", "surface outcomes served from the cross-cycle cache"),
 		clustersFormed:     reg.Counter("ner_clusters_formed_total", "candidate clusters produced by agglomerative clustering"),
 		clusterMerges:      reg.Counter("ner_cluster_merges_total", "agglomerative merge steps performed"),
+		mergesReplayed:     reg.Counter("ner_cluster_merges_replayed_total", "merge steps taken from a surface's recorded merge sequence instead of selected again"),
 		clustersClassified: reg.Counter("ner_clusters_classified_total", "cluster type decisions computed"),
 		verdictCacheHits:   reg.Counter("ner_cluster_verdict_cache_hits_total", "cluster verdicts served from the membership-signature cache"),
 
@@ -252,8 +254,9 @@ func (o *pipeObs) publishAmort(st AmortStats) {
 }
 
 // clusteringDone records one surface's agglomerative clustering:
-// busy time, clusters formed, and merge steps (mentions − clusters).
-func (o *pipeObs) clusteringDone(t0 time.Time, mentions, clusters int) {
+// busy time, clusters formed, merge steps (mentions − clusters), and
+// how many of those steps were replayed from the surface's recording.
+func (o *pipeObs) clusteringDone(t0 time.Time, mentions, clusters, replayed int) {
 	if o == nil {
 		return
 	}
@@ -262,4 +265,20 @@ func (o *pipeObs) clusteringDone(t0 time.Time, mentions, clusters int) {
 	if merges := mentions - clusters; merges > 0 {
 		o.clusterMerges.Add(int64(merges))
 	}
+	o.mergesReplayed.Add(int64(replayed))
+}
+
+// ClusterReplayedShare is the fraction of all merge steps so far that
+// were replayed from a recording (0 when uninstrumented or before the
+// first merge) — the /statusz readout of how much re-clustering work
+// the recordings save.
+func (g *Globalizer) ClusterReplayedShare() float64 {
+	if g.o == nil {
+		return 0
+	}
+	merges := g.o.clusterMerges.Value()
+	if merges == 0 {
+		return 0
+	}
+	return float64(g.o.mergesReplayed.Value()) / float64(merges)
 }

@@ -108,6 +108,15 @@ func TestObserverRecordsPipelineActivity(t *testing.T) {
 			t.Errorf("counter %s = %d, want > 0", name, s.Counters[name])
 		}
 	}
+	// Pools that grew across cycles re-clustered by replaying their
+	// recorded merge prefixes; the share is the two counters' ratio.
+	merges, replayed := s.Counters["ner_cluster_merges_total"], s.Counters["ner_cluster_merges_replayed_total"]
+	if replayed <= 0 || replayed > merges {
+		t.Errorf("ner_cluster_merges_replayed_total = %d of %d merges, want in (0, merges]", replayed, merges)
+	}
+	if got, want := g.ClusterReplayedShare(), float64(replayed)/float64(merges); got != want {
+		t.Errorf("ClusterReplayedShare = %v, want %v", got, want)
+	}
 	// Cross-cycle caches must have produced hits over a 4-cycle replay
 	// of a mostly unchanged stream.
 	if s.Counters["ner_embed_cache_hits_total"] <= 0 {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"nerglobalizer/internal/cluster"
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/stream"
 	"nerglobalizer/internal/types"
@@ -309,11 +308,8 @@ func (g *Globalizer) restoreAmort(as *AmortState) error {
 		}
 		pool := st.Pool
 		a.pools[st.Surface] = pool
-		sa := &surfaceAmort{
-			mentions: pool,
-			dist:     cluster.NewDistMatrix(),
-			ccache:   make(map[string]*clusterVerdict),
-		}
+		sa := g.newSurfaceAmort()
+		sa.mentions = pool
 		if st.Skip {
 			sa.outcome = surfaceOutcome{surface: st.Surface, skip: true}
 			a.surfaces[st.Surface] = sa

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/stream"
 	"nerglobalizer/internal/types"
 )
@@ -71,6 +72,73 @@ func TestWarmStateResumeByteIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(refFinal, g.tweetBase.FinalEntityMap()) {
 		t.Fatal("final entity map diverged after cold-amort resume")
+	}
+}
+
+// TestWarmResumeReclustersWithoutRecording pins what a restore does to
+// the merge recordings: they are not part of the warm state, so the
+// first cycle after a restore re-clusters every dirty surface from
+// singletons (nothing replayed) where the uninterrupted run replayed
+// recorded prefixes — and still performs the same merges and returns
+// the same annotations; from the second cycle on it replays again.
+func TestWarmResumeReclustersWithoutRecording(t *testing.T) {
+	g := trainedGlobalizer(t)
+	defer g.SetObserver(nil)
+	sents := smallStream("persist-replay", 120, 93).Sentences
+	batches := stream.Batches(sents, 10)
+	half := len(batches) / 2
+
+	// run feeds batches[from:] and returns, per cycle, the answers and
+	// the cycle's (merges, replayed) counter increments.
+	type cycle struct {
+		answers          map[types.SentenceKey][]types.Entity
+		merges, replayed int64
+	}
+	run := func(from, captureAfter int) ([]cycle, *WarmState) {
+		reg := obs.NewRegistry()
+		g.SetObserver(reg)
+		var out []cycle
+		var ws *WarmState
+		var merges, replayed int64
+		for i := from; i < len(batches); i++ {
+			c := cycle{answers: g.ProcessBatchEntities(batches[i], ModeFull)}
+			cs := reg.Snapshot().Counters
+			c.merges = cs["ner_cluster_merges_total"] - merges
+			c.replayed = cs["ner_cluster_merges_replayed_total"] - replayed
+			merges, replayed = cs["ner_cluster_merges_total"], cs["ner_cluster_merges_replayed_total"]
+			out = append(out, c)
+			if i == captureAfter {
+				ws = g.CaptureWarmState()
+			}
+		}
+		return out, ws
+	}
+
+	g.Reset()
+	ref, ws := run(0, half-1)
+	if err := g.RestoreWarmState(ws); err != nil {
+		t.Fatal(err)
+	}
+	resumed, _ := run(half, -1)
+
+	for k, got := range resumed {
+		want := ref[half+k]
+		if !reflect.DeepEqual(want.answers, got.answers) {
+			t.Fatalf("cycle %d answers diverged after warm resume", half+k)
+		}
+		if got.merges != want.merges {
+			t.Fatalf("cycle %d: %d merges after resume, %d uninterrupted", half+k, got.merges, want.merges)
+		}
+	}
+	if ref[half].replayed == 0 || ref[half].merges == 0 {
+		t.Fatalf("uninterrupted cycle %d replayed %d of %d merges: the case needs a warm cycle that replays",
+			half, ref[half].replayed, ref[half].merges)
+	}
+	if resumed[0].replayed != 0 {
+		t.Fatalf("first cycle after restore replayed %d merges from recordings that cannot exist", resumed[0].replayed)
+	}
+	if resumed[1].replayed == 0 {
+		t.Fatal("second cycle after restore replayed nothing: recordings were not rebuilt")
 	}
 }
 

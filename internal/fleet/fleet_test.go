@@ -297,6 +297,97 @@ func TestFleetConcurrentIdentity(t *testing.T) {
 	}
 }
 
+// TestFleetEntitiesDuringAnnotate reads /entities in a loop while two
+// clients annotate: the router's sentence map is written by every cycle,
+// so the surface lookups of a concurrent read must happen under its
+// lock. Run under -race; before the fix the read also died outright
+// with "concurrent map read and map write". A read that lands between
+// two shards' commits may see unequal stream sizes and get a 502; any
+// 200 must be well-formed, and the read after traffic stops complete.
+func TestFleetEntitiesDuringAnnotate(t *testing.T) {
+	g := trainedPipeline(t)
+	h, err := NewHarness(g, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+
+	bodies := streamBodies(60, 1)
+	const clients = 2
+	perClient := len(bodies) / clients
+	var writers, reader sync.WaitGroup
+	stop := make(chan struct{})
+	reads := 0
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get(h.URL() + "/entities")
+			if err != nil {
+				t.Errorf("GET /entities: %v", err)
+				return
+			}
+			b, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Errorf("GET /entities: %v", err)
+				return
+			}
+			switch resp.StatusCode {
+			case http.StatusOK:
+				var ents []server.SentenceEntitiesJSON
+				if err := json.Unmarshal(b, &ents); err != nil {
+					t.Errorf("GET /entities: %v in %s", err, b)
+					return
+				}
+				reads++
+			case http.StatusBadGateway:
+			default:
+				t.Errorf("GET /entities: status %d: %s", resp.StatusCode, b)
+				return
+			}
+		}
+	}()
+	for c := 0; c < clients; c++ {
+		writers.Add(1)
+		go func(c int) {
+			defer writers.Done()
+			for _, body := range bodies[c*perClient : (c+1)*perClient] {
+				resp, err := http.Post(h.URL()+"/annotate", "application/json",
+					bytes.NewReader([]byte(body)))
+				if err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+				b, _ := io.ReadAll(resp.Body) // the status below is the check
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("client %d: status %d: %s", c, resp.StatusCode, b)
+					return
+				}
+			}
+		}(c)
+	}
+	writers.Wait()
+	close(stop)
+	reader.Wait()
+	if reads == 0 {
+		t.Fatal("no /entities read succeeded during annotate traffic")
+	}
+	var ents []server.SentenceEntitiesJSON
+	if err := json.Unmarshal([]byte(getBody(t, h.URL()+"/entities")), &ents); err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) < len(bodies) {
+		t.Fatalf("final /entities lists %d sentences for %d tweets", len(ents), len(bodies))
+	}
+}
+
 // TestFleetPartialDegradation saturates one shard and verifies the
 // router propagates 503 + Retry-After without stalling the healthy
 // shards, queues the missed commits, and recovers to byte-identical

@@ -986,22 +986,27 @@ func (r *Router) handleEntities(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
+	// Look the sentences up under the lock — runCycle inserts into the
+	// map while annotate traffic flows. The sentences themselves are
+	// immutable once published.
+	sents := make([]*types.Sentence, len(parts[0]))
 	r.mu.Lock()
-	sentences := r.sentences
+	for si := range parts[0] {
+		sents[si] = r.sentences[types.SentenceKey{TweetID: parts[0][si].TweetID, SentID: parts[0][si].SentID}]
+	}
 	r.mu.Unlock()
 	out := []server.SentenceEntitiesJSON{}
 	groups := make([][]WireEntity, k)
 	for si := range parts[0] {
-		key := types.SentenceKey{TweetID: parts[0][si].TweetID, SentID: parts[0][si].SentID}
 		for i := 0; i < k; i++ {
 			groups[i] = parts[i][si].Entities
 		}
 		sj := server.SentenceEntitiesJSON{
-			TweetID:  key.TweetID,
-			SentID:   key.SentID,
+			TweetID:  parts[0][si].TweetID,
+			SentID:   parts[0][si].SentID,
 			Entities: []server.EntityJSON{},
 		}
-		sent := sentences[key]
+		sent := sents[si]
 		for _, e := range mergeEntityGroups(groups) {
 			surface := e.Surface
 			if sent != nil {

@@ -392,6 +392,8 @@ func (s *Shard) Status() ShardStatus {
 		SIMD:       nn.ActiveSIMD().String(),
 		I8Kernel:   nn.I8KernelMode(),
 		Settings:   s.settings,
+
+		ClusterReplayedShare: s.g.ClusterReplayedShare(),
 	}
 	s.mu.Unlock()
 	if s.dl != nil {

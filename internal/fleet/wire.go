@@ -181,6 +181,9 @@ type ShardStatus struct {
 	SIMD       string            `json:"simd"`
 	I8Kernel   string            `json:"i8_kernel"`
 	Settings   map[string]string `json:"settings"`
+	// ClusterReplayedShare is the fraction of the shard engine's merge
+	// steps replayed from recordings (see server.StatuszResponse).
+	ClusterReplayedShare float64 `json:"cluster_merges_replayed_share"`
 	// Durability summarizes the shard's commit path; nil without
 	// -data-dir.
 	Durability *durable.Status `json:"durability,omitempty"`

@@ -90,6 +90,11 @@ func TestMetricsAndStatuszEndpoints(t *testing.T) {
 	if st.Metrics.Counters["ner_cycles_total"] < 1 {
 		t.Error("statusz missing pipeline cycle counter")
 	}
+	if share := st.ClusterReplayedShare; share < 0 || share > 1 ||
+		(share > 0) != (st.Metrics.Counters["ner_cluster_merges_replayed_total"] > 0) {
+		t.Errorf("statusz cluster_merges_replayed_share = %v with %d replayed merges",
+			share, st.Metrics.Counters["ner_cluster_merges_replayed_total"])
+	}
 	if len(st.Traces) == 0 {
 		t.Fatal("statusz has no cycle traces")
 	}

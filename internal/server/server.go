@@ -500,11 +500,16 @@ type StatuszResponse struct {
 	// differ when an operator pinned a lower tier via NER_SIMD or
 	// -simd. SIMDSupported lists every tier this arch can run.
 	// I8Kernel reports the quantized-GEMM flavor (w8a16 or w8a8).
-	GOARCH        string           `json:"goarch"`
-	SIMD          string           `json:"simd"`
-	SIMDBest      string           `json:"simd_best"`
-	SIMDSupported []string         `json:"simd_supported"`
-	I8Kernel string `json:"i8_kernel"`
+	GOARCH        string   `json:"goarch"`
+	SIMD          string   `json:"simd"`
+	SIMDBest      string   `json:"simd_best"`
+	SIMDSupported []string `json:"simd_supported"`
+	I8Kernel      string   `json:"i8_kernel"`
+	// ClusterReplayedShare is ner_cluster_merges_replayed_total over
+	// ner_cluster_merges_total: the fraction of agglomerative merge
+	// steps taken from a surface's recorded merge sequence instead of
+	// selected again (0 without -metrics).
+	ClusterReplayedShare float64 `json:"cluster_merges_replayed_share"`
 	// Durability summarizes the commit path (fsync policy, WAL backlog,
 	// snapshot-writer depth); nil when the server runs without -data-dir.
 	Durability *durable.Status  `json:"durability,omitempty"`
@@ -533,6 +538,8 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		I8Kernel:   nn.I8KernelMode(),
 		Metrics:    reg.Snapshot(),
 		Traces:     s.g.Traces(),
+
+		ClusterReplayedShare: s.g.ClusterReplayedShare(),
 	}
 	for _, l := range nn.SupportedSIMDLevels() {
 		resp.SIMDSupported = append(resp.SIMDSupported, l.String())
