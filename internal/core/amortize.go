@@ -46,6 +46,10 @@ import (
 type embedCache struct {
 	mu sync.RWMutex
 	m  map[types.SentenceKey]map[types.Span][]float64
+	// added lists the entries stored since the last warm-state capture
+	// while tracking is on (see changeTracker); workers append under mu.
+	added    []MentionEmbed
+	tracking bool
 }
 
 func newEmbedCache() *embedCache {
@@ -76,7 +80,16 @@ func (c *embedCache) get(g *Globalizer, m types.Mention) []float64 {
 		bySpan = make(map[types.Span][]float64)
 		c.m[m.Key] = bySpan
 	}
-	bySpan[m.Span] = v
+	if prev := bySpan[m.Span]; prev != nil {
+		// A concurrent caller stored the same values first; keep one
+		// copy so the entry is recorded as added once.
+		v = prev
+	} else {
+		bySpan[m.Span] = v
+		if c.tracking {
+			c.added = append(c.added, MentionEmbed{Key: m.Key, Span: m.Span, Vec: v})
+		}
+	}
 	c.mu.Unlock()
 	return v
 }
@@ -288,6 +301,76 @@ type amortizer struct {
 	haveMode bool
 	// stats describes the most recent cycle's cache activity.
 	stats AmortStats
+	// track records what changed since the last warm-state capture, so
+	// the next capture can be a delta. nil until a capture arms it: an
+	// engine that never captures pays one nil check per write site.
+	track *changeTracker
+}
+
+// changeTracker is the write log between two warm-state captures: the
+// parts of the captured state a cycle rewrote, recorded by key so that
+// CaptureWarmDelta flattens only those. Appended records need no
+// entry — everything at a TweetBase position >= baseLen is new — and
+// added embeddings are logged by the embed cache under its own lock.
+type changeTracker struct {
+	// baseLen is the TweetBase length at the last capture.
+	baseLen int
+	// surfaces lists the token sequences registered in the trie since.
+	surfaces [][]string
+	// scans and finals mark sentences whose cached scan / FinalMentions
+	// were rewritten.
+	scans, finals map[types.SentenceKey]bool
+	// pools maps each surface whose outcome was rewritten to the length
+	// of its pool prefix that still stands as captured: the pool length
+	// at the last capture while the pool only grew, 0 once it was
+	// replaced or for a surface the capture did not hold.
+	pools map[string]int
+	// deleted marks surfaces whose pool emptied.
+	deleted map[string]bool
+}
+
+// arm starts (or restarts) change tracking from the current state —
+// called by a capture that holds the whole state or a delta up to it.
+func (a *amortizer) arm(baseLen int) {
+	a.track = &changeTracker{
+		baseLen: baseLen,
+		scans:   make(map[types.SentenceKey]bool),
+		finals:  make(map[types.SentenceKey]bool),
+		pools:   make(map[string]int),
+		deleted: make(map[string]bool),
+	}
+	a.embeds.mu.Lock()
+	a.embeds.added, a.embeds.tracking = nil, true
+	a.embeds.mu.Unlock()
+}
+
+// disarm stops change tracking: state was (or is about to be) written
+// in a way the tracker does not see, so the next capture must be a
+// full one.
+func (a *amortizer) disarm() {
+	if a.track == nil {
+		return
+	}
+	a.track = nil
+	a.embeds.mu.Lock()
+	a.embeds.added, a.embeds.tracking = nil, false
+	a.embeds.mu.Unlock()
+}
+
+// surfaceWritten records that a surface's outcome was recomputed over
+// a pool whose first kept mentions are unchanged since the previous
+// recomputation.
+func (t *changeTracker) surfaceWritten(surface string, kept int) {
+	if prev, seen := t.pools[surface]; !seen || kept < prev {
+		t.pools[surface] = kept
+	}
+	delete(t.deleted, surface)
+}
+
+// surfaceDeleted records that a surface left the amortizer.
+func (t *changeTracker) surfaceDeleted(surface string) {
+	delete(t.pools, surface)
+	t.deleted[surface] = true
 }
 
 func newAmortizer() *amortizer {
@@ -306,7 +389,10 @@ func newAmortizer() *amortizer {
 
 // markStale notes that a cycle ran outside the amortized path (caching
 // disabled) and wrote FinalMentions and the CandidateBase directly.
-func (a *amortizer) markStale() { a.stale = true }
+func (a *amortizer) markStale() {
+	a.stale = true
+	a.disarm()
+}
 
 // invalidateSentence forgets everything derived from one sentence.
 // Used when a record is replaced in the TweetBase — a pathological
@@ -327,6 +413,7 @@ func (a *amortizer) invalidateSentence(key types.SentenceKey) {
 	a.dirty = make(map[string]bool)
 	a.mentionCount = 0
 	a.stale = true
+	a.disarm()
 }
 
 // rescanPass refreshes the scan cache for one cycle, byte-identical to
@@ -399,6 +486,9 @@ func (a *amortizer) rescanPass(g *Globalizer, batch []*types.Sentence, newSurfac
 		if !mentionsEqual(old, scanned[i]) {
 			a.applyScanDiff(g, key, old, scanned[i])
 			a.mentionCount += len(scanned[i]) - len(old)
+			if a.track != nil {
+				a.track.scans[key] = true
+			}
 		}
 		a.scans[key] = scanned[i]
 		if _, ok := a.toksets[key]; !ok {
@@ -597,6 +687,7 @@ func (g *Globalizer) amortizedGlobalPhase(batch []*types.Sentence, newSurfaces [
 			a.dirty[s] = true
 		}
 		stale = true
+		a.disarm()
 	}
 	a.lastMode, a.haveMode = mode, true
 
@@ -637,6 +728,9 @@ func (g *Globalizer) amortizedGlobalPhase(batch []*types.Sentence, newSurfaces [
 			delete(a.surfaces, s)
 			delete(a.pools, s)
 			g.candBase.Delete(s)
+			if a.track != nil {
+				a.track.surfaceDeleted(s)
+			}
 			continue
 		}
 		dirtySurfaces = append(dirtySurfaces, s)
@@ -649,11 +743,14 @@ func (g *Globalizer) amortizedGlobalPhase(batch []*types.Sentence, newSurfaces [
 	// each worker touches only its own surface's cached state. The old
 	// typed views are captured first so the serial merge below can diff
 	// them (updateSurface mutates the cached entry in place on the
-	// append-only path).
+	// append-only path), and the old pool lengths so the change tracker
+	// knows from where a pool that only grew was appended to.
 	oldTyped := make([]map[types.SentenceKey][]types.Mention, len(dirtySurfaces))
+	oldLen := make([]int, len(dirtySurfaces))
 	for i, s := range dirtySurfaces {
 		if sa := a.surfaces[s]; sa != nil {
 			oldTyped[i] = sa.typedBySent
+			oldLen[i] = len(sa.mentions)
 		}
 	}
 	ts := g.o.now()
@@ -669,6 +766,15 @@ func (g *Globalizer) amortizedGlobalPhase(batch []*types.Sentence, newSurfaces [
 		newTyped := typedBySentence(sa.outcome.typed)
 		markTypedDiff(a.finalDirty, oldTyped[si], newTyped)
 		sa.typedBySent = newTyped
+		if a.track != nil {
+			// updateSurface returns the cached entry itself exactly when
+			// the old pool is a prefix of the new one.
+			kept := 0
+			if sa == a.surfaces[surface] {
+				kept = oldLen[si]
+			}
+			a.track.surfaceWritten(surface, kept)
+		}
 		a.surfaces[surface] = sa
 		if sa.outcome.skip {
 			g.candBase.Delete(surface)
@@ -697,6 +803,9 @@ func (g *Globalizer) amortizedGlobalPhase(batch []*types.Sentence, newSurfaces [
 		delete(a.finalDirty, key)
 		if rec := g.tweetBase.Get(key); rec != nil {
 			rec.FinalMentions = a.rebuildFinal(key)
+			if a.track != nil {
+				a.track.finals[key] = true
+			}
 		}
 	}
 }

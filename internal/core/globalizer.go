@@ -522,6 +522,9 @@ func (g *Globalizer) applyTagged(batch []*types.Sentence, results []*localner.Re
 				toks := r.Tokens[e.Start:e.End]
 				if g.trie.Insert(toks) {
 					newSurfaces = append(newSurfaces, toks)
+					if t := g.amort.track; t != nil {
+						t.surfaces = append(t.surfaces, toks)
+					}
 				}
 			}
 		}
@@ -537,6 +540,10 @@ type surfaceOutcome struct {
 	surface string
 	skip    bool
 	cands   []*stream.Candidate
+	// members holds, index-aligned with cands, each candidate's member
+	// indices into the surface's mention pool — the form warm-state
+	// captures store. Immutable once set.
+	members [][]int
 	typed   []types.Mention
 }
 
@@ -636,7 +643,8 @@ func (g *Globalizer) outcomeFromEmbeddings(surface string, ms []types.Mention, e
 		// Ablation: classify every mention from its own local
 		// embedding, no clustering or pooling.
 		for i, m := range ms {
-			key := clusterKey([]int{i})
+			idxs := []int{i}
+			key := clusterKey(idxs)
 			v := ccache[key]
 			if v == nil {
 				tc := g.o.now()
@@ -653,6 +661,7 @@ func (g *Globalizer) outcomeFromEmbeddings(surface string, ms []types.Mention, e
 				g.o.verdictCacheHits.Inc()
 			}
 			m.Type = v.et
+			oc.members = append(oc.members, idxs)
 			oc.cands = append(oc.cands, &stream.Candidate{
 				Surface: surface, ClusterID: i,
 				Mentions:   []types.Mention{m},
@@ -692,6 +701,7 @@ func (g *Globalizer) outcomeFromEmbeddings(surface string, ms []types.Mention, e
 		}
 		cand.GlobalEmb, cand.Type, cand.Confidence = v.globalEmb, v.et, v.conf
 		oc.cands = append(oc.cands, cand)
+		oc.members = append(oc.members, idxs)
 		if cand.Type == types.None {
 			continue
 		}

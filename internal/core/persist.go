@@ -96,7 +96,9 @@ type WarmState struct {
 
 // CaptureWarmState snapshots the per-stream state. The caller must hold
 // whatever lock serializes cycles on this engine; the returned value is
-// safe to encode concurrently with later cycles.
+// safe to encode concurrently with later cycles. A capture that holds
+// the amortizer state also arms change tracking, so the next capture
+// can be a CaptureWarmDelta against this one.
 func (g *Globalizer) CaptureWarmState() *WarmState {
 	ws := &WarmState{
 		Precision:  g.Precision().String(),
@@ -107,30 +109,78 @@ func (g *Globalizer) CaptureWarmState() *WarmState {
 	sort.Strings(ws.Surfaces)
 	ws.Records = make([]RecordState, 0, g.tweetBase.Len())
 	g.tweetBase.Each(func(r *stream.Record) {
-		ws.Records = append(ws.Records, RecordState{
-			TweetID: r.Sentence.TweetID,
-			SentID:  r.Sentence.SentID,
-			Tokens:  r.Sentence.Tokens,
-			Gold:    r.Sentence.Gold,
-			Local:   r.LocalEntities,
-			Emb:     r.Embeddings,
-			Final:   r.FinalMentions,
-		})
+		ws.Records = append(ws.Records, recordState(r))
 	})
 	ws.Amort = g.captureAmort()
+	if ws.Amort != nil {
+		g.amort.arm(g.tweetBase.Len())
+	} else {
+		g.amort.disarm()
+	}
 	return ws
 }
 
+func recordState(r *stream.Record) RecordState {
+	return RecordState{
+		TweetID: r.Sentence.TweetID,
+		SentID:  r.Sentence.SentID,
+		Tokens:  r.Sentence.Tokens,
+		Gold:    r.Sentence.Gold,
+		Local:   r.LocalEntities,
+		Emb:     r.Embeddings,
+		Final:   r.FinalMentions,
+	}
+}
+
+// amortCapturable reports whether the amortizer is in the clean state a
+// capture can flatten: caching on, last cycle at ModeFull, nothing
+// stale or dirty, and every bookkeeping counter level with the stream
+// and trie.
+func (g *Globalizer) amortCapturable() bool {
+	a := g.amort
+	return !g.cfg.DisableCache && a.haveMode && a.lastMode == ModeFull && !a.stale &&
+		len(a.dirty) == 0 && len(a.finalDirty) == 0 &&
+		a.scannedLen == g.tweetBase.Len() && a.trieLen == g.trie.Len() &&
+		len(a.surfaces) == len(a.pools)
+}
+
+// candStates flattens a surface outcome's candidate clusters.
+func candStates(oc *surfaceOutcome) []CandState {
+	if oc.skip {
+		return nil
+	}
+	out := make([]CandState, len(oc.cands))
+	for i, cand := range oc.cands {
+		out[i] = CandState{
+			ClusterID: cand.ClusterID,
+			Members:   oc.members[i],
+			GlobalEmb: cand.GlobalEmb,
+			Type:      cand.Type,
+			Conf:      cand.Confidence,
+		}
+	}
+	return out
+}
+
+// embedLess orders cached embeddings the way a capture lists them:
+// stream order of the sentence, then span.
+func embedLess(a, b *MentionEmbed, pos func(types.SentenceKey) int) bool {
+	if a.Key != b.Key {
+		return pos(a.Key) < pos(b.Key)
+	}
+	if a.Span.Start != b.Span.Start {
+		return a.Span.Start < b.Span.Start
+	}
+	return a.Span.End < b.Span.End
+}
+
 // captureAmort flattens the amortizer, or returns nil when its state is
-// not cleanly capturable: caching off, a non-ModeFull last cycle, stale
-// or dirty bookkeeping, or any internal inconsistency. nil is always
-// safe — restore falls back to a cold amortizer over warm records.
+// not cleanly capturable (see amortCapturable) or shows any internal
+// inconsistency. nil is always safe — restore falls back to a cold
+// amortizer over warm records.
 func (g *Globalizer) captureAmort() *AmortState {
 	a := g.amort
-	if g.cfg.DisableCache || !a.haveMode || a.lastMode != ModeFull || a.stale ||
-		len(a.dirty) != 0 || len(a.finalDirty) != 0 ||
-		a.scannedLen != g.tweetBase.Len() || a.trieLen != g.trie.Len() ||
-		len(a.surfaces) != len(a.pools) {
+	if !g.amortCapturable() {
 		return nil
 	}
 	as := &AmortState{
@@ -161,37 +211,9 @@ func (g *Globalizer) captureAmort() *AmortState {
 		if sa == nil || !mentionsEqual(sa.mentions, pool) {
 			return nil
 		}
-		st := SurfaceState{Surface: s, Pool: pool, Skip: sa.outcome.skip}
-		if !sa.outcome.skip {
-			// Invert the outcome's mention values back to pool indices;
-			// (sentence, span) identifies a pool entry uniquely.
-			idx := make(map[types.SentenceKey]map[types.Span]int, len(pool))
-			for i, m := range pool {
-				bySpan := idx[m.Key]
-				if bySpan == nil {
-					bySpan = make(map[types.Span]int, 2)
-					idx[m.Key] = bySpan
-				}
-				bySpan[m.Span] = i
-			}
-			for _, cand := range sa.outcome.cands {
-				cs := CandState{
-					ClusterID: cand.ClusterID,
-					GlobalEmb: cand.GlobalEmb,
-					Type:      cand.Type,
-					Conf:      cand.Confidence,
-				}
-				for _, m := range cand.Mentions {
-					i, ok := idx[m.Key][m.Span]
-					if !ok {
-						return nil
-					}
-					cs.Members = append(cs.Members, i)
-				}
-				st.Cands = append(st.Cands, cs)
-			}
-		}
-		as.Surfaces = append(as.Surfaces, st)
+		as.Surfaces = append(as.Surfaces, SurfaceState{
+			Surface: s, Pool: pool, Skip: sa.outcome.skip, Cands: candStates(&sa.outcome),
+		})
 	}
 
 	// Flatten the embedding cache in stream order, spans ascending, so
@@ -199,25 +221,279 @@ func (g *Globalizer) captureAmort() *AmortState {
 	a.embeds.mu.RLock()
 	for _, key := range keys {
 		bySpan := a.embeds.m[key]
-		if len(bySpan) == 0 {
-			continue
+		first := len(as.Embeds)
+		for sp, vec := range bySpan {
+			as.Embeds = append(as.Embeds, MentionEmbed{Key: key, Span: sp, Vec: vec})
 		}
-		spans := make([]types.Span, 0, len(bySpan))
-		for sp := range bySpan {
-			spans = append(spans, sp)
-		}
-		sort.Slice(spans, func(i, j int) bool {
-			if spans[i].Start != spans[j].Start {
-				return spans[i].Start < spans[j].Start
-			}
-			return spans[i].End < spans[j].End
-		})
-		for _, sp := range spans {
-			as.Embeds = append(as.Embeds, MentionEmbed{Key: key, Span: sp, Vec: bySpan[sp]})
+		if len(bySpan) > 1 {
+			sortEmbeds(as.Embeds[first:], g.tweetBase.IndexOf)
 		}
 	}
 	a.embeds.mu.RUnlock()
 	return as
+}
+
+func sortEmbeds(es []MentionEmbed, pos func(types.SentenceKey) int) {
+	sort.Slice(es, func(i, j int) bool { return embedLess(&es[i], &es[j], pos) })
+}
+
+// SurfaceDelta is one surface form's rewritten amortization state
+// inside a WarmDelta: the surface's pool is the first PoolFrom mentions
+// it had in the state the delta extends followed by Pool (PoolFrom 0
+// replaces it, or introduces the surface), and Skip and Cands replace
+// the outcome whole.
+type SurfaceDelta struct {
+	Surface  string
+	PoolFrom int
+	Pool     []types.Mention
+	Skip     bool
+	Cands    []CandState
+}
+
+// WarmDelta is what changed in the per-stream state between two
+// captures, in the same flat form as WarmState: the records appended,
+// and every older part a cycle rewrote, whole. Everything else — token
+// embeddings, cached mention embeddings, untouched scans, pools and
+// outcomes — is immutable once captured and stays in the state the
+// delta extends. (*WarmState).Apply merges a delta back.
+type WarmDelta struct {
+	// BaseRecords is the record count of the state this delta extends.
+	BaseRecords int
+	// Surfaces lists the trie surfaces registered since, sorted.
+	Surfaces []string
+	// Records are the appended records, in stream order.
+	Records []RecordState
+	// Finals holds the rewritten FinalMentions of older records, in
+	// stream order (ScanState is the shared key-plus-mentions shape).
+	Finals []ScanState
+
+	// The amortizer's counters, as AmortState carries them.
+	ScannedLen, TrieLen, MentionCount int
+	Mode                              int
+	// Scans holds the rewritten scans of older records followed by the
+	// scans of the appended ones, both in stream order.
+	Scans []ScanState
+	// Pools holds the surfaces whose outcome was rewritten, sorted;
+	// Deleted the surfaces whose pool emptied, sorted.
+	Pools   []SurfaceDelta
+	Deleted []string
+	// Embeds lists the mention embeddings cached since, in capture
+	// order (stream order of the sentence, then span).
+	Embeds []MentionEmbed
+}
+
+// CaptureWarmDelta flattens what changed since the previous capture
+// (full or delta) in time proportional to the change, and restarts
+// change tracking from here. It returns nil when a delta cannot express
+// the change — no previous capture holds the amortizer state, caching
+// was off for a cycle, the amortizer went stale or switched modes, a
+// sentence was replaced, or the amortizer is not cleanly capturable
+// right now; the caller then takes a full CaptureWarmState. Same
+// locking contract as CaptureWarmState.
+func (g *Globalizer) CaptureWarmDelta() *WarmDelta {
+	a := g.amort
+	t := a.track
+	if t == nil || !g.amortCapturable() {
+		return nil
+	}
+	tb := g.tweetBase
+	d := &WarmDelta{
+		BaseRecords:  t.baseLen,
+		ScannedLen:   a.scannedLen,
+		TrieLen:      a.trieLen,
+		MentionCount: a.mentionCount,
+		Mode:         int(a.lastMode),
+	}
+	for _, toks := range t.surfaces {
+		d.Surfaces = append(d.Surfaces, types.CanonicalSurface(toks))
+	}
+	sort.Strings(d.Surfaces)
+
+	older := func(marked map[types.SentenceKey]bool) []types.SentenceKey {
+		keys := make([]types.SentenceKey, 0, len(marked))
+		for key := range marked {
+			if tb.IndexOf(key) < t.baseLen {
+				keys = append(keys, key)
+			}
+		}
+		sort.Slice(keys, func(i, j int) bool { return tb.IndexOf(keys[i]) < tb.IndexOf(keys[j]) })
+		return keys
+	}
+	for _, key := range older(t.finals) {
+		d.Finals = append(d.Finals, ScanState{Key: key, Mentions: tb.Get(key).FinalMentions})
+	}
+	for _, key := range older(t.scans) {
+		d.Scans = append(d.Scans, ScanState{Key: key, Mentions: a.scans[key]})
+	}
+	for _, key := range tb.KeysFrom(t.baseLen) {
+		ms, ok := a.scans[key]
+		if !ok {
+			return nil
+		}
+		d.Records = append(d.Records, recordState(tb.Get(key)))
+		d.Scans = append(d.Scans, ScanState{Key: key, Mentions: ms})
+	}
+
+	surfs := make([]string, 0, len(t.pools))
+	for s := range t.pools {
+		surfs = append(surfs, s)
+	}
+	sort.Strings(surfs)
+	for _, s := range surfs {
+		sa, pool, kept := a.surfaces[s], a.pools[s], t.pools[s]
+		// The outcome must stand on the pool as it is now: the very
+		// slice the last recomputation ran over (nothing is dirty, so
+		// the pool was not spliced since).
+		if sa == nil || kept > len(pool) || len(sa.mentions) != len(pool) ||
+			(len(pool) > 0 && &sa.mentions[0] != &pool[0]) {
+			return nil
+		}
+		d.Pools = append(d.Pools, SurfaceDelta{
+			Surface: s, PoolFrom: kept, Pool: pool[kept:],
+			Skip: sa.outcome.skip, Cands: candStates(&sa.outcome),
+		})
+	}
+	for s := range t.deleted {
+		d.Deleted = append(d.Deleted, s)
+	}
+	sort.Strings(d.Deleted)
+
+	a.embeds.mu.RLock()
+	d.Embeds = a.embeds.added
+	a.embeds.mu.RUnlock()
+	sortEmbeds(d.Embeds, tb.IndexOf)
+
+	a.arm(tb.Len())
+	return d
+}
+
+// Apply merges a delta captured right after this state into it, so
+// that a base state with its deltas applied in capture order encodes
+// to the same bytes as a full capture taken where the last delta was.
+// The state must hold an amortizer capture (deltas are only taken
+// against one). On error the state is left partly merged and must be
+// discarded.
+func (ws *WarmState) Apply(d *WarmDelta) error {
+	as := ws.Amort
+	if as == nil {
+		return fmt.Errorf("core: warm delta applied to a state without amortizer caches")
+	}
+	if d.BaseRecords != len(ws.Records) || len(as.Scans) != len(ws.Records) {
+		return fmt.Errorf("core: warm delta extends a state of %d records, this one has %d (%d scanned)",
+			d.BaseRecords, len(ws.Records), len(as.Scans))
+	}
+	ws.Surfaces = mergeOrdered(ws.Surfaces, d.Surfaces, func(a, b *string) bool { return *a < *b })
+
+	pos := make(map[types.SentenceKey]int, len(ws.Records)+len(d.Records))
+	for i := range ws.Records {
+		pos[types.SentenceKey{TweetID: ws.Records[i].TweetID, SentID: ws.Records[i].SentID}] = i
+	}
+	for i := range d.Records {
+		key := types.SentenceKey{TweetID: d.Records[i].TweetID, SentID: d.Records[i].SentID}
+		if _, dup := pos[key]; dup {
+			return fmt.Errorf("core: warm delta repeats sentence %v", key)
+		}
+		pos[key] = len(ws.Records)
+		ws.Records = append(ws.Records, d.Records[i])
+	}
+	for _, f := range d.Finals {
+		i, ok := pos[f.Key]
+		if !ok || i >= d.BaseRecords {
+			return fmt.Errorf("core: warm delta rewrites the final mentions of %v, not an older sentence", f.Key)
+		}
+		ws.Records[i].Final = f.Mentions
+	}
+
+	as.ScannedLen, as.TrieLen, as.MentionCount, as.Mode = d.ScannedLen, d.TrieLen, d.MentionCount, d.Mode
+	for _, sc := range d.Scans {
+		i, ok := pos[sc.Key]
+		switch {
+		case ok && i < len(as.Scans):
+			as.Scans[i].Mentions = sc.Mentions
+		case ok && i == len(as.Scans):
+			as.Scans = append(as.Scans, sc)
+		default:
+			return fmt.Errorf("core: warm delta scans %v out of stream order", sc.Key)
+		}
+	}
+	if len(as.Scans) != len(ws.Records) {
+		return fmt.Errorf("core: warm delta leaves %d scans for %d records", len(as.Scans), len(ws.Records))
+	}
+
+	surfaces, err := mergeSurfaces(as.Surfaces, d.Pools, d.Deleted)
+	if err != nil {
+		return err
+	}
+	as.Surfaces = surfaces
+
+	// Both embedding lists are in capture order over the same stream
+	// positions; a linear merge keeps that order.
+	at := func(key types.SentenceKey) int {
+		if i, ok := pos[key]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range d.Embeds {
+		if at(d.Embeds[i].Key) < 0 {
+			return fmt.Errorf("core: warm delta embeds a mention of unknown sentence %v", d.Embeds[i].Key)
+		}
+	}
+	as.Embeds = mergeOrdered(as.Embeds, d.Embeds, func(a, b *MentionEmbed) bool { return embedLess(a, b, at) })
+	return nil
+}
+
+// mergeOrdered merges two lists sorted by less into a new one; on a
+// tie the element of a comes first.
+func mergeOrdered[T any](a, b []T, less func(x, y *T) bool) []T {
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]T, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if less(&b[j], &a[i]) {
+			out = append(out, b[j])
+			j++
+		} else {
+			out = append(out, a[i])
+			i++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
+// mergeSurfaces applies a delta's surface rewrites and deletions to a
+// sorted surface list.
+func mergeSurfaces(old []SurfaceState, pools []SurfaceDelta, deleted []string) ([]SurfaceState, error) {
+	drop := make(map[string]bool, len(deleted)+len(pools))
+	for _, s := range deleted {
+		drop[s] = true
+	}
+	fresh := make([]SurfaceState, len(pools))
+	for j := range pools {
+		sd := &pools[j]
+		var prev []types.Mention
+		if i := sort.Search(len(old), func(i int) bool { return old[i].Surface >= sd.Surface }); i < len(old) && old[i].Surface == sd.Surface {
+			prev = old[i].Pool
+		}
+		if sd.PoolFrom < 0 || sd.PoolFrom > len(prev) {
+			return nil, fmt.Errorf("core: warm delta keeps %d mentions of %q, the pool has %d", sd.PoolFrom, sd.Surface, len(prev))
+		}
+		// Copy: prev may share its backing array with a live engine.
+		pool := make([]types.Mention, 0, sd.PoolFrom+len(sd.Pool))
+		pool = append(append(pool, prev[:sd.PoolFrom]...), sd.Pool...)
+		fresh[j] = SurfaceState{Surface: sd.Surface, Pool: pool, Skip: sd.Skip, Cands: sd.Cands}
+		drop[sd.Surface] = true
+	}
+	kept := make([]SurfaceState, 0, len(old))
+	for i := range old {
+		if !drop[old[i].Surface] {
+			kept = append(kept, old[i])
+		}
+	}
+	return mergeOrdered(kept, fresh, func(a, b *SurfaceState) bool { return a.Surface < b.Surface }), nil
 }
 
 // RestoreWarmState rebuilds the per-stream state from a capture. The
@@ -340,6 +616,7 @@ func (g *Globalizer) restoreAmort(as *AmortState) error {
 			}
 			sa.ccache[clusterKey(cs.Members)] = &clusterVerdict{globalEmb: cs.GlobalEmb, et: cs.Type, conf: cs.Conf}
 			oc.cands = append(oc.cands, cand)
+			oc.members = append(oc.members, cs.Members)
 			if cand.Type != types.None {
 				for _, m := range cand.Mentions {
 					m.Type = cand.Type

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -12,7 +13,9 @@ import (
 // TestWarmStateResumeByteIdentical is the core durability contract: a
 // stream processed half-way, captured, restored and continued must
 // produce exactly the annotations of the uninterrupted run — both the
-// per-batch answers and the final whole-stream state.
+// per-batch answers and the final whole-stream state. The state it
+// restores first is a quarter-way capture with a delta applied, which
+// must stand in for the half-way capture in every respect.
 func TestWarmStateResumeByteIdentical(t *testing.T) {
 	g := trainedGlobalizer(t)
 	sents := smallStream("persist", 120, 91).Sentences
@@ -22,10 +25,20 @@ func TestWarmStateResumeByteIdentical(t *testing.T) {
 	// Uninterrupted run, capturing warm state at the half-way point.
 	g.Reset()
 	var refAnswers []map[types.SentenceKey][]types.Entity
-	var ws *WarmState
+	var ws, merged *WarmState
 	for i, b := range batches {
 		refAnswers = append(refAnswers, g.ProcessBatchEntities(b, ModeFull))
+		if i == half/2-1 {
+			merged = g.CaptureWarmState()
+		}
 		if i == half-1 {
+			d := g.CaptureWarmDelta()
+			if d == nil {
+				t.Fatal("no delta between two clean captures")
+			}
+			if err := merged.Apply(d); err != nil {
+				t.Fatal(err)
+			}
 			ws = g.CaptureWarmState()
 		}
 	}
@@ -36,8 +49,12 @@ func TestWarmStateResumeByteIdentical(t *testing.T) {
 		t.Fatal("clean mid-stream capture lost the amortizer state")
 	}
 
+	if !bytes.Equal(warmBytes(t, merged), warmBytes(t, ws)) {
+		t.Fatal("quarter-way capture + delta does not encode to the half-way capture")
+	}
+
 	// Restore and continue.
-	if err := g.RestoreWarmState(ws); err != nil {
+	if err := g.RestoreWarmState(merged); err != nil {
 		t.Fatal(err)
 	}
 	for i := half; i < len(batches); i++ {

@@ -20,18 +20,42 @@ import (
 	"math"
 )
 
-// writer accumulates a payload by appending fixed-width fields.
+// writer accumulates a payload by appending fixed-width fields. With a
+// sink set it streams instead: whenever the buffer reaches flushBytes
+// it is handed to the sink and reused, so a payload of any size is
+// encoded through one bounded buffer. The first sink error latches in
+// err and later flushes are dropped.
 type writer struct {
-	buf []byte
-	err error
+	buf  []byte
+	sink func([]byte) error
+	err  error
 }
 
-func (w *writer) u8(x byte) { w.buf = append(w.buf, x) }
+// flushBytes is the streaming chunk size. Snapshot files sync after
+// each chunk (see WriteSnapshot for why), so it also bounds how long a
+// snapshot write can hold the device's flush queue.
+const flushBytes = 4 << 20
+
+// spill hands a full buffer to the sink.
+func (w *writer) spill() {
+	if w.sink != nil && len(w.buf) >= flushBytes {
+		if w.err == nil {
+			w.err = w.sink(w.buf)
+		}
+		w.buf = w.buf[:0]
+	}
+}
+
+func (w *writer) u8(x byte) {
+	w.buf = append(w.buf, x)
+	w.spill()
+}
 
 func (w *writer) u64(x uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], x)
 	w.buf = append(w.buf, b[:]...)
+	w.spill()
 }
 
 func (w *writer) i64(x int) { w.u64(uint64(int64(x))) }
@@ -42,11 +66,13 @@ func (w *writer) u32(x int) {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], uint32(x))
 	w.buf = append(w.buf, b[:]...)
+	w.spill()
 }
 
 func (w *writer) str(s string) {
 	w.u32(len(s))
 	w.buf = append(w.buf, s...)
+	w.spill()
 }
 
 func (w *writer) strs(ss []string) {
@@ -59,6 +85,7 @@ func (w *writer) strs(ss []string) {
 func (w *writer) bytes(b []byte) {
 	w.u32(len(b))
 	w.buf = append(w.buf, b...)
+	w.spill()
 }
 
 func (w *writer) floats(d []float64) {
@@ -68,6 +95,7 @@ func (w *writer) floats(d []float64) {
 	for i, v := range d {
 		binary.LittleEndian.PutUint64(w.buf[off+8*i:], math.Float64bits(v))
 	}
+	w.spill()
 }
 
 // reader consumes a payload with latched-error semantics.

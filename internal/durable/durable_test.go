@@ -5,11 +5,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/nn"
+	"nerglobalizer/internal/obs"
+	"nerglobalizer/internal/transformer"
 	"nerglobalizer/internal/types"
 )
 
@@ -306,7 +310,11 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	if _, err := WriteSnapshot(dir, s2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := loadLatestSnapshot(dir)
+	load := func() (*Snapshot, error) {
+		snap, _, _, err := loadSnapshotChain(dir)
+		return snap, err
+	}
+	got, err := load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +326,7 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	b, _ := os.ReadFile(path)
 	b[len(b)-1] ^= 0xFF
 	os.WriteFile(path, b, 0o644)
-	got, err = loadLatestSnapshot(dir)
+	got, err = load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +338,7 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	}
 	// A leftover tmp file is ignored.
 	os.WriteFile(filepath.Join(dir, snapshotName(30)+".tmp"), []byte("junk"), 0o644)
-	if got, err = loadLatestSnapshot(dir); err != nil || got.Seq != 10 {
+	if got, err = load(); err != nil || got.Seq != 10 {
 		t.Fatalf("tmp leftover broke loading: %v", err)
 	}
 }
@@ -633,5 +641,505 @@ func TestAsyncSnapshotWriterDeathFallsBack(t *testing.T) {
 	}
 	if len(rec.Tail) != 2 || rec.Tail[0].Seq != 2 || rec.Tail[1].Seq != 3 {
 		t.Fatalf("recovery tail = %+v, want seqs 2,3", rec.Tail)
+	}
+}
+
+// sampleWarmDelta is a delta that extends sampleWarmState: one more
+// record mentioning "obama", whose pool grows by that mention.
+func sampleWarmDelta() *core.WarmDelta {
+	key := types.SentenceKey{TweetID: 2, SentID: 0}
+	men := types.Mention{Key: key, Span: types.Span{Start: 1, End: 2}, Surface: "obama"}
+	m := nn.NewMatrix(2, 3)
+	return &core.WarmDelta{
+		BaseRecords: 1,
+		Surfaces:    []string{"rome"},
+		Records: []core.RecordState{{
+			TweetID: 2, SentID: 0, Tokens: []string{"hi", "obama"}, Emb: m,
+			Final: []types.Mention{men},
+		}},
+		Finals:     []core.ScanState{{Key: types.SentenceKey{TweetID: 1}, Mentions: nil}},
+		ScannedLen: 2, TrieLen: 3, MentionCount: 3, Mode: 3,
+		Scans: []core.ScanState{{Key: key, Mentions: []types.Mention{men}}},
+		Pools: []core.SurfaceDelta{{
+			Surface: "obama", PoolFrom: 1, Pool: []types.Mention{men},
+			Cands: []core.CandState{{ClusterID: 0, Members: []int{0, 1}, GlobalEmb: []float64{0.25, 0.75}, Type: types.Person, Conf: 0.9}},
+		}},
+		Deleted: []string{"paris"},
+		Embeds:  []core.MentionEmbed{{Key: key, Span: types.Span{Start: 1, End: 2}, Vec: []float64{4, 5, 6}}},
+	}
+}
+
+func TestWarmDeltaCodecRoundTrip(t *testing.T) {
+	d := sampleWarmDelta()
+	w := &writer{}
+	putWarmDelta(w, d)
+	r := &reader{b: w.buf}
+	got := getWarmDelta(r)
+	if err := r.done(); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(d, got) {
+		t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", d, got)
+	}
+	for n := 0; n < len(w.buf); n++ {
+		r := &reader{b: w.buf[:n]}
+		getWarmDelta(r)
+		if r.done() == nil {
+			t.Fatalf("prefix of %d bytes decoded cleanly", n)
+		}
+	}
+}
+
+// payload encodes a snapshot's payload in memory.
+func payload(s *Snapshot) []byte {
+	w := &writer{}
+	s.encode(w)
+	return w.buf
+}
+
+// TestSnapshotStreamsInChunks pins the streamed file format: a payload
+// larger than one chunk is flushed chunk by chunk, and the file it
+// leaves is the header, with the checksum of the whole payload patched
+// in, followed by exactly the in-memory encoding.
+func TestSnapshotStreamsInChunks(t *testing.T) {
+	ws := sampleWarmState()
+	big := nn.NewMatrix(700, 1000) // 5.6 MB of floats: more than one chunk
+	for i := range big.Data {
+		big.Data[i] = float64(i%977) * 0.5
+	}
+	ws.Records[0].Emb = big
+	snap := &Snapshot{Kind: KindSingle, Seq: 9, NextID: 4, Warm: ws}
+	dir := t.TempDir()
+	size, err := WriteSnapshot(dir, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(filepath.Join(dir, snapshotName(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := payload(snap)
+	if len(want) <= flushBytes {
+		t.Fatalf("payload of %d bytes fits one chunk", len(want))
+	}
+	if int64(len(file)) != size || !bytes.Equal(file[16:], want) {
+		t.Fatalf("file of %d bytes (reported %d) is not header + %d payload bytes", len(file), size, len(want))
+	}
+	got, err := readSnapshot(filepath.Join(dir, snapshotName(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap, got) {
+		t.Fatal("streamed snapshot did not read back")
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(names) != 0 {
+		t.Fatalf("left %v behind", names)
+	}
+}
+
+// chainFixture writes a base at seq 10 and three deltas (20, 30, 40)
+// into dir and returns the states recovery should produce at each link.
+func chainFixture(t *testing.T, dir string) (at map[uint64]*core.WarmState) {
+	t.Helper()
+	// The first delta is the sample; later links only append a record.
+	deltas := []*core.WarmDelta{sampleWarmDelta()}
+	for i := 1; i < 3; i++ {
+		deltas = append(deltas, &core.WarmDelta{
+			BaseRecords: 1 + i, ScannedLen: 2 + i, TrieLen: 3, MentionCount: 3, Mode: 3,
+			Records: []core.RecordState{{TweetID: 2 + i, Tokens: []string{"filler"}}},
+			Scans:   []core.ScanState{{Key: types.SentenceKey{TweetID: 2 + i}}},
+		})
+	}
+	base := &Snapshot{Kind: KindShard, Seq: 10, NextID: 1, LastResp: []byte{1}, Warm: sampleWarmState(),
+		Provenance: []CycleProv{{Seq: 10}}}
+	if _, err := WriteSnapshot(dir, base); err != nil {
+		t.Fatal(err)
+	}
+	at = map[uint64]*core.WarmState{10: sampleWarmState()}
+	for i, d := range deltas {
+		seq := uint64(20 + 10*i)
+		snap := &Snapshot{Kind: KindShard, Seq: seq, Prev: seq - 10, NextID: 2 + i, LastResp: []byte{byte(seq)},
+			Delta: d, Provenance: []CycleProv{{Seq: seq}}}
+		if _, err := WriteSnapshot(dir, snap); err != nil {
+			t.Fatal(err)
+		}
+		// The expected state at this link: the base with every delta so
+		// far applied, built from scratch (Apply merges in place).
+		want := sampleWarmState()
+		for _, applied := range deltas[:i+1] {
+			if err := want.Apply(applied); err != nil {
+				t.Fatal(err)
+			}
+		}
+		at[seq] = want
+	}
+	return at
+}
+
+func warmPayload(ws *core.WarmState) []byte {
+	w := &writer{}
+	putWarmState(w, ws)
+	return w.buf
+}
+
+// TestSnapshotChainRecovery walks the chain loader through the damage
+// it must absorb: an orphan .tmp past the tip, a stale chain older than
+// the base, a bit-flipped middle delta (the chain ends at the link
+// before it), a missing base.
+func TestSnapshotChainRecovery(t *testing.T) {
+	dir := t.TempDir()
+	at := chainFixture(t, dir)
+	check := func(what string, wantSeq, wantBase uint64, wantLen int) {
+		t.Helper()
+		got, base, n, err := loadSnapshotChain(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got.Seq != wantSeq || base != wantBase || n != wantLen {
+			t.Fatalf("%s: chain ends at %d (base %d, %d files), want %d (base %d, %d files)", what, got.Seq, base, n, wantSeq, wantBase, wantLen)
+		}
+		if got.Prev != 0 || got.Delta != nil || !bytes.Equal(warmPayload(got.Warm), warmPayload(at[wantSeq])) {
+			t.Fatalf("%s: merged state at %d is not base + deltas", what, wantSeq)
+		}
+		if got.LastResp[0] != byte(wantSeq) && wantSeq != 10 {
+			t.Fatalf("%s: last response not taken from the newest link", what)
+		}
+		if len(got.Provenance) != wantLen || got.Provenance[wantLen-1].Seq != wantSeq {
+			t.Fatalf("%s: provenance %+v does not follow the chain", what, got.Provenance)
+		}
+	}
+	check("intact chain", 40, 10, 4)
+
+	// A delta whose writer died: never renamed, never read.
+	os.WriteFile(filepath.Join(dir, snapshotName(50)+".tmp"), []byte("partial delta"), 0o644)
+	check("orphan tmp delta", 40, 10, 4)
+
+	// A bit flip in the middle delta ends the chain at the link before
+	// it; the newer delta extends a snapshot recovery no longer has.
+	path := filepath.Join(dir, snapshotName(30))
+	b, _ := os.ReadFile(path)
+	b[len(b)/2] ^= 0x10
+	os.WriteFile(path, b, 0o644)
+	check("bit-flipped middle delta", 20, 10, 2)
+
+	// A newer base makes everything before it unread, damaged or not.
+	if _, err := WriteSnapshot(dir, &Snapshot{Kind: KindShard, Seq: 60, NextID: 9, LastResp: []byte{60}, Warm: at[40],
+		Provenance: []CycleProv{{Seq: 60}}}); err != nil {
+		t.Fatal(err)
+	}
+	at[60] = at[40]
+	check("newer base", 60, 60, 1)
+
+	// Deltas without any base are a damaged directory, not a cold start.
+	os.Remove(filepath.Join(dir, snapshotName(60)))
+	os.Remove(filepath.Join(dir, snapshotName(10)))
+	if _, _, _, err := loadSnapshotChain(dir); err == nil {
+		t.Fatal("a directory of deltas without a base loaded")
+	}
+}
+
+// TestOpenNeedsWALFromBrokenLink: when a damaged delta shortens the
+// chain, the WAL tail must reach back to the last good link — Open
+// refuses a compacted gap exactly as it does behind a lone snapshot.
+func TestOpenNeedsWALFromBrokenLink(t *testing.T) {
+	for _, compacted := range []bool{false, true} {
+		dir := t.TempDir()
+		l, _, err := Open(dir, Options{Fsync: FsyncNone, MaxSegmentBytes: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := uint64(1); seq <= 45; seq++ {
+			if err := l.Append(sampleRecord(seq)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Close()
+		chainFixture(t, dir)
+		if compacted {
+			// What landing the delta at 40 did: segments through 40 are gone.
+			for seq := uint64(1); seq <= 40; seq++ {
+				os.Remove(filepath.Join(dir, segmentName(seq)))
+			}
+		}
+		path := filepath.Join(dir, snapshotName(30))
+		b, _ := os.ReadFile(path)
+		b[len(b)-3] ^= 0x01
+		os.WriteFile(path, b, 0o644)
+
+		l2, rec, err := Open(dir, Options{Fsync: FsyncNone}, nil)
+		if compacted {
+			if err == nil {
+				l2.Close()
+				t.Fatal("gap between the last good link and the WAL tail must fail open")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Snapshot.Seq != 20 || len(rec.Tail) != 25 || rec.Tail[0].Seq != 21 {
+			t.Fatalf("recovered to seq %d with a tail of %d records", rec.Snapshot.Seq, len(rec.Tail))
+		}
+		if st := l2.Status(); st.ChainLength != 2 || st.BaseSeq != 10 {
+			t.Fatalf("status after open: %+v", st)
+		}
+		l2.Close()
+	}
+}
+
+// testEngine is a small untrained engine: enough to grow real warm
+// state for the chain-rule tests, whatever it happens to annotate.
+func testEngine() *core.Globalizer {
+	cfg := core.DefaultConfig()
+	cfg.Encoder = transformer.Config{
+		Dim: 16, Heads: 2, Layers: 1, FFDim: 32, MaxLen: 20,
+		VocabBuckets: 256, CharBuckets: 64, Dropout: 0, Seed: 3,
+	}
+	cfg.EnsembleSize = 1
+	return core.New(cfg)
+}
+
+// engineCycle runs one cycle whose last sentence is tagged as the
+// entity "acme corp", so every cycle grows that surface's pool.
+func engineCycle(g *core.Globalizer, prov *Provenance, seq uint64) {
+	batch := []*types.Sentence{
+		{TweetID: int(seq), Tokens: []string{"cycle", "filler", "words"}},
+		{TweetID: int(seq), SentID: 1, Tokens: []string{"news", "from", "acme", "corp", "today"}},
+	}
+	tagged := g.TagBatch(batch)
+	tagged[1].Entities = []types.Entity{{Span: types.Span{Start: 2, End: 4}, Type: types.Organization}}
+	final := g.ProcessTagged(batch, tagged, core.ModeFull)
+	prov.AppendCycle(seq, RenderAnnotations(batch, final))
+}
+
+// TestChainRuleBaseOrDelta drives EngineSnapshot through every branch
+// of the rule: base first, deltas while they land, a base again after a
+// capture that was dropped, after a write that failed, and once the
+// deltas have grown to the base's size; every landed base leaves only
+// itself and what follows in the directory.
+func TestChainRuleBaseOrDelta(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	l, _, err := Open(dir, Options{Fsync: FsyncNone, SnapshotEvery: 1, AsyncSnapshots: true}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	g, prov := testEngine(), NewProvenance()
+	seq := uint64(0)
+	capture := func() *Snapshot {
+		seq++
+		engineCycle(g, prov, seq)
+		if !l.ShouldSnapshot(seq) {
+			t.Fatalf("seq %d: schedule at cadence 1 with an idle writer must call for a snapshot", seq)
+		}
+		snap := l.EngineSnapshot(KindSingle, seq, g, prov)
+		if l.ShouldSnapshot(seq + 1) {
+			t.Fatalf("seq %d: a capture on its way to the writer must hold the schedule", seq)
+		}
+		return snap
+	}
+	land := func(snap *Snapshot) {
+		t.Helper()
+		if ok, err := l.SaveSnapshot(snap, snap.Seq); err != nil || !ok {
+			t.Fatalf("seq %d: ok=%v err=%v", snap.Seq, ok, err)
+		}
+	}
+	files := func() []string {
+		names, _ := filepath.Glob(filepath.Join(dir, "snap-*"))
+		for i := range names {
+			names[i] = filepath.Base(names[i])
+		}
+		sort.Strings(names)
+		return names
+	}
+	isBase := func(s *Snapshot) bool { return s.Prev == 0 && s.Delta == nil && s.Warm != nil }
+	isDelta := func(s *Snapshot, prev uint64) bool { return s.Prev == prev && s.Delta != nil && s.Warm == nil }
+
+	// Warm up first: early in a stream a delta is as large as its base
+	// and the size bound alone would force base after base.
+	for seq < 40 {
+		seq++
+		engineCycle(g, prov, seq)
+	}
+	s1 := capture()
+	if !isBase(s1) || len(s1.Provenance) != 41 {
+		t.Fatal("the first snapshot after Open must be a base carrying every cycle")
+	}
+	land(s1)
+	s2 := capture()
+	if !isDelta(s2, 41) || len(s2.Provenance) != 1 || s2.Provenance[0].Seq != 42 {
+		t.Fatalf("seq 42: want a delta on 41 carrying cycle 42, got prev %d, %d cycles", s2.Prev, len(s2.Provenance))
+	}
+	land(s2)
+
+	// Dropped on the way to the writer (here: bounced off a write in
+	// progress): the engine's change log has moved on, so the next
+	// capture cannot extend snapshot 42.
+	s3 := capture()
+	if !isDelta(s3, 42) {
+		t.Fatal("seq 43: want a delta on 42")
+	}
+	l.snapBusy.Store(true)
+	l.SubmitSnapshot(s3, s3.Seq)
+	for dropped := false; !dropped; time.Sleep(100 * time.Microsecond) {
+		l.cmu.Lock()
+		dropped = !l.captured
+		l.cmu.Unlock()
+	}
+	l.snapBusy.Store(false)
+	s4 := capture()
+	if !isBase(s4) || len(s4.Provenance) != 44 {
+		t.Fatal("seq 44: the capture after a dropped delta must be a base")
+	}
+	land(s4)
+	if got := files(); !reflect.DeepEqual(got, []string{snapshotName(44)}) {
+		t.Fatalf("a landed base must leave only itself, directory holds %v", got)
+	}
+
+	// A write that fails (the tmp path is a directory) forces a base too,
+	// and the next base sweeps the wreck away.
+	s5 := capture()
+	if !isDelta(s5, 44) {
+		t.Fatal("seq 45: want a delta on 44")
+	}
+	if err := os.Mkdir(filepath.Join(dir, snapshotName(45)+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := l.SaveSnapshot(s5, s5.Seq); ok || err == nil {
+		t.Fatalf("seq 45: write into a directory succeeded: ok=%v err=%v", ok, err)
+	}
+	if st := l.Status(); st.ChainLength != 1 || st.BaseSeq != 44 || st.SnapshotPending != 0 {
+		t.Fatalf("after the failed delta: %+v", st)
+	}
+	s6 := capture()
+	if !isBase(s6) {
+		t.Fatal("seq 46: the capture after a failed write must be a base")
+	}
+	land(s6)
+	if got := files(); !reflect.DeepEqual(got, []string{snapshotName(46)}) {
+		t.Fatalf("base 46 must sweep the failed write's tmp away, directory holds %v", got)
+	}
+
+	// A delta is never written against a predecessor that is not the
+	// newest landed snapshot.
+	s7 := capture()
+	if !isDelta(s7, 46) {
+		t.Fatal("seq 47: want a delta on 46")
+	}
+	land(&Snapshot{Kind: KindSingle, Seq: 47, Warm: g.CaptureWarmState(), Provenance: prov.Cycles()})
+	if ok, err := l.SaveSnapshot(s7, s7.Seq); ok || err != nil {
+		t.Fatalf("seq 47: an orphaned delta must be discarded: ok=%v err=%v", ok, err)
+	}
+
+	// Deltas land on that base until their bytes reach its own; then a
+	// base again.
+	var deltaBytes int64
+	baseBytes := reg.Snapshot().Gauges["ner_snapshot_bytes"]
+	for n := 1; ; n++ {
+		snap := capture()
+		if deltaBytes >= baseBytes {
+			if !isBase(snap) {
+				t.Fatalf("seq %d: %d delta bytes on a base of %d, want a new base", seq, deltaBytes, baseBytes)
+			}
+			land(snap)
+			if got := files(); !reflect.DeepEqual(got, []string{snapshotName(seq)}) {
+				t.Fatalf("directory after the new base: %v", got)
+			}
+			break
+		}
+		if !isDelta(snap, seq-1) {
+			t.Fatalf("seq %d: %d delta bytes on a base of %d, want a delta", seq, deltaBytes, baseBytes)
+		}
+		land(snap)
+		deltaBytes += reg.Snapshot().Gauges["ner_snapshot_bytes"]
+		if st := l.Status(); st.ChainLength != n+1 || st.BaseSeq != 47 || len(files()) != n+1 {
+			t.Fatalf("seq %d: status %+v, directory %v", seq, st, files())
+		}
+		if n > 200 {
+			t.Fatal("deltas never added up to the base")
+		}
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["ner_snapshot_errors_total"] != 1 || snap.Gauges["ner_snapshot_chain_length"] != 1 {
+		t.Fatalf("errors %d, chain length %d", snap.Counters["ner_snapshot_errors_total"], snap.Gauges["ner_snapshot_chain_length"])
+	}
+	if h := snap.Histograms["ner_snapshot_capture_seconds"]; h.Count != int64(seq-40) {
+		t.Fatalf("%d captures timed, want %d", h.Count, seq-40)
+	}
+
+	// Recovery merges the chain it finds to the engine's state.
+	l.Close()
+	_, rec, err := Open(dir, Options{Fsync: FsyncNone}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Snapshot.Seq != seq || !bytes.Equal(warmPayload(rec.Snapshot.Warm), warmPayload(g.CaptureWarmState())) {
+		t.Fatal("reopened state is not the engine's")
+	}
+}
+
+// FuzzSnapshotDecode feeds the snapshot payload decoder arbitrary
+// bytes: it must return a snapshot or an error, never panic or hang,
+// and whatever decodes must re-encode to something that decodes again.
+func FuzzSnapshotDecode(f *testing.F) {
+	for _, s := range snapshotSeeds() {
+		f.Add(payload(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := decodeSnapshotPayload(b)
+		if err != nil {
+			return
+		}
+		if _, err := decodeSnapshotPayload(payload(s)); err != nil {
+			t.Fatalf("decoded snapshot does not survive re-encoding: %v", err)
+		}
+	})
+}
+
+func snapshotSeeds() []*Snapshot {
+	prov := []CycleProv{{Seq: 10, Annotations: []SentenceAnnotation{
+		{TweetID: 1, SentID: 0, Entities: []Entity{{Start: 0, End: 1, Type: types.Person, Surface: "Obama"}}},
+	}}}
+	return []*Snapshot{
+		{Kind: KindShard, Seq: 10, NextID: 42, LastResp: []byte{1, 2, 3}, Warm: sampleWarmState(), Provenance: prov},
+		{Kind: KindSingle, Seq: 20, Prev: 10, NextID: 43, Delta: sampleWarmDelta(), Provenance: prov},
+		{Kind: KindRouter, Seq: 5, NextID: 7, RouterSentences: []CycleSentence{{TweetID: 1, Tokens: []string{"a", "b"}}}},
+	}
+}
+
+// TestSnapshotDecodeMutationsNeverPanic truncates and corrupts the v2
+// payload of a base, a delta and a router snapshot at every byte.
+func TestSnapshotDecodeMutationsNeverPanic(t *testing.T) {
+	for _, s := range snapshotSeeds() {
+		full := payload(s)
+		got, err := decodeSnapshotPayload(full)
+		if err != nil || !reflect.DeepEqual(s, got) {
+			t.Fatalf("kind %d: payload does not round-trip: %v", s.Kind, err)
+		}
+		for n := 0; n < len(full); n++ {
+			if _, err := decodeSnapshotPayload(full[:n]); err == nil {
+				t.Fatalf("kind %d: prefix of %d bytes decoded without error", s.Kind, n)
+			}
+		}
+		if _, err := decodeSnapshotPayload(append(append([]byte{}, full...), 0)); err == nil {
+			t.Fatalf("kind %d: trailing byte decoded without error", s.Kind)
+		}
+		for i := range full {
+			for _, flip := range []byte{0x01, 0x80, 0xFF} {
+				mut := append([]byte{}, full...)
+				mut[i] ^= flip
+				decodeSnapshotPayload(mut)
+			}
+		}
+	}
+	// A delta must name what it extends, a base must not.
+	bad := &Snapshot{Kind: KindSingle, Seq: 20, Delta: sampleWarmDelta()}
+	if _, err := decodeSnapshotPayload(payload(bad)); err == nil {
+		t.Fatal("a delta without a predecessor decoded")
+	}
+	bad = &Snapshot{Kind: KindSingle, Seq: 20, Prev: 10, Warm: sampleWarmState()}
+	if _, err := decodeSnapshotPayload(payload(bad)); err == nil {
+		t.Fatal("a base with a predecessor decoded")
 	}
 }

@@ -1,11 +1,22 @@
 // Log is the durability manager one serving process owns: the WAL
-// writer, the snapshot schedule, compaction, and the ner_wal_* /
-// ner_snapshot_* metrics. The serving layers (server, fleet) call
-// Append (or AppendAsync under the group fsync policy) once per
-// committed cycle before acking, ask ShouldSnapshot on the cycle
-// schedule, and hand SubmitSnapshot a captured Snapshot — the capture
-// is the only part that needs the serving lock; the write happens off
-// the hot path.
+// writer, the snapshot schedule and chain, compaction, and the
+// ner_wal_* / ner_snapshot_* metrics. The serving layers (server,
+// fleet) call Append (or AppendAsync under the group fsync policy) once
+// per committed cycle before acking, ask ShouldSnapshot on the cycle
+// schedule, capture with EngineSnapshot (or build a Snapshot of their
+// own), and hand it to SubmitSnapshot — the capture is the only part
+// that needs the serving lock; the write happens off the hot path.
+//
+// Snapshot chain: EngineSnapshot captures a delta against the newest
+// landed snapshot whenever it can, and a base — the whole state — when
+// it is the first snapshot since Open, when the engine has no delta to
+// give, when the previous capture did not land (dropped on a full
+// queue, or its write failed: the engine's change log has moved past a
+// file that is not there), or when the deltas since the last base have
+// grown to the base's own size. That last bound keeps recovery reading
+// at most twice the state and the bytes written at most twice what the
+// bases alone would cost. A landed base deletes every older snapshot
+// file.
 //
 // Group commit: under FsyncGroup, appends write the frame without
 // syncing and take a ticket; a single syncer goroutine fsyncs once per
@@ -23,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/obs"
 )
 
@@ -48,8 +60,9 @@ const defaultSnapshotEvery = 64
 // groupSizeBuckets buckets fsync group sizes (records per flush).
 var groupSizeBuckets = []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64}
 
-// Recovery is what Open found on disk: the latest valid snapshot (nil
-// on a cold start) and the WAL records past it, in seq order.
+// Recovery is what Open found on disk: the state of the newest valid
+// snapshot chain, merged into one whole snapshot (nil on a cold start),
+// and the WAL records past it, in seq order.
 type Recovery struct {
 	Snapshot *Snapshot
 	Tail     []*CycleRecord
@@ -61,6 +74,11 @@ type Status struct {
 	AsyncSnapshots  bool   `json:"async_snapshots"`
 	WALBacklog      uint64 `json:"wal_backlog"`
 	SnapshotPending int    `json:"snapshot_pending"`
+	// ChainLength counts the snapshot files recovery would merge today
+	// (the newest base plus its deltas; 0 before any snapshot), BaseSeq
+	// is that base's cycle.
+	ChainLength int    `json:"chain_length"`
+	BaseSeq     uint64 `json:"base_seq"`
 }
 
 // snapJob is one queued background snapshot write.
@@ -95,9 +113,25 @@ type Log struct {
 
 	snapCh   chan snapJob // depth-1 background snapshot queue
 	snapDone chan struct{}
+	// saves counts the one-off writer goroutines of the synchronous
+	// snapshot mode, so Close can wait for them.
+	saves sync.WaitGroup
 
-	lastSnapSeq atomic.Uint64
-	snapBusy    atomic.Bool
+	snapBusy atomic.Bool
+
+	// Snapshot chain state. landedSeq is the newest landed snapshot (the
+	// schedule counts from it); tipSeq the newest one this process
+	// landed, which a delta may extend (0 until the first); captureSeq
+	// the cycle of the last EngineSnapshot capture — the engine's change
+	// log starts there, so a delta is only valid while it equals tipSeq;
+	// captured is set from that capture until its write ends or it is
+	// dropped. baseBytes and deltaBytes size the current chain.
+	cmu                   sync.Mutex
+	landedSeq, tipSeq     uint64
+	captureSeq, baseSeq   uint64
+	chainLen              int
+	baseBytes, deltaBytes int64
+	captured              bool
 
 	appends      *obs.Counter
 	walBytes     *obs.Counter
@@ -109,15 +143,18 @@ type Log struct {
 	snapWrites   *obs.Counter
 	snapErrors   *obs.Counter
 	snapBytes    *obs.Gauge
+	snapTotal    *obs.Counter
 	snapSecs     *obs.Histogram
+	captureSecs  *obs.Histogram
 	snapPending  *obs.Gauge
+	chainLength  *obs.Gauge
 	replayCycles *obs.Counter
 	replaySecs   *obs.Gauge
 	proofsServed *obs.Counter
 }
 
-// Open prepares the data directory: loads the latest valid snapshot,
-// reads the WAL tail past it, and readies the writer. The returned
+// Open prepares the data directory: loads the newest valid snapshot
+// chain, reads the WAL tail past it, and readies the writer. The returned
 // Recovery is what the caller replays; Append may be used immediately
 // after (new records land in a fresh segment). reg may be nil.
 func Open(dir string, opts Options, reg *obs.Registry) (*Log, *Recovery, error) {
@@ -127,7 +164,7 @@ func Open(dir string, opts Options, reg *obs.Registry) (*Log, *Recovery, error) 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("durable: data dir: %w", err)
 	}
-	snap, err := loadLatestSnapshot(dir)
+	snap, baseSeq, chainLen, err := loadSnapshotChain(dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -156,7 +193,7 @@ func Open(dir string, opts Options, reg *obs.Registry) (*Log, *Recovery, error) 
 
 	l := &Log{dir: dir, opts: opts, w: openWAL(dir, opts.Fsync, opts.MaxSegmentBytes)}
 	l.gcond = sync.NewCond(&l.gmu)
-	l.lastSnapSeq.Store(snapSeq)
+	l.landedSeq, l.baseSeq, l.chainLen = snapSeq, baseSeq, chainLen
 	if reg != nil {
 		l.appends = reg.Counter("ner_wal_appends_total", "WAL records appended")
 		l.walBytes = reg.Counter("ner_wal_bytes_total", "WAL bytes written (framed)")
@@ -168,13 +205,17 @@ func Open(dir string, opts Options, reg *obs.Registry) (*Log, *Recovery, error) 
 		l.snapWrites = reg.Counter("ner_snapshot_writes_total", "snapshots written")
 		l.snapErrors = reg.Counter("ner_snapshot_errors_total", "snapshot write failures")
 		l.snapBytes = reg.Gauge("ner_snapshot_bytes", "size of the latest snapshot")
+		l.snapTotal = reg.Counter("ner_snapshot_bytes_total", "snapshot bytes written, bases and deltas")
 		l.snapSecs = reg.Histogram("ner_snapshot_seconds", "snapshot write wall time", obs.DefBuckets)
-		l.snapPending = reg.Gauge("ner_snapshot_async_pending", "queued plus in-flight background snapshot writes")
+		l.captureSecs = reg.Histogram("ner_snapshot_capture_seconds", "synchronous engine-state capture wall time", obs.DefBuckets)
+		l.snapPending = reg.Gauge("ner_snapshot_async_pending", "captured, queued or in-flight snapshot writes")
+		l.chainLength = reg.Gauge("ner_snapshot_chain_length", "snapshot files recovery would merge: the newest base plus its deltas")
 		l.replayCycles = reg.Counter("ner_replay_cycles_total", "WAL cycles replayed at startup")
 		l.replaySecs = reg.Gauge("ner_replay_millis", "startup recovery wall time in milliseconds")
 		l.proofsServed = reg.Counter("ner_proofs_served_total", "inclusion-proof bundles served")
 	}
 	l.segments.Set(int64(l.w.segmentCount()))
+	l.chainLength.Set(int64(chainLen))
 	if opts.Fsync == FsyncGroup {
 		l.syncWake = make(chan struct{}, 1)
 		l.syncQuit = make(chan struct{})
@@ -299,17 +340,46 @@ func (l *Log) syncer() {
 }
 
 // ShouldSnapshot reports whether the cycle schedule calls for a
-// snapshot at seq — and no snapshot write is already in flight or
-// queued (back-pressure: a slow writer skips boundaries rather than
+// snapshot at seq — and no snapshot is captured, queued or being
+// written (back-pressure: a slow writer skips boundaries rather than
 // stacking work).
 func (l *Log) ShouldSnapshot(seq uint64) bool {
-	if l.snapBusy.Load() {
+	if l.snapshotsPending() > 0 {
 		return false
 	}
-	if l.snapCh != nil && len(l.snapCh) > 0 {
-		return false
+	l.cmu.Lock()
+	defer l.cmu.Unlock()
+	return seq >= l.landedSeq+uint64(l.opts.SnapshotEvery)
+}
+
+// EngineSnapshot captures the engine-bearing snapshot for cycle seq
+// under the chain rule (see the Log comment): a delta extending the
+// newest landed snapshot when the rule and the engine allow, a base
+// otherwise, with the provenance cycles to match. The caller holds the
+// lock that serializes cycles on g, fills the kind-specific fields
+// (NextID, LastResp) and passes the result to SubmitSnapshot; until
+// that write ends, ShouldSnapshot stays false.
+func (l *Log) EngineSnapshot(kind int, seq uint64, g *core.Globalizer, prov *Provenance) *Snapshot {
+	t0 := time.Now()
+	l.cmu.Lock()
+	prev := l.tipSeq
+	extend := prev != 0 && prev == l.captureSeq && l.deltaBytes < l.baseBytes
+	l.captureSeq, l.captured = seq, true
+	l.cmu.Unlock()
+	snap := &Snapshot{Kind: kind, Seq: seq}
+	if extend {
+		snap.Delta = g.CaptureWarmDelta()
 	}
-	return seq >= l.lastSnapSeq.Load()+uint64(l.opts.SnapshotEvery)
+	if snap.Delta != nil {
+		snap.Prev = prev
+		snap.Provenance = prov.CyclesAfter(prev)
+	} else {
+		snap.Warm = g.CaptureWarmState()
+		snap.Provenance = prov.Cycles()
+	}
+	l.captureSecs.Observe(time.Since(t0).Seconds())
+	l.publishSnapPending()
+	return snap
 }
 
 // SubmitSnapshot hands a captured snapshot to the write path without
@@ -320,19 +390,27 @@ func (l *Log) ShouldSnapshot(seq uint64) bool {
 func (l *Log) SubmitSnapshot(snap *Snapshot, compactThrough uint64) {
 	l.gmu.Lock()
 	closed := l.closed
+	if !closed && l.snapCh == nil {
+		l.saves.Add(1)
+	}
 	l.gmu.Unlock()
 	if closed {
+		l.captureDone()
 		return
 	}
 	if l.snapCh != nil {
 		select {
 		case l.snapCh <- snapJob{snap: snap, compactThrough: compactThrough}:
-			l.updateSnapPending()
+			l.publishSnapPending()
 		default:
+			l.captureDone()
 		}
 		return
 	}
-	go l.SaveSnapshot(snap, compactThrough)
+	go func() {
+		defer l.saves.Done()
+		l.SaveSnapshot(snap, compactThrough)
+	}()
 }
 
 // snapWriter drains the background snapshot queue. If this goroutine
@@ -343,12 +421,12 @@ func (l *Log) snapWriter() {
 	defer close(l.snapDone)
 	for job := range l.snapCh {
 		l.SaveSnapshot(job.snap, job.compactThrough)
-		l.updateSnapPending()
 	}
 }
 
-// updateSnapPending publishes queued + in-flight snapshot writes.
-func (l *Log) updateSnapPending() {
+// snapshotsPending counts snapshot writes queued or in flight, and
+// counts a capture that has not reached the writer yet as one.
+func (l *Log) snapshotsPending() int {
 	n := 0
 	if l.snapCh != nil {
 		n = len(l.snapCh)
@@ -356,7 +434,27 @@ func (l *Log) updateSnapPending() {
 	if l.snapBusy.Load() {
 		n++
 	}
-	l.snapPending.Set(int64(n))
+	if n == 0 {
+		l.cmu.Lock()
+		if l.captured {
+			n = 1
+		}
+		l.cmu.Unlock()
+	}
+	return n
+}
+
+func (l *Log) publishSnapPending() { l.snapPending.Set(int64(l.snapshotsPending())) }
+
+// captureDone marks the outstanding capture as finished — written,
+// failed or dropped. Only a landed write moves tipSeq, so after a drop
+// or failure captureSeq no longer matches it and the next capture is a
+// base.
+func (l *Log) captureDone() {
+	l.cmu.Lock()
+	l.captured = false
+	l.cmu.Unlock()
+	l.publishSnapPending()
 }
 
 // SaveSnapshot writes the snapshot and compacts sealed WAL segments
@@ -364,22 +462,51 @@ func (l *Log) updateSnapPending() {
 // call that finds another write in progress returns false immediately.
 // compactThrough is normally snap.Seq; the fleet router passes the
 // lowest seq its shards have fully committed, so records it may still
-// need for re-driving a lagging shard survive compaction.
+// need for re-driving a lagging shard survive compaction. A landed
+// base prunes every older snapshot file; a delta whose predecessor is
+// no longer the newest landed snapshot is discarded unwritten.
 func (l *Log) SaveSnapshot(snap *Snapshot, compactThrough uint64) (bool, error) {
 	if !l.snapBusy.CompareAndSwap(false, true) {
+		l.captureDone()
 		return false, nil
 	}
-	defer l.snapBusy.Store(false)
+	defer func() {
+		l.snapBusy.Store(false)
+		l.captureDone()
+	}()
+	isDelta := snap.Delta != nil
+	if isDelta {
+		l.cmu.Lock()
+		orphan := snap.Prev != l.tipSeq
+		l.cmu.Unlock()
+		if orphan {
+			return false, nil
+		}
+	}
 	t0 := time.Now()
 	size, err := WriteSnapshot(l.dir, snap)
 	if err != nil {
 		l.snapErrors.Inc()
 		return false, err
 	}
+	l.cmu.Lock()
+	l.landedSeq, l.tipSeq = snap.Seq, snap.Seq
+	if isDelta {
+		l.deltaBytes += size
+		l.chainLen++
+	} else {
+		l.baseSeq, l.baseBytes, l.deltaBytes, l.chainLen = snap.Seq, size, 0, 1
+	}
+	chainLen := l.chainLen
+	l.cmu.Unlock()
+	if !isDelta {
+		pruneSnapshots(l.dir, snap.Seq)
+	}
 	l.snapWrites.Inc()
 	l.snapBytes.Set(size)
+	l.snapTotal.Add(size)
+	l.chainLength.Set(int64(chainLen))
 	l.snapSecs.Observe(time.Since(t0).Seconds())
-	l.lastSnapSeq.Store(snap.Seq)
 	if compactThrough > snap.Seq {
 		compactThrough = snap.Seq
 	}
@@ -401,12 +528,10 @@ func (l *Log) Status() Status {
 	l.gmu.Lock()
 	s.WALBacklog = l.appended - l.synced
 	l.gmu.Unlock()
-	if l.snapCh != nil {
-		s.SnapshotPending = len(l.snapCh)
-	}
-	if l.snapBusy.Load() {
-		s.SnapshotPending++
-	}
+	s.SnapshotPending = l.snapshotsPending()
+	l.cmu.Lock()
+	s.ChainLength, s.BaseSeq = l.chainLen, l.baseSeq
+	l.cmu.Unlock()
 	return s
 }
 
@@ -439,6 +564,7 @@ func (l *Log) Close() error {
 		close(l.snapCh)
 		<-l.snapDone
 	}
+	l.saves.Wait()
 	l.mu.Lock()
 	err := l.w.close()
 	l.mu.Unlock()

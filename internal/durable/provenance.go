@@ -13,6 +13,7 @@ package durable
 
 import (
 	"fmt"
+	"sort"
 
 	"nerglobalizer/internal/types"
 )
@@ -163,11 +164,20 @@ type CycleProv struct {
 	Annotations []SentenceAnnotation
 }
 
-// Cycles exports the chain for snapshotting.
-func (p *Provenance) Cycles() []CycleProv {
-	out := make([]CycleProv, len(p.cycles))
-	for i := range p.cycles {
-		out[i] = CycleProv{Seq: p.cycles[i].seq, Annotations: p.cycles[i].anns}
+// Cycles exports the whole chain for a base snapshot.
+func (p *Provenance) Cycles() []CycleProv { return exportCycles(p.cycles) }
+
+// CyclesAfter exports the cycles past seq — what a delta snapshot
+// extending the snapshot at seq carries.
+func (p *Provenance) CyclesAfter(seq uint64) []CycleProv {
+	i := sort.Search(len(p.cycles), func(i int) bool { return p.cycles[i].seq > seq })
+	return exportCycles(p.cycles[i:])
+}
+
+func exportCycles(cycles []provCycle) []CycleProv {
+	out := make([]CycleProv, len(cycles))
+	for i := range cycles {
+		out[i] = CycleProv{Seq: cycles[i].seq, Annotations: cycles[i].anns}
 	}
 	return out
 }

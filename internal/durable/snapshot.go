@@ -1,13 +1,15 @@
-// Snapshot files: a full serialization of one serving process's warm
-// state, written on a cycle-count schedule so restart replays only the
-// WAL tail past the latest snapshot.
+// Snapshot files: one serving process's warm state, written on a
+// cycle-count schedule so restart replays only the WAL tail past the
+// latest snapshot. A snapshot is either a base — the whole state — or
+// a delta that extends the snapshot named by Prev with what changed
+// since; a base and the deltas linked to it form the chain recovery
+// merges (see loadSnapshotChain).
 //
 // Format: 8-byte magic "NERSNAP1", u32 version, u32 CRC-32C of the
-// payload, payload (see encodePayload for the field order). Files are
+// payload, payload (see Snapshot.encode for the field order). Files are
 // named snap-<seq>.snap and written tmp+rename with file and directory
 // fsyncs, so a crash mid-write never damages an existing snapshot —
-// the loader picks the highest-seq file that validates and ignores the
-// rest.
+// the loader uses the files that validate and ignores the rest.
 package durable
 
 import (
@@ -25,7 +27,9 @@ import (
 
 var snapMagic = [8]byte{'N', 'E', 'R', 'S', 'N', 'A', 'P', '1'}
 
-const snapVersion = 1
+// snapVersion 2 added Prev and Delta; version 1 files (always whole
+// states) are rejected rather than read.
+const snapVersion = 2
 
 // Snapshot kinds: the three serving processes persist different state
 // shapes, and recovery refuses to load a data dir written by a
@@ -41,20 +45,29 @@ const (
 	KindRouter
 )
 
-// Snapshot is one process's full durable state at a cycle boundary.
+// Snapshot is one process's durable state at a cycle boundary: whole
+// (a base: Prev 0, Warm set on engine-bearing kinds) or as the change
+// since the snapshot at Prev (a delta: Delta set, Warm nil).
 type Snapshot struct {
 	Kind int
 	// Seq is the last cycle folded into this snapshot; replay resumes
 	// at Seq+1.
 	Seq uint64
+	// Prev is the seq of the snapshot a delta extends; 0 marks a base.
+	Prev uint64
 	// NextID is the tweet-ID allocator cursor (single server, router).
 	NextID int
 	// LastResp is the shard's gob-encoded cached commit response — the
 	// seq-gate's replay answer (shard only).
 	LastResp []byte
-	// Warm is the engine state (single server, shard).
+	// Warm is the engine state of a base (single server, shard).
 	Warm *core.WarmState
-	// Provenance is the Merkle chain's ground truth (single, shard).
+	// Delta is the engine state of a delta, relative to Prev's. What it
+	// leaves out is immutable once captured (token embeddings, cached
+	// mention embeddings) or was not rewritten since.
+	Delta *core.WarmDelta
+	// Provenance is the Merkle chain's ground truth (single, shard): in
+	// a base every cycle, in a delta the cycles after Prev.
 	Provenance []CycleProv
 	// RouterSentences is the router's sentence registry in ingestion
 	// order (router only).
@@ -77,16 +90,17 @@ func snapshotSeq(name string) (uint64, bool) {
 	return n, true
 }
 
-func (s *Snapshot) encodePayload() []byte {
-	w := &writer{buf: make([]byte, 0, 1024)}
+// encode writes the payload fields in format order.
+func (s *Snapshot) encode(w *writer) {
 	w.u8(byte(s.Kind))
 	w.u64(s.Seq)
+	w.u64(s.Prev)
 	w.i64(s.NextID)
 	w.bytes(s.LastResp)
 	putWarmState(w, s.Warm)
+	putWarmDelta(w, s.Delta)
 	putProvCycles(w, s.Provenance)
 	putCycleSentences(w, s.RouterSentences)
-	return w.buf
 }
 
 func decodeSnapshotPayload(b []byte) (*Snapshot, error) {
@@ -94,13 +108,19 @@ func decodeSnapshotPayload(b []byte) (*Snapshot, error) {
 	s := &Snapshot{}
 	s.Kind = int(r.u8())
 	s.Seq = r.u64()
+	s.Prev = r.u64()
 	s.NextID = r.i64()
 	s.LastResp = r.rawBytes()
 	s.Warm = getWarmState(r)
+	s.Delta = getWarmDelta(r)
 	s.Provenance = getProvCycles(r)
 	s.RouterSentences = getCycleSentences(r)
 	if err := r.done(); err != nil {
 		return nil, fmt.Errorf("durable: snapshot payload: %w", err)
+	}
+	isDelta := s.Delta != nil
+	if isDelta != (s.Prev != 0) || isDelta && (s.Prev >= s.Seq || s.Warm != nil) {
+		return nil, fmt.Errorf("durable: snapshot %d is neither a base nor a delta (prev %d)", s.Seq, s.Prev)
 	}
 	return s, nil
 }
@@ -109,18 +129,45 @@ func decodeSnapshotPayload(b []byte) (*Snapshot, error) {
 // the file size. The file and the directory entry are both synced
 // before return — once this returns, the snapshot survives a crash.
 func WriteSnapshot(dir string, s *Snapshot) (int64, error) {
-	payload := s.encodePayload()
-	buf := make([]byte, 0, 16+len(payload))
-	buf = append(buf, snapMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, snapVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	buf = append(buf, payload...)
-
 	final := filepath.Join(dir, snapshotName(s.Seq))
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("durable: snapshot: %w", err)
+	}
+	size, err := streamSnapshot(f, s)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return 0, fmt.Errorf("durable: snapshot: %w", err)
+	}
+	syncDir(dir)
+	return size, nil
+}
+
+// streamSnapshot encodes the snapshot straight into f: the header with
+// a blank checksum, the payload through one chunk buffer while a
+// rolling CRC-32C runs over it, then the checksum patched into the
+// header. Returns the bytes written; f is fully synced on success.
+func streamSnapshot(f *os.File, s *Snapshot) (int64, error) {
+	var head [16]byte
+	copy(head[:], snapMagic[:])
+	binary.LittleEndian.PutUint32(head[8:], snapVersion)
+	if _, err := f.Write(head[:]); err != nil {
+		return 0, err
+	}
+	size := int64(len(head))
+	var sum uint32
+	write := func(b []byte) error {
+		sum = crc32.Update(sum, castagnoli, b)
+		size += int64(len(b))
+		_, err := f.Write(b)
+		return err
 	}
 	// Write-and-sync in bounded chunks rather than one flush of the
 	// whole file: a multi-MB fsync monopolizes the device's flush
@@ -128,29 +175,24 @@ func WriteSnapshot(dir string, s *Snapshot) (int64, error) {
 	// ack for the duration. Chunking caps that collateral latency at
 	// one chunk's flush; the trailing Sync then has almost nothing
 	// left to push.
-	const snapChunk = 4 << 20
-	for off := 0; off < len(buf) && err == nil; off += snapChunk {
-		end := off + snapChunk
-		if end > len(buf) {
-			end = len(buf)
+	w := &writer{buf: make([]byte, 0, 64<<10), sink: func(b []byte) error {
+		if err := write(b); err != nil {
+			return err
 		}
-		if _, err = f.Write(buf[off:end]); err == nil {
-			err = f.Sync()
-		}
+		return f.Sync()
+	}}
+	s.encode(w)
+	if w.err == nil {
+		w.err = write(w.buf)
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if w.err != nil {
+		return 0, w.err
 	}
-	if err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("durable: snapshot: %w", err)
+	binary.LittleEndian.PutUint32(head[12:], sum)
+	if _, err := f.WriteAt(head[12:], 12); err != nil {
+		return 0, err
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("durable: snapshot: %w", err)
-	}
-	syncDir(dir)
-	return int64(len(buf)), nil
+	return size, f.Sync()
 }
 
 // syncDir flushes a directory entry table; errors are ignored (some
@@ -183,13 +225,19 @@ func readSnapshot(path string) (*Snapshot, error) {
 	return decodeSnapshotPayload(payload)
 }
 
-// loadLatestSnapshot returns the highest-seq snapshot in dir that
-// validates, or nil if none exists. A corrupt newest snapshot falls
-// back to the previous one — the WAL tail covers the gap.
-func loadLatestSnapshot(dir string) (*Snapshot, error) {
+// loadSnapshotChain reads the state the snapshot files in dir add up
+// to: the newest base that validates, merged with the deltas linked to
+// it through Prev, oldest first, for as far as each link's file is
+// present and validates. It returns that state as one whole snapshot
+// at the last link's seq, plus the base's seq and the number of files
+// merged; nil when dir holds no snapshot. A damaged or missing link
+// ends the chain at the link before it — the WAL tail must then reach
+// back to there, which Open checks — and files older than the base are
+// never read.
+func loadSnapshotChain(dir string) (merged *Snapshot, baseSeq uint64, length int, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("durable: snapshot dir: %w", err)
+		return nil, 0, 0, fmt.Errorf("durable: snapshot dir: %w", err)
 	}
 	var names []string
 	for _, e := range entries {
@@ -199,19 +247,56 @@ func loadLatestSnapshot(dir string) (*Snapshot, error) {
 	}
 	sort.Sort(sort.Reverse(sort.StringSlice(names)))
 	var firstErr error
+	next := make(map[uint64]*Snapshot) // valid deltas by the seq they extend
 	for _, name := range names {
 		s, err := readSnapshot(filepath.Join(dir, name))
-		if err == nil {
-			return s, nil
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
 		}
-		if firstErr == nil {
-			firstErr = err
+		if s.Delta != nil {
+			next[s.Prev] = s
+			continue
+		}
+		merged = s
+		break
+	}
+	if merged == nil {
+		if firstErr == nil && len(names) > 0 {
+			firstErr = fmt.Errorf("durable: %d delta snapshots but no base to extend", len(names))
+		}
+		// Every base is damaged: refuse to silently cold-start over a
+		// data dir that clearly held state.
+		return nil, 0, 0, firstErr
+	}
+	baseSeq, length = merged.Seq, 1
+	for d := next[merged.Seq]; d != nil; d = next[merged.Seq] {
+		if d.Kind != merged.Kind || merged.Warm == nil {
+			return nil, 0, 0, fmt.Errorf("durable: %s does not extend a kind-%d engine snapshot", snapshotName(d.Seq), merged.Kind)
+		}
+		if err := merged.Warm.Apply(d.Delta); err != nil {
+			return nil, 0, 0, fmt.Errorf("durable: %s: %w", snapshotName(d.Seq), err)
+		}
+		merged.Seq, merged.NextID, merged.LastResp = d.Seq, d.NextID, d.LastResp
+		merged.Provenance = append(merged.Provenance, d.Provenance...)
+		length++
+	}
+	return merged, baseSeq, length, nil
+}
+
+// pruneSnapshots deletes every snapshot file — landed or an orphaned
+// .tmp — older than the base at seq: once a base has landed nothing
+// before it is ever read again.
+func pruneSnapshots(dir string, base uint64) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if seq, ok := snapshotSeq(strings.TrimSuffix(e.Name(), ".tmp")); ok && seq < base {
+			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
-	if firstErr != nil && len(names) > 0 {
-		// Every snapshot is damaged: refuse to silently cold-start over
-		// a data dir that clearly held state.
-		return nil, firstErr
-	}
-	return nil, nil
 }

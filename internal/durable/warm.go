@@ -157,41 +157,102 @@ func putAmortState(w *writer, as *core.AmortState) {
 	w.i64(as.TrieLen)
 	w.i64(as.MentionCount)
 	w.i64(as.Mode)
-	w.u32(len(as.Scans))
-	for i := range as.Scans {
-		w.i64(as.Scans[i].Key.TweetID)
-		w.i64(as.Scans[i].Key.SentID)
-		putMentions(w, as.Scans[i].Mentions)
-	}
+	putScans(w, as.Scans)
 	w.u32(len(as.Surfaces))
 	for i := range as.Surfaces {
 		st := &as.Surfaces[i]
 		w.str(st.Surface)
 		putMentions(w, st.Pool)
-		if st.Skip {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-		w.u32(len(st.Cands))
-		for j := range st.Cands {
-			cs := &st.Cands[j]
-			w.i64(cs.ClusterID)
-			putInts(w, cs.Members)
-			w.floats(cs.GlobalEmb)
-			w.i64(int(cs.Type))
-			w.f64(cs.Conf)
+		putOutcome(w, st.Skip, st.Cands)
+	}
+	putEmbeds(w, as.Embeds)
+}
+
+func putScans(w *writer, scans []core.ScanState) {
+	w.u32(len(scans))
+	for i := range scans {
+		w.i64(scans[i].Key.TweetID)
+		w.i64(scans[i].Key.SentID)
+		putMentions(w, scans[i].Mentions)
+	}
+}
+
+func getScans(r *reader) []core.ScanState {
+	n := r.count(20)
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]core.ScanState, n)
+	for i := range out {
+		out[i].Key.TweetID = r.i64()
+		out[i].Key.SentID = r.i64()
+		out[i].Mentions = getMentions(r)
+	}
+	return out
+}
+
+// putOutcome writes a surface's finished outcome: the skip flag and
+// the candidate clusters.
+func putOutcome(w *writer, skip bool, cands []core.CandState) {
+	if skip {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+	w.u32(len(cands))
+	for j := range cands {
+		cs := &cands[j]
+		w.i64(cs.ClusterID)
+		putInts(w, cs.Members)
+		w.floats(cs.GlobalEmb)
+		w.i64(int(cs.Type))
+		w.f64(cs.Conf)
+	}
+}
+
+func getOutcome(r *reader) (skip bool, cands []core.CandState) {
+	skip = r.u8() == 1
+	if nc := r.count(28); r.err == nil && nc > 0 {
+		cands = make([]core.CandState, nc)
+		for j := range cands {
+			cs := &cands[j]
+			cs.ClusterID = r.i64()
+			cs.Members = getInts(r)
+			cs.GlobalEmb = r.floats()
+			cs.Type = types.EntityType(r.i64())
+			cs.Conf = r.f64()
 		}
 	}
-	w.u32(len(as.Embeds))
-	for i := range as.Embeds {
-		e := &as.Embeds[i]
+	return skip, cands
+}
+
+func putEmbeds(w *writer, embeds []core.MentionEmbed) {
+	w.u32(len(embeds))
+	for i := range embeds {
+		e := &embeds[i]
 		w.i64(e.Key.TweetID)
 		w.i64(e.Key.SentID)
 		w.i64(e.Span.Start)
 		w.i64(e.Span.End)
 		w.floats(e.Vec)
 	}
+}
+
+func getEmbeds(r *reader) []core.MentionEmbed {
+	n := r.count(36)
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]core.MentionEmbed, n)
+	for i := range out {
+		e := &out[i]
+		e.Key.TweetID = r.i64()
+		e.Key.SentID = r.i64()
+		e.Span.Start = r.i64()
+		e.Span.End = r.i64()
+		e.Vec = r.floats()
+	}
+	return out
 }
 
 func getAmortState(r *reader) *core.AmortState {
@@ -203,46 +264,95 @@ func getAmortState(r *reader) *core.AmortState {
 	as.TrieLen = r.i64()
 	as.MentionCount = r.i64()
 	as.Mode = r.i64()
-	if n := r.count(20); r.err == nil && n > 0 {
-		as.Scans = make([]core.ScanState, n)
-		for i := range as.Scans {
-			as.Scans[i].Key.TweetID = r.i64()
-			as.Scans[i].Key.SentID = r.i64()
-			as.Scans[i].Mentions = getMentions(r)
-		}
-	}
+	as.Scans = getScans(r)
 	if n := r.count(13); r.err == nil && n > 0 {
 		as.Surfaces = make([]core.SurfaceState, n)
 		for i := range as.Surfaces {
 			st := &as.Surfaces[i]
 			st.Surface = r.str()
 			st.Pool = getMentions(r)
-			st.Skip = r.u8() == 1
-			if nc := r.count(28); r.err == nil && nc > 0 {
-				st.Cands = make([]core.CandState, nc)
-				for j := range st.Cands {
-					cs := &st.Cands[j]
-					cs.ClusterID = r.i64()
-					cs.Members = getInts(r)
-					cs.GlobalEmb = r.floats()
-					cs.Type = types.EntityType(r.i64())
-					cs.Conf = r.f64()
-				}
-			}
+			st.Skip, st.Cands = getOutcome(r)
 		}
 	}
-	if n := r.count(36); r.err == nil && n > 0 {
-		as.Embeds = make([]core.MentionEmbed, n)
-		for i := range as.Embeds {
-			e := &as.Embeds[i]
-			e.Key.TweetID = r.i64()
-			e.Key.SentID = r.i64()
-			e.Span.Start = r.i64()
-			e.Span.End = r.i64()
-			e.Vec = r.floats()
-		}
-	}
+	as.Embeds = getEmbeds(r)
 	return as
+}
+
+func putRecordStates(w *writer, recs []core.RecordState) {
+	w.u32(len(recs))
+	for i := range recs {
+		putRecordState(w, &recs[i])
+	}
+}
+
+func getRecordStates(r *reader) []core.RecordState {
+	n := r.count(45)
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]core.RecordState, n)
+	for i := range out {
+		out[i] = getRecordState(r)
+	}
+	return out
+}
+
+// putWarmDelta writes the engine-state body of a delta snapshot: the
+// fields of core.WarmDelta in declaration order.
+func putWarmDelta(w *writer, d *core.WarmDelta) {
+	if d == nil {
+		w.u8(0)
+		return
+	}
+	w.u8(1)
+	w.i64(d.BaseRecords)
+	w.strs(d.Surfaces)
+	putRecordStates(w, d.Records)
+	putScans(w, d.Finals)
+	w.i64(d.ScannedLen)
+	w.i64(d.TrieLen)
+	w.i64(d.MentionCount)
+	w.i64(d.Mode)
+	putScans(w, d.Scans)
+	w.u32(len(d.Pools))
+	for i := range d.Pools {
+		sd := &d.Pools[i]
+		w.str(sd.Surface)
+		w.i64(sd.PoolFrom)
+		putMentions(w, sd.Pool)
+		putOutcome(w, sd.Skip, sd.Cands)
+	}
+	w.strs(d.Deleted)
+	putEmbeds(w, d.Embeds)
+}
+
+func getWarmDelta(r *reader) *core.WarmDelta {
+	if r.u8() == 0 {
+		return nil
+	}
+	d := &core.WarmDelta{}
+	d.BaseRecords = r.i64()
+	d.Surfaces = r.strs()
+	d.Records = getRecordStates(r)
+	d.Finals = getScans(r)
+	d.ScannedLen = r.i64()
+	d.TrieLen = r.i64()
+	d.MentionCount = r.i64()
+	d.Mode = r.i64()
+	d.Scans = getScans(r)
+	if n := r.count(21); r.err == nil && n > 0 {
+		d.Pools = make([]core.SurfaceDelta, n)
+		for i := range d.Pools {
+			sd := &d.Pools[i]
+			sd.Surface = r.str()
+			sd.PoolFrom = r.i64()
+			sd.Pool = getMentions(r)
+			sd.Skip, sd.Cands = getOutcome(r)
+		}
+	}
+	d.Deleted = r.strs()
+	d.Embeds = getEmbeds(r)
+	return d
 }
 
 func putWarmState(w *writer, ws *core.WarmState) {
@@ -255,10 +365,7 @@ func putWarmState(w *writer, ws *core.WarmState) {
 	w.i64(ws.ShardIndex)
 	w.i64(ws.ShardCount)
 	w.strs(ws.Surfaces)
-	w.u32(len(ws.Records))
-	for i := range ws.Records {
-		putRecordState(w, &ws.Records[i])
-	}
+	putRecordStates(w, ws.Records)
 	putAmortState(w, ws.Amort)
 }
 
@@ -271,12 +378,7 @@ func getWarmState(r *reader) *core.WarmState {
 	ws.ShardIndex = r.i64()
 	ws.ShardCount = r.i64()
 	ws.Surfaces = r.strs()
-	if n := r.count(45); r.err == nil && n > 0 {
-		ws.Records = make([]core.RecordState, n)
-		for i := range ws.Records {
-			ws.Records[i] = getRecordState(r)
-		}
-	}
+	ws.Records = getRecordStates(r)
 	ws.Amort = getAmortState(r)
 	return ws
 }

@@ -175,10 +175,11 @@ func (s *Shard) recoverFrom(rec *durable.Recovery) error {
 // durableCommit is handleCommit's persistence tail, run under s.mu
 // after the engine applied the cycle and before the response is acked.
 // It issues the WAL append, folds the cycle into the provenance chain,
-// and returns a captured snapshot when the schedule calls for one plus
-// the append's durability wait — the caller calls the wait off-lock
-// before acking (immediate under fsync=always, the covering group
-// fsync under fsync=group). An append failure bricks the shard: the
+// and returns a captured snapshot (base or delta, the log's chain rule
+// decides) when the schedule calls for one plus the append's
+// durability wait — the caller calls the wait off-lock before acking
+// (immediate under fsync=always, the covering group fsync under
+// fsync=group). An append failure bricks the shard: the
 // replica has advanced past its disk, so acking — or taking further
 // commits — would let a restart silently drop the cycle.
 func (s *Shard) durableCommit(req *CommitRequest, resp *CommitResponse) (*durable.Snapshot, func() error, error) {
@@ -201,13 +202,9 @@ func (s *Shard) durableCommit(req *CommitRequest, resp *CommitResponse) (*durabl
 	if err != nil {
 		return nil, wait, nil // snapshot skipped; the WAL already covers the cycle
 	}
-	return &durable.Snapshot{
-		Kind:       durable.KindShard,
-		Seq:        req.Seq,
-		LastResp:   lr.Bytes(),
-		Warm:       s.g.CaptureWarmState(),
-		Provenance: s.prov.Cycles(),
-	}, wait, nil
+	snap := s.dl.EngineSnapshot(durable.KindShard, req.Seq, s.g, s.prov)
+	snap.LastResp = lr.Bytes()
+	return snap, wait, nil
 }
 
 // unready gates mutating RPCs while the shard is replaying or bricked.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"nerglobalizer/internal/durable"
 )
@@ -16,15 +17,48 @@ import (
 // its data dirs continues the stream byte-identically to an
 // uninterrupted single-process run — per-shard snapshots and WALs
 // restore the replicas, the router journal restores the cycle cursor.
+// The long case stops with every shard several deltas past its newest
+// base, so each shard's recovery has a chain to merge.
 func TestFleetDurableRestartByteIdentical(t *testing.T) {
+	t.Run("base", func(t *testing.T) {
+		fleetRestartByteIdentical(t, streamBodies(16, 2), durable.Options{SnapshotEvery: 2, Fsync: durable.FsyncAlways}, 1)
+	})
+	t.Run("chain", func(t *testing.T) {
+		fleetRestartByteIdentical(t, streamBodies(196, 2), durable.Options{SnapshotEvery: 4, Fsync: durable.FsyncAlways}, 4)
+	})
+}
+
+// shardsIdle waits until no shard has a snapshot captured, queued or
+// being written, and returns the shortest snapshot chain among them.
+func shardsIdle(t *testing.T, h *Harness) (minChain int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for i := 0; i < len(h.Shards); {
+		st := h.Shards[i].dl.Status()
+		if st.SnapshotPending > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d: snapshot writer still busy after 30s", i)
+			}
+			time.Sleep(200 * time.Microsecond)
+			continue
+		}
+		if i == 0 || st.ChainLength < minChain {
+			minChain = st.ChainLength
+		}
+		i++
+	}
+	return minChain
+}
+
+// fleetRestartByteIdentical runs the restart contract over bodies,
+// stopping after the first half with every shard's snapshot chain at
+// least minChain files long.
+func fleetRestartByteIdentical(t *testing.T, bodies []string, opts durable.Options, minChain int) {
 	g := trainedPipeline(t)
-	bodies := streamBodies(16, 2)
 	_, wantCands, wantEnts := runSingle(t, g, bodies)
 	half := len(bodies) / 2
 
 	dir := t.TempDir()
-	opts := durable.Options{SnapshotEvery: 2, Fsync: durable.FsyncAlways}
-
 	h1, err := NewHarness(g, 2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -38,6 +72,13 @@ func TestFleetDurableRestartByteIdentical(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("request %d: status %d: %s", i, status, resp)
 		}
+		// Let every snapshot land at its schedule boundary, so the
+		// chains have the same shape on every run.
+		shardsIdle(t, h1)
+	}
+	if got := shardsIdle(t, h1); got < minChain {
+		h1.Close()
+		t.Fatalf("stopped with a shard on a chain of %d files, the case needs %d", got, minChain)
 	}
 	h1.Close()
 

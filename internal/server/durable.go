@@ -18,7 +18,8 @@ import (
 // cycle survives kill -9 under -fsync always) and folded into the
 // Merkle provenance chain. Snapshots run on the cycle schedule, written
 // off the scheduler's lock: only the in-memory capture happens inside
-// the serial section.
+// the serial section, and it is a delta — proportional to what changed
+// since the previous snapshot — except when a base is due.
 //
 // Startup recovery is asynchronous so /healthz can report the replay in
 // progress (503 "replaying") while the engine restores the snapshot and
@@ -111,19 +112,16 @@ func (s *Server) recoverFrom(rec *durable.Recovery) error {
 // durableCommit is the runCycle tail when durability is on: called
 // under s.mu after the engine processed the batch. It folds the cycle
 // into the provenance chain and, when the schedule calls for it,
-// captures a snapshot. The WAL append itself happens after unlock.
+// captures a snapshot — a delta on the newest landed one whenever the
+// log's chain rule allows. The WAL append itself happens after unlock.
 func (s *Server) durableCommit(seq uint64, rec *durable.CycleRecord) *durable.Snapshot {
 	s.prov.AppendCycle(seq, rec.Annotations)
 	if !s.dl.ShouldSnapshot(seq) {
 		return nil
 	}
-	return &durable.Snapshot{
-		Kind:       durable.KindSingle,
-		Seq:        seq,
-		NextID:     s.nextID,
-		Warm:       s.g.CaptureWarmState(),
-		Provenance: s.prov.Cycles(),
-	}
+	snap := s.dl.EngineSnapshot(durable.KindSingle, seq, s.g, s.prov)
+	snap.NextID = s.nextID
+	return snap
 }
 
 // handleHealthz reports readiness: 503 while startup recovery is

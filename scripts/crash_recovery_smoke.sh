@@ -147,3 +147,99 @@ curl -sf "http://localhost:$GRP_PORT/proof?tweet=0" > "$WORK/group_proof.json"
 kill "$SERVE_PID" && wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
 say "PASS: crash recovery is byte-identical in both fsync modes and the proofs verify"
+
+# Delta-chain leg: a longer stream at -snapshot-every 2, so that most
+# snapshots are deltas linked to a base. The SIGKILL is held back until
+# /statusz shows the server at least two deltas past its newest base —
+# recovery has to merge a chain, not load one file — and after the
+# finished stream the data dir must hold exactly the newest chain: one
+# base plus its deltas, no stale snap-* file and no orphan .tmp.
+CHAIN_PORT=18083
+NAMES=(Obama Italy Paris Milan Google)
+LONG=()
+for (( i=0; i<60; i++ )); do
+  a="${NAMES[$(( i % 5 ))]}"; b="${NAMES[$(( (i * 3 + 1) % 5 ))]}"
+  LONG+=("{\"tweets\":[\"$a makes news again on day $i\",\"Crowds gather for $b tonight\"]}")
+done
+
+feed_long() { # port from to
+  local port="$1" i
+  for (( i=$2; i<$3; i++ )); do
+    curl -sf -X POST "http://localhost:$port/annotate" -d "${LONG[$i]}" > /dev/null
+  done
+}
+
+chain_state() { # port -> "pending chain_length base_seq"
+  curl -sf "http://localhost:$1/statusz" | python3 -c '
+import json, sys
+d = json.load(sys.stdin)["durability"]
+print(d["snapshot_pending"], d["chain_length"], d["base_seq"])'
+}
+
+say "delta-chain reference run (no data dir)"
+"$WORK/serve" -model "$WORK/model.ckpt" -addr ":$CHAIN_PORT" > "$WORK/chainref.log" 2>&1 &
+SERVE_PID=$!
+wait_healthy "$CHAIN_PORT" 300
+feed_long "$CHAIN_PORT" 0 "${#LONG[@]}"
+curl -sf "http://localhost:$CHAIN_PORT/entities" > "$WORK/chainref_entities.json"
+kill "$SERVE_PID" && wait "$SERVE_PID" 2>/dev/null || true
+SERVE_PID=""
+
+say "delta-chain run, SIGKILL once two deltas past a base"
+"$WORK/serve" -model "$WORK/model.ckpt" -data-dir "$WORK/cstate" \
+  -snapshot-every 2 -fsync group -snapshot-async -addr ":$CHAIN_PORT" \
+  > "$WORK/chain1.log" 2>&1 &
+SERVE_PID=$!
+wait_healthy "$CHAIN_PORT" 300
+KILL_AT=0
+for (( k=0; k<40; k++ )); do
+  feed_long "$CHAIN_PORT" "$k" "$(( k + 1 ))"
+  read -r pending chain base < <(chain_state "$CHAIN_PORT")
+  if [ "$k" -ge 20 ] && [ "$pending" = "0" ] && [ "$chain" -ge 3 ]; then
+    KILL_AT=$(( k + 1 ))
+    say "killing after request $KILL_AT: chain of $chain files on base $base"
+    break
+  fi
+done
+if [ "$KILL_AT" = "0" ]; then
+  say "FAIL: server never stood two deltas past a base (last chain: $chain on base $base)"
+  exit 1
+fi
+kill -9 "$SERVE_PID"
+wait "$SERVE_PID" 2>/dev/null || true
+SERVE_PID=""
+
+say "restarting from $WORK/cstate"
+"$WORK/serve" -model "$WORK/model.ckpt" -data-dir "$WORK/cstate" \
+  -snapshot-every 2 -fsync group -snapshot-async -addr ":$CHAIN_PORT" \
+  > "$WORK/chain2.log" 2>&1 &
+SERVE_PID=$!
+wait_healthy "$CHAIN_PORT" 300
+feed_long "$CHAIN_PORT" "$KILL_AT" "${#LONG[@]}"
+curl -sf "http://localhost:$CHAIN_PORT/entities" > "$WORK/chain_entities.json"
+
+say "byte-diffing delta-chain resumed stream against uninterrupted reference"
+if ! diff -u "$WORK/chainref_entities.json" "$WORK/chain_entities.json"; then
+  say "FAIL: delta-chain resumed annotations diverge from the uninterrupted run"
+  exit 1
+fi
+
+say "checking the data dir holds exactly the newest chain"
+for (( k=0; k<100; k++ )); do
+  read -r pending chain base < <(chain_state "$CHAIN_PORT")
+  [ "$pending" = "0" ] && break
+  sleep 0.1
+done
+files=$(ls "$WORK/cstate" | grep '^snap-' || true)
+count=$(echo "$files" | grep -c . || true)
+oldest=$(echo "$files" | head -n 1)
+want=$(printf 'snap-%020d.snap' "$base")
+if [ "$pending" != "0" ] || [ "$count" != "$chain" ] || [ "$oldest" != "$want" ] || echo "$files" | grep -q '\.tmp$'; then
+  say "FAIL: statusz reports a chain of $chain on base $base (pending $pending), data dir holds:"
+  echo "$files"
+  exit 1
+fi
+
+kill "$SERVE_PID" && wait "$SERVE_PID" 2>/dev/null || true
+SERVE_PID=""
+say "PASS: recovery from a chain of deltas is byte-identical and the data dir holds one base plus $(( chain - 1 )) deltas"
