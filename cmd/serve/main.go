@@ -255,6 +255,9 @@ func runShard(addr string, g *core.Globalizer, index, count int, metricsOn bool,
 	httpSrv := newHTTPServer(addr, sh.Handler())
 	fmt.Printf("NER Globalizer shard %d/%d serving on %s\n", index, count, addr)
 	serveUntilSignal(httpSrv)
+	// The router's frame connections were hijacked from the HTTP server,
+	// so its shutdown does not see them: the shard ends them itself.
+	sh.Close()
 	logSnapshot(reg)
 	log.Printf("shard %d/%d shutdown complete", index, count)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"nerglobalizer/internal/binenc"
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/obs"
@@ -64,16 +65,6 @@ func TestCycleRecordDecodeNeverPanics(t *testing.T) {
 		mut := append([]byte{}, full...)
 		mut[i] ^= 0xFF
 		decodeCycleRecord(mut)
-	}
-}
-
-func TestCodecCountGuard(t *testing.T) {
-	// A huge count field must be rejected before allocation.
-	w := &writer{}
-	w.u32(1 << 30)
-	r := &reader{b: w.buf}
-	if out := r.strs(); out != nil || r.err == nil {
-		t.Fatalf("absurd count accepted: %v, err %v", out, r.err)
 	}
 }
 
@@ -275,21 +266,21 @@ func sampleWarmState() *core.WarmState {
 
 func TestWarmStateCodecRoundTrip(t *testing.T) {
 	ws := sampleWarmState()
-	w := &writer{}
+	w := &binenc.Writer{}
 	putWarmState(w, ws)
-	r := &reader{b: w.buf}
+	r := &binenc.Reader{B: w.Buf}
 	got := getWarmState(r)
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(ws, got) {
 		t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", ws, got)
 	}
 	// Truncations error, never panic.
-	for n := 0; n < len(w.buf); n++ {
-		r := &reader{b: w.buf[:n]}
+	for n := 0; n < len(w.Buf); n++ {
+		r := &binenc.Reader{B: w.Buf[:n]}
 		getWarmState(r)
-		if r.done() == nil {
+		if r.Done() == nil {
 			t.Fatalf("prefix of %d bytes decoded cleanly", n)
 		}
 	}
@@ -388,11 +379,11 @@ func TestProvenanceRestoreMatches(t *testing.T) {
 		t.Fatalf("restored head %d/%s, want %d/%s", qSeq, qHead, pSeq, pHead)
 	}
 	// Codec round trip of the snapshot form.
-	w := &writer{}
+	w := &binenc.Writer{}
 	putProvCycles(w, p.Cycles())
-	r := &reader{b: w.buf}
+	r := &binenc.Reader{B: w.Buf}
 	got := getProvCycles(r)
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p.Cycles(), got) {
@@ -671,20 +662,20 @@ func sampleWarmDelta() *core.WarmDelta {
 
 func TestWarmDeltaCodecRoundTrip(t *testing.T) {
 	d := sampleWarmDelta()
-	w := &writer{}
+	w := &binenc.Writer{}
 	putWarmDelta(w, d)
-	r := &reader{b: w.buf}
+	r := &binenc.Reader{B: w.Buf}
 	got := getWarmDelta(r)
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(d, got) {
 		t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", d, got)
 	}
-	for n := 0; n < len(w.buf); n++ {
-		r := &reader{b: w.buf[:n]}
+	for n := 0; n < len(w.Buf); n++ {
+		r := &binenc.Reader{B: w.Buf[:n]}
 		getWarmDelta(r)
-		if r.done() == nil {
+		if r.Done() == nil {
 			t.Fatalf("prefix of %d bytes decoded cleanly", n)
 		}
 	}
@@ -692,9 +683,9 @@ func TestWarmDeltaCodecRoundTrip(t *testing.T) {
 
 // payload encodes a snapshot's payload in memory.
 func payload(s *Snapshot) []byte {
-	w := &writer{}
+	w := &binenc.Writer{}
 	s.encode(w)
-	return w.buf
+	return w.Buf
 }
 
 // TestSnapshotStreamsInChunks pins the streamed file format: a payload
@@ -719,7 +710,7 @@ func TestSnapshotStreamsInChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := payload(snap)
-	if len(want) <= flushBytes {
+	if len(want) <= binenc.FlushBytes {
 		t.Fatalf("payload of %d bytes fits one chunk", len(want))
 	}
 	if int64(len(file)) != size || !bytes.Equal(file[16:], want) {
@@ -777,9 +768,9 @@ func chainFixture(t *testing.T, dir string) (at map[uint64]*core.WarmState) {
 }
 
 func warmPayload(ws *core.WarmState) []byte {
-	w := &writer{}
+	w := &binenc.Writer{}
 	putWarmState(w, ws)
-	return w.buf
+	return w.Buf
 }
 
 // TestSnapshotChainRecovery walks the chain loader through the damage
@@ -1141,5 +1132,96 @@ func TestSnapshotDecodeMutationsNeverPanic(t *testing.T) {
 	bad = &Snapshot{Kind: KindSingle, Seq: 20, Prev: 10, Warm: sampleWarmState()}
 	if _, err := decodeSnapshotPayload(payload(bad)); err == nil {
 		t.Fatal("a base with a predecessor decoded")
+	}
+}
+
+// TestParentFormatReencodesByteForByte pins the on-disk formats across
+// the move of the codec primitives into internal/binenc: the snapshot
+// chain (a base and two deltas) and the WAL segment under
+// testdata/parent_v2 were written by the commit before the move, and
+// each must decode and re-encode to exactly the bytes on disk.
+func TestParentFormatReencodesByteForByte(t *testing.T) {
+	const dir = "testdata/parent_v2"
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil || len(snaps) != 3 {
+		t.Fatalf("want a base and two deltas under %s, found %v (%v)", dir, snaps, err)
+	}
+	deltas := 0
+	for _, path := range snaps {
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := readSnapshot(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if s.Delta != nil {
+			deltas++
+		}
+		out := t.TempDir()
+		if _, err := WriteSnapshot(out, s); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(out, snapshotName(s.Seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: re-encoded snapshot differs from the parent's bytes (%d vs %d bytes)", path, len(got), len(want))
+		}
+	}
+	if deltas != 2 {
+		t.Fatalf("chain holds %d deltas, want 2", deltas)
+	}
+
+	segs, err := segmentFiles(dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one WAL segment under %s, found %v (%v)", dir, segs, err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, segs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := readSegment(filepath.Join(dir, segs[0]), false)
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("parent WAL segment: %d records, %v", len(recs), err)
+	}
+	out := t.TempDir()
+	w := openWAL(out, FsyncNone, 0)
+	for _, rec := range recs {
+		if _, err := w.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(out, segs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-encoded WAL segment differs from the parent's bytes (%d vs %d bytes)", len(got), len(want))
+	}
+
+	// And the directory as a whole still recovers: chain merged, tail read.
+	live := t.TempDir()
+	for _, name := range append(snaps, filepath.Join(dir, segs[0])) {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(live, filepath.Base(name)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, rec, err := Open(live, Options{Fsync: FsyncNone}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if rec.Snapshot == nil || rec.Snapshot.Seq != 14 || len(rec.Tail) != 2 {
+		t.Fatalf("parent dir recovered to snapshot %+v with a tail of %d, want seq 14 and 2", rec.Snapshot, len(rec.Tail))
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 
+	"nerglobalizer/internal/binenc"
 	"nerglobalizer/internal/types"
 )
 
@@ -192,22 +193,22 @@ func RestoreProvenance(cycles []CycleProv) *Provenance {
 	return p
 }
 
-func putProvCycles(w *writer, cycles []CycleProv) {
-	w.u32(len(cycles))
+func putProvCycles(w *binenc.Writer, cycles []CycleProv) {
+	w.U32(len(cycles))
 	for i := range cycles {
-		w.u64(cycles[i].Seq)
+		w.U64(cycles[i].Seq)
 		putAnnotations(w, cycles[i].Annotations)
 	}
 }
 
-func getProvCycles(r *reader) []CycleProv {
-	n := r.count(12)
-	if r.err != nil || n == 0 {
+func getProvCycles(r *binenc.Reader) []CycleProv {
+	n := r.Count(12)
+	if r.Err != nil || n == 0 {
 		return nil
 	}
 	out := make([]CycleProv, n)
 	for i := range out {
-		out[i].Seq = r.u64()
+		out[i].Seq = r.U64()
 		out[i].Annotations = getAnnotations(r)
 	}
 	return out

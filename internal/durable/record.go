@@ -10,6 +10,7 @@ package durable
 import (
 	"fmt"
 
+	"nerglobalizer/internal/binenc"
 	"nerglobalizer/internal/types"
 )
 
@@ -114,96 +115,96 @@ type CycleRecord struct {
 // bytes the Merkle layer hashes and cmd/nerprove re-derives during
 // verification. It must never change shape without a WAL format bump.
 func leafBytes(a SentenceAnnotation) []byte {
-	w := &writer{buf: make([]byte, 0, 24+32*len(a.Entities))}
-	w.i64(a.TweetID)
-	w.i64(a.SentID)
-	w.u32(len(a.Entities))
+	w := &binenc.Writer{Buf: make([]byte, 0, 24+32*len(a.Entities))}
+	w.I64(a.TweetID)
+	w.I64(a.SentID)
+	w.U32(len(a.Entities))
 	for _, e := range a.Entities {
-		w.i64(e.Start)
-		w.i64(e.End)
-		w.i64(int(e.Type))
-		w.str(e.Surface)
+		w.I64(e.Start)
+		w.I64(e.End)
+		w.I64(int(e.Type))
+		w.Str(e.Surface)
 	}
-	return w.buf
+	return w.Buf
 }
 
-func putAnnotations(w *writer, anns []SentenceAnnotation) {
-	w.u32(len(anns))
+func putAnnotations(w *binenc.Writer, anns []SentenceAnnotation) {
+	w.U32(len(anns))
 	for i := range anns {
-		w.bytes(leafBytes(anns[i]))
+		w.Bytes(leafBytes(anns[i]))
 	}
 }
 
-func getAnnotations(r *reader) []SentenceAnnotation {
-	n := r.count(4)
-	if r.err != nil || n == 0 {
+func getAnnotations(r *binenc.Reader) []SentenceAnnotation {
+	n := r.Count(4)
+	if r.Err != nil || n == 0 {
 		return nil
 	}
 	out := make([]SentenceAnnotation, n)
 	for i := range out {
-		lr := &reader{b: r.rawBytes()}
-		out[i].TweetID = lr.i64()
-		out[i].SentID = lr.i64()
-		ne := lr.count(28)
-		if lr.err == nil && ne > 0 {
+		lr := &binenc.Reader{B: r.Bytes()}
+		out[i].TweetID = lr.I64()
+		out[i].SentID = lr.I64()
+		ne := lr.Count(28)
+		if lr.Err == nil && ne > 0 {
 			out[i].Entities = make([]Entity, ne)
 		}
 		for j := range out[i].Entities {
 			e := &out[i].Entities[j]
-			e.Start = lr.i64()
-			e.End = lr.i64()
-			e.Type = types.EntityType(lr.i64())
-			e.Surface = lr.str()
+			e.Start = lr.I64()
+			e.End = lr.I64()
+			e.Type = types.EntityType(lr.I64())
+			e.Surface = lr.Str()
 		}
-		if err := lr.done(); err != nil && r.err == nil {
-			r.err = err
+		if err := lr.Done(); err != nil && r.Err == nil {
+			r.Err = err
 		}
 	}
 	return out
 }
 
-func putCycleSentences(w *writer, cs []CycleSentence) {
-	w.u32(len(cs))
+func putCycleSentences(w *binenc.Writer, cs []CycleSentence) {
+	w.U32(len(cs))
 	for i := range cs {
-		w.i64(cs[i].TweetID)
-		w.i64(cs[i].SentID)
-		w.strs(cs[i].Tokens)
+		w.I64(cs[i].TweetID)
+		w.I64(cs[i].SentID)
+		w.Strs(cs[i].Tokens)
 	}
 }
 
-func getCycleSentences(r *reader) []CycleSentence {
-	n := r.count(20)
-	if r.err != nil || n == 0 {
+func getCycleSentences(r *binenc.Reader) []CycleSentence {
+	n := r.Count(20)
+	if r.Err != nil || n == 0 {
 		return nil
 	}
 	out := make([]CycleSentence, n)
 	for i := range out {
-		out[i].TweetID = r.i64()
-		out[i].SentID = r.i64()
-		out[i].Tokens = r.strs()
+		out[i].TweetID = r.I64()
+		out[i].SentID = r.I64()
+		out[i].Tokens = r.Strs()
 	}
 	return out
 }
 
 // encode serializes the record for WAL framing.
 func (c *CycleRecord) encode() []byte {
-	w := &writer{buf: make([]byte, 0, 256)}
-	w.u64(c.Seq)
-	w.i64(c.Mode)
+	w := &binenc.Writer{Buf: make([]byte, 0, 256)}
+	w.U64(c.Seq)
+	w.I64(c.Mode)
 	putCycleSentences(w, c.Sentences)
 	putAnnotations(w, c.Annotations)
-	return w.buf
+	return w.Buf
 }
 
 // decodeCycleRecord parses one framed WAL payload.
 func decodeCycleRecord(b []byte) (*CycleRecord, error) {
-	r := &reader{b: b}
+	r := &binenc.Reader{B: b}
 	c := &CycleRecord{}
-	c.Seq = r.u64()
-	c.Mode = r.i64()
+	c.Seq = r.U64()
+	c.Mode = r.I64()
 	c.Sentences = getCycleSentences(r)
 	c.Annotations = getAnnotations(r)
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("durable: cycle record: %w", err)
 	}
 	return c, nil

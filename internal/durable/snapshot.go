@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 
+	"nerglobalizer/internal/binenc"
 	"nerglobalizer/internal/core"
 )
 
@@ -91,12 +92,12 @@ func snapshotSeq(name string) (uint64, bool) {
 }
 
 // encode writes the payload fields in format order.
-func (s *Snapshot) encode(w *writer) {
-	w.u8(byte(s.Kind))
-	w.u64(s.Seq)
-	w.u64(s.Prev)
-	w.i64(s.NextID)
-	w.bytes(s.LastResp)
+func (s *Snapshot) encode(w *binenc.Writer) {
+	w.U8(byte(s.Kind))
+	w.U64(s.Seq)
+	w.U64(s.Prev)
+	w.I64(s.NextID)
+	w.Bytes(s.LastResp)
 	putWarmState(w, s.Warm)
 	putWarmDelta(w, s.Delta)
 	putProvCycles(w, s.Provenance)
@@ -104,18 +105,18 @@ func (s *Snapshot) encode(w *writer) {
 }
 
 func decodeSnapshotPayload(b []byte) (*Snapshot, error) {
-	r := &reader{b: b}
+	r := &binenc.Reader{B: b}
 	s := &Snapshot{}
-	s.Kind = int(r.u8())
-	s.Seq = r.u64()
-	s.Prev = r.u64()
-	s.NextID = r.i64()
-	s.LastResp = r.rawBytes()
+	s.Kind = int(r.U8())
+	s.Seq = r.U64()
+	s.Prev = r.U64()
+	s.NextID = r.I64()
+	s.LastResp = r.Bytes()
 	s.Warm = getWarmState(r)
 	s.Delta = getWarmDelta(r)
 	s.Provenance = getProvCycles(r)
 	s.RouterSentences = getCycleSentences(r)
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("durable: snapshot payload: %w", err)
 	}
 	isDelta := s.Delta != nil
@@ -175,18 +176,18 @@ func streamSnapshot(f *os.File, s *Snapshot) (int64, error) {
 	// ack for the duration. Chunking caps that collateral latency at
 	// one chunk's flush; the trailing Sync then has almost nothing
 	// left to push.
-	w := &writer{buf: make([]byte, 0, 64<<10), sink: func(b []byte) error {
+	w := &binenc.Writer{Buf: make([]byte, 0, 64<<10), Sink: func(b []byte) error {
 		if err := write(b); err != nil {
 			return err
 		}
 		return f.Sync()
 	}}
 	s.encode(w)
-	if w.err == nil {
-		w.err = write(w.buf)
+	if w.Err == nil {
+		w.Err = write(w.Buf)
 	}
-	if w.err != nil {
-		return 0, w.err
+	if w.Err != nil {
+		return 0, w.Err
 	}
 	binary.LittleEndian.PutUint32(head[12:], sum)
 	if _, err := f.WriteAt(head[12:], 12); err != nil {

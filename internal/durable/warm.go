@@ -6,76 +6,77 @@ package durable
 import (
 	"fmt"
 
+	"nerglobalizer/internal/binenc"
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/types"
 )
 
-func putInts(w *writer, xs []int) {
-	w.u32(len(xs))
+func putInts(w *binenc.Writer, xs []int) {
+	w.U32(len(xs))
 	for _, x := range xs {
-		w.i64(x)
+		w.I64(x)
 	}
 }
 
-func getInts(r *reader) []int {
-	n := r.count(8)
-	if r.err != nil || n == 0 {
+func getInts(r *binenc.Reader) []int {
+	n := r.Count(8)
+	if r.Err != nil || n == 0 {
 		return nil
 	}
 	out := make([]int, n)
 	for i := range out {
-		out[i] = r.i64()
+		out[i] = r.I64()
 	}
 	return out
 }
 
-func putEntities(w *writer, es []types.Entity) {
-	w.u32(len(es))
+func putEntities(w *binenc.Writer, es []types.Entity) {
+	w.U32(len(es))
 	for _, e := range es {
-		w.i64(e.Start)
-		w.i64(e.End)
-		w.i64(int(e.Type))
+		w.I64(e.Start)
+		w.I64(e.End)
+		w.I64(int(e.Type))
 	}
 }
 
-func getEntities(r *reader) []types.Entity {
-	n := r.count(24)
-	if r.err != nil || n == 0 {
+func getEntities(r *binenc.Reader) []types.Entity {
+	n := r.Count(24)
+	if r.Err != nil || n == 0 {
 		return nil
 	}
 	out := make([]types.Entity, n)
 	for i := range out {
-		out[i].Start = r.i64()
-		out[i].End = r.i64()
-		out[i].Type = types.EntityType(r.i64())
+		out[i].Start = r.I64()
+		out[i].End = r.I64()
+		out[i].Type = types.EntityType(r.I64())
 	}
 	return out
 }
 
-func putMention(w *writer, m types.Mention) {
-	w.i64(m.Key.TweetID)
-	w.i64(m.Key.SentID)
-	w.i64(m.Span.Start)
-	w.i64(m.Span.End)
-	w.str(m.Surface)
-	w.i64(int(m.Type))
+func putMention(w *binenc.Writer, m types.Mention) {
+	w.I64(m.Key.TweetID)
+	w.I64(m.Key.SentID)
+	w.I64(m.Span.Start)
+	w.I64(m.Span.End)
+	w.Str(m.Surface)
+	w.I64(int(m.Type))
 	if m.FromLocalNER {
-		w.u8(1)
+		w.U8(1)
 	} else {
-		w.u8(0)
+		w.U8(0)
 	}
 }
 
-func getMention(r *reader) types.Mention {
+func getMention(r *binenc.Reader) types.Mention {
 	var m types.Mention
-	m.Key.TweetID = r.i64()
-	m.Key.SentID = r.i64()
-	m.Span.Start = r.i64()
-	m.Span.End = r.i64()
-	m.Surface = r.str()
-	m.Type = types.EntityType(r.i64())
-	m.FromLocalNER = r.u8() == 1
+	m.Key.TweetID = r.I64()
+	m.Key.SentID = r.I64()
+	m.Span.Start = r.I64()
+	m.Span.End = r.I64()
+	m.Surface = r.Str()
+	m.Type = types.EntityType(r.I64())
+	m.FromLocalNER = r.U8() == 1
 	return m
 }
 
@@ -83,16 +84,16 @@ func getMention(r *reader) types.Mention {
 // string, a type and a flag.
 const wireMentionMin = 8*5 + 4 + 1
 
-func putMentions(w *writer, ms []types.Mention) {
-	w.u32(len(ms))
+func putMentions(w *binenc.Writer, ms []types.Mention) {
+	w.U32(len(ms))
 	for _, m := range ms {
 		putMention(w, m)
 	}
 }
 
-func getMentions(r *reader) []types.Mention {
-	n := r.count(wireMentionMin)
-	if r.err != nil || n == 0 {
+func getMentions(r *binenc.Reader) []types.Mention {
+	n := r.Count(wireMentionMin)
+	if r.Err != nil || n == 0 {
 		return nil
 	}
 	out := make([]types.Mention, n)
@@ -102,44 +103,44 @@ func getMentions(r *reader) []types.Mention {
 	return out
 }
 
-func putMatrix(w *writer, m *nn.Matrix) {
+func putMatrix(w *binenc.Writer, m *nn.Matrix) {
 	if m == nil {
-		w.u8(0)
+		w.U8(0)
 		return
 	}
-	w.u8(1)
-	w.i64(m.Rows)
-	w.i64(m.Cols)
-	w.floats(m.Data)
+	w.U8(1)
+	w.I64(m.Rows)
+	w.I64(m.Cols)
+	w.Floats(m.Data)
 }
 
-func getMatrix(r *reader) *nn.Matrix {
-	if r.u8() == 0 {
+func getMatrix(r *binenc.Reader) *nn.Matrix {
+	if r.U8() == 0 {
 		return nil
 	}
-	m := &nn.Matrix{Rows: r.i64(), Cols: r.i64()}
-	m.Data = r.floats()
-	if r.err == nil && (m.Rows < 0 || m.Cols < 0 || len(m.Data) != m.Rows*m.Cols) {
-		r.err = fmt.Errorf("durable: matrix shape %dx%d has %d values", m.Rows, m.Cols, len(m.Data))
+	m := &nn.Matrix{Rows: r.I64(), Cols: r.I64()}
+	m.Data = r.Floats()
+	if r.Err == nil && (m.Rows < 0 || m.Cols < 0 || len(m.Data) != m.Rows*m.Cols) {
+		r.Err = fmt.Errorf("durable: matrix shape %dx%d has %d values", m.Rows, m.Cols, len(m.Data))
 	}
 	return m
 }
 
-func putRecordState(w *writer, rs *core.RecordState) {
-	w.i64(rs.TweetID)
-	w.i64(rs.SentID)
-	w.strs(rs.Tokens)
+func putRecordState(w *binenc.Writer, rs *core.RecordState) {
+	w.I64(rs.TweetID)
+	w.I64(rs.SentID)
+	w.Strs(rs.Tokens)
 	putEntities(w, rs.Gold)
 	putEntities(w, rs.Local)
 	putMatrix(w, rs.Emb)
 	putMentions(w, rs.Final)
 }
 
-func getRecordState(r *reader) core.RecordState {
+func getRecordState(r *binenc.Reader) core.RecordState {
 	var rs core.RecordState
-	rs.TweetID = r.i64()
-	rs.SentID = r.i64()
-	rs.Tokens = r.strs()
+	rs.TweetID = r.I64()
+	rs.SentID = r.I64()
+	rs.Tokens = r.Strs()
 	rs.Gold = getEntities(r)
 	rs.Local = getEntities(r)
 	rs.Emb = getMatrix(r)
@@ -147,45 +148,45 @@ func getRecordState(r *reader) core.RecordState {
 	return rs
 }
 
-func putAmortState(w *writer, as *core.AmortState) {
+func putAmortState(w *binenc.Writer, as *core.AmortState) {
 	if as == nil {
-		w.u8(0)
+		w.U8(0)
 		return
 	}
-	w.u8(1)
-	w.i64(as.ScannedLen)
-	w.i64(as.TrieLen)
-	w.i64(as.MentionCount)
-	w.i64(as.Mode)
+	w.U8(1)
+	w.I64(as.ScannedLen)
+	w.I64(as.TrieLen)
+	w.I64(as.MentionCount)
+	w.I64(as.Mode)
 	putScans(w, as.Scans)
-	w.u32(len(as.Surfaces))
+	w.U32(len(as.Surfaces))
 	for i := range as.Surfaces {
 		st := &as.Surfaces[i]
-		w.str(st.Surface)
+		w.Str(st.Surface)
 		putMentions(w, st.Pool)
 		putOutcome(w, st.Skip, st.Cands)
 	}
 	putEmbeds(w, as.Embeds)
 }
 
-func putScans(w *writer, scans []core.ScanState) {
-	w.u32(len(scans))
+func putScans(w *binenc.Writer, scans []core.ScanState) {
+	w.U32(len(scans))
 	for i := range scans {
-		w.i64(scans[i].Key.TweetID)
-		w.i64(scans[i].Key.SentID)
+		w.I64(scans[i].Key.TweetID)
+		w.I64(scans[i].Key.SentID)
 		putMentions(w, scans[i].Mentions)
 	}
 }
 
-func getScans(r *reader) []core.ScanState {
-	n := r.count(20)
-	if r.err != nil || n == 0 {
+func getScans(r *binenc.Reader) []core.ScanState {
+	n := r.Count(20)
+	if r.Err != nil || n == 0 {
 		return nil
 	}
 	out := make([]core.ScanState, n)
 	for i := range out {
-		out[i].Key.TweetID = r.i64()
-		out[i].Key.SentID = r.i64()
+		out[i].Key.TweetID = r.I64()
+		out[i].Key.SentID = r.I64()
 		out[i].Mentions = getMentions(r)
 	}
 	return out
@@ -193,83 +194,83 @@ func getScans(r *reader) []core.ScanState {
 
 // putOutcome writes a surface's finished outcome: the skip flag and
 // the candidate clusters.
-func putOutcome(w *writer, skip bool, cands []core.CandState) {
+func putOutcome(w *binenc.Writer, skip bool, cands []core.CandState) {
 	if skip {
-		w.u8(1)
+		w.U8(1)
 	} else {
-		w.u8(0)
+		w.U8(0)
 	}
-	w.u32(len(cands))
+	w.U32(len(cands))
 	for j := range cands {
 		cs := &cands[j]
-		w.i64(cs.ClusterID)
+		w.I64(cs.ClusterID)
 		putInts(w, cs.Members)
-		w.floats(cs.GlobalEmb)
-		w.i64(int(cs.Type))
-		w.f64(cs.Conf)
+		w.Floats(cs.GlobalEmb)
+		w.I64(int(cs.Type))
+		w.F64(cs.Conf)
 	}
 }
 
-func getOutcome(r *reader) (skip bool, cands []core.CandState) {
-	skip = r.u8() == 1
-	if nc := r.count(28); r.err == nil && nc > 0 {
+func getOutcome(r *binenc.Reader) (skip bool, cands []core.CandState) {
+	skip = r.U8() == 1
+	if nc := r.Count(28); r.Err == nil && nc > 0 {
 		cands = make([]core.CandState, nc)
 		for j := range cands {
 			cs := &cands[j]
-			cs.ClusterID = r.i64()
+			cs.ClusterID = r.I64()
 			cs.Members = getInts(r)
-			cs.GlobalEmb = r.floats()
-			cs.Type = types.EntityType(r.i64())
-			cs.Conf = r.f64()
+			cs.GlobalEmb = r.Floats()
+			cs.Type = types.EntityType(r.I64())
+			cs.Conf = r.F64()
 		}
 	}
 	return skip, cands
 }
 
-func putEmbeds(w *writer, embeds []core.MentionEmbed) {
-	w.u32(len(embeds))
+func putEmbeds(w *binenc.Writer, embeds []core.MentionEmbed) {
+	w.U32(len(embeds))
 	for i := range embeds {
 		e := &embeds[i]
-		w.i64(e.Key.TweetID)
-		w.i64(e.Key.SentID)
-		w.i64(e.Span.Start)
-		w.i64(e.Span.End)
-		w.floats(e.Vec)
+		w.I64(e.Key.TweetID)
+		w.I64(e.Key.SentID)
+		w.I64(e.Span.Start)
+		w.I64(e.Span.End)
+		w.Floats(e.Vec)
 	}
 }
 
-func getEmbeds(r *reader) []core.MentionEmbed {
-	n := r.count(36)
-	if r.err != nil || n == 0 {
+func getEmbeds(r *binenc.Reader) []core.MentionEmbed {
+	n := r.Count(36)
+	if r.Err != nil || n == 0 {
 		return nil
 	}
 	out := make([]core.MentionEmbed, n)
 	for i := range out {
 		e := &out[i]
-		e.Key.TweetID = r.i64()
-		e.Key.SentID = r.i64()
-		e.Span.Start = r.i64()
-		e.Span.End = r.i64()
-		e.Vec = r.floats()
+		e.Key.TweetID = r.I64()
+		e.Key.SentID = r.I64()
+		e.Span.Start = r.I64()
+		e.Span.End = r.I64()
+		e.Vec = r.Floats()
 	}
 	return out
 }
 
-func getAmortState(r *reader) *core.AmortState {
-	if r.u8() == 0 {
+func getAmortState(r *binenc.Reader) *core.AmortState {
+	if r.U8() == 0 {
 		return nil
 	}
 	as := &core.AmortState{}
-	as.ScannedLen = r.i64()
-	as.TrieLen = r.i64()
-	as.MentionCount = r.i64()
-	as.Mode = r.i64()
+	as.ScannedLen = r.I64()
+	as.TrieLen = r.I64()
+	as.MentionCount = r.I64()
+	as.Mode = r.I64()
 	as.Scans = getScans(r)
-	if n := r.count(13); r.err == nil && n > 0 {
+	if n := r.Count(13); r.Err == nil && n > 0 {
 		as.Surfaces = make([]core.SurfaceState, n)
 		for i := range as.Surfaces {
 			st := &as.Surfaces[i]
-			st.Surface = r.str()
+			st.Surface = r.Str()
 			st.Pool = getMentions(r)
 			st.Skip, st.Cands = getOutcome(r)
 		}
@@ -278,16 +279,16 @@ func getAmortState(r *reader) *core.AmortState {
 	return as
 }
 
-func putRecordStates(w *writer, recs []core.RecordState) {
-	w.u32(len(recs))
+func putRecordStates(w *binenc.Writer, recs []core.RecordState) {
+	w.U32(len(recs))
 	for i := range recs {
 		putRecordState(w, &recs[i])
 	}
 }
 
-func getRecordStates(r *reader) []core.RecordState {
-	n := r.count(45)
-	if r.err != nil || n == 0 {
+func getRecordStates(r *binenc.Reader) []core.RecordState {
+	n := r.Count(45)
+	if r.Err != nil || n == 0 {
 		return nil
 	}
 	out := make([]core.RecordState, n)
@@ -299,85 +300,85 @@ func getRecordStates(r *reader) []core.RecordState {
 
 // putWarmDelta writes the engine-state body of a delta snapshot: the
 // fields of core.WarmDelta in declaration order.
-func putWarmDelta(w *writer, d *core.WarmDelta) {
+func putWarmDelta(w *binenc.Writer, d *core.WarmDelta) {
 	if d == nil {
-		w.u8(0)
+		w.U8(0)
 		return
 	}
-	w.u8(1)
-	w.i64(d.BaseRecords)
-	w.strs(d.Surfaces)
+	w.U8(1)
+	w.I64(d.BaseRecords)
+	w.Strs(d.Surfaces)
 	putRecordStates(w, d.Records)
 	putScans(w, d.Finals)
-	w.i64(d.ScannedLen)
-	w.i64(d.TrieLen)
-	w.i64(d.MentionCount)
-	w.i64(d.Mode)
+	w.I64(d.ScannedLen)
+	w.I64(d.TrieLen)
+	w.I64(d.MentionCount)
+	w.I64(d.Mode)
 	putScans(w, d.Scans)
-	w.u32(len(d.Pools))
+	w.U32(len(d.Pools))
 	for i := range d.Pools {
 		sd := &d.Pools[i]
-		w.str(sd.Surface)
-		w.i64(sd.PoolFrom)
+		w.Str(sd.Surface)
+		w.I64(sd.PoolFrom)
 		putMentions(w, sd.Pool)
 		putOutcome(w, sd.Skip, sd.Cands)
 	}
-	w.strs(d.Deleted)
+	w.Strs(d.Deleted)
 	putEmbeds(w, d.Embeds)
 }
 
-func getWarmDelta(r *reader) *core.WarmDelta {
-	if r.u8() == 0 {
+func getWarmDelta(r *binenc.Reader) *core.WarmDelta {
+	if r.U8() == 0 {
 		return nil
 	}
 	d := &core.WarmDelta{}
-	d.BaseRecords = r.i64()
-	d.Surfaces = r.strs()
+	d.BaseRecords = r.I64()
+	d.Surfaces = r.Strs()
 	d.Records = getRecordStates(r)
 	d.Finals = getScans(r)
-	d.ScannedLen = r.i64()
-	d.TrieLen = r.i64()
-	d.MentionCount = r.i64()
-	d.Mode = r.i64()
+	d.ScannedLen = r.I64()
+	d.TrieLen = r.I64()
+	d.MentionCount = r.I64()
+	d.Mode = r.I64()
 	d.Scans = getScans(r)
-	if n := r.count(21); r.err == nil && n > 0 {
+	if n := r.Count(21); r.Err == nil && n > 0 {
 		d.Pools = make([]core.SurfaceDelta, n)
 		for i := range d.Pools {
 			sd := &d.Pools[i]
-			sd.Surface = r.str()
-			sd.PoolFrom = r.i64()
+			sd.Surface = r.Str()
+			sd.PoolFrom = r.I64()
 			sd.Pool = getMentions(r)
 			sd.Skip, sd.Cands = getOutcome(r)
 		}
 	}
-	d.Deleted = r.strs()
+	d.Deleted = r.Strs()
 	d.Embeds = getEmbeds(r)
 	return d
 }
 
-func putWarmState(w *writer, ws *core.WarmState) {
+func putWarmState(w *binenc.Writer, ws *core.WarmState) {
 	if ws == nil {
-		w.u8(0)
+		w.U8(0)
 		return
 	}
-	w.u8(1)
-	w.str(ws.Precision)
-	w.i64(ws.ShardIndex)
-	w.i64(ws.ShardCount)
-	w.strs(ws.Surfaces)
+	w.U8(1)
+	w.Str(ws.Precision)
+	w.I64(ws.ShardIndex)
+	w.I64(ws.ShardCount)
+	w.Strs(ws.Surfaces)
 	putRecordStates(w, ws.Records)
 	putAmortState(w, ws.Amort)
 }
 
-func getWarmState(r *reader) *core.WarmState {
-	if r.u8() == 0 {
+func getWarmState(r *binenc.Reader) *core.WarmState {
+	if r.U8() == 0 {
 		return nil
 	}
 	ws := &core.WarmState{}
-	ws.Precision = r.str()
-	ws.ShardIndex = r.i64()
-	ws.ShardCount = r.i64()
-	ws.Surfaces = r.strs()
+	ws.Precision = r.Str()
+	ws.ShardIndex = r.I64()
+	ws.ShardCount = r.I64()
+	ws.Surfaces = r.Strs()
 	ws.Records = getRecordStates(r)
 	ws.Amort = getAmortState(r)
 	return ws

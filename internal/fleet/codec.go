@@ -1,173 +1,20 @@
-// Hand-rolled binary codec for the per-cycle RPC payloads.
-//
-// Each shard RPC opens a fresh gob stream, and gob's per-stream costs —
-// re-transmitting type descriptors, then compiling decoder machines for
-// every nested type on the receiving side — measured in the hundreds of
-// microseconds per call here, comparable to the useful work in a cycle.
-// The four hot types therefore implement GobEncoder/GobDecoder
-// themselves: the gob envelope survives (so the transport, the replay
-// cache and the cold fan-in paths are untouched) but carries a single
-// opaque byte blob laid out with fixed-width little-endian fields and
-// memcpy-grade loops. Float64 bits are preserved exactly — fleet
-// identity depends on it.
-//
-// Layout conventions: integers are 64-bit two's complement, counts and
-// string lengths are uint32, strings are length-prefixed bytes, slices
-// are count-prefixed elements, floats are IEEE-754 bit images. A nil
-// embedding matrix encodes as rows = -1.
+// Frame bodies: the fixed-width encodings of the per-cycle RPC payloads
+// and the two fan-in replies, written with the internal/binenc
+// primitives (the layout conventions are documented there). A body is
+// the whole frame payload — no envelope, no type descriptors — and both
+// ends of a connection are the same build, so the layouts carry no
+// version. Float64 bits are preserved exactly: fleet identity depends on
+// it. A nil embedding matrix encodes as rows = -1.
 package fleet
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
+	"nerglobalizer/internal/binenc"
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/types"
 )
-
-// wireWriter accumulates a payload. Callers pre-size via the *Size
-// helpers so encoding a multi-megabyte commit body never re-allocates.
-type wireWriter struct {
-	buf []byte
-	err error
-}
-
-func (w *wireWriter) u64(x uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], x)
-	w.buf = append(w.buf, b[:]...)
-}
-
-func (w *wireWriter) i64(x int) { w.u64(uint64(int64(x))) }
-
-func (w *wireWriter) f64(x float64) { w.u64(math.Float64bits(x)) }
-
-func (w *wireWriter) u32(x int) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(x))
-	w.buf = append(w.buf, b[:]...)
-}
-
-func (w *wireWriter) str(s string) {
-	w.u32(len(s))
-	w.buf = append(w.buf, s...)
-}
-
-func (w *wireWriter) strs(ss []string) {
-	w.u32(len(ss))
-	for _, s := range ss {
-		w.str(s)
-	}
-}
-
-func (w *wireWriter) floats(d []float64) {
-	off := len(w.buf)
-	w.buf = append(w.buf, make([]byte, 8*len(d))...)
-	for i, v := range d {
-		binary.LittleEndian.PutUint64(w.buf[off+8*i:], math.Float64bits(v))
-	}
-}
-
-// wireReader consumes a payload. The first out-of-bounds read latches
-// err and every subsequent read returns a zero value, so decoders can
-// run straight-line and check done() once.
-type wireReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *wireReader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("fleet: wire body truncated or corrupt at byte %d of %d", r.off, len(r.b))
-	}
-}
-
-func (r *wireReader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *wireReader) i64() int { return int(int64(r.u64())) }
-
-func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *wireReader) u32() int {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return int(v)
-}
-
-// count reads an element count whose elements each occupy at least min
-// bytes, rejecting counts the remaining body cannot possibly hold — the
-// guard that keeps a corrupt length field from driving a huge make().
-func (r *wireReader) count(min int) int {
-	c := r.u32()
-	if r.err == nil && c > (len(r.b)-r.off)/min {
-		r.fail()
-		return 0
-	}
-	return c
-}
-
-func (r *wireReader) str() string {
-	n := r.count(1)
-	if r.err != nil {
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *wireReader) strs() []string {
-	n := r.count(4)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = r.str()
-	}
-	return out
-}
-
-func (r *wireReader) floats(n int) []float64 {
-	if r.err != nil || n < 0 || n > (len(r.b)-r.off)/8 {
-		r.fail()
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off+8*i:]))
-	}
-	r.off += 8 * n
-	return out
-}
-
-// done finishes a decode: any latched error wins, and trailing bytes
-// are an error too (a length-field corruption that still lands inside
-// the body would otherwise pass silently).
-func (r *wireReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("fleet: wire body has %d trailing bytes", len(r.b)-r.off)
-	}
-	return nil
-}
 
 const (
 	wireSentenceMin = 20 // TweetID + SentID + token count
@@ -188,25 +35,25 @@ func sentencesSize(ss []WireSentence) int {
 	return n
 }
 
-func putSentences(w *wireWriter, ss []WireSentence) {
-	w.u32(len(ss))
+func putSentences(w *binenc.Writer, ss []WireSentence) {
+	w.U32(len(ss))
 	for i := range ss {
-		w.i64(ss[i].TweetID)
-		w.i64(ss[i].SentID)
-		w.strs(ss[i].Tokens)
+		w.I64(ss[i].TweetID)
+		w.I64(ss[i].SentID)
+		w.Strs(ss[i].Tokens)
 	}
 }
 
-func getSentences(r *wireReader) []WireSentence {
-	n := r.count(wireSentenceMin)
-	if r.err != nil || n == 0 {
+func getSentences(r *binenc.Reader) []WireSentence {
+	n := r.Count(wireSentenceMin)
+	if r.Err != nil || n == 0 {
 		return nil
 	}
 	out := make([]WireSentence, n)
 	for i := range out {
-		out[i].TweetID = r.i64()
-		out[i].SentID = r.i64()
-		out[i].Tokens = r.strs()
+		out[i].TweetID = r.I64()
+		out[i].SentID = r.I64()
+		out[i].Tokens = r.Strs()
 	}
 	return out
 }
@@ -219,67 +66,70 @@ func tagsSize(ts []WireTag) int {
 			n += 4 + len(t)
 		}
 		if ts[i].Emb != nil {
-			n += 8 + 8*len(ts[i].Emb.Data)
+			n += 8 + 4 + 8*len(ts[i].Emb.Data)
 		}
 	}
 	return n
 }
 
-func putTags(w *wireWriter, ts []WireTag) {
-	w.u32(len(ts))
+func putTags(w *binenc.Writer, ts []WireTag) {
+	w.U32(len(ts))
 	for i := range ts {
 		t := &ts[i]
-		w.strs(t.Tokens)
-		w.u32(len(t.Entities))
+		w.Strs(t.Tokens)
+		w.U32(len(t.Entities))
 		for _, e := range t.Entities {
-			w.i64(e.Start)
-			w.i64(e.End)
-			w.i64(int(e.Type))
+			w.I64(e.Start)
+			w.I64(e.End)
+			w.I64(int(e.Type))
 		}
 		if t.Emb == nil {
-			w.i64(-1)
+			w.I64(-1)
 			continue
 		}
-		if len(t.Emb.Data) != t.Emb.Rows*t.Emb.Cols && w.err == nil {
-			w.err = fmt.Errorf("fleet: matrix %dx%d has %d values", t.Emb.Rows, t.Emb.Cols, len(t.Emb.Data))
+		if len(t.Emb.Data) != t.Emb.Rows*t.Emb.Cols && w.Err == nil {
+			w.Err = fmt.Errorf("fleet: matrix %dx%d has %d values", t.Emb.Rows, t.Emb.Cols, len(t.Emb.Data))
 		}
-		w.i64(t.Emb.Rows)
-		w.i64(t.Emb.Cols)
-		w.floats(t.Emb.Data)
+		w.I64(t.Emb.Rows)
+		w.I64(t.Emb.Cols)
+		w.Floats(t.Emb.Data)
 	}
 }
 
-func getTags(r *wireReader) []WireTag {
-	n := r.count(wireTagMin)
-	if r.err != nil || n == 0 {
+func getTags(r *binenc.Reader) []WireTag {
+	n := r.Count(wireTagMin)
+	if r.Err != nil || n == 0 {
 		return nil
 	}
 	out := make([]WireTag, n)
 	for i := range out {
 		t := &out[i]
-		t.Tokens = r.strs()
-		ne := r.count(wireEntityMin)
-		if r.err != nil {
+		t.Tokens = r.Strs()
+		ne := r.Count(wireEntityMin)
+		if r.Err != nil {
 			return nil
 		}
 		if ne > 0 {
 			t.Entities = make([]types.Entity, ne)
 		}
 		for j := range t.Entities {
-			t.Entities[j].Start = r.i64()
-			t.Entities[j].End = r.i64()
-			t.Entities[j].Type = types.EntityType(r.i64())
+			t.Entities[j].Start = r.I64()
+			t.Entities[j].End = r.I64()
+			t.Entities[j].Type = types.EntityType(r.I64())
 		}
-		rows := r.i64()
+		rows := r.I64()
 		if rows == -1 {
 			continue
 		}
-		cols := r.i64()
-		if rows < 0 || cols < 0 || (cols > 0 && rows > (len(r.b)-r.off)/8/cols) {
-			r.fail()
-			return nil
+		cols := r.I64()
+		data := r.Floats()
+		// Divide rather than multiply: rows*cols of hostile fields can
+		// wrap around to len(data).
+		empty := rows == 0 && cols >= 0 && len(data) == 0
+		if r.Err == nil && !empty && (rows < 0 || cols <= 0 || len(data)%cols != 0 || len(data)/cols != rows) {
+			r.Err = fmt.Errorf("fleet: matrix shape %dx%d has %d values", rows, cols, len(data))
 		}
-		t.Emb = &nn.Matrix{Rows: rows, Cols: cols, Data: r.floats(rows * cols)}
+		t.Emb = &nn.Matrix{Rows: rows, Cols: cols, Data: data}
 	}
 	return out
 }
@@ -295,32 +145,32 @@ func ownedSize(es []SentenceEntities) int {
 	return n
 }
 
-func putOwned(w *wireWriter, es []SentenceEntities) {
-	w.u32(len(es))
+func putOwned(w *binenc.Writer, es []SentenceEntities) {
+	w.U32(len(es))
 	for i := range es {
-		w.i64(es[i].TweetID)
-		w.i64(es[i].SentID)
-		w.u32(len(es[i].Entities))
+		w.I64(es[i].TweetID)
+		w.I64(es[i].SentID)
+		w.U32(len(es[i].Entities))
 		for _, e := range es[i].Entities {
-			w.i64(e.Start)
-			w.i64(e.End)
-			w.i64(int(e.Type))
-			w.str(e.Surface)
+			w.I64(e.Start)
+			w.I64(e.End)
+			w.I64(int(e.Type))
+			w.Str(e.Surface)
 		}
 	}
 }
 
-func getOwned(r *wireReader) []SentenceEntities {
-	n := r.count(wireSEMin)
-	if r.err != nil || n == 0 {
+func getOwned(r *binenc.Reader) []SentenceEntities {
+	n := r.Count(wireSEMin)
+	if r.Err != nil || n == 0 {
 		return nil
 	}
 	out := make([]SentenceEntities, n)
 	for i := range out {
-		out[i].TweetID = r.i64()
-		out[i].SentID = r.i64()
-		ne := r.count(wireOwnedMin)
-		if r.err != nil {
+		out[i].TweetID = r.I64()
+		out[i].SentID = r.I64()
+		ne := r.Count(wireOwnedMin)
+		if r.Err != nil {
 			return nil
 		}
 		if ne > 0 {
@@ -328,87 +178,151 @@ func getOwned(r *wireReader) []SentenceEntities {
 		}
 		for j := range out[i].Entities {
 			e := &out[i].Entities[j]
-			e.Start = r.i64()
-			e.End = r.i64()
-			e.Type = types.EntityType(r.i64())
-			e.Surface = r.str()
+			e.Start = r.I64()
+			e.End = r.I64()
+			e.Type = types.EntityType(r.I64())
+			e.Surface = r.Str()
 		}
 	}
 	return out
 }
 
-// GobEncode implements gob.GobEncoder.
-func (q *TagRequest) GobEncode() ([]byte, error) {
-	w := &wireWriter{buf: make([]byte, 0, 8+sentencesSize(q.Sentences))}
-	w.u64(q.Seq)
+// wireCandidateMin is the smallest encoded candidate: an empty surface
+// plus four fixed fields.
+const wireCandidateMin = 4 + 8*4
+
+func putCandidates(w *binenc.Writer, cs []WireCandidate) {
+	w.U32(len(cs))
+	for i := range cs {
+		w.Str(cs[i].Surface)
+		w.I64(cs[i].ClusterID)
+		w.I64(int(cs[i].Type))
+		w.I64(cs[i].Mentions)
+		w.F64(cs[i].Confidence)
+	}
+}
+
+func getCandidates(r *binenc.Reader) []WireCandidate {
+	n := r.Count(wireCandidateMin)
+	if r.Err != nil || n == 0 {
+		return nil
+	}
+	out := make([]WireCandidate, n)
+	for i := range out {
+		out[i].Surface = r.Str()
+		out[i].ClusterID = r.I64()
+		out[i].Type = types.EntityType(r.I64())
+		out[i].Mentions = r.I64()
+		out[i].Confidence = r.F64()
+	}
+	return out
+}
+
+// finish ends a body decode, naming the body in the error.
+func finish(r *binenc.Reader, what string) error {
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("fleet: %s body: %w", what, err)
+	}
+	return nil
+}
+
+// encode renders the tag request as a frame body.
+func (q *TagRequest) encode() ([]byte, error) {
+	w := &binenc.Writer{Buf: make([]byte, 0, 8+sentencesSize(q.Sentences))}
+	w.U64(q.Seq)
 	putSentences(w, q.Sentences)
-	return w.buf, w.err
+	return w.Buf, w.Err
 }
 
-// GobDecode implements gob.GobDecoder.
-func (q *TagRequest) GobDecode(b []byte) error {
-	r := &wireReader{b: b}
-	q.Seq = r.u64()
+func (q *TagRequest) decode(b []byte) error {
+	r := &binenc.Reader{B: b}
+	q.Seq = r.U64()
 	q.Sentences = getSentences(r)
-	return r.done()
+	return finish(r, "tag request")
 }
 
-// GobEncode implements gob.GobEncoder.
-func (q *TagResponse) GobEncode() ([]byte, error) {
-	w := &wireWriter{buf: make([]byte, 0, 16+tagsSize(q.Results))}
-	w.u64(q.Seq)
+// encode renders the tag response as a frame body.
+func (q *TagResponse) encode() ([]byte, error) {
+	w := &binenc.Writer{Buf: make([]byte, 0, 16+tagsSize(q.Results))}
+	w.U64(q.Seq)
 	putTags(w, q.Results)
-	w.f64(q.BusySeconds)
-	return w.buf, w.err
+	w.F64(q.BusySeconds)
+	return w.Buf, w.Err
 }
 
-// GobDecode implements gob.GobDecoder.
-func (q *TagResponse) GobDecode(b []byte) error {
-	r := &wireReader{b: b}
-	q.Seq = r.u64()
+func (q *TagResponse) decode(b []byte) error {
+	r := &binenc.Reader{B: b}
+	q.Seq = r.U64()
 	q.Results = getTags(r)
-	q.BusySeconds = r.f64()
-	return r.done()
+	q.BusySeconds = r.F64()
+	return finish(r, "tag response")
 }
 
-// GobEncode implements gob.GobEncoder.
-func (q *CommitRequest) GobEncode() ([]byte, error) {
-	w := &wireWriter{buf: make([]byte, 0, 16+sentencesSize(q.Sentences)+tagsSize(q.Tagged))}
-	w.u64(q.Seq)
+// encode renders the commit request as a frame body. The router encodes
+// a cycle's commit once and every shard's frame references the same
+// bytes.
+func (q *CommitRequest) encode() ([]byte, error) {
+	w := &binenc.Writer{Buf: make([]byte, 0, 16+sentencesSize(q.Sentences)+tagsSize(q.Tagged))}
+	w.U64(q.Seq)
 	putSentences(w, q.Sentences)
 	putTags(w, q.Tagged)
-	w.i64(int(q.Mode))
-	return w.buf, w.err
+	w.I64(int(q.Mode))
+	return w.Buf, w.Err
 }
 
-// GobDecode implements gob.GobDecoder.
-func (q *CommitRequest) GobDecode(b []byte) error {
-	r := &wireReader{b: b}
-	q.Seq = r.u64()
+func (q *CommitRequest) decode(b []byte) error {
+	r := &binenc.Reader{B: b}
+	q.Seq = r.U64()
 	q.Sentences = getSentences(r)
 	q.Tagged = getTags(r)
-	q.Mode = core.Mode(r.i64())
-	return r.done()
+	q.Mode = core.Mode(r.I64())
+	return finish(r, "commit request")
 }
 
-// GobEncode implements gob.GobEncoder.
-func (q *CommitResponse) GobEncode() ([]byte, error) {
-	w := &wireWriter{buf: make([]byte, 0, 32+ownedSize(q.Entities))}
-	w.u64(q.Seq)
+// encode renders the commit response as a frame body — also the form
+// a shard snapshot keeps its cached last response in.
+func (q *CommitResponse) encode() []byte {
+	w := &binenc.Writer{Buf: make([]byte, 0, 32+ownedSize(q.Entities))}
+	w.U64(q.Seq)
 	putOwned(w, q.Entities)
-	w.i64(q.StreamSize)
-	w.i64(q.Candidates)
-	w.f64(q.BusySeconds)
-	return w.buf, w.err
+	w.I64(q.StreamSize)
+	w.I64(q.Candidates)
+	w.F64(q.BusySeconds)
+	return w.Buf
 }
 
-// GobDecode implements gob.GobDecoder.
-func (q *CommitResponse) GobDecode(b []byte) error {
-	r := &wireReader{b: b}
-	q.Seq = r.u64()
+func (q *CommitResponse) decode(b []byte) error {
+	r := &binenc.Reader{B: b}
+	q.Seq = r.U64()
 	q.Entities = getOwned(r)
-	q.StreamSize = r.i64()
-	q.Candidates = r.i64()
-	q.BusySeconds = r.f64()
-	return r.done()
+	q.StreamSize = r.I64()
+	q.Candidates = r.I64()
+	q.BusySeconds = r.F64()
+	return finish(r, "commit response")
+}
+
+// encodeCandidates renders a shard's candidate fan-in reply.
+func encodeCandidates(cs []WireCandidate) []byte {
+	w := &binenc.Writer{}
+	putCandidates(w, cs)
+	return w.Buf
+}
+
+func decodeCandidates(b []byte) ([]WireCandidate, error) {
+	r := &binenc.Reader{B: b}
+	out := getCandidates(r)
+	return out, finish(r, "candidates")
+}
+
+// encodeEntities renders a shard's whole-stream entity fan-in reply.
+func encodeEntities(es []SentenceEntities) []byte {
+	w := &binenc.Writer{Buf: make([]byte, 0, ownedSize(es))}
+	putOwned(w, es)
+	return w.Buf
+}
+
+func decodeEntities(b []byte) ([]SentenceEntities, error) {
+	r := &binenc.Reader{B: b}
+	out := getOwned(r)
+	return out, finish(r, "entities")
 }

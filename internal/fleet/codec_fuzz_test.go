@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"nerglobalizer/internal/core"
@@ -12,7 +15,7 @@ import (
 // fuzzSampleCommit builds a small but structurally complete
 // CommitRequest: nested lists, a matrix, non-ASCII strings, edge-case
 // floats. The fuzz targets below use its encoding as the seed corpus
-// so mutation starts from a valid frame, not random noise.
+// so mutation starts from a valid body, not random noise.
 func fuzzSampleCommit() *CommitRequest {
 	emb := nn.NewMatrix(2, 3)
 	emb.Data = []float64{math.Inf(1), math.Copysign(0, -1), 5e-324, 1.5, -2.25, 0}
@@ -34,50 +37,46 @@ func fuzzSampleCommit() *CommitRequest {
 	}
 }
 
-// decodeAny drives every wire type's decoder over the same payload.
-// The contract under fuzzing is narrow and absolute: arbitrary bytes
-// may fail to decode, but they must never panic the decoder — a
-// malformed peer must not be able to crash a shard or the router.
+// sampleBodies returns one valid body of every kind the frame path
+// carries, tag and commit bodies first.
+func sampleBodies(tb testing.TB) [][]byte {
+	creq := fuzzSampleCommit()
+	commit, err := creq.encode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tagReq, err := (&TagRequest{Seq: 3, Sentences: creq.Sentences}).encode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tagResp, err := (&TagResponse{Seq: 3, Results: creq.Tagged, BusySeconds: 1.5}).encode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	owned := []SentenceEntities{
+		{TweetID: 1, SentID: 0, Entities: []WireEntity{{Start: 2, End: 3, Type: types.Location, Surface: "milano"}}},
+	}
+	commitResp := (&CommitResponse{Seq: 7, Entities: owned, StreamSize: 2, Candidates: 1, BusySeconds: 0.25}).encode()
+	cands := encodeCandidates([]WireCandidate{{Surface: "milano", ClusterID: 1, Type: types.Location, Mentions: 3, Confidence: 0.5}})
+	return [][]byte{tagReq, commit, tagResp, commitResp, cands, encodeEntities(owned)}
+}
+
+// decodeAny drives every body decoder over the same payload. The
+// contract under fuzzing is narrow and absolute: arbitrary bytes may
+// fail to decode, but they must never panic the decoder — a malformed
+// peer must not be able to crash a shard or the router.
 func decodeAny(payload []byte) {
-	_ = new(CommitRequest).GobDecode(payload)
-	_ = new(CommitResponse).GobDecode(payload)
-	_ = new(TagRequest).GobDecode(payload)
-	_ = new(TagResponse).GobDecode(payload)
+	_ = new(CommitRequest).decode(payload)
+	_ = new(CommitResponse).decode(payload)
+	_ = new(TagRequest).decode(payload)
+	_ = new(TagResponse).decode(payload)
+	_, _ = decodeCandidates(payload)
+	_, _ = decodeEntities(payload)
 }
 
 func FuzzWireCodecDecode(f *testing.F) {
-	creq := fuzzSampleCommit()
-	raw, err := creq.GobEncode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(raw)
-
-	cresp := &CommitResponse{
-		Seq: 7,
-		Entities: []SentenceEntities{
-			{TweetID: 1, SentID: 0, Entities: []WireEntity{{Start: 2, End: 3, Type: types.Location, Surface: "milano"}}},
-		},
-		StreamSize:  2,
-		Candidates:  1,
-		BusySeconds: 0.25,
-	}
-	if raw, err := cresp.GobEncode(); err != nil {
-		f.Fatal(err)
-	} else {
-		f.Add(raw)
-	}
-	treq := &TagRequest{Seq: 3, Sentences: creq.Sentences}
-	if raw, err := treq.GobEncode(); err != nil {
-		f.Fatal(err)
-	} else {
-		f.Add(raw)
-	}
-	tresp := &TagResponse{Seq: 3, Results: creq.Tagged, BusySeconds: 1.5}
-	if raw, err := tresp.GobEncode(); err != nil {
-		f.Fatal(err)
-	} else {
-		f.Add(raw)
+	for _, body := range sampleBodies(f) {
+		f.Add(body)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
@@ -90,11 +89,11 @@ func FuzzWireCodecDecode(f *testing.F) {
 
 // TestWireCodecMutationsNeverPanic is the deterministic slice of the
 // fuzz surface that runs on every `go test`: every single-byte
-// mutation and every truncation of a valid CommitRequest frame is fed
-// to all four decoders. Decoding may succeed (some mutations only
-// touch payload values) or error — it must not panic or over-allocate.
+// mutation and every truncation of a valid commit body is fed to all
+// the decoders. Decoding may succeed (some mutations only touch payload
+// values) or error — it must not panic or over-allocate.
 func TestWireCodecMutationsNeverPanic(t *testing.T) {
-	raw, err := fuzzSampleCommit().GobEncode()
+	raw, err := fuzzSampleCommit().encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,4 +105,109 @@ func TestWireCodecMutationsNeverPanic(t *testing.T) {
 		}
 		decodeAny(raw[:i])
 	}
+}
+
+// requestFrame and replyFrame lay a body out as the wire does.
+func requestFrame(op byte, body []byte) []byte {
+	var hdr [requestHeaderLen]byte
+	putRequestHeader(&hdr, op, len(body))
+	return append(hdr[:], body...)
+}
+
+func replyFrame(status byte, retryAfter int, body []byte) []byte {
+	var hdr [replyHeaderLen]byte
+	putReplyHeader(&hdr, status, retryAfter, len(body))
+	return append(hdr[:], body...)
+}
+
+// readFrames reads data as a request frame and as a reply frame and
+// checks what both readers promise: an error or a body exactly as long
+// as the header said and no longer than the cap, a known op or status.
+func readFrames(t *testing.T, data []byte) {
+	t.Helper()
+	op, body, err := readRequestFrame(bytes.NewReader(data))
+	if err == nil {
+		if op == 0 || op >= opEnd || len(body) > shardMaxBodyBytes || len(body) > len(data)-requestHeaderLen {
+			t.Fatalf("request frame accepted with op %d and a %d-byte body from %d bytes", op, len(body), len(data))
+		}
+		decodeAny(body)
+	}
+	status, _, body, err := readReplyFrame(bytes.NewReader(data))
+	if err == nil {
+		if status >= statusEnd || len(body) > shardMaxBodyBytes || len(body) > len(data)-replyHeaderLen {
+			t.Fatalf("reply frame accepted with status %d and a %d-byte body from %d bytes", status, len(body), len(data))
+		}
+		decodeAny(body)
+	}
+}
+
+// FuzzFrameRead aims arbitrary bytes at both frame readers: oversized
+// lengths, truncated headers and bodies, unknown ops and statuses must
+// all come back as errors — never a panic, never a body above the cap.
+func FuzzFrameRead(f *testing.F) {
+	bodies := sampleBodies(f)
+	f.Add(requestFrame(opTag, bodies[0]))
+	f.Add(requestFrame(opCommit, bodies[1]))
+	f.Add(replyFrame(statusOK, 0, bodies[2]))
+	f.Add(replyFrame(statusOK, 0, bodies[3]))
+	f.Add(replyFrame(statusUnavailable, 1, []byte("shard saturated")))
+	f.Add(requestFrame(opReset, nil))
+	f.Add([]byte{})
+	f.Add([]byte{opCommit, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{statusOK, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		readFrames(t, data)
+	})
+}
+
+// TestFrameReadRejects pins the frame readers' refusals one by one.
+func TestFrameReadRejects(t *testing.T) {
+	body := sampleBodies(t)[1]
+	good := requestFrame(opCommit, body)
+	if op, got, err := readRequestFrame(bytes.NewReader(good)); err != nil || op != opCommit || !bytes.Equal(got, body) {
+		t.Fatalf("valid request frame: op %d, %d bytes, %v", op, len(got), err)
+	}
+	if st, retry, got, err := readReplyFrame(bytes.NewReader(replyFrame(statusUnavailable, 7, body))); err != nil || st != statusUnavailable || retry != 7 || !bytes.Equal(got, body) {
+		t.Fatalf("valid reply frame: status %d, retry %d, %d bytes, %v", st, retry, len(got), err)
+	}
+	var fe *frameError
+	for _, op := range []byte{0, opEnd, 0xff} {
+		if _, _, err := readRequestFrame(bytes.NewReader(requestFrame(op, nil))); !errors.As(err, &fe) {
+			t.Fatalf("op %d: err = %v, want a frame error", op, err)
+		}
+	}
+	if _, _, _, err := readReplyFrame(bytes.NewReader(replyFrame(statusEnd, 0, nil))); !errors.As(err, &fe) {
+		t.Fatalf("unknown status: err = %v, want a frame error", err)
+	}
+	// One byte past the cap is refused from the header alone: the
+	// reader below holds no body at all.
+	var hdr [requestHeaderLen]byte
+	putRequestHeader(&hdr, opCommit, shardMaxBodyBytes+1)
+	if _, _, err := readRequestFrame(bytes.NewReader(hdr[:])); !errors.As(err, &fe) {
+		t.Fatalf("oversized request: err = %v, want a frame error", err)
+	}
+	var rhdr [replyHeaderLen]byte
+	putReplyHeader(&rhdr, statusOK, 0, shardMaxBodyBytes+1)
+	if _, _, _, err := readReplyFrame(bytes.NewReader(rhdr[:])); !errors.As(err, &fe) {
+		t.Fatalf("oversized reply: err = %v, want a frame error", err)
+	}
+	// A header that claims the cap and delivers nothing must not cost
+	// the cap in memory.
+	putRequestHeader(&hdr, opCommit, shardMaxBodyBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := readRequestFrame(bytes.NewReader(hdr[:])); err == nil {
+		t.Fatal("empty body under a 64 MB header read cleanly")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a bodyless 64 MB header allocated %d bytes", grew)
+	}
+	for n := 0; n < len(good); n++ {
+		_, _, err := readRequestFrame(bytes.NewReader(good[:n]))
+		if err == nil || errors.As(err, &fe) {
+			t.Fatalf("request truncated to %d bytes: err = %v, want an I/O error", n, err)
+		}
+	}
+	readFrames(t, good)
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 	"sort"
@@ -106,9 +105,17 @@ func (s *Shard) WaitWarm() error {
 	return s.recoverErr
 }
 
-// Close waits out recovery and seals the shard's WAL. A shard without
-// StartDurable needs no Close.
+// Close ends the shard's frame connections (waiting for calls in
+// flight on them), waits out recovery and seals the shard's WAL.
 func (s *Shard) Close() {
+	s.connMu.Lock()
+	conns := s.conns
+	s.conns = nil
+	s.connMu.Unlock()
+	for c := range conns {
+		c.Close()
+	}
+	s.connWG.Wait()
 	if s.replayDone != nil {
 		<-s.replayDone
 	}
@@ -124,6 +131,8 @@ func (s *Shard) Close() {
 // mismatch.
 func (s *Shard) recoverFrom(rec *durable.Recovery) error {
 	t0 := time.Now()
+	s.cfgMu.Lock()
+	defer s.cfgMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if snap := rec.Snapshot; snap != nil {
@@ -133,18 +142,24 @@ func (s *Shard) recoverFrom(rec *durable.Recovery) error {
 		if snap.Warm == nil {
 			return fmt.Errorf("fleet: shard %d: snapshot at seq %d has no engine state", s.index, snap.Seq)
 		}
+		// LastResp is a bare commit-response body. Decode it before
+		// touching the engine: a directory from a build that wrapped it
+		// in a gob stream is refused here, never half restored.
+		var lastResp *CommitResponse
+		if len(snap.LastResp) > 0 {
+			lastResp = &CommitResponse{}
+			if err := lastResp.decode(snap.LastResp); err != nil {
+				return fmt.Errorf("fleet: shard %d: snapshot at seq %d: LastResp is not a commit-response body (data dir written by an incompatible build?): %w", s.index, snap.Seq, err)
+			}
+			if lastResp.Seq != snap.Seq {
+				return fmt.Errorf("fleet: shard %d: snapshot at seq %d: LastResp answers cycle %d", s.index, snap.Seq, lastResp.Seq)
+			}
+		}
 		if err := s.g.RestoreWarmState(snap.Warm); err != nil {
 			return err
 		}
 		s.seq = snap.Seq
-		s.lastResp = nil
-		if len(snap.LastResp) > 0 {
-			var lr CommitResponse
-			if err := decodeGob(bytes.NewReader(snap.LastResp), &lr); err != nil {
-				return fmt.Errorf("fleet: shard %d: snapshot last response: %w", s.index, err)
-			}
-			s.lastResp = &lr
-		}
+		s.lastResp = lastResp
 		s.prov = durable.RestoreProvenance(snap.Provenance)
 	}
 	for _, cr := range rec.Tail {
@@ -198,27 +213,22 @@ func (s *Shard) durableCommit(req *CommitRequest, resp *CommitResponse) (*durabl
 	if !s.dl.ShouldSnapshot(req.Seq) {
 		return nil, wait, nil
 	}
-	lr, err := encodeGob(resp)
-	if err != nil {
-		return nil, wait, nil // snapshot skipped; the WAL already covers the cycle
-	}
 	snap := s.dl.EngineSnapshot(durable.KindShard, req.Seq, s.g, s.prov)
-	snap.LastResp = lr.Bytes()
+	snap.LastResp = resp.encode()
 	return snap, wait, nil
 }
 
-// unready gates mutating RPCs while the shard is replaying or bricked.
-func (s *Shard) unready(w http.ResponseWriter) bool {
+// unready gates mutating RPCs while the shard is replaying or bricked:
+// a non-empty reason is an unavailable answer, with its retry hint (0 =
+// none; a bricked shard does not come back by waiting).
+func (s *Shard) unready() (reason string, retryAfter int) {
 	if s.replaying.Load() {
-		w.Header().Set("Retry-After", strconv.Itoa(shardRetryAfterSeconds))
-		http.Error(w, "shard replaying snapshot and WAL", http.StatusServiceUnavailable)
-		return true
+		return "shard replaying snapshot and WAL", shardRetryAfterSeconds
 	}
 	if s.broken.Load() {
-		http.Error(w, "shard durability failed; restart from the data dir", http.StatusServiceUnavailable)
-		return true
+		return "shard durability failed; restart from the data dir", 0
 	}
-	return false
+	return "", 0
 }
 
 // handleHealthz mirrors the single server's readiness contract.
@@ -252,7 +262,11 @@ func (s *Shard) handleProof(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "provenance requires -data-dir", http.StatusNotFound)
 		return
 	}
-	if s.unready(w) {
+	if why, retry := s.unready(); why != "" {
+		if retry > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(retry))
+		}
+		http.Error(w, why, http.StatusServiceUnavailable)
 		return
 	}
 	tweet, err := strconv.Atoi(r.URL.Query().Get("tweet"))
@@ -385,7 +399,7 @@ func (r *Router) redriveShard(i int, target uint64, bySeq map[uint64]*durable.Cy
 			return fmt.Errorf("fleet: router recovery: shard %d needs cycle %d but the journal starts later — compaction outran the shard", i, seq)
 		}
 		batch := durable.ToSentences(cr.Sentences)
-		tagged, _, _, err := r.tagPartitioned(batch)
+		tagged, _, _, err := r.tagPartitioned(batch, int(seq))
 		if err != nil {
 			return fmt.Errorf("fleet: router recovery: re-tag cycle %d: %w", seq, err)
 		}

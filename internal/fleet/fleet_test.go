@@ -12,9 +12,11 @@ import (
 	"sync"
 	"testing"
 
+	"nerglobalizer/internal/binenc"
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/corpus"
 	"nerglobalizer/internal/nn"
+	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/server"
 	"nerglobalizer/internal/tokenizer"
 	"nerglobalizer/internal/transformer"
@@ -151,35 +153,50 @@ func runSingle(t *testing.T, g *core.Globalizer, bodies []string) (resps []strin
 // TestFleetIdentity is the tentpole contract: for every shard count,
 // the fleet's responses on the same request sequence are byte-identical
 // to the single-process server's — per-request /annotate bodies, the
-// final /candidates body, and the final whole-stream /entities body.
+// final /candidates body, and the final whole-stream /entities body. A
+// stream of single-tweet requests runs beside the bulk one: its cycles
+// hold one sentence, which one shard tags whole, and the rotation of the
+// slice→shard assignment must still give every shard tag work.
 func TestFleetIdentity(t *testing.T) {
 	g := trainedPipeline(t)
-	bodies := streamBodies(24, 3)
-	want, wantCands, wantEnts := runSingle(t, g, bodies)
+	for _, perReq := range []int{3, 1} {
+		bodies := streamBodies(24, perReq)
+		want, wantCands, wantEnts := runSingle(t, g, bodies)
 
-	for _, k := range []int{1, 2, 3, 4} {
-		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			h, err := NewHarness(g, k, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer h.Close()
-			for i, body := range bodies {
-				status, resp, _ := postBody(t, h.URL()+"/annotate", body)
-				if status != http.StatusOK {
-					t.Fatalf("request %d: status %d: %s", i, status, resp)
+		for _, k := range []int{1, 2, 3, 4} {
+			t.Run(fmt.Sprintf("shards=%d/tweets=%d", k, perReq), func(t *testing.T) {
+				h, err := NewHarness(g, k, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if resp != want[i] {
-					t.Fatalf("request %d: fleet response differs from single-process\nfleet:  %s\nsingle: %s", i, resp, want[i])
+				defer h.Close()
+				regs := make([]*obs.Registry, k)
+				for i, sh := range h.Shards {
+					regs[i] = obs.NewRegistry()
+					sh.SetObserver(regs[i])
 				}
-			}
-			if cands := getBody(t, h.URL()+"/candidates"); cands != wantCands {
-				t.Fatalf("candidates differ\nfleet:  %s\nsingle: %s", cands, wantCands)
-			}
-			if ents := getBody(t, h.URL()+"/entities"); ents != wantEnts {
-				t.Fatalf("entities differ\nfleet:  %s\nsingle: %s", ents, wantEnts)
-			}
-		})
+				for i, body := range bodies {
+					status, resp, _ := postBody(t, h.URL()+"/annotate", body)
+					if status != http.StatusOK {
+						t.Fatalf("request %d: status %d: %s", i, status, resp)
+					}
+					if resp != want[i] {
+						t.Fatalf("request %d: fleet response differs from single-process\nfleet:  %s\nsingle: %s", i, resp, want[i])
+					}
+				}
+				if cands := getBody(t, h.URL()+"/candidates"); cands != wantCands {
+					t.Fatalf("candidates differ\nfleet:  %s\nsingle: %s", cands, wantCands)
+				}
+				if ents := getBody(t, h.URL()+"/entities"); ents != wantEnts {
+					t.Fatalf("entities differ\nfleet:  %s\nsingle: %s", ents, wantEnts)
+				}
+				for i, reg := range regs {
+					if n := reg.Histogram("ner_fleet_shard_tag_seconds", "", nil).Count(); n == 0 {
+						t.Fatalf("shard %d of %d served no tag op over %d cycles", i, k, len(bodies))
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -578,11 +595,11 @@ func TestStreamBodiesTokenize(t *testing.T) {
 	}
 }
 
-// TestWireCodecRoundTrip pushes the hand-rolled binary payloads for
-// the per-cycle RPC types through the same gob envelope the transport
-// uses, covering the shapes that matter: nil embedding matrices, empty
-// token and entity lists, non-ASCII tokens and exact float64 bits
-// (negative zero, infinities, subnormals).
+// TestWireCodecRoundTrip pushes the frame bodies of the per-cycle RPC
+// types and the two fan-in replies through encode and decode, covering
+// the shapes that matter: nil embedding matrices, empty token and entity
+// lists, non-ASCII tokens and exact float64 bits (negative zero,
+// infinities, subnormals).
 func TestWireCodecRoundTrip(t *testing.T) {
 	creq := &CommitRequest{
 		Seq: 7,
@@ -602,48 +619,83 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		},
 		Mode: core.ModeFull,
 	}
-	values := []struct {
-		in, out any
-	}{
-		{creq, &CommitRequest{}},
-		{&TagRequest{Seq: 2, Sentences: creq.Sentences}, &TagRequest{}},
-		{&TagResponse{Seq: 2, Results: creq.Tagged, BusySeconds: 0.25}, &TagResponse{}},
-		{&CommitResponse{
-			Seq: 7,
-			Entities: []SentenceEntities{
-				{TweetID: 3, SentID: 0, Entities: []WireEntity{
-					{Start: 0, End: 2, Type: types.Location, Surface: "héllo wörld"},
-				}},
-				{TweetID: 4, SentID: 1},
-			},
-			StreamSize: 12, Candidates: 5, BusySeconds: 1.5,
-		}, &CommitResponse{}},
+	cresp := &CommitResponse{
+		Seq: 7,
+		Entities: []SentenceEntities{
+			{TweetID: 3, SentID: 0, Entities: []WireEntity{
+				{Start: 0, End: 2, Type: types.Location, Surface: "héllo wörld"},
+			}},
+			{TweetID: 4, SentID: 1},
+		},
+		StreamSize: 12, Candidates: 5, BusySeconds: 1.5,
 	}
-	for _, v := range values {
-		buf, err := encodeGob(v.in)
-		if err != nil {
-			t.Fatalf("%T: %v", v.in, err)
-		}
-		if err := decodeGob(bytes.NewReader(buf.Bytes()), v.out); err != nil {
-			t.Fatalf("%T: decode: %v", v.in, err)
-		}
-		if !reflect.DeepEqual(v.in, v.out) {
-			t.Fatalf("%T round-trip:\n in: %+v\nout: %+v", v.in, v.in, v.out)
-		}
-	}
-
-	// Every truncation of the raw payload must decode to an error, and
-	// so must trailing junk — never a panic or a silent partial value.
-	raw, err := creq.GobEncode()
+	raw, err := creq.encode()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var creqOut CommitRequest
+	if err := creqOut.decode(raw); err != nil || !reflect.DeepEqual(creq, &creqOut) {
+		t.Fatalf("commit request round-trip (%v):\n in: %+v\nout: %+v", err, creq, &creqOut)
+	}
+	var crespOut CommitResponse
+	if err := crespOut.decode(cresp.encode()); err != nil || !reflect.DeepEqual(cresp, &crespOut) {
+		t.Fatalf("commit response round-trip (%v):\n in: %+v\nout: %+v", err, cresp, &crespOut)
+	}
+	treq := &TagRequest{Seq: 2, Sentences: creq.Sentences}
+	b, err := treq.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var treqOut TagRequest
+	if err := treqOut.decode(b); err != nil || !reflect.DeepEqual(treq, &treqOut) {
+		t.Fatalf("tag request round-trip (%v):\n in: %+v\nout: %+v", err, treq, &treqOut)
+	}
+	tresp := &TagResponse{Seq: 2, Results: creq.Tagged, BusySeconds: 0.25}
+	if b, err = tresp.encode(); err != nil {
+		t.Fatal(err)
+	}
+	var trespOut TagResponse
+	if err := trespOut.decode(b); err != nil || !reflect.DeepEqual(tresp, &trespOut) {
+		t.Fatalf("tag response round-trip (%v):\n in: %+v\nout: %+v", err, tresp, &trespOut)
+	}
+	cands := []WireCandidate{
+		{Surface: "héllo wörld", ClusterID: 2, Type: types.Location, Mentions: 4, Confidence: 0.875},
+		{Surface: "", ClusterID: 0, Type: types.None, Mentions: 0, Confidence: math.Copysign(0, -1)},
+	}
+	if got, err := decodeCandidates(encodeCandidates(cands)); err != nil || !reflect.DeepEqual(cands, got) {
+		t.Fatalf("candidates round-trip (%v):\n in: %+v\nout: %+v", err, cands, got)
+	}
+	if got, err := decodeEntities(encodeEntities(cresp.Entities)); err != nil || !reflect.DeepEqual(cresp.Entities, got) {
+		t.Fatalf("entities round-trip (%v):\n in: %+v\nout: %+v", err, cresp.Entities, got)
+	}
+	if got, err := decodeCandidates(encodeCandidates(nil)); err != nil || got != nil {
+		t.Fatalf("empty candidates round-trip: %v, %+v", err, got)
+	}
+
+	// Every truncation of a body must decode to an error, and so must
+	// trailing junk — never a panic or a silent partial value.
 	for n := 0; n < len(raw); n++ {
-		if err := new(CommitRequest).GobDecode(raw[:n]); err == nil {
+		if err := new(CommitRequest).decode(raw[:n]); err == nil {
 			t.Fatalf("truncation at %d bytes decoded cleanly", n)
 		}
 	}
-	if err := new(CommitRequest).GobDecode(append(append([]byte{}, raw...), 0)); err == nil {
+	if err := new(CommitRequest).decode(append(append([]byte{}, raw...), 0)); err == nil {
 		t.Fatal("trailing byte decoded cleanly")
+	}
+
+	// A matrix whose rows*cols wraps around to its value count is a shape
+	// error, not a matrix.
+	bad := &binenc.Writer{}
+	bad.U64(1)
+	bad.U32(0) // no sentences
+	bad.U32(1) // one tag
+	bad.U32(0) // no tokens
+	bad.U32(0) // no entities
+	bad.I64(1 << 62)
+	bad.I64(4)
+	bad.Floats(nil)
+	bad.I64(int(core.ModeFull))
+	if err := new(CommitRequest).decode(bad.Buf); err == nil {
+		t.Fatal("matrix of 2^62 x 4 with no values decoded cleanly")
 	}
 }

@@ -14,7 +14,8 @@ import (
 // Harness is an in-process fleet: a router plus K shard replicas of
 // one trained engine, served over loopback httptest listeners. It is
 // what the identity tests and cmd/benchpipeline's fleet section run
-// against — real HTTP, real gob encoding, no separate processes.
+// against — real sockets, real upgrades, real frames, no separate
+// processes.
 type Harness struct {
 	Router *Router
 	Shards []*Shard
@@ -92,8 +93,8 @@ func (h *Harness) StartDurable(dataDir string, opts durable.Options) error {
 func (h *Harness) URL() string { return h.routerSrv.URL }
 
 // Close tears the fleet down: router first (stops the scheduler and
-// its shard connections), then the shard listeners and the shards'
-// durability state.
+// its shard connections), then the shard listeners, then the shards
+// (frame connections still open, durability state).
 func (h *Harness) Close() {
 	if h.routerSrv != nil {
 		h.routerSrv.Close()

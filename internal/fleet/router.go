@@ -187,6 +187,11 @@ type routerObs struct {
 
 	shardRPC  []*obs.Histogram // ner_fleet_shard<i>_rpc_seconds
 	shardErrs []*obs.Counter   // ner_fleet_shard<i>_errors_total
+	// transport holds, per shard, the frame-connection counters the
+	// shard's client feeds: ner_fleet_shard<i>_rpc_bytes_sent_total /
+	// _received_total, and the fleet-wide
+	// ner_fleet_connections_dialed_total and ner_fleet_rpc_redials_total.
+	transport []*clientObs
 }
 
 func newRouterObs(reg *obs.Registry, shards int) *routerObs {
@@ -208,7 +213,19 @@ func newRouterObs(reg *obs.Registry, shards int) *routerObs {
 		mergeSeconds: reg.Histogram("ner_fleet_merge_seconds",
 			"Wall-clock of the cross-shard annotation merge per cycle.", nil),
 	}
+	dialed := reg.Counter("ner_fleet_connections_dialed_total",
+		"Frame connections the router opened to shards.")
+	redials := reg.Counter("ner_fleet_rpc_redials_total",
+		"Shard RPCs resent on a fresh connection after a kept-open one turned out stale.")
 	for i := 0; i < shards; i++ {
+		ro.transport = append(ro.transport, &clientObs{
+			sent: reg.Counter(fmt.Sprintf("ner_fleet_shard%d_rpc_bytes_sent_total", i),
+				fmt.Sprintf("Request frame bytes written to shard %d.", i)),
+			received: reg.Counter(fmt.Sprintf("ner_fleet_shard%d_rpc_bytes_received_total", i),
+				fmt.Sprintf("Reply frame bytes read from shard %d.", i)),
+			dialed:  dialed,
+			redials: redials,
+		})
 		ro.shardRPC = append(ro.shardRPC, reg.Histogram(
 			fmt.Sprintf("ner_fleet_shard%d_rpc_seconds", i),
 			fmt.Sprintf("Round-trip latency of RPCs to shard %d.", i), nil))
@@ -267,7 +284,15 @@ func (r *Router) waitCommitsIdle() {
 
 // SetObserver attaches a metrics registry to the router.
 func (r *Router) SetObserver(reg *obs.Registry) {
-	r.o.Store(newRouterObs(reg, len(r.clients)))
+	ro := newRouterObs(reg, len(r.clients))
+	r.o.Store(ro)
+	for i, c := range r.clients {
+		co := &clientObs{}
+		if ro != nil {
+			co = ro.transport[i]
+		}
+		c.o.Store(co)
+	}
 }
 
 // SetBatchWindow sets the micro-batch coalescing window, mirroring the
@@ -426,7 +451,7 @@ func (r *Router) runCycle(jobs []*routerJob) {
 	}
 
 	// Tag fan-out with failover.
-	tagged, tagBusy, tagRPC, err := r.tagPartitioned(batch)
+	tagged, tagBusy, tagRPC, err := r.tagPartitioned(batch, int(r.cycles.Load()))
 	if err != nil {
 		failAll(jobs, http.StatusServiceUnavailable, routerRetryAfterSeconds,
 			"tag stage failed on every shard: "+err.Error())
@@ -467,7 +492,7 @@ func (r *Router) runCycle(jobs []*routerJob) {
 	// One encode serves the whole fan-out: every shard receives the
 	// same bytes, so the router's serialization cost does not grow with
 	// the fleet.
-	body, encErr := encodeGob(req)
+	body, encErr := req.encode()
 	if encErr != nil {
 		// Unreachable with well-formed engine output; queue the commit
 		// everywhere so seq bookkeeping stays consistent and degrade.
@@ -485,7 +510,7 @@ func (r *Router) runCycle(jobs []*routerJob) {
 
 	work := &commitWork{
 		jobs: jobs, perJob: perJob, batch: batch,
-		req: req, body: body.Bytes(), seq: seq,
+		req: req, body: body, seq: seq,
 		tagBusy: tagBusy, tagRPC: tagRPC,
 		cycleStart: cycleStart,
 	}
@@ -657,12 +682,15 @@ func (r *Router) commitCycle(work *commitWork) {
 	r.statsMu.Unlock()
 }
 
-// tagPartitioned has shard i tag the i-th contiguous slice of the
-// batch, failing over to the next shard in ring order when one
-// refuses: tagging is pure, so any shard's answer is byte-identical.
-// The extra returns are each slice's shard-reported busy time and its
+// tagPartitioned cuts the batch into K contiguous slices and has shard
+// (i+rot) mod K tag the i-th, failing over to the next shard in ring
+// order when one refuses: tagging is pure, so any shard's answer is
+// byte-identical. Callers pass the cycle counter as rot, so the larger
+// share of an uneven cut — the whole batch, in a one-sentence cycle —
+// moves round the fleet instead of always landing on shard K−1. The
+// extra returns are each slice's shard-reported busy time and its
 // client-observed RPC round trip, for critical-path accounting.
-func (r *Router) tagPartitioned(batch []*types.Sentence) ([]WireTag, []float64, []float64, error) {
+func (r *Router) tagPartitioned(batch []*types.Sentence, rot int) ([]WireTag, []float64, []float64, error) {
 	k := len(r.clients)
 	ro := r.o.Load()
 	t0 := time.Now()
@@ -676,7 +704,7 @@ func (r *Router) tagPartitioned(batch []*types.Sentence) ([]WireTag, []float64, 
 		var err error
 		st0 := time.Now()
 		for attempt := 0; attempt < k; attempt++ {
-			shard := (i + attempt) % k
+			shard := (i + rot + attempt) % k
 			rt0 := time.Now()
 			resp, err = r.clients[shard].Tag(req)
 			if ro != nil {
@@ -896,7 +924,7 @@ func (r *Router) handleAnnotate(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// handleCandidates fans /shard/candidates in from every shard and
+// handleCandidates fans the candidates RPC in from every shard and
 // k-way merges the disjoint, surface-sorted lists back into the global
 // sorted order — byte-identical to the single server's /candidates.
 func (r *Router) handleCandidates(w http.ResponseWriter, req *http.Request) {
@@ -953,7 +981,7 @@ func (r *Router) handleCandidates(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, out)
 }
 
-// handleEntities fans /shard/entities in from every shard and merges
+// handleEntities fans the entities RPC in from every shard and merges
 // the whole stream's annotations in insertion order — byte-identical
 // to the single server's /entities.
 func (r *Router) handleEntities(w http.ResponseWriter, req *http.Request) {
@@ -1071,12 +1099,16 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 // reachability, the router-side pending-commit backlog, and the
 // shard's own resolved settings for homogeneity checks.
 type RouterShardStatus struct {
-	Index   int         `json:"index"`
-	URL     string      `json:"url"`
-	Healthy bool        `json:"healthy"`
-	Error   string      `json:"error,omitempty"`
-	Pending int         `json:"pending_commits"`
-	Status  ShardStatus `json:"status"`
+	Index   int    `json:"index"`
+	URL     string `json:"url"`
+	Healthy bool   `json:"healthy"`
+	Error   string `json:"error,omitempty"`
+	Pending int    `json:"pending_commits"`
+	// OpenConns counts the router's open frame connections to the shard;
+	// BytesPerCommit is the mean size of the commit frames sent to it.
+	OpenConns      int         `json:"open_connections"`
+	BytesPerCommit float64     `json:"bytes_per_commit"`
+	Status         ShardStatus `json:"status"`
 }
 
 // RouterStatuszResponse is the router's GET /statusz payload.
@@ -1116,6 +1148,7 @@ func (r *Router) handleStatusz(w http.ResponseWriter, req *http.Request) {
 			if err != nil {
 				shards[i].Error = err.Error()
 			}
+			shards[i].OpenConns, shards[i].BytesPerCommit = r.clients[i].transportStatus()
 		}(i)
 	}
 	wg.Wait()

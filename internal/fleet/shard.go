@@ -1,9 +1,13 @@
 package fleet
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,14 +28,28 @@ const defaultShardAdmission = 4
 // shardRetryAfterSeconds is the Retry-After hint on shard saturation.
 const shardRetryAfterSeconds = 1
 
+// shardConnIdleTimeout is how long a frame connection may sit between
+// calls before the shard closes it (the router redials on its next
+// call); it matches cmd/serve's HTTP IdleTimeout.
+const shardConnIdleTimeout = 2 * time.Minute
+
+// shardFrameTimeout bounds reading the rest of a frame once its first
+// byte arrived, and writing a reply — cmd/serve's HTTP ReadTimeout.
+const shardFrameTimeout = 30 * time.Second
+
 // Shard wraps one engine replica as the fleet's unit of scale-out: it
 // owns the surfaces ctrie.OwnerShard assigns to its index and serves
-// the tag/commit RPC pair the router drives cycles with. All engine
-// execution is serialized by the shard mutex — the engine's stream
-// state is single-writer by design.
+// the tag/commit RPC pair the router drives cycles with. Everything
+// that touches stream state is serialized by the shard mutex — the
+// engine's stream state is single-writer by design. Tagging reads only
+// the trained model, so it runs under cfgMu's read side instead and
+// overlaps a commit in progress.
 type Shard struct {
-	mu sync.Mutex
-	g  *core.Globalizer
+	// cfgMu excludes engine reconfiguration (SetObserver, recovery)
+	// from tagging; taken before mu where both are held.
+	cfgMu sync.RWMutex
+	mu    sync.Mutex
+	g     *core.Globalizer
 	// seq is the last committed cycle; commits must arrive in order.
 	seq uint64
 	// lastResp answers idempotent retries of the last committed cycle
@@ -46,6 +64,13 @@ type Shard struct {
 	admit   chan struct{}
 
 	o atomic.Pointer[shardObs]
+
+	// Hijacked frame connections, tracked so Close can end them: the
+	// HTTP server forgets a connection once it is hijacked.
+	connMu   sync.Mutex
+	conns    map[net.Conn]struct{}
+	connWG   sync.WaitGroup
+	idleWait time.Duration
 
 	// Durability (nil / zero unless StartDurable was called): the WAL +
 	// snapshot manager and the shard's own Merkle chain over its owned
@@ -75,7 +100,7 @@ func newShardObs(reg *obs.Registry) *shardObs {
 	return &shardObs{
 		reg: reg,
 		requests: reg.Counter("ner_fleet_shard_requests_total",
-			"Fleet RPCs served by this shard across all endpoints."),
+			"HTTP requests and RPC frames served by this shard."),
 		rejected: reg.Counter("ner_fleet_shard_rejected_total",
 			"Fleet RPCs rejected with 503 because shard admission was saturated."),
 		tagSeconds: reg.Histogram("ner_fleet_shard_tag_seconds",
@@ -102,12 +127,16 @@ func NewShard(g *core.Globalizer, index, count int, settings map[string]string) 
 		count:    count,
 		settings: settings,
 		admit:    make(chan struct{}, defaultShardAdmission),
+		conns:    make(map[net.Conn]struct{}),
+		idleWait: shardConnIdleTimeout,
 	}, nil
 }
 
 // SetObserver attaches a metrics registry to the shard and its engine.
 func (s *Shard) SetObserver(reg *obs.Registry) {
 	s.o.Store(newShardObs(reg))
+	s.cfgMu.Lock()
+	defer s.cfgMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.g.SetObserver(reg)
@@ -130,8 +159,8 @@ func (s *Shard) Engine() *core.Globalizer { return s.g }
 // Ownership returns the shard's (index, count).
 func (s *Shard) Ownership() (int, int) { return s.index, s.count }
 
-// tryAdmit reserves an admission slot, answering 503 when saturated.
-func (s *Shard) tryAdmit(w http.ResponseWriter) (release func(), ok bool) {
+// tryAdmit reserves an admission slot; ok is false when saturated.
+func (s *Shard) tryAdmit() (release func(), ok bool) {
 	s.admitMu.Lock()
 	admit := s.admit
 	s.admitMu.Unlock()
@@ -142,20 +171,15 @@ func (s *Shard) tryAdmit(w http.ResponseWriter) (release func(), ok bool) {
 		if so := s.o.Load(); so != nil {
 			so.rejected.Inc()
 		}
-		w.Header().Set("Retry-After", strconv.Itoa(shardRetryAfterSeconds))
-		http.Error(w, "shard saturated", http.StatusServiceUnavailable)
 		return nil, false
 	}
 }
 
-// Handler returns the shard's routed HTTP handler.
+// Handler returns the shard's routed HTTP handler: the upgrade endpoint
+// the router's frame connections start on, and the JSON endpoints.
 func (s *Shard) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/shard/tag", s.counted(s.handleTag))
-	mux.HandleFunc("/shard/commit", s.counted(s.handleCommit))
-	mux.HandleFunc("/shard/reset", s.counted(s.handleReset))
-	mux.HandleFunc("/shard/candidates", s.counted(s.handleCandidates))
-	mux.HandleFunc("/shard/entities", s.counted(s.handleEntities))
+	mux.HandleFunc("/shard/rpc", s.counted(s.handleRPC))
 	mux.HandleFunc("/shard/proof", s.counted(s.handleProof))
 	mux.HandleFunc("/statusz", s.counted(s.handleStatusz))
 	mux.HandleFunc("/metrics", s.counted(s.handleMetrics))
@@ -172,70 +196,207 @@ func (s *Shard) counted(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// handleTag runs Local NER over a batch slice. Tagging is pure — it
-// reads the trained model, never the stream — so any shard can tag any
-// slice and the router is free to fail a slice over to a healthy peer.
-func (s *Shard) handleTag(w http.ResponseWriter, r *http.Request) {
-	// The busy clock starts before the body decode: deserialization is
-	// shard-side work in a real fleet, and the router subtracts
-	// BusySeconds from its own wall-clock when accounting the cycle
-	// critical path.
-	t0 := time.Now()
-	if s.unready(w) {
+// handleRPC upgrades the connection to the frame protocol and serves
+// calls on it until the router closes it, it sits idle too long, or
+// the shard closes.
+func (s *Shard) handleRPC(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet || !strings.EqualFold(r.Header.Get("Upgrade"), frameProtocol) {
+		w.Header().Set("Upgrade", frameProtocol)
+		http.Error(w, "upgrade to "+frameProtocol+" required", http.StatusUpgradeRequired)
 		return
+	}
+	hj, ok := w.(http.Hijacker)
+	if !ok {
+		http.Error(w, "connection cannot be upgraded", http.StatusInternalServerError)
+		return
+	}
+	conn, brw, err := hj.Hijack()
+	if err != nil {
+		http.Error(w, "upgrade: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	defer conn.Close()
+	if !s.trackConn(conn) {
+		return
+	}
+	defer s.untrackConn(conn)
+	// http.Server.ReadTimeout left an absolute deadline on the socket;
+	// from here the frame loop sets its own.
+	conn.SetDeadline(time.Now().Add(shardFrameTimeout))
+	if _, err := brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + frameProtocol + "\r\n\r\n"); err != nil {
+		return
+	}
+	if err := brw.Flush(); err != nil {
+		return
+	}
+	s.serveFrames(conn, brw.Reader)
+}
+
+// trackConn registers a hijacked connection; false once the shard has
+// closed.
+func (s *Shard) trackConn(c net.Conn) bool {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	if s.conns == nil {
+		return false
+	}
+	s.conns[c] = struct{}{}
+	s.connWG.Add(1)
+	return true
+}
+
+func (s *Shard) untrackConn(c net.Conn) {
+	s.connMu.Lock()
+	delete(s.conns, c)
+	s.connMu.Unlock()
+	s.connWG.Done()
+}
+
+// reply is one call's answer: the frame's status, retry hint and body,
+// plus work to run once the frame is on the wire.
+type reply struct {
+	status     byte
+	retryAfter int
+	body       []byte
+	after      func()
+}
+
+func failReply(status byte, msg string) reply {
+	if len(msg) > maxErrorBody {
+		msg = msg[:maxErrorBody]
+	}
+	return reply{status: status, body: []byte(msg)}
+}
+
+func unavailableReply(msg string, retryAfter int) reply {
+	return reply{status: statusUnavailable, retryAfter: retryAfter, body: []byte(msg)}
+}
+
+// serveFrames is one connection's call loop: read a request frame,
+// dispatch it, write the reply frame — one call at a time.
+func (s *Shard) serveFrames(conn net.Conn, br *bufio.Reader) {
+	var hdr [replyHeaderLen]byte
+	write := func(rp reply) error {
+		putReplyHeader(&hdr, rp.status, rp.retryAfter, len(rp.body))
+		conn.SetWriteDeadline(time.Now().Add(shardFrameTimeout))
+		bufs := net.Buffers{hdr[:], rp.body}
+		_, err := bufs.WriteTo(conn)
+		return err
+	}
+	for {
+		conn.SetReadDeadline(time.Now().Add(s.idleWait))
+		if _, err := br.Peek(1); err != nil {
+			return
+		}
+		// The busy clock starts when the call's first byte arrives: body
+		// transfer and decode are shard-side work in a real fleet, and
+		// the router subtracts BusySeconds from its own wall-clock when
+		// accounting the cycle critical path.
+		t0 := time.Now()
+		conn.SetReadDeadline(t0.Add(shardFrameTimeout))
+		op, body, err := readRequestFrame(br)
+		if so := s.o.Load(); so != nil {
+			so.requests.Inc()
+		}
+		if err != nil {
+			// An unacceptable header is answered, but its body was not
+			// read, so the stream is out of sync either way: close.
+			var fe *frameError
+			if errors.As(err, &fe) {
+				write(failReply(statusBadRequest, fe.Error()))
+			}
+			return
+		}
+		rp := s.dispatch(op, body, t0)
+		err = write(rp)
+		// Whether or not the router was still there to read the reply:
+		// a captured snapshot must reach the log, or it holds the
+		// snapshot schedule forever.
+		if rp.after != nil {
+			rp.after()
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+func (s *Shard) dispatch(op byte, body []byte, t0 time.Time) reply {
+	switch op {
+	case opTag:
+		return s.serveTag(body, t0)
+	case opCommit:
+		return s.serveCommit(body, t0)
+	case opReset:
+		return s.serveReset()
+	case opCandidates:
+		return s.serveCandidates()
+	default: // opEntities; readRequestFrame admits nothing else
+		return s.serveEntities()
+	}
+}
+
+// serveTag runs Local NER over a batch slice. Tagging is pure — it
+// reads the trained model, never the stream — so any shard can tag any
+// slice, the router is free to fail a slice over to a healthy peer, and
+// the call does not wait for a commit holding the engine lock.
+func (s *Shard) serveTag(body []byte, t0 time.Time) reply {
+	if why, retry := s.unready(); why != "" {
+		return unavailableReply(why, retry)
 	}
 	var req TagRequest
-	if !readGobRequest(w, r, &req) {
-		return
+	if err := req.decode(body); err != nil {
+		return failReply(statusBadRequest, err.Error())
 	}
-	release, ok := s.tryAdmit(w)
+	release, ok := s.tryAdmit()
 	if !ok {
-		return
+		return unavailableReply("shard saturated", shardRetryAfterSeconds)
 	}
 	defer release()
-	s.mu.Lock()
+	s.cfgMu.RLock()
 	results := s.g.TagBatch(ToSentences(req.Sentences))
-	s.mu.Unlock()
+	s.cfgMu.RUnlock()
 	busy := time.Since(t0).Seconds()
 	if so := s.o.Load(); so != nil {
 		so.tagSeconds.Observe(busy)
 	}
-	writeGob(w, &TagResponse{Seq: req.Seq, Results: ToWireTags(results), BusySeconds: busy})
+	resp := TagResponse{Seq: req.Seq, Results: ToWireTags(results), BusySeconds: busy}
+	out, err := resp.encode()
+	if err != nil {
+		return failReply(statusInternal, err.Error())
+	}
+	return reply{body: out}
 }
 
-// handleCommit applies one cycle to the replicated stream. The Seq
-// gate keeps replicas exact under router retries: in-order commits
-// apply, a replay of the last applied commit answers from cache
-// (idempotency — the router may time out after the shard already
-// applied), and anything else is a 409 the router treats as
-// desynchronization.
-func (s *Shard) handleCommit(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	if s.unready(w) {
-		return
+// serveCommit applies one cycle to the replicated stream. The Seq gate
+// keeps replicas exact under router retries: in-order commits apply, a
+// replay of the last applied commit answers from cache (idempotency —
+// the router may time out after the shard already applied), and
+// anything else is a conflict the router treats as desynchronization.
+func (s *Shard) serveCommit(body []byte, t0 time.Time) reply {
+	if why, retry := s.unready(); why != "" {
+		return unavailableReply(why, retry)
 	}
 	var req CommitRequest
-	if !readGobRequest(w, r, &req) {
-		return
+	if err := req.decode(body); err != nil {
+		return failReply(statusBadRequest, err.Error())
 	}
-	release, ok := s.tryAdmit(w)
+	release, ok := s.tryAdmit()
 	if !ok {
-		return
+		return unavailableReply("shard saturated", shardRetryAfterSeconds)
 	}
 	defer release()
 	s.mu.Lock()
 	if req.Seq == s.seq && s.lastResp != nil {
 		resp := s.lastResp
 		s.mu.Unlock()
-		writeGob(w, resp)
-		return
+		return reply{body: resp.encode()}
 	}
 	if req.Seq != s.seq+1 {
 		have := s.seq
 		s.mu.Unlock()
-		http.Error(w, "commit out of order: have "+strconv.FormatUint(have, 10)+
-			", got "+strconv.FormatUint(req.Seq, 10), http.StatusConflict)
-		return
+		return failReply(statusConflict, "commit out of order: have "+strconv.FormatUint(have, 10)+
+			", got "+strconv.FormatUint(req.Seq, 10))
 	}
 	batch := ToSentences(req.Sentences)
 	s.g.ProcessTagged(batch, ToResults(req.Tagged), req.Mode)
@@ -250,8 +411,8 @@ func (s *Shard) handleCommit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Ack-after-durable: the WAL append is issued under the lock and its
 	// durability wait happens after release — the response still never
-	// outruns the shard's disk, but under fsync=group the next cycle's
-	// tag RPC can run on the engine while this cycle's flush completes.
+	// outruns the shard's disk, but under fsync=group the next cycle can
+	// start on the engine while this cycle's flush completes.
 	var snap *durable.Snapshot
 	var wait func() error
 	if s.dl != nil {
@@ -261,8 +422,7 @@ func (s *Shard) handleCommit(w http.ResponseWriter, r *http.Request) {
 			s.seq = req.Seq
 			s.lastResp = resp
 			s.mu.Unlock()
-			http.Error(w, "durability failure: "+err.Error(), http.StatusInternalServerError)
-			return
+			return failReply(statusInternal, "durability failure: "+err.Error())
 		}
 	}
 	resp.BusySeconds = time.Since(t0).Seconds()
@@ -272,36 +432,31 @@ func (s *Shard) handleCommit(w http.ResponseWriter, r *http.Request) {
 	if wait != nil {
 		if err := wait(); err != nil {
 			s.broken.Store(true)
-			http.Error(w, "durability failure: "+err.Error(), http.StatusInternalServerError)
-			return
+			return failReply(statusInternal, "durability failure: "+err.Error())
 		}
 	}
 	if so := s.o.Load(); so != nil {
 		so.commitSeconds.Observe(resp.BusySeconds)
 	}
-	writeGob(w, resp)
+	rp := reply{body: resp.encode()}
 	if snap != nil {
-		s.dl.SubmitSnapshot(snap, snap.Seq)
+		rp.after = func() { s.dl.SubmitSnapshot(snap, snap.Seq) }
 	}
+	return rp
 }
 
-func (s *Shard) handleReset(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
+func (s *Shard) serveReset() reply {
 	// A reset would fork the replica away from its WAL; durable shards
 	// reset by wiping the data dir and restarting.
 	if s.dl != nil {
-		http.Error(w, "reset is not supported with -data-dir; wipe the data dir and restart", http.StatusConflict)
-		return
+		return failReply(statusConflict, "reset is not supported with -data-dir; wipe the data dir and restart")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.g.Reset()
 	s.seq = 0
 	s.lastResp = nil
-	w.WriteHeader(http.StatusOK)
+	return reply{}
 }
 
 // WireCandidate is one candidate cluster in a shard's fan-in reply,
@@ -314,13 +469,9 @@ type WireCandidate struct {
 	Confidence float64
 }
 
-func (s *Shard) handleCandidates(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
+func (s *Shard) serveCandidates() reply {
 	s.mu.Lock()
-	out := []WireCandidate{}
+	var out []WireCandidate
 	for _, c := range s.g.CandidateBase().All() {
 		out = append(out, WireCandidate{
 			Surface:    c.Surface,
@@ -331,7 +482,7 @@ func (s *Shard) handleCandidates(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	s.mu.Unlock()
-	writeGob(w, out)
+	return reply{body: encodeCandidates(out)}
 }
 
 // ownedEntities renders one sentence's verified owned mentions for the
@@ -360,14 +511,10 @@ func (s *Shard) ownedEntities(key types.SentenceKey) SentenceEntities {
 	return se
 }
 
-// handleEntities returns the shard's owned annotations for the whole
+// serveEntities returns the shard's owned annotations for the whole
 // stream in insertion order — the fan-in half of the router's
 // /entities endpoint.
-func (s *Shard) handleEntities(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
+func (s *Shard) serveEntities() reply {
 	s.mu.Lock()
 	tb := s.g.TweetBase()
 	out := make([]SentenceEntities, 0, tb.Len())
@@ -375,7 +522,7 @@ func (s *Shard) handleEntities(w http.ResponseWriter, r *http.Request) {
 		out = append(out, s.ownedEntities(key))
 	}
 	s.mu.Unlock()
-	writeGob(w, out)
+	return reply{body: encodeEntities(out)}
 }
 
 // Status snapshots the shard's resolved configuration and replica

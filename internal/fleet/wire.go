@@ -1,8 +1,8 @@
 // Package fleet implements sharded scale-out of the NER Globalizer
 // serving path: a stateless front router that owns tokenization and
 // deterministic surface-form routing, fanning execution cycles out to
-// K engine shards over HTTP and merging their partial annotations back
-// into request order.
+// K engine shards and merging their partial annotations back into
+// request order.
 //
 // The decomposition follows the engine-level ownership contract
 // (core.SetShardOwnership): every shard replicates the full stream —
@@ -16,19 +16,31 @@
 //
 // Tagging is partitioned too: per-sentence tag results are
 // byte-identical at any batch composition (the localner batching
-// contract), so the router has shard i tag the i-th contiguous slice
-// of each cycle's batch and ships the results to every shard, which
-// replays them with ProcessTagged. Each cycle therefore costs one
-// tag RPC and one commit RPC per shard, gob-framed around a fixed-width
-// binary payload (see codec.go) so per-RPC serialization stays cheap.
+// contract), so the router has each shard tag one contiguous slice of
+// each cycle's batch and ships the results to every shard, which
+// replays them with ProcessTagged. Each cycle therefore costs one tag
+// RPC and one commit RPC per shard.
+//
+// The wire is frames on persistent connections. The router opens a few
+// connections per shard with GET /shard/rpc + Upgrade on the shard's
+// ordinary listener; the shard hijacks the socket and from then on both
+// ends exchange, one call at a time per connection,
+//
+//	request  [op u8][len u32][body]
+//	reply    [status u8][retry-after u16][len u32][body]
+//
+// little-endian, bodies in the fixed-width encodings of codec.go with
+// no envelope. The status byte carries what the HTTP status carried
+// before frames (200 / 503 + Retry-After / 409 / 400 / 500); the body of
+// a non-OK reply is the error text. The JSON endpoints people and
+// auditors read (/statusz, /metrics, /healthz, /shard/proof) stay plain
+// HTTP on the same listener.
 package fleet
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"net/http"
 
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
@@ -37,9 +49,9 @@ import (
 	"nerglobalizer/internal/types"
 )
 
-// shardMaxBodyBytes caps shard RPC bodies. Commit payloads carry the
-// batch's token embeddings (float64 matrices), so the bound is far
-// above the router's public 1 MB JSON cap.
+// shardMaxBodyBytes caps frame bodies in both directions. Commit
+// payloads carry the batch's token embeddings (float64 matrices), so the
+// bound is far above the router's public 1 MB JSON cap.
 const shardMaxBodyBytes = 64 << 20
 
 // WireSentence is one tweet sentence on the wire: identity plus the
@@ -189,44 +201,123 @@ type ShardStatus struct {
 	Durability *durable.Status `json:"durability,omitempty"`
 }
 
-// encodeGob writes v as a gob stream.
-func encodeGob(v any) (*bytes.Buffer, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("fleet: encode: %w", err)
+// frameProtocol is the Upgrade token of the shard RPC connection.
+const frameProtocol = "ner-frames/1"
+
+// Frame ops: the five binary shard RPCs.
+const (
+	opTag byte = 1 + iota
+	opCommit
+	opReset
+	opCandidates
+	opEntities
+	opEnd // first invalid op
+)
+
+// Reply statuses, with the HTTP status each one stands for.
+const (
+	statusOK          byte = iota // 200
+	statusUnavailable             // 503, retry-after set
+	statusConflict                // 409
+	statusBadRequest              // 400
+	statusInternal                // 500
+	statusEnd                     // first invalid status
+)
+
+// httpStatus names a reply status by the HTTP code it stands for, for
+// error text.
+func httpStatus(status byte) int {
+	switch status {
+	case statusOK:
+		return 200
+	case statusUnavailable:
+		return 503
+	case statusConflict:
+		return 409
+	case statusBadRequest:
+		return 400
 	}
-	return &buf, nil
+	return 500
 }
 
-// decodeGob reads one gob value from r.
-func decodeGob(r io.Reader, v any) error {
-	if err := gob.NewDecoder(r).Decode(v); err != nil {
-		return fmt.Errorf("fleet: decode: %w", err)
+const (
+	requestHeaderLen = 5 // op + body length
+	replyHeaderLen   = 7 // status + retry-after + body length
+	// maxErrorBody bounds the error text of a non-OK reply.
+	maxErrorBody = 512
+)
+
+// frameError is a well-framed but unacceptable frame: unknown op or
+// status, or a body length past shardMaxBodyBytes. The stream is still
+// in sync up to the header, so the shard can answer it before closing;
+// an I/O error (truncation, timeout) is returned bare instead.
+type frameError struct{ msg string }
+
+func (e *frameError) Error() string { return "fleet: " + e.msg }
+
+// readBody reads an n-byte frame body, n already checked against the
+// cap. Large bodies grow with the bytes that actually arrive, so a
+// header that claims the cap and then stalls pins a chunk, not 64 MB.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	const eager = 1 << 20
+	if n <= eager {
+		body := make([]byte, n)
+		_, err := io.ReadFull(r, body)
+		return body, err
 	}
-	return nil
+	body, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(body) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return body, err
 }
 
-// readGobRequest bounds and decodes a shard RPC body.
-func readGobRequest(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return false
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, shardMaxBodyBytes)
-	if err := decodeGob(r.Body, v); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
+// putRequestHeader fills a request frame header.
+func putRequestHeader(hdr *[requestHeaderLen]byte, op byte, bodyLen int) {
+	hdr[0] = op
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(bodyLen))
 }
 
-// writeGob answers a shard RPC with a gob body.
-func writeGob(w http.ResponseWriter, v any) {
-	buf, err := encodeGob(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+// readRequestFrame reads one request frame.
+func readRequestFrame(r io.Reader) (op byte, body []byte, err error) {
+	var hdr [requestHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, err
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(buf.Bytes())
+	op = hdr[0]
+	n := binary.LittleEndian.Uint32(hdr[1:])
+	if op == 0 || op >= opEnd {
+		return 0, nil, &frameError{fmt.Sprintf("unknown frame op %d", op)}
+	}
+	if n > shardMaxBodyBytes {
+		return 0, nil, &frameError{fmt.Sprintf("frame body of %d bytes exceeds the %d-byte cap", n, shardMaxBodyBytes)}
+	}
+	body, err = readBody(r, int(n))
+	return op, body, err
+}
+
+// putReplyHeader fills a reply frame header.
+func putReplyHeader(hdr *[replyHeaderLen]byte, status byte, retryAfter, bodyLen int) {
+	hdr[0] = status
+	binary.LittleEndian.PutUint16(hdr[1:], uint16(retryAfter))
+	binary.LittleEndian.PutUint32(hdr[3:], uint32(bodyLen))
+}
+
+// readReplyFrame reads one reply frame.
+func readReplyFrame(r io.Reader) (status byte, retryAfter int, body []byte, err error) {
+	var hdr [replyHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, nil, err
+	}
+	status = hdr[0]
+	retryAfter = int(binary.LittleEndian.Uint16(hdr[1:]))
+	n := binary.LittleEndian.Uint32(hdr[3:])
+	if status >= statusEnd {
+		return 0, 0, nil, &frameError{fmt.Sprintf("unknown reply status %d", status)}
+	}
+	if n > shardMaxBodyBytes {
+		return 0, 0, nil, &frameError{fmt.Sprintf("reply body of %d bytes exceeds the %d-byte cap", n, shardMaxBodyBytes)}
+	}
+	body, err = readBody(r, int(n))
+	return status, retryAfter, body, err
 }
