@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all check vet build test race bench-module bench-smoke bench bench-json
+.PHONY: all check vet build test race bench-module bench-smoke bench
 
 all: check
 
@@ -37,15 +37,9 @@ bench-module:
 # parallelism ones.
 bench-smoke:
 	$(GO) test -run NONE -bench 'BenchmarkMatMulKernels' -benchtime 1x ./internal/nn/
+	$(GO) test -run NONE -bench 'BenchmarkInferBatchTiers' -benchtime 1x ./internal/transformer/
 	$(GO) test -run NONE -bench 'BenchmarkTrieScan' -benchtime 1x ./internal/ctrie/
 	$(GO) test -run NONE -bench 'BenchmarkPairwiseDistances|BenchmarkDistMatrixGrowCluster' -benchtime 1x .
-
-# Regenerates BENCH_pipeline.json: continuous-execution throughput
-# (cycles/sec) with the amortization layer on vs off at several worker
-# counts, including the byte-identity cross-check (trains the
-# small-scale pipeline first; takes a few minutes).
-bench-json:
-	$(GO) run ./cmd/benchpipeline -out BENCH_pipeline.json
 
 # The full benchmark suite, including the table/figure reproductions
 # (trains the small-scale suite first; takes several minutes).

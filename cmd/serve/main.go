@@ -128,8 +128,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	log.Printf("SIMD kernels: %s (best supported %s), i8 kernel %s",
-		nn.ActiveSIMD(), nn.BestSIMD(), nn.I8KernelMode())
+	log.Printf("SIMD kernels: %s (best supported %s)", nn.ActiveSIMD(), nn.BestSIMD())
 
 	if *pprofAddr != "" {
 		go func() {
@@ -160,7 +159,6 @@ func main() {
 	}
 
 	srv := server.New(g)
-	defer srv.Close()
 	if *batchWindow > 0 {
 		srv.SetBatchWindow(*batchWindow)
 		log.Printf("micro-batch window: %s", batchWindow.String())
@@ -278,7 +276,6 @@ func runRouter(addr, shardURLs string, window, rpcTimeout time.Duration, metrics
 		clients[i] = fleet.NewShardClient(i, u, 4)
 	}
 	router := fleet.NewRouter(clients)
-	defer router.Close()
 	router.SetRPCTimeout(rpcTimeout)
 	if window > 0 {
 		router.SetBatchWindow(window)

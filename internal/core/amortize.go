@@ -36,7 +36,8 @@ import (
 // at every worker count. Every cache is keyed by the exact inputs of
 // the computation it skips, and every skipped recomputation is a pure
 // function of those inputs (trained parameters are frozen during
-// serving). Config.DisableCache switches the layer off wholesale.
+// serving). The package's tests switch the layer off wholesale
+// (setCaching) to get the scratch recomputation as their oracle.
 
 // embedCache memoizes local mention embeddings (eqs. 1–3) by
 // (sentence, span). Entries are immutable once stored — consumers only
@@ -153,7 +154,7 @@ func (g *Globalizer) mentionStates(rec *stream.Record) *nn.Matrix {
 	if g.Precision() != nn.I8 {
 		return rec.Embeddings
 	}
-	if g.cfg.DisableCache {
+	if g.uncached {
 		return g.Tagger.EmbedAt(rec.Sentence.Tokens, nn.F32)
 	}
 	return g.amort.states32.get(g, rec)
@@ -162,7 +163,7 @@ func (g *Globalizer) mentionStates(rec *stream.Record) *nn.Matrix {
 // embedMention returns the local mention embedding, through the cache
 // unless caching is disabled.
 func (g *Globalizer) embedMention(m types.Mention) []float64 {
-	if g.cfg.DisableCache {
+	if g.uncached {
 		if g.o != nil {
 			g.o.mentionsEmbedded.Inc()
 		}

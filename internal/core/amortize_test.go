@@ -26,7 +26,7 @@ type cycleSnapshot struct {
 // snapshotting each cycle's output. modeAt lets a test switch ablation
 // modes mid-stream (nil = ModeFull throughout).
 func runCycles(g *Globalizer, sents []*types.Sentence, batchSize int, cached bool, workers int, modeAt func(cycle int) Mode) []cycleSnapshot {
-	g.SetCaching(cached)
+	g.setCaching(cached)
 	g.SetWorkers(workers)
 	g.Reset()
 	var out []cycleSnapshot
@@ -64,7 +64,7 @@ func TestCachedMatchesUncachedBatchEngine(t *testing.T) {
 	origWorkers := g.Workers()
 	defer func() {
 		g.SetWorkers(origWorkers)
-		g.SetCaching(true)
+		g.setCaching(true)
 	}()
 
 	test := smallStream("amort", 100, 53)
@@ -109,7 +109,7 @@ func TestCachedModeSwitchMidStream(t *testing.T) {
 	origWorkers := g.Workers()
 	defer func() {
 		g.SetWorkers(origWorkers)
-		g.SetCaching(true)
+		g.setCaching(true)
 	}()
 
 	test := smallStream("amortmode", 80, 59)
@@ -133,14 +133,14 @@ func TestCachedMatchesUncachedEMD(t *testing.T) {
 	origWorkers := g.Workers()
 	defer func() {
 		g.SetWorkers(origWorkers)
-		g.SetCaching(true)
+		g.setCaching(true)
 	}()
 
 	test := smallStream("amortemd", 80, 61)
-	g.SetCaching(false)
+	g.setCaching(false)
 	g.SetWorkers(1)
 	ref := g.RunEMDGlobalizer(test.Sentences)
-	g.SetCaching(true)
+	g.setCaching(true)
 	g.SetWorkers(4)
 	got := g.RunEMDGlobalizer(test.Sentences)
 	if !reflect.DeepEqual(got, ref) {
@@ -155,13 +155,13 @@ func TestCachedMatchesUncachedIncremental(t *testing.T) {
 	origWorkers := g.Workers()
 	defer func() {
 		g.SetWorkers(origWorkers)
-		g.SetCaching(true)
+		g.setCaching(true)
 	}()
 
 	test := smallStream("amortinc", 80, 67)
 	batches := stream.Batches(test.Sentences, 20)
 	run := func(cached bool, workers int) []map[types.SentenceKey][]types.Entity {
-		g.SetCaching(cached)
+		g.setCaching(cached)
 		g.SetWorkers(workers)
 		inc := NewIncremental(g)
 		outs := make([]map[types.SentenceKey][]types.Entity, 0, len(batches))

@@ -105,13 +105,6 @@ type Config struct {
 	JunkClusters int
 	// BatchSize discretizes the stream into execution cycles.
 	BatchSize int
-	// DisableCache switches off the cross-cycle amortization layer
-	// (mention-embedding cache, CTrie scan cache, dirty-surface
-	// tracking with incremental distance matrices). Annotations are
-	// byte-identical with the layer on or off; the caches only trade
-	// memory for per-cycle wall-clock in the continuous execution
-	// setup. The zero value keeps amortization on.
-	DisableCache bool
 	// InferBatchTokens caps the tokens packed into one batched encoder
 	// inference call: the local phase, mention embedding, and baseline
 	// predictors pack contiguous sentences into a single flat token

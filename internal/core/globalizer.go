@@ -76,6 +76,10 @@ type Globalizer struct {
 	// amort carries the cross-cycle caches of the continuous execution
 	// setup (embeddings, scans, surface outcomes); see amortize.go.
 	amort *amortizer
+	// uncached routes every cycle through the scratch globalPhase
+	// instead of the amortizer — the oracle the package's identity
+	// tests compare the amortized path against (see setCaching).
+	uncached bool
 	// shardIndex/shardCount restrict the Global NER phase to surface
 	// forms this engine owns in a sharded fleet (see SetShardOwnership);
 	// shardCount <= 1 — the default — owns everything.
@@ -323,14 +327,12 @@ func (g *Globalizer) Reset() {
 	g.amort = newAmortizer()
 }
 
-// SetCaching toggles the cross-cycle amortization layer. Annotations
-// are byte-identical either way; the setting only trades per-cycle
-// wall-clock against cache memory. Toggling mid-stream is safe: every
-// cache entry is validated against its exact inputs before reuse.
-func (g *Globalizer) SetCaching(enabled bool) { g.cfg.DisableCache = !enabled }
-
-// CachingEnabled reports whether the amortization layer is active.
-func (g *Globalizer) CachingEnabled() bool { return !g.cfg.DisableCache }
+// setCaching toggles the cross-cycle amortization layer; only the
+// package's tests turn it off, to run the scratch recomputation as
+// their reference. Annotations are byte-identical either way, and
+// toggling mid-stream is safe: every cache entry is validated against
+// its exact inputs before reuse.
+func (g *Globalizer) setCaching(enabled bool) { g.uncached = !enabled }
 
 // TweetBase exposes the per-sentence records of the current stream.
 func (g *Globalizer) TweetBase() *stream.TweetBase { return g.tweetBase }
@@ -447,7 +449,7 @@ func (g *Globalizer) runCycle(batch []*types.Sentence, tagged []*localner.Result
 		g.o.cycleDone(tr, t0, g.tweetBase.Len(), 0)
 		return
 	}
-	if g.cfg.DisableCache {
+	if g.uncached {
 		g.candBase = stream.NewCandidateBase()
 		g.globalPhase(mode, tr)
 		// The amortizer did not see this cycle's outputs; the next

@@ -33,7 +33,7 @@ func TestObserverDoesNotChangeAnnotations(t *testing.T) {
 	sents := smallStream("obs-ident", 120, 91).Sentences
 
 	for _, cached := range []bool{true, false} {
-		g.SetCaching(cached)
+		g.setCaching(cached)
 		plain := runObserved(g, sents, 30, nil)
 		instrumented := runObserved(g, sents, 30, obs.NewRegistry())
 		if len(plain) != len(instrumented) {
@@ -47,7 +47,7 @@ func TestObserverDoesNotChangeAnnotations(t *testing.T) {
 	}
 
 	// The EMD and incremental engines share the hooks; pin them too.
-	g.SetCaching(true)
+	g.setCaching(true)
 	emdPlain := g.RunEMDGlobalizer(sents)
 	g.SetObserver(obs.NewRegistry())
 	emdObserved := g.RunEMDGlobalizer(sents)
@@ -76,7 +76,7 @@ func TestObserverRecordsPipelineActivity(t *testing.T) {
 	sents := smallStream("obs-activity", 120, 92).Sentences
 
 	reg := obs.NewRegistry()
-	g.SetCaching(true)
+	g.setCaching(true)
 	runObserved(g, sents, 30, reg)
 	// Re-submit the first batch: replacing records invalidates their
 	// sentences and clears every cached surface outcome, so the rebuild
@@ -215,7 +215,7 @@ func BenchmarkCycleObservability(b *testing.B) {
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			g.SetObserver(bench.reg)
-			g.SetCaching(true)
+			g.setCaching(true)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				g.Reset()

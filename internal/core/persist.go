@@ -138,7 +138,7 @@ func recordState(r *stream.Record) RecordState {
 // and trie.
 func (g *Globalizer) amortCapturable() bool {
 	a := g.amort
-	return !g.cfg.DisableCache && a.haveMode && a.lastMode == ModeFull && !a.stale &&
+	return !g.uncached && a.haveMode && a.lastMode == ModeFull && !a.stale &&
 		len(a.dirty) == 0 && len(a.finalDirty) == 0 &&
 		a.scannedLen == g.tweetBase.Len() && a.trieLen == g.trie.Len() &&
 		len(a.surfaces) == len(a.pools)

@@ -212,9 +212,9 @@ func TestWarmDeltaRefusesWhatItCannotExpress(t *testing.T) {
 	// Caching off for one cycle: that cycle writes every FinalMentions
 	// outside the amortizer. Neither the capture right after it nor the
 	// one after the next cached cycle can be a delta.
-	e.SetCaching(false)
+	e.setCaching(false)
 	cycle(2)
-	e.SetCaching(true)
+	e.setCaching(true)
 	if e.CaptureWarmDelta() != nil {
 		t.Fatal("delta captured right after a cycle with caching off")
 	}

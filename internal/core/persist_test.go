@@ -183,12 +183,12 @@ func TestWarmStateRejectsMismatchedEngine(t *testing.T) {
 	}
 }
 
-// TestCaptureWhileCachingDisabled: capture under DisableCache yields a
+// TestCaptureWhileCachingDisabled: capture with caching off yields a
 // nil Amort, and restore falls back cleanly.
 func TestCaptureWhileCachingDisabled(t *testing.T) {
 	g := trainedGlobalizer(t)
-	defer g.SetCaching(true)
-	g.SetCaching(false)
+	defer g.setCaching(true)
+	g.setCaching(false)
 	g.Reset()
 	sents := smallStream("persist-nocache", 20, 93).Sentences
 	batches := stream.Batches(sents, 10)
@@ -204,7 +204,7 @@ func TestCaptureWhileCachingDisabled(t *testing.T) {
 	// same (idempotent re-ingestion is the fleet's replay contract).
 	_ = ref
 	got := g.ProcessBatchEntities(batches[1], ModeFull)
-	g.SetCaching(true)
+	g.setCaching(true)
 
 	// Against a from-scratch run of both batches.
 	g.Reset()

@@ -38,10 +38,10 @@ func TestShardedUnionMatchesUnsharded(t *testing.T) {
 	g := trainedGlobalizer(t)
 	defer func() {
 		g.SetShardOwnership(0, 1)
-		g.SetCaching(true)
+		g.setCaching(true)
 	}()
 	test := smallStream("shardpart", 90, 71)
-	g.SetCaching(true)
+	g.setCaching(true)
 	g.SetWorkers(0)
 
 	ref := shardCycles(g, test.Sentences, 30, 0, 1, t)
@@ -130,9 +130,9 @@ func sortStrings(s []string) {
 // pools equal mention.GroupBySurface over a fresh full extraction.
 func TestPoolsMirrorGroups(t *testing.T) {
 	g := trainedGlobalizer(t)
-	defer g.SetCaching(true)
+	defer g.setCaching(true)
 	test := smallStream("poolmirror", 60, 73)
-	g.SetCaching(true)
+	g.setCaching(true)
 	g.SetWorkers(1)
 	g.Reset()
 	for ci, b := range stream.Batches(test.Sentences, 15) {
@@ -162,10 +162,10 @@ func TestPoolsMirrorGroups(t *testing.T) {
 // entity map, on both cached and uncached paths.
 func TestProcessBatchEntitiesMatchesProcessBatch(t *testing.T) {
 	g := trainedGlobalizer(t)
-	defer g.SetCaching(true)
+	defer g.setCaching(true)
 	test := smallStream("scoped", 60, 79)
 	for _, cached := range []bool{true, false} {
-		g.SetCaching(cached)
+		g.setCaching(cached)
 		g.SetWorkers(0)
 		g.Reset()
 		full := make([]map[types.SentenceKey][]types.Entity, 0)
@@ -190,11 +190,11 @@ func TestProcessBatchEntitiesMatchesProcessBatch(t *testing.T) {
 // clone) is byte-identical to tagging locally.
 func TestProcessTaggedMatchesLocal(t *testing.T) {
 	g := trainedGlobalizer(t)
-	defer g.SetCaching(true)
+	defer g.setCaching(true)
 	test := smallStream("tagged", 50, 83)
 	batches := stream.Batches(test.Sentences, 25)
 
-	g.SetCaching(true)
+	g.setCaching(true)
 	g.SetWorkers(0)
 	g.Reset()
 	var want []map[types.SentenceKey][]types.Entity

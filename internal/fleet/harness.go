@@ -13,7 +13,7 @@ import (
 
 // Harness is an in-process fleet: a router plus K shard replicas of
 // one trained engine, served over loopback httptest listeners. It is
-// what the identity tests and cmd/benchpipeline's fleet section run
+// what the identity tests and bench/'s long-stream-fleet workload run
 // against — real sockets, real upgrades, real frames, no separate
 // processes.
 type Harness struct {

@@ -9,52 +9,6 @@ import (
 	"nerglobalizer/internal/durable"
 )
 
-// TestPipelinedCycleIdentity is the commit-path contract: overlapping
-// cycle N's commit fan-out with cycle N+1's tag stage must not change a
-// single byte. For every shard count the same request sequence is fed
-// to a pipelined router and to one forced serial (commit fully drained
-// before the next cycle starts), and every /annotate body plus the
-// final /candidates and /entities bodies must match exactly.
-func TestPipelinedCycleIdentity(t *testing.T) {
-	g := trainedPipeline(t)
-	bodies := streamBodies(20, 2)
-
-	feed := func(t *testing.T, k int, pipelined bool) (resps []string, cands, ents string) {
-		h, err := NewHarness(g, k, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer h.Close()
-		h.Router.SetPipelined(pipelined)
-		for i, body := range bodies {
-			status, resp, _ := postBody(t, h.URL()+"/annotate", body)
-			if status != http.StatusOK {
-				t.Fatalf("request %d (pipelined=%v): status %d: %s", i, pipelined, status, resp)
-			}
-			resps = append(resps, resp)
-		}
-		return resps, getBody(t, h.URL()+"/candidates"), getBody(t, h.URL()+"/entities")
-	}
-
-	for _, k := range []int{1, 2, 3, 4} {
-		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			want, wantCands, wantEnts := feed(t, k, false)
-			got, gotCands, gotEnts := feed(t, k, true)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("request %d: pipelined response differs from serial\npipelined: %s\nserial:    %s", i, got[i], want[i])
-				}
-			}
-			if gotCands != wantCands {
-				t.Fatalf("candidates differ\npipelined: %s\nserial:    %s", gotCands, wantCands)
-			}
-			if gotEnts != wantEnts {
-				t.Fatalf("entities differ\npipelined: %s\nserial:    %s", gotEnts, wantEnts)
-			}
-		})
-	}
-}
-
 // TestGroupCommitPipelinedFleetHammer drives a durable group-commit
 // fleet with concurrent clients — the -race hammer for the whole new
 // commit path at once: group-commit WAL tickets, async snapshot

@@ -100,21 +100,13 @@ type Router struct {
 
 	cycles atomic.Int64
 
-	// serialFanout runs the tag and commit fan-outs sequentially
-	// instead of in parallel goroutines. Benchmarks on machines with
-	// fewer cores than shards set it so per-RPC timings are not
-	// inflated by timeslicing between concurrent handlers.
-	serialFanout atomic.Bool
-
-	// pipelined (default on) overlaps cycle N's commit fan-out with
-	// cycle N+1's tag stage: the scheduler hands each prepared cycle to
-	// a commit goroutine chained behind the previous cycle's, so
-	// per-shard commit order — and with it the seq gate — is untouched
-	// while the router's tag work runs ahead. Tagging is pure (it reads
-	// the trained model, never the stream), so the overlap cannot change
-	// a single byte of any commit.
-	pipelined atomic.Bool
-
+	// Cycle N's commit fan-out overlaps cycle N+1's tag stage: the
+	// scheduler hands each prepared cycle to a commit goroutine chained
+	// behind the previous cycle's, so per-shard commit order — and with
+	// it the seq gate — is untouched while the router's tag work runs
+	// ahead. Tagging is pure (it reads the trained model, never the
+	// stream), so the overlap cannot change a single byte of any commit.
+	//
 	// prevCommit / pprevCommit are the done channels of the last two
 	// scheduled commit goroutines. Scheduler-owned (loop goroutine
 	// only): waiting on pprevCommit before spawning the next commit
@@ -149,14 +141,14 @@ type Router struct {
 //	WallSeconds - TagRPCSum - CommitRPCSum + TagRPCMax + CommitRPCMax
 //
 // wall-clock minus every shard RPC's client-observed round trip (which
-// a single-box harness with a serial fan-out strings end to end), plus
-// the slowest RPC of each of the two sequential stages. Each round
-// trip includes the shard's busy time AND the per-RPC transport cost
-// (connection handling, body transfer, response decode), so the model
-// charges transport to the per-shard lanes it actually rides on rather
-// than to the router's serial residue. At one shard every sum equals
-// its max and the expression reduces to WallSeconds exactly, which
-// anchors the model to a measured number.
+// a single-box harness with fewer cores than shards strings end to
+// end), plus the slowest RPC of each of the two sequential stages.
+// Each round trip includes the shard's busy time AND the per-RPC
+// transport cost (connection handling, body transfer, response
+// decode), so the model charges transport to the per-shard lanes it
+// actually rides on rather than to the router's serial residue. At one
+// shard every sum equals its max and the expression reduces to
+// WallSeconds exactly, which anchors the model to a measured number.
 //
 // The Busy fields carry the shard-reported handler times for the same
 // stages — the gap between an RPC max and a busy max is the per-RPC
@@ -248,7 +240,6 @@ func NewRouter(clients []*ShardClient) *Router {
 		quit:      make(chan struct{}),
 		loopDone:  make(chan struct{}),
 	}
-	r.pipelined.Store(true)
 	go r.loop()
 	return r
 }
@@ -309,16 +300,6 @@ func (r *Router) SetRPCTimeout(d time.Duration) {
 		c.SetTimeout(d)
 	}
 }
-
-// SetSerialFanout toggles sequential shard fan-outs (benchmarks only;
-// serving keeps the parallel fan-out).
-func (r *Router) SetSerialFanout(on bool) { r.serialFanout.Store(on) }
-
-// SetPipelined toggles cross-cycle pipelining (on by default): off,
-// the scheduler runs each cycle's commit fan-out to completion before
-// preparing the next — the pre-pipelining serial behavior benchmarks
-// use as their baseline.
-func (r *Router) SetPipelined(on bool) { r.pipelined.Store(on) }
 
 // SetRecordStats toggles per-cycle timing capture for TakeCycleStats.
 func (r *Router) SetRecordStats(on bool) {
@@ -514,12 +495,8 @@ func (r *Router) runCycle(jobs []*routerJob) {
 		tagBusy: tagBusy, tagRPC: tagRPC,
 		cycleStart: cycleStart,
 	}
-	if !r.pipelined.Load() {
-		r.commitCycle(work)
-		return
-	}
-	// Pipelined: hand the commit fan-out to a goroutine chained behind
-	// the previous cycle's, so shards still see commits strictly in seq
+	// Hand the commit fan-out to a goroutine chained behind the
+	// previous cycle's, so shards still see commits strictly in seq
 	// order while the scheduler moves on to the next cycle's tag stage.
 	// Waiting on the cycle-before-last bounds the chain at one commit
 	// running plus one queued.
@@ -557,9 +534,8 @@ type commitWork struct {
 }
 
 // commitCycle runs one prepared cycle's commit fan-out, degradation
-// handling, merge, and response — stages 3 and 4 of runCycle. Under
-// pipelining it runs on a chained goroutine; otherwise inline on the
-// scheduler.
+// handling, merge, and response — stages 3 and 4 of runCycle — on the
+// cycle's chained commit goroutine.
 func (r *Router) commitCycle(work *commitWork) {
 	jobs, batch, perJob := work.jobs, work.batch, work.perJob
 	req, seq := work.req, work.seq
@@ -568,21 +544,15 @@ func (r *Router) commitCycle(work *commitWork) {
 	resps := make([]*CommitResponse, k)
 	commitRPC := make([]float64, k)
 	errs := make([]error, k)
-	if r.serialFanout.Load() {
-		for i := 0; i < k; i++ {
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
 			resps[i], commitRPC[i], errs[i] = r.commitShard(i, req, work.body)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < k; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				resps[i], commitRPC[i], errs[i] = r.commitShard(i, req, work.body)
-			}(i)
-		}
-		wg.Wait()
+		}(i)
 	}
+	wg.Wait()
 
 	var failed []int
 	for i, err := range errs {
@@ -725,27 +695,19 @@ func (r *Router) tagPartitioned(batch []*types.Sentence, rot int) ([]WireTag, []
 		busy[i] = resp.BusySeconds
 		copy(tagged[lo:hi], resp.Results)
 	}
-	if r.serialFanout.Load() {
-		for i := 0; i < k; i++ {
-			if lo, hi := i*len(batch)/k, (i+1)*len(batch)/k; lo < hi {
-				tagSlice(i, lo, hi)
-			}
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		lo, hi := i*len(batch)/k, (i+1)*len(batch)/k
+		if lo == hi {
+			continue
 		}
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < k; i++ {
-			lo, hi := i*len(batch)/k, (i+1)*len(batch)/k
-			if lo == hi {
-				continue
-			}
-			wg.Add(1)
-			go func(i, lo, hi int) {
-				defer wg.Done()
-				tagSlice(i, lo, hi)
-			}(i, lo, hi)
-		}
-		wg.Wait()
+		wg.Add(1)
+		go func(i, lo, hi int) {
+			defer wg.Done()
+			tagSlice(i, lo, hi)
+		}(i, lo, hi)
 	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, nil, nil, err
@@ -1116,9 +1078,6 @@ type RouterStatuszResponse struct {
 	Role   string `json:"role"`
 	Cycles int    `json:"cycles"`
 	Seq    uint64 `json:"seq"`
-	// Pipelined reports whether cycle N's commit fan-out overlaps cycle
-	// N+1's tag stage (the default serving mode).
-	Pipelined bool `json:"pipelined"`
 	// Durability summarizes the router journal's commit path; nil
 	// without -data-dir.
 	Durability *durable.Status     `json:"durability,omitempty"`
@@ -1163,12 +1122,11 @@ func (r *Router) handleStatusz(w http.ResponseWriter, req *http.Request) {
 		reg = ro.reg
 	}
 	resp := RouterStatuszResponse{
-		Role:      "router",
-		Cycles:    int(r.cycles.Load()),
-		Seq:       seq,
-		Pipelined: r.pipelined.Load(),
-		Shards:    shards,
-		Metrics:   reg.Snapshot(),
+		Role:    "router",
+		Cycles:  int(r.cycles.Load()),
+		Seq:     seq,
+		Shards:  shards,
+		Metrics: reg.Snapshot(),
 	}
 	if r.dl != nil {
 		st := r.dl.Status()

@@ -537,7 +537,6 @@ func (s *Shard) Status() ShardStatus {
 		Candidates: s.g.CandidateBase().Len(),
 		Precision:  s.g.Precision().String(),
 		SIMD:       nn.ActiveSIMD().String(),
-		I8Kernel:   nn.I8KernelMode(),
 		Settings:   s.settings,
 
 		ClusterReplayedShare: s.g.ClusterReplayedShare(),

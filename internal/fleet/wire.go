@@ -191,7 +191,6 @@ type ShardStatus struct {
 	Candidates int               `json:"candidates"`
 	Precision  string            `json:"precision"`
 	SIMD       string            `json:"simd"`
-	I8Kernel   string            `json:"i8_kernel"`
 	Settings   map[string]string `json:"settings"`
 	// ClusterReplayedShare is the fraction of the shard engine's merge
 	// steps replayed from recordings (see server.StatuszResponse).

@@ -56,16 +56,13 @@ func inferTile32(dst, x *Matrix32, pk *pack32, ks *kernelSet, r0, r1, o0, o1 int
 }
 
 // I8Scratch holds the per-call buffers of the int8-weight kernel: the
-// quantized activation plane and its per-row dynamic quantization
-// parameters — int16 q + scale sx for W8A16, uint8 u + (xmin, step)
-// pairs aff for W8A8. One instance per concurrent caller (it lives in
-// the inference arena); buffers grow on demand and are reused across
-// calls, so a mode switch costs at most one extra plane allocation.
+// quantized activation plane (int16 q) and its per-row dynamic
+// quantization scale sx. One instance per concurrent caller (it lives
+// in the inference arena); buffers grow on demand and are reused
+// across calls.
 type I8Scratch struct {
-	q   []int16
-	sx  []float32
-	u   []uint8
-	aff []float32
+	q  []int16
+	sx []float32
 }
 
 func (s *I8Scratch) ensure(rows, cols int) ([]int16, []float32) {
@@ -79,65 +76,29 @@ func (s *I8Scratch) ensure(rows, cols int) ([]int16, []float32) {
 	return s.q[:n], s.sx[:rows]
 }
 
-func (s *I8Scratch) ensureU8(rows, cols int) ([]uint8, []float32) {
-	n := rows * cols
-	if cap(s.u) < n {
-		s.u = make([]uint8, n)
-	}
-	if cap(s.aff) < 2*rows {
-		s.aff = make([]float32, 2*rows)
-	}
-	return s.u[:n], s.aff[:2*rows]
-}
-
 // InferIntoI8 computes dst ≈ x·W + b through the int8 weight mirror.
 // The weights carry the tier's bandwidth win (one byte per element,
-// group-wise scales); activations are quantized dynamically per row,
-// in one of two formats selected by the active kernel set:
+// group-wise scales); activations are quantized dynamically per row to
+// symmetric int16, scale maxabs/32767 (W8A16). Each group's Σ q·w
+// accumulates exactly in int32; dequantization multiplies by the
+// group's weight scale, sums the groups in float32, and applies the
+// row's activation scale and the float32 bias last (dst = sx·Σ + b).
 //
-//   - W8A16 (default below AVX2): symmetric int16, scale
-//     maxabs/32767. Each group's Σ q·w accumulates exactly in int32;
-//     dequantization multiplies by the group's weight scale, sums the
-//     groups in float32, and applies the row's activation scale and
-//     the float32 bias last (dst = sx·Σ + b).
-//   - W8A8 (default on AVX2): affine uint8 on the row's [min, max]
-//     range, u ∈ [0,127] so the VPMADDUBSW pair sums stay exact in
-//     int16. The row finishes as dst = step·Σ + xmin·corr + b, with
-//     corr precomputed at pack time (see pack.go).
-//
-// In both formats a zero activation row yields exactly b (sx/step and
-// all quantized lanes are 0, and for W8A8 xmin = 0 kills the corr
-// term) — the same semantics the f64 kernel's zero-skip gives padded
-// rows. The quantized plane is padded to whole groups with zeros,
-// matching the pack's padded weight rows, so the group loop has no
-// ragged tail. dst must be x.Rows×Out and must not alias x.
-// The kernel set is loaded once per call and threaded through the
-// tile functions: a concurrent SetSIMD/SetI8Mode can therefore never
-// mix the W8A16 and W8A8 activation formats inside one multiply.
+// A zero activation row yields exactly b (sx and all quantized lanes
+// are 0) — the same semantics the f64 kernel's zero-skip gives padded
+// rows. The quantized plane is padded to whole groups with zeros (the
+// quantizer zeroes the padding tail on every call, because the scratch
+// is shared across layer shapes), matching the pack's padded weight
+// rows, so the group loop has no ragged tail. dst must be x.Rows×Out
+// and must not alias x. The kernel set is loaded once per call and
+// threaded through the tile function, so a concurrent SetSIMD can
+// never mix tiers inside one multiply.
 func (d *Dense) InferIntoI8(dst, x *Matrix32, qs *I8Scratch) {
 	ks := kernels()
 	pk := d.packI8s()
 	checkInferShape(dst.Rows, dst.Cols, x.Rows, x.Cols, pk.in, pk.out)
 	rows, in, inPad := x.Rows, x.Cols, pk.inPad
 	flops := rows * in * pk.out
-	if ks.w8a8 {
-		u, aff := qs.ensureU8(rows, inPad)
-		for i := 0; i < rows; i++ {
-			// The quantizers also zero the group-padding tail — required
-			// every call because the scratch is shared across layer shapes.
-			aff[2*i], aff[2*i+1] = ks.quantU8(u[i*inPad:i*inPad+inPad], x.Row(i))
-		}
-		if p, rt, ct := gemmTiles(rows, pk.out, flops); p != nil {
-			p.ForEach(rt*ct, func(t int) {
-				r0, r1 := tileSpan(t/ct, rt, rows)
-				o0, o1 := tileSpan(t%ct, ct, pk.out)
-				inferTileU8(dst, u, aff, pk, ks, r0, r1, o0, o1)
-			})
-		} else {
-			inferTileU8(dst, u, aff, pk, ks, 0, rows, 0, pk.out)
-		}
-		return
-	}
 	q, sx := qs.ensure(rows, inPad)
 	for i := 0; i < rows; i++ {
 		sx[i] = ks.quant(q[i*inPad:i*inPad+inPad], x.Row(i))
@@ -170,25 +131,6 @@ func inferTileI8(dst *Matrix32, q []int16, sx []float32, pk *packI8, ks *kernelS
 	}
 	for ; i < r1; i++ {
 		ks.i8r(dst.Row(i)[o0:o1], q[i*inPad:i*inPad+inPad], wt, scale, b, sx[i])
-	}
-}
-
-// inferTileU8 is inferTileI8's W8A8 sibling: uint8 activation plane,
-// per-row (xmin, step) affine parameters, and the pack's corr term
-// carrying the activation-independent xmin·Σŵ contribution.
-func inferTileU8(dst *Matrix32, u []uint8, aff []float32, pk *packI8, ks *kernelSet, r0, r1, o0, o1 int) {
-	inPad, out := pk.inPad, pk.out
-	tw := o1 - o0
-	wt := pk.wt[o0*inPad : o1*inPad]
-	scale := pk.scale[o0*pk.nb : o1*pk.nb]
-	corr := pk.corr[o0:o1]
-	b := pk.b[o0:o1]
-	i := r0
-	for ; i+4 <= r1; i += 4 {
-		ks.u8r4(dst.Data[i*out+o0:(i+3)*out+o1], u[i*inPad:(i+4)*inPad], aff[2*i:2*i+8], wt, scale, corr, b, tw, inPad, out)
-	}
-	for ; i < r1; i++ {
-		ks.u8r(dst.Row(i)[o0:o1], u[i*inPad:i*inPad+inPad], wt, scale, corr, b, aff[2*i], aff[2*i+1])
 	}
 }
 

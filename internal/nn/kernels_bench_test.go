@@ -9,8 +9,10 @@ import (
 // BenchmarkKernelTiers times the dispatched kernels themselves at each
 // supported SIMD level on the pipeline's packed-batch shapes (Dim 24 ×
 // FFDim 48, ~900 packed token rows per 64-sentence batch): the
-// undiluted per-ISA view behind BENCH_pipeline.json's kernel section.
-// Run with `go test ./internal/nn -bench KernelTiers`.
+// undiluted per-ISA view below BenchmarkInferBatchTiers
+// (internal/transformer, whole encoder per level × precision) and
+// bench/'s localner.tag_{f64,f32,i8}_sents_per_s (whole tagger, end to
+// end). Run with `go test ./internal/nn -bench KernelTiers`.
 func BenchmarkKernelTiers(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	const rows, in, out = 896, 24, 48

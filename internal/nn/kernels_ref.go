@@ -104,104 +104,6 @@ func i8Rows4Ref(dst []float32, q []int16, sx []float32, wt []int8, scale, b []fl
 	}
 }
 
-// quantRowU8Ref quantizes one activation row for the W8A8 GEMM:
-// affine uint8 on the row's own [min, max] range, u = round((x −
-// xmin)/step) with step = (max − min)/127, so u ∈ [0, 127]. That
-// 7-bit ceiling is what keeps the VPMADDUBSW pairing exact: every
-// adjacent-pair sum |u·w + u'·w'| ≤ 2·127·127 = 32258 < 2¹⁵, so the
-// saturating int16 multiply-add can never actually saturate. Zeroes
-// the u[len(x):] padding tail (pad lanes quantize the row minimum to
-// 0 contribution via the corr term — see u8RowsRef). A constant row
-// (max == min, including all-zero and empty) yields step 0 and
-// all-zero u, making the kernel's output exactly xmin·corr + b.
-func quantRowU8Ref(u []uint8, x []float32) (xmin, step float32) {
-	if len(x) == 0 {
-		for j := range u {
-			u[j] = 0
-		}
-		return 0, 0
-	}
-	xmin, xmax := x[0], x[0]
-	for _, v := range x[1:] {
-		if v < xmin {
-			xmin = v
-		}
-		if v > xmax {
-			xmax = v
-		}
-	}
-	rng := xmax - xmin
-	if rng == 0 {
-		for j := range u {
-			u[j] = 0
-		}
-		return xmin, 0
-	}
-	inv := 127 / rng
-	for j, v := range x {
-		r := (v-xmin)*inv + 0.5
-		q := int32(r)
-		// Saturate like the assembly's PACKUSWB; float rounding can
-		// push the top value a hair past 127, which stays exact in the
-		// pairing bound (2·128·127 < 2¹⁵).
-		if q > 255 {
-			q = 255
-		}
-		u[j] = uint8(q)
-	}
-	for j := len(x); j < len(u); j++ {
-		u[j] = 0
-	}
-	return xmin, rng / 127
-}
-
-// u8RowsRef computes one activation row of the W8A8 GEMM. With the
-// affine activation x̂[i] = xmin + step·u[i] and the group-quantized
-// weight ŵ, the dot product decomposes as
-//
-//	Σ x̂·ŵ = step·Σ_g scale_g·(Σ_{i∈g} u[i]·w[i]) + xmin·Σ_g scale_g·(Σ_{i∈g} w[i])
-//
-// The second term is activation-independent: pack.go precomputes it
-// per output as corr[o]. Each group's Σ u·w accumulates exactly in
-// int32 (≤ 16·128·127 < 2²⁴, so the float32 conversion is exact too),
-// dequantization multiplies by the group's weight scale and sums in
-// float32, and the row finishes as
-//
-//	dst[o] = step·Σ + xmin·corr[o] + b[o]
-//
-// Zero padding lanes carry u = 0 and w = 0, contributing zero to both
-// terms. len(u) must be a whole number of i8Group-wide groups.
-func u8RowsRef(dst []float32, u []uint8, wt []int8, scale, corr, b []float32, xmin, step float32) {
-	in := len(u)
-	nb := in / i8Group
-	for o := range dst {
-		wrow := wt[o*in : o*in+in]
-		ws := scale[o*nb : o*nb+nb]
-		var acc float32
-		for g := 0; g < nb; g++ {
-			lo := g * i8Group
-			var p0, p1, p2, p3 int32
-			for i := lo; i < lo+i8Group; i += 4 {
-				p0 += int32(u[i]) * int32(wrow[i])
-				p1 += int32(u[i+1]) * int32(wrow[i+1])
-				p2 += int32(u[i+2]) * int32(wrow[i+2])
-				p3 += int32(u[i+3]) * int32(wrow[i+3])
-			}
-			acc += float32((p0+p1)+(p2+p3)) * ws[g]
-		}
-		dst[o] = step*acc + xmin*corr[o] + b[o]
-	}
-}
-
-// u8Rows4Ref is u8RowsRef over four activation rows whose outputs sit
-// dstStride apart; aff holds the rows' (xmin, step) pairs. Delegates
-// row by row, so per-row bits trivially match the single-row kernel.
-func u8Rows4Ref(dst []float32, u []uint8, aff []float32, wt []int8, scale, corr, b []float32, out, inPad, dstStride int) {
-	for r := 0; r < 4; r++ {
-		u8RowsRef(dst[r*dstStride:r*dstStride+out], u[r*inPad:(r+1)*inPad], wt, scale, corr, b, aff[2*r], aff[2*r+1])
-	}
-}
-
 // geluVecRef is the reference tier's vectorized-GELU hook; no vector
 // body, so the caller's scalar loop covers everything.
 func geluVecRef(dst, x []float32) int {

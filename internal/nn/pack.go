@@ -61,12 +61,6 @@ type packI8 struct {
 	wt         []int8    // out×inPad, quantized transposed weights
 	scale      []float32 // out×nb per-group dequant scales
 	b          []float32 // len out
-	// corr is the W8A8 affine-activation correction, precomputed per
-	// output row: corr[o] = Σ_g scale[o,g]·(Σ_{i∈g} wt[o,i]). With the
-	// uint8 activation x̂ = xmin + step·u, the dot product against the
-	// quantized weights splits into step·(Σ scale·dot) + xmin·corr[o];
-	// the W8A16 kernels never read it.
-	corr []float32 // len out
 }
 
 // pack32s returns the current float32 mirror, rebuilding it if the
@@ -105,7 +99,7 @@ func (d *Dense) packI8s() *packI8 {
 	inPad := nb * i8Group
 	p := &packI8{wver: wv, bver: bv, in: in, out: out, nb: nb, inPad: inPad,
 		wt: make([]int8, inPad*out), scale: make([]float32, out*nb),
-		b: make([]float32, out), corr: make([]float32, out)}
+		b: make([]float32, out)}
 	w := d.W.W
 	for o := 0; o < out; o++ {
 		for g := 0; g < nb; g++ {
@@ -141,21 +135,6 @@ func (d *Dense) packI8s() *packI8 {
 	}
 	for o, v := range d.B.W.Data {
 		p.b[o] = float32(v)
-	}
-	// W8A8 correction terms: per output, the scale-weighted sum of each
-	// group's quantized weights. Group sums are exact in int32 (16
-	// weights in ±127); the float32 combination is fixed at pack time,
-	// so the kernel result does not depend on tile geometry.
-	for o := 0; o < out; o++ {
-		var c float32
-		for g := 0; g < nb; g++ {
-			var ws int32
-			for i := g * i8Group; i < (g+1)*i8Group; i++ {
-				ws += int32(p.wt[o*inPad+i])
-			}
-			c += p.scale[o*nb+g] * float32(ws)
-		}
-		p.corr[o] = c
 	}
 	d.pi8.Store(p)
 	return p

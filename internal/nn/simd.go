@@ -22,8 +22,8 @@ import (
 //
 // The active tier lives in an atomic pointer to an immutable
 // kernelSet: every GEMM call loads the set once and uses it for the
-// whole call, so a concurrent tier switch can never mix kernels (or
-// the W8A8/W8A16 activation formats) within one multiply.
+// whole call, so a concurrent tier switch can never mix kernels within
+// one multiply.
 //
 // Contracts, per tier:
 //
@@ -61,8 +61,8 @@ const (
 	// SIMDSSE2 is the amd64 baseline assembly tier (4-wide f32,
 	// PMADDWD W8A16). Always available on amd64 (GOAMD64=v1).
 	SIMDSSE2
-	// SIMDAVX2 is the amd64 8-wide AVX2/FMA tier with the VPMADDUBSW
-	// W8A8 quantized GEMM. Requires AVX2+FMA and OS YMM state support.
+	// SIMDAVX2 is the amd64 8-wide AVX2/FMA tier (the W8A16 GEMM keeps
+	// the SSE2 bodies). Requires AVX2+FMA and OS YMM state support.
 	SIMDAVX2
 	// SIMDNEON is the arm64 baseline assembly tier (4-wide f32 via
 	// Advanced SIMD, SMLAL-based W8A16). Always available on arm64 —
@@ -136,10 +136,9 @@ func simdSupported(l SIMDLevel) bool {
 	return false
 }
 
-func newKernelSet(l SIMDLevel, m i8Mode) *kernelSet {
-	ks := refKernelSet(m)
+func newKernelSet(l SIMDLevel) *kernelSet {
+	ks := refKernelSet()
 	ks.level = l
-	ks.w8a8 = w8a8For(l, m)
 	// Apply every supported tier up to and including the requested
 	// level, lowest first, so a higher tier inherits the lower tier's
 	// kernels for entry points it does not override (AVX2 keeps the
@@ -163,48 +162,18 @@ func simdUnsupportedErr(l SIMDLevel) error {
 		l, runtime.GOOS, runtime.GOARCH, strings.Join(names, ", "))
 }
 
-// i8Mode selects the quantized-GEMM flavor of the I8 tier.
-type i8Mode uint8
-
-const (
-	// i8ModeAuto currently resolves to W8A16 at every level: on the
-	// golden stream the W8A8 affine-activation error crosses the
-	// smallest f64 tagger decision margin (≈0.074) and flips a BIO tag,
-	// so the faster VPMADDUBSW path stays opt-in (NER_I8_KERNEL=w8a8 /
-	// SetI8Mode) until the margin headroom improves. benchpipeline
-	// measures both modes and reports the flip counts as data.
-	i8ModeAuto i8Mode = iota
-	// i8ModeW8A16 pins the int16-activation kernels at every level.
-	i8ModeW8A16
-	// i8ModeW8A8 pins the uint8-activation kernels at every level
-	// (through the reference bodies where no assembly exists).
-	i8ModeW8A8
-)
-
-// w8a8For resolves the effective quantized-GEMM flavor for a level.
-// Auto keeps W8A16 everywhere — see the i8ModeAuto comment for the
-// accuracy data behind that choice.
-func w8a8For(level SIMDLevel, m i8Mode) bool {
-	return m == i8ModeW8A8
-}
-
 // kernelSet is one immutable, coherent bundle of kernel entry points.
 // Callers load it once per GEMM (kernels()) and never observe a
 // half-switched tier.
 type kernelSet struct {
 	level SIMDLevel
-	mode  i8Mode
-	w8a8  bool
 
-	dot     func(dst, a, rows []float32)
-	quant   func(q []int16, x []float32) float32
-	i8r     func(dst []float32, q []int16, wt []int8, scale, b []float32, s float32)
-	i8r4    func(dst []float32, q []int16, sx []float32, wt []int8, scale, b []float32, out, inPad, dstStride int)
-	gelu    func(dst, x []float32) int
-	exprow  func(dst, x []float32, scale, max float32) (int, float32)
-	quantU8 func(u []uint8, x []float32) (xmin, step float32)
-	u8r     func(dst []float32, u []uint8, wt []int8, scale, corr, b []float32, xmin, step float32)
-	u8r4    func(dst []float32, u []uint8, aff []float32, wt []int8, scale, corr, b []float32, out, inPad, dstStride int)
+	dot    func(dst, a, rows []float32)
+	quant  func(q []int16, x []float32) float32
+	i8r    func(dst []float32, q []int16, wt []int8, scale, b []float32, s float32)
+	i8r4   func(dst []float32, q []int16, sx []float32, wt []int8, scale, b []float32, out, inPad, dstStride int)
+	gelu   func(dst, x []float32) int
+	exprow func(dst, x []float32, scale, max float32) (int, float32)
 
 	// Attention-combine saxpy: dst[j] accumulates av[r]·b_r[j] for four
 	// (axpy4) or one (axpy1) activation coefficients, mul-then-add in
@@ -247,14 +216,7 @@ func init() {
 		level = l
 	}
 	defaultLevel = level
-	m := i8ModeAuto
-	if env := os.Getenv("NER_I8_KERNEL"); env != "" {
-		var err error
-		if m, err = parseI8Mode(env); err != nil {
-			panic(err.Error())
-		}
-	}
-	activeKernels.Store(newKernelSet(level, m))
+	activeKernels.Store(newKernelSet(level))
 }
 
 // kernels returns the active kernel set. Hot paths call it once per
@@ -287,66 +249,27 @@ func SetSIMD(l SIMDLevel) error {
 	if !simdSupported(l) {
 		return simdUnsupportedErr(l)
 	}
-	activeKernels.Store(newKernelSet(l, kernels().mode))
+	activeKernels.Store(newKernelSet(l))
 	return nil
 }
 
 // SetSIMDAuto restores the boot-time tier (CPU-detected best, or the
 // NER_SIMD override when the process started with one).
 func SetSIMDAuto() {
-	activeKernels.Store(newKernelSet(defaultLevel, kernels().mode))
-}
-
-func parseI8Mode(s string) (i8Mode, error) {
-	switch s {
-	case "", "auto":
-		return i8ModeAuto, nil
-	case "w8a16":
-		return i8ModeW8A16, nil
-	case "w8a8":
-		return i8ModeW8A8, nil
-	}
-	return 0, fmt.Errorf("nn: unknown i8 kernel mode %q (want auto, w8a16, or w8a8)", s)
-}
-
-// SetI8Mode pins the quantized-GEMM flavor: "auto" (currently W8A16
-// everywhere), "w8a16", or "w8a8". The NER_I8_KERNEL environment
-// variable sets the boot-time mode.
-func SetI8Mode(s string) error {
-	m, err := parseI8Mode(s)
-	if err != nil {
-		return err
-	}
-	ks := kernels()
-	activeKernels.Store(newKernelSet(ks.level, m))
-	return nil
-}
-
-// I8KernelMode reports the effective quantized-GEMM flavor of the
-// active tier ("w8a8" or "w8a16").
-func I8KernelMode() string {
-	if kernels().w8a8 {
-		return "w8a8"
-	}
-	return "w8a16"
+	activeKernels.Store(newKernelSet(defaultLevel))
 }
 
 // refKernelSet builds the portable reference tier; newKernelSet
 // overlays the architecture tiers on top of it.
-func refKernelSet(m i8Mode) *kernelSet {
+func refKernelSet() *kernelSet {
 	return &kernelSet{
 		level:    SIMDGeneric,
-		mode:     m,
-		w8a8:     w8a8For(SIMDGeneric, m),
 		dot:      dotRows32Ref,
 		quant:    quantRowRef,
 		i8r:      i8RowsRef,
 		i8r4:     i8Rows4Ref,
 		gelu:     geluVecRef,
 		exprow:   expRowRef,
-		quantU8:  quantRowU8Ref,
-		u8r:      u8RowsRef,
-		u8r4:     u8Rows4Ref,
 		axpy4:    axpy4Ref,
 		axpy1:    axpy1Ref,
 		lnSum:    lnSumRef,
@@ -385,16 +308,4 @@ func geluVec(dst, x []float32) int { return kernels().gelu(dst, x) }
 // partial sum's accumulation order is tier-specific.
 func expRow32(dst, x []float32, scale, max float32) (int, float32) {
 	return kernels().exprow(dst, x, scale, max)
-}
-
-func quantRowU8(u []uint8, x []float32) (xmin, step float32) {
-	return kernels().quantU8(u, x)
-}
-
-func u8Rows(dst []float32, u []uint8, wt []int8, scale, corr, b []float32, xmin, step float32) {
-	kernels().u8r(dst, u, wt, scale, corr, b, xmin, step)
-}
-
-func u8Rows4(dst []float32, u []uint8, aff []float32, wt []int8, scale, corr, b []float32, out, inPad, dstStride int) {
-	kernels().u8r4(dst, u, aff, wt, scale, corr, b, out, inPad, dstStride)
 }

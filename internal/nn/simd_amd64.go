@@ -30,20 +30,15 @@ func applySSE2(ks *kernelSet) {
 	ks.lnAffine = lnAffineSSE2
 	ks.rowMax = rowMaxSSE2
 	ks.vscale = vscaleSSE2
-	// No SSE2 W8A8 assembly: a forced w8a8 mode at this level runs
-	// the reference bodies already in ks.
 }
 
 func applyAVX2(ks *kernelSet) {
 	ks.dot = dotRows32AVX2
 	ks.quant = quantRowAVX2
-	// The W8A16 kernels stay at the SSE2 bodies (forced w8a16 mode,
-	// differential tests) — inherited from the SSE2 overlay.
+	// The W8A16 kernels (i8r, i8r4) stay at the SSE2 bodies, inherited
+	// from the SSE2 overlay.
 	ks.gelu = geluVecAVX2
 	ks.exprow = expRowAVX2
-	ks.quantU8 = quantRowU8AVX2
-	ks.u8r = u8RowsAVX2
-	ks.u8r4 = u8Rows4AVX2
 	ks.axpy4 = axpy4AVX2
 	ks.axpy1 = axpy1AVX2
 	ks.lnSum = lnSumAVX2
@@ -339,25 +334,3 @@ func vscaleAVX2(o []float32, inv float32) int {
 	}
 	return n
 }
-
-// quantRowU8AVX2 is the W8A8 activation quantizer: affine uint8 on
-// [min, max], u = round((x−xmin)·127/range), padding tail zeroed,
-// returning (xmin, step). See quantRowU8Ref for the contract.
-//
-//go:noescape
-func quantRowU8AVX2(u []uint8, x []float32) (xmin, step float32)
-
-// u8RowsAVX2 computes one activation row of the W8A8 GEMM via
-// VPMADDUBSW (exact by the u ≤ 128 pairing bound) + VPMADDWD against
-// a ones vector for the group-wise int32 sums:
-// dst[o] = step·Σ_g scale_g·dot_g + xmin·corr[o] + b[o].
-//
-//go:noescape
-func u8RowsAVX2(dst []float32, u []uint8, wt []int8, scale, corr, b []float32, xmin, step float32)
-
-// u8Rows4AVX2 is u8RowsAVX2 over four activation rows (dst rows
-// dstStride apart, aff = 4 × (xmin, step)); weight loads and scale
-// broadcasts are shared, per-row bits match u8RowsAVX2 exactly.
-//
-//go:noescape
-func u8Rows4AVX2(dst []float32, u []uint8, aff []float32, wt []int8, scale, corr, b []float32, out, inPad, dstStride int)

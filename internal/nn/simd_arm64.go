@@ -8,9 +8,6 @@ package nn
 // float vector instructions the Go assembler lacks mnemonics for are
 // emitted as WORD-encoded aarch64 opcodes (fixed 4-byte instructions)
 // and pinned by disassembly; see the .s file header.
-//
-// The W8A8 kernels have no NEON assembly: a forced w8a8 mode runs the
-// portable reference bodies, mirroring the SSE2 tier's policy.
 
 var archTiers = []simdTier{
 	{level: SIMDNEON, supported: func() bool { return true }, apply: applyNEON},

@@ -14,10 +14,6 @@
 DATA qc32767<>+0(SB)/4, $0x46fffe00
 GLOBL qc32767<>(SB), RODATA|NOPTR, $4
 
-// 127.0 in float32 — the W8A8 affine activation range.
-DATA u8c127<>+0(SB)/4, $0x42fe0000
-GLOBL u8c127<>(SB), RODATA|NOPTR, $4
-
 // func dotRows32AVX2(dst, a, rows []float32)
 //
 // dst[j] = Σ_k a[k]·rows[j·len(a)+k]. Two 8-wide FMA accumulators (Y0
@@ -374,422 +370,6 @@ g8loop:
 	JNZ     g8loop
 
 g8done:
-	VZEROUPPER
-	RET
-
-// func quantRowU8AVX2(u []uint8, x []float32) (xmin, step float32)
-//
-// The W8A8 activation quantizer: affine uint8 on the row's [min, max],
-// u = round((x − xmin)·127/range) with VCVTPS2DQ's round-half-even
-// (the portable body rounds half up; either stays inside the ±½-step
-// bound, and cross-tier bit equality is not the contract), VPACKUSWB
-// saturation, padding tail zeroed, returning (xmin, step = range/127).
-// A constant row (range 0, including empty) zeroes u and returns
-// step 0.
-TEXT ·quantRowU8AVX2(SB), NOSPLIT, $0-56
-	MOVQ u_base+0(FP), DI
-	MOVQ u_len+8(FP), DX  // padded length (bytes)
-	MOVQ x_base+24(FP), SI
-	MOVQ x_len+32(FP), CX // real length
-	VXORPS X0, X0, X0     // xmin defaults to 0 for the empty row
-	TESTQ  CX, CX
-	JZ     u8qzfill
-	VBROADCASTSS (SI), Y0 // min accumulator
-	VBROADCASTSS (SI), Y1 // max accumulator
-	MOVQ   SI, R10
-	MOVQ   CX, R9
-	SHRQ   $3, R9
-	JZ     u8qmfold
-
-u8qmloop:
-	VMOVUPS (R10), Y2
-	VMINPS  Y2, Y0, Y0
-	VMAXPS  Y2, Y1, Y1
-	ADDQ    $32, R10
-	DECQ    R9
-	JNZ     u8qmloop
-
-u8qmfold:
-	VEXTRACTF128 $1, Y0, X2
-	VMINPS  X2, X0, X0
-	VEXTRACTF128 $1, Y1, X2
-	VMAXPS  X2, X1, X1
-	VPSHUFD $0x4E, X0, X2
-	VMINPS  X2, X0, X0
-	VPSHUFD $0x55, X0, X2
-	VMINSS  X2, X0, X0
-	VPSHUFD $0x4E, X1, X2
-	VMAXPS  X2, X1, X1
-	VPSHUFD $0x55, X1, X2
-	VMAXSS  X2, X1, X1
-	MOVQ    CX, R9
-	ANDQ    $7, R9
-	JZ      u8qrange
-
-u8qmtail1:
-	VMINSS (R10), X0, X0
-	VMAXSS (R10), X1, X1
-	ADDQ   $4, R10
-	DECQ   R9
-	JNZ    u8qmtail1
-
-u8qrange:
-	VSUBSS X0, X1, X2 // range = max − min
-	VXORPS X3, X3, X3
-	VUCOMISS X3, X2
-	JNE    u8qscale
-
-u8qzfill:
-	// constant (or empty) row: u all zero, step 0
-	VXORPS X3, X3, X3
-	VMOVSS X0, xmin+48(FP)
-	VMOVSS X3, step+52(FP)
-	MOVQ   DX, R9
-	SHRQ   $4, R9 // len(u) is a whole number of 16-byte groups
-	JZ     u8qzdone
-
-u8qzloop:
-	VMOVDQU X3, (DI)
-	ADDQ    $16, DI
-	DECQ    R9
-	JNZ     u8qzloop
-
-u8qzdone:
-	VZEROUPPER
-	RET
-
-u8qscale:
-	VMOVSS u8c127<>+0(SB), X3
-	VDIVSS X2, X3, X3     // inv = 127/range
-	VBROADCASTSS X3, Y3
-	VBROADCASTSS X0, Y4   // xmin, broadcast
-	MOVQ   SI, R10
-	MOVQ   CX, R9
-	SHRQ   $4, R9
-	JZ     u8qvtail
-
-u8q16:
-	VMOVUPS (R10), Y5
-	VSUBPS  Y4, Y5, Y5
-	VMULPS  Y3, Y5, Y5
-	VCVTPS2DQ Y5, Y5
-	VMOVUPS 32(R10), Y6
-	VSUBPS  Y4, Y6, Y6
-	VMULPS  Y3, Y6, Y6
-	VCVTPS2DQ Y6, Y6
-	VPACKSSDW Y6, Y5, Y5
-	VPERMQ  $0xD8, Y5, Y5 // 16 int16 in memory order
-	VEXTRACTI128 $1, Y5, X6
-	VPACKUSWB X6, X5, X5  // 16 uint8, saturated to [0, 255]
-	VMOVDQU X5, (DI)
-	ADDQ    $64, R10
-	ADDQ    $16, DI
-	DECQ    R9
-	JNZ     u8q16
-
-u8qvtail:
-	VZEROUPPER // X0 (xmin), X2 (range), X3 (inv) low lanes survive
-	MOVQ CX, R9
-	ANDQ $15, R9
-	JZ   u8qpad
-
-u8qtail1:
-	MOVSS (R10), X5
-	SUBSS X0, X5
-	MULSS X3, X5
-	CVTSS2SL X5, AX
-	CMPL  AX, $255
-	JLE   u8qclamplo
-	MOVL  $255, AX
-
-u8qclamplo:
-	TESTL AX, AX
-	JGE   u8qstore
-	XORL  AX, AX
-
-u8qstore:
-	MOVB AX, (DI)
-	ADDQ $4, R10
-	INCQ DI
-	DECQ R9
-	JNZ  u8qtail1
-
-u8qpad:
-	MOVQ DX, R9
-	SUBQ CX, R9
-	JZ   u8qret
-	XORL AX, AX
-
-u8qpadloop:
-	MOVB AX, (DI)
-	INCQ DI
-	DECQ R9
-	JNZ  u8qpadloop
-
-u8qret:
-	MOVSS X0, xmin+48(FP)
-	DIVSS u8c127<>+0(SB), X2 // step = range/127
-	MOVSS X2, step+52(FP)
-	RET
-
-// func u8RowsAVX2(dst []float32, u []uint8, wt []int8, scale, corr, b []float32, xmin, step float32)
-//
-// One activation row of the W8A8 GEMM. Per pair of 16-wide groups
-// (one 32-byte YMM load): VPMADDUBSW multiplies the unsigned
-// activations against the signed weights with exact pairwise int16
-// sums (u ≤ 128, so |u·w + u'·w'| ≤ 2·128·127 < 2¹⁵ — never
-// saturates), VPMADDWD against a ones vector widens to four exact
-// int32 quarter-sums per group, VCVTDQ2PS is exact (< 2²⁴), and an
-// FMA folds quarter·scale into a packed float accumulator whose lane
-// 128-halves carry the two groups' scales via VINSERTF128. The odd
-// trailing group runs the identical sequence at XMM width AFTER the
-// upper accumulator half is folded (VEX.128 zeroes bits 255:128).
-// Reduction per output: fold-upper, (l0+l2)+(l1+l3), then
-// dst[o] = step·Σ + xmin·corr[o] + b[o]. The operation order is
-// IDENTICAL to one row of u8Rows4AVX2, so blocking never changes a
-// row's bits.
-TEXT ·u8RowsAVX2(SB), NOSPLIT, $0-152
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), DX
-	MOVQ u_base+24(FP), SI
-	MOVQ u_len+32(FP), AX
-	SHRQ $4, AX           // group count
-	MOVQ wt_base+48(FP), R8
-	MOVQ scale_base+72(FP), R12
-	MOVQ corr_base+96(FP), R13
-	MOVQ b_base+120(FP), R14
-	VMOVSS xmin+144(FP), X10
-	VMOVSS step+148(FP), X11
-	VPCMPEQD Y0, Y0, Y0
-	VPSRLW $15, Y0, Y0    // every int16 lane = 1
-	TESTQ DX, DX
-	JZ    u8rdone
-
-u8router:
-	VXORPS Y8, Y8, Y8
-	MOVQ   SI, R10 // u cursor (reset per output)
-	MOVQ   AX, R9
-	SHRQ   $1, R9  // group pairs
-	JZ     u8rfold
-
-u8rpair:
-	VMOVDQU (R10), Y1
-	VPMADDUBSW (R8), Y1, Y1 // 16 int16 pairwise u·w sums, exact
-	VPMADDWD Y0, Y1, Y1     // 8 int32 quarter-group sums, exact
-	VCVTDQ2PS Y1, Y1
-	VBROADCASTSS (R12), X4
-	VBROADCASTSS 4(R12), X3
-	VINSERTF128 $1, X3, Y4, Y4 // [scale_g ×4 | scale_g+1 ×4]
-	VFMADD231PS Y4, Y1, Y8
-	ADDQ    $32, R10
-	ADDQ    $32, R8
-	ADDQ    $8, R12
-	DECQ    R9
-	JNZ     u8rpair
-
-u8rfold:
-	VEXTRACTF128 $1, Y8, X7
-	VADDPS  X7, X8, X8 // fold BEFORE any 128-bit op writes X8
-	TESTQ   $1, AX
-	JZ      u8rhsum
-	VMOVDQU (R10), X1
-	VPMADDUBSW (R8), X1, X1
-	VPMADDWD X0, X1, X1
-	VCVTDQ2PS X1, X1
-	VBROADCASTSS (R12), X4
-	VFMADD231PS X4, X1, X8
-	ADDQ    $16, R8
-	ADDQ    $4, R12
-
-u8rhsum:
-	VPSHUFD $0x4E, X8, X7
-	VADDPS  X7, X8, X8
-	VPSHUFD $0x55, X8, X7
-	VADDSS  X7, X8, X8
-	VMULSS  X11, X8, X8  // × step
-	VMOVSS  (R13), X7
-	VMULSS  X10, X7, X7  // xmin·corr[o]
-	VADDSS  X7, X8, X8
-	VADDSS  (R14), X8, X8 // + b[o]
-	VMOVSS  X8, (DI)
-	ADDQ    $4, DI
-	ADDQ    $4, R13
-	ADDQ    $4, R14
-	DECQ    DX
-	JNZ     u8router
-
-u8rdone:
-	VZEROUPPER
-	RET
-
-// func u8Rows4AVX2(dst []float32, u []uint8, aff []float32, wt []int8, scale, corr, b []float32, out, inPad, dstStride int)
-//
-// u8RowsAVX2 over four activation rows in one sweep: each group
-// pair's weight load and scale broadcast feed four VPMADDUBSW
-// pipelines (one packed accumulator per row). dst rows sit dstStride
-// elements apart (out contiguous outputs each), u is 4×inPad
-// contiguous, aff holds the rows' (xmin, step) pairs. Per-row
-// arithmetic matches u8RowsAVX2 bit for bit.
-TEXT ·u8Rows4AVX2(SB), NOSPLIT, $0-192
-	MOVQ dst_base+0(FP), DI
-	MOVQ u_base+24(FP), SI
-	MOVQ wt_base+72(FP), R8
-	MOVQ scale_base+96(FP), R12
-	MOVQ corr_base+120(FP), R13
-	MOVQ b_base+144(FP), R14
-	MOVQ out+168(FP), DX
-	MOVQ inPad+176(FP), BX  // u row stride in bytes
-	LEAQ (BX)(BX*2), CX     // 3× stride for row 3
-	MOVQ dstStride+184(FP), R11
-	SHLQ $2, R11            // dst row stride in bytes
-	LEAQ (R11)(R11*2), R15
-	MOVQ inPad+176(FP), AX
-	SHRQ $4, AX             // group count
-	VPCMPEQD Y0, Y0, Y0
-	VPSRLW $15, Y0, Y0
-	TESTQ DX, DX
-	JZ    u8b4done
-
-u8b4outer:
-	VXORPS Y8, Y8, Y8
-	VXORPS Y9, Y9, Y9
-	VXORPS Y10, Y10, Y10
-	VXORPS Y11, Y11, Y11
-	MOVQ   SI, R10
-	MOVQ   AX, R9
-	SHRQ   $1, R9
-	JZ     u8b4fold
-
-u8b4pair:
-	VMOVDQU (R8), Y5 // two groups of weights, shared by the four rows
-	VBROADCASTSS (R12), X4
-	VBROADCASTSS 4(R12), X3
-	VINSERTF128 $1, X3, Y4, Y4
-	// row 0
-	VMOVDQU (R10), Y1
-	VPMADDUBSW Y5, Y1, Y1
-	VPMADDWD Y0, Y1, Y1
-	VCVTDQ2PS Y1, Y1
-	VFMADD231PS Y4, Y1, Y8
-	// row 1
-	VMOVDQU (R10)(BX*1), Y1
-	VPMADDUBSW Y5, Y1, Y1
-	VPMADDWD Y0, Y1, Y1
-	VCVTDQ2PS Y1, Y1
-	VFMADD231PS Y4, Y1, Y9
-	// row 2
-	VMOVDQU (R10)(BX*2), Y1
-	VPMADDUBSW Y5, Y1, Y1
-	VPMADDWD Y0, Y1, Y1
-	VCVTDQ2PS Y1, Y1
-	VFMADD231PS Y4, Y1, Y10
-	// row 3
-	VMOVDQU (R10)(CX*1), Y1
-	VPMADDUBSW Y5, Y1, Y1
-	VPMADDWD Y0, Y1, Y1
-	VCVTDQ2PS Y1, Y1
-	VFMADD231PS Y4, Y1, Y11
-	ADDQ    $32, R10
-	ADDQ    $32, R8
-	ADDQ    $8, R12
-	DECQ    R9
-	JNZ     u8b4pair
-
-u8b4fold:
-	VEXTRACTF128 $1, Y8, X7
-	VADDPS  X7, X8, X8
-	VEXTRACTF128 $1, Y9, X7
-	VADDPS  X7, X9, X9
-	VEXTRACTF128 $1, Y10, X7
-	VADDPS  X7, X10, X10
-	VEXTRACTF128 $1, Y11, X7
-	VADDPS  X7, X11, X11
-	TESTQ   $1, AX
-	JZ      u8b4hsum
-	VMOVDQU (R8), X5
-	VBROADCASTSS (R12), X4
-	// row 0
-	VMOVDQU (R10), X1
-	VPMADDUBSW X5, X1, X1
-	VPMADDWD X0, X1, X1
-	VCVTDQ2PS X1, X1
-	VFMADD231PS X4, X1, X8
-	// row 1
-	VMOVDQU (R10)(BX*1), X1
-	VPMADDUBSW X5, X1, X1
-	VPMADDWD X0, X1, X1
-	VCVTDQ2PS X1, X1
-	VFMADD231PS X4, X1, X9
-	// row 2
-	VMOVDQU (R10)(BX*2), X1
-	VPMADDUBSW X5, X1, X1
-	VPMADDWD X0, X1, X1
-	VCVTDQ2PS X1, X1
-	VFMADD231PS X4, X1, X10
-	// row 3
-	VMOVDQU (R10)(CX*1), X1
-	VPMADDUBSW X5, X1, X1
-	VPMADDWD X0, X1, X1
-	VCVTDQ2PS X1, X1
-	VFMADD231PS X4, X1, X11
-	ADDQ    $16, R8
-	ADDQ    $4, R12
-
-u8b4hsum:
-	// reduce, dequantize, and store the four outputs (dst stride R11)
-	MOVQ    aff_base+48(FP), R9
-	VMOVSS  (R13), X6 // corr[o], shared across rows
-	// row 0
-	VPSHUFD $0x4E, X8, X7
-	VADDPS  X7, X8, X8
-	VPSHUFD $0x55, X8, X7
-	VADDSS  X7, X8, X8
-	VMULSS  4(R9), X8, X8 // × step₀
-	VMOVSS  (R9), X5
-	VMULSS  X6, X5, X5    // xmin₀·corr[o]
-	VADDSS  X5, X8, X8
-	VADDSS  (R14), X8, X8
-	VMOVSS  X8, (DI)
-	// row 1
-	VPSHUFD $0x4E, X9, X7
-	VADDPS  X7, X9, X9
-	VPSHUFD $0x55, X9, X7
-	VADDSS  X7, X9, X9
-	VMULSS  12(R9), X9, X9
-	VMOVSS  8(R9), X5
-	VMULSS  X6, X5, X5
-	VADDSS  X5, X9, X9
-	VADDSS  (R14), X9, X9
-	VMOVSS  X9, (DI)(R11*1)
-	// row 2
-	VPSHUFD $0x4E, X10, X7
-	VADDPS  X7, X10, X10
-	VPSHUFD $0x55, X10, X7
-	VADDSS  X7, X10, X10
-	VMULSS  20(R9), X10, X10
-	VMOVSS  16(R9), X5
-	VMULSS  X6, X5, X5
-	VADDSS  X5, X10, X10
-	VADDSS  (R14), X10, X10
-	VMOVSS  X10, (DI)(R11*2)
-	// row 3
-	VPSHUFD $0x4E, X11, X7
-	VADDPS  X7, X11, X11
-	VPSHUFD $0x55, X11, X7
-	VADDSS  X7, X11, X11
-	VMULSS  28(R9), X11, X11
-	VMOVSS  24(R9), X5
-	VMULSS  X6, X5, X5
-	VADDSS  X5, X11, X11
-	VADDSS  (R14), X11, X11
-	VMOVSS  X11, (DI)(R15*1)
-	ADDQ    $4, DI
-	ADDQ    $4, R13
-	ADDQ    $4, R14
-	DECQ    DX
-	JNZ     u8b4outer
-
-u8b4done:
 	VZEROUPPER
 	RET
 

@@ -71,25 +71,6 @@ func TestSIMDLevelSelection(t *testing.T) {
 	}
 }
 
-func TestSetI8Mode(t *testing.T) {
-	defer SetI8Mode("auto")
-	if err := SetI8Mode("int8"); err == nil {
-		t.Fatal("SetI8Mode(int8) accepted; want error")
-	}
-	for _, c := range []struct{ mode, want string }{
-		{"auto", "w8a16"}, // auto stays W8A16 until the golden-margin headroom improves
-		{"w8a16", "w8a16"},
-		{"w8a8", "w8a8"},
-	} {
-		if err := SetI8Mode(c.mode); err != nil {
-			t.Fatalf("SetI8Mode(%s): %v", c.mode, err)
-		}
-		if got := I8KernelMode(); got != c.want {
-			t.Fatalf("I8KernelMode() = %q after SetI8Mode(%s); want %q", got, c.mode, c.want)
-		}
-	}
-}
-
 // TestDotRows32MatchesRefAcrossLevels checks every dispatched f32 dot
 // kernel against the portable reference on ragged, empty, and
 // tail-only widths. The tiers accumulate in different widths (and the
@@ -127,179 +108,6 @@ func TestDotRows32MatchesRefAcrossLevels(t *testing.T) {
 	})
 }
 
-// TestQuantRowU8Properties pins the W8A8 quantizer contract at every
-// tier: dequantization within half a step, values inside the
-// VPMADDUBSW pairing bound (u ≤ 128), zeroed padding, and the
-// constant/empty-row degenerate cases.
-func TestQuantRowU8Properties(t *testing.T) {
-	forEachSIMDLevel(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(31))
-		for _, n := range []int{1, 2, 3, 4, 7, 8, 15, 16, 17, 24, 45} {
-			inPad := (n + i8Group - 1) / i8Group * i8Group
-			x := make([]float32, n)
-			for i := range x {
-				x[i] = float32(rng.NormFloat64())
-			}
-			u := make([]uint8, inPad)
-			for i := range u {
-				u[i] = 0xAA // must be overwritten (pad included)
-			}
-			xmin, step := quantRowU8(u, x)
-			if n == 1 {
-				// single-element rows are constant: step 0, all-zero u
-				if xmin != x[0] || step != 0 {
-					t.Fatalf("n=1: (xmin, step) = (%g, %g), want (%g, 0)", xmin, step, x[0])
-				}
-			} else if step <= 0 {
-				t.Fatalf("n=%d: step %g for non-constant row", n, step)
-			}
-			for i, v := range x {
-				deq := float64(xmin) + float64(step)*float64(u[i])
-				if diff := math.Abs(float64(v) - deq); diff > 0.502*float64(step)+1e-6 {
-					t.Fatalf("n=%d u[%d]=%d: |%g − %g| = %g > step/2 = %g", n, i, u[i], v, deq, diff, step/2)
-				}
-				if u[i] > 128 {
-					t.Fatalf("n=%d: u[%d] = %d breaks the ≤128 pairing bound", n, i, u[i])
-				}
-			}
-			for i := n; i < inPad; i++ {
-				if u[i] != 0 {
-					t.Fatalf("n=%d: padding u[%d] = %d, want 0", n, i, u[i])
-				}
-			}
-			// constant row
-			for i := range x {
-				x[i] = 3.25
-			}
-			if xmin, step := quantRowU8(u, x); xmin != 3.25 || step != 0 {
-				t.Fatalf("n=%d: constant row (xmin, step) = (%g, %g), want (3.25, 0)", n, xmin, step)
-			}
-			for i, v := range u {
-				if v != 0 {
-					t.Fatalf("n=%d: constant row u[%d] = %d, want 0", n, i, v)
-				}
-			}
-		}
-		// empty row: all-padding u, (0, 0)
-		u := []uint8{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7}
-		if xmin, step := quantRowU8(u, nil); xmin != 0 || step != 0 {
-			t.Fatalf("empty row (xmin, step) = (%g, %g), want (0, 0)", xmin, step)
-		}
-		for i, v := range u {
-			if v != 0 {
-				t.Fatalf("empty row u[%d] = %d, want 0", i, v)
-			}
-		}
-	})
-}
-
-// TestU8RowsMatchesRefAcrossLevels feeds identical quantized inputs to
-// the dispatched W8A8 row kernel and the portable reference. Group
-// dots are exact int32 in both, so the only divergence is float
-// association in the scale-weighted sum — bounded tightly against the
-// float64-evaluated expected value.
-func TestU8RowsMatchesRefAcrossLevels(t *testing.T) {
-	forEachSIMDLevel(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(37))
-		for _, shape := range []struct{ in, out int }{{16, 3}, {32, 8}, {48, 24}, {80, 7}, {16, 1}} {
-			nb := shape.in / i8Group
-			wt := make([]int8, shape.out*shape.in)
-			scale := make([]float32, shape.out*nb)
-			corr := make([]float32, shape.out)
-			b := make([]float32, shape.out)
-			for i := range wt {
-				wt[i] = int8(rng.Intn(255) - 127)
-			}
-			for i := range scale {
-				scale[i] = float32(rng.Float64() * 0.01)
-			}
-			for o := range b {
-				b[o] = float32(rng.NormFloat64())
-				corr[o] = float32(rng.NormFloat64())
-			}
-			u := make([]uint8, shape.in)
-			for i := range u {
-				u[i] = uint8(rng.Intn(129))
-			}
-			xmin := float32(rng.NormFloat64())
-			step := float32(rng.Float64() * 1e-2)
-			got := make([]float32, shape.out)
-			want := make([]float32, shape.out)
-			u8Rows(got, u, wt, scale, corr, b, xmin, step)
-			u8RowsRef(want, u, wt, scale, corr, b, xmin, step)
-			for o := range got {
-				// float64 magnitude of the accumulated terms → tolerance
-				var accAbs float64
-				for g := 0; g < nb; g++ {
-					var dot int64
-					for i := g * i8Group; i < (g+1)*i8Group; i++ {
-						dot += int64(u[i]) * int64(wt[o*shape.in+i])
-					}
-					if dot < 0 {
-						dot = -dot
-					}
-					accAbs += float64(scale[o*nb+g]) * float64(dot)
-				}
-				tol := 1e-5*(float64(step)*accAbs+math.Abs(float64(xmin)*float64(corr[o]))+math.Abs(float64(b[o]))) + 1e-6
-				if diff := math.Abs(float64(got[o]) - float64(want[o])); diff > tol {
-					t.Fatalf("in=%d out=%d o=%d: |%g − %g| = %g > %g", shape.in, shape.out, o, got[o], want[o], diff, tol)
-				}
-			}
-		}
-	})
-}
-
-// TestU8Rows4MatchesSingleRow is the W8A8 counterpart of
-// TestI8Rows4MatchesSingleRow: within one tier a row must compute
-// identical bits through the 4-row blocked kernel and the single-row
-// one, at full width and at a narrow column tile (dstStride > out).
-func TestU8Rows4MatchesSingleRow(t *testing.T) {
-	forEachSIMDLevel(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(41))
-		for _, shape := range []struct{ in, out int }{{16, 3}, {32, 8}, {48, 24}, {5, 7}} {
-			inPad := (shape.in + i8Group - 1) / i8Group * i8Group
-			nb := inPad / i8Group
-			wt := make([]int8, shape.out*inPad)
-			scale := make([]float32, shape.out*nb)
-			corr := make([]float32, shape.out)
-			b := make([]float32, shape.out)
-			for o := 0; o < shape.out; o++ {
-				for j := 0; j < shape.in; j++ {
-					wt[o*inPad+j] = int8(rng.Intn(255) - 127)
-				}
-				for g := 0; g < nb; g++ {
-					scale[o*nb+g] = float32(rng.Float64() * 0.01)
-				}
-				b[o] = float32(rng.NormFloat64())
-				corr[o] = float32(rng.NormFloat64())
-			}
-			u := make([]uint8, 4*inPad)
-			aff := make([]float32, 8)
-			for r := 0; r < 4; r++ {
-				for j := 0; j < shape.in; j++ {
-					u[r*inPad+j] = uint8(rng.Intn(129))
-				}
-				aff[2*r] = float32(rng.NormFloat64())
-				aff[2*r+1] = float32(rng.Float64() * 1e-2)
-			}
-			for _, stride := range []int{shape.out, shape.out + 5} {
-				blocked := make([]float32, 3*stride+shape.out)
-				single := make([]float32, 3*stride+shape.out)
-				u8Rows4(blocked, u, aff, wt, scale, corr, b, shape.out, inPad, stride)
-				for r := 0; r < 4; r++ {
-					u8Rows(single[r*stride:r*stride+shape.out], u[r*inPad:(r+1)*inPad], wt, scale, corr, b, aff[2*r], aff[2*r+1])
-				}
-				for i := range blocked {
-					if math.Float32bits(blocked[i]) != math.Float32bits(single[i]) {
-						t.Fatalf("in=%d out=%d stride=%d: element %d blocked %g vs single %g",
-							shape.in, shape.out, stride, i, blocked[i], single[i])
-					}
-				}
-			}
-		}
-	})
-}
-
 // TestGEMMTilingBitIdentity pins the cooperative-tiling contract: the
 // packed GEMMs produce bit-identical output at every worker count,
 // column-tile floor, and kernel tier — including shapes where rows <
@@ -314,7 +122,6 @@ func TestGEMMTilingBitIdentity(t *testing.T) {
 	defer func() {
 		SetMatMulWorkers(0)
 		minGEMMColTile = 32
-		SetI8Mode("auto")
 	}()
 	forEachSIMDLevel(t, func(t *testing.T) {
 		rng := NewRNG(59)
@@ -329,15 +136,7 @@ func TestGEMMTilingBitIdentity(t *testing.T) {
 			d.InferInto32(base32, x)
 			var qs I8Scratch
 			baseI8 := NewMatrix32(sh.rows, sh.out)
-			if err := SetI8Mode("w8a16"); err != nil {
-				t.Fatal(err)
-			}
 			d.InferIntoI8(baseI8, x, &qs)
-			baseU8 := NewMatrix32(sh.rows, sh.out)
-			if err := SetI8Mode("w8a8"); err != nil {
-				t.Fatal(err)
-			}
-			d.InferIntoI8(baseU8, x, &qs)
 
 			for _, workers := range []int{2, 3, 8, 16} {
 				for _, colTile := range []int{1, 8, 32} {
@@ -346,16 +145,8 @@ func TestGEMMTilingBitIdentity(t *testing.T) {
 					got := NewMatrix32(sh.rows, sh.out)
 					d.InferInto32(got, x)
 					assertBits32(t, sh, workers, colTile, "f32", got, base32)
-					if err := SetI8Mode("w8a16"); err != nil {
-						t.Fatal(err)
-					}
 					d.InferIntoI8(got, x, &qs)
-					assertBits32(t, sh, workers, colTile, "w8a16", got, baseI8)
-					if err := SetI8Mode("w8a8"); err != nil {
-						t.Fatal(err)
-					}
-					d.InferIntoI8(got, x, &qs)
-					assertBits32(t, sh, workers, colTile, "w8a8", got, baseU8)
+					assertBits32(t, sh, workers, colTile, "i8", got, baseI8)
 				}
 			}
 			SetMatMulWorkers(0)
@@ -413,10 +204,9 @@ func TestGemmTilesPlan(t *testing.T) {
 }
 
 // TestKernelSwitchHammer drives concurrent inference while the
-// dispatched tier and i8 flavor flip continuously. The atomic
-// kernelSet must keep every individual GEMM internally coherent (one
-// tier, one activation format); run under -race this also proves the
-// switch path publishes safely.
+// dispatched tier flips continuously. The atomic kernelSet must keep
+// every individual GEMM internally coherent (one tier); run under
+// -race this also proves the switch path publishes safely.
 func TestKernelSwitchHammer(t *testing.T) {
 	rng := NewRNG(61)
 	d := NewDense("h", 64, 48, rng)
@@ -442,13 +232,8 @@ func TestKernelSwitchHammer(t *testing.T) {
 		}()
 	}
 	levels := SupportedSIMDLevels()
-	modes := []string{"auto", "w8a16", "w8a8"}
 	for i := 0; i < 300; i++ {
 		if err := SetSIMD(levels[i%len(levels)]); err != nil {
-			t.Error(err)
-			break
-		}
-		if err := SetI8Mode(modes[i%len(modes)]); err != nil {
 			t.Error(err)
 			break
 		}
@@ -456,5 +241,4 @@ func TestKernelSwitchHammer(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	SetSIMDAuto()
-	SetI8Mode("auto")
 }

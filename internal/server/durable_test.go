@@ -565,3 +565,27 @@ func TestSnapshotChainPrunedOnBase(t *testing.T) {
 		t.Fatalf("snapshot files total %d bytes, the newest base alone %d", total, base)
 	}
 }
+
+// TestCloseIdempotent: a second Close — what a deferred Close after an
+// explicit one amounts to — must be a no-op, with and without the
+// durable ack pipeline (whose channel a repeated teardown would close
+// twice).
+func TestCloseIdempotent(t *testing.T) {
+	g := trainedPipeline(t)
+	t.Run("plain", func(t *testing.T) {
+		s := New(g)
+		s.Close()
+		s.Close()
+	})
+	t.Run("durable", func(t *testing.T) {
+		s := New(g)
+		if err := s.StartDurable(t.TempDir(), durable.Options{SnapshotEvery: 2, Fsync: durable.FsyncAlways}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WaitWarm(); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		s.Close()
+	})
+}

@@ -209,20 +209,23 @@ func New(g *core.Globalizer) *Server {
 }
 
 // Close stops the scheduler. In-flight and queued requests receive 503;
-// Close returns once the scheduler goroutine has exited.
+// Close returns once the scheduler goroutine has exited. Idempotent: a
+// repeated (or concurrent) call waits for the first and does nothing.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() { close(s.quit) })
-	<-s.loopDone
-	if s.replayDone != nil {
-		<-s.replayDone
-	}
-	if s.acks != nil {
-		close(s.acks)
-		<-s.ackerDone
-	}
-	if s.dl != nil {
-		s.dl.Close()
-	}
+	s.closeOnce.Do(func() {
+		close(s.quit)
+		<-s.loopDone
+		if s.replayDone != nil {
+			<-s.replayDone
+		}
+		if s.acks != nil {
+			close(s.acks)
+			<-s.ackerDone
+		}
+		if s.dl != nil {
+			s.dl.Close()
+		}
+	})
 }
 
 // SetWorkers caps the per-cycle parallelism of the wrapped pipeline:
@@ -499,12 +502,10 @@ type StatuszResponse struct {
 	// neon); SIMDBest is the highest tier this CPU supports — they
 	// differ when an operator pinned a lower tier via NER_SIMD or
 	// -simd. SIMDSupported lists every tier this arch can run.
-	// I8Kernel reports the quantized-GEMM flavor (w8a16 or w8a8).
 	GOARCH        string   `json:"goarch"`
 	SIMD          string   `json:"simd"`
 	SIMDBest      string   `json:"simd_best"`
 	SIMDSupported []string `json:"simd_supported"`
-	I8Kernel      string   `json:"i8_kernel"`
 	// ClusterReplayedShare is ner_cluster_merges_replayed_total over
 	// ner_cluster_merges_total: the fraction of agglomerative merge
 	// steps taken from a surface's recorded merge sequence instead of
@@ -535,7 +536,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		GOARCH:     runtime.GOARCH,
 		SIMD:       nn.ActiveSIMD().String(),
 		SIMDBest:   nn.BestSIMD().String(),
-		I8Kernel:   nn.I8KernelMode(),
 		Metrics:    reg.Snapshot(),
 		Traces:     s.g.Traces(),
 

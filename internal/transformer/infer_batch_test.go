@@ -307,31 +307,38 @@ func BenchmarkInferBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkInferBatchTiers compares the packed batched path across the
-// precision tiers on one fixed workload — the kernel-level view of the
-// speedups BENCH_pipeline.json reports end to end.
+// BenchmarkInferBatchTiers runs the packed batched path at every
+// supported SIMD level × precision tier on one fixed 64-sentence batch
+// — the encoder-level view of the per-tier tagging rates bench/ reports
+// end to end as localner.tag_{f64,f32,i8}_sents_per_s (at the host's
+// best level only). `make bench-smoke` runs it once per cell.
 func BenchmarkInferBatchTiers(b *testing.B) {
 	cfg := Config{Dim: 24, Heads: 2, Layers: 2, FFDim: 48, MaxLen: 24,
 		VocabBuckets: 1024, CharBuckets: 256, Seed: 3}
-	for _, p := range []nn.Precision{nn.F64, nn.F32, nn.I8} {
-		b.Run(p.String(), func(b *testing.B) {
-			enc := NewEncoder(cfg)
-			enc.SetPrecision(p)
-			sents := benchSentences(64)
-			enc.InferBatch(sents)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+	sents := benchSentences(64)
+	defer nn.SetSIMDAuto()
+	for _, level := range nn.SupportedSIMDLevels() {
+		if err := nn.SetSIMD(level); err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range []nn.Precision{nn.F64, nn.F32, nn.I8} {
+			b.Run(fmt.Sprintf("%s/%s", level, p), func(b *testing.B) {
+				enc := NewEncoder(cfg)
+				enc.SetPrecision(p)
 				enc.InferBatch(sents)
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					enc.InferBatch(sents)
+				}
+			})
+		}
 	}
 }
 
 // TestInferBatchTierISAStability is the determinism contract for the
 // kernel-dispatch layer at the encoder level: within any one forced
-// SIMD tier and i8 kernel mode, the reduced-precision batch output must
-// be bit-identical no matter how many GEMM workers carve the batch —
+// SIMD tier, the reduced-precision batch output must be bit-identical no matter how many GEMM workers carve the batch —
 // the 2D tiling must never change a row's arithmetic. The f64 path
 // uses no dispatched kernels, so it must additionally be bit-identical
 // across every SIMD level.
@@ -339,7 +346,6 @@ func TestInferBatchTierISAStability(t *testing.T) {
 	enc := NewEncoder(tinyConfig())
 	sents := append(testSentences(24, 5), []string{}, []string{"solo"})
 	defer nn.SetSIMDAuto()
-	defer nn.SetI8Mode("auto")
 	defer nn.SetMatMulWorkers(0)
 
 	nn.SetMatMulWorkers(1)
@@ -348,33 +354,17 @@ func TestInferBatchTierISAStability(t *testing.T) {
 		if err := nn.SetSIMD(level); err != nil {
 			t.Fatalf("SetSIMD(%s): %v", level, err)
 		}
-		type variant struct {
-			label string
-			prec  nn.Precision
-			i8    string
-		}
-		variants := []variant{
-			{"f32", nn.F32, "auto"},
-			{"i8-w8a16", nn.I8, "w8a16"},
-			{"i8-w8a8", nn.I8, "w8a8"},
-		}
-		for _, v := range variants {
-			if err := nn.SetI8Mode(v.i8); err != nil {
-				t.Fatalf("SetI8Mode(%s): %v", v.i8, err)
-			}
+		for _, prec := range []nn.Precision{nn.F32, nn.I8} {
 			nn.SetMatMulWorkers(1)
-			base := enc.InferBatchAt(sents, v.prec)
+			base := enc.InferBatchAt(sents, prec)
 			for _, workers := range []int{2, 8} {
 				nn.SetMatMulWorkers(workers)
-				got := enc.InferBatchAt(sents, v.prec)
+				got := enc.InferBatchAt(sents, prec)
 				for i := range base {
 					assertBitIdentical(t, got[i], base[i],
-						fmt.Sprintf("%s/%s workers=%d sentence %d", level, v.label, workers, i))
+						fmt.Sprintf("%s/%s workers=%d sentence %d", level, prec, workers, i))
 				}
 			}
-		}
-		if err := nn.SetI8Mode("auto"); err != nil {
-			t.Fatal(err)
 		}
 		nn.SetMatMulWorkers(1)
 		f64Got := enc.InferBatchAt(sents, nn.F64)

@@ -51,6 +51,16 @@ wait_healthy() { # port timeout_sec
   done
 }
 
+stop_gracefully() { # pid — SIGTERM, wait, and require exit status 0
+  local status=0
+  kill "$1"
+  wait "$1" || status=$?
+  if [ "$status" != "0" ]; then
+    say "FAIL: serve (pid $1) exited $status on SIGTERM, want 0"
+    exit 1
+  fi
+}
+
 feed() { # port from to
   local port="$1" i
   for (( i=$2; i<$3; i++ )); do
@@ -67,7 +77,7 @@ SERVE_PID=$!
 wait_healthy "$REF_PORT" 900
 feed "$REF_PORT" 0 "${#BODIES[@]}"
 curl -sf "http://localhost:$REF_PORT/entities" > "$WORK/ref_entities.json"
-kill "$SERVE_PID" && wait "$SERVE_PID" 2>/dev/null || true
+stop_gracefully "$SERVE_PID"
 SERVE_PID=""
 
 # Durable run: same checkpoint, half the stream, then SIGKILL — no
@@ -104,7 +114,7 @@ say "verifying a live inclusion proof offline"
 curl -sf "http://localhost:$DUR_PORT/proof?tweet=0" > "$WORK/proof.json"
 "$WORK/nerprove" -in "$WORK/proof.json"
 
-kill "$SERVE_PID" && wait "$SERVE_PID" 2>/dev/null || true
+stop_gracefully "$SERVE_PID"
 SERVE_PID=""
 say "PASS: fsync=always crash recovery is byte-identical and the proof verifies"
 
@@ -144,7 +154,7 @@ say "verifying a live inclusion proof from the group-mode server"
 curl -sf "http://localhost:$GRP_PORT/proof?tweet=0" > "$WORK/group_proof.json"
 "$WORK/nerprove" -in "$WORK/group_proof.json"
 
-kill "$SERVE_PID" && wait "$SERVE_PID" 2>/dev/null || true
+stop_gracefully "$SERVE_PID"
 SERVE_PID=""
 say "PASS: crash recovery is byte-identical in both fsync modes and the proofs verify"
 
@@ -182,7 +192,7 @@ SERVE_PID=$!
 wait_healthy "$CHAIN_PORT" 300
 feed_long "$CHAIN_PORT" 0 "${#LONG[@]}"
 curl -sf "http://localhost:$CHAIN_PORT/entities" > "$WORK/chainref_entities.json"
-kill "$SERVE_PID" && wait "$SERVE_PID" 2>/dev/null || true
+stop_gracefully "$SERVE_PID"
 SERVE_PID=""
 
 say "delta-chain run, SIGKILL once two deltas past a base"
@@ -240,6 +250,6 @@ if [ "$pending" != "0" ] || [ "$count" != "$chain" ] || [ "$oldest" != "$want" ]
   exit 1
 fi
 
-kill "$SERVE_PID" && wait "$SERVE_PID" 2>/dev/null || true
+stop_gracefully "$SERVE_PID"
 SERVE_PID=""
 say "PASS: recovery from a chain of deltas is byte-identical and the data dir holds one base plus $(( chain - 1 )) deltas"

@@ -69,6 +69,16 @@ feed() { # port from to — curl -f turns a 503 into a failure
   done
 }
 
+stop_gracefully() { # pid — SIGTERM, wait, and require exit status 0
+  local status=0
+  kill "$1"
+  wait "$1" || status=$?
+  if [ "$status" != "0" ]; then
+    say "FAIL: serve (pid $1) exited $status on SIGTERM, want 0"
+    exit 1
+  fi
+}
+
 start_shard() { # index
   "$WORK/serve" -role shard -shard-index "$1" -shard-count 2 \
     -model "$WORK/model.ckpt" -data-dir "$WORK/shard$1" -fsync always -snapshot-every 2 \
@@ -91,7 +101,7 @@ wait_healthy "$REF_PORT" 900
 feed "$REF_PORT" 0 "${#BODIES[@]}"
 curl -sf "http://localhost:$REF_PORT/entities" > "$WORK/ref_entities.json"
 curl -sf "http://localhost:$REF_PORT/candidates" > "$WORK/ref_candidates.json"
-kill "$REF_PID" && wait "$REF_PID" 2>/dev/null || true
+stop_gracefully "$REF_PID"
 
 say "starting two shards and a router"
 SHARD_PID=(0 0)
