@@ -179,36 +179,6 @@ func BenchmarkPipelineFull(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineIncrementalCycle compares the cost of one extra
-// execution cycle under the batch-recompute engine (ProcessBatch,
-// global phase over the whole accumulated stream) versus the
-// incremental engine (per-surface cluster growth, dirty-cluster
-// re-classification only).
-func BenchmarkPipelineIncrementalCycle(b *testing.B) {
-	s := suite(b)
-	d := s.Datasets()[0]
-	warm := d.Sentences[:300]
-	batch := d.Sentences[300:350]
-	b.Run("recompute", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			s.G.Reset()
-			s.G.ProcessBatch(warm, core.ModeFull)
-			b.StartTimer()
-			s.G.ProcessBatch(batch, core.ModeFull)
-		}
-	})
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			inc := core.NewIncremental(s.G)
-			inc.Cycle(warm)
-			b.StartTimer()
-			inc.Cycle(batch)
-		}
-	})
-}
-
 // BenchmarkAblationLocalEncoder compares the two Local NER language-
 // model families (Transformer stand-in vs BiGRU) end to end: each
 // sub-benchmark trains its own pipeline and reports macro-F1 on D1.

@@ -163,25 +163,45 @@ func main() {
 		srv.SetBatchWindow(*batchWindow)
 		log.Printf("micro-batch window: %s", batchWindow.String())
 	}
+	run(srv, "single", fmt.Sprintf("NER Globalizer serving on %s", *addr), *addr, *metricsOn, *dataDir, dopts)
+	log.Printf("shutdown complete after %d execution cycles (inference precision %s)", srv.Cycles(), srv.Precision())
+}
+
+// process is what the three roles have in common: single server, shard
+// and router each attach a registry, recover from a data dir behind
+// their readiness gate, serve a handler and shut down.
+type process interface {
+	SetObserver(*obs.Registry)
+	StartDurable(dir string, opts durable.Options) error
+	WaitWarm() error
+	Handler() http.Handler
+	Close()
+}
+
+// run is the one serving sequence of every role: attach the registry,
+// start recovery (the listener comes up beside it, answering 503
+// "replaying" until it completes), serve until SIGINT/SIGTERM, close,
+// and log the final metrics snapshot. Close is the process's own: a
+// shard's, for one, ends the frame connections that were hijacked from
+// the HTTP server and that its shutdown therefore does not see.
+func run(p process, name, banner, addr string, metricsOn bool, dataDir string, dopts durable.Options) {
 	var reg *obs.Registry
-	if *metricsOn {
+	if metricsOn {
 		reg = obs.NewRegistry()
-		srv.SetObserver(reg)
+		p.SetObserver(reg)
 		log.Printf("metrics on: GET /metrics (Prometheus), GET /statusz (JSON)")
 	}
-	if *dataDir != "" {
-		if err := srv.StartDurable(*dataDir, dopts); err != nil {
+	if dataDir != "" {
+		if err := p.StartDurable(dataDir, dopts); err != nil {
 			log.Fatalf("serve: %v", err)
 		}
-		announceRecovery("single", srv.WaitWarm)
+		announceRecovery(name, p.WaitWarm)
 	}
-
-	httpSrv := newHTTPServer(*addr, srv.Handler())
-	fmt.Printf("NER Globalizer serving on %s\n", *addr)
+	httpSrv := newHTTPServer(addr, p.Handler())
+	fmt.Println(banner)
 	serveUntilSignal(httpSrv)
-	srv.Close()
+	p.Close()
 	logSnapshot(reg)
-	log.Printf("shutdown complete after %d execution cycles (inference precision %s)", srv.Cycles(), srv.Precision())
 }
 
 // loadOrTrain resolves the engine for the single and shard roles.
@@ -239,25 +259,9 @@ func runShard(addr string, g *core.Globalizer, index, count int, metricsOn bool,
 	if err != nil {
 		log.Fatalf("serve: %v", err)
 	}
-	var reg *obs.Registry
-	if metricsOn {
-		reg = obs.NewRegistry()
-		sh.SetObserver(reg)
-	}
-	if dataDir != "" {
-		if err := sh.StartDurable(dataDir, dopts); err != nil {
-			log.Fatalf("serve: %v", err)
-		}
-		announceRecovery(fmt.Sprintf("shard %d/%d", index, count), sh.WaitWarm)
-	}
-	httpSrv := newHTTPServer(addr, sh.Handler())
-	fmt.Printf("NER Globalizer shard %d/%d serving on %s\n", index, count, addr)
-	serveUntilSignal(httpSrv)
-	// The router's frame connections were hijacked from the HTTP server,
-	// so its shutdown does not see them: the shard ends them itself.
-	sh.Close()
-	logSnapshot(reg)
-	log.Printf("shard %d/%d shutdown complete", index, count)
+	name := fmt.Sprintf("shard %d/%d", index, count)
+	run(sh, name, fmt.Sprintf("NER Globalizer %s serving on %s", name, addr), addr, metricsOn, dataDir, dopts)
+	log.Printf("%s shutdown complete", name)
 }
 
 // runRouter fronts a shard fleet.
@@ -281,33 +285,17 @@ func runRouter(addr, shardURLs string, window, rpcTimeout time.Duration, metrics
 		router.SetBatchWindow(window)
 		log.Printf("micro-batch window: %s", window)
 	}
-	var reg *obs.Registry
-	if metricsOn {
-		reg = obs.NewRegistry()
-		router.SetObserver(reg)
-	}
-	if dataDir != "" {
-		// The router's recovery re-drives lagging shards, so the shards
-		// must already be answering; start it only after the clients are
-		// wired and let /healthz report "replaying" until it completes.
-		if err := router.StartDurable(dataDir, dopts); err != nil {
-			log.Fatalf("serve: %v", err)
-		}
-		announceRecovery("router", router.WaitWarm)
-	}
-	httpSrv := newHTTPServer(addr, router.Handler())
-	fmt.Printf("NER Globalizer router serving on %s (%d shards)\n", addr, len(urls))
-	serveUntilSignal(httpSrv)
-	router.Close()
-	logSnapshot(reg)
+	// The router's recovery re-drives lagging shards, so the shards must
+	// already be answering when it starts: run starts it only now, with
+	// the clients wired.
+	run(router, "router", fmt.Sprintf("NER Globalizer router serving on %s (%d shards)", addr, len(urls)), addr, metricsOn, dataDir, dopts)
 	log.Printf("router shutdown complete after %d execution cycles", router.Cycles())
 }
 
 // announceRecovery logs the durability replay's outcome without
-// blocking startup: the listener comes up immediately (answering 503
-// "replaying" on /healthz and mutations), and the process exits if the
-// on-disk state cannot be restored — a broken data dir is operator
-// trouble, not something to limp past.
+// blocking startup, and exits the process if the on-disk state cannot
+// be restored — a broken data dir is operator trouble, not something to
+// limp past.
 func announceRecovery(role string, wait func() error) {
 	go func() {
 		if err := wait(); err != nil {

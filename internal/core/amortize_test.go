@@ -148,37 +148,6 @@ func TestCachedMatchesUncachedEMD(t *testing.T) {
 	}
 }
 
-// TestCachedMatchesUncachedIncremental covers the incremental engine,
-// whose per-mention embeddings route through the shared cache.
-func TestCachedMatchesUncachedIncremental(t *testing.T) {
-	g := trainedGlobalizer(t)
-	origWorkers := g.Workers()
-	defer func() {
-		g.SetWorkers(origWorkers)
-		g.setCaching(true)
-	}()
-
-	test := smallStream("amortinc", 80, 67)
-	batches := stream.Batches(test.Sentences, 20)
-	run := func(cached bool, workers int) []map[types.SentenceKey][]types.Entity {
-		g.setCaching(cached)
-		g.SetWorkers(workers)
-		inc := NewIncremental(g)
-		outs := make([]map[types.SentenceKey][]types.Entity, 0, len(batches))
-		for _, b := range batches {
-			outs = append(outs, inc.Cycle(b))
-		}
-		return outs
-	}
-	ref := run(false, 1)
-	got := run(true, 4)
-	for ci := range ref {
-		if !reflect.DeepEqual(got[ci], ref[ci]) {
-			t.Fatalf("incremental cycle %d differs with caching enabled", ci)
-		}
-	}
-}
-
 // TestLateSurfaceInvalidatesScanCache drives the scan cache directly
 // through the pathological ordering the token-membership filter
 // exists for: a surface form registered in a late cycle ("new york

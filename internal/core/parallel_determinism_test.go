@@ -3,9 +3,6 @@ package core
 import (
 	"reflect"
 	"testing"
-
-	"nerglobalizer/internal/stream"
-	"nerglobalizer/internal/types"
 )
 
 // TestWorkersOutputIdentical is the determinism contract of the
@@ -68,34 +65,5 @@ func TestEMDGlobalizerWorkersIdentical(t *testing.T) {
 	par := g.RunEMDGlobalizer(test.Sentences)
 	if !reflect.DeepEqual(par, serial) {
 		t.Fatal("EMD Globalizer output differs between Workers=1 and Workers=4")
-	}
-}
-
-// TestIncrementalWorkersIdentical covers the incremental engine, whose
-// greedy clustering is order-dependent: parallel embedding must not
-// perturb the serial Add order, so every cycle's output must match the
-// serial run exactly.
-func TestIncrementalWorkersIdentical(t *testing.T) {
-	g := trainedGlobalizer(t)
-	orig := g.Workers()
-	defer g.SetWorkers(orig)
-
-	test := smallStream("parinc", 100, 47)
-	batches := stream.Batches(test.Sentences, 25)
-	run := func(workers int) []map[types.SentenceKey][]types.Entity {
-		g.SetWorkers(workers)
-		inc := NewIncremental(g)
-		outs := make([]map[types.SentenceKey][]types.Entity, 0, len(batches))
-		for _, b := range batches {
-			outs = append(outs, inc.Cycle(b))
-		}
-		return outs
-	}
-	serial := run(1)
-	par := run(4)
-	for i := range serial {
-		if !reflect.DeepEqual(par[i], serial[i]) {
-			t.Fatalf("incremental cycle %d differs between Workers=1 and Workers=4", i)
-		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
-	"nerglobalizer/internal/obs"
+	"nerglobalizer/internal/server"
 	"nerglobalizer/internal/types"
 )
 
@@ -73,37 +73,17 @@ func wireAnnotations(ents []SentenceEntities) []durable.SentenceAnnotation {
 // Mutating RPCs answer 503 until recovery finishes; WaitWarm blocks on
 // it.
 func (s *Shard) StartDurable(dir string, opts durable.Options) error {
-	var reg *obs.Registry
-	if so := s.o.Load(); so != nil {
-		reg = so.reg
-	}
-	dl, rec, err := durable.Open(dir, opts, reg)
+	dl, rec, err := durable.Open(dir, opts, s.registry())
 	if err != nil {
 		return err
 	}
 	s.dl = dl
-	s.prov = durable.NewProvenance()
-	s.replayDone = make(chan struct{})
-	s.replaying.Store(true)
-	go func() {
-		defer close(s.replayDone)
-		defer s.replaying.Store(false)
-		if err := s.recoverFrom(rec); err != nil {
-			s.recoverErr = err
-			s.broken.Store(true)
-		}
-	}()
+	s.gate.Recover(func() error { return s.recoverFrom(rec) })
 	return nil
 }
 
 // WaitWarm blocks until shard recovery completes and returns its error.
-func (s *Shard) WaitWarm() error {
-	if s.replayDone == nil {
-		return nil
-	}
-	<-s.replayDone
-	return s.recoverErr
-}
+func (s *Shard) WaitWarm() error { return s.gate.WaitWarm() }
 
 // Close ends the shard's frame connections (waiting for calls in
 // flight on them), waits out recovery and seals the shard's WAL.
@@ -116,9 +96,7 @@ func (s *Shard) Close() {
 		c.Close()
 	}
 	s.connWG.Wait()
-	if s.replayDone != nil {
-		<-s.replayDone
-	}
+	s.gate.WaitWarm()
 	if s.dl != nil {
 		s.dl.Close()
 	}
@@ -126,64 +104,38 @@ func (s *Shard) Close() {
 
 // recoverFrom restores the replica snapshot and re-executes the WAL
 // tail by self-tagging each logged batch — byte-identical to the
-// original commits by the fleet's homogeneity contract, and verified
-// against the logged annotations to catch a model or configuration
-// mismatch.
+// original commits by the fleet's homogeneity contract.
 func (s *Shard) recoverFrom(rec *durable.Recovery) error {
-	t0 := time.Now()
 	s.cfgMu.Lock()
 	defer s.cfgMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if snap := rec.Snapshot; snap != nil {
-		if snap.Kind != durable.KindShard {
-			return fmt.Errorf("fleet: shard %d: data dir was written by process kind %d, not a shard", s.index, snap.Kind)
-		}
-		if snap.Warm == nil {
-			return fmt.Errorf("fleet: shard %d: snapshot at seq %d has no engine state", s.index, snap.Seq)
-		}
 		// LastResp is a bare commit-response body. Decode it before
 		// touching the engine: a directory from a build that wrapped it
 		// in a gob stream is refused here, never half restored.
-		var lastResp *CommitResponse
 		if len(snap.LastResp) > 0 {
-			lastResp = &CommitResponse{}
+			lastResp := &CommitResponse{}
 			if err := lastResp.decode(snap.LastResp); err != nil {
 				return fmt.Errorf("fleet: shard %d: snapshot at seq %d: LastResp is not a commit-response body (data dir written by an incompatible build?): %w", s.index, snap.Seq, err)
 			}
 			if lastResp.Seq != snap.Seq {
 				return fmt.Errorf("fleet: shard %d: snapshot at seq %d: LastResp answers cycle %d", s.index, snap.Seq, lastResp.Seq)
 			}
-		}
-		if err := s.g.RestoreWarmState(snap.Warm); err != nil {
-			return err
+			s.lastResp = lastResp
 		}
 		s.seq = snap.Seq
-		s.lastResp = lastResp
-		s.prov = durable.RestoreProvenance(snap.Provenance)
 	}
-	for _, cr := range rec.Tail {
+	prov, err := s.dl.Resume(rec, durable.KindShard, s.g, func(cr *durable.CycleRecord) []durable.SentenceAnnotation {
 		batch := durable.ToSentences(cr.Sentences)
-		results := s.g.TagBatch(batch)
-		s.g.ProcessTagged(batch, results, core.Mode(cr.Mode))
-		resp := &CommitResponse{
-			Seq:        cr.Seq,
-			Entities:   make([]SentenceEntities, len(batch)),
-			StreamSize: s.g.TweetBase().Len(),
-			Candidates: s.g.CandidateBase().Len(),
-		}
-		for i, sent := range batch {
-			resp.Entities[i] = s.ownedEntities(sent.Key())
-		}
-		got := wireAnnotations(resp.Entities)
-		if !durable.AnnotationsEqual(got, cr.Annotations) {
-			return fmt.Errorf("fleet: shard %d: replay of cycle %d diverged from the logged annotations — model or configuration mismatch", s.index, cr.Seq)
-		}
-		s.prov.AppendCycle(cr.Seq, cr.Annotations)
-		s.seq = cr.Seq
-		s.lastResp = resp
+		s.g.ProcessTagged(batch, s.g.TagBatch(batch), core.Mode(cr.Mode))
+		s.seq, s.lastResp = cr.Seq, s.commitResponse(cr.Seq, batch)
+		return wireAnnotations(s.lastResp.Entities)
+	})
+	if err != nil {
+		return fmt.Errorf("fleet: shard %d: %w", s.index, err)
 	}
-	s.dl.ObserveReplay(len(rec.Tail), time.Since(t0))
+	s.prov = prov
 	return nil
 }
 
@@ -206,7 +158,7 @@ func (s *Shard) durableCommit(req *CommitRequest, resp *CommitResponse) (*durabl
 	}
 	wait, err := s.dl.AppendAsync(rec)
 	if err != nil {
-		s.broken.Store(true)
+		s.gate.Trip()
 		return nil, nil, err
 	}
 	s.prov.AppendCycle(req.Seq, rec.Annotations)
@@ -218,55 +170,15 @@ func (s *Shard) durableCommit(req *CommitRequest, resp *CommitResponse) (*durabl
 	return snap, wait, nil
 }
 
-// unready gates mutating RPCs while the shard is replaying or bricked:
-// a non-empty reason is an unavailable answer, with its retry hint (0 =
-// none; a bricked shard does not come back by waiting).
-func (s *Shard) unready() (reason string, retryAfter int) {
-	if s.replaying.Load() {
-		return "shard replaying snapshot and WAL", shardRetryAfterSeconds
-	}
-	if s.broken.Load() {
-		return "shard durability failed; restart from the data dir", 0
-	}
-	return "", 0
-}
-
-// handleHealthz mirrors the single server's readiness contract.
-func (s *Shard) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.replaying.Load() {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte("{\"status\":\"replaying\"}\n"))
-		return
-	}
-	if s.broken.Load() {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte("{\"status\":\"durability_failed\"}\n"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte("ok\n"))
-}
-
 // handleProof serves this shard's inclusion proofs: GET
 // /shard/proof?tweet=N returns one bundle over the shard's own chain,
 // covering its owned annotations for the tweet.
 func (s *Shard) handleProof(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
 	if s.dl == nil {
 		http.Error(w, "provenance requires -data-dir", http.StatusNotFound)
 		return
 	}
-	if why, retry := s.unready(); why != "" {
-		if retry > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(retry))
-		}
-		http.Error(w, why, http.StatusServiceUnavailable)
+	if s.gate.Reject(w) {
 		return
 	}
 	tweet, err := strconv.Atoi(r.URL.Query().Get("tweet"))
@@ -282,7 +194,7 @@ func (s *Shard) handleProof(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.dl.ProofServed()
-	writeJSON(w, b)
+	server.WriteJSON(w, b)
 }
 
 // ---------------------------------------------------------------------
@@ -294,40 +206,18 @@ func (s *Shard) handleProof(w http.ResponseWriter, r *http.Request) {
 // re-drive any shard whose committed seq lags the journal. Call once,
 // after NewRouter and SetObserver but before serving.
 func (r *Router) StartDurable(dir string, opts durable.Options) error {
-	dl, rec, err := durable.Open(dir, opts, r.observerReg())
+	dl, rec, err := durable.Open(dir, opts, r.front.Registry())
 	if err != nil {
 		return err
 	}
 	r.dl = dl
-	r.replayDone = make(chan struct{})
-	r.replaying.Store(true)
-	go func() {
-		defer close(r.replayDone)
-		defer r.replaying.Store(false)
-		if err := r.recoverFrom(rec); err != nil {
-			r.recoverErr = err
-			r.broken.Store(true)
-		}
-	}()
+	r.front.Gate.Recover(func() error { return r.recoverFrom(rec) })
 	return nil
 }
 
 // WaitWarm blocks until router recovery (including shard re-driving)
 // completes and returns its error.
-func (r *Router) WaitWarm() error {
-	if r.replayDone == nil {
-		return nil
-	}
-	<-r.replayDone
-	return r.recoverErr
-}
-
-func (r *Router) observerReg() *obs.Registry {
-	if ro := r.o.Load(); ro != nil {
-		return ro.reg
-	}
-	return nil
-}
+func (r *Router) WaitWarm() error { return r.front.Gate.WaitWarm() }
 
 // recoverFrom restores the router's registry and reconciles the fleet.
 func (r *Router) recoverFrom(rec *durable.Recovery) error {
@@ -428,7 +318,7 @@ func (r *Router) journalCycle(seq uint64, batch []*types.Sentence) error {
 		Sentences: durable.ToCycleSentences(batch),
 	}
 	if err := r.dl.Append(rec); err != nil {
-		r.broken.Store(true)
+		r.front.Gate.Trip()
 		return err
 	}
 	return nil
@@ -477,50 +367,12 @@ func (r *Router) maybeSnapshot(seq uint64) *durable.Snapshot {
 	}
 }
 
-// rejectUnready answers 503 while the router recovers or after its
-// journal failed.
-func (r *Router) rejectUnready(w http.ResponseWriter) bool {
-	if r.replaying.Load() {
-		w.Header().Set("Retry-After", strconv.Itoa(routerRetryAfterSeconds))
-		http.Error(w, "router replaying journal", http.StatusServiceUnavailable)
-		return true
-	}
-	if r.broken.Load() {
-		http.Error(w, "router journal failed; restart from the data dir", http.StatusServiceUnavailable)
-		return true
-	}
-	return false
-}
-
-// handleHealthz mirrors the single server's readiness contract.
-func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	if r.replaying.Load() {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte("{\"status\":\"replaying\"}\n"))
-		return
-	}
-	if r.broken.Load() {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte("{\"status\":\"durability_failed\"}\n"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte("ok\n"))
-}
-
 // handleProof fans GET /proof?tweet=N out to every shard and returns
 // the per-shard bundles as one array — each shard proves its own owned
 // annotations on its own chain, and cmd/nerprove verifies each bundle
 // independently.
 func (r *Router) handleProof(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	if r.rejectUnready(w) {
+	if r.front.Gate.Reject(w) {
 		return
 	}
 	tweet, err := strconv.Atoi(req.URL.Query().Get("tweet"))
@@ -543,5 +395,5 @@ func (r *Router) handleProof(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "tweet not in the annotated stream (or shards run without -data-dir)", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, bundles)
+	server.WriteJSON(w, bundles)
 }

@@ -205,12 +205,21 @@ func TestFleetHealthzStates(t *testing.T) {
 		}
 	}
 	sh, rt := h.Shards[0], h.Router
-	check("shard warm", sh.handleHealthz, http.StatusOK, "ok\n")
-	check("router warm", rt.handleHealthz, http.StatusOK, "ok\n")
-	sh.replaying.Store(true)
-	rt.replaying.Store(true)
-	check("shard replaying", sh.handleHealthz, http.StatusServiceUnavailable, "{\"status\":\"replaying\"}\n")
-	check("router replaying", rt.handleHealthz, http.StatusServiceUnavailable, "{\"status\":\"replaying\"}\n")
-	sh.replaying.Store(false)
-	rt.replaying.Store(false)
+	shardHealthz, routerHealthz := sh.Handler().ServeHTTP, rt.Handler().ServeHTTP
+	check("shard warm", shardHealthz, http.StatusOK, "ok\n")
+	check("router warm", routerHealthz, http.StatusOK, "ok\n")
+	warm := make(chan struct{})
+	sh.gate.Recover(func() error { <-warm; return nil })
+	rt.front.Gate.Recover(func() error { <-warm; return nil })
+	check("shard replaying", shardHealthz, http.StatusServiceUnavailable, "{\"status\":\"replaying\"}\n")
+	check("router replaying", routerHealthz, http.StatusServiceUnavailable, "{\"status\":\"replaying\"}\n")
+	close(warm)
+	if err := sh.WaitWarm(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.WaitWarm(); err != nil {
+		t.Fatal(err)
+	}
+	check("shard warm again", shardHealthz, http.StatusOK, "ok\n")
+	check("router warm again", routerHealthz, http.StatusOK, "ok\n")
 }

@@ -563,14 +563,14 @@ func TestMergeEntityGroups(t *testing.T) {
 		{},
 		{e("bravo", 1), e("echo", 7)},
 	}
-	got := mergeEntityGroups(parts)
+	got := mergeGroups(parts, entitySurface)
 	want := []WireEntity{
 		e("alpha", 0), e("alpha", 3), e("bravo", 1), e("delta", 5), e("echo", 7),
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge = %+v, want %+v", got, want)
 	}
-	if out := mergeEntityGroups([][]WireEntity{{}, {}}); len(out) != 0 {
+	if out := mergeGroups([][]WireEntity{{}, {}}, entitySurface); len(out) != 0 {
 		t.Fatalf("empty merge = %+v", out)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -32,7 +33,9 @@ func testCycles(t *testing.T, n, perReq int) [][]WireSentence {
 	var cycles [][]WireSentence
 	id := 0
 	for _, body := range streamBodies(n, perReq) {
-		var req annotateRequest
+		var req struct {
+			Tweets []string `json:"tweets"`
+		}
 		if err := json.Unmarshal([]byte(body), &req); err != nil {
 			t.Fatal(err)
 		}
@@ -178,21 +181,24 @@ func TestShardFrameChecks(t *testing.T) {
 		s, c := oneShard(t, nil)
 		req := commitReq(t, c, 1)
 		var ue *ShardUnavailableError
-		s.replaying.Store(true)
+		warm := make(chan struct{})
+		s.gate.Recover(func() error { <-warm; return nil })
 		if _, err := c.Tag(&TagRequest{Sentences: cycles[0]}); !errors.As(err, &ue) {
 			t.Fatalf("tag while replaying: %v, want unavailable", err)
 		}
 		if _, err := c.Commit(req); !errors.As(err, &ue) {
 			t.Fatalf("commit while replaying: %v, want unavailable", err)
 		}
-		s.replaying.Store(false)
-		s.broken.Store(true)
-		if _, err := c.Commit(req); !errors.As(err, &ue) {
-			t.Fatalf("commit on a bricked shard: %v, want unavailable", err)
+		close(warm)
+		if err := s.WaitWarm(); err != nil {
+			t.Fatal(err)
 		}
-		s.broken.Store(false)
 		if _, err := c.Commit(req); err != nil {
 			t.Fatalf("commit once ready: %v", err)
+		}
+		s.gate.Trip()
+		if _, err := c.Commit(req); !errors.As(err, &ue) {
+			t.Fatalf("commit on a bricked shard: %v, want unavailable", err)
 		}
 	})
 
@@ -645,6 +651,19 @@ func TestFleetTransportVisible(t *testing.T) {
 	if commits := st.Shards[0].BytesPerCommit * float64(len(bodies)); sent < commits {
 		t.Fatalf("shard 0: %.0f bytes sent in all, less than the %.0f of its commit frames", sent, commits)
 	}
+	// The front's series: an operator of a fleet reads end-to-end latency
+	// and micro-batch shape off the router, as off the single server.
+	for _, name := range []string{"ner_http_annotate_seconds", "ner_batch_jobs_per_cycle"} {
+		if n := st.Metrics.Histograms[name].Count; n != int64(len(bodies)) {
+			t.Fatalf("%s counted %d observations over %d sequential requests", name, n, len(bodies))
+		}
+	}
+	if _, ok := st.Metrics.Gauges["ner_jobs_queue_depth"]; !ok {
+		t.Fatal("router registry carries no ner_jobs_queue_depth")
+	}
+	if !strings.Contains(getBody(t, h.URL()+"/metrics"), "ner_http_annotate_seconds_count "+strconv.Itoa(len(bodies))) {
+		t.Fatal("router /metrics does not expose ner_http_annotate_seconds")
+	}
 	if n := st.Metrics.Counters["ner_fleet_rpc_redials_total"]; n != 0 {
 		t.Fatalf("redials = %d on a healthy fleet", n)
 	}
@@ -698,7 +717,7 @@ func TestShardRefusesParentLastResp(t *testing.T) {
 	if st := s.Status(); st.Seq != 0 || st.StreamSize != 0 {
 		t.Fatalf("refused recovery left the shard at seq %d with %d sentences", st.Seq, st.StreamSize)
 	}
-	if why, _ := s.unready(); why == "" {
+	if why, _ := s.gate.Unready(); why == "" {
 		t.Fatal("shard serves after a refused recovery")
 	}
 }

@@ -1,11 +1,9 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,21 +12,12 @@ import (
 	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/server"
-	"nerglobalizer/internal/tokenizer"
 	"nerglobalizer/internal/types"
 )
 
-// routerMaxBodyBytes caps public JSON request bodies, matching the
-// single-process server's bound.
-const routerMaxBodyBytes = 1 << 20
-
-// routerQueueDepth is the /annotate admission bound, matching the
-// single-process server's.
-const routerQueueDepth = 128
-
-// routerRetryAfterSeconds is the Retry-After hint on router-side
-// rejections (queue saturation, aborted cycles).
-const routerRetryAfterSeconds = 1
+// cycleRetryAfterSeconds is the Retry-After hint on a refused or
+// degraded cycle: the next cycle retries the lagging shard.
+const cycleRetryAfterSeconds = 1
 
 // maxPendingCommits bounds the per-shard queue of commits a degraded
 // shard has missed. When a shard is down long enough to hit the bound
@@ -37,44 +26,19 @@ const routerRetryAfterSeconds = 1
 // pressure instead of an OOM.
 const maxPendingCommits = 64
 
-// routerJob is one enqueued /annotate request: tweets already
-// tokenized and sentence-split on the request goroutine, and the
-// channel its outcome comes back on.
-type routerJob struct {
-	tweets [][][]string // per tweet, per sentence, tokens
-	done   chan routerJobResult
-}
-
-// routerJobResult is a cycle's answer to one job: either a response or
-// an HTTP error to propagate.
-type routerJobResult struct {
-	resp       annotateResponse
-	status     int // 0 = success
-	retryAfter int
-	errMsg     string
-}
-
-// annotateResponse mirrors the single-process server's /annotate reply
-// field for field, so fleet responses are byte-identical.
-type annotateResponse struct {
-	Sentences  []server.SentenceJSON `json:"sentences"`
-	StreamSize int                   `json:"stream_size"`
-	Candidates int                   `json:"candidates"`
-}
-
-// annotateRequest mirrors the single-process server's payload.
-type annotateRequest struct {
-	Tweets []string `json:"tweets"`
-}
-
-// Router is the fleet's stateless front: it owns tokenization, tweet
-// ID assignment, and the cycle schedule, fanning tag and commit RPCs
-// to the shards and merging their owned annotations back into request
-// order. "Stateless" means no model and no stream state — everything
-// the router tracks (ID counter, token cache for rendering, pending
-// commits) is reconstructible from the shards plus a reset.
+// Router is the fleet's stateless front: behind the serving front it
+// shares with the single server (admission, tokenization, the cycle
+// schedule) it owns tweet ID assignment and the fleet cycle, fanning
+// tag and commit RPCs to the shards and merging their owned annotations
+// back into request order. "Stateless" means no model and no stream
+// state — everything the router tracks (ID counter, token cache for
+// rendering, pending commits) is reconstructible from the shards plus a
+// reset.
 type Router struct {
 	clients []*ShardClient
+	// front owns admission, the scheduler that calls runCycle, the
+	// readiness gate and the HTTP plumbing — the single server's, shared.
+	front *server.Front
 
 	mu     sync.Mutex
 	nextID int
@@ -91,12 +55,6 @@ type Router struct {
 	// pending holds, per shard, commits the shard has missed (oldest
 	// first). They drain in seq order before the shard takes new ones.
 	pending [][]*CommitRequest
-	window  time.Duration
-
-	jobs      chan *routerJob
-	quit      chan struct{}
-	loopDone  chan struct{}
-	closeOnce sync.Once
 
 	cycles atomic.Int64
 
@@ -108,14 +66,14 @@ type Router struct {
 	// stream), so the overlap cannot change a single byte of any commit.
 	//
 	// prevCommit / pprevCommit are the done channels of the last two
-	// scheduled commit goroutines. Scheduler-owned (loop goroutine
-	// only): waiting on pprevCommit before spawning the next commit
-	// bounds the pipeline at one commit in flight plus one chained.
+	// scheduled commit goroutines. Scheduler-owned: runCycle, a reset
+	// (which runs on the scheduler between cycles) and Close (after the
+	// scheduler has exited) are the only readers. Waiting on pprevCommit
+	// before spawning the next commit bounds the pipeline at one commit
+	// in flight plus one chained; commits chain in cycle order, so
+	// prevCommit covers every earlier one.
 	prevCommit  chan struct{}
 	pprevCommit chan struct{}
-	// lastCommitDone mirrors prevCommit under mu for Close and reset,
-	// which must wait out in-flight commits from other goroutines.
-	lastCommitDone chan struct{}
 
 	statsMu     sync.Mutex
 	recordStats bool
@@ -123,14 +81,9 @@ type Router struct {
 
 	o atomic.Pointer[routerObs]
 
-	// Durability (nil / zero unless StartDurable was called): the
-	// intent journal — appended before every commit fan-out — and the
-	// recovery lifecycle flags.
-	dl         *durable.Log
-	replaying  atomic.Bool
-	broken     atomic.Bool
-	replayDone chan struct{}
-	recoverErr error
+	// dl is the intent journal, appended before every commit fan-out
+	// (nil unless StartDurable was called).
+	dl *durable.Log
 }
 
 // CycleStat is one committed cycle's timing decomposition. The
@@ -168,10 +121,6 @@ type CycleStat struct {
 // support, so per-shard series are materialized as suffixed names
 // (ner_fleet_shard0_rpc_seconds, ...).
 type routerObs struct {
-	reg *obs.Registry
-
-	requests     *obs.Counter   // ner_http_requests_total
-	rejected     *obs.Counter   // ner_http_rejected_total
 	fleetCycles  *obs.Counter   // ner_fleet_cycles_total
 	degraded     *obs.Counter   // ner_fleet_degraded_cycles_total
 	tagSeconds   *obs.Histogram // ner_fleet_tag_seconds
@@ -191,11 +140,6 @@ func newRouterObs(reg *obs.Registry, shards int) *routerObs {
 		return nil
 	}
 	ro := &routerObs{
-		reg: reg,
-		requests: reg.Counter("ner_http_requests_total",
-			"HTTP requests served across all router endpoints."),
-		rejected: reg.Counter("ner_http_rejected_total",
-			"Annotate requests rejected with 503 (queue saturation or degraded cycle)."),
 		fleetCycles: reg.Counter("ner_fleet_cycles_total",
 			"Execution cycles the router has committed to the fleet."),
 		degraded: reg.Counter("ner_fleet_degraded_cycles_total",
@@ -236,45 +180,38 @@ func NewRouter(clients []*ShardClient) *Router {
 		clients:   clients,
 		sentences: make(map[types.SentenceKey]*types.Sentence),
 		pending:   make([][]*CommitRequest, len(clients)),
-		jobs:      make(chan *routerJob, routerQueueDepth),
-		quit:      make(chan struct{}),
-		loopDone:  make(chan struct{}),
 	}
-	go r.loop()
+	r.front = server.NewFront(r.runCycle)
 	return r
 }
 
 // Close stops the scheduler, waits out any in-flight commit fan-out,
 // and releases the shard connection pools.
 func (r *Router) Close() {
-	r.closeOnce.Do(func() { close(r.quit) })
-	<-r.loopDone
-	r.waitCommitsIdle()
-	if r.replayDone != nil {
-		<-r.replayDone
-	}
-	if r.dl != nil {
-		r.dl.Close()
-	}
-	for _, c := range r.clients {
-		c.Close()
-	}
+	r.front.Close(func() {
+		r.waitCommitsIdle()
+		r.front.Gate.WaitWarm()
+		if r.dl != nil {
+			r.dl.Close()
+		}
+		for _, c := range r.clients {
+			c.Close()
+		}
+	})
 }
 
 // waitCommitsIdle blocks until the most recently scheduled commit
-// goroutine has finished. Commits chain in cycle order, so the latest
-// done channel covers every earlier one.
+// goroutine — and so every one before it — has finished. Scheduler
+// goroutine only, or after it has exited.
 func (r *Router) waitCommitsIdle() {
-	r.mu.Lock()
-	done := r.lastCommitDone
-	r.mu.Unlock()
-	if done != nil {
-		<-done
+	if r.prevCommit != nil {
+		<-r.prevCommit
 	}
 }
 
 // SetObserver attaches a metrics registry to the router.
 func (r *Router) SetObserver(reg *obs.Registry) {
+	r.front.SetObserver(reg)
 	ro := newRouterObs(reg, len(r.clients))
 	r.o.Store(ro)
 	for i, c := range r.clients {
@@ -286,13 +223,9 @@ func (r *Router) SetObserver(reg *obs.Registry) {
 	}
 }
 
-// SetBatchWindow sets the micro-batch coalescing window, mirroring the
-// single-process server's knob.
-func (r *Router) SetBatchWindow(d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.window = d
-}
+// SetBatchWindow sets the micro-batch coalescing window; see
+// server.Front.SetBatchWindow.
+func (r *Router) SetBatchWindow(d time.Duration) { r.front.SetBatchWindow(d) }
 
 // SetRPCTimeout re-bounds every shard RPC (tests use short ones).
 func (r *Router) SetRPCTimeout(d time.Duration) {
@@ -325,62 +258,6 @@ func (r *Router) Cycles() int { return int(r.cycles.Load()) }
 // Shards reports the fleet size.
 func (r *Router) Shards() int { return len(r.clients) }
 
-func (r *Router) batchWindow() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.window
-}
-
-// loop is the scheduler: one cycle at a time, coalescing everything
-// queued while the previous cycle was in flight.
-func (r *Router) loop() {
-	defer close(r.loopDone)
-	for {
-		select {
-		case <-r.quit:
-			return
-		case first := <-r.jobs:
-			batch := append([]*routerJob{first}, r.drain()...)
-			r.runCycle(batch)
-		}
-	}
-}
-
-func (r *Router) drain() []*routerJob {
-	var out []*routerJob
-	for {
-		select {
-		case j := <-r.jobs:
-			out = append(out, j)
-			continue
-		default:
-		}
-		break
-	}
-	if w := r.batchWindow(); w > 0 {
-		timer := time.NewTimer(w)
-		defer timer.Stop()
-		for {
-			select {
-			case j := <-r.jobs:
-				out = append(out, j)
-			case <-timer.C:
-				return out
-			case <-r.quit:
-				return out
-			}
-		}
-	}
-	return out
-}
-
-// failAll answers every job in the cycle with the same HTTP error.
-func failAll(jobs []*routerJob, status, retryAfter int, msg string) {
-	for _, j := range jobs {
-		j.done <- routerJobResult{status: status, retryAfter: retryAfter, errMsg: msg}
-	}
-}
-
 // runCycle executes one micro-batched cycle against the fleet:
 //
 //  1. Admission: refuse outright if any shard's pending queue is full.
@@ -395,7 +272,7 @@ func failAll(jobs []*routerJob, status, retryAfter int, msg string) {
 //     into request order; otherwise the jobs get 503 + Retry-After
 //     (their tweets are in the stream, but annotations would be
 //     missing the degraded shard's surfaces).
-func (r *Router) runCycle(jobs []*routerJob) {
+func (r *Router) runCycle(jobs []*server.Job) {
 	cycleStart := time.Now()
 	r.cycles.Add(1)
 	ro := r.o.Load()
@@ -408,7 +285,7 @@ func (r *Router) runCycle(jobs []*routerJob) {
 	for i := range r.pending {
 		if len(r.pending[i]) >= maxPendingCommits {
 			r.mu.Unlock()
-			failAll(jobs, http.StatusServiceUnavailable, routerRetryAfterSeconds,
+			r.front.Reject(jobs, http.StatusServiceUnavailable, cycleRetryAfterSeconds,
 				fmt.Sprintf("shard %d unreachable, pending commits full", i))
 			return
 		}
@@ -421,7 +298,7 @@ func (r *Router) runCycle(jobs []*routerJob) {
 	var batch []*types.Sentence
 	perJob := make([][]*types.Sentence, len(jobs))
 	for ji, job := range jobs {
-		for _, sentTokens := range job.tweets {
+		for _, sentTokens := range job.Tweets {
 			for si, toks := range sentTokens {
 				sent := &types.Sentence{TweetID: id, SentID: si, Tokens: toks}
 				batch = append(batch, sent)
@@ -434,7 +311,7 @@ func (r *Router) runCycle(jobs []*routerJob) {
 	// Tag fan-out with failover.
 	tagged, tagBusy, tagRPC, err := r.tagPartitioned(batch, int(r.cycles.Load()))
 	if err != nil {
-		failAll(jobs, http.StatusServiceUnavailable, routerRetryAfterSeconds,
+		r.front.Reject(jobs, http.StatusServiceUnavailable, cycleRetryAfterSeconds,
 			"tag stage failed on every shard: "+err.Error())
 		return
 	}
@@ -456,7 +333,7 @@ func (r *Router) runCycle(jobs []*routerJob) {
 	// disk, or recovery would find records the journal lost.
 	if r.dl != nil {
 		if err := r.journalCycle(seq, batch); err != nil {
-			failAll(jobs, http.StatusInternalServerError, 0, "journal failure: "+err.Error())
+			r.front.Reject(jobs, http.StatusInternalServerError, 0, "journal failure: "+err.Error())
 			return
 		}
 		r.mu.Lock()
@@ -485,7 +362,7 @@ func (r *Router) runCycle(jobs []*routerJob) {
 		if ro != nil {
 			ro.degraded.Inc()
 		}
-		failAll(jobs, http.StatusInternalServerError, 0, encErr.Error())
+		r.front.Reject(jobs, http.StatusInternalServerError, 0, encErr.Error())
 		return
 	}
 
@@ -505,9 +382,6 @@ func (r *Router) runCycle(jobs []*routerJob) {
 	}
 	prev := r.prevCommit
 	done := make(chan struct{})
-	r.mu.Lock()
-	r.lastCommitDone = done
-	r.mu.Unlock()
 	go func() {
 		defer close(done)
 		if prev != nil {
@@ -522,7 +396,7 @@ func (r *Router) runCycle(jobs []*routerJob) {
 // jobs to answer, the shared pre-encoded commit body, and the tag-stage
 // timings for CycleStat.
 type commitWork struct {
-	jobs       []*routerJob
+	jobs       []*server.Job
 	perJob     [][]*types.Sentence
 	batch      []*types.Sentence
 	req        *CommitRequest
@@ -544,15 +418,7 @@ func (r *Router) commitCycle(work *commitWork) {
 	resps := make([]*CommitResponse, k)
 	commitRPC := make([]float64, k)
 	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resps[i], commitRPC[i], errs[i] = r.commitShard(i, req, work.body)
-		}(i)
-	}
-	wg.Wait()
+	r.eachShard(func(i int) { resps[i], commitRPC[i], errs[i] = r.commitShard(i, req, work.body) })
 
 	var failed []int
 	for i, err := range errs {
@@ -564,14 +430,14 @@ func (r *Router) commitCycle(work *commitWork) {
 		if ro != nil {
 			ro.degraded.Inc()
 		}
-		retry := routerRetryAfterSeconds
+		retry := cycleRetryAfterSeconds
 		for _, i := range failed {
 			var ue *ShardUnavailableError
 			if errors.As(errs[i], &ue) && ue.RetryAfter > retry {
 				retry = ue.RetryAfter
 			}
 		}
-		failAll(jobs, http.StatusServiceUnavailable, retry,
+		r.front.Reject(jobs, http.StatusServiceUnavailable, retry,
 			fmt.Sprintf("%d of %d shards degraded this cycle", len(failed), k))
 		return
 	}
@@ -595,30 +461,21 @@ func (r *Router) commitCycle(work *commitWork) {
 		for i, resp := range resps {
 			parts[i] = resp.Entities[si].Entities
 		}
-		merged[si] = mergeEntityGroups(parts)
+		merged[si] = mergeGroups(parts, entitySurface)
 	}
 	bi := 0
 	for ji, job := range jobs {
-		resp := annotateResponse{StreamSize: streamSize, Candidates: candidates}
+		resp := server.AnnotateResponse{StreamSize: streamSize, Candidates: candidates}
 		for _, sent := range perJob[ji] {
-			sj := server.SentenceJSON{
+			resp.Sentences = append(resp.Sentences, server.SentenceJSON{
 				TweetID:  sent.TweetID,
 				SentID:   sent.SentID,
 				Tokens:   sent.Tokens,
-				Entities: []server.EntityJSON{},
-			}
-			for _, e := range merged[bi] {
-				sj.Entities = append(sj.Entities, server.EntityJSON{
-					Start:   e.Start,
-					End:     e.End,
-					Type:    e.Type.String(),
-					Surface: sent.SurfaceAt(types.Span{Start: e.Start, End: e.End}),
-				})
-			}
-			resp.Sentences = append(resp.Sentences, sj)
+				Entities: server.RenderEntities(sent, merged[bi], entitySpan),
+			})
 			bi++
 		}
-		job.done <- routerJobResult{resp: resp}
+		job.Reply(resp)
 	}
 	if ro != nil {
 		ro.mergeSeconds.Observe(time.Since(t0).Seconds())
@@ -770,21 +627,21 @@ func (r *Router) commitShard(i int, req *CommitRequest, body []byte) (*CommitRes
 	return resp, time.Since(lane).Seconds(), nil
 }
 
-// mergeEntityGroups interleaves per-shard surface groups back into the
+// mergeGroups interleaves per-shard surface groups back into the
 // engine's sorted-surface-major order. Each shard's list is already
 // grouped by ascending canonical surface, and a surface lives on
 // exactly one shard, so a linear k-way group merge reproduces the
 // single-process ordering exactly.
-func mergeEntityGroups(parts [][]WireEntity) []WireEntity {
+func mergeGroups[T any](parts [][]T, surface func(T) string) []T {
 	idx := make([]int, len(parts))
-	var out []WireEntity
+	var out []T
 	for {
 		best := -1
 		for s, p := range parts {
 			if idx[s] >= len(p) {
 				continue
 			}
-			if best == -1 || p[idx[s]].Surface < parts[best][idx[best]].Surface {
+			if best == -1 || surface(p[idx[s]]) < surface(parts[best][idx[best]]) {
 				best = s
 			}
 		}
@@ -792,183 +649,92 @@ func mergeEntityGroups(parts [][]WireEntity) []WireEntity {
 			return out
 		}
 		p := parts[best]
-		surf := p[idx[best]].Surface
-		for idx[best] < len(p) && p[idx[best]].Surface == surf {
+		surf := surface(p[idx[best]])
+		for idx[best] < len(p) && surface(p[idx[best]]) == surf {
 			out = append(out, p[idx[best]])
 			idx[best]++
 		}
 	}
 }
 
+func entitySurface(e WireEntity) string { return e.Surface }
+
+func entitySpan(e WireEntity) (types.Span, types.EntityType) {
+	return types.Span{Start: e.Start, End: e.End}, e.Type
+}
+
 // Handler returns the router's routed HTTP handler. The public
 // endpoints (/annotate, /candidates, /entities, /reset) are
 // byte-compatible with the single-process server's.
 func (r *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/annotate", r.counted(r.handleAnnotate))
-	mux.HandleFunc("/candidates", r.counted(r.handleCandidates))
-	mux.HandleFunc("/entities", r.counted(r.handleEntities))
-	mux.HandleFunc("/reset", r.counted(r.handleReset))
-	mux.HandleFunc("/metrics", r.counted(r.handleMetrics))
-	mux.HandleFunc("/statusz", r.counted(r.handleStatusz))
-	mux.HandleFunc("/proof", r.counted(r.handleProof))
-	mux.HandleFunc("/healthz", r.counted(r.handleHealthz))
+	mux := r.front.Mux()
+	mux.HandleFunc("GET /candidates", r.front.Counted(r.handleCandidates))
+	mux.HandleFunc("GET /entities", r.front.Counted(r.handleEntities))
+	mux.HandleFunc("POST /reset", r.front.Counted(r.handleReset))
+	mux.HandleFunc("GET /statusz", r.front.Counted(r.handleStatusz))
+	mux.HandleFunc("GET /proof", r.front.Counted(r.handleProof))
 	return mux
 }
 
-func (r *Router) counted(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		if ro := r.o.Load(); ro != nil {
-			ro.requests.Inc()
-		}
-		h(w, req)
+// eachShard runs do(i) for every shard index concurrently and waits.
+func (r *Router) eachShard(do func(i int)) {
+	var wg sync.WaitGroup
+	for i := range r.clients {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			do(i)
+		}(i)
 	}
+	wg.Wait()
 }
 
-func (r *Router) handleAnnotate(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if r.rejectUnready(w) {
-		return
-	}
-	ro := r.o.Load()
-	req.Body = http.MaxBytesReader(w, req.Body, routerMaxBodyBytes)
-	var ar annotateRequest
-	if err := json.NewDecoder(req.Body).Decode(&ar); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(ar.Tweets) == 0 {
-		http.Error(w, "no tweets", http.StatusBadRequest)
-		return
-	}
-
-	job := &routerJob{done: make(chan routerJobResult, 1)}
-	for _, raw := range ar.Tweets {
-		job.tweets = append(job.tweets, tokenizer.SplitSentences(tokenizer.Tokenize(raw)))
-	}
-
-	select {
-	case <-r.quit:
-		http.Error(w, "router shutting down", http.StatusServiceUnavailable)
-		return
-	case <-req.Context().Done():
-		return
-	default:
-	}
-	select {
-	case r.jobs <- job:
-	default:
-		if ro != nil {
-			ro.rejected.Inc()
+// fanIn asks every shard concurrently and returns the answers in shard
+// order, or the first error.
+func fanIn[T any](r *Router, ask func(*ShardClient) (T, error)) ([]T, error) {
+	parts := make([]T, len(r.clients))
+	errs := make([]error, len(r.clients))
+	r.eachShard(func(i int) { parts[i], errs[i] = ask(r.clients[i]) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		w.Header().Set("Retry-After", strconv.Itoa(routerRetryAfterSeconds))
-		http.Error(w, "annotate queue saturated", http.StatusServiceUnavailable)
-		return
 	}
-	select {
-	case res := <-job.done:
-		if res.status != 0 {
-			if ro != nil {
-				ro.rejected.Inc()
-			}
-			if res.retryAfter > 0 {
-				w.Header().Set("Retry-After", strconv.Itoa(res.retryAfter))
-			}
-			http.Error(w, res.errMsg, res.status)
-			return
-		}
-		writeJSON(w, res.resp)
-	case <-r.quit:
-		http.Error(w, "router shutting down", http.StatusServiceUnavailable)
-	}
+	return parts, nil
 }
 
 // handleCandidates fans the candidates RPC in from every shard and
 // k-way merges the disjoint, surface-sorted lists back into the global
 // sorted order — byte-identical to the single server's /candidates.
 func (r *Router) handleCandidates(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+	parts, err := fanIn(r, (*ShardClient).Candidates)
+	if err != nil {
+		http.Error(w, "candidate fan-in: "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	k := len(r.clients)
-	parts := make([][]WireCandidate, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			parts[i], errs[i] = r.clients[i].Candidates()
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			http.Error(w, "candidate fan-in: "+err.Error(), http.StatusBadGateway)
-			return
-		}
-	}
-	idx := make([]int, k)
 	out := []server.CandidateJSON{}
-	for {
-		best := -1
-		for i := 0; i < k; i++ {
-			if idx[i] >= len(parts[i]) {
-				continue
-			}
-			if best == -1 || parts[i][idx[i]].Surface < parts[best][idx[best]].Surface {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		surf := parts[best][idx[best]].Surface
-		for idx[best] < len(parts[best]) && parts[best][idx[best]].Surface == surf {
-			c := parts[best][idx[best]]
-			out = append(out, server.CandidateJSON{
-				Surface:    c.Surface,
-				ClusterID:  c.ClusterID,
-				Type:       c.Type.String(),
-				Mentions:   c.Mentions,
-				Confidence: c.Confidence,
-			})
-			idx[best]++
-		}
+	for _, c := range mergeGroups(parts, func(c WireCandidate) string { return c.Surface }) {
+		out = append(out, server.CandidateJSON{
+			Surface:    c.Surface,
+			ClusterID:  c.ClusterID,
+			Type:       c.Type.String(),
+			Mentions:   c.Mentions,
+			Confidence: c.Confidence,
+		})
 	}
-	writeJSON(w, out)
+	server.WriteJSON(w, out)
 }
 
 // handleEntities fans the entities RPC in from every shard and merges
 // the whole stream's annotations in insertion order — byte-identical
 // to the single server's /entities.
 func (r *Router) handleEntities(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+	parts, err := fanIn(r, (*ShardClient).Entities)
+	if err != nil {
+		http.Error(w, "entity fan-in: "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	k := len(r.clients)
-	parts := make([][]SentenceEntities, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			parts[i], errs[i] = r.clients[i].Entities()
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			http.Error(w, "entity fan-in: "+err.Error(), http.StatusBadGateway)
-			return
-		}
-	}
+	k := len(parts)
 	for i := 1; i < k; i++ {
 		if len(parts[i]) != len(parts[0]) {
 			http.Error(w, fmt.Sprintf("entity fan-in: shard stream sizes differ (%d vs %d)",
@@ -981,80 +747,63 @@ func (r *Router) handleEntities(w http.ResponseWriter, req *http.Request) {
 	// immutable once published.
 	sents := make([]*types.Sentence, len(parts[0]))
 	r.mu.Lock()
-	for si := range parts[0] {
-		sents[si] = r.sentences[types.SentenceKey{TweetID: parts[0][si].TweetID, SentID: parts[0][si].SentID}]
+	for si, se := range parts[0] {
+		sents[si] = r.sentences[types.SentenceKey{TweetID: se.TweetID, SentID: se.SentID}]
 	}
 	r.mu.Unlock()
 	out := []server.SentenceEntitiesJSON{}
 	groups := make([][]WireEntity, k)
-	for si := range parts[0] {
+	for si, se := range parts[0] {
+		if sents[si] == nil {
+			http.Error(w, fmt.Sprintf("entity fan-in: shards hold sentence %d/%d, which this router never ingested",
+				se.TweetID, se.SentID), http.StatusBadGateway)
+			return
+		}
 		for i := 0; i < k; i++ {
 			groups[i] = parts[i][si].Entities
 		}
-		sj := server.SentenceEntitiesJSON{
-			TweetID:  parts[0][si].TweetID,
-			SentID:   parts[0][si].SentID,
-			Entities: []server.EntityJSON{},
-		}
-		sent := sents[si]
-		for _, e := range mergeEntityGroups(groups) {
-			surface := e.Surface
-			if sent != nil {
-				surface = sent.SurfaceAt(types.Span{Start: e.Start, End: e.End})
-			}
-			sj.Entities = append(sj.Entities, server.EntityJSON{
-				Start:   e.Start,
-				End:     e.End,
-				Type:    e.Type.String(),
-				Surface: surface,
-			})
-		}
-		out = append(out, sj)
+		out = append(out, server.SentenceEntitiesJSON{
+			TweetID:  se.TweetID,
+			SentID:   se.SentID,
+			Entities: server.RenderEntities(sents[si], mergeGroups(groups, entitySurface), entitySpan),
+		})
 	}
-	writeJSON(w, out)
+	server.WriteJSON(w, out)
 }
 
 // handleReset clears the whole fleet's stream state: every shard, then
-// the router's own counters. Failures leave the fleet inconsistent and
-// surface as 502 so the operator retries.
+// the router's own counters. It runs on the scheduler between two
+// cycles, after the last chained commit has landed, so no cycle
+// straddles it. Failures leave the fleet inconsistent and surface as
+// 502 so the operator retries.
 func (r *Router) handleReset(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	if r.dl != nil {
 		http.Error(w, "reset is not supported with -data-dir; wipe the data dirs and restart the fleet", http.StatusConflict)
 		return
 	}
-	// A pipelined commit may still be in flight; let it land before
-	// zeroing the fleet so the reset cannot interleave with a cycle.
-	r.waitCommitsIdle()
-	for _, c := range r.clients {
-		if err := c.Reset(); err != nil {
-			http.Error(w, "reset fan-out: "+err.Error(), http.StatusBadGateway)
-			return
+	var err error
+	if !r.front.Exclusive(func() {
+		r.waitCommitsIdle()
+		for _, c := range r.clients {
+			if err = c.Reset(); err != nil {
+				return
+			}
 		}
-	}
-	r.mu.Lock()
-	r.nextID = 0
-	r.seq = 0
-	r.sentences = make(map[types.SentenceKey]*types.Sentence)
-	r.pending = make([][]*CommitRequest, len(r.clients))
-	r.mu.Unlock()
-	w.WriteHeader(http.StatusOK)
-}
-
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.nextID = 0
+		r.seq = 0
+		r.sentences = make(map[types.SentenceKey]*types.Sentence)
+		r.pending = make([][]*CommitRequest, len(r.clients))
+	}) {
+		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
 		return
 	}
-	var reg *obs.Registry
-	if ro := r.o.Load(); ro != nil {
-		reg = ro.reg
+	if err != nil {
+		http.Error(w, "reset fan-out: "+err.Error(), http.StatusBadGateway)
+		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	reg.WritePrometheus(w)
+	w.WriteHeader(http.StatusOK)
 }
 
 // RouterShardStatus is one shard's entry in the router's /statusz:
@@ -1086,58 +835,36 @@ type RouterStatuszResponse struct {
 }
 
 func (r *Router) handleStatusz(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	k := len(r.clients)
-	shards := make([]RouterShardStatus, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st, err := r.clients[i].Status()
-			shards[i] = RouterShardStatus{
-				Index:   i,
-				URL:     r.clients[i].BaseURL(),
-				Healthy: err == nil,
-				Status:  st,
-			}
-			if err != nil {
-				shards[i].Error = err.Error()
-			}
-			shards[i].OpenConns, shards[i].BytesPerCommit = r.clients[i].transportStatus()
-		}(i)
-	}
-	wg.Wait()
+	shards := make([]RouterShardStatus, len(r.clients))
+	r.eachShard(func(i int) {
+		st, err := r.clients[i].Status()
+		shards[i] = RouterShardStatus{
+			Index:   i,
+			URL:     r.clients[i].BaseURL(),
+			Healthy: err == nil,
+			Status:  st,
+		}
+		if err != nil {
+			shards[i].Error = err.Error()
+		}
+		shards[i].OpenConns, shards[i].BytesPerCommit = r.clients[i].transportStatus()
+	})
 	r.mu.Lock()
 	for i := range shards {
 		shards[i].Pending = len(r.pending[i])
 	}
 	seq := r.seq
 	r.mu.Unlock()
-	var reg *obs.Registry
-	if ro := r.o.Load(); ro != nil {
-		reg = ro.reg
-	}
 	resp := RouterStatuszResponse{
 		Role:    "router",
 		Cycles:  int(r.cycles.Load()),
 		Seq:     seq,
 		Shards:  shards,
-		Metrics: reg.Snapshot(),
+		Metrics: r.front.Registry().Snapshot(),
 	}
 	if r.dl != nil {
 		st := r.dl.Status()
 		resp.Durability = &st
 	}
-	writeJSON(w, resp)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	server.WriteJSON(w, resp)
 }

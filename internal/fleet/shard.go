@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
@@ -16,6 +15,7 @@ import (
 	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/obs"
+	"nerglobalizer/internal/server"
 	"nerglobalizer/internal/types"
 )
 
@@ -72,15 +72,14 @@ type Shard struct {
 	connWG   sync.WaitGroup
 	idleWait time.Duration
 
-	// Durability (nil / zero unless StartDurable was called): the WAL +
-	// snapshot manager and the shard's own Merkle chain over its owned
-	// annotations (guarded by mu).
-	dl         *durable.Log
-	prov       *durable.Provenance
-	replaying  atomic.Bool
-	broken     atomic.Bool
-	replayDone chan struct{}
-	recoverErr error
+	// gate refuses mutating RPCs while recovery replays and after a
+	// durability failure.
+	gate durable.Gate
+	// Durability (nil unless StartDurable was called): the WAL + snapshot
+	// manager and the shard's own Merkle chain over its owned annotations
+	// (guarded by mu).
+	dl   *durable.Log
+	prov *durable.Provenance
 }
 
 // shardObs is the shard-side metric set.
@@ -180,10 +179,10 @@ func (s *Shard) tryAdmit() (release func(), ok bool) {
 func (s *Shard) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/shard/rpc", s.counted(s.handleRPC))
-	mux.HandleFunc("/shard/proof", s.counted(s.handleProof))
-	mux.HandleFunc("/statusz", s.counted(s.handleStatusz))
-	mux.HandleFunc("/metrics", s.counted(s.handleMetrics))
-	mux.HandleFunc("/healthz", s.counted(s.handleHealthz))
+	mux.HandleFunc("GET /shard/proof", s.counted(s.handleProof))
+	mux.HandleFunc("GET /statusz", s.counted(s.handleStatusz))
+	mux.HandleFunc("GET /metrics", s.counted(s.handleMetrics))
+	mux.HandleFunc("/healthz", s.counted(s.gate.ServeHealthz))
 	return mux
 }
 
@@ -341,7 +340,7 @@ func (s *Shard) dispatch(op byte, body []byte, t0 time.Time) reply {
 // slice, the router is free to fail a slice over to a healthy peer, and
 // the call does not wait for a commit holding the engine lock.
 func (s *Shard) serveTag(body []byte, t0 time.Time) reply {
-	if why, retry := s.unready(); why != "" {
+	if why, retry := s.gate.Unready(); why != "" {
 		return unavailableReply(why, retry)
 	}
 	var req TagRequest
@@ -374,7 +373,7 @@ func (s *Shard) serveTag(body []byte, t0 time.Time) reply {
 // the router may time out after the shard already applied), and
 // anything else is a conflict the router treats as desynchronization.
 func (s *Shard) serveCommit(body []byte, t0 time.Time) reply {
-	if why, retry := s.unready(); why != "" {
+	if why, retry := s.gate.Unready(); why != "" {
 		return unavailableReply(why, retry)
 	}
 	var req CommitRequest
@@ -400,15 +399,7 @@ func (s *Shard) serveCommit(body []byte, t0 time.Time) reply {
 	}
 	batch := ToSentences(req.Sentences)
 	s.g.ProcessTagged(batch, ToResults(req.Tagged), req.Mode)
-	resp := &CommitResponse{
-		Seq:        req.Seq,
-		Entities:   make([]SentenceEntities, len(batch)),
-		StreamSize: s.g.TweetBase().Len(),
-		Candidates: s.g.CandidateBase().Len(),
-	}
-	for i, sent := range batch {
-		resp.Entities[i] = s.ownedEntities(sent.Key())
-	}
+	resp := s.commitResponse(req.Seq, batch)
 	// Ack-after-durable: the WAL append is issued under the lock and its
 	// durability wait happens after release — the response still never
 	// outruns the shard's disk, but under fsync=group the next cycle can
@@ -431,7 +422,7 @@ func (s *Shard) serveCommit(body []byte, t0 time.Time) reply {
 	s.mu.Unlock()
 	if wait != nil {
 		if err := wait(); err != nil {
-			s.broken.Store(true)
+			s.gate.Trip()
 			return failReply(statusInternal, "durability failure: "+err.Error())
 		}
 	}
@@ -443,6 +434,22 @@ func (s *Shard) serveCommit(body []byte, t0 time.Time) reply {
 		rp.after = func() { s.dl.SubmitSnapshot(snap, snap.Seq) }
 	}
 	return rp
+}
+
+// commitResponse renders the answer to cycle seq once the engine has
+// applied its batch: the shard's owned annotations per batch sentence
+// and the replica's sizes. Called under s.mu.
+func (s *Shard) commitResponse(seq uint64, batch []*types.Sentence) *CommitResponse {
+	resp := &CommitResponse{
+		Seq:        seq,
+		Entities:   make([]SentenceEntities, len(batch)),
+		StreamSize: s.g.TweetBase().Len(),
+		Candidates: s.g.CandidateBase().Len(),
+	}
+	for i, sent := range batch {
+		resp.Entities[i] = s.ownedEntities(sent.Key())
+	}
+	return resp
 }
 
 func (s *Shard) serveReset() reply {
@@ -550,23 +557,17 @@ func (s *Shard) Status() ShardStatus {
 }
 
 func (s *Shard) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.Status())
+	server.WriteJSON(w, s.Status())
 }
 
 func (s *Shard) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	var reg *obs.Registry
+	server.WriteMetrics(w, s.registry())
+}
+
+// registry returns the attached registry (nil when detached).
+func (s *Shard) registry() *obs.Registry {
 	if so := s.o.Load(); so != nil {
-		reg = so.reg
+		return so.reg
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	reg.WritePrometheus(w)
+	return nil
 }

@@ -1,14 +1,11 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
-	"nerglobalizer/internal/types"
 )
 
 // Durability wiring for the single-process server.
@@ -38,74 +35,39 @@ func (s *Server) StartDurable(dir string, opts durable.Options) error {
 		return err
 	}
 	s.dl = dl
-	s.prov = durable.NewProvenance()
 	s.acks = make(chan *cycleAck, ackQueueDepth)
 	s.ackerDone = make(chan struct{})
 	go s.acker()
-	s.replayDone = make(chan struct{})
-	s.replaying.Store(true)
-	go func() {
-		defer close(s.replayDone)
-		defer s.replaying.Store(false)
-		if err := s.recoverFrom(rec); err != nil {
-			s.recoverErr = err
-			s.broken.Store(true)
-		}
-	}()
+	s.front.Gate.Recover(func() error { return s.recoverFrom(rec) })
 	return nil
 }
 
 // WaitWarm blocks until startup recovery completes and returns its
 // error, if any. Without StartDurable it returns immediately.
-func (s *Server) WaitWarm() error {
-	if s.replayDone == nil {
-		return nil
-	}
-	<-s.replayDone
-	return s.recoverErr
-}
+func (s *Server) WaitWarm() error { return s.front.Gate.WaitWarm() }
 
 // recoverFrom restores the snapshot and re-executes the WAL tail.
 func (s *Server) recoverFrom(rec *durable.Recovery) error {
-	t0 := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if snap := rec.Snapshot; snap != nil {
-		if snap.Kind != durable.KindSingle {
-			return fmt.Errorf("server: data dir was written by process kind %d, not a single server", snap.Kind)
-		}
-		if snap.Warm == nil {
-			return fmt.Errorf("server: snapshot at seq %d has no engine state", snap.Seq)
-		}
-		if err := s.g.RestoreWarmState(snap.Warm); err != nil {
-			return err
-		}
 		s.nextID = snap.NextID
 		s.cycles.Store(int64(snap.Seq))
-		s.prov = durable.RestoreProvenance(snap.Provenance)
-		s.sentences = make(map[types.SentenceKey]*types.Sentence, len(snap.Warm.Records))
-		for _, rec := range snap.Warm.Records {
-			sent := &types.Sentence{TweetID: rec.TweetID, SentID: rec.SentID, Tokens: rec.Tokens, Gold: rec.Gold}
-			s.sentences[sent.Key()] = sent
-		}
 	}
-	for _, cr := range rec.Tail {
+	prov, err := s.dl.Resume(rec, durable.KindSingle, s.g, func(cr *durable.CycleRecord) []durable.SentenceAnnotation {
 		batch := durable.ToSentences(cr.Sentences)
 		for _, sent := range batch {
-			s.sentences[sent.Key()] = sent
 			if sent.TweetID >= s.nextID {
 				s.nextID = sent.TweetID + 1
 			}
 		}
-		final := s.g.ProcessBatchEntities(batch, core.Mode(cr.Mode))
-		got := durable.RenderAnnotations(batch, final)
-		if !durable.AnnotationsEqual(got, cr.Annotations) {
-			return fmt.Errorf("server: replay of cycle %d diverged from the logged annotations — model or configuration mismatch", cr.Seq)
-		}
-		s.prov.AppendCycle(cr.Seq, cr.Annotations)
 		s.cycles.Store(int64(cr.Seq))
+		return durable.RenderAnnotations(batch, s.g.ProcessBatchEntities(batch, core.Mode(cr.Mode)))
+	})
+	if err != nil {
+		return err
 	}
-	s.dl.ObserveReplay(len(rec.Tail), time.Since(t0))
+	s.prov = prov
 	return nil
 }
 
@@ -124,56 +86,15 @@ func (s *Server) durableCommit(seq uint64, rec *durable.CycleRecord) *durable.Sn
 	return snap
 }
 
-// handleHealthz reports readiness: 503 while startup recovery is
-// replaying (so load balancers keep routing elsewhere), 503 when the
-// durability layer failed sticky, 200 "ok" once warm.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.replaying.Load() {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte("{\"status\":\"replaying\"}\n"))
-		return
-	}
-	if s.broken.Load() {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte("{\"status\":\"durability_failed\"}\n"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte("ok\n"))
-}
-
-// rejectUnready answers 503 when the server cannot accept mutations
-// (recovery in progress, or the durability layer failed) and reports
-// whether it did.
-func (s *Server) rejectUnready(w http.ResponseWriter) bool {
-	if s.replaying.Load() {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		http.Error(w, "replaying snapshot and WAL", http.StatusServiceUnavailable)
-		return true
-	}
-	if s.broken.Load() {
-		http.Error(w, "durability layer failed; restart from the data dir", http.StatusServiceUnavailable)
-		return true
-	}
-	return false
-}
-
 // handleProof serves Merkle inclusion proofs: GET /proof?tweet=N
 // returns an array with one proof bundle covering every annotated
 // sentence of the tweet, verifiable offline by cmd/nerprove.
 func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
 	if s.dl == nil {
 		http.Error(w, "provenance requires -data-dir", http.StatusNotFound)
 		return
 	}
-	if s.rejectUnready(w) {
+	if s.front.Gate.Reject(w) {
 		return
 	}
 	tweet, err := strconv.Atoi(r.URL.Query().Get("tweet"))
@@ -189,5 +110,5 @@ func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.dl.ProofServed()
-	writeJSON(w, []*durable.ProofBundle{b})
+	WriteJSON(w, []*durable.ProofBundle{b})
 }

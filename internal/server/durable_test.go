@@ -201,10 +201,11 @@ func restartByteIdentical(t *testing.T, groups [][]string, opts durable.Options,
 // {"status":"replaying"} during recovery, the plain 200 once warm.
 func TestHealthzReplayStates(t *testing.T) {
 	_, srv := newTestServerFull(t)
+	h := srv.Handler()
+	warm := make(chan struct{})
+	srv.front.Gate.Recover(func() error { <-warm; return nil })
 	rec := httptest.NewRecorder()
-	srv.replaying.Store(true)
-	srv.handleHealthz(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	srv.replaying.Store(false)
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("replaying healthz = %d", rec.Code)
 	}
@@ -218,19 +219,21 @@ func TestHealthzReplayStates(t *testing.T) {
 		t.Fatalf("status = %q", st.Status)
 	}
 
-	rec = httptest.NewRecorder()
-	srv.handleHealthz(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	if rec.Code != http.StatusOK || rec.Body.String() != "ok\n" {
-		t.Fatalf("warm healthz = %d %q", rec.Code, rec.Body.String())
-	}
-
 	// Annotate is gated while replaying.
 	rec = httptest.NewRecorder()
-	srv.replaying.Store(true)
-	srv.handleAnnotate(rec, httptest.NewRequest(http.MethodPost, "/annotate", nil))
-	srv.replaying.Store(false)
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/annotate", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("replaying annotate = %d", rec.Code)
+	}
+
+	close(warm)
+	if err := srv.WaitWarm(); err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK || rec.Body.String() != "ok\n" {
+		t.Fatalf("warm healthz = %d %q", rec.Code, rec.Body.String())
 	}
 }
 

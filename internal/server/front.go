@@ -1,0 +1,391 @@
+package server
+
+import (
+	"encoding/json"
+	"net/http"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"nerglobalizer/internal/durable"
+	"nerglobalizer/internal/obs"
+	"nerglobalizer/internal/tokenizer"
+	"nerglobalizer/internal/types"
+)
+
+// maxBodyBytes caps request bodies on every mutating endpoint, keeping
+// a hostile client from streaming an unbounded payload into the JSON
+// decoder.
+const maxBodyBytes = 1 << 20
+
+// queueDepth is the admission bound of the job queue: requests beyond
+// it receive 503 rather than blocking.
+const queueDepth = 128
+
+// retryAfterSeconds is the Retry-After hint on saturation rejections:
+// one coalescing cycle normally clears the whole queue, so a short
+// back-off suffices.
+const retryAfterSeconds = 1
+
+// Job is one admitted /annotate request: its tweets, already tokenized
+// and sentence-split (pure per-request work kept out of the serial
+// section), and the one-shot channel its answer comes back on. The
+// cycle that takes a job answers it exactly once: Reply, or an HTTP
+// error for the whole cycle (Front.Reject).
+type Job struct {
+	Tweets [][][]string // per tweet, per sentence, tokens
+	done   chan jobResult
+}
+
+// jobResult is a cycle's answer to one job: a response, or (status != 0)
+// an HTTP error to propagate.
+type jobResult struct {
+	resp       AnnotateResponse
+	status     int
+	retryAfter int
+	msg        string
+}
+
+// Reply answers the job with its annotations.
+func (j *Job) Reply(resp AnnotateResponse) { j.done <- jobResult{resp: resp} }
+
+// fail answers every job of a cycle with the same HTTP error
+// (retryAfter 0 sends no Retry-After header).
+func fail(jobs []*Job, status, retryAfter int, msg string) {
+	for _, j := range jobs {
+		j.done <- jobResult{status: status, retryAfter: retryAfter, msg: msg}
+	}
+}
+
+// Front is the serving skeleton the single server and the fleet router
+// share: bounded admission of /annotate requests, the scheduler
+// goroutine that micro-batches them into execution cycles, the
+// readiness gate in front of both, and the HTTP plumbing (request
+// counting, /metrics, /healthz). A process supplies only what one
+// cycle does with its jobs, and its own read endpoints.
+type Front struct {
+	// Gate refuses /annotate while startup recovery replays and after a
+	// durability failure; the owning process runs its recovery behind it
+	// and trips it when a commit cannot be made durable.
+	Gate durable.Gate
+
+	run  func([]*Job)
+	jobs chan *Job
+	// ops carries exclusive operations to the scheduler. Unbuffered: a
+	// completed send means the scheduler has taken the operation and
+	// will finish it before it exits.
+	ops chan func()
+	// window is the micro-batch coalescing window in nanoseconds
+	// (0 = coalesce only what is already queued).
+	window atomic.Int64
+
+	quit      chan struct{}
+	loopDone  chan struct{}
+	closeOnce sync.Once
+
+	// o carries the HTTP/scheduler metrics; nil when no registry is
+	// attached, in which case every hook is a single branch.
+	o atomic.Pointer[frontObs]
+}
+
+// frontObs is the HTTP- and scheduler-level metric set, registered on
+// the same registry as the process's own metrics so one /metrics scrape
+// covers the whole process.
+type frontObs struct {
+	reg *obs.Registry
+
+	requests        *obs.Counter   // ner_http_requests_total
+	rejected        *obs.Counter   // ner_http_rejected_total
+	annotateSeconds *obs.Histogram // ner_http_annotate_seconds
+	jobsPerCycle    *obs.Histogram // ner_batch_jobs_per_cycle
+	queueDepth      *obs.Gauge     // ner_jobs_queue_depth
+}
+
+// NewFront starts the scheduler: run executes one micro-batched cycle
+// over the jobs it is handed, on the scheduler goroutine, one cycle at
+// a time. Call Close to stop it.
+func NewFront(run func([]*Job)) *Front {
+	f := &Front{
+		run:      run,
+		jobs:     make(chan *Job, queueDepth),
+		ops:      make(chan func()),
+		quit:     make(chan struct{}),
+		loopDone: make(chan struct{}),
+	}
+	go f.loop()
+	return f
+}
+
+// SetObserver attaches a metrics registry: HTTP latency, admission
+// rejections and micro-batch shape land on it, and /metrics exposes
+// it. A nil registry detaches.
+func (f *Front) SetObserver(reg *obs.Registry) {
+	if reg == nil {
+		f.o.Store(nil)
+		return
+	}
+	f.o.Store(&frontObs{
+		reg: reg,
+		requests: reg.Counter("ner_http_requests_total",
+			"HTTP requests served across all endpoints."),
+		rejected: reg.Counter("ner_http_rejected_total",
+			"Annotate requests refused without annotations: job queue saturated, or (router) cycle refused or degraded."),
+		annotateSeconds: reg.Histogram("ner_http_annotate_seconds",
+			"End-to-end /annotate latency (queueing + coalesced cycle).", nil),
+		jobsPerCycle: reg.Histogram("ner_batch_jobs_per_cycle",
+			"Concurrent requests coalesced into one execution cycle.", obs.SizeBuckets),
+		queueDepth: reg.Gauge("ner_jobs_queue_depth",
+			"Annotate jobs waiting in the scheduler queue."),
+	})
+}
+
+// Registry returns the attached registry (nil when detached).
+func (f *Front) Registry() *obs.Registry {
+	if fo := f.o.Load(); fo != nil {
+		return fo.reg
+	}
+	return nil
+}
+
+// SetBatchWindow sets how long the scheduler waits after a request
+// arrives to coalesce more requests into the same execution cycle.
+// Zero (the default) still coalesces everything that queued while the
+// previous cycle was running — the window only adds deliberate latency
+// to trade for bigger micro-batches under bursty concurrent load.
+func (f *Front) SetBatchWindow(d time.Duration) { f.window.Store(int64(d)) }
+
+// Close stops the scheduler — in-flight and queued requests receive
+// 503 — and, once its goroutine has exited, runs then: the rest of the
+// owning process's shutdown, which may therefore touch scheduler-owned
+// state. Idempotent: a repeated (or concurrent) call waits for the
+// first and does nothing.
+func (f *Front) Close(then func()) {
+	f.closeOnce.Do(func() {
+		close(f.quit)
+		<-f.loopDone
+		then()
+	})
+}
+
+// Exclusive runs op on the scheduler goroutine between two cycles, so
+// no cycle straddles it, and returns once op has; false means the
+// front is closing and op did not run.
+func (f *Front) Exclusive(op func()) bool {
+	done := make(chan struct{})
+	select {
+	case f.ops <- func() { defer close(done); op() }:
+		<-done
+		return true
+	case <-f.quit:
+		return false
+	}
+}
+
+// Reject answers every job of a cycle that was refused or degraded
+// before it could produce annotations with the same HTTP error
+// (retryAfter 0 sends no Retry-After header), counted on
+// ner_http_rejected_total beside the saturation rejections.
+func (f *Front) Reject(jobs []*Job, status, retryAfter int, msg string) {
+	if fo := f.o.Load(); fo != nil {
+		fo.rejected.Add(int64(len(jobs)))
+	}
+	fail(jobs, status, retryAfter, msg)
+}
+
+// loop is the scheduler: it blocks for the first queued request,
+// drains everything else that arrived (plus anything arriving within
+// the batch window), and runs them as one execution cycle.
+func (f *Front) loop() {
+	defer close(f.loopDone)
+	for {
+		select {
+		case <-f.quit:
+			return
+		case op := <-f.ops:
+			op()
+		case first := <-f.jobs:
+			batch := append([]*Job{first}, f.drain()...)
+			if fo := f.o.Load(); fo != nil {
+				fo.queueDepth.Set(int64(len(f.jobs)))
+				fo.jobsPerCycle.Observe(float64(len(batch)))
+			}
+			f.run(batch)
+		}
+	}
+}
+
+// drain collects every queued job without blocking, then keeps
+// collecting until the batch window (if any) expires.
+func (f *Front) drain() []*Job {
+	var out []*Job
+	for {
+		select {
+		case j := <-f.jobs:
+			out = append(out, j)
+			continue
+		default:
+		}
+		break
+	}
+	if w := time.Duration(f.window.Load()); w > 0 {
+		timer := time.NewTimer(w)
+		defer timer.Stop()
+		for {
+			select {
+			case j := <-f.jobs:
+				out = append(out, j)
+			case <-timer.C:
+				return out
+			case <-f.quit:
+				return out
+			}
+		}
+	}
+	return out
+}
+
+// Mux returns a mux serving the front's own endpoints — /annotate,
+// /metrics, /healthz; the process adds its read endpoints wrapped in
+// Counted. The mux patterns carry the method, so a wrong one answers
+// 405 before any handler runs.
+func (f *Front) Mux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /annotate", f.Counted(f.handleAnnotate))
+	mux.HandleFunc("GET /metrics", f.Counted(func(w http.ResponseWriter, r *http.Request) {
+		WriteMetrics(w, f.Registry())
+	}))
+	mux.HandleFunc("/healthz", f.Counted(f.Gate.ServeHealthz))
+	return mux
+}
+
+// Counted increments the request counter around a handler when a
+// registry is attached.
+func (f *Front) Counted(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if fo := f.o.Load(); fo != nil {
+			fo.requests.Inc()
+		}
+		h(w, r)
+	}
+}
+
+// annotateRequest is the POST /annotate payload.
+type annotateRequest struct {
+	Tweets []string `json:"tweets"`
+}
+
+// AnnotateResponse is the POST /annotate reply: annotations for the
+// newly submitted tweets (the whole stream's annotations may shift as
+// global context accumulates; GET /entities serves the current ones).
+type AnnotateResponse struct {
+	Sentences  []SentenceJSON `json:"sentences"`
+	StreamSize int            `json:"stream_size"`
+	Candidates int            `json:"candidates"`
+}
+
+func (f *Front) handleAnnotate(w http.ResponseWriter, r *http.Request) {
+	if f.Gate.Reject(w) {
+		return
+	}
+	fo := f.o.Load()
+	var t0 time.Time
+	if fo != nil {
+		t0 = time.Now()
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	var req annotateRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if len(req.Tweets) == 0 {
+		http.Error(w, "no tweets", http.StatusBadRequest)
+		return
+	}
+
+	// Tokenization is pure per-request work: do it on the request
+	// goroutine so the scheduler's serial section stays minimal.
+	job := &Job{done: make(chan jobResult, 1)}
+	for _, raw := range req.Tweets {
+		job.Tweets = append(job.Tweets, tokenizer.SplitSentences(tokenizer.Tokenize(raw)))
+	}
+
+	// Bounded admission: a full queue answers 503 immediately instead of
+	// parking the request goroutine, so overload degrades into fast
+	// rejections the client can back off from.
+	select {
+	case <-f.quit:
+		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
+		return
+	case <-r.Context().Done():
+		return
+	default:
+	}
+	select {
+	case f.jobs <- job:
+		if fo != nil {
+			fo.queueDepth.Set(int64(len(f.jobs)))
+		}
+	default:
+		if fo != nil {
+			fo.rejected.Inc()
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+		http.Error(w, "annotate queue saturated", http.StatusServiceUnavailable)
+		return
+	}
+	select {
+	case res := <-job.done:
+		if res.status != 0 {
+			if res.retryAfter > 0 {
+				w.Header().Set("Retry-After", strconv.Itoa(res.retryAfter))
+			}
+			http.Error(w, res.msg, res.status)
+			return
+		}
+		if fo != nil {
+			fo.annotateSeconds.Observe(time.Since(t0).Seconds())
+		}
+		WriteJSON(w, res.resp)
+	case <-f.quit:
+		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
+	}
+}
+
+// WriteMetrics serves a registry in Prometheus text exposition format.
+// Without a registry the body is empty but the endpoint still answers
+// 200, so probes don't flap on configuration.
+func WriteMetrics(w http.ResponseWriter, reg *obs.Registry) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	reg.WritePrometheus(w)
+}
+
+// WriteJSON answers 200 with v encoded as JSON.
+func WriteJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+// RenderEntities renders the typed spans among items (at maps an item
+// to its span and type; types.None is skipped) as the entity list every
+// endpoint serves for sent — never nil, so a sentence without entities
+// encodes as [].
+func RenderEntities[T any](sent *types.Sentence, items []T, at func(T) (types.Span, types.EntityType)) []EntityJSON {
+	out := []EntityJSON{}
+	for _, it := range items {
+		span, typ := at(it)
+		if typ == types.None {
+			continue
+		}
+		out = append(out, EntityJSON{
+			Start:   span.Start,
+			End:     span.End,
+			Type:    typ.String(),
+			Surface: sent.SurfaceAt(span),
+		})
+	}
+	return out
+}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"nerglobalizer/internal/obs"
-	"nerglobalizer/internal/types"
 )
 
 // These tests pin the service-level observability contract: /metrics
@@ -156,36 +155,34 @@ func TestHealthzContentType(t *testing.T) {
 	}
 }
 
-// TestAnnotateSaturationRejects drives the admission bound directly:
-// a server whose scheduler never runs and whose queue holds one job
+// TestAnnotateSaturationRejects drives the admission bound through the
+// handler: a server whose scheduler is held and whose queue is full
 // must answer the overflow request with 503 + Retry-After and count
 // the rejection, not park the request goroutine.
 func TestAnnotateSaturationRejects(t *testing.T) {
-	g := trainedPipeline(t)
-	g.Reset()
-	// Hand-built server: queue capacity 1 and no scheduler goroutine, so
-	// the queue stays saturated for the duration of the test.
-	s := &Server{
-		g:         g,
-		sentences: make(map[types.SentenceKey]*types.Sentence),
-		jobs:      make(chan *annotateJob, 1),
-		quit:      make(chan struct{}),
-		loopDone:  make(chan struct{}),
-	}
+	_, s := newTestServerFull(t)
 	reg := obs.NewRegistry()
-	s.o.Store(newServerObs(reg))
-	s.jobs <- &annotateJob{done: make(chan annotateResponse, 1)}
-
+	s.SetObserver(reg)
+	h := s.Handler()
 	body := mustMarshal(t, annotateRequest{Tweets: []string{"overflow tweet"}})
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodPost, "/annotate", bytes.NewReader(body))
-	done := make(chan struct{})
-	go func() {
-		s.handleAnnotate(rec, req)
-		close(done)
-	}()
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/annotate", bytes.NewReader(body)))
+		return rec
+	}
+	// Hold the scheduler between two cycles and send one request more
+	// than the queue holds: the admitted ones park until the release, so
+	// the first answer can only be the overflow.
+	release, held := make(chan struct{}), make(chan struct{})
+	go s.Front().Exclusive(func() { close(held); <-release })
+	<-held
+	answers := make(chan *httptest.ResponseRecorder, queueDepth+1)
+	for i := 0; i < queueDepth+1; i++ {
+		go func() { answers <- post() }()
+	}
+	var rec *httptest.ResponseRecorder
 	select {
-	case <-done:
+	case rec = <-answers:
 	case <-time.After(5 * time.Second):
 		t.Fatal("saturated /annotate blocked instead of rejecting")
 	}
@@ -197,6 +194,12 @@ func TestAnnotateSaturationRejects(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["ner_http_rejected_total"]; got != 1 {
 		t.Fatalf("ner_http_rejected_total = %d, want 1", got)
+	}
+	close(release)
+	for i := 0; i < queueDepth; i++ {
+		if rec := <-answers; rec.Code != http.StatusOK {
+			t.Fatalf("admitted request: status %d: %s", rec.Code, rec.Body)
+		}
 	}
 }
 

@@ -16,22 +16,26 @@
 //
 //	POST /annotate   {"tweets": ["raw text", ...]}
 //	                 → per-tweet entities after the cycle
+//	GET  /entities   → the whole stream's current annotations
 //	GET  /candidates → current candidate clusters
-//	POST /reset      → clear stream state
-//	GET  /healthz    → liveness
+//	POST /reset      → clear stream state (between two cycles)
+//	GET  /proof      → Merkle inclusion proof for a tweet (with a data dir)
+//	GET  /healthz    → readiness (503 while replaying or after a durability failure)
 //	GET  /metrics    → Prometheus text exposition (observability registry)
 //	GET  /statusz    → JSON snapshot of the same registry + cycle traces
 //
 // Admission is bounded: when the job queue is full, /annotate answers
 // 503 with a Retry-After header instead of blocking the client, and
 // the rejection is counted on the observability registry.
+//
+// Admission, the scheduler, the readiness gate and the HTTP plumbing
+// are the Front (front.go), which the fleet router shares; this file is
+// what the single server adds: its execution cycle and read endpoints.
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,70 +44,32 @@ import (
 	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/obs"
-	"nerglobalizer/internal/tokenizer"
 	"nerglobalizer/internal/types"
 )
 
-// maxBodyBytes caps request bodies on every mutating endpoint, keeping
-// a hostile client from streaming an unbounded payload into the JSON
-// decoder.
-const maxBodyBytes = 1 << 20
-
-// defaultQueueDepth is the admission bound of the job queue: requests
-// beyond it receive 503 rather than blocking.
-const defaultQueueDepth = 128
-
-// retryAfterSeconds is the Retry-After hint on saturation rejections:
-// one coalescing cycle normally clears the whole queue, so a short
-// back-off suffices.
-const retryAfterSeconds = 1
-
-// annotateJob is one enqueued /annotate request: its tweets, already
-// tokenized and sentence-split (pure per-request work kept out of the
-// serial section), and the channel its response comes back on.
-type annotateJob struct {
-	tweets [][][]string // per tweet, per sentence, tokens
-	done   chan annotateResponse
-}
-
 // Server wraps a trained pipeline with HTTP handlers. All pipeline
-// execution happens on the scheduler goroutine; the mutex only guards
-// the read-side endpoints (/candidates) and /reset against a cycle in
-// flight.
+// execution happens on the front's scheduler goroutine; the mutex
+// guards the read-side endpoints (/candidates, /entities) against a
+// cycle in flight.
 type Server struct {
+	front *Front
+
 	mu     sync.Mutex
 	g      *core.Globalizer
 	nextID int
-	// sentences of the accumulated stream, for rendering responses.
-	sentences map[types.SentenceKey]*types.Sentence
-
-	jobs chan *annotateJob
-	// window is the micro-batch coalescing window in nanoseconds
-	// (guarded by mu; 0 = coalesce only what is already queued).
-	window time.Duration
-
-	quit      chan struct{}
-	loopDone  chan struct{}
-	closeOnce sync.Once
 
 	// cycles counts executed micro-batch cycles (observability: with N
 	// concurrent clients it stays well below the request count).
 	cycles atomic.Int64
 
-	// o carries the HTTP/scheduler metrics; nil when no registry is
-	// attached, in which case every hook is a single branch.
+	// o carries the cycle metrics; nil when no registry is attached, in
+	// which case every hook is a single branch.
 	o atomic.Pointer[serverObs]
 
-	// Durability (nil / zero unless StartDurable was called): the WAL +
-	// snapshot manager, the Merkle provenance chain (guarded by mu), and
-	// the lifecycle flags — replaying while startup recovery runs,
-	// broken sticky after a WAL append or recovery failure.
-	dl         *durable.Log
-	prov       *durable.Provenance
-	replaying  atomic.Bool
-	broken     atomic.Bool
-	replayDone chan struct{}
-	recoverErr error
+	// Durability (nil unless StartDurable was called): the WAL + snapshot
+	// manager and the Merkle provenance chain (guarded by mu).
+	dl   *durable.Log
+	prov *durable.Provenance
 
 	// acks decouples acking from the scheduler when durability is on:
 	// runCycle hands each cycle's pre-rendered responses plus its
@@ -125,48 +91,18 @@ const ackQueueDepth = 32
 // answer, their pre-rendered responses, the durability wait that must
 // succeed first, and an optional snapshot to submit afterwards.
 type cycleAck struct {
-	jobs  []*annotateJob
-	resps []annotateResponse
+	jobs  []*Job
+	resps []AnnotateResponse
 	wait  func() error
 	snap  *durable.Snapshot
 }
 
-// serverObs is the HTTP- and scheduler-level metric set, registered on
-// the same registry as the pipeline's stage metrics so one /metrics
-// scrape covers the whole service.
+// serverObs is the cycle-level metric set, registered on the same
+// registry as the front's and the pipeline's stage metrics so one
+// /metrics scrape covers the whole service.
 type serverObs struct {
-	reg *obs.Registry
-
-	requests        *obs.Counter   // ner_http_requests_total
-	rejected        *obs.Counter   // ner_http_rejected_total
-	serverCycles    *obs.Counter   // ner_server_cycles_total
-	annotateSeconds *obs.Histogram // ner_http_annotate_seconds
-	jobsPerCycle    *obs.Histogram // ner_batch_jobs_per_cycle
-	sentsPerCycle   *obs.Histogram // ner_batch_sentences_per_cycle
-	queueDepth      *obs.Gauge     // ner_jobs_queue_depth
-}
-
-func newServerObs(reg *obs.Registry) *serverObs {
-	if reg == nil {
-		return nil
-	}
-	return &serverObs{
-		reg: reg,
-		requests: reg.Counter("ner_http_requests_total",
-			"HTTP requests served across all endpoints."),
-		rejected: reg.Counter("ner_http_rejected_total",
-			"Annotate requests rejected with 503 because the job queue was saturated."),
-		serverCycles: reg.Counter("ner_server_cycles_total",
-			"Micro-batched execution cycles run by the scheduler."),
-		annotateSeconds: reg.Histogram("ner_http_annotate_seconds",
-			"End-to-end /annotate latency (queueing + coalesced cycle).", nil),
-		jobsPerCycle: reg.Histogram("ner_batch_jobs_per_cycle",
-			"Concurrent requests coalesced into one execution cycle.", obs.SizeBuckets),
-		sentsPerCycle: reg.Histogram("ner_batch_sentences_per_cycle",
-			"Sentences processed per execution cycle.", obs.SizeBuckets),
-		queueDepth: reg.Gauge("ner_jobs_queue_depth",
-			"Annotate jobs waiting in the scheduler queue."),
-	}
+	serverCycles  *obs.Counter   // ner_server_cycles_total
+	sentsPerCycle *obs.Histogram // ner_batch_sentences_per_cycle
 }
 
 // SetObserver attaches a metrics registry to the server and its
@@ -174,19 +110,28 @@ func newServerObs(reg *obs.Registry) *serverObs {
 // shape land next to the pipeline's stage metrics, so /metrics exposes
 // all of them. A nil registry detaches everything.
 func (s *Server) SetObserver(reg *obs.Registry) {
-	s.o.Store(newServerObs(reg))
+	s.front.SetObserver(reg)
+	var so *serverObs
+	if reg != nil {
+		so = &serverObs{
+			serverCycles: reg.Counter("ner_server_cycles_total",
+				"Micro-batched execution cycles run by the scheduler."),
+			sentsPerCycle: reg.Histogram("ner_batch_sentences_per_cycle",
+				"Sentences processed per execution cycle.", obs.SizeBuckets),
+		}
+	}
+	s.o.Store(so)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.g.SetObserver(reg)
 }
 
 // Observer returns the attached registry (nil when detached).
-func (s *Server) Observer() *obs.Registry {
-	if so := s.o.Load(); so != nil {
-		return so.reg
-	}
-	return nil
-}
+func (s *Server) Observer() *obs.Registry { return s.front.Registry() }
+
+// Front returns the serving front: the scheduler hook and readiness
+// gate the fleet router shares.
+func (s *Server) Front() *Front { return s.front }
 
 // Cycles reports how many micro-batched execution cycles have run.
 func (s *Server) Cycles() int { return int(s.cycles.Load()) }
@@ -197,14 +142,8 @@ func (s *Server) Cycles() int { return int(s.cycles.Load()) }
 // leftover records. Call Close to stop the scheduler goroutine.
 func New(g *core.Globalizer) *Server {
 	g.Reset()
-	s := &Server{
-		g:         g,
-		sentences: make(map[types.SentenceKey]*types.Sentence),
-		jobs:      make(chan *annotateJob, defaultQueueDepth),
-		quit:      make(chan struct{}),
-		loopDone:  make(chan struct{}),
-	}
-	go s.loop()
+	s := &Server{g: g}
+	s.front = NewFront(s.runCycle)
 	return s
 }
 
@@ -212,12 +151,8 @@ func New(g *core.Globalizer) *Server {
 // Close returns once the scheduler goroutine has exited. Idempotent: a
 // repeated (or concurrent) call waits for the first and does nothing.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		close(s.quit)
-		<-s.loopDone
-		if s.replayDone != nil {
-			<-s.replayDone
-		}
+	s.front.Close(func() {
+		s.front.Gate.WaitWarm()
 		if s.acks != nil {
 			close(s.acks)
 			<-s.ackerDone
@@ -265,89 +200,25 @@ func (s *Server) Precision() nn.Precision {
 	return s.g.Precision()
 }
 
-// SetBatchWindow sets how long the scheduler waits after a request
-// arrives to coalesce more requests into the same execution cycle.
-// Zero (the default) still coalesces everything that queued while the
-// previous cycle was running — the window only adds deliberate latency
-// to trade for bigger micro-batches under bursty concurrent load.
-func (s *Server) SetBatchWindow(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.window = d
-}
-
-func (s *Server) batchWindow() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.window
-}
-
-// loop is the scheduler: it blocks for the first queued request,
-// drains everything else that arrived (plus anything arriving within
-// the batch window), and runs them as one execution cycle.
-func (s *Server) loop() {
-	defer close(s.loopDone)
-	for {
-		select {
-		case <-s.quit:
-			return
-		case first := <-s.jobs:
-			batch := append([]*annotateJob{first}, s.drain()...)
-			s.runCycle(batch)
-		}
-	}
-}
-
-// drain collects every queued job without blocking, then keeps
-// collecting until the batch window (if any) expires.
-func (s *Server) drain() []*annotateJob {
-	var out []*annotateJob
-	for {
-		select {
-		case j := <-s.jobs:
-			out = append(out, j)
-			continue
-		default:
-		}
-		break
-	}
-	if w := s.batchWindow(); w > 0 {
-		timer := time.NewTimer(w)
-		defer timer.Stop()
-		for {
-			select {
-			case j := <-s.jobs:
-				out = append(out, j)
-			case <-timer.C:
-				return out
-			case <-s.quit:
-				return out
-			}
-		}
-	}
-	return out
-}
+// SetBatchWindow sets the micro-batch coalescing window; see
+// Front.SetBatchWindow.
+func (s *Server) SetBatchWindow(d time.Duration) { s.front.SetBatchWindow(d) }
 
 // runCycle executes one micro-batched execution cycle: tweet IDs are
 // assigned in queue order (each request's tweets stay contiguous), the
 // coalesced batch runs through ProcessBatch once, and each request is
 // answered from its own slice of the result.
-func (s *Server) runCycle(jobs []*annotateJob) {
+func (s *Server) runCycle(jobs []*Job) {
 	s.cycles.Add(1)
-	so := s.o.Load()
-	if so != nil {
-		so.queueDepth.Set(int64(len(s.jobs)))
-	}
 	s.mu.Lock()
 	var batch []*types.Sentence
 	perJob := make([][]*types.Sentence, len(jobs))
 	for ji, job := range jobs {
-		for _, sentTokens := range job.tweets {
+		for _, sentTokens := range job.Tweets {
 			for si, toks := range sentTokens {
 				sent := &types.Sentence{TweetID: s.nextID, SentID: si, Tokens: toks}
 				batch = append(batch, sent)
 				perJob[ji] = append(perJob[ji], sent)
-				s.sentences[sent.Key()] = sent
 			}
 			s.nextID++
 		}
@@ -368,32 +239,22 @@ func (s *Server) runCycle(jobs []*annotateJob) {
 		snap = s.durableCommit(seq, rec)
 	}
 	s.mu.Unlock()
-	if so != nil {
+	if so := s.o.Load(); so != nil {
 		so.serverCycles.Inc()
-		so.jobsPerCycle.Observe(float64(len(jobs)))
 		so.sentsPerCycle.Observe(float64(len(batch)))
 	}
 	// Responses are rendered on the scheduler before the next cycle can
 	// mutate anything, so the acker only ever touches cycle-local data.
-	resps := make([]annotateResponse, len(jobs))
+	resps := make([]AnnotateResponse, len(jobs))
 	for ji := range jobs {
-		resp := annotateResponse{StreamSize: streamSize, Candidates: candidates}
+		resp := AnnotateResponse{StreamSize: streamSize, Candidates: candidates}
 		for _, sent := range perJob[ji] {
-			sj := SentenceJSON{
+			resp.Sentences = append(resp.Sentences, SentenceJSON{
 				TweetID:  sent.TweetID,
 				SentID:   sent.SentID,
 				Tokens:   sent.Tokens,
-				Entities: []EntityJSON{},
-			}
-			for _, e := range final[sent.Key()] {
-				sj.Entities = append(sj.Entities, EntityJSON{
-					Start:   e.Start,
-					End:     e.End,
-					Type:    e.Type.String(),
-					Surface: sent.SurfaceAt(e.Span),
-				})
-			}
-			resp.Sentences = append(resp.Sentences, sj)
+				Entities: RenderEntities(sent, final[sent.Key()], entitySpan),
+			})
 		}
 		resps[ji] = resp
 	}
@@ -401,17 +262,14 @@ func (s *Server) runCycle(jobs []*annotateJob) {
 	// Ack-after-durable: the WAL append is issued before any job is
 	// answered, and the acker releases the jobs only after the append's
 	// durability wait succeeds — immediate under "always", after the
-	// covering group fsync under "group". A failed append bricks the
-	// durability layer — in-memory state has already advanced past what
-	// disk holds, so continuing would let a later restart silently drop
-	// acknowledged cycles.
+	// covering group fsync under "group". A failed append trips the gate
+	// — in-memory state has already advanced past what disk holds, so
+	// continuing would let a later restart silently drop acknowledged
+	// cycles.
 	if rec != nil {
 		wait, err := s.dl.AppendAsync(rec)
 		if err != nil {
-			s.broken.Store(true)
-			for _, job := range jobs {
-				job.done <- annotateResponse{err: err}
-			}
+			s.durabilityFailed(jobs, err)
 			return
 		}
 		s.acks <- &cycleAck{jobs: jobs, resps: resps, wait: wait, snap: snap}
@@ -419,27 +277,35 @@ func (s *Server) runCycle(jobs []*annotateJob) {
 	}
 
 	for ji, job := range jobs {
-		job.done <- resps[ji]
+		job.Reply(resps[ji])
 	}
+}
+
+func entitySpan(e types.Entity) (types.Span, types.EntityType) { return e.Span, e.Type }
+
+func mentionSpan(m types.Mention) (types.Span, types.EntityType) { return m.Span, m.Type }
+
+// durabilityFailed trips the gate and answers the cycle's jobs 500
+// instead of acking state that disk does not hold.
+func (s *Server) durabilityFailed(jobs []*Job, err error) {
+	s.front.Gate.Trip()
+	fail(jobs, http.StatusInternalServerError, 0, "durability failure: "+err.Error())
 }
 
 // acker releases each durable cycle's clients once its durability wait
 // succeeds, in cycle order, then submits any scheduled snapshot (after
 // the covering fsync, so a snapshot never outruns the WAL it compacts).
-// A wait failure is sticky: the layer is bricked and the cycle's jobs
-// get the error instead of an ack.
+// A wait failure is sticky: the gate trips and the cycle's jobs get the
+// error instead of an ack.
 func (s *Server) acker() {
 	defer close(s.ackerDone)
 	for a := range s.acks {
 		if err := a.wait(); err != nil {
-			s.broken.Store(true)
-			for _, job := range a.jobs {
-				job.done <- annotateResponse{err: err}
-			}
+			s.durabilityFailed(a.jobs, err)
 			continue
 		}
 		for i, job := range a.jobs {
-			job.done <- a.resps[i]
+			job.Reply(a.resps[i])
 		}
 		if a.snap != nil {
 			s.dl.SubmitSnapshot(a.snap, a.snap.Seq)
@@ -449,43 +315,13 @@ func (s *Server) acker() {
 
 // Handler returns the routed HTTP handler.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/annotate", s.counted(s.handleAnnotate))
-	mux.HandleFunc("/candidates", s.counted(s.handleCandidates))
-	mux.HandleFunc("/entities", s.counted(s.handleEntities))
-	mux.HandleFunc("/reset", s.counted(s.handleReset))
-	mux.HandleFunc("/metrics", s.counted(s.handleMetrics))
-	mux.HandleFunc("/statusz", s.counted(s.handleStatusz))
-	mux.HandleFunc("/proof", s.counted(s.handleProof))
-	mux.HandleFunc("/healthz", s.counted(s.handleHealthz))
+	mux := s.front.Mux()
+	mux.HandleFunc("GET /candidates", s.front.Counted(s.handleCandidates))
+	mux.HandleFunc("GET /entities", s.front.Counted(s.handleEntities))
+	mux.HandleFunc("POST /reset", s.front.Counted(s.handleReset))
+	mux.HandleFunc("GET /statusz", s.front.Counted(s.handleStatusz))
+	mux.HandleFunc("GET /proof", s.front.Counted(s.handleProof))
 	return mux
-}
-
-// counted increments the request counter around a handler when a
-// registry is attached.
-func (s *Server) counted(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if so := s.o.Load(); so != nil {
-			so.requests.Inc()
-		}
-		h(w, r)
-	}
-}
-
-// handleMetrics serves the attached registry in Prometheus text
-// exposition format. Without a registry the body is empty but the
-// endpoint still answers 200, so probes don't flap on configuration.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	var reg *obs.Registry
-	if so := s.o.Load(); so != nil {
-		reg = so.reg
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	reg.WritePrometheus(w)
 }
 
 // StatuszResponse is the GET /statusz payload: a JSON snapshot of
@@ -519,14 +355,6 @@ type StatuszResponse struct {
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	var reg *obs.Registry
-	if so := s.o.Load(); so != nil {
-		reg = so.reg
-	}
 	s.mu.Lock()
 	resp := StatuszResponse{
 		Cycles:     int(s.cycles.Load()),
@@ -536,7 +364,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		GOARCH:     runtime.GOARCH,
 		SIMD:       nn.ActiveSIMD().String(),
 		SIMDBest:   nn.BestSIMD().String(),
-		Metrics:    reg.Snapshot(),
+		Metrics:    s.Observer().Snapshot(),
 		Traces:     s.g.Traces(),
 
 		ClusterReplayedShare: s.g.ClusterReplayedShare(),
@@ -552,12 +380,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	if resp.Traces == nil {
 		resp.Traces = []obs.CycleTrace{}
 	}
-	writeJSON(w, resp)
-}
-
-// annotateRequest is the POST /annotate payload.
-type annotateRequest struct {
-	Tweets []string `json:"tweets"`
+	WriteJSON(w, resp)
 }
 
 // EntityJSON is one extracted entity in a response.
@@ -576,89 +399,6 @@ type SentenceJSON struct {
 	Entities []EntityJSON `json:"entities"`
 }
 
-// annotateResponse is the POST /annotate reply: annotations for the
-// newly submitted tweets (the whole stream's annotations may shift as
-// global context accumulates; re-query by resubmitting or via a full
-// pipeline run offline).
-type annotateResponse struct {
-	Sentences  []SentenceJSON `json:"sentences"`
-	StreamSize int            `json:"stream_size"`
-	Candidates int            `json:"candidates"`
-	// err is set when the cycle ran but could not be made durable; the
-	// handler turns it into a 500 instead of acking lost state.
-	err error `json:"-"`
-}
-
-func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.rejectUnready(w) {
-		return
-	}
-	so := s.o.Load()
-	var t0 time.Time
-	if so != nil {
-		t0 = time.Now()
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var req annotateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(req.Tweets) == 0 {
-		http.Error(w, "no tweets", http.StatusBadRequest)
-		return
-	}
-
-	// Tokenization is pure per-request work: do it on the request
-	// goroutine so the scheduler's serial section stays minimal.
-	job := &annotateJob{done: make(chan annotateResponse, 1)}
-	for _, raw := range req.Tweets {
-		job.tweets = append(job.tweets, tokenizer.SplitSentences(tokenizer.Tokenize(raw)))
-	}
-
-	// Bounded admission: a full queue answers 503 immediately instead of
-	// parking the request goroutine, so overload degrades into fast
-	// rejections the client can back off from.
-	select {
-	case <-s.quit:
-		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
-		return
-	case <-r.Context().Done():
-		return
-	default:
-	}
-	select {
-	case s.jobs <- job:
-		if so != nil {
-			so.queueDepth.Set(int64(len(s.jobs)))
-		}
-	default:
-		if so != nil {
-			so.rejected.Inc()
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		http.Error(w, "annotate queue saturated", http.StatusServiceUnavailable)
-		return
-	}
-	select {
-	case resp := <-job.done:
-		if resp.err != nil {
-			http.Error(w, "durability failure: "+resp.err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if so != nil {
-			so.annotateSeconds.Observe(time.Since(t0).Seconds())
-		}
-		writeJSON(w, resp)
-	case <-s.quit:
-		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
-	}
-}
-
 // SentenceEntitiesJSON is one stream sentence's current annotations in
 // a GET /entities reply.
 type SentenceEntitiesJSON struct {
@@ -673,35 +413,19 @@ type SentenceEntitiesJSON struct {
 // revised earlier sentences, and it is the endpoint fleet identity
 // checks compare across serving topologies.
 func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
 	s.mu.Lock()
 	tb := s.g.TweetBase()
 	out := make([]SentenceEntitiesJSON, 0, tb.Len())
 	for _, key := range tb.Keys() {
 		rec := tb.Get(key)
-		sj := SentenceEntitiesJSON{
+		out = append(out, SentenceEntitiesJSON{
 			TweetID:  key.TweetID,
 			SentID:   key.SentID,
-			Entities: []EntityJSON{},
-		}
-		for _, m := range rec.FinalMentions {
-			if m.Type == types.None {
-				continue
-			}
-			sj.Entities = append(sj.Entities, EntityJSON{
-				Start:   m.Span.Start,
-				End:     m.Span.End,
-				Type:    m.Type.String(),
-				Surface: rec.Sentence.SurfaceAt(m.Span),
-			})
-		}
-		out = append(out, sj)
+			Entities: RenderEntities(rec.Sentence, rec.FinalMentions, mentionSpan),
+		})
 	}
 	s.mu.Unlock()
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 // CandidateJSON summarizes one candidate cluster.
@@ -714,10 +438,6 @@ type CandidateJSON struct {
 }
 
 func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := []CandidateJSON{}
@@ -730,14 +450,10 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 			Confidence: c.Confidence,
 		})
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	// A reset would fork the in-memory stream away from the WAL: any
 	// later replay would resurrect the pre-reset stream. Durable servers
 	// reset by wiping the data dir and restarting instead.
@@ -746,17 +462,16 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.g.Reset()
-	s.sentences = make(map[types.SentenceKey]*types.Sentence)
-	s.nextID = 0
-	w.WriteHeader(http.StatusOK)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	// Between two cycles, on the scheduler: no cycle straddles the reset.
+	// The mutex keeps the read endpoints out meanwhile.
+	if !s.front.Exclusive(func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.g.Reset()
+		s.nextID = 0
+	}) {
+		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
+		return
 	}
+	w.WriteHeader(http.StatusOK)
 }

@@ -92,7 +92,7 @@ func TestAnnotateEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var out annotateResponse
+	var out AnnotateResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestAnnotateAccumulatesStream(t *testing.T) {
 	postJSON(t, ts.URL+"/annotate", annotateRequest{Tweets: []string{"hello world"}}).Body.Close()
 	resp := postJSON(t, ts.URL+"/annotate", annotateRequest{Tweets: []string{"another tweet"}})
 	defer resp.Body.Close()
-	var out annotateResponse
+	var out AnnotateResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestConcurrentAnnotateMicroBatches(t *testing.T) {
 				errs <- fmt.Errorf("client %d: status %d", c, resp.StatusCode)
 				return
 			}
-			var out annotateResponse
+			var out AnnotateResponse
 			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 				errs <- fmt.Errorf("client %d: %v", c, err)
 				return
@@ -249,7 +249,7 @@ func TestConcurrentAnnotateMicroBatches(t *testing.T) {
 	}
 
 	resp := postJSON(t, ts.URL+"/annotate", annotateRequest{Tweets: []string{"final probe"}})
-	var out annotateResponse
+	var out AnnotateResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
