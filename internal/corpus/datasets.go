@@ -123,12 +123,6 @@ func EvaluationSets() []*Dataset {
 	return []*Dataset{D1(), D2(), D3(), D4(), WNUT17(), BTC()}
 }
 
-// StreamingSets returns D1–D4, the datasets that retain Twitter-stream
-// properties (used for Figure 3, Figure 4 and the error analysis).
-func StreamingSets() []*Dataset {
-	return []*Dataset{D1(), D2(), D3(), D4()}
-}
-
 // PretrainTweets generates an unlabeled tweet corpus for masked-LM
 // pre-training of the BERTweet stand-in: mixed topics, full microblog
 // noise.

@@ -208,13 +208,3 @@ func childFold(n *node, tok string, buf *[]byte) (*node, bool) {
 	child, ok := n.children[string(b)]
 	return child, ok
 }
-
-// canonical lower-cases and space-joins tokens; kept for tests and
-// callers that need the canonical form outside a trie walk.
-func canonical(tokens []string) string {
-	parts := make([]string, len(tokens))
-	for i, t := range tokens {
-		parts[i] = strings.ToLower(t)
-	}
-	return strings.Join(parts, " ")
-}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"nerglobalizer/internal/types"
 )
 
 func TestInsertAndContains(t *testing.T) {
@@ -156,7 +158,7 @@ func TestScanWellFormedProperty(t *testing.T) {
 			if !tr.ContainsSurface(m.Surface) {
 				return false
 			}
-			if canonical(sent[m.Start:m.End]) != m.Surface {
+			if types.CanonicalSurface(sent[m.Start:m.End]) != m.Surface {
 				return false
 			}
 			prevEnd = m.End
@@ -201,7 +203,7 @@ func TestScanSurfaceMatchesCanonical(t *testing.T) {
 	tr.Insert([]string{"New", "York"})
 	tr.InsertSurface("ITALY")
 	for _, m := range tr.Scan(strings.Fields("NEW YORK beats italy")) {
-		if m.Surface != canonical([]string{"new", "york"}) && m.Surface != "italy" {
+		if m.Surface != types.CanonicalSurface([]string{"new", "york"}) && m.Surface != "italy" {
 			t.Fatalf("surface %q not canonical", m.Surface)
 		}
 	}

@@ -1077,6 +1077,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	for _, s := range snapshotSeeds() {
 		f.Add(payload(s))
 	}
+	f.Add(parentRouterPayload(&Snapshot{Kind: KindRouter, Seq: 5, NextID: 7}, []CycleSentence{{TweetID: 1, Tokens: []string{"a", "b"}}}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := decodeSnapshotPayload(b)
 		if err != nil {
@@ -1095,8 +1096,18 @@ func snapshotSeeds() []*Snapshot {
 	return []*Snapshot{
 		{Kind: KindShard, Seq: 10, NextID: 42, LastResp: []byte{1, 2, 3}, Warm: sampleWarmState(), Provenance: prov},
 		{Kind: KindSingle, Seq: 20, Prev: 10, NextID: 43, Delta: sampleWarmDelta(), Provenance: prov},
-		{Kind: KindRouter, Seq: 5, NextID: 7, RouterSentences: []CycleSentence{{TweetID: 1, Tokens: []string{"a", "b"}}}},
+		{Kind: KindRouter, Seq: 5, NextID: 7},
 	}
+}
+
+// parentRouterPayload is a router snapshot payload as builds before the
+// router stopped holding the stream wrote it: the trailing sentence list
+// populated instead of empty.
+func parentRouterPayload(s *Snapshot, sents []CycleSentence) []byte {
+	w := &binenc.Writer{Buf: payload(s)}
+	w.Buf = w.Buf[:len(w.Buf)-4] // the empty list's count
+	PutCycleSentences(w, sents)
+	return w.Buf
 }
 
 // TestSnapshotDecodeMutationsNeverPanic truncates and corrupts the v2
@@ -1122,6 +1133,18 @@ func TestSnapshotDecodeMutationsNeverPanic(t *testing.T) {
 				mut[i] ^= flip
 				decodeSnapshotPayload(mut)
 			}
+		}
+	}
+	// A router snapshot that still lists sentences loads as the cursor it
+	// carries, the list dropped; cut short inside the list it is refused.
+	router := &Snapshot{Kind: KindRouter, Seq: 5, NextID: 7}
+	old := parentRouterPayload(router, []CycleSentence{{TweetID: 1, Tokens: []string{"a", "b"}}, {TweetID: 2, SentID: 1}})
+	if got, err := decodeSnapshotPayload(old); err != nil || !reflect.DeepEqual(router, got) {
+		t.Fatalf("router payload with a populated sentence list decoded to %+v, %v", got, err)
+	}
+	for n := len(payload(router)) - 4; n < len(old); n++ {
+		if _, err := decodeSnapshotPayload(old[:n]); err == nil {
+			t.Fatalf("router payload cut inside its sentence list at %d bytes decoded without error", n)
 		}
 	}
 	// A delta must name what it extends, a base must not.

@@ -44,11 +44,6 @@ type CycleSentence struct {
 	Tokens  []string
 }
 
-// Sentence materializes the logged form.
-func (c CycleSentence) Sentence() *types.Sentence {
-	return &types.Sentence{TweetID: c.TweetID, SentID: c.SentID, Tokens: c.Tokens}
-}
-
 // ToCycleSentences converts a batch for logging.
 func ToCycleSentences(batch []*types.Sentence) []CycleSentence {
 	out := make([]CycleSentence, len(batch))
@@ -62,7 +57,7 @@ func ToCycleSentences(batch []*types.Sentence) []CycleSentence {
 func ToSentences(cs []CycleSentence) []*types.Sentence {
 	out := make([]*types.Sentence, len(cs))
 	for i, c := range cs {
-		out[i] = c.Sentence()
+		out[i] = &types.Sentence{TweetID: c.TweetID, SentID: c.SentID, Tokens: c.Tokens}
 	}
 	return out
 }
@@ -111,11 +106,12 @@ type CycleRecord struct {
 	Annotations []SentenceAnnotation
 }
 
-// leafBytes is the canonical encoding of one annotation leaf — the
-// bytes the Merkle layer hashes and cmd/nerprove re-derives during
-// verification. It must never change shape without a WAL format bump.
-func leafBytes(a SentenceAnnotation) []byte {
-	w := &binenc.Writer{Buf: make([]byte, 0, 24+32*len(a.Entities))}
+// PutAnnotation writes one sentence's annotations: the canonical
+// encoding of a Merkle leaf — the bytes the provenance layer hashes and
+// cmd/nerprove re-derives during verification — and the element of the
+// fleet's owned-annotation lists. It must never change shape without a
+// WAL format bump.
+func PutAnnotation(w *binenc.Writer, a *SentenceAnnotation) {
 	w.I64(a.TweetID)
 	w.I64(a.SentID)
 	w.U32(len(a.Entities))
@@ -125,6 +121,28 @@ func leafBytes(a SentenceAnnotation) []byte {
 		w.I64(int(e.Type))
 		w.Str(e.Surface)
 	}
+}
+
+// GetAnnotation reads what PutAnnotation wrote.
+func GetAnnotation(r *binenc.Reader, a *SentenceAnnotation) {
+	a.TweetID = r.I64()
+	a.SentID = r.I64()
+	if ne := r.Count(28); ne > 0 {
+		a.Entities = make([]Entity, ne)
+	}
+	for j := range a.Entities {
+		e := &a.Entities[j]
+		e.Start = r.I64()
+		e.End = r.I64()
+		e.Type = types.EntityType(r.I64())
+		e.Surface = r.Str()
+	}
+}
+
+// leafBytes is one annotation leaf on its own.
+func leafBytes(a SentenceAnnotation) []byte {
+	w := &binenc.Writer{Buf: make([]byte, 0, 24+32*len(a.Entities))}
+	PutAnnotation(w, &a)
 	return w.Buf
 }
 
@@ -143,19 +161,7 @@ func getAnnotations(r *binenc.Reader) []SentenceAnnotation {
 	out := make([]SentenceAnnotation, n)
 	for i := range out {
 		lr := &binenc.Reader{B: r.Bytes()}
-		out[i].TweetID = lr.I64()
-		out[i].SentID = lr.I64()
-		ne := lr.Count(28)
-		if lr.Err == nil && ne > 0 {
-			out[i].Entities = make([]Entity, ne)
-		}
-		for j := range out[i].Entities {
-			e := &out[i].Entities[j]
-			e.Start = lr.I64()
-			e.End = lr.I64()
-			e.Type = types.EntityType(lr.I64())
-			e.Surface = lr.Str()
-		}
+		GetAnnotation(lr, &out[i])
 		if err := lr.Done(); err != nil && r.Err == nil {
 			r.Err = err
 		}
@@ -163,7 +169,26 @@ func getAnnotations(r *binenc.Reader) []SentenceAnnotation {
 	return out
 }
 
-func putCycleSentences(w *binenc.Writer, cs []CycleSentence) {
+// cycleSentenceMin is the smallest encoded sentence: TweetID, SentID
+// and the token count.
+const cycleSentenceMin = 20
+
+// CycleSentencesSize is the encoded size of a sentence list, for
+// pre-sizing the buffer PutCycleSentences writes into.
+func CycleSentencesSize(cs []CycleSentence) int {
+	n := 4
+	for i := range cs {
+		n += cycleSentenceMin
+		for _, t := range cs[i].Tokens {
+			n += 4 + len(t)
+		}
+	}
+	return n
+}
+
+// PutCycleSentences writes a sentence list: the one layout the WAL, the
+// router journal and the fleet's tag and commit frames all carry.
+func PutCycleSentences(w *binenc.Writer, cs []CycleSentence) {
 	w.U32(len(cs))
 	for i := range cs {
 		w.I64(cs[i].TweetID)
@@ -172,8 +197,9 @@ func putCycleSentences(w *binenc.Writer, cs []CycleSentence) {
 	}
 }
 
-func getCycleSentences(r *binenc.Reader) []CycleSentence {
-	n := r.Count(20)
+// GetCycleSentences reads what PutCycleSentences wrote.
+func GetCycleSentences(r *binenc.Reader) []CycleSentence {
+	n := r.Count(cycleSentenceMin)
 	if r.Err != nil || n == 0 {
 		return nil
 	}
@@ -191,7 +217,7 @@ func (c *CycleRecord) encode() []byte {
 	w := &binenc.Writer{Buf: make([]byte, 0, 256)}
 	w.U64(c.Seq)
 	w.I64(c.Mode)
-	putCycleSentences(w, c.Sentences)
+	PutCycleSentences(w, c.Sentences)
 	putAnnotations(w, c.Annotations)
 	return w.Buf
 }
@@ -202,7 +228,7 @@ func decodeCycleRecord(b []byte) (*CycleRecord, error) {
 	c := &CycleRecord{}
 	c.Seq = r.U64()
 	c.Mode = r.I64()
-	c.Sentences = getCycleSentences(r)
+	c.Sentences = GetCycleSentences(r)
 	c.Annotations = getAnnotations(r)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("durable: cycle record: %w", err)

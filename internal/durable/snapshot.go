@@ -41,8 +41,8 @@ const (
 	// KindShard is a fleet shard: engine state + provenance + the
 	// seq-gate's cached last response.
 	KindShard
-	// KindRouter is the fleet front router: no engine, just the stream
-	// registry (sentences for surface rendering) and the cycle cursor.
+	// KindRouter is the fleet front router: no engine and no stream, just
+	// the cycle cursor (Seq and NextID).
 	KindRouter
 )
 
@@ -58,8 +58,8 @@ type Snapshot struct {
 	Prev uint64
 	// NextID is the tweet-ID allocator cursor (single server, router).
 	NextID int
-	// LastResp is the shard's gob-encoded cached commit response — the
-	// seq-gate's replay answer (shard only).
+	// LastResp is the shard's cached commit response, as the bare frame
+	// body it went out in — the seq-gate's replay answer (shard only).
 	LastResp []byte
 	// Warm is the engine state of a base (single server, shard).
 	Warm *core.WarmState
@@ -70,9 +70,6 @@ type Snapshot struct {
 	// Provenance is the Merkle chain's ground truth (single, shard): in
 	// a base every cycle, in a delta the cycles after Prev.
 	Provenance []CycleProv
-	// RouterSentences is the router's sentence registry in ingestion
-	// order (router only).
-	RouterSentences []CycleSentence
 }
 
 func snapshotName(seq uint64) string {
@@ -101,7 +98,9 @@ func (s *Snapshot) encode(w *binenc.Writer) {
 	putWarmState(w, s.Warm)
 	putWarmDelta(w, s.Delta)
 	putProvCycles(w, s.Provenance)
-	putCycleSentences(w, s.RouterSentences)
+	// The slot of the sentence registry routers used to snapshot: always
+	// empty now, kept so the format (and its version) stands.
+	PutCycleSentences(w, nil)
 }
 
 func decodeSnapshotPayload(b []byte) (*Snapshot, error) {
@@ -115,7 +114,9 @@ func decodeSnapshotPayload(b []byte) (*Snapshot, error) {
 	s.Warm = getWarmState(r)
 	s.Delta = getWarmDelta(r)
 	s.Provenance = getProvCycles(r)
-	s.RouterSentences = getCycleSentences(r)
+	// A router snapshot from before the slot was retired lists every
+	// sentence it had ingested; nothing reads them any more.
+	GetCycleSentences(r)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("durable: snapshot payload: %w", err)
 	}

@@ -344,7 +344,7 @@ func (c *ShardClient) Candidates() ([]WireCandidate, error) {
 }
 
 // Entities fetches the shard's owned stream annotations.
-func (c *ShardClient) Entities() ([]SentenceEntities, error) {
+func (c *ShardClient) Entities() ([]durable.SentenceAnnotation, error) {
 	reply, err := c.call(opEntities, "entities", nil)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 // Frame bodies: the fixed-width encodings of the per-cycle RPC payloads
 // and the two fan-in replies, written with the internal/binenc
-// primitives (the layout conventions are documented there). A body is
+// primitives (the layout conventions are documented there); a batch's
+// sentences are durable's sentence list, byte for byte. A body is
 // the whole frame payload — no envelope, no type descriptors — and both
 // ends of a connection are the same build, so the layouts carry no
 // version. Float64 bits are preserved exactly: fleet identity depends on
@@ -12,51 +13,17 @@ import (
 
 	"nerglobalizer/internal/binenc"
 	"nerglobalizer/internal/core"
+	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/types"
 )
 
 const (
-	wireSentenceMin = 20 // TweetID + SentID + token count
-	wireTagMin      = 16 // token count + entity count + matrix rows
-	wireEntityMin   = 24 // Start + End + Type
-	wireSEMin       = 20 // TweetID + SentID + entity count
-	wireOwnedMin    = 28 // WireEntity fields + surface length
+	wireTagMin    = 16 // token count + entity count + matrix rows
+	wireEntityMin = 24 // Start + End + Type
+	wireSEMin     = 20 // TweetID + SentID + entity count
+	wireOwnedMin  = 28 // entity fields + surface length
 )
-
-func sentencesSize(ss []WireSentence) int {
-	n := 4
-	for i := range ss {
-		n += wireSentenceMin
-		for _, t := range ss[i].Tokens {
-			n += 4 + len(t)
-		}
-	}
-	return n
-}
-
-func putSentences(w *binenc.Writer, ss []WireSentence) {
-	w.U32(len(ss))
-	for i := range ss {
-		w.I64(ss[i].TweetID)
-		w.I64(ss[i].SentID)
-		w.Strs(ss[i].Tokens)
-	}
-}
-
-func getSentences(r *binenc.Reader) []WireSentence {
-	n := r.Count(wireSentenceMin)
-	if r.Err != nil || n == 0 {
-		return nil
-	}
-	out := make([]WireSentence, n)
-	for i := range out {
-		out[i].TweetID = r.I64()
-		out[i].SentID = r.I64()
-		out[i].Tokens = r.Strs()
-	}
-	return out
-}
 
 func tagsSize(ts []WireTag) int {
 	n := 4
@@ -134,7 +101,7 @@ func getTags(r *binenc.Reader) []WireTag {
 	return out
 }
 
-func ownedSize(es []SentenceEntities) int {
+func ownedSize(es []durable.SentenceAnnotation) int {
 	n := 4
 	for i := range es {
 		n += wireSEMin
@@ -145,44 +112,24 @@ func ownedSize(es []SentenceEntities) int {
 	return n
 }
 
-func putOwned(w *binenc.Writer, es []SentenceEntities) {
+// putOwned writes owned annotations one after the other, not as the
+// length-prefixed leaves of a WAL record: it is the layout a shard's
+// persisted LastResp already has.
+func putOwned(w *binenc.Writer, es []durable.SentenceAnnotation) {
 	w.U32(len(es))
 	for i := range es {
-		w.I64(es[i].TweetID)
-		w.I64(es[i].SentID)
-		w.U32(len(es[i].Entities))
-		for _, e := range es[i].Entities {
-			w.I64(e.Start)
-			w.I64(e.End)
-			w.I64(int(e.Type))
-			w.Str(e.Surface)
-		}
+		durable.PutAnnotation(w, &es[i])
 	}
 }
 
-func getOwned(r *binenc.Reader) []SentenceEntities {
+func getOwned(r *binenc.Reader) []durable.SentenceAnnotation {
 	n := r.Count(wireSEMin)
 	if r.Err != nil || n == 0 {
 		return nil
 	}
-	out := make([]SentenceEntities, n)
+	out := make([]durable.SentenceAnnotation, n)
 	for i := range out {
-		out[i].TweetID = r.I64()
-		out[i].SentID = r.I64()
-		ne := r.Count(wireOwnedMin)
-		if r.Err != nil {
-			return nil
-		}
-		if ne > 0 {
-			out[i].Entities = make([]WireEntity, ne)
-		}
-		for j := range out[i].Entities {
-			e := &out[i].Entities[j]
-			e.Start = r.I64()
-			e.End = r.I64()
-			e.Type = types.EntityType(r.I64())
-			e.Surface = r.Str()
-		}
+		durable.GetAnnotation(r, &out[i])
 	}
 	return out
 }
@@ -228,16 +175,16 @@ func finish(r *binenc.Reader, what string) error {
 
 // encode renders the tag request as a frame body.
 func (q *TagRequest) encode() ([]byte, error) {
-	w := &binenc.Writer{Buf: make([]byte, 0, 8+sentencesSize(q.Sentences))}
+	w := &binenc.Writer{Buf: make([]byte, 0, 8+durable.CycleSentencesSize(q.Sentences))}
 	w.U64(q.Seq)
-	putSentences(w, q.Sentences)
+	durable.PutCycleSentences(w, q.Sentences)
 	return w.Buf, w.Err
 }
 
 func (q *TagRequest) decode(b []byte) error {
 	r := &binenc.Reader{B: b}
 	q.Seq = r.U64()
-	q.Sentences = getSentences(r)
+	q.Sentences = durable.GetCycleSentences(r)
 	return finish(r, "tag request")
 }
 
@@ -262,9 +209,9 @@ func (q *TagResponse) decode(b []byte) error {
 // a cycle's commit once and every shard's frame references the same
 // bytes.
 func (q *CommitRequest) encode() ([]byte, error) {
-	w := &binenc.Writer{Buf: make([]byte, 0, 16+sentencesSize(q.Sentences)+tagsSize(q.Tagged))}
+	w := &binenc.Writer{Buf: make([]byte, 0, 16+durable.CycleSentencesSize(q.Sentences)+tagsSize(q.Tagged))}
 	w.U64(q.Seq)
-	putSentences(w, q.Sentences)
+	durable.PutCycleSentences(w, q.Sentences)
 	putTags(w, q.Tagged)
 	w.I64(int(q.Mode))
 	return w.Buf, w.Err
@@ -273,7 +220,7 @@ func (q *CommitRequest) encode() ([]byte, error) {
 func (q *CommitRequest) decode(b []byte) error {
 	r := &binenc.Reader{B: b}
 	q.Seq = r.U64()
-	q.Sentences = getSentences(r)
+	q.Sentences = durable.GetCycleSentences(r)
 	q.Tagged = getTags(r)
 	q.Mode = core.Mode(r.I64())
 	return finish(r, "commit request")
@@ -315,13 +262,13 @@ func decodeCandidates(b []byte) ([]WireCandidate, error) {
 }
 
 // encodeEntities renders a shard's whole-stream entity fan-in reply.
-func encodeEntities(es []SentenceEntities) []byte {
+func encodeEntities(es []durable.SentenceAnnotation) []byte {
 	w := &binenc.Writer{Buf: make([]byte, 0, ownedSize(es))}
 	putOwned(w, es)
 	return w.Buf
 }
 
-func decodeEntities(b []byte) ([]SentenceEntities, error) {
+func decodeEntities(b []byte) ([]durable.SentenceAnnotation, error) {
 	r := &binenc.Reader{B: b}
 	out := getOwned(r)
 	return out, finish(r, "entities")

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nerglobalizer/internal/core"
+	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/types"
 )
@@ -21,7 +22,7 @@ func fuzzSampleCommit() *CommitRequest {
 	emb.Data = []float64{math.Inf(1), math.Copysign(0, -1), 5e-324, 1.5, -2.25, 0}
 	return &CommitRequest{
 		Seq: 7,
-		Sentences: []WireSentence{
+		Sentences: []durable.CycleSentence{
 			{TweetID: 1, SentID: 0, Tokens: []string{"Caffè", "in", "Milano"}},
 			{TweetID: 2, SentID: 1, Tokens: nil},
 		},
@@ -53,8 +54,8 @@ func sampleBodies(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	owned := []SentenceEntities{
-		{TweetID: 1, SentID: 0, Entities: []WireEntity{{Start: 2, End: 3, Type: types.Location, Surface: "milano"}}},
+	owned := []durable.SentenceAnnotation{
+		{TweetID: 1, SentID: 0, Entities: []durable.Entity{{Start: 2, End: 3, Type: types.Location, Surface: "milano"}}},
 	}
 	commitResp := (&CommitResponse{Seq: 7, Entities: owned, StreamSize: 2, Candidates: 1, BusySeconds: 0.25}).encode()
 	cands := encodeCandidates([]WireCandidate{{Surface: "milano", ClusterID: 1, Type: types.Location, Mentions: 3, Confidence: 0.5}})

@@ -79,6 +79,7 @@ func TestFrontContract(t *testing.T) {
 		arrange      func(t *testing.T, p *frontProcess) (undo func())
 		method, body string
 		status       int
+		reply        string // body of the answer ("": not checked)
 		retryAfter   string
 		rejected     int64  // ner_http_rejected_total afterwards
 		routerAlso   int64  // cycle refusals only the router counts on it
@@ -87,6 +88,8 @@ func TestFrontContract(t *testing.T) {
 		{name: "GET", method: http.MethodGet, status: http.StatusMethodNotAllowed, healthz: "ok\n"},
 		{name: "bad JSON", method: http.MethodPost, body: `{"tweets":`, status: http.StatusBadRequest, healthz: "ok\n"},
 		{name: "no tweets", method: http.MethodPost, body: `{"tweets":[]}`, status: http.StatusBadRequest, healthz: "ok\n"},
+		{name: "blank tweet", method: http.MethodPost, body: `{"tweets":["Governor Beshear gives an update","   "]}`,
+			status: http.StatusBadRequest, reply: "tweet 1 has no tokens\n", healthz: "ok\n"},
 		{name: "body past the 1 MB cap", method: http.MethodPost,
 			body:   `{"tweets":["` + strings.Repeat("a", 1<<20) + `"]}`,
 			status: http.StatusBadRequest, healthz: "ok\n"},
@@ -172,6 +175,9 @@ func TestFrontContract(t *testing.T) {
 				rec := p.do(tc.method, "/annotate", tc.body)
 				if rec.Code != tc.status {
 					t.Fatalf("status %d, want %d: %s", rec.Code, tc.status, rec.Body)
+				}
+				if tc.reply != "" && rec.Body.String() != tc.reply {
+					t.Fatalf("body %q, want %q", rec.Body, tc.reply)
 				}
 				if got := rec.Header().Get("Retry-After"); got != tc.retryAfter {
 					t.Fatalf("Retry-After %q, want %q", got, tc.retryAfter)

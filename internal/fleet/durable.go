@@ -3,14 +3,12 @@ package fleet
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/server"
-	"nerglobalizer/internal/types"
 )
 
 // Fleet durability splits along the ownership contract:
@@ -29,7 +27,9 @@ import (
 //     makes the re-drive exactly-once.
 //   - The router snapshots only at cycles every shard has acked, so the
 //     journal tail past the latest snapshot always contains every
-//     record a lagging shard could need.
+//     record a lagging shard could need. That snapshot is the cycle
+//     cursor and nothing else — the router holds no stream — so its
+//     only job is to let the journal behind it be compacted.
 
 // replayRetryInterval paces the router's recovery polling of shards
 // that are themselves still replaying.
@@ -37,32 +37,6 @@ const replayRetryInterval = 200 * time.Millisecond
 
 // replayDeadline bounds how long router recovery waits for one shard.
 const replayDeadline = 2 * time.Minute
-
-// toCycleSentences converts wire sentences for the WAL.
-func toCycleSentences(ws []WireSentence) []durable.CycleSentence {
-	out := make([]durable.CycleSentence, len(ws))
-	for i, s := range ws {
-		out[i] = durable.CycleSentence{TweetID: s.TweetID, SentID: s.SentID, Tokens: s.Tokens}
-	}
-	return out
-}
-
-// wireAnnotations converts a commit response's owned entities into the
-// WAL / Merkle-leaf form. The surfaces are the canonical wire surfaces,
-// so the provenance chain covers exactly the bytes the shard served.
-func wireAnnotations(ents []SentenceEntities) []durable.SentenceAnnotation {
-	out := make([]durable.SentenceAnnotation, len(ents))
-	for i, se := range ents {
-		a := durable.SentenceAnnotation{TweetID: se.TweetID, SentID: se.SentID}
-		for _, e := range se.Entities {
-			a.Entities = append(a.Entities, durable.Entity{
-				Start: e.Start, End: e.End, Type: e.Type, Surface: e.Surface,
-			})
-		}
-		out[i] = a
-	}
-	return out
-}
 
 // ---------------------------------------------------------------------
 // Shard durability
@@ -130,7 +104,7 @@ func (s *Shard) recoverFrom(rec *durable.Recovery) error {
 		batch := durable.ToSentences(cr.Sentences)
 		s.g.ProcessTagged(batch, s.g.TagBatch(batch), core.Mode(cr.Mode))
 		s.seq, s.lastResp = cr.Seq, s.commitResponse(cr.Seq, batch)
-		return wireAnnotations(s.lastResp.Entities)
+		return s.lastResp.Entities
 	})
 	if err != nil {
 		return fmt.Errorf("fleet: shard %d: %w", s.index, err)
@@ -141,20 +115,22 @@ func (s *Shard) recoverFrom(rec *durable.Recovery) error {
 
 // durableCommit is handleCommit's persistence tail, run under s.mu
 // after the engine applied the cycle and before the response is acked.
-// It issues the WAL append, folds the cycle into the provenance chain,
-// and returns a captured snapshot (base or delta, the log's chain rule
-// decides) when the schedule calls for one plus the append's
-// durability wait — the caller calls the wait off-lock before acking
-// (immediate under fsync=always, the covering group fsync under
-// fsync=group). An append failure bricks the shard: the
-// replica has advanced past its disk, so acking — or taking further
-// commits — would let a restart silently drop the cycle.
+// It issues the WAL append — the request's sentences and the response's
+// owned annotations as they are, so the log and the Merkle leaves cover
+// exactly the bytes the shard served — folds the cycle into the
+// provenance chain, and returns a captured snapshot (base or delta, the
+// log's chain rule decides) when the schedule calls for one plus the
+// append's durability wait — the caller calls the wait off-lock before
+// acking (immediate under fsync=always, the covering group fsync under
+// fsync=group). An append failure bricks the shard: the replica has
+// advanced past its disk, so acking — or taking further commits — would
+// let a restart silently drop the cycle.
 func (s *Shard) durableCommit(req *CommitRequest, resp *CommitResponse) (*durable.Snapshot, func() error, error) {
 	rec := &durable.CycleRecord{
 		Seq:         req.Seq,
 		Mode:        int(req.Mode),
-		Sentences:   toCycleSentences(req.Sentences),
-		Annotations: wireAnnotations(resp.Entities),
+		Sentences:   req.Sentences,
+		Annotations: resp.Entities,
 	}
 	wait, err := s.dl.AppendAsync(rec)
 	if err != nil {
@@ -202,7 +178,7 @@ func (s *Shard) handleProof(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------
 
 // StartDurable opens the router's journal directory and begins
-// recovery: restore the cycle cursor and sentence registry, then
+// recovery: restore the cycle cursor (seq and next tweet ID), then
 // re-drive any shard whose committed seq lags the journal. Call once,
 // after NewRouter and SetObserver but before serving.
 func (r *Router) StartDurable(dir string, opts durable.Options) error {
@@ -219,38 +195,32 @@ func (r *Router) StartDurable(dir string, opts durable.Options) error {
 // completes and returns its error.
 func (r *Router) WaitWarm() error { return r.front.Gate.WaitWarm() }
 
-// recoverFrom restores the router's registry and reconciles the fleet.
+// recoverFrom restores the router's cursor and reconciles the fleet.
 func (r *Router) recoverFrom(rec *durable.Recovery) error {
 	t0 := time.Now()
+	snap := rec.Snapshot
+	if snap != nil && snap.Kind != durable.KindRouter {
+		return fmt.Errorf("fleet: router data dir was written by process kind %d, not a router", snap.Kind)
+	}
 	bySeq := make(map[uint64]*durable.CycleRecord, len(rec.Tail))
 	r.mu.Lock()
-	if snap := rec.Snapshot; snap != nil {
-		if snap.Kind != durable.KindRouter {
-			r.mu.Unlock()
-			return fmt.Errorf("fleet: router data dir was written by process kind %d, not a router", snap.Kind)
-		}
-		r.seq = snap.Seq
-		r.nextID = snap.NextID
-		for _, cs := range snap.RouterSentences {
-			sent := cs.Sentence()
-			r.sentences[sent.Key()] = sent
-		}
+	if snap != nil {
+		r.seq, r.nextID = snap.Seq, snap.NextID
 	}
+	// Every assigned ID is in its cycle's record (a tweet has at least
+	// one sentence), so the highest journaled ID restores the allocator
+	// exactly.
 	for _, cr := range rec.Tail {
 		bySeq[cr.Seq] = cr
 		for _, cs := range cr.Sentences {
-			sent := cs.Sentence()
-			r.sentences[sent.Key()] = sent
-			if sent.TweetID >= r.nextID {
-				r.nextID = sent.TweetID + 1
+			if cs.TweetID >= r.nextID {
+				r.nextID = cs.TweetID + 1
 			}
 		}
 		r.seq = cr.Seq
 	}
 	target := r.seq
 	r.cycles.Store(int64(target))
-	// Everything restored so far came from the journal itself.
-	r.journaledID = r.nextID
 	r.mu.Unlock()
 
 	// Re-drive: every shard must reach the journaled seq. Shards are
@@ -288,12 +258,11 @@ func (r *Router) redriveShard(i int, target uint64, bySeq map[uint64]*durable.Cy
 		if !ok {
 			return fmt.Errorf("fleet: router recovery: shard %d needs cycle %d but the journal starts later — compaction outran the shard", i, seq)
 		}
-		batch := durable.ToSentences(cr.Sentences)
-		tagged, _, _, err := r.tagPartitioned(batch, int(seq))
+		tagged, _, _, err := r.tagPartitioned(cr.Sentences, int(seq))
 		if err != nil {
 			return fmt.Errorf("fleet: router recovery: re-tag cycle %d: %w", seq, err)
 		}
-		req := &CommitRequest{Seq: seq, Sentences: ToWireSentences(batch), Tagged: tagged, Mode: core.Mode(cr.Mode)}
+		req := &CommitRequest{Seq: seq, Sentences: cr.Sentences, Tagged: tagged, Mode: core.Mode(cr.Mode)}
 		for {
 			_, err = r.clients[i].Commit(req)
 			if err == nil {
@@ -311,11 +280,11 @@ func (r *Router) redriveShard(i int, target uint64, bySeq map[uint64]*durable.Cy
 // journalCycle appends the intent record for a freshly ingested cycle —
 // called before the commit fan-out, so the journal always covers
 // everything any shard may have applied. A failure bricks the router.
-func (r *Router) journalCycle(seq uint64, batch []*types.Sentence) error {
+func (r *Router) journalCycle(seq uint64, batch []durable.CycleSentence) error {
 	rec := &durable.CycleRecord{
 		Seq:       seq,
 		Mode:      int(core.ModeFull),
-		Sentences: durable.ToCycleSentences(batch),
+		Sentences: batch,
 	}
 	if err := r.dl.Append(rec); err != nil {
 		r.front.Gate.Trip()
@@ -324,17 +293,14 @@ func (r *Router) journalCycle(seq uint64, batch []*types.Sentence) error {
 	return nil
 }
 
-// maybeSnapshot captures a router snapshot when the schedule calls for
-// one AND every shard has acked through seq (all pending queues empty —
-// guaranteed when the cycle just committed everywhere), so compaction
-// can never outrun a lagging shard. Returns nil when not due.
-//
-// Under pipelining this runs on a commit goroutine while the scheduler
-// may already have published the NEXT cycle's IDs and sentences but not
-// yet journaled them. The capture clamps to journaledID — the watermark
-// of the last journaled cycle — so the snapshot never carries state the
-// journal cannot re-drive after a crash.
-func (r *Router) maybeSnapshot(seq uint64) *durable.Snapshot {
+// maybeSnapshot returns the router snapshot of the cycle that just
+// committed — its seq and the ID cursor as that cycle left it — when the
+// schedule calls for one AND every shard has acked through seq (all
+// pending queues empty — guaranteed when the cycle committed
+// everywhere), so compaction can never outrun a lagging shard. Returns
+// nil when not due. Both values are the cycle's own, so what the
+// scheduler has meanwhile prepared for the next cycle cannot leak in.
+func (r *Router) maybeSnapshot(seq uint64, nextID int) *durable.Snapshot {
 	if !r.dl.ShouldSnapshot(seq) {
 		return nil
 	}
@@ -345,26 +311,7 @@ func (r *Router) maybeSnapshot(seq uint64) *durable.Snapshot {
 			return nil
 		}
 	}
-	limitID := r.journaledID
-	sents := make([]durable.CycleSentence, 0, len(r.sentences))
-	for _, s := range r.sentences {
-		if s.TweetID >= limitID {
-			continue
-		}
-		sents = append(sents, durable.CycleSentence{TweetID: s.TweetID, SentID: s.SentID, Tokens: s.Tokens})
-	}
-	sort.Slice(sents, func(a, b int) bool {
-		if sents[a].TweetID != sents[b].TweetID {
-			return sents[a].TweetID < sents[b].TweetID
-		}
-		return sents[a].SentID < sents[b].SentID
-	})
-	return &durable.Snapshot{
-		Kind:            durable.KindRouter,
-		Seq:             seq,
-		NextID:          limitID,
-		RouterSentences: sents,
-	}
+	return &durable.Snapshot{Kind: durable.KindRouter, Seq: seq, NextID: nextID}
 }
 
 // handleProof fans GET /proof?tweet=N out to every shard and returns

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,12 +10,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"nerglobalizer/internal/binenc"
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/corpus"
+	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/server"
@@ -81,6 +84,12 @@ func streamBodies(n, perReq int) []string {
 		}
 		raws = append(raws, buf.String())
 	}
+	return tweetBodies(raws, perReq)
+}
+
+// tweetBodies renders raw tweets as /annotate payloads, perReq tweets
+// per request.
+func tweetBodies(raws []string, perReq int) []string {
 	var bodies []string
 	for start := 0; start < len(raws); start += perReq {
 		end := start + perReq
@@ -157,11 +166,31 @@ func runSingle(t *testing.T, g *core.Globalizer, bodies []string) (resps []strin
 // stream of single-tweet requests runs beside the bulk one: its cycles
 // hold one sentence, which one shard tags whole, and the rotation of the
 // slice→shard assignment must still give every shard tag work.
+//
+// The stream ends on tweets whose entity tokens are all-caps, mixed-case
+// and non-ASCII, some seen again in another casing. The router renders
+// the surface each shard shipped — the trie's canonical form — where the
+// single server lower-cases the sentence's own tokens, so these pin the
+// two to the same string end to end, Unicode case mapping included
+// ("İ" lower-cases to two code points).
 func TestFleetIdentity(t *testing.T) {
 	g := trainedPipeline(t)
+	casedTweets := []string{
+		"interview with İstanbul about ÉCOLE tonight",
+		"hospitals across NEW york are full",
+		"thank you İSTANBUL for your leadership",
+		"hospitals across école are full",
+		"ÉCOLE tested positive yesterday",
+		"new YORK closes its borders",
+	}
 	for _, perReq := range []int{3, 1} {
-		bodies := streamBodies(24, perReq)
+		bodies := append(streamBodies(24, perReq), tweetBodies(casedTweets, perReq)...)
 		want, wantCands, wantEnts := runSingle(t, g, bodies)
+		for _, tok := range []string{"İstanbul", "ÉCOLE", "NEW"} {
+			if surface := `"surface":"` + strings.ToLower(tok) + `"`; !strings.Contains(wantEnts, surface) {
+				t.Fatalf("the stream no longer yields an entity on %q: /entities carries no %s", tok, surface)
+			}
+		}
 
 		for _, k := range []int{1, 2, 3, 4} {
 			t.Run(fmt.Sprintf("shards=%d/tweets=%d", k, perReq), func(t *testing.T) {
@@ -315,12 +344,11 @@ func TestFleetConcurrentIdentity(t *testing.T) {
 }
 
 // TestFleetEntitiesDuringAnnotate reads /entities in a loop while two
-// clients annotate: the router's sentence map is written by every cycle,
-// so the surface lookups of a concurrent read must happen under its
-// lock. Run under -race; before the fix the read also died outright
-// with "concurrent map read and map write". A read that lands between
-// two shards' commits may see unequal stream sizes and get a 502; any
-// 200 must be well-formed, and the read after traffic stops complete.
+// clients annotate: the read is a fan-in over shards that cycles are
+// writing to, and it shares nothing with the router's own cycle state.
+// Run under -race. A read that lands between two shards' commits may see
+// unequal stream sizes and get a 502; any 200 must be well-formed, and
+// the read after traffic stops complete.
 func TestFleetEntitiesDuringAnnotate(t *testing.T) {
 	g := trainedPipeline(t)
 	h, err := NewHarness(g, 2, nil)
@@ -555,22 +583,22 @@ func TestFleetReset(t *testing.T) {
 // hand-built case: groups interleave by ascending surface and stay
 // contiguous.
 func TestMergeEntityGroups(t *testing.T) {
-	e := func(surf string, start int) WireEntity {
-		return WireEntity{Start: start, End: start + 1, Type: types.Person, Surface: surf}
+	e := func(surf string, start int) durable.Entity {
+		return durable.Entity{Start: start, End: start + 1, Type: types.Person, Surface: surf}
 	}
-	parts := [][]WireEntity{
+	parts := [][]durable.Entity{
 		{e("alpha", 0), e("alpha", 3), e("delta", 5)},
 		{},
 		{e("bravo", 1), e("echo", 7)},
 	}
 	got := mergeGroups(parts, entitySurface)
-	want := []WireEntity{
+	want := []durable.Entity{
 		e("alpha", 0), e("alpha", 3), e("bravo", 1), e("delta", 5), e("echo", 7),
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge = %+v, want %+v", got, want)
 	}
-	if out := mergeGroups([][]WireEntity{{}, {}}, entitySurface); len(out) != 0 {
+	if out := mergeGroups([][]durable.Entity{{}, {}}, entitySurface); len(out) != 0 {
 		t.Fatalf("empty merge = %+v", out)
 	}
 }
@@ -603,7 +631,7 @@ func TestStreamBodiesTokenize(t *testing.T) {
 func TestWireCodecRoundTrip(t *testing.T) {
 	creq := &CommitRequest{
 		Seq: 7,
-		Sentences: []WireSentence{
+		Sentences: []durable.CycleSentence{
 			{TweetID: 3, SentID: 0, Tokens: []string{"héllo", "wörld", ""}},
 			{TweetID: 4, SentID: 1},
 		},
@@ -621,8 +649,8 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	}
 	cresp := &CommitResponse{
 		Seq: 7,
-		Entities: []SentenceEntities{
-			{TweetID: 3, SentID: 0, Entities: []WireEntity{
+		Entities: []durable.SentenceAnnotation{
+			{TweetID: 3, SentID: 0, Entities: []durable.Entity{
 				{Start: 0, End: 2, Type: types.Location, Surface: "héllo wörld"},
 			}},
 			{TweetID: 4, SentID: 1},
@@ -670,6 +698,14 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	}
 	if got, err := decodeCandidates(encodeCandidates(nil)); err != nil || got != nil {
 		t.Fatalf("empty candidates round-trip: %v, %+v", err, got)
+	}
+
+	// One body of every kind the frame path carries, hashed: the layouts
+	// are those of the build whose fleet still declared its own sentence
+	// and entity types.
+	const parentBodies = "aa55893932f2f40d88257be730c038c4fae46e9b2c4dfc5c54afca415daf51a9"
+	if got := fmt.Sprintf("%x", sha256.Sum256(bytes.Join(sampleBodies(t), nil))); got != parentBodies {
+		t.Fatalf("the sample frame bodies hash to %s, the parent build's to %s: a layout moved", got, parentBodies)
 	}
 
 	// Every truncation of a body must decode to an error, and so must

@@ -12,7 +12,6 @@ import (
 	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/server"
-	"nerglobalizer/internal/types"
 )
 
 // cycleRetryAfterSeconds is the Retry-After hint on a refused or
@@ -30,10 +29,11 @@ const maxPendingCommits = 64
 // shares with the single server (admission, tokenization, the cycle
 // schedule) it owns tweet ID assignment and the fleet cycle, fanning
 // tag and commit RPCs to the shards and merging their owned annotations
-// back into request order. "Stateless" means no model and no stream
-// state — everything the router tracks (ID counter, token cache for
-// rendering, pending commits) is reconstructible from the shards plus a
-// reset.
+// back into request order. "Stateless" means no model and no stream:
+// the router keeps a cursor (cycle seq, next tweet ID) and the commits
+// a lagging shard has yet to take, bounded by maxPendingCommits —
+// nothing that grows with the tweets served. The surface every entity
+// is rendered with is the one its shard shipped.
 type Router struct {
 	clients []*ShardClient
 	// front owns admission, the scheduler that calls runCycle, the
@@ -43,15 +43,6 @@ type Router struct {
 	mu     sync.Mutex
 	nextID int
 	seq    uint64
-	// journaledID is the ID watermark of the last journaled cycle:
-	// every sentence with TweetID below it is covered by the intent
-	// journal. Router snapshots clamp to it so a pipelined commit's
-	// snapshot can never capture IDs a concurrent prepare published but
-	// has not yet journaled (zero / unused without -data-dir).
-	journaledID int
-	// sentences caches the tokens of every ingested sentence so
-	// /entities can render surfaces without re-asking the shards.
-	sentences map[types.SentenceKey]*types.Sentence
 	// pending holds, per shard, commits the shard has missed (oldest
 	// first). They drain in seq order before the shard takes new ones.
 	pending [][]*CommitRequest
@@ -177,9 +168,8 @@ func newRouterObs(reg *obs.Registry, shards int) *routerObs {
 // Call Close to stop it.
 func NewRouter(clients []*ShardClient) *Router {
 	r := &Router{
-		clients:   clients,
-		sentences: make(map[types.SentenceKey]*types.Sentence),
-		pending:   make([][]*CommitRequest, len(clients)),
+		clients: clients,
+		pending: make([][]*CommitRequest, len(clients)),
 	}
 	r.front = server.NewFront(r.runCycle)
 	return r
@@ -295,15 +285,14 @@ func (r *Router) runCycle(jobs []*server.Job) {
 	startID := r.nextID
 	r.mu.Unlock()
 	id := startID
-	var batch []*types.Sentence
-	perJob := make([][]*types.Sentence, len(jobs))
+	var batch []durable.CycleSentence
+	perJob := make([]int, len(jobs)) // sentences per job, contiguous in batch
 	for ji, job := range jobs {
 		for _, sentTokens := range job.Tweets {
 			for si, toks := range sentTokens {
-				sent := &types.Sentence{TweetID: id, SentID: si, Tokens: toks}
-				batch = append(batch, sent)
-				perJob[ji] = append(perJob[ji], sent)
+				batch = append(batch, durable.CycleSentence{TweetID: id, SentID: si, Tokens: toks})
 			}
+			perJob[ji] += len(sentTokens)
 			id++
 		}
 	}
@@ -316,14 +305,11 @@ func (r *Router) runCycle(jobs []*server.Job) {
 		return
 	}
 
-	// The cycle is now ingested: publish IDs and sentences, take a seq.
+	// The cycle is now ingested: publish its IDs, take a seq.
 	r.mu.Lock()
 	r.seq++
 	seq := r.seq
 	r.nextID = id
-	for _, s := range batch {
-		r.sentences[s.Key()] = s
-	}
 	r.mu.Unlock()
 
 	// Journal the intent before any shard sees the commit: after a
@@ -336,14 +322,11 @@ func (r *Router) runCycle(jobs []*server.Job) {
 			r.front.Reject(jobs, http.StatusInternalServerError, 0, "journal failure: "+err.Error())
 			return
 		}
-		r.mu.Lock()
-		r.journaledID = id
-		r.mu.Unlock()
 	}
 
 	req := &CommitRequest{
 		Seq:       seq,
-		Sentences: ToWireSentences(batch),
+		Sentences: batch,
 		Tagged:    tagged,
 		Mode:      core.ModeFull,
 	}
@@ -367,8 +350,8 @@ func (r *Router) runCycle(jobs []*server.Job) {
 	}
 
 	work := &commitWork{
-		jobs: jobs, perJob: perJob, batch: batch,
-		req: req, body: body, seq: seq,
+		jobs: jobs, perJob: perJob,
+		req: req, body: body, nextID: id,
 		tagBusy: tagBusy, tagRPC: tagRPC,
 		cycleStart: cycleStart,
 	}
@@ -393,15 +376,15 @@ func (r *Router) runCycle(jobs []*server.Job) {
 }
 
 // commitWork is one prepared cycle awaiting its commit fan-out: the
-// jobs to answer, the shared pre-encoded commit body, and the tag-stage
-// timings for CycleStat.
+// jobs to answer, the shared pre-encoded commit body, the cursor as the
+// cycle leaves it (what a router snapshot of the cycle records), and
+// the tag-stage timings for CycleStat.
 type commitWork struct {
 	jobs       []*server.Job
-	perJob     [][]*types.Sentence
-	batch      []*types.Sentence
+	perJob     []int // sentences per job, contiguous in req.Sentences
 	req        *CommitRequest
 	body       []byte
-	seq        uint64
+	nextID     int
 	tagBusy    []float64
 	tagRPC     []float64
 	cycleStart time.Time
@@ -411,8 +394,7 @@ type commitWork struct {
 // handling, merge, and response — stages 3 and 4 of runCycle — on the
 // cycle's chained commit goroutine.
 func (r *Router) commitCycle(work *commitWork) {
-	jobs, batch, perJob := work.jobs, work.batch, work.perJob
-	req, seq := work.req, work.seq
+	jobs, perJob, req := work.jobs, work.perJob, work.req
 	ro := r.o.Load()
 	k := len(r.clients)
 	resps := make([]*CommitResponse, k)
@@ -443,7 +425,7 @@ func (r *Router) commitCycle(work *commitWork) {
 	}
 
 	if r.dl != nil {
-		if snap := r.maybeSnapshot(seq); snap != nil {
+		if snap := r.maybeSnapshot(req.Seq, work.nextID); snap != nil {
 			r.dl.SubmitSnapshot(snap, snap.Seq)
 		}
 	}
@@ -455,25 +437,21 @@ func (r *Router) commitCycle(work *commitWork) {
 		candidates += resp.Candidates
 	}
 	// Merge each sentence's per-shard groups and answer per job.
-	merged := make([][]WireEntity, len(batch))
-	parts := make([][]WireEntity, k)
-	for si := range batch {
-		for i, resp := range resps {
-			parts[i] = resp.Entities[si].Entities
-		}
-		merged[si] = mergeGroups(parts, entitySurface)
-	}
-	bi := 0
+	parts := make([][]durable.Entity, k)
+	si := 0
 	for ji, job := range jobs {
 		resp := server.AnnotateResponse{StreamSize: streamSize, Candidates: candidates}
-		for _, sent := range perJob[ji] {
+		for _, sent := range req.Sentences[si : si+perJob[ji]] {
+			for i, sr := range resps {
+				parts[i] = sr.Entities[si].Entities
+			}
 			resp.Sentences = append(resp.Sentences, server.SentenceJSON{
 				TweetID:  sent.TweetID,
 				SentID:   sent.SentID,
 				Tokens:   sent.Tokens,
-				Entities: server.RenderEntities(sent, merged[bi], entitySpan),
+				Entities: renderEntities(mergeGroups(parts, entitySurface)),
 			})
-			bi++
+			si++
 		}
 		job.Reply(resp)
 	}
@@ -517,7 +495,7 @@ func (r *Router) commitCycle(work *commitWork) {
 // moves round the fleet instead of always landing on shard K−1. The
 // extra returns are each slice's shard-reported busy time and its
 // client-observed RPC round trip, for critical-path accounting.
-func (r *Router) tagPartitioned(batch []*types.Sentence, rot int) ([]WireTag, []float64, []float64, error) {
+func (r *Router) tagPartitioned(batch []durable.CycleSentence, rot int) ([]WireTag, []float64, []float64, error) {
 	k := len(r.clients)
 	ro := r.o.Load()
 	t0 := time.Now()
@@ -526,7 +504,7 @@ func (r *Router) tagPartitioned(batch []*types.Sentence, rot int) ([]WireTag, []
 	rpc := make([]float64, k)
 	errs := make([]error, k)
 	tagSlice := func(i, lo, hi int) {
-		req := &TagRequest{Sentences: ToWireSentences(batch[lo:hi])}
+		req := &TagRequest{Sentences: batch[lo:hi]}
 		var resp *TagResponse
 		var err error
 		st0 := time.Now()
@@ -657,10 +635,19 @@ func mergeGroups[T any](parts [][]T, surface func(T) string) []T {
 	}
 }
 
-func entitySurface(e WireEntity) string { return e.Surface }
+func entitySurface(e durable.Entity) string { return e.Surface }
 
-func entitySpan(e WireEntity) (types.Span, types.EntityType) {
-	return types.Span{Start: e.Start, End: e.End}, e.Type
+// renderEntities renders one sentence's merged entities as every
+// endpoint serves them — never nil, so a sentence without entities
+// encodes as []. Surface is the canonical surface the owning shard
+// shipped, which is the string the single server derives from the
+// sentence's tokens (see Shard.ownedEntities).
+func renderEntities(ents []durable.Entity) []server.EntityJSON {
+	out := make([]server.EntityJSON, len(ents))
+	for i, e := range ents {
+		out[i] = server.EntityJSON{Start: e.Start, End: e.End, Type: e.Type.String(), Surface: e.Surface}
+	}
+	return out
 }
 
 // Handler returns the router's routed HTTP handler. The public
@@ -742,30 +729,16 @@ func (r *Router) handleEntities(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	// Look the sentences up under the lock — runCycle inserts into the
-	// map while annotate traffic flows. The sentences themselves are
-	// immutable once published.
-	sents := make([]*types.Sentence, len(parts[0]))
-	r.mu.Lock()
-	for si, se := range parts[0] {
-		sents[si] = r.sentences[types.SentenceKey{TweetID: se.TweetID, SentID: se.SentID}]
-	}
-	r.mu.Unlock()
 	out := []server.SentenceEntitiesJSON{}
-	groups := make([][]WireEntity, k)
+	groups := make([][]durable.Entity, k)
 	for si, se := range parts[0] {
-		if sents[si] == nil {
-			http.Error(w, fmt.Sprintf("entity fan-in: shards hold sentence %d/%d, which this router never ingested",
-				se.TweetID, se.SentID), http.StatusBadGateway)
-			return
-		}
 		for i := 0; i < k; i++ {
 			groups[i] = parts[i][si].Entities
 		}
 		out = append(out, server.SentenceEntitiesJSON{
 			TweetID:  se.TweetID,
 			SentID:   se.SentID,
-			Entities: server.RenderEntities(sents[si], mergeGroups(groups, entitySurface), entitySpan),
+			Entities: renderEntities(mergeGroups(groups, entitySurface)),
 		})
 	}
 	server.WriteJSON(w, out)
@@ -793,7 +766,6 @@ func (r *Router) handleReset(w http.ResponseWriter, req *http.Request) {
 		defer r.mu.Unlock()
 		r.nextID = 0
 		r.seq = 0
-		r.sentences = make(map[types.SentenceKey]*types.Sentence)
 		r.pending = make([][]*CommitRequest, len(r.clients))
 	}) {
 		http.Error(w, "server shutting down", http.StatusServiceUnavailable)

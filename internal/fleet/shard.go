@@ -353,7 +353,7 @@ func (s *Shard) serveTag(body []byte, t0 time.Time) reply {
 	}
 	defer release()
 	s.cfgMu.RLock()
-	results := s.g.TagBatch(ToSentences(req.Sentences))
+	results := s.g.TagBatch(durable.ToSentences(req.Sentences))
 	s.cfgMu.RUnlock()
 	busy := time.Since(t0).Seconds()
 	if so := s.o.Load(); so != nil {
@@ -397,7 +397,7 @@ func (s *Shard) serveCommit(body []byte, t0 time.Time) reply {
 		return failReply(statusConflict, "commit out of order: have "+strconv.FormatUint(have, 10)+
 			", got "+strconv.FormatUint(req.Seq, 10))
 	}
-	batch := ToSentences(req.Sentences)
+	batch := durable.ToSentences(req.Sentences)
 	s.g.ProcessTagged(batch, ToResults(req.Tagged), req.Mode)
 	resp := s.commitResponse(req.Seq, batch)
 	// Ack-after-durable: the WAL append is issued under the lock and its
@@ -442,7 +442,7 @@ func (s *Shard) serveCommit(body []byte, t0 time.Time) reply {
 func (s *Shard) commitResponse(seq uint64, batch []*types.Sentence) *CommitResponse {
 	resp := &CommitResponse{
 		Seq:        seq,
-		Entities:   make([]SentenceEntities, len(batch)),
+		Entities:   make([]durable.SentenceAnnotation, len(batch)),
 		StreamSize: s.g.TweetBase().Len(),
 		Candidates: s.g.CandidateBase().Len(),
 	}
@@ -493,13 +493,15 @@ func (s *Shard) serveCandidates() reply {
 }
 
 // ownedEntities renders one sentence's verified owned mentions for the
-// wire: the typed entries of the record's FinalMentions, carrying the
-// canonical (trie) surface. That surface is what rebuildFinal sorts
-// sentence mentions by, so shipping it — rather than the sentence
-// text — lets the router's k-way group merge reproduce the
-// single-process ordering exactly.
-func (s *Shard) ownedEntities(key types.SentenceKey) SentenceEntities {
-	se := SentenceEntities{TweetID: key.TweetID, SentID: key.SentID, Entities: []WireEntity{}}
+// wire, the WAL and the Merkle leaf alike: the typed entries of the
+// record's FinalMentions, carrying the canonical (trie) surface. That
+// surface is what rebuildFinal sorts sentence mentions by, so the
+// router's k-way group merge on it reproduces the single-process
+// ordering exactly — and it is the string every endpoint renders: the
+// trie matched the span by the per-token lower-casing
+// types.CanonicalSurface joins, so it equals Sentence.SurfaceAt(span).
+func (s *Shard) ownedEntities(key types.SentenceKey) durable.SentenceAnnotation {
+	se := durable.SentenceAnnotation{TweetID: key.TweetID, SentID: key.SentID}
 	rec := s.g.TweetBase().Get(key)
 	if rec == nil {
 		return se
@@ -508,7 +510,7 @@ func (s *Shard) ownedEntities(key types.SentenceKey) SentenceEntities {
 		if m.Type == types.None {
 			continue
 		}
-		se.Entities = append(se.Entities, WireEntity{
+		se.Entities = append(se.Entities, durable.Entity{
 			Start:   m.Span.Start,
 			End:     m.Span.End,
 			Type:    m.Type,
@@ -524,7 +526,7 @@ func (s *Shard) ownedEntities(key types.SentenceKey) SentenceEntities {
 func (s *Shard) serveEntities() reply {
 	s.mu.Lock()
 	tb := s.g.TweetBase()
-	out := make([]SentenceEntities, 0, tb.Len())
+	out := make([]durable.SentenceAnnotation, 0, tb.Len())
 	for _, key := range tb.Keys() {
 		out = append(out, s.ownedEntities(key))
 	}

@@ -54,38 +54,6 @@ import (
 // bound is far above the router's public 1 MB JSON cap.
 const shardMaxBodyBytes = 64 << 20
 
-// WireSentence is one tweet sentence on the wire: identity plus the
-// tokenizer's output. Gold annotations never cross the wire — serving
-// traffic has none.
-type WireSentence struct {
-	TweetID int
-	SentID  int
-	Tokens  []string
-}
-
-// Sentence materializes the wire form.
-func (w WireSentence) Sentence() *types.Sentence {
-	return &types.Sentence{TweetID: w.TweetID, SentID: w.SentID, Tokens: w.Tokens}
-}
-
-// ToWireSentences converts a batch for shipping.
-func ToWireSentences(batch []*types.Sentence) []WireSentence {
-	out := make([]WireSentence, len(batch))
-	for i, s := range batch {
-		out[i] = WireSentence{TweetID: s.TweetID, SentID: s.SentID, Tokens: s.Tokens}
-	}
-	return out
-}
-
-// ToSentences materializes a shipped batch.
-func ToSentences(ws []WireSentence) []*types.Sentence {
-	out := make([]*types.Sentence, len(ws))
-	for i, w := range ws {
-		out[i] = w.Sentence()
-	}
-	return out
-}
-
 // WireTag is one sentence's Local NER result on the wire: exactly the
 // fields the stream-state replay (applyTagged) consumes. Tokens are
 // the tagger's view — possibly truncated to the encoder's MaxLen, and
@@ -123,7 +91,7 @@ func ToResults(tags []WireTag) []*localner.Result {
 // batch. Tagging is pure, so Seq is advisory (observability only).
 type TagRequest struct {
 	Seq       uint64
-	Sentences []WireSentence
+	Sentences []durable.CycleSentence
 }
 
 // TagResponse returns the slice's tag results, index-aligned.
@@ -144,36 +112,22 @@ type TagResponse struct {
 // exact instead of silently desynchronizing the replica.
 type CommitRequest struct {
 	Seq       uint64
-	Sentences []WireSentence
+	Sentences []durable.CycleSentence
 	Tagged    []WireTag
 	Mode      core.Mode
 }
 
-// WireEntity is one owned entity in a commit response, carrying the
-// canonical surface form the router merges on.
-type WireEntity struct {
-	Start   int
-	End     int
-	Type    types.EntityType
-	Surface string
-}
-
-// SentenceEntities is one batch sentence's owned annotations,
-// surface-grouped in ascending canonical-surface order — the order the
-// engine's FinalMentions contract guarantees, which makes the router's
-// cross-shard merge a linear group interleave.
-type SentenceEntities struct {
-	TweetID  int
-	SentID   int
-	Entities []WireEntity
-}
-
 // CommitResponse returns the cycle's owned annotations for the batch
 // (index-aligned with the request's Sentences), plus replica state for
-// cross-checking and response rendering.
+// cross-checking and response rendering. Each sentence's entities carry
+// the canonical (trie) surface and come surface-grouped in ascending
+// order of it — the order the engine's FinalMentions contract
+// guarantees, which makes the router's cross-shard merge a linear group
+// interleave. They are the durable annotation type: the shard logs and
+// hashes exactly what it ships.
 type CommitResponse struct {
 	Seq         uint64
-	Entities    []SentenceEntities
+	Entities    []durable.SentenceAnnotation
 	StreamSize  int
 	Candidates  int
 	BusySeconds float64

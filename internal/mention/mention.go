@@ -41,18 +41,13 @@ func Extract(sent *types.Sentence, trie *ctrie.Trie, localEntities []types.Entit
 	return out
 }
 
-// ExtractBatch runs Extract over a batch of sentences. localBySent maps
-// each sentence key to its Local NER entities (keys may be absent).
-func ExtractBatch(sents []*types.Sentence, trie *ctrie.Trie, localBySent map[types.SentenceKey][]types.Entity) []types.Mention {
-	return ExtractBatchPool(sents, trie, localBySent, nil)
-}
-
-// ExtractBatchPool is ExtractBatch with the per-sentence trie scans
-// sharded over pool. Trie.Scan is read-only, so concurrent scans over
-// one frozen trie are safe; per-sentence results are collected at the
-// sentence's own index and concatenated in batch order, making the
-// output identical to the serial loop at any worker count. A nil pool
-// runs serially.
+// ExtractBatchPool runs Extract over a batch of sentences, the
+// per-sentence trie scans sharded over pool. localBySent maps each
+// sentence key to its Local NER entities (keys may be absent).
+// Trie.Scan is read-only, so concurrent scans over one frozen trie are
+// safe; per-sentence results are collected at the sentence's own index
+// and concatenated in batch order, making the output identical to the
+// serial loop at any worker count. A nil pool runs serially.
 func ExtractBatchPool(sents []*types.Sentence, trie *ctrie.Trie, localBySent map[types.SentenceKey][]types.Entity, pool *parallel.Pool) []types.Mention {
 	perSent := parallel.MapOrdered(pool, len(sents), func(i int) []types.Mention {
 		s := sents[i]

@@ -64,7 +64,7 @@ func TestExtractBatchAndGroupBySurface(t *testing.T) {
 		{TweetID: 1, Tokens: []string{"Italy", "locks", "down"}},
 		{TweetID: 2, Tokens: []string{"us", "cases", "rise", "in", "Italy"}},
 	}
-	ms := ExtractBatch(sents, tr, map[types.SentenceKey][]types.Entity{})
+	ms := ExtractBatchPool(sents, tr, map[types.SentenceKey][]types.Entity{}, nil)
 	if len(ms) != 3 {
 		t.Fatalf("got %d mentions", len(ms))
 	}

@@ -36,40 +36,6 @@ func (r *ReLU) Backward(dout *Matrix) *Matrix {
 // Params returns nil: ReLU has no trainable parameters.
 func (r *ReLU) Params() []*Param { return nil }
 
-// Tanh is the hyperbolic tangent activation, applied element-wise.
-type Tanh struct {
-	out *Matrix
-}
-
-// NewTanh returns a Tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward applies tanh element-wise.
-func (t *Tanh) Forward(x *Matrix, train bool) *Matrix {
-	out := NewMatrix(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	t.out = out
-	return out
-}
-
-// Backward multiplies by (1 − tanh²).
-func (t *Tanh) Backward(dout *Matrix) *Matrix {
-	if t.out == nil {
-		panic("nn: Tanh.Backward before Forward")
-	}
-	dx := NewMatrix(dout.Rows, dout.Cols)
-	for i, v := range dout.Data {
-		y := t.out.Data[i]
-		dx.Data[i] = v * (1 - y*y)
-	}
-	return dx
-}
-
-// Params returns nil: Tanh has no trainable parameters.
-func (t *Tanh) Params() []*Param { return nil }
-
 // GELU is the Gaussian error linear unit used inside Transformer
 // feed-forward blocks, in its tanh approximation.
 type GELU struct {

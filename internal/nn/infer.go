@@ -38,15 +38,6 @@ func (r *ReLU) Infer(x *Matrix) *Matrix {
 	return out
 }
 
-// Infer applies tanh element-wise without caching the output.
-func (t *Tanh) Infer(x *Matrix) *Matrix {
-	out := NewMatrix(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	return out
-}
-
 // Infer applies the tanh-approximated GELU without caching the input.
 func (g *GELU) Infer(x *Matrix) *Matrix {
 	out := NewMatrix(x.Rows, x.Cols)
@@ -83,21 +74,6 @@ func (ln *LayerNorm) Infer(x *Matrix) *Matrix {
 		o := out.Row(i)
 		for j, v := range row {
 			o[j] = (v-mean)*inv*gamma[j] + beta[j]
-		}
-	}
-	return out
-}
-
-// Infer normalizes with the running statistics (the !train branch of
-// Forward) without touching the cached training state.
-func (bn *BatchNorm) Infer(x *Matrix) *Matrix {
-	out := NewMatrix(x.Rows, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		o := out.Row(i)
-		for j, v := range row {
-			h := (v - bn.RunningMean[j]) / math.Sqrt(bn.RunningVar[j]+bn.Eps)
-			o[j] = h*bn.Gamma.W.Data[j] + bn.Beta.W.Data[j]
 		}
 	}
 	return out

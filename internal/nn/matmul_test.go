@@ -185,11 +185,9 @@ func TestInferMatchesForward(t *testing.T) {
 	}{
 		{"dense", NewDense("t.dense", 16, 10, rng)},
 		{"relu", NewReLU()},
-		{"tanh", NewTanh()},
 		{"gelu", NewGELU()},
 		{"dropout", NewDropout(0.5, rng.Fork())},
 		{"layernorm", NewLayerNorm("t.ln", 16)},
-		{"batchnorm", NewBatchNorm("t.bn", 16)},
 		{"sequential", NewSequential(NewDense("t.s1", 16, 16, rng), NewGELU(), NewDense("t.s2", 16, 4, rng))},
 	}
 	for _, tc := range layers {

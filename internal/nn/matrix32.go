@@ -55,16 +55,6 @@ func Downconvert(dst *Matrix32, src *Matrix) {
 	}
 }
 
-// Upconvert overwrites dst with src widened to float64 (exact).
-func Upconvert(dst *Matrix, src *Matrix32) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("nn: upconvert shape mismatch %dx%d vs %dx%d", dst.Rows, dst.Cols, src.Rows, src.Cols))
-	}
-	for i, v := range src.Data {
-		dst.Data[i] = float64(v)
-	}
-}
-
 func (m *Matrix32) mustSameShape(o *Matrix32) {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		panic(fmt.Sprintf("nn: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))

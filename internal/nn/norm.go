@@ -96,132 +96,3 @@ func (ln *LayerNorm) Backward(dout *Matrix) *Matrix {
 
 // Params returns γ and β.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gamma, ln.Beta} }
-
-// BatchNorm normalizes each feature column over the batch during
-// training and tracks running statistics for inference. The paper adds
-// batch normalization when training the Phrase Embedder.
-type BatchNorm struct {
-	Gamma *Param
-	Beta  *Param
-	Eps   float64
-	// Momentum controls the exponential moving average of the running
-	// statistics (fraction of old value retained).
-	Momentum float64
-
-	RunningMean []float64
-	RunningVar  []float64
-
-	xhat   *Matrix
-	invStd []float64
-}
-
-// NewBatchNorm returns a BatchNorm over dim features.
-func NewBatchNorm(name string, dim int) *BatchNorm {
-	bn := &BatchNorm{
-		Gamma:       NewParam(name+".gamma", 1, dim),
-		Beta:        NewParam(name+".beta", 1, dim),
-		Eps:         1e-5,
-		Momentum:    0.9,
-		RunningMean: make([]float64, dim),
-		RunningVar:  make([]float64, dim),
-	}
-	bn.Gamma.W.Fill(1)
-	for i := range bn.RunningVar {
-		bn.RunningVar[i] = 1
-	}
-	return bn
-}
-
-// Forward normalizes per feature using batch statistics when train is
-// true and running statistics otherwise.
-func (bn *BatchNorm) Forward(x *Matrix, train bool) *Matrix {
-	out := NewMatrix(x.Rows, x.Cols)
-	if !train || x.Rows == 1 {
-		for i := 0; i < x.Rows; i++ {
-			row := x.Row(i)
-			o := out.Row(i)
-			for j, v := range row {
-				h := (v - bn.RunningMean[j]) / math.Sqrt(bn.RunningVar[j]+bn.Eps)
-				o[j] = h*bn.Gamma.W.Data[j] + bn.Beta.W.Data[j]
-			}
-		}
-		bn.xhat = nil
-		return out
-	}
-	n := float64(x.Rows)
-	mean := make([]float64, x.Cols)
-	variance := make([]float64, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		for j, v := range x.Row(i) {
-			mean[j] += v
-		}
-	}
-	for j := range mean {
-		mean[j] /= n
-	}
-	for i := 0; i < x.Rows; i++ {
-		for j, v := range x.Row(i) {
-			d := v - mean[j]
-			variance[j] += d * d
-		}
-	}
-	for j := range variance {
-		variance[j] /= n
-	}
-	bn.xhat = NewMatrix(x.Rows, x.Cols)
-	bn.invStd = make([]float64, x.Cols)
-	for j := range variance {
-		bn.invStd[j] = 1 / math.Sqrt(variance[j]+bn.Eps)
-		bn.RunningMean[j] = bn.Momentum*bn.RunningMean[j] + (1-bn.Momentum)*mean[j]
-		bn.RunningVar[j] = bn.Momentum*bn.RunningVar[j] + (1-bn.Momentum)*variance[j]
-	}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		xh := bn.xhat.Row(i)
-		o := out.Row(i)
-		for j, v := range row {
-			h := (v - mean[j]) * bn.invStd[j]
-			xh[j] = h
-			o[j] = h*bn.Gamma.W.Data[j] + bn.Beta.W.Data[j]
-		}
-	}
-	return out
-}
-
-// Backward computes gradients through the batch statistics. Must follow
-// a training-mode Forward.
-func (bn *BatchNorm) Backward(dout *Matrix) *Matrix {
-	if bn.xhat == nil {
-		panic("nn: BatchNorm.Backward requires a training-mode Forward")
-	}
-	rows, cols := dout.Rows, dout.Cols
-	n := float64(rows)
-	sumDxhat := make([]float64, cols)
-	sumDxhatXhat := make([]float64, cols)
-	dxhat := NewMatrix(rows, cols)
-	for i := 0; i < rows; i++ {
-		drow := dout.Row(i)
-		xh := bn.xhat.Row(i)
-		dh := dxhat.Row(i)
-		for j, dv := range drow {
-			bn.Gamma.G.Data[j] += dv * xh[j]
-			bn.Beta.G.Data[j] += dv
-			dh[j] = dv * bn.Gamma.W.Data[j]
-			sumDxhat[j] += dh[j]
-			sumDxhatXhat[j] += dh[j] * xh[j]
-		}
-	}
-	dx := NewMatrix(rows, cols)
-	for i := 0; i < rows; i++ {
-		xh := bn.xhat.Row(i)
-		dh := dxhat.Row(i)
-		o := dx.Row(i)
-		for j := range dh {
-			o[j] = bn.invStd[j] / n * (n*dh[j] - sumDxhat[j] - xh[j]*sumDxhatXhat[j])
-		}
-	}
-	return dx
-}
-
-// Params returns γ and β.
-func (bn *BatchNorm) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }

@@ -12,32 +12,6 @@ type Optimizer interface {
 	Register(params ...*Param)
 }
 
-// SGD is plain stochastic gradient descent with optional L2 weight
-// decay.
-type SGD struct {
-	LR          float64
-	WeightDecay float64
-	params      []*Param
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Register adds parameters to the optimizer.
-func (s *SGD) Register(params ...*Param) { s.params = append(s.params, params...) }
-
-// Step applies w ← w − lr·(g + wd·w) and clears gradients.
-func (s *SGD) Step() {
-	for _, p := range s.params {
-		for i := range p.W.Data {
-			g := p.G.Data[i] + s.WeightDecay*p.W.Data[i]
-			p.W.Data[i] -= s.LR * g
-		}
-		p.Bump()
-		p.ZeroGrad()
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba, 2014), the optimizer
 // the paper uses for both the Phrase Embedder (lr 0.001) and the Entity
 // Classifier (lr 0.0015). WeightDecay applies decoupled L2 decay as the

@@ -13,32 +13,6 @@ func quadraticParam() *Param {
 	return p
 }
 
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	p := quadraticParam()
-	opt := NewSGD(0.1)
-	opt.Register(p)
-	for i := 0; i < 200; i++ {
-		copy(p.G.Data, p.W.Data)
-		opt.Step()
-	}
-	if n := L2Norm(p.W.Data); n > 1e-6 {
-		t.Fatalf("SGD did not converge, |w| = %v", n)
-	}
-}
-
-func TestSGDWeightDecayShrinksWeights(t *testing.T) {
-	p := quadraticParam()
-	opt := NewSGD(0.1)
-	opt.WeightDecay = 0.5
-	opt.Register(p)
-	before := L2Norm(p.W.Data)
-	p.ZeroGrad()
-	opt.Step()
-	if after := L2Norm(p.W.Data); after >= before {
-		t.Fatalf("weight decay should shrink weights: %v -> %v", before, after)
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	p := quadraticParam()
 	opt := NewAdam(0.05)
@@ -93,7 +67,7 @@ func TestTrainTinyNetworkXOR(t *testing.T) {
 	rng := NewRNG(42)
 	net := NewSequential(
 		NewDense("h", 2, 8, rng),
-		NewTanh(),
+		NewGELU(),
 		NewDense("o", 8, 2, rng),
 	)
 	opt := NewAdam(0.05)

@@ -331,24 +331,16 @@ func TestPackInvalidation(t *testing.T) {
 	d.InferIntoI8(dstQ, x32, &qs)
 	q1 := d.pi8.Load()
 	wv, bv := d.W.Version(), d.B.Version()
-	opt := NewSGD(0.1)
-	opt.Register(d.Params()...)
+	adam := NewAdam(0.01)
+	adam.Register(d.Params()...)
 	d.W.G.Fill(0.5)
-	opt.Step()
+	adam.Step()
 	if d.W.Version() == wv || d.B.Version() == bv {
-		t.Fatal("SGD.Step did not bump param versions")
+		t.Fatal("Adam.Step did not bump param versions")
 	}
 	d.InferIntoI8(dstQ, x32, &qs)
 	if d.pi8.Load() == q1 {
 		t.Fatal("packI8 not rebuilt after optimizer step")
-	}
-	adam := NewAdam(0.01)
-	adam.Register(d.Params()...)
-	wv = d.W.Version()
-	d.W.G.Fill(0.25)
-	adam.Step()
-	if d.W.Version() == wv {
-		t.Fatal("Adam.Step did not bump param versions")
 	}
 }
 

@@ -197,6 +197,64 @@ func restartByteIdentical(t *testing.T, groups [][]string, opts durable.Options,
 	}
 }
 
+// TestBlankTweetRestartByteIdentical restarts right after a request
+// whose last tweet is blank, and posts one more tweet: it must be
+// answered as on a server that never stopped. A blank tweet tokenizes to
+// no sentence, so if it were given an ID the cycle's WAL record would
+// not show it, and replay — which rebuilds the ID cursor from the
+// records — would hand that ID out a second time.
+func TestBlankTweetRestartByteIdentical(t *testing.T) {
+	g := trainedPipeline(t)
+	requests := []annotateRequest{
+		{Tweets: []string{"President Obama visits Paris this week"}},
+		{Tweets: []string{"Governor Beshear gives an update", "   "}},
+		{Tweets: []string{"Cases rise in Italy again"}},
+	}
+	post := func(url string, req annotateRequest) string {
+		resp := postJSON(t, url+"/annotate", req)
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d %s", resp.StatusCode, b)
+	}
+	start := func(dir string) (*Server, *httptest.Server) {
+		s := New(g)
+		if err := s.StartDurable(dir, durable.Options{Fsync: durable.FsyncAlways}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WaitWarm(); err != nil {
+			t.Fatal(err)
+		}
+		return s, httptest.NewServer(s.Handler())
+	}
+
+	ref, refTS := start(t.TempDir())
+	var want []string
+	for _, req := range requests {
+		want = append(want, post(refTS.URL, req))
+	}
+	refTS.Close()
+	ref.Close()
+
+	dir := t.TempDir()
+	s1, ts1 := start(dir)
+	for i, req := range requests[:2] {
+		if got := post(ts1.URL, req); got != want[i] {
+			t.Fatalf("request %d answered differently on two fresh servers\nwant: %s\ngot:  %s", i, want[i], got)
+		}
+	}
+	ts1.Close()
+	s1.Close()
+	s2, ts2 := start(dir)
+	defer s2.Close()
+	defer ts2.Close()
+	if got := post(ts2.URL, requests[2]); got != want[2] {
+		t.Fatalf("the tweet after a restart is answered differently than on a server that never stopped\nwant: %s\ngot:  %s", want[2], got)
+	}
+}
+
 // TestHealthzReplayStates covers the readiness contract: 503
 // {"status":"replaying"} during recovery, the plain 200 once warm.
 func TestHealthzReplayStates(t *testing.T) {

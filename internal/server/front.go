@@ -307,8 +307,16 @@ func (f *Front) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	// Tokenization is pure per-request work: do it on the request
 	// goroutine so the scheduler's serial section stays minimal.
 	job := &Job{done: make(chan jobResult, 1)}
-	for _, raw := range req.Tweets {
-		job.Tweets = append(job.Tweets, tokenizer.SplitSentences(tokenizer.Tokenize(raw)))
+	for i, raw := range req.Tweets {
+		sents := tokenizer.SplitSentences(tokenizer.Tokenize(raw))
+		// A tweet without a sentence would take an ID that no cycle record
+		// mentions, and recovery rebuilds the ID cursor from the records: a
+		// restart would hand the ID out again.
+		if len(sents) == 0 {
+			http.Error(w, "tweet "+strconv.Itoa(i)+" has no tokens", http.StatusBadRequest)
+			return
+		}
+		job.Tweets = append(job.Tweets, sents)
 	}
 
 	// Bounded admission: a full queue answers 503 immediately instead of
