@@ -36,7 +36,7 @@ bench-module:
 # compiles every benchmark in the tree and executes the kernel and
 # parallelism ones.
 bench-smoke:
-	$(GO) test -run NONE -bench 'BenchmarkMatMulKernels' -benchtime 1x ./internal/nn/
+	$(GO) test -run NONE -bench 'BenchmarkMatMulKernels|BenchmarkKernelTiers' -benchtime 1x ./internal/nn/
 	$(GO) test -run NONE -bench 'BenchmarkInferBatchTiers' -benchtime 1x ./internal/transformer/
 	$(GO) test -run NONE -bench 'BenchmarkTrieScan' -benchtime 1x ./internal/ctrie/
 	$(GO) test -run NONE -bench 'BenchmarkPairwiseDistances|BenchmarkDistMatrixGrowCluster' -benchtime 1x .

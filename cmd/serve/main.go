@@ -277,7 +277,7 @@ func runRouter(addr, shardURLs string, window, rpcTimeout time.Duration, metrics
 	}
 	clients := make([]*fleet.ShardClient, len(urls))
 	for i, u := range urls {
-		clients[i] = fleet.NewShardClient(i, u, 4)
+		clients[i] = fleet.NewShardClient(i, u)
 	}
 	router := fleet.NewRouter(clients)
 	router.SetRPCTimeout(rpcTimeout)

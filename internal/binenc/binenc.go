@@ -202,6 +202,16 @@ func (r *Reader) Floats() []float64 {
 	return out
 }
 
+// ShapeOK reports whether n values are exactly a rows x cols matrix.
+// It divides rather than multiplies: rows*cols of hostile fields can
+// wrap around to n.
+func ShapeOK(rows, cols, n int) bool {
+	if rows == 0 {
+		return cols >= 0 && n == 0
+	}
+	return rows > 0 && cols > 0 && n%cols == 0 && n/cols == rows
+}
+
 // Done finishes a decode: any latched error wins, and trailing bytes
 // are an error too (a length-field corruption that still lands inside
 // the body would otherwise pass silently).

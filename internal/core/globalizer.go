@@ -293,10 +293,6 @@ func (g *Globalizer) SetShardOwnership(index, count int) error {
 	return nil
 }
 
-// ShardOwnership returns the configured (index, count); count <= 1
-// means this engine owns every surface.
-func (g *Globalizer) ShardOwnership() (int, int) { return g.shardIndex, g.shardCount }
-
 // ownsSurface reports whether this engine's Global NER phase processes
 // the canonical surface form.
 func (g *Globalizer) ownsSurface(surface string) bool {
@@ -495,8 +491,8 @@ func (g *Globalizer) batchEntities(batch []*types.Sentence, mode Mode) map[types
 // replay serially in batch order, so the stream state is identical to
 // a serial run at any worker count and any batch size. It returns the
 // token sequences of surface forms newly registered in the CTrie this
-// batch — the dirty set the amortized global phase and the incremental
-// engine key their invalidation on.
+// batch — the dirty set the amortized global phase keys its
+// invalidation on.
 func (g *Globalizer) localPhase(batch []*types.Sentence, tr *obs.Trace) [][]string {
 	t0 := g.o.now()
 	results := g.TagBatch(batch)

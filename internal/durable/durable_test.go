@@ -1078,6 +1078,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(payload(s))
 	}
 	f.Add(parentRouterPayload(&Snapshot{Kind: KindRouter, Seq: 5, NextID: 7}, []CycleSentence{{TweetID: 1, Tokens: []string{"a", "b"}}}))
+	f.Add(wrappedShapePayload())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := decodeSnapshotPayload(b)
 		if err != nil {
@@ -1098,6 +1099,14 @@ func snapshotSeeds() []*Snapshot {
 		{Kind: KindSingle, Seq: 20, Prev: 10, NextID: 43, Delta: sampleWarmDelta(), Provenance: prov},
 		{Kind: KindRouter, Seq: 5, NextID: 7},
 	}
+}
+
+// wrappedShapePayload is a base whose one record claims a 2^62 x 4
+// embedding matrix and carries no values: the product wraps to 0.
+func wrappedShapePayload() []byte {
+	ws := sampleWarmState()
+	ws.Records[0].Emb = &nn.Matrix{Rows: 1 << 62, Cols: 4}
+	return payload(&Snapshot{Kind: KindSingle, Seq: 10, Warm: ws})
 }
 
 // parentRouterPayload is a router snapshot payload as builds before the
@@ -1146,6 +1155,12 @@ func TestSnapshotDecodeMutationsNeverPanic(t *testing.T) {
 		if _, err := decodeSnapshotPayload(old[:n]); err == nil {
 			t.Fatalf("router payload cut inside its sentence list at %d bytes decoded without error", n)
 		}
+	}
+	// A matrix whose rows*cols wraps around to its value count is a shape
+	// error, not a matrix the first pooled mention indexes out of.
+	if s, err := decodeSnapshotPayload(wrappedShapePayload()); err == nil {
+		m := s.Warm.Records[0].Emb
+		t.Fatalf("a %dx%d matrix backed by %d values decoded", m.Rows, m.Cols, len(m.Data))
 	}
 	// A delta must name what it extends, a base must not.
 	bad := &Snapshot{Kind: KindSingle, Seq: 20, Delta: sampleWarmDelta()}

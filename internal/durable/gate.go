@@ -1,13 +1,9 @@
 package durable
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync/atomic"
-	"time"
-
-	"nerglobalizer/internal/core"
 )
 
 // replayRetryAfterSeconds is the Retry-After hint while recovery runs:
@@ -60,22 +56,37 @@ func (g *Gate) WaitWarm() error {
 // failure.
 func (g *Gate) Trip() { g.broken.Store(true) }
 
-// Unready reports why mutations cannot be accepted — "" when they can —
-// and the retry hint in seconds (0 = none: a tripped gate does not come
-// back by waiting).
-func (g *Gate) Unready() (reason string, retryAfter int) {
+// Replaying reports why the stream cannot be read — "" when it can —
+// and the retry hint in seconds. Reads are refused only while recovery
+// is rebuilding the stream: a half-replayed stream is a state no run
+// ever served, while a tripped gate still holds everything it acked.
+func (g *Gate) Replaying() (reason string, retryAfter int) {
 	if g.replaying.Load() {
 		return "replaying snapshot and WAL", replayRetryAfterSeconds
-	}
-	if g.broken.Load() {
-		return "durability layer failed; restart from the data dir", 0
 	}
 	return "", 0
 }
 
-// Reject answers 503 when the gate is closed and reports whether it did.
-func (g *Gate) Reject(w http.ResponseWriter) bool {
-	reason, retryAfter := g.Unready()
+// Unready reports why mutations cannot be accepted — "" when they can —
+// and the retry hint in seconds (0 = none: a tripped gate does not come
+// back by waiting).
+func (g *Gate) Unready() (reason string, retryAfter int) {
+	if reason, retryAfter = g.Replaying(); reason == "" && g.broken.Load() {
+		reason = "durability layer failed; restart from the data dir"
+	}
+	return reason, retryAfter
+}
+
+// Reject answers a mutation 503 when the gate is closed and reports
+// whether it did.
+func (g *Gate) Reject(w http.ResponseWriter) bool { return refuse(w, g.Unready) }
+
+// RejectReplaying answers a stream read 503 while recovery replays and
+// reports whether it did.
+func (g *Gate) RejectReplaying(w http.ResponseWriter) bool { return refuse(w, g.Replaying) }
+
+func refuse(w http.ResponseWriter, closed func() (string, int)) bool {
+	reason, retryAfter := closed()
 	if reason == "" {
 		return false
 	}
@@ -104,39 +115,4 @@ func (g *Gate) ServeHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	w.Write([]byte("ok\n"))
-}
-
-// Resume is the engine-bearing half of startup recovery, shared by the
-// single server and the shard: it restores the snapshot's warm state
-// into g, then has apply re-execute each WAL tail record and checks what
-// it rendered against the logged annotations — a divergence means this
-// process is not running the configuration that wrote the log, and
-// recovery fails rather than serving a silently different stream. It
-// returns the provenance chain through the last replayed cycle. The
-// caller holds the lock that serializes cycles on g and restores its
-// own counters from rec.Snapshot before the call, so apply continues
-// from them.
-func (l *Log) Resume(rec *Recovery, kind int, g *core.Globalizer, apply func(*CycleRecord) []SentenceAnnotation) (*Provenance, error) {
-	t0 := time.Now()
-	prov := NewProvenance()
-	if snap := rec.Snapshot; snap != nil {
-		if snap.Kind != kind {
-			return nil, fmt.Errorf("durable: data dir was written by process kind %d, not kind %d", snap.Kind, kind)
-		}
-		if snap.Warm == nil {
-			return nil, fmt.Errorf("durable: snapshot at seq %d has no engine state", snap.Seq)
-		}
-		if err := g.RestoreWarmState(snap.Warm); err != nil {
-			return nil, err
-		}
-		prov = RestoreProvenance(snap.Provenance)
-	}
-	for _, cr := range rec.Tail {
-		if !AnnotationsEqual(apply(cr), cr.Annotations) {
-			return nil, fmt.Errorf("durable: replay of cycle %d diverged from the logged annotations — model or configuration mismatch", cr.Seq)
-		}
-		prov.AppendCycle(cr.Seq, cr.Annotations)
-	}
-	l.ObserveReplay(len(rec.Tail), time.Since(t0))
-	return prov, nil
 }

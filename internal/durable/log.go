@@ -68,6 +68,25 @@ type Recovery struct {
 	Tail     []*CycleRecord
 }
 
+// NextID is the tweet ID cursor of the recovered stream: the
+// snapshot's, moved past every ID logged after it. Every assigned ID is
+// in its cycle's record (a tweet has at least one sentence), so this
+// restores the allocator exactly.
+func (rec *Recovery) NextID() int {
+	next := 0
+	if rec.Snapshot != nil {
+		next = rec.Snapshot.NextID
+	}
+	for _, cr := range rec.Tail {
+		for _, cs := range cr.Sentences {
+			if cs.TweetID >= next {
+				next = cs.TweetID + 1
+			}
+		}
+	}
+	return next
+}
+
 // Status is a point-in-time durability summary for /statusz.
 type Status struct {
 	Fsync           string `json:"fsync"`

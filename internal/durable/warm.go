@@ -120,7 +120,7 @@ func getMatrix(r *binenc.Reader) *nn.Matrix {
 	}
 	m := &nn.Matrix{Rows: r.I64(), Cols: r.I64()}
 	m.Data = r.Floats()
-	if r.Err == nil && (m.Rows < 0 || m.Cols < 0 || len(m.Data) != m.Rows*m.Cols) {
+	if r.Err == nil && !binenc.ShapeOK(m.Rows, m.Cols, len(m.Data)) {
 		r.Err = fmt.Errorf("durable: matrix shape %dx%d has %d values", m.Rows, m.Cols, len(m.Data))
 	}
 	return m

@@ -17,6 +17,7 @@ import (
 
 	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/obs"
+	"nerglobalizer/internal/server"
 )
 
 // defaultRPCTimeout bounds one shard RPC end to end. Commit RPCs do
@@ -97,16 +98,15 @@ type frameConn struct {
 	used bool
 }
 
+// maxConns bounds the frame connections kept to one shard — the fleet's
+// only concurrency toward a shard is the router's own fan-out, so a
+// small bound suffices and keeps a misbehaving shard from accumulating
+// sockets.
+const maxConns = 4
+
 // NewShardClient builds a client for the shard at baseURL (scheme and
-// host, no trailing slash). It keeps at most maxConns frame connections
-// to the shard — the fleet's only concurrency toward a shard is the
-// router's own fan-out, so a small bound suffices and keeps a
-// misbehaving shard from accumulating sockets. Connections are dialed
-// on demand.
-func NewShardClient(index int, baseURL string, maxConns int) *ShardClient {
-	if maxConns <= 0 {
-		maxConns = 4
-	}
+// host, no trailing slash). Connections are dialed on demand.
+func NewShardClient(index int, baseURL string) *ShardClient {
 	tr := &http.Transport{
 		MaxConnsPerHost:     maxConns,
 		MaxIdleConnsPerHost: maxConns,
@@ -335,7 +335,7 @@ func (c *ShardClient) Reset() error {
 }
 
 // Candidates fetches the shard's owned candidate clusters.
-func (c *ShardClient) Candidates() ([]WireCandidate, error) {
+func (c *ShardClient) Candidates() ([]server.Candidate, error) {
 	reply, err := c.call(opCandidates, "candidates", nil)
 	if err != nil {
 		return nil, err
@@ -361,58 +361,68 @@ func (c *ShardClient) transportStatus() (openConns int, bytesPerCommit float64) 
 	return int(c.open.Load()), bytesPerCommit
 }
 
-// Status fetches the shard's /statusz (JSON over plain HTTP — it is
-// also the human-facing endpoint).
-func (c *ShardClient) Status() (ShardStatus, error) {
-	var st ShardStatus
+// get fetches one of the shard's plain-HTTP endpoints (the JSON ones
+// people and auditors also read), bounded by the RPC timeout. A 200
+// body is decoded into v (nil: ignored); any other status is returned
+// with the start of its body as msg.
+func (c *ShardClient) get(path string, v any) (status int, msg string, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.rpcTimeout())
 	defer cancel()
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/statusz", nil)
+	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+path, nil)
 	if err != nil {
-		return st, fmt.Errorf("fleet: shard %d: %w", c.index, err)
+		return 0, "", fmt.Errorf("fleet: shard %d: %w", c.index, err)
 	}
 	resp, err := c.hc.Do(hr)
 	if err != nil {
-		return st, fmt.Errorf("fleet: shard %d /statusz: %w", c.index, err)
+		return 0, "", fmt.Errorf("fleet: shard %d %s: %w", c.index, path, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("fleet: shard %d statusz: status %d", c.index, resp.StatusCode)
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
+		return resp.StatusCode, string(bytes.TrimSpace(b)), nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, fmt.Errorf("fleet: shard %d statusz: %w", c.index, err)
+	if v != nil {
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			return 0, "", fmt.Errorf("fleet: shard %d %s: %w", c.index, path, err)
+		}
 	}
-	return st, nil
+	return http.StatusOK, "", nil
+}
+
+// Ready reports (as nil) that the shard's /healthz answers 200: its
+// recovery has finished and its durability layer has not failed.
+func (c *ShardClient) Ready() error {
+	status, msg, err := c.get("/healthz", nil)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("fleet: shard %d not ready: %s", c.index, msg)
+	}
+	return err
+}
+
+// Status fetches the shard's /statusz. A shard still replaying its WAL
+// answers too, with the seq it has reached so far.
+func (c *ShardClient) Status() (ShardStatus, error) {
+	var st ShardStatus
+	status, msg, err := c.get("/statusz", &st)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("fleet: shard %d statusz: status %d: %s", c.index, status, msg)
+	}
+	return st, err
 }
 
 // Proof fetches the shard's inclusion-proof bundle for one tweet
 // (JSON — proofs are the auditor-facing format). The second return is
 // false when the shard does not know the tweet.
 func (c *ShardClient) Proof(tweet int) (*durable.ProofBundle, bool, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.rpcTimeout())
-	defer cancel()
-	url := fmt.Sprintf("%s/shard/proof?tweet=%d", c.baseURL, tweet)
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, false, fmt.Errorf("fleet: shard %d: %w", c.index, err)
-	}
-	resp, err := c.hc.Do(hr)
-	if err != nil {
-		return nil, false, fmt.Errorf("fleet: shard %d /shard/proof: %w", c.index, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body)
-		return nil, false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, false, fmt.Errorf("fleet: shard %d proof: status %d: %s",
-			c.index, resp.StatusCode, bytes.TrimSpace(msg))
-	}
 	var b durable.ProofBundle
-	if err := json.NewDecoder(resp.Body).Decode(&b); err != nil {
-		return nil, false, fmt.Errorf("fleet: shard %d proof: %w", c.index, err)
+	status, msg, err := c.get(fmt.Sprintf("/shard/proof?tweet=%d", tweet), &b)
+	switch {
+	case err != nil:
+		return nil, false, err
+	case status == http.StatusNotFound:
+		return nil, false, nil
+	case status != http.StatusOK:
+		return nil, false, fmt.Errorf("fleet: shard %d proof: status %d: %s", c.index, status, msg)
 	}
 	return &b, true, nil
 }

@@ -15,6 +15,7 @@ import (
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/nn"
+	"nerglobalizer/internal/server"
 	"nerglobalizer/internal/types"
 )
 
@@ -90,10 +91,7 @@ func getTags(r *binenc.Reader) []WireTag {
 		}
 		cols := r.I64()
 		data := r.Floats()
-		// Divide rather than multiply: rows*cols of hostile fields can
-		// wrap around to len(data).
-		empty := rows == 0 && cols >= 0 && len(data) == 0
-		if r.Err == nil && !empty && (rows < 0 || cols <= 0 || len(data)%cols != 0 || len(data)/cols != rows) {
+		if r.Err == nil && !binenc.ShapeOK(rows, cols, len(data)) {
 			r.Err = fmt.Errorf("fleet: matrix shape %dx%d has %d values", rows, cols, len(data))
 		}
 		t.Emb = &nn.Matrix{Rows: rows, Cols: cols, Data: data}
@@ -138,7 +136,7 @@ func getOwned(r *binenc.Reader) []durable.SentenceAnnotation {
 // plus four fixed fields.
 const wireCandidateMin = 4 + 8*4
 
-func putCandidates(w *binenc.Writer, cs []WireCandidate) {
+func putCandidates(w *binenc.Writer, cs []server.Candidate) {
 	w.U32(len(cs))
 	for i := range cs {
 		w.Str(cs[i].Surface)
@@ -149,12 +147,12 @@ func putCandidates(w *binenc.Writer, cs []WireCandidate) {
 	}
 }
 
-func getCandidates(r *binenc.Reader) []WireCandidate {
+func getCandidates(r *binenc.Reader) []server.Candidate {
 	n := r.Count(wireCandidateMin)
 	if r.Err != nil || n == 0 {
 		return nil
 	}
-	out := make([]WireCandidate, n)
+	out := make([]server.Candidate, n)
 	for i := range out {
 		out[i].Surface = r.Str()
 		out[i].ClusterID = r.I64()
@@ -249,13 +247,13 @@ func (q *CommitResponse) decode(b []byte) error {
 }
 
 // encodeCandidates renders a shard's candidate fan-in reply.
-func encodeCandidates(cs []WireCandidate) []byte {
+func encodeCandidates(cs []server.Candidate) []byte {
 	w := &binenc.Writer{}
 	putCandidates(w, cs)
 	return w.Buf
 }
 
-func decodeCandidates(b []byte) ([]WireCandidate, error) {
+func decodeCandidates(b []byte) ([]server.Candidate, error) {
 	r := &binenc.Reader{B: b}
 	out := getCandidates(r)
 	return out, finish(r, "candidates")

@@ -10,6 +10,7 @@ import (
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/nn"
+	"nerglobalizer/internal/server"
 	"nerglobalizer/internal/types"
 )
 
@@ -58,7 +59,7 @@ func sampleBodies(tb testing.TB) [][]byte {
 		{TweetID: 1, SentID: 0, Entities: []durable.Entity{{Start: 2, End: 3, Type: types.Location, Surface: "milano"}}},
 	}
 	commitResp := (&CommitResponse{Seq: 7, Entities: owned, StreamSize: 2, Candidates: 1, BusySeconds: 0.25}).encode()
-	cands := encodeCandidates([]WireCandidate{{Surface: "milano", ClusterID: 1, Type: types.Location, Mentions: 3, Confidence: 0.5}})
+	cands := encodeCandidates([]server.Candidate{{Surface: "milano", ClusterID: 1, Type: types.Location, Mentions: 3, Confidence: 0.5}})
 	return [][]byte{tagReq, commit, tagResp, commitResp, cands, encodeEntities(owned)}
 }
 

@@ -47,11 +47,10 @@ const replayDeadline = 2 * time.Minute
 // Mutating RPCs answer 503 until recovery finishes; WaitWarm blocks on
 // it.
 func (s *Shard) StartDurable(dir string, opts durable.Options) error {
-	dl, rec, err := durable.Open(dir, opts, s.registry())
+	rec, err := s.rep.Open(dir, opts, s.registry())
 	if err != nil {
 		return err
 	}
-	s.dl = dl
 	s.gate.Recover(func() error { return s.recoverFrom(rec) })
 	return nil
 }
@@ -71,106 +70,39 @@ func (s *Shard) Close() {
 	}
 	s.connWG.Wait()
 	s.gate.WaitWarm()
-	if s.dl != nil {
-		s.dl.Close()
-	}
+	s.rep.Close()
 }
 
-// recoverFrom restores the replica snapshot and re-executes the WAL
-// tail by self-tagging each logged batch — byte-identical to the
-// original commits by the fleet's homogeneity contract.
+// recoverFrom has the replica restore its snapshot and re-execute the
+// WAL tail by self-tagging each logged batch — byte-identical to the
+// original commits by the fleet's homogeneity contract — and restores
+// the cached last response: the snapshot's, or the last replayed
+// cycle's.
 func (s *Shard) recoverFrom(rec *durable.Recovery) error {
-	s.cfgMu.Lock()
-	defer s.cfgMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if snap := rec.Snapshot; snap != nil {
-		// LastResp is a bare commit-response body. Decode it before
-		// touching the engine: a directory from a build that wrapped it
-		// in a gob stream is refused here, never half restored.
-		if len(snap.LastResp) > 0 {
-			lastResp := &CommitResponse{}
-			if err := lastResp.decode(snap.LastResp); err != nil {
-				return fmt.Errorf("fleet: shard %d: snapshot at seq %d: LastResp is not a commit-response body (data dir written by an incompatible build?): %w", s.index, snap.Seq, err)
-			}
-			if lastResp.Seq != snap.Seq {
-				return fmt.Errorf("fleet: shard %d: snapshot at seq %d: LastResp answers cycle %d", s.index, snap.Seq, lastResp.Seq)
-			}
-			s.lastResp = lastResp
+	var lastResp *CommitResponse
+	// LastResp is a bare commit-response body. Decode it before touching
+	// the engine: a directory from a build that wrapped it in a gob
+	// stream is refused here, never half restored.
+	if snap := rec.Snapshot; snap != nil && len(snap.LastResp) > 0 {
+		lastResp = &CommitResponse{}
+		if err := lastResp.decode(snap.LastResp); err != nil {
+			return fmt.Errorf("fleet: shard %d: snapshot at seq %d: LastResp is not a commit-response body (data dir written by an incompatible build?): %w", s.index, snap.Seq, err)
 		}
-		s.seq = snap.Seq
+		if lastResp.Seq != snap.Seq {
+			return fmt.Errorf("fleet: shard %d: snapshot at seq %d: LastResp answers cycle %d", s.index, snap.Seq, lastResp.Seq)
+		}
 	}
-	prov, err := s.dl.Resume(rec, durable.KindShard, s.g, func(cr *durable.CycleRecord) []durable.SentenceAnnotation {
-		batch := durable.ToSentences(cr.Sentences)
-		s.g.ProcessTagged(batch, s.g.TagBatch(batch), core.Mode(cr.Mode))
-		s.seq, s.lastResp = cr.Seq, s.commitResponse(cr.Seq, batch)
-		return s.lastResp.Entities
-	})
+	last, err := s.rep.Replay(rec)
 	if err != nil {
 		return fmt.Errorf("fleet: shard %d: %w", s.index, err)
 	}
-	s.prov = prov
-	return nil
-}
-
-// durableCommit is handleCommit's persistence tail, run under s.mu
-// after the engine applied the cycle and before the response is acked.
-// It issues the WAL append — the request's sentences and the response's
-// owned annotations as they are, so the log and the Merkle leaves cover
-// exactly the bytes the shard served — folds the cycle into the
-// provenance chain, and returns a captured snapshot (base or delta, the
-// log's chain rule decides) when the schedule calls for one plus the
-// append's durability wait — the caller calls the wait off-lock before
-// acking (immediate under fsync=always, the covering group fsync under
-// fsync=group). An append failure bricks the shard: the replica has
-// advanced past its disk, so acking — or taking further commits — would
-// let a restart silently drop the cycle.
-func (s *Shard) durableCommit(req *CommitRequest, resp *CommitResponse) (*durable.Snapshot, func() error, error) {
-	rec := &durable.CycleRecord{
-		Seq:         req.Seq,
-		Mode:        int(req.Mode),
-		Sentences:   req.Sentences,
-		Annotations: resp.Entities,
-	}
-	wait, err := s.dl.AppendAsync(rec)
-	if err != nil {
-		s.gate.Trip()
-		return nil, nil, err
-	}
-	s.prov.AppendCycle(req.Seq, rec.Annotations)
-	if !s.dl.ShouldSnapshot(req.Seq) {
-		return nil, wait, nil
-	}
-	snap := s.dl.EngineSnapshot(durable.KindShard, req.Seq, s.g, s.prov)
-	snap.LastResp = resp.encode()
-	return snap, wait, nil
-}
-
-// handleProof serves this shard's inclusion proofs: GET
-// /shard/proof?tweet=N returns one bundle over the shard's own chain,
-// covering its owned annotations for the tweet.
-func (s *Shard) handleProof(w http.ResponseWriter, r *http.Request) {
-	if s.dl == nil {
-		http.Error(w, "provenance requires -data-dir", http.StatusNotFound)
-		return
-	}
-	if s.gate.Reject(w) {
-		return
-	}
-	tweet, err := strconv.Atoi(r.URL.Query().Get("tweet"))
-	if err != nil {
-		http.Error(w, "tweet query parameter required", http.StatusBadRequest)
-		return
+	if last.Seq != 0 {
+		lastResp = commitResponse(last)
 	}
 	s.mu.Lock()
-	b, ok := s.prov.BundleForTweet(tweet, s.index)
+	s.lastResp = lastResp
 	s.mu.Unlock()
-	if !ok {
-		http.Error(w, "tweet not in the annotated stream", http.StatusNotFound)
-		return
-	}
-	s.dl.ProofServed()
-	server.WriteJSON(w, b)
+	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -205,18 +137,11 @@ func (r *Router) recoverFrom(rec *durable.Recovery) error {
 	bySeq := make(map[uint64]*durable.CycleRecord, len(rec.Tail))
 	r.mu.Lock()
 	if snap != nil {
-		r.seq, r.nextID = snap.Seq, snap.NextID
+		r.seq = snap.Seq
 	}
-	// Every assigned ID is in its cycle's record (a tweet has at least
-	// one sentence), so the highest journaled ID restores the allocator
-	// exactly.
+	r.nextID = rec.NextID()
 	for _, cr := range rec.Tail {
 		bySeq[cr.Seq] = cr
-		for _, cs := range cr.Sentences {
-			if cs.TweetID >= r.nextID {
-				r.nextID = cs.TweetID + 1
-			}
-		}
 		r.seq = cr.Seq
 	}
 	target := r.seq
@@ -241,7 +166,11 @@ func (r *Router) redriveShard(i int, target uint64, bySeq map[uint64]*durable.Cy
 	var st ShardStatus
 	var err error
 	for {
-		st, err = r.clients[i].Status()
+		// A shard still replaying answers /statusz with the seq it has
+		// reached so far; only a warm shard's seq says what it is missing.
+		if err = r.clients[i].Ready(); err == nil {
+			st, err = r.clients[i].Status()
+		}
 		if err == nil {
 			break
 		}

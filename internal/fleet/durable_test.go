@@ -38,7 +38,7 @@ func shardsIdle(t *testing.T, h *Harness) (minChain int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for i := 0; i < len(h.Shards); {
-		st := h.Shards[i].dl.Status()
+		st := h.Shards[i].rep.Durability()
 		if st.SnapshotPending > 0 {
 			if time.Now().After(deadline) {
 				t.Fatalf("shard %d: snapshot writer still busy after 30s", i)

@@ -686,7 +686,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	if err := trespOut.decode(b); err != nil || !reflect.DeepEqual(tresp, &trespOut) {
 		t.Fatalf("tag response round-trip (%v):\n in: %+v\nout: %+v", err, tresp, &trespOut)
 	}
-	cands := []WireCandidate{
+	cands := []server.Candidate{
 		{Surface: "héllo wörld", ClusterID: 2, Type: types.Location, Mentions: 4, Confidence: 0.875},
 		{Surface: "", ClusterID: 0, Type: types.None, Mentions: 0, Confidence: math.Copysign(0, -1)},
 	}

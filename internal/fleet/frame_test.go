@@ -255,6 +255,18 @@ func TestShardFrameChecks(t *testing.T) {
 	})
 }
 
+// holdEngine takes the shard replica's engine lock — where a commit
+// spends its whole cycle — and returns its release.
+func holdEngine(s *Shard) (release func()) {
+	held, done := make(chan struct{}), make(chan struct{})
+	go s.rep.View(func(*core.Globalizer) {
+		close(held)
+		<-done
+	})
+	<-held
+	return func() { close(done) }
+}
+
 // untaggedCommit builds a commit with empty tag results, for calls
 // expected to be refused before the body matters.
 func untaggedCommit(cycles [][]durable.CycleSentence, seq uint64) *CommitRequest {
@@ -370,7 +382,7 @@ func TestFleetTagDuringCommit(t *testing.T) {
 			// With the engine lock held — where a commit spends its whole
 			// cycle — a tag still completes.
 			deadline := time.Now().Add(20 * time.Second)
-			s.mu.Lock()
+			release := holdEngine(s)
 			done := make(chan error, 1)
 			go func() {
 				_, err := c.Tag(&TagRequest{Sentences: all[:2]})
@@ -395,7 +407,7 @@ func TestFleetTagDuringCommit(t *testing.T) {
 					time.Sleep(time.Millisecond)
 				}
 			}
-			s.mu.Unlock()
+			release()
 			close(stop)
 			wg.Wait()
 		})
@@ -449,9 +461,9 @@ func lateReplyNotMisdelivered(t *testing.T, dur bool) {
 
 	// Shard 1's commit blocks on the engine lock until the router has
 	// given up on it.
-	h.Shards[1].mu.Lock()
+	release := holdEngine(h.Shards[1])
 	status, resp, hdr := postBody(t, h.URL()+"/annotate", bodies[2])
-	h.Shards[1].mu.Unlock()
+	release()
 	if status != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Fatalf("stalled cycle: status %d (%s), want 503 with Retry-After", status, resp)
 	}
@@ -540,7 +552,7 @@ func TestShardSubmitsSnapshotWhenReplyFails(t *testing.T) {
 		t.Fatalf("shard at seq %d after the commit, want 1", st.Seq)
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for s.dl.Status().SnapshotPending > 0 {
+	for s.rep.Durability().SnapshotPending > 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the captured snapshot never reached the log")
 		}

@@ -57,7 +57,7 @@ func NewHarness(g *core.Globalizer, k int, configure func(*core.Globalizer)) (*H
 		srv := httptest.NewServer(shard.Handler())
 		h.Shards = append(h.Shards, shard)
 		h.servers = append(h.servers, srv)
-		clients[i] = NewShardClient(i, srv.URL, 4)
+		clients[i] = NewShardClient(i, srv.URL)
 	}
 	h.Router = NewRouter(clients)
 	h.routerSrv = httptest.NewServer(h.Router.Handler())

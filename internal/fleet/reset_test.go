@@ -12,6 +12,7 @@ import (
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/server"
 	"nerglobalizer/internal/tokenizer"
+	"nerglobalizer/internal/types"
 )
 
 // singleSentenceBodies returns n one-tweet /annotate bodies from the
@@ -79,15 +80,15 @@ func TestFleetResetDuringAnnotate(t *testing.T) {
 	for _, target := range []struct {
 		name string
 		url  string
-		// engine holds the whole stream, in order; mu orders reading it
-		// after the cycles that wrote it (nil where the HTTP exchange
-		// already does: the race detector cannot see through the shard's
-		// hijacked frame connections).
-		engine *core.Globalizer
-		mu     *sync.Mutex
+		// view reads the engine that holds the whole stream, in order. The
+		// shard's goes through the replica's engine lock, which orders the
+		// read after the cycles that wrote the stream; the single server's
+		// HTTP exchange already does (the race detector cannot see through
+		// the shard's hijacked frame connections).
+		view func(func(*core.Globalizer))
 	}{
-		{"fleet", h.URL(), h.Shards[0].Engine(), &h.Shards[0].mu},
-		{"single", httptestServer(t, srv.Handler()), single, nil},
+		{"fleet", h.URL(), h.Shards[0].rep.View},
+		{"single", httptestServer(t, srv.Handler()), func(fn func(*core.Globalizer)) { fn(single) }},
 	} {
 		t.Run(target.name, func(t *testing.T) {
 			const rounds, clients = 40, 2
@@ -143,18 +144,15 @@ func TestFleetResetDuringAnnotate(t *testing.T) {
 				// The post-reset stream, read back from the engine that holds
 				// it, through a fresh single server.
 				var stream []string
-				if target.mu != nil {
-					target.mu.Lock()
-				}
-				tb := target.engine.TweetBase()
-				keys := tb.Keys()
-				for _, key := range keys {
-					raw, _ := json.Marshal(map[string][]string{"tweets": {strings.Join(tb.Get(key).Sentence.Tokens, " ")}})
-					stream = append(stream, string(raw))
-				}
-				if target.mu != nil {
-					target.mu.Unlock()
-				}
+				var keys []types.SentenceKey
+				target.view(func(g *core.Globalizer) {
+					tb := g.TweetBase()
+					keys = tb.Keys()
+					for _, key := range keys {
+						raw, _ := json.Marshal(map[string][]string{"tweets": {strings.Join(tb.Get(key).Sentence.Tokens, " ")}})
+						stream = append(stream, string(raw))
+					}
+				})
 				for i, key := range keys {
 					if key.TweetID != i || key.SentID != 0 {
 						t.Fatalf("round %d: stream position %d holds sentence %v", round, i, key)

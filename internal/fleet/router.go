@@ -284,18 +284,7 @@ func (r *Router) runCycle(jobs []*server.Job) {
 	// until the tag stage succeeds.
 	startID := r.nextID
 	r.mu.Unlock()
-	id := startID
-	var batch []durable.CycleSentence
-	perJob := make([]int, len(jobs)) // sentences per job, contiguous in batch
-	for ji, job := range jobs {
-		for _, sentTokens := range job.Tweets {
-			for si, toks := range sentTokens {
-				batch = append(batch, durable.CycleSentence{TweetID: id, SentID: si, Tokens: toks})
-			}
-			perJob[ji] += len(sentTokens)
-			id++
-		}
-	}
+	batch, perJob, id := server.Batch(jobs, startID)
 
 	// Tag fan-out with failover.
 	tagged, tagBusy, tagRPC, err := r.tagPartitioned(batch, int(r.cycles.Load()))
@@ -431,30 +420,13 @@ func (r *Router) commitCycle(work *commitWork) {
 	}
 
 	t0 := time.Now()
-	streamSize := resps[0].StreamSize
 	candidates := 0
-	for _, resp := range resps {
+	owned := make([][]durable.SentenceAnnotation, k)
+	for i, resp := range resps {
 		candidates += resp.Candidates
+		owned[i] = resp.Entities
 	}
-	// Merge each sentence's per-shard groups and answer per job.
-	parts := make([][]durable.Entity, k)
-	si := 0
-	for ji, job := range jobs {
-		resp := server.AnnotateResponse{StreamSize: streamSize, Candidates: candidates}
-		for _, sent := range req.Sentences[si : si+perJob[ji]] {
-			for i, sr := range resps {
-				parts[i] = sr.Entities[si].Entities
-			}
-			resp.Sentences = append(resp.Sentences, server.SentenceJSON{
-				TweetID:  sent.TweetID,
-				SentID:   sent.SentID,
-				Tokens:   sent.Tokens,
-				Entities: renderEntities(mergeGroups(parts, entitySurface)),
-			})
-			si++
-		}
-		job.Reply(resp)
-	}
+	server.Answer(jobs, perJob, req.Sentences, mergeAnnotations(owned), resps[0].StreamSize, candidates)
 	if ro != nil {
 		ro.mergeSeconds.Observe(time.Since(t0).Seconds())
 	}
@@ -635,20 +607,24 @@ func mergeGroups[T any](parts [][]T, surface func(T) string) []T {
 	}
 }
 
-func entitySurface(e durable.Entity) string { return e.Surface }
-
-// renderEntities renders one sentence's merged entities as every
-// endpoint serves them — never nil, so a sentence without entities
-// encodes as []. Surface is the canonical surface the owning shard
-// shipped, which is the string the single server derives from the
-// sentence's tokens (see Shard.ownedEntities).
-func renderEntities(ents []durable.Entity) []server.EntityJSON {
-	out := make([]server.EntityJSON, len(ents))
-	for i, e := range ents {
-		out[i] = server.EntityJSON{Start: e.Start, End: e.End, Type: e.Type.String(), Surface: e.Surface}
+// mergeAnnotations merges the shards' owned annotations of the same
+// sentences — owned[i] is shard i's list, all index-aligned — into the
+// annotations the single server holds for them: each sentence's
+// per-shard surface groups, interleaved.
+func mergeAnnotations(owned [][]durable.SentenceAnnotation) []durable.SentenceAnnotation {
+	out := make([]durable.SentenceAnnotation, len(owned[0]))
+	groups := make([][]durable.Entity, len(owned))
+	for si := range out {
+		for i := range owned {
+			groups[i] = owned[i][si].Entities
+		}
+		out[si] = owned[0][si]
+		out[si].Entities = mergeGroups(groups, entitySurface)
 	}
 	return out
 }
+
+func entitySurface(e durable.Entity) string { return e.Surface }
 
 // Handler returns the router's routed HTTP handler. The public
 // endpoints (/annotate, /candidates, /entities, /reset) are
@@ -699,17 +675,8 @@ func (r *Router) handleCandidates(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "candidate fan-in: "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	out := []server.CandidateJSON{}
-	for _, c := range mergeGroups(parts, func(c WireCandidate) string { return c.Surface }) {
-		out = append(out, server.CandidateJSON{
-			Surface:    c.Surface,
-			ClusterID:  c.ClusterID,
-			Type:       c.Type.String(),
-			Mentions:   c.Mentions,
-			Confidence: c.Confidence,
-		})
-	}
-	server.WriteJSON(w, out)
+	merged := mergeGroups(parts, func(c server.Candidate) string { return c.Surface })
+	server.WriteJSON(w, server.CandidatesJSON(merged))
 }
 
 // handleEntities fans the entities RPC in from every shard and merges
@@ -721,27 +688,14 @@ func (r *Router) handleEntities(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "entity fan-in: "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	k := len(parts)
-	for i := 1; i < k; i++ {
+	for i := 1; i < len(parts); i++ {
 		if len(parts[i]) != len(parts[0]) {
 			http.Error(w, fmt.Sprintf("entity fan-in: shard stream sizes differ (%d vs %d)",
 				len(parts[0]), len(parts[i])), http.StatusBadGateway)
 			return
 		}
 	}
-	out := []server.SentenceEntitiesJSON{}
-	groups := make([][]durable.Entity, k)
-	for si, se := range parts[0] {
-		for i := 0; i < k; i++ {
-			groups[i] = parts[i][si].Entities
-		}
-		out = append(out, server.SentenceEntitiesJSON{
-			TweetID:  se.TweetID,
-			SentID:   se.SentID,
-			Entities: renderEntities(mergeGroups(groups, entitySurface)),
-		})
-	}
-	server.WriteJSON(w, out)
+	server.WriteJSON(w, server.EntitiesJSON(mergeAnnotations(parts)))
 }
 
 // handleReset clears the whole fleet's stream state: every shard, then

@@ -16,7 +16,6 @@ import (
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/server"
-	"nerglobalizer/internal/types"
 )
 
 // defaultShardAdmission bounds concurrently admitted mutating RPCs per
@@ -37,21 +36,17 @@ const shardConnIdleTimeout = 2 * time.Minute
 // byte arrived, and writing a reply — cmd/serve's HTTP ReadTimeout.
 const shardFrameTimeout = 30 * time.Second
 
-// Shard wraps one engine replica as the fleet's unit of scale-out: it
-// owns the surfaces ctrie.OwnerShard assigns to its index and serves
-// the tag/commit RPC pair the router drives cycles with. Everything
-// that touches stream state is serialized by the shard mutex — the
-// engine's stream state is single-writer by design. Tagging reads only
-// the trained model, so it runs under cfgMu's read side instead and
-// overlaps a commit in progress.
+// Shard is the fleet's unit of scale-out: a frame loop in front of one
+// server.Replica — the engine, its lock, its log and its reads, the same
+// ones the single server runs — that owns the surfaces ctrie.OwnerShard
+// assigns to its index, plus what only a shard needs: admission, the
+// commit seq gate and the cached last response. Tagging reads only the
+// trained model, so it overlaps a commit in progress (Replica.Tag).
 type Shard struct {
-	// cfgMu excludes engine reconfiguration (SetObserver, recovery)
-	// from tagging; taken before mu where both are held.
-	cfgMu sync.RWMutex
-	mu    sync.Mutex
-	g     *core.Globalizer
-	// seq is the last committed cycle; commits must arrive in order.
-	seq uint64
+	rep *server.Replica
+	// mu orders commits and resets: the seq gate, the cycle it admits
+	// and lastResp move together. Taken before the replica's engine lock.
+	mu sync.Mutex
 	// lastResp answers idempotent retries of the last committed cycle
 	// (a commit can apply even when the router times out waiting).
 	lastResp *CommitResponse
@@ -73,13 +68,8 @@ type Shard struct {
 	idleWait time.Duration
 
 	// gate refuses mutating RPCs while recovery replays and after a
-	// durability failure.
+	// durability failure, and the stream reads while it replays.
 	gate durable.Gate
-	// Durability (nil unless StartDurable was called): the WAL + snapshot
-	// manager and the shard's own Merkle chain over its owned annotations
-	// (guarded by mu).
-	dl   *durable.Log
-	prov *durable.Provenance
 }
 
 // shardObs is the shard-side metric set.
@@ -120,25 +110,22 @@ func NewShard(g *core.Globalizer, index, count int, settings map[string]string) 
 	if settings == nil {
 		settings = map[string]string{}
 	}
-	return &Shard{
-		g:        g,
+	s := &Shard{
 		index:    index,
 		count:    count,
 		settings: settings,
 		admit:    make(chan struct{}, defaultShardAdmission),
 		conns:    make(map[net.Conn]struct{}),
 		idleWait: shardConnIdleTimeout,
-	}, nil
+	}
+	s.rep = server.NewReplica(g, &s.gate, index)
+	return s, nil
 }
 
 // SetObserver attaches a metrics registry to the shard and its engine.
 func (s *Shard) SetObserver(reg *obs.Registry) {
 	s.o.Store(newShardObs(reg))
-	s.cfgMu.Lock()
-	defer s.cfgMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.g.SetObserver(reg)
+	s.rep.SetObserver(reg)
 }
 
 // SetAdmission re-bounds concurrently admitted mutating RPCs. Zero
@@ -149,14 +136,6 @@ func (s *Shard) SetAdmission(n int) {
 	defer s.admitMu.Unlock()
 	s.admit = make(chan struct{}, n)
 }
-
-// Engine exposes the wrapped engine for in-process harness wiring
-// (workers, precision, caching). Serving traffic must be stopped while
-// reconfiguring.
-func (s *Shard) Engine() *core.Globalizer { return s.g }
-
-// Ownership returns the shard's (index, count).
-func (s *Shard) Ownership() (int, int) { return s.index, s.count }
 
 // tryAdmit reserves an admission slot; ok is false when saturated.
 func (s *Shard) tryAdmit() (release func(), ok bool) {
@@ -179,7 +158,7 @@ func (s *Shard) tryAdmit() (release func(), ok bool) {
 func (s *Shard) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/shard/rpc", s.counted(s.handleRPC))
-	mux.HandleFunc("GET /shard/proof", s.counted(s.handleProof))
+	mux.HandleFunc("GET /shard/proof", s.counted(s.rep.ServeProof))
 	mux.HandleFunc("GET /statusz", s.counted(s.handleStatusz))
 	mux.HandleFunc("GET /metrics", s.counted(s.handleMetrics))
 	mux.HandleFunc("/healthz", s.counted(s.gate.ServeHealthz))
@@ -328,11 +307,16 @@ func (s *Shard) dispatch(op byte, body []byte, t0 time.Time) reply {
 		return s.serveCommit(body, t0)
 	case opReset:
 		return s.serveReset()
-	case opCandidates:
-		return s.serveCandidates()
-	default: // opEntities; readRequestFrame admits nothing else
-		return s.serveEntities()
 	}
+	// The two fan-in reads; readRequestFrame admits nothing else. While
+	// recovery replays the stream is only partly rebuilt.
+	if why, retry := s.gate.Replaying(); why != "" {
+		return unavailableReply(why, retry)
+	}
+	if op == opCandidates {
+		return reply{body: encodeCandidates(s.rep.Candidates())}
+	}
+	return reply{body: encodeEntities(s.rep.Entities())}
 }
 
 // serveTag runs Local NER over a batch slice. Tagging is pure — it
@@ -352,9 +336,7 @@ func (s *Shard) serveTag(body []byte, t0 time.Time) reply {
 		return unavailableReply("shard saturated", shardRetryAfterSeconds)
 	}
 	defer release()
-	s.cfgMu.RLock()
-	results := s.g.TagBatch(durable.ToSentences(req.Sentences))
-	s.cfgMu.RUnlock()
+	results := s.rep.Tag(req.Sentences)
 	busy := time.Since(t0).Seconds()
 	if so := s.o.Load(); so != nil {
 		so.tagSeconds.Observe(busy)
@@ -386,42 +368,36 @@ func (s *Shard) serveCommit(body []byte, t0 time.Time) reply {
 	}
 	defer release()
 	s.mu.Lock()
-	if req.Seq == s.seq && s.lastResp != nil {
+	have := s.rep.Seq()
+	if req.Seq == have && s.lastResp != nil {
 		resp := s.lastResp
 		s.mu.Unlock()
 		return reply{body: resp.encode()}
 	}
-	if req.Seq != s.seq+1 {
-		have := s.seq
+	if req.Seq != have+1 {
 		s.mu.Unlock()
 		return failReply(statusConflict, "commit out of order: have "+strconv.FormatUint(have, 10)+
 			", got "+strconv.FormatUint(req.Seq, 10))
 	}
-	batch := durable.ToSentences(req.Sentences)
-	s.g.ProcessTagged(batch, ToResults(req.Tagged), req.Mode)
-	resp := s.commitResponse(req.Seq, batch)
-	// Ack-after-durable: the WAL append is issued under the lock and its
-	// durability wait happens after release — the response still never
-	// outruns the shard's disk, but under fsync=group the next cycle can
-	// start on the engine while this cycle's flush completes.
-	var snap *durable.Snapshot
-	var wait func() error
-	if s.dl != nil {
-		var err error
-		snap, wait, err = s.durableCommit(&req, resp)
-		if err != nil {
-			s.seq = req.Seq
-			s.lastResp = resp
-			s.mu.Unlock()
-			return failReply(statusInternal, "durability failure: "+err.Error())
-		}
+	// Ack-after-durable: the replica issues the WAL append under its
+	// engine lock and the durability wait happens after mu is released —
+	// the response still never outruns the shard's disk, but under
+	// fsync=group the next cycle can start on the engine while this
+	// cycle's flush completes.
+	out, err := s.rep.Apply(req.Sentences, ToResults(req.Tagged), req.Mode)
+	if err != nil {
+		s.mu.Unlock()
+		return failReply(statusInternal, "durability failure: "+err.Error())
+	}
+	resp := commitResponse(out)
+	if out.Snapshot != nil {
+		out.Snapshot.LastResp = resp.encode()
 	}
 	resp.BusySeconds = time.Since(t0).Seconds()
-	s.seq = req.Seq
 	s.lastResp = resp
 	s.mu.Unlock()
-	if wait != nil {
-		if err := wait(); err != nil {
+	if out.Wait != nil {
+		if err := out.Wait(); err != nil {
 			s.gate.Trip()
 			return failReply(statusInternal, "durability failure: "+err.Error())
 		}
@@ -430,131 +406,55 @@ func (s *Shard) serveCommit(body []byte, t0 time.Time) reply {
 		so.commitSeconds.Observe(resp.BusySeconds)
 	}
 	rp := reply{body: resp.encode()}
-	if snap != nil {
-		rp.after = func() { s.dl.SubmitSnapshot(snap, snap.Seq) }
+	if snap := out.Snapshot; snap != nil {
+		rp.after = func() { s.rep.SubmitSnapshot(snap) }
 	}
 	return rp
 }
 
-// commitResponse renders the answer to cycle seq once the engine has
-// applied its batch: the shard's owned annotations per batch sentence
-// and the replica's sizes. Called under s.mu.
-func (s *Shard) commitResponse(seq uint64, batch []*types.Sentence) *CommitResponse {
-	resp := &CommitResponse{
-		Seq:        seq,
-		Entities:   make([]durable.SentenceAnnotation, len(batch)),
-		StreamSize: s.g.TweetBase().Len(),
-		Candidates: s.g.CandidateBase().Len(),
+// commitResponse is the answer to the cycle the replica just applied —
+// live, or the last one of a replay: the shard's owned annotations per
+// batch sentence and the replica's sizes.
+func commitResponse(out server.Applied) *CommitResponse {
+	return &CommitResponse{
+		Seq:        out.Seq,
+		Entities:   out.Annotations,
+		StreamSize: out.StreamSize,
+		Candidates: out.Candidates,
 	}
-	for i, sent := range batch {
-		resp.Entities[i] = s.ownedEntities(sent.Key())
-	}
-	return resp
 }
 
 func (s *Shard) serveReset() reply {
 	// A reset would fork the replica away from its WAL; durable shards
 	// reset by wiping the data dir and restarting.
-	if s.dl != nil {
+	if s.rep.Durable() {
 		return failReply(statusConflict, "reset is not supported with -data-dir; wipe the data dir and restart")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.g.Reset()
-	s.seq = 0
+	s.rep.Reset()
 	s.lastResp = nil
 	return reply{}
 }
 
-// WireCandidate is one candidate cluster in a shard's fan-in reply,
-// in the engine's sorted-surface order.
-type WireCandidate struct {
-	Surface    string
-	ClusterID  int
-	Type       types.EntityType
-	Mentions   int
-	Confidence float64
-}
-
-func (s *Shard) serveCandidates() reply {
-	s.mu.Lock()
-	var out []WireCandidate
-	for _, c := range s.g.CandidateBase().All() {
-		out = append(out, WireCandidate{
-			Surface:    c.Surface,
-			ClusterID:  c.ClusterID,
-			Type:       c.Type,
-			Mentions:   c.MentionCount(),
-			Confidence: c.Confidence,
-		})
-	}
-	s.mu.Unlock()
-	return reply{body: encodeCandidates(out)}
-}
-
-// ownedEntities renders one sentence's verified owned mentions for the
-// wire, the WAL and the Merkle leaf alike: the typed entries of the
-// record's FinalMentions, carrying the canonical (trie) surface. That
-// surface is what rebuildFinal sorts sentence mentions by, so the
-// router's k-way group merge on it reproduces the single-process
-// ordering exactly — and it is the string every endpoint renders: the
-// trie matched the span by the per-token lower-casing
-// types.CanonicalSurface joins, so it equals Sentence.SurfaceAt(span).
-func (s *Shard) ownedEntities(key types.SentenceKey) durable.SentenceAnnotation {
-	se := durable.SentenceAnnotation{TweetID: key.TweetID, SentID: key.SentID}
-	rec := s.g.TweetBase().Get(key)
-	if rec == nil {
-		return se
-	}
-	for _, m := range rec.FinalMentions {
-		if m.Type == types.None {
-			continue
-		}
-		se.Entities = append(se.Entities, durable.Entity{
-			Start:   m.Span.Start,
-			End:     m.Span.End,
-			Type:    m.Type,
-			Surface: m.Surface,
-		})
-	}
-	return se
-}
-
-// serveEntities returns the shard's owned annotations for the whole
-// stream in insertion order — the fan-in half of the router's
-// /entities endpoint.
-func (s *Shard) serveEntities() reply {
-	s.mu.Lock()
-	tb := s.g.TweetBase()
-	out := make([]durable.SentenceAnnotation, 0, tb.Len())
-	for _, key := range tb.Keys() {
-		out = append(out, s.ownedEntities(key))
-	}
-	s.mu.Unlock()
-	return reply{body: encodeEntities(out)}
-}
-
 // Status snapshots the shard's resolved configuration and replica
-// state.
+// state. It answers during replay too, with the seq and stream size
+// reached so far: replay takes the engine lock per cycle.
 func (s *Shard) Status() ShardStatus {
-	s.mu.Lock()
 	st := ShardStatus{
 		Index:      s.index,
 		Count:      s.count,
-		Seq:        s.seq,
-		StreamSize: s.g.TweetBase().Len(),
-		Candidates: s.g.CandidateBase().Len(),
-		Precision:  s.g.Precision().String(),
+		Seq:        s.rep.Seq(),
 		SIMD:       nn.ActiveSIMD().String(),
 		Settings:   s.settings,
-
-		ClusterReplayedShare: s.g.ClusterReplayedShare(),
+		Durability: s.rep.Durability(),
 	}
-	s.mu.Unlock()
-	if s.dl != nil {
-		d := s.dl.Status()
-		st.Durability = &d
-	}
+	s.rep.View(func(g *core.Globalizer) {
+		st.StreamSize = g.TweetBase().Len()
+		st.Candidates = g.CandidateBase().Len()
+		st.Precision = g.Precision().String()
+		st.ClusterReplayedShare = g.ClusterReplayedShare()
+	})
 	return st
 }
 

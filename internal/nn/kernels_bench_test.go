@@ -26,7 +26,9 @@ func BenchmarkKernelTiers(b *testing.B) {
 		wt[i] = float32(rng.NormFloat64() * 0.1)
 	}
 	dst := make([]float32, rows*out)
-	gelu := make([]float32, rows*out)
+	act := NewGELU()
+	geluIn := &Matrix32{Rows: rows, Cols: out, Data: dst}
+	geluOut := NewMatrix32(rows, out)
 
 	defer SetSIMDAuto()
 	for _, level := range SupportedSIMDLevels() {
@@ -42,8 +44,12 @@ func BenchmarkKernelTiers(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("geluVec/%s", level), func(b *testing.B) {
+			// Through the layer, not the bare hook: the hook covers only
+			// the tier's vector prefix — nothing on the reference tier —
+			// and the layer finishes the rest with the scalar formula, so
+			// every tier's row times the same rows*out elements.
 			for i := 0; i < b.N; i++ {
-				geluVec(gelu, dst)
+				act.InferInto32(geluOut, geluIn)
 			}
 		})
 	}

@@ -58,6 +58,19 @@ func feedTweets(t *testing.T, url string, groups [][]string) {
 	}
 }
 
+// postAnnotate posts one /annotate request and returns its status and
+// body as one string, for byte comparison.
+func postAnnotate(t *testing.T, url string, tweets []string) string {
+	t.Helper()
+	resp := postJSON(t, url+"/annotate", annotateRequest{Tweets: tweets})
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%d %s", resp.StatusCode, b)
+}
+
 // feedIdle posts the groups one request at a time, letting the
 // snapshot writer go idle after each, so snapshots land at every
 // schedule boundary and the chain's shape is the same on every run.
@@ -119,7 +132,7 @@ func restartByteIdentical(t *testing.T, groups [][]string, opts durable.Options,
 	}
 	ts1 := httptest.NewServer(s1.Handler())
 	feedIdle(t, s1, ts1.URL, groups[:half])
-	st := s1.dl.Status()
+	st := s1.rep.dl.Status()
 	if st.ChainLength < minChain || len(snapshotFiles(t, dir)) != st.ChainLength {
 		t.Fatalf("stopped on a chain of %d files (%v), the case needs %d", st.ChainLength, snapshotFiles(t, dir), minChain)
 	}
@@ -136,7 +149,7 @@ func restartByteIdentical(t *testing.T, groups [][]string, opts durable.Options,
 	if got, want := s2.Cycles(), half; got != want {
 		t.Fatalf("recovered cycle counter = %d, want %d", got, want)
 	}
-	if got := s2.dl.Status(); got.ChainLength != st.ChainLength || got.BaseSeq != st.BaseSeq {
+	if got := s2.rep.dl.Status(); got.ChainLength != st.ChainLength || got.BaseSeq != st.BaseSeq {
 		t.Fatalf("recovery merged a chain of %d on base %d, the first server left %d on %d", got.ChainLength, got.BaseSeq, st.ChainLength, st.BaseSeq)
 	}
 	ts2 := httptest.NewServer(s2.Handler())
@@ -210,15 +223,7 @@ func TestBlankTweetRestartByteIdentical(t *testing.T) {
 		{Tweets: []string{"Governor Beshear gives an update", "   "}},
 		{Tweets: []string{"Cases rise in Italy again"}},
 	}
-	post := func(url string, req annotateRequest) string {
-		resp := postJSON(t, url+"/annotate", req)
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%d %s", resp.StatusCode, b)
-	}
+	post := func(url string, req annotateRequest) string { return postAnnotate(t, url, req.Tweets) }
 	start := func(dir string) (*Server, *httptest.Server) {
 		s := New(g)
 		if err := s.StartDurable(dir, durable.Options{Fsync: durable.FsyncAlways}); err != nil {
@@ -352,7 +357,7 @@ func TestGroupCommitConcurrentRestart(t *testing.T) {
 	tail := streamTweets(64, 47)
 	for i := 0; waitSnapshotsIdle(t, s1).ChainLength < 4; i++ {
 		if i == len(tail) {
-			t.Fatalf("chain still %d files long after %d serial cycles", s1.dl.Status().ChainLength, i)
+			t.Fatalf("chain still %d files long after %d serial cycles", s1.rep.dl.Status().ChainLength, i)
 		}
 		feedTweets(t, ts1.URL, [][]string{{tail[i]}})
 	}
@@ -412,7 +417,7 @@ func waitSnapshotsIdle(t *testing.T, s *Server) durable.Status {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		st := s.dl.Status()
+		st := s.rep.dl.Status()
 		if st.SnapshotPending == 0 {
 			return st
 		}
@@ -616,7 +621,7 @@ func TestSnapshotChainPrunedOnBase(t *testing.T) {
 	defer s.Close()
 	defer ts.Close()
 	total, base := fileBytes()
-	st := s.dl.Status()
+	st := s.rep.dl.Status()
 	t.Logf("%d snapshots, %d bases; at the end a chain of %d files, %d bytes on a base of %d",
 		reg.Snapshot().Counters["ner_snapshot_writes_total"], bases, st.ChainLength, total, base)
 	if bases < 4 {

@@ -11,7 +11,6 @@ import (
 	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/tokenizer"
-	"nerglobalizer/internal/types"
 )
 
 // maxBodyBytes caps request bodies on every mutating endpoint, keeping
@@ -49,6 +48,45 @@ type jobResult struct {
 
 // Reply answers the job with its annotations.
 func (j *Job) Reply(resp AnnotateResponse) { j.done <- jobResult{resp: resp} }
+
+// Batch lays a cycle's jobs out as its batch: tweet IDs are assigned
+// from startID in queue order (each request's tweets stay contiguous).
+// It returns the batch, the number of its sentences that belong to each
+// job, and the ID cursor as the cycle leaves it.
+func Batch(jobs []*Job, startID int) (batch []durable.CycleSentence, perJob []int, nextID int) {
+	perJob = make([]int, len(jobs))
+	nextID = startID
+	for ji, job := range jobs {
+		for _, sentTokens := range job.Tweets {
+			for si, toks := range sentTokens {
+				batch = append(batch, durable.CycleSentence{TweetID: nextID, SentID: si, Tokens: toks})
+			}
+			perJob[ji] += len(sentTokens)
+			nextID++
+		}
+	}
+	return batch, perJob, nextID
+}
+
+// Answer replies to each job of a cycle with its own slice of the
+// cycle's annotations: batch and perJob are what Batch returned for the
+// jobs, anns is index-aligned with batch.
+func Answer(jobs []*Job, perJob []int, batch []durable.CycleSentence, anns []durable.SentenceAnnotation, streamSize, candidates int) {
+	si := 0
+	for ji, job := range jobs {
+		resp := AnnotateResponse{StreamSize: streamSize, Candidates: candidates}
+		for _, sent := range batch[si : si+perJob[ji]] {
+			resp.Sentences = append(resp.Sentences, SentenceJSON{
+				TweetID:  sent.TweetID,
+				SentID:   sent.SentID,
+				Tokens:   sent.Tokens,
+				Entities: RenderEntities(anns[si].Entities),
+			})
+			si++
+		}
+		job.Reply(resp)
+	}
+}
 
 // fail answers every job of a cycle with the same HTTP error
 // (retryAfter 0 sends no Retry-After header).
@@ -377,23 +415,13 @@ func WriteJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// RenderEntities renders the typed spans among items (at maps an item
-// to its span and type; types.None is skipped) as the entity list every
-// endpoint serves for sent — never nil, so a sentence without entities
-// encodes as [].
-func RenderEntities[T any](sent *types.Sentence, items []T, at func(T) (types.Span, types.EntityType)) []EntityJSON {
-	out := []EntityJSON{}
-	for _, it := range items {
-		span, typ := at(it)
-		if typ == types.None {
-			continue
-		}
-		out = append(out, EntityJSON{
-			Start:   span.Start,
-			End:     span.End,
-			Type:    typ.String(),
-			Surface: sent.SurfaceAt(span),
-		})
+// RenderEntities renders one sentence's entities as every endpoint
+// serves them — never nil, so a sentence without entities encodes as [].
+// Surface is the canonical surface the owning replica shipped.
+func RenderEntities(ents []durable.Entity) []EntityJSON {
+	out := make([]EntityJSON, len(ents))
+	for i, e := range ents {
+		out[i] = EntityJSON{Start: e.Start, End: e.End, Type: e.Type.String(), Surface: e.Surface}
 	}
 	return out
 }

@@ -16,27 +16,29 @@
 //
 //	POST /annotate   {"tweets": ["raw text", ...]}
 //	                 → per-tweet entities after the cycle
-//	GET  /entities   → the whole stream's current annotations
-//	GET  /candidates → current candidate clusters
+//	GET  /entities   → the whole stream's current annotations (503 while replaying)
+//	GET  /candidates → current candidate clusters (503 while replaying)
 //	POST /reset      → clear stream state (between two cycles)
 //	GET  /proof      → Merkle inclusion proof for a tweet (with a data dir)
 //	GET  /healthz    → readiness (503 while replaying or after a durability failure)
 //	GET  /metrics    → Prometheus text exposition (observability registry)
 //	GET  /statusz    → JSON snapshot of the same registry + cycle traces
+//	                 (answers during replay, with the stream size reached)
 //
 // Admission is bounded: when the job queue is full, /annotate answers
 // 503 with a Retry-After header instead of blocking the client, and
 // the rejection is counted on the observability registry.
 //
 // Admission, the scheduler, the readiness gate and the HTTP plumbing
-// are the Front (front.go), which the fleet router shares; this file is
-// what the single server adds: its execution cycle and read endpoints.
+// are the Front (front.go), which the fleet router shares; the engine,
+// its commit tail, its replay and its reads are the Replica
+// (replica.go), which the fleet shard shares. This file composes the
+// two: tweet ID assignment, the ack pipeline and the JSON endpoints.
 package server
 
 import (
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,18 +46,21 @@ import (
 	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/obs"
-	"nerglobalizer/internal/types"
 )
 
-// Server wraps a trained pipeline with HTTP handlers. All pipeline
-// execution happens on the front's scheduler goroutine; the mutex
-// guards the read-side endpoints (/candidates, /entities) against a
-// cycle in flight.
+// Server wraps a trained pipeline with HTTP handlers: a Front in front
+// of one Replica. All pipeline execution happens on the front's
+// scheduler goroutine; the replica's engine lock guards the read-side
+// endpoints (/candidates, /entities) against a cycle in flight. The
+// pipeline is configured (workers, inference batching, precision)
+// before New.
 type Server struct {
 	front *Front
+	rep   *Replica
 
-	mu     sync.Mutex
-	g      *core.Globalizer
+	// nextID is the tweet ID cursor. Scheduler-owned: runCycle and a
+	// reset (which runs on the scheduler) are its only users once
+	// recovery, which restores it behind the closed gate, has finished.
 	nextID int
 
 	// cycles counts executed micro-batch cycles (observability: with N
@@ -66,16 +71,11 @@ type Server struct {
 	// which case every hook is a single branch.
 	o atomic.Pointer[serverObs]
 
-	// Durability (nil unless StartDurable was called): the WAL + snapshot
-	// manager and the Merkle provenance chain (guarded by mu).
-	dl   *durable.Log
-	prov *durable.Provenance
-
-	// acks decouples acking from the scheduler when durability is on:
-	// runCycle hands each cycle's pre-rendered responses plus its
-	// durability wait to the acker goroutine, which releases clients in
-	// cycle order once the covering fsync completes. Cycle N+1's compute
-	// overlaps cycle N's flush without ever acking early.
+	// acks (nil unless StartDurable was called) decouples acking from the
+	// scheduler when durability is on: runCycle hands each cycle's outcome,
+	// durability wait included, to the acker goroutine, which releases
+	// clients in cycle order once the covering fsync completes. Cycle
+	// N+1's compute overlaps cycle N's flush without ever acking early.
 	acks      chan *cycleAck
 	ackerDone chan struct{}
 }
@@ -87,14 +87,18 @@ type Server struct {
 // of cycles — without the scheduler blocking on the acker.
 const ackQueueDepth = 32
 
-// cycleAck is one cycle's deferred acknowledgement: the jobs to
-// answer, their pre-rendered responses, the durability wait that must
-// succeed first, and an optional snapshot to submit afterwards.
+// cycleAck is one cycle's deferred acknowledgement: the jobs to answer
+// and what the cycle left for them — all cycle-local, so the acker never
+// touches anything a later cycle can mutate.
 type cycleAck struct {
-	jobs  []*Job
-	resps []AnnotateResponse
-	wait  func() error
-	snap  *durable.Snapshot
+	jobs   []*Job
+	perJob []int
+	batch  []durable.CycleSentence
+	out    Applied
+}
+
+func (a *cycleAck) answer() {
+	Answer(a.jobs, a.perJob, a.batch, a.out.Annotations, a.out.StreamSize, a.out.Candidates)
 }
 
 // serverObs is the cycle-level metric set, registered on the same
@@ -121,9 +125,7 @@ func (s *Server) SetObserver(reg *obs.Registry) {
 		}
 	}
 	s.o.Store(so)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.g.SetObserver(reg)
+	s.rep.SetObserver(reg)
 }
 
 // Observer returns the attached registry (nil when detached).
@@ -142,8 +144,9 @@ func (s *Server) Cycles() int { return int(s.cycles.Load()) }
 // leftover records. Call Close to stop the scheduler goroutine.
 func New(g *core.Globalizer) *Server {
 	g.Reset()
-	s := &Server{g: g}
+	s := &Server{}
 	s.front = NewFront(s.runCycle)
+	s.rep = NewReplica(g, &s.front.Gate, -1)
 	return s
 }
 
@@ -157,138 +160,86 @@ func (s *Server) Close() {
 			close(s.acks)
 			<-s.ackerDone
 		}
-		if s.dl != nil {
-			s.dl.Close()
-		}
+		s.rep.Close()
 	})
 }
 
-// SetWorkers caps the per-cycle parallelism of the wrapped pipeline:
-// cycles run one at a time on the scheduler, and each fans out over at
-// most workers goroutines (0 = GOMAXPROCS, 1 = serial). Annotations
-// are identical at every setting.
-func (s *Server) SetWorkers(workers int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.g.SetWorkers(workers)
-}
-
-// SetInferBatch re-caps the tokens packed per batched encoder
-// inference call inside each cycle (0 disables packing and runs the
-// per-sentence path). Annotations are byte-identical at every setting.
-// Checkpoints saved before the knob existed decode with packing off,
-// so servers loading old models call this to re-enable it.
-func (s *Server) SetInferBatch(tokens int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.g.SetInferBatch(tokens)
-}
-
-// SetPrecision switches the wrapped pipeline's inference kernels onto
-// the given tier (f64 exact, f32, i8) for all subsequent cycles.
-// Returns an error when the pipeline's encoder has no tier support.
-func (s *Server) SetPrecision(p nn.Precision) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.g.SetPrecision(p)
-}
-
 // Precision reports the pipeline's active inference precision tier.
-func (s *Server) Precision() nn.Precision {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.g.Precision()
+func (s *Server) Precision() (p nn.Precision) {
+	s.rep.View(func(g *core.Globalizer) { p = g.Precision() })
+	return p
 }
+
+// StartDurable opens (or creates) the data directory and begins
+// recovery: every cycle is from then on appended to the WAL before its
+// jobs are answered (a 200 means the cycle survives kill -9 under
+// -fsync always). Call once, after New and SetObserver but before
+// serving traffic. Recovery is asynchronous so /healthz can report the
+// replay in progress and /statusz how far it has come; mutating
+// endpoints answer 503 until it finishes, WaitWarm blocks on it.
+func (s *Server) StartDurable(dir string, opts durable.Options) error {
+	rec, err := s.rep.Open(dir, opts, s.Observer())
+	if err != nil {
+		return err
+	}
+	s.acks = make(chan *cycleAck, ackQueueDepth)
+	s.ackerDone = make(chan struct{})
+	go s.acker()
+	s.front.Gate.Recover(func() error {
+		s.nextID = rec.NextID()
+		_, err := s.rep.Replay(rec)
+		s.cycles.Store(int64(s.rep.Seq()))
+		return err
+	})
+	return nil
+}
+
+// WaitWarm blocks until startup recovery completes and returns its
+// error, if any. Without StartDurable it returns immediately.
+func (s *Server) WaitWarm() error { return s.front.Gate.WaitWarm() }
 
 // SetBatchWindow sets the micro-batch coalescing window; see
 // Front.SetBatchWindow.
 func (s *Server) SetBatchWindow(d time.Duration) { s.front.SetBatchWindow(d) }
 
 // runCycle executes one micro-batched execution cycle: tweet IDs are
-// assigned in queue order (each request's tweets stay contiguous), the
-// coalesced batch runs through ProcessBatch once, and each request is
-// answered from its own slice of the result.
+// assigned in queue order, the coalesced batch runs through the replica
+// once, and each request is answered from its own slice of the result.
+//
+// Ack-after-durable: the replica has issued the WAL append by the time
+// Apply returns, and the acker releases the jobs only after the
+// append's durability wait succeeds — immediate under "always", after
+// the covering group fsync under "group". A failed append has tripped
+// the gate — in-memory state has already advanced past what disk holds,
+// so continuing would let a later restart silently drop acknowledged
+// cycles.
 func (s *Server) runCycle(jobs []*Job) {
 	s.cycles.Add(1)
-	s.mu.Lock()
-	var batch []*types.Sentence
-	perJob := make([][]*types.Sentence, len(jobs))
-	for ji, job := range jobs {
-		for _, sentTokens := range job.Tweets {
-			for si, toks := range sentTokens {
-				sent := &types.Sentence{TweetID: s.nextID, SentID: si, Tokens: toks}
-				batch = append(batch, sent)
-				perJob[ji] = append(perJob[ji], sent)
-			}
-			s.nextID++
-		}
-	}
-	final := s.g.ProcessBatchEntities(batch, core.ModeFull)
-	streamSize := s.g.TweetBase().Len()
-	candidates := s.g.CandidateBase().Len()
-	var rec *durable.CycleRecord
-	var snap *durable.Snapshot
-	if s.dl != nil {
-		seq := uint64(s.cycles.Load())
-		rec = &durable.CycleRecord{
-			Seq:         seq,
-			Mode:        int(core.ModeFull),
-			Sentences:   durable.ToCycleSentences(batch),
-			Annotations: durable.RenderAnnotations(batch, final),
-		}
-		snap = s.durableCommit(seq, rec)
-	}
-	s.mu.Unlock()
+	batch, perJob, nextID := Batch(jobs, s.nextID)
+	s.nextID = nextID
+	out, err := s.rep.Apply(batch, nil, core.ModeFull)
 	if so := s.o.Load(); so != nil {
 		so.serverCycles.Inc()
 		so.sentsPerCycle.Observe(float64(len(batch)))
 	}
-	// Responses are rendered on the scheduler before the next cycle can
-	// mutate anything, so the acker only ever touches cycle-local data.
-	resps := make([]AnnotateResponse, len(jobs))
-	for ji := range jobs {
-		resp := AnnotateResponse{StreamSize: streamSize, Candidates: candidates}
-		for _, sent := range perJob[ji] {
-			resp.Sentences = append(resp.Sentences, SentenceJSON{
-				TweetID:  sent.TweetID,
-				SentID:   sent.SentID,
-				Tokens:   sent.Tokens,
-				Entities: RenderEntities(sent, final[sent.Key()], entitySpan),
-			})
-		}
-		resps[ji] = resp
-	}
-
-	// Ack-after-durable: the WAL append is issued before any job is
-	// answered, and the acker releases the jobs only after the append's
-	// durability wait succeeds — immediate under "always", after the
-	// covering group fsync under "group". A failed append trips the gate
-	// — in-memory state has already advanced past what disk holds, so
-	// continuing would let a later restart silently drop acknowledged
-	// cycles.
-	if rec != nil {
-		wait, err := s.dl.AppendAsync(rec)
-		if err != nil {
-			s.durabilityFailed(jobs, err)
-			return
-		}
-		s.acks <- &cycleAck{jobs: jobs, resps: resps, wait: wait, snap: snap}
+	if err != nil {
+		durabilityFailed(jobs, err)
 		return
 	}
-
-	for ji, job := range jobs {
-		job.Reply(resps[ji])
+	if out.Snapshot != nil {
+		out.Snapshot.NextID = nextID
 	}
+	ack := &cycleAck{jobs: jobs, perJob: perJob, batch: batch, out: out}
+	if out.Wait == nil {
+		ack.answer()
+		return
+	}
+	s.acks <- ack
 }
 
-func entitySpan(e types.Entity) (types.Span, types.EntityType) { return e.Span, e.Type }
-
-func mentionSpan(m types.Mention) (types.Span, types.EntityType) { return m.Span, m.Type }
-
-// durabilityFailed trips the gate and answers the cycle's jobs 500
-// instead of acking state that disk does not hold.
-func (s *Server) durabilityFailed(jobs []*Job, err error) {
-	s.front.Gate.Trip()
+// durabilityFailed answers the cycle's jobs 500 instead of acking state
+// that disk does not hold.
+func durabilityFailed(jobs []*Job, err error) {
 	fail(jobs, http.StatusInternalServerError, 0, "durability failure: "+err.Error())
 }
 
@@ -300,15 +251,14 @@ func (s *Server) durabilityFailed(jobs []*Job, err error) {
 func (s *Server) acker() {
 	defer close(s.ackerDone)
 	for a := range s.acks {
-		if err := a.wait(); err != nil {
-			s.durabilityFailed(a.jobs, err)
+		if err := a.out.Wait(); err != nil {
+			s.front.Gate.Trip()
+			durabilityFailed(a.jobs, err)
 			continue
 		}
-		for i, job := range a.jobs {
-			job.Reply(a.resps[i])
-		}
-		if a.snap != nil {
-			s.dl.SubmitSnapshot(a.snap, a.snap.Seq)
+		a.answer()
+		if a.out.Snapshot != nil {
+			s.rep.SubmitSnapshot(a.out.Snapshot)
 		}
 	}
 }
@@ -320,7 +270,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /entities", s.front.Counted(s.handleEntities))
 	mux.HandleFunc("POST /reset", s.front.Counted(s.handleReset))
 	mux.HandleFunc("GET /statusz", s.front.Counted(s.handleStatusz))
-	mux.HandleFunc("GET /proof", s.front.Counted(s.handleProof))
+	mux.HandleFunc("GET /proof", s.front.Counted(s.rep.ServeProof))
 	return mux
 }
 
@@ -354,28 +304,26 @@ type StatuszResponse struct {
 	Traces     []obs.CycleTrace `json:"traces"`
 }
 
+// handleStatusz answers during replay too, with the stream size
+// reached so far: replay takes the engine lock per cycle.
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
 	resp := StatuszResponse{
-		Cycles:     int(s.cycles.Load()),
-		StreamSize: s.g.TweetBase().Len(),
-		Candidates: s.g.CandidateBase().Len(),
-		Precision:  s.g.Precision().String(),
+		Cycles:     s.Cycles(),
 		GOARCH:     runtime.GOARCH,
 		SIMD:       nn.ActiveSIMD().String(),
 		SIMDBest:   nn.BestSIMD().String(),
-		Metrics:    s.Observer().Snapshot(),
-		Traces:     s.g.Traces(),
-
-		ClusterReplayedShare: s.g.ClusterReplayedShare(),
+		Durability: s.rep.Durability(),
 	}
+	s.rep.View(func(g *core.Globalizer) {
+		resp.StreamSize = g.TweetBase().Len()
+		resp.Candidates = g.CandidateBase().Len()
+		resp.Precision = g.Precision().String()
+		resp.Metrics = s.Observer().Snapshot()
+		resp.Traces = g.Traces()
+		resp.ClusterReplayedShare = g.ClusterReplayedShare()
+	})
 	for _, l := range nn.SupportedSIMDLevels() {
 		resp.SIMDSupported = append(resp.SIMDSupported, l.String())
-	}
-	s.mu.Unlock()
-	if s.dl != nil {
-		st := s.dl.Status()
-		resp.Durability = &st
 	}
 	if resp.Traces == nil {
 		resp.Traces = []obs.CycleTrace{}
@@ -407,25 +355,27 @@ type SentenceEntitiesJSON struct {
 	Entities []EntityJSON `json:"entities"`
 }
 
+// EntitiesJSON renders a whole stream's annotations as GET /entities
+// serves them — never nil.
+func EntitiesJSON(anns []durable.SentenceAnnotation) []SentenceEntitiesJSON {
+	out := make([]SentenceEntitiesJSON, len(anns))
+	for i, a := range anns {
+		out[i] = SentenceEntitiesJSON{TweetID: a.TweetID, SentID: a.SentID, Entities: RenderEntities(a.Entities)}
+	}
+	return out
+}
+
 // handleEntities returns the whole accumulated stream's current
 // annotations in insertion order. Unlike /annotate — which answers for
 // the submitted tweets only — this exposes how global context has
 // revised earlier sentences, and it is the endpoint fleet identity
-// checks compare across serving topologies.
+// checks compare across serving topologies. While recovery replays it
+// answers 503: the stream is only partly rebuilt.
 func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	tb := s.g.TweetBase()
-	out := make([]SentenceEntitiesJSON, 0, tb.Len())
-	for _, key := range tb.Keys() {
-		rec := tb.Get(key)
-		out = append(out, SentenceEntitiesJSON{
-			TweetID:  key.TweetID,
-			SentID:   key.SentID,
-			Entities: RenderEntities(rec.Sentence, rec.FinalMentions, mentionSpan),
-		})
+	if s.front.Gate.RejectReplaying(w) {
+		return
 	}
-	s.mu.Unlock()
-	WriteJSON(w, out)
+	WriteJSON(w, EntitiesJSON(s.rep.Entities()))
 }
 
 // CandidateJSON summarizes one candidate cluster.
@@ -437,37 +387,41 @@ type CandidateJSON struct {
 	Confidence float64 `json:"confidence"`
 }
 
-func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := []CandidateJSON{}
-	for _, c := range s.g.CandidateBase().All() {
-		out = append(out, CandidateJSON{
+// CandidatesJSON renders candidate summaries as GET /candidates serves
+// them — never nil.
+func CandidatesJSON(cands []Candidate) []CandidateJSON {
+	out := make([]CandidateJSON, len(cands))
+	for i, c := range cands {
+		out[i] = CandidateJSON{
 			Surface:    c.Surface,
 			ClusterID:  c.ClusterID,
 			Type:       c.Type.String(),
-			Mentions:   c.MentionCount(),
+			Mentions:   c.Mentions,
 			Confidence: c.Confidence,
-		})
+		}
 	}
-	WriteJSON(w, out)
+	return out
+}
+
+func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
+	if s.front.Gate.RejectReplaying(w) {
+		return
+	}
+	WriteJSON(w, CandidatesJSON(s.rep.Candidates()))
 }
 
 func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	// A reset would fork the in-memory stream away from the WAL: any
 	// later replay would resurrect the pre-reset stream. Durable servers
 	// reset by wiping the data dir and restarting instead.
-	if s.dl != nil {
+	if s.rep.Durable() {
 		http.Error(w, "reset is not supported with -data-dir; wipe the data dir and restart", http.StatusConflict)
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	// Between two cycles, on the scheduler: no cycle straddles the reset.
-	// The mutex keeps the read endpoints out meanwhile.
 	if !s.front.Exclusive(func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.g.Reset()
+		s.rep.Reset()
 		s.nextID = 0
 	}) {
 		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
