@@ -307,7 +307,7 @@ func typeSeparation(s *experiments.Suite, d *corpus.Dataset, pool func(*nn.Matri
 				continue
 			}
 			if emb == nil {
-				emb = s.G.Tagger.Embed(sent.Tokens)
+				emb = s.G.Tagger.Embed(sent.Tokens, nn.F64)
 			}
 			if g.End > emb.Rows {
 				continue
@@ -517,7 +517,7 @@ func BenchmarkEncoderForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.G.Tagger.Embed(tokens)
+		s.G.Tagger.Embed(tokens, nn.F64)
 	}
 }
 
@@ -527,7 +527,7 @@ func BenchmarkTaggerRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.G.Tagger.Run(tokens)
+		s.G.Tagger.Run(tokens, nn.F64)
 	}
 }
 
@@ -554,7 +554,7 @@ func BenchmarkEncoderForwardParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := s.G.Tagger.RunBatch(batch, bc.pool)
+				res := s.G.Tagger.RunBatch(batch, bc.pool, nn.F64)
 				if len(res) != len(batch) {
 					b.Fatal("missing results")
 				}
@@ -671,7 +671,7 @@ func BenchmarkAgglomerativeClustering(b *testing.B) {
 
 func BenchmarkPhraseEmbed(b *testing.B) {
 	s := suite(b)
-	emb := s.G.Tagger.Embed([]string{"governor", "Beshear", "gives", "an", "update"})
+	emb := s.G.Tagger.Embed([]string{"governor", "Beshear", "gives", "an", "update"}, nn.F64)
 	span := types.Span{Start: 1, End: 2}
 	b.ReportAllocs()
 	b.ResetTimer()

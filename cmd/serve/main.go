@@ -87,7 +87,7 @@ func main() {
 	save := flag.String("save", "", "save the trained pipeline to this path")
 	scaleName := flag.String("scale", "small", "training scale when no -model is given: small or full")
 	workers := flag.Int("workers", 0, "per-request worker goroutines (0 = GOMAXPROCS, 1 = serial); annotations are identical at every setting")
-	inferBatch := flag.Int("infer-batch", 256, "max tokens packed per batched encoder inference call (0 runs the per-sentence path); annotations are identical at every setting")
+	inferBatch := flag.Int("infer-batch", 256, "max tokens packed per encoder inference call (0 runs every sentence as a call of its own); annotations are identical at every setting")
 	precName := flag.String("precision", "f64", "inference precision tier: f64 (exact), f32 (packed float32 kernels), i8 (dynamic int8 GEMM); training always runs f64; fleets must run one tier on every shard")
 	simdName := flag.String("simd", "", "force the SIMD kernel tier: generic, sse2, avx2 (amd64), or neon (arm64) (default: best the CPU supports; the NER_SIMD env var is the same knob, the flag wins)")
 	batchWindow := flag.Duration("batch-window", 0, "how long the scheduler waits to coalesce concurrent /annotate requests into one execution cycle (0 coalesces only what is already queued)")

@@ -109,7 +109,7 @@ func (a *Akbik) Train(train []*types.Sentence) {
 	mem := newTokenMemory(a.tagger.Dim(), 1)
 	embs := make([]*nn.Matrix, len(train))
 	for i, s := range train {
-		emb := a.tagger.Embed(s.Tokens)
+		emb := a.tagger.Embed(s.Tokens, nn.F64)
 		embs[i] = emb
 		for t := 0; t < emb.Rows; t++ {
 			mem.add(s.Tokens[t], emb.Row(t))
@@ -148,7 +148,7 @@ func (a *Akbik) Predict(sents []*types.Sentence) map[types.SentenceKey][]types.E
 	mem := newTokenMemory(a.tagger.Dim(), 1)
 	out := make(map[types.SentenceKey][]types.Entity, len(sents))
 	for _, s := range sents {
-		emb := a.tagger.Embed(s.Tokens)
+		emb := a.tagger.Embed(s.Tokens, nn.F64)
 		for t := 0; t < emb.Rows; t++ {
 			mem.add(s.Tokens[t], emb.Row(t))
 		}

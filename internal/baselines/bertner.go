@@ -3,6 +3,7 @@ package baselines
 import (
 	"nerglobalizer/internal/corpus"
 	"nerglobalizer/internal/localner"
+	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/parallel"
 	"nerglobalizer/internal/transformer"
 	"nerglobalizer/internal/types"
@@ -31,8 +32,8 @@ type BERTNERConfig struct {
 	PretrainLR     float64
 	FineTuneEpochs int
 	FineTuneLR     float64
-	// InferBatchTokens caps the tokens packed per batched inference
-	// call in Predict (0 runs the per-sentence path). Predictions are
+	// InferBatchTokens caps the tokens packed per encoder inference
+	// call in Predict (0 runs every sentence alone). Predictions are
 	// byte-identical at every setting.
 	InferBatchTokens int
 	Seed             int64
@@ -69,18 +70,16 @@ func (b *BERTNER) Train(train []*types.Sentence) {
 	b.tagger.Train(train, b.fineTuneEpochs)
 }
 
-// Predict implements System. The tagger forwards run through its
-// batched path over the process-wide pool — packed spans of sentences
-// per worker when InferBatchTokens is set, one sentence per worker
-// otherwise (the trained tagger runs its cache-free inference path);
-// the map assembles serially afterwards, so the prediction set is
-// identical at any worker count and batch size.
+// Predict implements System. The tagger forwards run over the
+// process-wide pool in spans of at most InferBatchTokens tokens per
+// worker item; the map assembles serially afterwards, so the prediction
+// set is identical at any worker count and batch size.
 func (b *BERTNER) Predict(sents []*types.Sentence) map[types.SentenceKey][]types.Entity {
 	toks := make([][]string, len(sents))
 	for i, s := range sents {
 		toks[i] = s.Tokens
 	}
-	results := b.tagger.RunBatch(toks, parallel.Default())
+	results := b.tagger.RunBatch(toks, parallel.Default(), nn.F64)
 	out := make(map[types.SentenceKey][]types.Entity, len(sents))
 	for i, s := range sents {
 		out[s.Key()] = results[i].Entities

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"nerglobalizer/internal/localner"
+	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/types"
 )
 
@@ -43,7 +44,7 @@ func (d *DocL) Predict(sents []*types.Sentence) map[types.SentenceKey][]types.En
 	passes := make([]firstPass, len(sents))
 	counts := make(map[string]*[types.NumBIOLabels]int)
 	for i, s := range sents {
-		res := d.tagger.Run(s.Tokens)
+		res := d.tagger.Run(s.Tokens, nn.F64)
 		passes[i] = firstPass{tokens: res.Tokens, labels: res.Labels}
 		for t, tok := range res.Tokens {
 			k := strings.ToLower(tok)

@@ -42,7 +42,7 @@ func (h *HIRE) Train(train []*types.Sentence) {
 	mem := newTokenMemory(h.tagger.Dim(), h.MemCap)
 	embs := make([]*nn.Matrix, len(train))
 	for i, s := range train {
-		emb := h.tagger.Embed(s.Tokens)
+		emb := h.tagger.Embed(s.Tokens, nn.F64)
 		embs[i] = emb
 		for t := 0; t < emb.Rows; t++ {
 			mem.add(s.Tokens[t], emb.Row(t))
@@ -83,7 +83,7 @@ func (h *HIRE) Predict(sents []*types.Sentence) map[types.SentenceKey][]types.En
 	mem := newTokenMemory(h.tagger.Dim(), h.MemCap)
 	embs := make([]*nn.Matrix, len(sents))
 	for i, s := range sents {
-		emb := h.tagger.Embed(s.Tokens)
+		emb := h.tagger.Embed(s.Tokens, nn.F64)
 		embs[i] = emb
 		for t := 0; t < emb.Rows; t++ {
 			mem.add(s.Tokens[t], emb.Row(t))

@@ -124,7 +124,7 @@ func (c *state32Cache) get(g *Globalizer, rec *stream.Record) *nn.Matrix {
 	if v != nil {
 		return v
 	}
-	v = g.Tagger.EmbedAt(rec.Sentence.Tokens, nn.F32)
+	v = g.Tagger.Embed(rec.Sentence.Tokens, nn.F32)
 	c.mu.Lock()
 	c.m[key] = v
 	c.mu.Unlock()
@@ -146,16 +146,15 @@ func (c *state32Cache) drop(key types.SentenceKey) {
 // clustering — and with it candidate identity — would diverge from
 // the exact path. Re-embedding only the mentioned sentences keeps the
 // tagging hot path fully quantized while the global phase sees
-// f32-grade geometry, the same scope tuning the Phrase Embedder
-// applies to its dense layer (phrase.SetPrecision). With caching on a
-// sentence is re-embedded once ever; with caching off it is
-// recomputed per mention, like every other cache-off computation.
+// f32-grade geometry. With caching on a sentence is re-embedded once
+// ever; with caching off it is recomputed per mention, like every
+// other cache-off computation.
 func (g *Globalizer) mentionStates(rec *stream.Record) *nn.Matrix {
-	if g.Precision() != nn.I8 {
+	if g.prec != nn.I8 {
 		return rec.Embeddings
 	}
 	if g.uncached {
-		return g.Tagger.EmbedAt(rec.Sentence.Tokens, nn.F32)
+		return g.Tagger.Embed(rec.Sentence.Tokens, nn.F32)
 	}
 	return g.amort.states32.get(g, rec)
 }
@@ -255,14 +254,14 @@ type amortizer struct {
 	// scans caches each sentence's mention-extraction result against
 	// the trie state it was last scanned with.
 	scans map[types.SentenceKey][]types.Mention
-	// toksets caches each sentence's case-folded token set, the input
-	// of the rescan filter.
-	toksets map[types.SentenceKey]map[string]bool
-	// tokIndex inverts toksets: case-folded token → the sentences
-	// containing it, in stream order. The rescan filter reads it to
-	// find the sentences a new surface form's first token could touch,
-	// instead of testing every cached sentence per cycle.
+	// tokIndex maps a case-folded token to the sentences containing
+	// it, in stream order. The rescan filter reads it to find the
+	// sentences a new surface form's first token could touch, instead
+	// of testing every cached sentence per cycle.
 	tokIndex map[string][]types.SentenceKey
+	// indexedLen is the length of the stream prefix tokIndex covers
+	// (see indexTokens).
+	indexedLen int
 	// scannedLen is the stream length after the last rescan pass.
 	// Records are append-only, so keys at positions beyond it are
 	// exactly the sentences no pass has scanned yet.
@@ -379,7 +378,6 @@ func newAmortizer() *amortizer {
 		embeds:     newEmbedCache(),
 		states32:   newState32Cache(),
 		scans:      make(map[types.SentenceKey][]types.Mention),
-		toksets:    make(map[types.SentenceKey]map[string]bool),
 		tokIndex:   make(map[string][]types.SentenceKey),
 		surfaces:   make(map[string]*surfaceAmort),
 		pools:      make(map[string][]types.Mention),
@@ -406,8 +404,8 @@ func (a *amortizer) invalidateSentence(key types.SentenceKey) {
 	a.embeds.drop(key)
 	a.states32.drop(key)
 	a.scans = make(map[types.SentenceKey][]types.Mention)
-	a.toksets = make(map[types.SentenceKey]map[string]bool)
 	a.tokIndex = make(map[string][]types.SentenceKey)
+	a.indexedLen = 0
 	a.scannedLen = 0
 	a.surfaces = make(map[string]*surfaceAmort)
 	a.pools = make(map[string][]types.Mention)
@@ -492,20 +490,26 @@ func (a *amortizer) rescanPass(g *Globalizer, batch []*types.Sentence, newSurfac
 			}
 		}
 		a.scans[key] = scanned[i]
-		if _, ok := a.toksets[key]; !ok {
-			r := g.tweetBase.Get(key)
-			set := make(map[string]bool, len(r.Sentence.Tokens))
-			for _, t := range r.Sentence.Tokens {
-				if lt := strings.ToLower(t); !set[lt] {
-					set[lt] = true
-					a.tokIndex[lt] = append(a.tokIndex[lt], key)
-				}
-			}
-			a.toksets[key] = set
-		}
 	}
+	a.indexTokens(g.tweetBase)
 	a.scannedLen = g.tweetBase.Len()
 	a.trieLen = g.trie.Len()
+}
+
+// indexTokens extends tokIndex over the sentences the append-only
+// stream gained since the last call, in stream order. A sentence is
+// listed once per distinct token: its key can only be a list's last
+// entry, so that is the one place a repeat shows.
+func (a *amortizer) indexTokens(tb *stream.TweetBase) {
+	for _, key := range tb.KeysFrom(a.indexedLen) {
+		for _, t := range tb.Get(key).Sentence.Tokens {
+			lt := strings.ToLower(t)
+			if l := a.tokIndex[lt]; len(l) == 0 || l[len(l)-1] != key {
+				a.tokIndex[lt] = append(l, key)
+			}
+		}
+	}
+	a.indexedLen = tb.Len()
 }
 
 // extract returns the mention-extraction result over the whole

@@ -105,13 +105,12 @@ type Config struct {
 	JunkClusters int
 	// BatchSize discretizes the stream into execution cycles.
 	BatchSize int
-	// InferBatchTokens caps the tokens packed into one batched encoder
-	// inference call: the local phase, mention embedding, and baseline
-	// predictors pack contiguous sentences into a single flat token
-	// matrix of at most this many (truncated) tokens per worker.
-	// Annotations are byte-identical at every setting — packing changes
-	// kernel shapes, never values. 0 disables packing and runs the
-	// per-sentence inference path.
+	// InferBatchTokens caps the tokens packed into one encoder inference
+	// call: the local phase and the baseline predictors pack contiguous
+	// sentences into a single flat token matrix of at most this many
+	// (truncated) tokens per worker. Annotations are byte-identical at
+	// every setting — packing changes kernel shapes, never values. At 0
+	// every sentence is a call of its own, through the same path.
 	InferBatchTokens int
 	// InferPrecision selects the numeric tier of the encoder-bound
 	// inference kernels: "f64" (or empty — the exact default, bit-
@@ -120,7 +119,9 @@ type Config struct {
 	// always runs f64; weights stay f64 on disk. Reduced tiers trade
 	// the bit-identity contract for throughput under the error bounds
 	// pinned in internal/nn; any other spelling is rejected, never
-	// silently mapped to f64.
+	// silently mapped to f64. New applies it through SetPrecision; from
+	// then on Globalizer.Precision is the live value and this field is
+	// what a checkpoint round-trips.
 	InferPrecision string
 	// Workers caps the goroutines used by the data-parallel hot paths
 	// (batch tagging, mention scanning, phrase embedding, pairwise

@@ -61,6 +61,10 @@ type Globalizer struct {
 	// cfg.Workers (0 = GOMAXPROCS, 1 = serial); output is identical at
 	// every width, so it only trades wall-clock.
 	pool *parallel.Pool
+	// prec is the active inference precision tier — the one place it is
+	// held; every Local NER call receives it as an argument. Written by
+	// SetPrecision only, which must not run concurrently with a cycle.
+	prec nn.Precision
 
 	Tagger   *localner.Tagger
 	Embedder *phrase.Embedder
@@ -186,8 +190,8 @@ func (g *Globalizer) SetWorkers(workers int) {
 // Workers returns the configured pool width.
 func (g *Globalizer) Workers() int { return g.pool.Workers() }
 
-// SetInferBatch re-caps the tokens packed per batched encoder
-// inference call (0 disables packing). Annotations are byte-identical
+// SetInferBatch re-caps the tokens packed per encoder inference call
+// (0 runs every sentence alone). Annotations are byte-identical
 // at every setting; the knob trades kernel shapes for wall-clock only.
 // Useful after loading a checkpoint saved before batching existed,
 // whose config decodes with packing off.
@@ -196,27 +200,28 @@ func (g *Globalizer) SetInferBatch(tokens int) {
 	g.Tagger.BatchTokens = tokens
 }
 
-// InferBatchTokens returns the configured packed-inference cap.
-func (g *Globalizer) InferBatchTokens() int { return g.cfg.InferBatchTokens }
-
-// SetPrecision switches every inference consumer — the tagger's
-// encoder and the phrase embedder — onto the given precision tier and
-// records it in the config (so checkpoints round-trip the setting).
-// F64 restores the exact, bit-identical-to-training path. Returns an
-// error when the encoder family has no reduced-precision kernels
-// (the BiGRU); the pipeline is left on its previous tier in that case.
+// SetPrecision switches Local NER inference onto the given precision
+// tier, eagerly builds the packed weight mirrors the tier reads (so the
+// first cycle after the switch does not pay for packing) and records
+// the tier in the config (so checkpoints round-trip the setting). F64
+// restores the exact, bit-identical-to-training path. Returns an error
+// when the encoder family has no reduced-precision kernels (the
+// BiGRU); the pipeline is left on its previous tier in that case.
 func (g *Globalizer) SetPrecision(p nn.Precision) error {
-	if !g.Tagger.SetPrecision(p) {
+	if p != nn.F64 && g.cfg.Kind == EncoderBiGRU {
 		return fmt.Errorf("core: encoder kind %q does not support inference precision %q", g.cfg.Kind, p)
 	}
-	g.Embedder.SetPrecision(p)
+	if enc, ok := g.Tagger.Encoder().(*transformer.Encoder); ok {
+		enc.WarmPacks(p)
+	}
+	g.prec = p
 	g.cfg.InferPrecision = p.String()
 	g.o.setPrecision(p)
 	return nil
 }
 
 // Precision returns the active inference precision tier.
-func (g *Globalizer) Precision() nn.Precision { return g.Tagger.Precision() }
+func (g *Globalizer) Precision() nn.Precision { return g.prec }
 
 // WithObjective returns a new Globalizer that shares this one's
 // (already trained) Local NER tagger but carries fresh, untrained
@@ -230,12 +235,10 @@ func (g *Globalizer) WithObjective(obj Objective) *Globalizer {
 	v := &Globalizer{
 		cfg:      cfg,
 		pool:     g.pool,
+		prec:     g.prec,
 		Tagger:   g.Tagger,
 		Embedder: phrase.NewEmbedder(cfg.Encoder.Dim, cfg.Seed+10),
 	}
-	// The fresh embedder inherits the active tier (the shared tagger
-	// already carries it).
-	v.Embedder.SetPrecision(g.Precision())
 	v.Ensemble = newEnsemble(cfg)
 	v.Classifier = v.Ensemble[0]
 	v.Reset()
@@ -264,6 +267,7 @@ func (g *Globalizer) WithClusterThreshold(th float64) *Globalizer {
 	v := &Globalizer{
 		cfg:        cfg,
 		pool:       g.pool,
+		prec:       g.prec,
 		Tagger:     g.Tagger,
 		Embedder:   g.Embedder,
 		Classifier: g.Classifier,
@@ -418,7 +422,7 @@ func (g *Globalizer) TagBatch(batch []*types.Sentence) []*localner.Result {
 	for i, s := range batch {
 		toks[i] = s.Tokens
 	}
-	return g.Tagger.RunBatch(toks, g.pool)
+	return g.Tagger.RunBatch(toks, g.pool, g.prec)
 }
 
 // ProcessTagged consumes one execution cycle with externally supplied
@@ -485,13 +489,12 @@ func (g *Globalizer) batchEntities(batch []*types.Sentence, mode Mode) map[types
 
 // localPhase runs Local NER over one batch: tagging, TweetBase
 // recording, and CTrie seeding. Tagging — the encoder forwards, by far
-// the dominant cost — goes through the tagger's batched path: packed
-// spans of sentences per worker when the encoder supports it, one
-// sentence per worker otherwise. The TweetBase and CTrie writes then
-// replay serially in batch order, so the stream state is identical to
-// a serial run at any worker count and any batch size. It returns the
-// token sequences of surface forms newly registered in the CTrie this
-// batch — the dirty set the amortized global phase keys its
+// the dominant cost — goes through Tagger.RunBatch at the engine's
+// tier: one span of sentences per worker item. The TweetBase and CTrie
+// writes then replay serially in batch order, so the stream state is
+// identical to a serial run at any worker count and any batch size. It
+// returns the token sequences of surface forms newly registered in the
+// CTrie this batch — the dirty set the amortized global phase keys its
 // invalidation on.
 func (g *Globalizer) localPhase(batch []*types.Sentence, tr *obs.Trace) [][]string {
 	t0 := g.o.now()

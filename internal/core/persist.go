@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/stream"
@@ -554,19 +553,7 @@ func (g *Globalizer) restoreAmort(as *AmortState) error {
 		}
 		a.scans[key] = as.Scans[i].Mentions
 	}
-	// Token sets and the inverted index rebuild from the records in
-	// stream order — the order rescanPass populated them in.
-	g.tweetBase.Each(func(r *stream.Record) {
-		key := r.Sentence.Key()
-		set := make(map[string]bool, len(r.Sentence.Tokens))
-		for _, t := range r.Sentence.Tokens {
-			if lt := strings.ToLower(t); !set[lt] {
-				set[lt] = true
-				a.tokIndex[lt] = append(a.tokIndex[lt], key)
-			}
-		}
-		a.toksets[key] = set
-	})
+	a.indexTokens(g.tweetBase)
 	for i := range as.Embeds {
 		e := &as.Embeds[i]
 		bySpan := a.embeds.m[e.Key]

@@ -6,6 +6,7 @@ import (
 
 	"nerglobalizer/internal/corpus"
 	"nerglobalizer/internal/nn"
+	"nerglobalizer/internal/types"
 )
 
 // TestGoldenStreamAnnotationsIdenticalAcrossTiers is the end-to-end
@@ -58,15 +59,11 @@ func TestGoldenStreamAnnotationsIdenticalAcrossTiers(t *testing.T) {
 // logit perturbation, so the low buckets say how much headroom is left.
 func logMarginHistogram(t *testing.T, g *Globalizer, test *corpus.Dataset, tier nn.Precision) {
 	t.Helper()
-	if err := g.SetPrecision(nn.F64); err != nil {
-		t.Fatalf("SetPrecision(f64): %v", err)
-	}
-	defer g.SetPrecision(tier)
 	bounds := []float64{1e-4, 1e-3, 1e-2, 0.1, 0.3, 1}
 	counts := make([]int, len(bounds)+1)
 	minMargin, tokens := -1.0, 0
 	for _, s := range test.Sentences {
-		res := g.Tagger.Run(s.Tokens)
+		res := g.Tagger.Run(s.Tokens, nn.F64)
 		if res.Embeddings == nil {
 			continue
 		}
@@ -137,8 +134,8 @@ func TestPrecisionConfigValidation(t *testing.T) {
 	}()
 }
 
-// TestSetPrecisionSurvivesObjectiveSwap pins that WithObjective's fresh
-// Phrase Embedder inherits the active tier.
+// TestSetPrecisionSurvivesObjectiveSwap pins that a WithObjective view
+// inherits the active tier.
 func TestSetPrecisionSurvivesObjectiveSwap(t *testing.T) {
 	g := trainedGlobalizer(t)
 	if err := g.SetPrecision(nn.F32); err != nil {
@@ -146,7 +143,31 @@ func TestSetPrecisionSurvivesObjectiveSwap(t *testing.T) {
 	}
 	defer g.SetPrecision(nn.F64)
 	v := g.WithObjective(ObjectiveSoftNN)
-	if got := v.Embedder.Precision(); got != nn.F32 {
-		t.Fatalf("WithObjective embedder tier = %s, want f32", got)
+	if got := v.Precision(); got != nn.F32 {
+		t.Fatalf("WithObjective view tier = %s, want f32", got)
+	}
+}
+
+// TestPhraseEmbedderExactAtEveryTier pins that the tier reaches mention
+// embeddings through the token states only: over one tier's token
+// states, the engine at that tier embeds a mention to exactly the bytes
+// the f64 engine does.
+func TestPhraseEmbedderExactAtEveryTier(t *testing.T) {
+	g := trainedGlobalizer(t)
+	defer g.SetPrecision(nn.F64)
+	tokens := smallStream("embed", 1, 7).Sentences[0].Tokens
+	span := types.Span{Start: 0, End: 2}
+	for _, tier := range []nn.Precision{nn.F32, nn.I8} {
+		states := g.Tagger.Embed(tokens, tier)
+		if err := g.SetPrecision(nn.F64); err != nil {
+			t.Fatal(err)
+		}
+		want := g.Embedder.Embed(states, span)
+		if err := g.SetPrecision(tier); err != nil {
+			t.Fatal(err)
+		}
+		if got := g.Embedder.Embed(states, span); !reflect.DeepEqual(got, want) {
+			t.Fatalf("tier %s: Phrase Embedder output differs from the f64 engine's on the same token states", tier)
+		}
 	}
 }

@@ -162,15 +162,17 @@ func (g *Globalizer) buildMentionSets(d5 []*types.Sentence) []phrase.MentionSet 
 		pooledByCand[k] = append(pooledByCand[k], emb)
 	}
 
-	// Embed and tag the whole stream through the packed batched
-	// inference path (bit-identical to per-sentence calls, far fewer
-	// kernel launches and allocations).
-	toks := make([][]string, len(d5))
-	for i, s := range d5 {
-		toks[i] = s.Tokens
+	// One encoder pass over the whole stream yields both the tags and
+	// the token embeddings. An empty sentence has no embeddings; give it
+	// a 0-row matrix so the span guards below skip it.
+	tagged := g.TagBatch(d5)
+	embCache := make([]*nn.Matrix, len(d5))
+	for i, res := range tagged {
+		embCache[i] = res.Embeddings
+		if embCache[i] == nil {
+			embCache[i] = nn.NewMatrix(0, g.Tagger.Dim())
+		}
 	}
-	embCache := g.Tagger.EmbedBatch(toks, g.pool)
-	tagged := g.Tagger.RunBatch(toks, g.pool)
 
 	goldTrie := ctrie.New()
 	for i, s := range d5 {

@@ -172,18 +172,6 @@ func TestPretrainCorpora(t *testing.T) {
 	}
 }
 
-func TestSampleSentences(t *testing.T) {
-	d := Generate(smallConfig())
-	s := d.SampleSentences(10, 3)
-	if len(s) != 10 {
-		t.Fatalf("sampled %d", len(s))
-	}
-	all := d.SampleSentences(10000, 3)
-	if len(all) != d.Size() {
-		t.Fatal("oversample should return everything")
-	}
-}
-
 func TestMaybeTypoPreservesShortTokens(t *testing.T) {
 	rng := nn.NewRNG(1)
 	if got := maybeTypo(rng, "ab", 1); got != "ab" {

@@ -1,10 +1,5 @@
 package corpus
 
-import (
-	"nerglobalizer/internal/nn"
-	"nerglobalizer/internal/types"
-)
-
 // evalNoise returns the noise knobs of the evaluation streams: the
 // full alternation distribution (train/test lexical shift), heavy case
 // noise (microblog users rarely capitalize), realistic typo rates,
@@ -162,21 +157,6 @@ func PretrainFormal(n int, seed int64) [][]string {
 	out := make([][]string, 0, len(d.Sentences))
 	for _, s := range d.Sentences {
 		out = append(out, s.Tokens)
-	}
-	return out
-}
-
-// SampleSentences returns up to n sentences drawn without replacement
-// from the dataset, useful for building smaller debugging corpora.
-func (d *Dataset) SampleSentences(n int, seed int64) []*types.Sentence {
-	if n >= len(d.Sentences) {
-		return d.Sentences
-	}
-	rng := nn.NewRNG(seed)
-	perm := rng.Perm(len(d.Sentences))
-	out := make([]*types.Sentence, n)
-	for i := 0; i < n; i++ {
-		out[i] = d.Sentences[perm[i]]
 	}
 	return out
 }

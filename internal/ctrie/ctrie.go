@@ -33,9 +33,6 @@ func newNode() *node { return &node{children: make(map[string]*node)} }
 type Trie struct {
 	root *node
 	size int
-	// maxLen tracks the longest registered surface form in tokens,
-	// bounding the scan window (the paper's parameter k).
-	maxLen int
 }
 
 // New returns an empty CTrie.
@@ -43,10 +40,6 @@ func New() *Trie { return &Trie{root: newNode()} }
 
 // Len returns the number of registered surface forms.
 func (t *Trie) Len() int { return t.size }
-
-// MaxSurfaceLen returns the token length of the longest registered
-// surface form.
-func (t *Trie) MaxSurfaceLen() int { return t.maxLen }
 
 // Insert registers a candidate surface form given as a token sequence.
 // Tokens are lower-cased. Inserting an empty sequence or a duplicate is
@@ -78,9 +71,6 @@ func (t *Trie) Insert(tokens []string) bool {
 	n.terminal = true
 	n.surface = b.String()
 	t.size++
-	if len(tokens) > t.maxLen {
-		t.maxLen = len(tokens)
-	}
 	return true
 }
 

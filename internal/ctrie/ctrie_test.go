@@ -40,9 +40,6 @@ func TestPrefixAndNestedForms(t *testing.T) {
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if tr.MaxSurfaceLen() != 3 {
-		t.Fatalf("MaxSurfaceLen = %d", tr.MaxSurfaceLen())
-	}
 	got := tr.Surfaces()
 	sort.Strings(got)
 	want := []string{"new", "new york", "new york city"}

@@ -249,9 +249,6 @@ func Open(dir string, opts Options, reg *obs.Registry) (*Log, *Recovery, error) 
 	return l, rec, nil
 }
 
-// Dir returns the data directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Append durably logs one committed cycle, blocking until the record
 // is as durable as the policy promises — under "always" and "group"
 // it survives a crash once Append returns.

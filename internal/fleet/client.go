@@ -139,9 +139,6 @@ func (c *ShardClient) SetTimeout(d time.Duration) { c.timeout.Store(int64(d)) }
 
 func (c *ShardClient) rpcTimeout() time.Duration { return time.Duration(c.timeout.Load()) }
 
-// Index returns the shard index this client addresses.
-func (c *ShardClient) Index() int { return c.index }
-
 // BaseURL returns the shard's base URL.
 func (c *ShardClient) BaseURL() string { return c.baseURL }
 

@@ -245,9 +245,6 @@ func (r *Router) TakeCycleStats() []CycleStat {
 // Cycles reports how many execution cycles the router has committed.
 func (r *Router) Cycles() int { return int(r.cycles.Load()) }
 
-// Shards reports the fleet size.
-func (r *Router) Shards() int { return len(r.clients) }
-
 // runCycle executes one micro-batched cycle against the fleet:
 //
 //  1. Admission: refuse outright if any shard's pending queue is full.

@@ -10,6 +10,10 @@
 // acts as a deliberately weak labeller: locally sparse context makes
 // its extractions inconsistent, which is exactly what Global NER
 // corrects.
+//
+// Inference has one entry point, Tagger.RunBatch, over the encoder's one
+// cache-free forward, Encoder.InferBatch. The precision tier is an
+// argument of both — neither the tagger nor the encoder stores it.
 package localner
 
 import (
@@ -29,43 +33,17 @@ import (
 // choice.
 type Encoder interface {
 	Forward(tokens []string, train bool) *nn.Matrix
-	// Infer must equal Forward(tokens, false) while writing no encoder
-	// state, so concurrent calls over one trained encoder are safe.
-	Infer(tokens []string) *nn.Matrix
+	// InferBatch encodes every sentence of batch at precision tier p
+	// while writing no encoder state, so concurrent calls over one
+	// trained encoder are safe. At nn.F64 each matrix must equal
+	// Forward(tokens, false) bit for bit at every batch composition; an
+	// empty sentence yields a 0×Dim matrix.
+	InferBatch(batch [][]string, p nn.Precision) []*nn.Matrix
 	Backward(dout *nn.Matrix)
 	Params() []*nn.Param
 	Truncate(tokens []string) []string
 	Dim() int
 	RNG() *nn.RNG
-}
-
-// BatchEncoder is the optional extension of Encoder implemented by
-// encoders whose inference path can pack many sentences into one flat
-// token matrix (the Transformer). InferBatch must return, for every
-// sentence, exactly the matrix Infer would — the batch is a packing,
-// not an approximation.
-type BatchEncoder interface {
-	InferBatch(batch [][]string) []*nn.Matrix
-}
-
-// BatchEncoderAt is the optional extension of BatchEncoder implemented
-// by encoders that can run one inference call at an explicit precision
-// tier regardless of the configured default (the Transformer). Used
-// where a reduced-tier pipeline needs a higher-precision forward for a
-// specific consumer — e.g. the i8 tier re-embedding mentioned
-// sentences at f32 for the Global NER phase.
-type BatchEncoderAt interface {
-	InferBatchAt(batch [][]string, p nn.Precision) []*nn.Matrix
-}
-
-// PrecisionEncoder is the optional extension of Encoder implemented by
-// encoders with selectable inference precision tiers (the
-// Transformer). SetPrecision switches every subsequent Infer and
-// InferBatch call onto the tier's kernels; Precision reports the
-// active tier.
-type PrecisionEncoder interface {
-	SetPrecision(nn.Precision)
-	Precision() nn.Precision
 }
 
 // Tagger is a fine-tunable BIO token tagger over a sequence encoder.
@@ -82,12 +60,11 @@ type Tagger struct {
 	// large pre-trained subword vocabulary provides implicitly.
 	WordDropout float64
 
-	// BatchTokens caps the packed tokens per inference call when the
-	// encoder implements BatchEncoder: RunBatch and EmbedBatch pack
-	// contiguous sentences until the truncated token count would exceed
-	// it. Zero or negative disables packing (one sentence per worker
-	// item, the pre-batching behavior). The setting changes throughput
-	// only — outputs are bit-identical at every value.
+	// BatchTokens caps the tokens RunBatch hands the encoder in one
+	// InferBatch call: contiguous sentences are packed until the
+	// truncated token count would exceed it. At zero or below every
+	// non-empty sentence is a call of its own. The setting changes
+	// throughput only — outputs are bit-identical at every value.
 	BatchTokens int
 }
 
@@ -112,29 +89,6 @@ func (t *Tagger) Encoder() Encoder { return t.enc }
 
 // Dim returns the token-embedding dimensionality.
 func (t *Tagger) Dim() int { return t.enc.Dim() }
-
-// SetPrecision selects the inference precision tier of the underlying
-// encoder, when it supports tiers. The classification head stays f64
-// (an O(dim·labels) GEMM — negligible next to the encoder). Returns
-// false when the encoder has no tier support and a reduced tier was
-// requested, so callers can reject the configuration instead of
-// silently running exact.
-func (t *Tagger) SetPrecision(p nn.Precision) bool {
-	if pe, ok := t.enc.(PrecisionEncoder); ok {
-		pe.SetPrecision(p)
-		return true
-	}
-	return p == nn.F64
-}
-
-// Precision reports the encoder's active inference precision tier
-// (F64 for encoders without tier support).
-func (t *Tagger) Precision() nn.Precision {
-	if pe, ok := t.enc.(PrecisionEncoder); ok {
-		return pe.Precision()
-	}
-	return nn.F64
-}
 
 // TrainEpoch fine-tunes for one shuffled pass over the annotated
 // sentences and returns the mean token cross-entropy.
@@ -206,21 +160,14 @@ type Result struct {
 	Embeddings *nn.Matrix
 }
 
-// Run tags one sentence and returns labels, decoded entities, and the
-// token embeddings from the same forward pass. It uses the cache-free
-// inference path, so concurrent Run calls on one trained tagger are
-// safe (training must not run at the same time).
-func (t *Tagger) Run(tokens []string) *Result {
-	tokens = t.enc.Truncate(tokens)
-	if len(tokens) == 0 {
-		return &Result{}
-	}
-	return t.resultFrom(tokens, t.enc.Infer(tokens))
+// Run tags one sentence at tier p: a one-sentence RunBatch.
+func (t *Tagger) Run(tokens []string, p nn.Precision) *Result {
+	return t.RunBatch([][]string{tokens}, nil, p)[0]
 }
 
 // resultFrom decodes the classification head over already-computed
-// token embeddings. Shared by the per-sentence and packed-batch paths
-// so both assemble byte-identical Results.
+// token embeddings. The head stays f64 at every tier (an
+// O(dim·labels) GEMM — negligible next to the encoder).
 func (t *Tagger) resultFrom(tokens []string, h *nn.Matrix) *Result {
 	logits := t.head.Infer(h)
 	labels := make([]types.BIOLabel, len(tokens))
@@ -281,25 +228,23 @@ func (t *Tagger) packSpans(sentences [][]string) [][2]int {
 	return spans
 }
 
-// RunBatch tags many sentences over the pool. When the encoder
-// supports batched inference and BatchTokens is set, contiguous
-// sentences are packed into flat token matrices and each worker runs
-// one packed span; otherwise it falls back to one sentence per worker
-// item. Results land at the sentence's own index either way, so the
-// output is identical to a serial Run loop at any worker count and any
-// batch size. A nil pool runs serially.
-func (t *Tagger) RunBatch(sentences [][]string, pool *parallel.Pool) []*Result {
-	be, ok := t.enc.(BatchEncoder)
-	if !ok || t.BatchTokens <= 0 {
-		return parallel.MapOrdered(pool, len(sentences), func(i int) *Result {
-			return t.Run(sentences[i])
-		})
-	}
+// RunBatch tags many sentences over the pool at precision tier p,
+// returning for each its labels, decoded entities and the token
+// embeddings of the same forward pass (an empty sentence yields the
+// zero Result). Contiguous sentences are packed into spans of at most
+// BatchTokens tokens and each worker runs one span through the
+// encoder's cache-free InferBatch, so concurrent RunBatch calls on one
+// trained tagger are safe (training must not run at the same time).
+// Results land at the sentence's own index, and the encoder's output
+// for a sentence does not depend on what it is packed with, so the
+// output is identical at any worker count and any BatchTokens. A nil
+// pool runs serially.
+func (t *Tagger) RunBatch(sentences [][]string, pool *parallel.Pool, p nn.Precision) []*Result {
 	spans := t.packSpans(sentences)
 	results := make([]*Result, len(sentences))
 	pool.ForEach(len(spans), func(si int) {
 		lo, hi := spans[si][0], spans[si][1]
-		hs := be.InferBatch(sentences[lo:hi])
+		hs := t.enc.InferBatch(sentences[lo:hi], p)
 		for i := lo; i < hi; i++ {
 			tokens := t.enc.Truncate(sentences[i])
 			if len(tokens) == 0 {
@@ -312,49 +257,9 @@ func (t *Tagger) RunBatch(sentences [][]string, pool *parallel.Pool) []*Result {
 	return results
 }
 
-// EmbedBatch returns the token embeddings of many sentences — the
-// batched counterpart of Embed, packing sentences through the encoder
-// exactly like RunBatch. Outputs are bit-identical to per-sentence
-// Embed calls.
-func (t *Tagger) EmbedBatch(sentences [][]string, pool *parallel.Pool) []*nn.Matrix {
-	be, ok := t.enc.(BatchEncoder)
-	if !ok || t.BatchTokens <= 0 {
-		return parallel.MapOrdered(pool, len(sentences), func(i int) *nn.Matrix {
-			return t.Embed(sentences[i])
-		})
-	}
-	spans := t.packSpans(sentences)
-	out := make([]*nn.Matrix, len(sentences))
-	pool.ForEach(len(spans), func(si int) {
-		lo, hi := spans[si][0], spans[si][1]
-		copy(out[lo:hi], be.InferBatch(sentences[lo:hi]))
-	})
-	return out
-}
-
-// Embed returns just the entity-aware token embeddings for a sentence,
-// without decoding labels. Used when re-embedding sentences during
-// Global NER. Like Run, it is safe to call concurrently on a trained
-// tagger.
-func (t *Tagger) Embed(tokens []string) *nn.Matrix {
-	tokens = t.enc.Truncate(tokens)
-	if len(tokens) == 0 {
-		return nn.NewMatrix(0, t.enc.Dim())
-	}
-	return t.enc.Infer(tokens)
-}
-
-// EmbedAt is Embed at an explicit precision tier, regardless of the
-// encoder's configured default. Encoders without an explicit-tier path
-// (the BiGRU, which only has the exact f64 path) run their ordinary
-// inference instead.
-func (t *Tagger) EmbedAt(tokens []string, p nn.Precision) *nn.Matrix {
-	tokens = t.enc.Truncate(tokens)
-	if len(tokens) == 0 {
-		return nn.NewMatrix(0, t.enc.Dim())
-	}
-	if be, ok := t.enc.(BatchEncoderAt); ok {
-		return be.InferBatchAt([][]string{tokens}, p)[0]
-	}
-	return t.enc.Infer(tokens)
+// Embed returns just the entity-aware token embeddings of one sentence
+// at tier p (0×Dim for an empty one), without decoding labels. Used
+// when re-embedding sentences during Global NER.
+func (t *Tagger) Embed(tokens []string, p nn.Precision) *nn.Matrix {
+	return t.enc.InferBatch([][]string{tokens}, p)[0]
 }

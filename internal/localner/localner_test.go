@@ -1,10 +1,13 @@
 package localner
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/parallel"
+	"nerglobalizer/internal/rnn"
 	"nerglobalizer/internal/transformer"
 	"nerglobalizer/internal/types"
 )
@@ -45,7 +48,7 @@ func TestTaggerLearnsTrainingSet(t *testing.T) {
 		t.Fatalf("fine-tuning loss did not decrease: %v -> %v", losses[0], losses[len(losses)-1])
 	}
 	// The tagger should recover the training annotations.
-	res := tagger.Run([]string{"beshear", "gives", "an", "update"})
+	res := tagger.Run([]string{"beshear", "gives", "an", "update"}, nn.F64)
 	if len(res.Entities) != 1 || res.Entities[0].Type != types.Person || res.Entities[0].Start != 0 {
 		t.Fatalf("tagger failed to learn training example: %+v", res.Entities)
 	}
@@ -53,7 +56,7 @@ func TestTaggerLearnsTrainingSet(t *testing.T) {
 
 func TestRunReturnsConsistentShapes(t *testing.T) {
 	tagger := NewTagger(transformer.NewEncoder(testConfig()), 0.01)
-	res := tagger.Run([]string{"hello", "world"})
+	res := tagger.Run([]string{"hello", "world"}, nn.F64)
 	if len(res.Labels) != 2 || res.Embeddings.Rows != 2 || res.Embeddings.Cols != 16 {
 		t.Fatalf("result shapes wrong: %d labels, %dx%d emb", len(res.Labels), res.Embeddings.Rows, res.Embeddings.Cols)
 	}
@@ -64,7 +67,7 @@ func TestRunReturnsConsistentShapes(t *testing.T) {
 
 func TestRunEmptySentence(t *testing.T) {
 	tagger := NewTagger(transformer.NewEncoder(testConfig()), 0.01)
-	res := tagger.Run(nil)
+	res := tagger.Run(nil, nn.F64)
 	if len(res.Labels) != 0 || len(res.Entities) != 0 {
 		t.Fatal("empty sentence should produce empty result")
 	}
@@ -73,8 +76,8 @@ func TestRunEmptySentence(t *testing.T) {
 func TestEmbedMatchesRunEmbeddings(t *testing.T) {
 	tagger := NewTagger(transformer.NewEncoder(testConfig()), 0.01)
 	tokens := []string{"covid", "in", "us"}
-	a := tagger.Run(tokens).Embeddings
-	b := tagger.Embed(tokens)
+	a := tagger.Run(tokens, nn.F64).Embeddings
+	b := tagger.Embed(tokens, nn.F64)
 	a.SubInPlace(b)
 	if a.MaxAbs() != 0 {
 		t.Fatal("Embed must match the embeddings produced by Run")
@@ -87,7 +90,7 @@ func TestTruncationInRun(t *testing.T) {
 	for i := range long {
 		long[i] = "x"
 	}
-	res := tagger.Run(long)
+	res := tagger.Run(long, nn.F64)
 	if len(res.Labels) != 16 {
 		t.Fatalf("labels after truncation = %d, want 16", len(res.Labels))
 	}
@@ -111,60 +114,54 @@ func batchTestSentences() [][]string {
 	}
 }
 
-// TestRunBatchIdentityAcrossBatchSizes pins batched tagging to the
-// per-sentence path: at every BatchTokens setting and worker count,
-// RunBatch must reproduce Run's labels, entities, and embedding bytes.
+// TestRunBatchIdentityAcrossBatchSizes pins tagging at F64 to the
+// training forward: at every BatchTokens setting and worker count, for
+// both encoder families, RunBatch must reproduce the labels and
+// entities decoded from Forward(tokens, false) and its embedding bytes.
 func TestRunBatchIdentityAcrossBatchSizes(t *testing.T) {
-	tagger := NewTagger(transformer.NewEncoder(testConfig()), 0.01)
-	tagger.Train(trainingSentences(), 10)
-	sents := batchTestSentences()
-	want := make([]*Result, len(sents))
-	for i, s := range sents {
-		want[i] = tagger.Run(s)
+	encoders := map[string]Encoder{
+		"transformer": transformer.NewEncoder(testConfig()),
+		"bigru": rnn.NewEncoder(rnn.Config{
+			Dim: 16, MaxLen: 16, VocabBuckets: 256, CharBuckets: 64, Seed: 5,
+		}),
 	}
-	for _, batchTokens := range []int{0, 1, 16, 256} {
-		for _, workers := range []int{1, 4, 8} {
-			tagger.BatchTokens = batchTokens
-			got := tagger.RunBatch(sents, parallel.New(workers))
-			for i := range sents {
-				g, w := got[i], want[i]
-				if !reflect.DeepEqual(g.Tokens, w.Tokens) || !reflect.DeepEqual(g.Labels, w.Labels) ||
-					!reflect.DeepEqual(g.Entities, w.Entities) {
-					t.Fatalf("batch=%d workers=%d sentence %d: %+v vs %+v", batchTokens, workers, i, g, w)
-				}
-				if (g.Embeddings == nil) != (w.Embeddings == nil) {
-					t.Fatalf("batch=%d workers=%d sentence %d: embeddings nil mismatch", batchTokens, workers, i)
-				}
-				if g.Embeddings == nil {
-					continue
-				}
-				if g.Embeddings.Rows != w.Embeddings.Rows || g.Embeddings.Cols != w.Embeddings.Cols {
-					t.Fatalf("batch=%d workers=%d sentence %d: embedding shape mismatch", batchTokens, workers, i)
-				}
-				for j := range w.Embeddings.Data {
-					if g.Embeddings.Data[j] != w.Embeddings.Data[j] {
-						t.Fatalf("batch=%d workers=%d sentence %d: embedding byte %d diverges", batchTokens, workers, i, j)
-					}
-				}
+	sents := batchTestSentences()
+	for name, enc := range encoders {
+		tagger := NewTagger(enc, 0.01)
+		tagger.Train(trainingSentences(), 10)
+		want := make([]*Result, len(sents))
+		for i, s := range sents {
+			want[i] = &Result{}
+			if tokens := enc.Truncate(s); len(tokens) > 0 {
+				want[i] = tagger.resultFrom(tokens, enc.Forward(tokens, false))
 			}
 		}
-	}
-}
-
-// TestEmbedBatchIdentity pins EmbedBatch to per-sentence Embed.
-func TestEmbedBatchIdentity(t *testing.T) {
-	tagger := NewTagger(transformer.NewEncoder(testConfig()), 0.01)
-	sents := batchTestSentences()
-	tagger.BatchTokens = 24
-	got := tagger.EmbedBatch(sents, parallel.New(4))
-	for i, s := range sents {
-		want := tagger.Embed(s)
-		if got[i].Rows != want.Rows || got[i].Cols != want.Cols {
-			t.Fatalf("sentence %d: shape %dx%d want %dx%d", i, got[i].Rows, got[i].Cols, want.Rows, want.Cols)
-		}
-		for j := range want.Data {
-			if got[i].Data[j] != want.Data[j] {
-				t.Fatalf("sentence %d diverges at %d", i, j)
+		for _, batchTokens := range []int{0, 1, 16, 256} {
+			for _, workers := range []int{1, 4, 8} {
+				tagger.BatchTokens = batchTokens
+				got := tagger.RunBatch(sents, parallel.New(workers), nn.F64)
+				for i := range sents {
+					g, w := got[i], want[i]
+					label := fmt.Sprintf("%s batch=%d workers=%d sentence %d", name, batchTokens, workers, i)
+					if !reflect.DeepEqual(g.Tokens, w.Tokens) || !reflect.DeepEqual(g.Labels, w.Labels) ||
+						!reflect.DeepEqual(g.Entities, w.Entities) {
+						t.Fatalf("%s: %+v vs %+v", label, g, w)
+					}
+					if (g.Embeddings == nil) != (w.Embeddings == nil) {
+						t.Fatalf("%s: embeddings nil mismatch", label)
+					}
+					if g.Embeddings == nil {
+						continue
+					}
+					if g.Embeddings.Rows != w.Embeddings.Rows || g.Embeddings.Cols != w.Embeddings.Cols {
+						t.Fatalf("%s: embedding shape mismatch", label)
+					}
+					for j := range w.Embeddings.Data {
+						if g.Embeddings.Data[j] != w.Embeddings.Data[j] {
+							t.Fatalf("%s: embedding byte %d diverges", label, j)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -30,12 +30,6 @@ func NewDense(name string, in, out int, rng *RNG) *Dense {
 	return d
 }
 
-// In returns the input dimensionality.
-func (d *Dense) In() int { return d.W.W.Rows }
-
-// Out returns the output dimensionality.
-func (d *Dense) Out() int { return d.W.W.Cols }
-
 // Forward computes x·W + b.
 func (d *Dense) Forward(x *Matrix, train bool) *Matrix {
 	d.x = x

@@ -2,19 +2,20 @@ package nn
 
 import "math"
 
-// Fused inference kernels. The batched transformer inference path
+// Fused inference kernels. The transformer inference path
 // (internal/transformer, InferBatch) packs many sentences into one
 // flat token matrix and runs every position-independent layer as a
 // single pass over the packed rows. These kernels are its substrate:
 // each one writes into caller-owned scratch and fuses the operation
-// pairs the per-sentence path performs back to back (dense + bias,
+// pairs the training forward performs back to back (dense + bias,
 // scale + softmax, residual-add + layer-norm), so steady-state
 // inference allocates nothing.
 //
 // The contract shared with the rest of the package: every fused kernel
-// is bit-identical to the unfused sequence it replaces. Each output
-// element is computed by the same floating-point operations in the
-// same order — fusion removes intermediate storage, never roundings.
+// is bit-identical to the Forward(x, false) sequence it replaces. Each
+// output element is computed by the same floating-point operations in
+// the same order — fusion removes intermediate storage, never
+// roundings.
 
 // InferInto computes dst = x·W + b without caching backprop state,
 // bit-identical to Infer. dst must be x.Rows×Out and must not alias x.
@@ -24,7 +25,7 @@ func (d *Dense) InferInto(dst, x *Matrix) {
 }
 
 // InferInto applies the tanh-approximated GELU element-wise into dst,
-// bit-identical to Infer. dst must share x's shape; dst == x is
+// bit-identical to Forward(x, false). dst must share x's shape; dst == x is
 // allowed (each element is read before it is written).
 func (g *GELU) InferInto(dst, x *Matrix) {
 	x.mustSameShape(dst)
@@ -66,7 +67,7 @@ func ScaledSoftmaxRowsInto(dst, x *Matrix, scale float64) {
 
 // InferResidualInto fuses the residual add into the normalization:
 // dst = LayerNorm(x + res), bit-identical to x.AddInPlace(res)
-// followed by ln.Infer(x) (each sum is the same single addition; the
+// followed by ln.Forward(x, false) (each sum is the same single addition; the
 // row statistics then see identical values). All three matrices must
 // share one shape; dst must not alias x or res.
 func (ln *LayerNorm) InferResidualInto(dst, x, res *Matrix) {

@@ -40,7 +40,7 @@ func TestDenseInferIntoIdentity(t *testing.T) {
 func TestGELUInferIntoIdentity(t *testing.T) {
 	g := NewGELU()
 	x := randomMatrix(9, 13, 11)
-	want := g.Infer(x)
+	want := g.Forward(x, false)
 	dst := NewMatrix(9, 13)
 	g.InferInto(dst, x)
 	assertSameData(t, dst, want, "GELU.InferInto")
@@ -69,7 +69,7 @@ func TestScaledSoftmaxRowsIntoIdentity(t *testing.T) {
 }
 
 // TestLayerNormInferResidualIntoIdentity pins the fused residual+norm
-// to AddInPlace followed by Infer.
+// to AddInPlace followed by Forward(x, false).
 func TestLayerNormInferResidualIntoIdentity(t *testing.T) {
 	ln := NewLayerNorm("f", 12)
 	// Perturb gamma/beta so the affine step actually participates.
@@ -81,7 +81,7 @@ func TestLayerNormInferResidualIntoIdentity(t *testing.T) {
 		res := randomMatrix(rows, 12, int64(rows)+200)
 		ref := x.Clone()
 		ref.AddInPlace(res)
-		want := ln.Infer(ref)
+		want := ln.Forward(ref, false)
 		dst := NewMatrix(rows, 12)
 		ln.InferResidualInto(dst, x, res)
 		assertSameData(t, dst, want, "LayerNorm.InferResidualInto")

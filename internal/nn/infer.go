@@ -1,21 +1,20 @@
 package nn
 
-import "math"
-
 // Inference path. Layer.Forward caches activations for backprop even
 // with train=false (Dense stores its input, LayerNorm its normalized
 // rows, and so on), so a shared model cannot run Forward from several
 // goroutines at once. Infer is the concurrency-safe sibling: it
 // computes the identical output while writing no layer state, which is
-// what lets the pipeline shard per-tweet forwards across a worker pool
-// over one set of weights.
+// what lets the pipeline share one set of weights across a worker
+// pool. The allocating form here serves the small heads (tagger head,
+// Phrase Embedder, classifier MLP); the encoder's layers run through
+// the caller-owned-destination Into kernels in fused.go.
 //
 // The contract: for every layer, Infer(x) returns the same values as
 // Forward(x, false); Backward after Infer is invalid (there is nothing
 // cached to differentiate).
 
 // Inferer is a layer with a cache-free, concurrency-safe forward pass.
-// All layers in this package implement it.
 type Inferer interface {
 	Infer(x *Matrix) *Matrix
 }
@@ -38,49 +37,8 @@ func (r *ReLU) Infer(x *Matrix) *Matrix {
 	return out
 }
 
-// Infer applies the tanh-approximated GELU without caching the input.
-func (g *GELU) Infer(x *Matrix) *Matrix {
-	out := NewMatrix(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = 0.5 * v * (1 + math.Tanh(geluC*(v+0.044715*v*v*v)))
-	}
-	return out
-}
-
-// Infer is the identity: dropout only acts during training.
-func (d *Dropout) Infer(x *Matrix) *Matrix { return x }
-
-// Infer normalizes each row and applies the affine transform without
-// caching normalization state.
-func (ln *LayerNorm) Infer(x *Matrix) *Matrix {
-	out := NewMatrix(x.Rows, x.Cols)
-	n := float64(x.Cols)
-	gamma := ln.Gamma.W.Data
-	beta := ln.Beta.W.Data
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		mean := 0.0
-		for _, v := range row {
-			mean += v
-		}
-		mean /= n
-		variance := 0.0
-		for _, v := range row {
-			d := v - mean
-			variance += d * d
-		}
-		variance /= n
-		inv := 1 / math.Sqrt(variance+ln.Eps)
-		o := out.Row(i)
-		for j, v := range row {
-			o[j] = (v-mean)*inv*gamma[j] + beta[j]
-		}
-	}
-	return out
-}
-
-// Infer runs every layer's Infer in order. All layers of a Sequential
-// must implement Inferer (every layer in this package does).
+// Infer runs every layer's Infer in order. All layers of the Sequential
+// must implement Inferer (Dense and ReLU do).
 func (s *Sequential) Infer(x *Matrix) *Matrix {
 	for _, l := range s.Layers {
 		x = l.(Inferer).Infer(x)

@@ -164,15 +164,6 @@ func (m *Matrix) MaxAbs() float64 {
 	return max
 }
 
-// Norm returns the Frobenius norm of m.
-func (m *Matrix) Norm() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 func (m *Matrix) mustSameShape(o *Matrix) {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		panic(fmt.Sprintf("nn: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))

@@ -288,7 +288,7 @@ func TestGELUInferInto32ErrorBound(t *testing.T) {
 	g := NewGELU()
 	x := randomMatrix(11, 13, 61)
 	x.ScaleInPlace(3)
-	want := g.Infer(x)
+	want := g.Forward(x, false)
 	dst := NewMatrix32(11, 13)
 	g.InferInto32(dst, down(x))
 	for i := range want.Data {

@@ -185,36 +185,6 @@ func (h *Histogram) BucketCounts() []int64 {
 	return out
 }
 
-// Merge adds other's observations into h. The histograms must share
-// bucket boundaries; Merge reports whether they did (and merges only
-// then). Merging a nil other is a no-op that reports true.
-func (h *Histogram) Merge(other *Histogram) bool {
-	if h == nil || other == nil {
-		return true
-	}
-	if len(h.bounds) != len(other.bounds) {
-		return false
-	}
-	for i, b := range h.bounds {
-		if other.bounds[i] != b {
-			return false
-		}
-	}
-	for i := range other.buckets {
-		if n := other.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(other.count.Load())
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + other.Sum())
-		if h.sumBits.CompareAndSwap(old, next) {
-			return true
-		}
-	}
-}
-
 // metricKind tags a registry entry for exposition.
 type metricKind int
 

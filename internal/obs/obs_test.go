@@ -97,34 +97,6 @@ func TestHistogramUnsortedBoundsAreSorted(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram([]float64{1, 2})
-	b := NewHistogram([]float64{1, 2})
-	a.Observe(0.5)
-	b.Observe(1.5)
-	b.Observe(10)
-	if !a.Merge(b) {
-		t.Fatal("merge of identical boundaries failed")
-	}
-	if a.Count() != 3 {
-		t.Fatalf("merged count = %d, want 3", a.Count())
-	}
-	if math.Abs(a.Sum()-12.0) > 1e-9 {
-		t.Fatalf("merged sum = %v, want 12", a.Sum())
-	}
-	if counts := a.BucketCounts(); counts[0] != 1 || counts[1] != 1 || counts[2] != 1 {
-		t.Fatalf("merged buckets = %v", counts)
-	}
-	// Mismatched boundaries refuse to merge and leave a untouched.
-	c := NewHistogram([]float64{1, 3})
-	if a.Merge(c) {
-		t.Fatal("merge of mismatched boundaries succeeded")
-	}
-	if a.Count() != 3 {
-		t.Fatal("failed merge mutated the receiver")
-	}
-}
-
 func TestRegistryKindConflictPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("m", "")

@@ -15,7 +15,6 @@ package phrase
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/types"
@@ -67,7 +66,11 @@ func PoolInto(dst []float64, tokenEmb *nn.Matrix, span types.Span) []float64 {
 }
 
 // Embedder maps pooled mention vectors to the final local mention
-// embedding space through the trainable dense layer of eq. (3).
+// embedding space through the trainable dense layer of eq. (3). The
+// layer runs in f64 at every inference precision tier: it is one
+// dim×dim GEMM on a 1×dim activation, too little work for a reduced
+// kernel to repay (DESIGN.md "Precision tiers" has the measurement),
+// while its output feeds the cluster-threshold comparisons directly.
 type Embedder struct {
 	dense *nn.Dense
 	dim   int
@@ -76,13 +79,6 @@ type Embedder struct {
 	// the hot path allocation-free under the concurrent per-surface
 	// fan-out without serializing it.
 	scratch sync.Pool
-
-	// prec is the active inference precision tier. The embedder's GEMM
-	// is a single dim×dim layer applied to unit-norm pooled vectors, so
-	// the I8 tier runs it in f32: dynamic quantization of a 1×dim
-	// activation buys no measurable bandwidth while its ~0.4% noise
-	// lands directly on the cluster-threshold comparisons downstream.
-	prec atomic.Int32
 }
 
 // NewEmbedder creates an Embedder for d-dimensional token embeddings.
@@ -99,21 +95,6 @@ func NewEmbedder(dim int, seed int64) *Embedder {
 // Dim returns the embedding dimensionality.
 func (e *Embedder) Dim() int { return e.dim }
 
-// SetPrecision selects the inference precision tier. F64 is exact;
-// F32 and I8 both run the dense layer through the float32 packed
-// kernel (see the prec field for why I8 does not quantize here).
-func (e *Embedder) SetPrecision(p nn.Precision) {
-	e.prec.Store(int32(p))
-	if p != nn.F64 {
-		e.dense.Warm(nn.F32)
-	}
-}
-
-// Precision returns the active inference precision tier as set.
-func (e *Embedder) Precision() nn.Precision { return nn.Precision(e.prec.Load()) }
-
-func (e *Embedder) reduced() bool { return nn.Precision(e.prec.Load()) != nn.F64 }
-
 // Params returns the Embedder's trainable parameters, for
 // checkpointing.
 func (e *Embedder) Params() []*nn.Param { return e.dense.Params() }
@@ -122,19 +103,6 @@ func (e *Embedder) Params() []*nn.Param { return e.dense.Params() }
 // normalized vector, producing the local mention embedding. It uses the
 // cache-free inference path, so concurrent calls are safe.
 func (e *Embedder) EmbedPooled(pooled []float64) []float64 {
-	if e.reduced() {
-		x := nn.NewMatrix32(1, len(pooled))
-		for i, v := range pooled {
-			x.Data[i] = float32(v)
-		}
-		out := nn.NewMatrix32(1, e.dim)
-		e.dense.InferInto32(out, x)
-		res := make([]float64, e.dim)
-		for i, v := range out.Data {
-			res[i] = float64(v)
-		}
-		return res
-	}
 	out := e.dense.Infer(nn.FromVec(pooled))
 	return append([]float64(nil), out.Row(0)...)
 }
@@ -153,26 +121,6 @@ func (e *Embedder) Embed(tokenEmb *nn.Matrix, span types.Span) []float64 {
 func (e *Embedder) EmbedBatch(pooled [][]float64) [][]float64 {
 	if len(pooled) == 0 {
 		return nil
-	}
-	if e.reduced() {
-		x := nn.NewMatrix32(len(pooled), e.dim)
-		for i, row := range pooled {
-			xr := x.Row(i)
-			for j, v := range row {
-				xr[j] = float32(v)
-			}
-		}
-		out := nn.NewMatrix32(len(pooled), e.dim)
-		e.dense.InferInto32(out, x)
-		res := make([][]float64, out.Rows)
-		for i := range res {
-			r := make([]float64, e.dim)
-			for j, v := range out.Row(i) {
-				r[j] = float64(v)
-			}
-			res[i] = r
-		}
-		return res
 	}
 	out := e.dense.Infer(nn.FromRows(pooled))
 	res := make([][]float64, out.Rows)

@@ -6,11 +6,10 @@ import (
 
 // Inference path. Forward caches hash indices and per-timestep cell
 // states on the Encoder for BPTT, so a shared encoder cannot run
-// Forward concurrently. Infer computes the identical output with no
-// writes to encoder state: gruCell.step is already pure (it touches
+// Forward concurrently. InferBatch computes the identical output with
+// no writes to encoder state: gruCell.step is already pure (it touches
 // only its returned cellState), so only the embedding and state
-// bookkeeping need cache-free variants. Infer(tokens) equals
-// Forward(tokens, false) bit for bit.
+// bookkeeping need cache-free variants.
 
 // embedInfer builds per-token input vectors without caching indices.
 func (e *Encoder) embedInfer(tokens []string) *nn.Matrix {
@@ -31,11 +30,21 @@ func (e *Encoder) embedInfer(tokens []string) *nn.Matrix {
 	return x
 }
 
-// Infer encodes tokens into a T×Dim matrix identically to
-// Forward(tokens, false), writing no encoder state. Concurrent Infer
-// calls on one Encoder are safe; training must not run at the same
-// time.
-func (e *Encoder) Infer(tokens []string) *nn.Matrix {
+// InferBatch encodes every sentence of batch into a T×Dim matrix equal
+// to Forward(tokens, false) bit for bit, writing no encoder state. A
+// recurrence has nothing to pack, so the batch is a loop, and the BiGRU
+// has only the exact path: p is ignored (core.Globalizer.SetPrecision
+// refuses a reduced tier for this encoder). Concurrent calls on one
+// Encoder are safe; training must not run at the same time.
+func (e *Encoder) InferBatch(batch [][]string, p nn.Precision) []*nn.Matrix {
+	out := make([]*nn.Matrix, len(batch))
+	for i, tokens := range batch {
+		out[i] = e.infer(tokens)
+	}
+	return out
+}
+
+func (e *Encoder) infer(tokens []string) *nn.Matrix {
 	tokens = e.Truncate(tokens)
 	T := len(tokens)
 	x := e.embedInfer(tokens)

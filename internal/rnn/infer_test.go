@@ -3,6 +3,7 @@ package rnn
 import (
 	"testing"
 
+	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/parallel"
 )
 
@@ -15,13 +16,13 @@ func TestInferMatchesForward(t *testing.T) {
 	}
 	for _, toks := range sents {
 		want := enc.Forward(toks, false)
-		got := enc.Infer(toks)
+		got := enc.InferBatch([][]string{toks}, nn.F64)[0]
 		if got.Rows != want.Rows || got.Cols != want.Cols {
 			t.Fatalf("shape %dx%d, want %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
 		}
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
-				t.Fatalf("Infer diverges from Forward at element %d", i)
+				t.Fatalf("InferBatch diverges from Forward at element %d", i)
 			}
 		}
 	}
@@ -32,15 +33,15 @@ func TestInferMatchesForward(t *testing.T) {
 func TestInferConcurrent(t *testing.T) {
 	enc := NewEncoder(tinyConfig())
 	toks := []string{"flooding", "in", "jakarta"}
-	want := enc.Infer(toks)
+	want := enc.Forward(toks, false)
 	p := parallel.New(8)
 	outs := parallel.MapOrdered(p, 32, func(i int) []float64 {
-		return enc.Infer(toks).Data
+		return enc.InferBatch([][]string{toks}, nn.F64)[0].Data
 	})
 	for _, data := range outs {
 		for i := range want.Data {
 			if data[i] != want.Data[i] {
-				t.Fatal("concurrent Infer output diverged")
+				t.Fatal("concurrent InferBatch output diverged")
 			}
 		}
 	}

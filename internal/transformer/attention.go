@@ -24,8 +24,8 @@ type multiHeadAttention struct {
 
 	// Training-path scratch, reused across Forward/Backward calls so the
 	// per-head intermediates stop allocating. Values are unchanged — only
-	// the backing storage is recycled. The concurrency-safe Infer path
-	// never touches these.
+	// the backing storage is recycled. The concurrency-safe InferBatch
+	// path never touches these.
 	scores, qhS, khS, vhS, ohS *nn.Matrix
 	dAttnS, dScoresS           *nn.Matrix
 	dOhS, dVhS, dQhS, dKhS     *nn.Matrix
@@ -40,12 +40,6 @@ func newMultiHeadAttention(name string, cfg Config, rng *nn.RNG) *multiHeadAtten
 		wv:  nn.NewDense(name+".wv", cfg.Dim, cfg.Dim, rng),
 		wo:  nn.NewDense(name+".wo", cfg.Dim, cfg.Dim, rng),
 	}
-}
-
-// headSlice returns the T×dh submatrix of m for head h as a copy.
-func (a *multiHeadAttention) headSlice(m *nn.Matrix, h int) *nn.Matrix {
-	dh := a.cfg.Dim / a.cfg.Heads
-	return a.headSliceInto(nn.NewMatrix(m.Rows, dh), m, h)
 }
 
 // headSliceInto fills dst with the T×dh submatrix of m for head h.

@@ -3,7 +3,6 @@ package transformer
 import (
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"nerglobalizer/internal/nn"
 )
@@ -22,7 +21,7 @@ type encoderLayer struct {
 	mid      *nn.Matrix
 
 	// The feed-forward sublayers, also reachable through ff: the
-	// batched inference path (infer_batch.go) drives them individually
+	// inference path (infer_batch.go) drives them individually
 	// with fused Into kernels over caller-owned scratch.
 	ff1  *nn.Dense
 	gelu *nn.GELU
@@ -99,10 +98,6 @@ type Encoder struct {
 	// (one arena per concurrent caller; each grows to the largest
 	// packed batch it has seen). The zero value is ready to use.
 	scratch sync.Pool
-
-	// prec is the active inference precision tier (nn.Precision).
-	// Zero value is nn.F64 — the exact default.
-	prec atomic.Int32
 }
 
 // NewEncoder builds an encoder with freshly initialized weights.
@@ -166,22 +161,9 @@ func (e *Encoder) Params() []*nn.Param {
 // derive shuffling without importing a second seed.
 func (e *Encoder) RNG() *nn.RNG { return e.rng }
 
-// SetPrecision selects the inference precision tier for subsequent
-// Infer/InferBatch calls and eagerly warms the packed weight mirrors
-// the tier needs, so the first inference after the switch doesn't pay
-// the packing cost. Safe to call concurrently with inference.
-func (e *Encoder) SetPrecision(p nn.Precision) {
-	e.prec.Store(int32(p))
-	e.WarmPacks(p)
-}
-
-// Precision returns the active inference precision tier.
-func (e *Encoder) Precision() nn.Precision { return nn.Precision(e.prec.Load()) }
-
 // WarmPacks (re)builds the packed weight mirrors for tier p across
-// every layer. Called by SetPrecision and after bulk weight mutation
-// (training completion, checkpoint load) to move packing cost out of
-// the first inference call.
+// every layer, moving the packing cost out of the first inference call
+// at that tier. Safe to call concurrently with inference.
 func (e *Encoder) WarmPacks(p nn.Precision) {
 	for _, l := range e.layers {
 		for _, d := range []*nn.Dense{l.attn.wq, l.attn.wk, l.attn.wv, l.attn.wo, l.ff1, l.ff2} {

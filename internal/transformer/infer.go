@@ -1,19 +1,14 @@
 package transformer
 
 import (
-	"math"
-
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/tokenizer"
 )
 
-// Inference path. Forward caches activations on the encoder structs
-// (attention stores q/k/v/attn/concat, the embedding stores its hash
-// indices), so one encoder cannot run Forward from several goroutines.
-// Infer computes the identical token states while writing no encoder
-// state, which lets the pipeline share a single trained encoder across
-// a worker pool. For every input, Infer(tokens) equals
-// Forward(tokens, false) bit for bit.
+// Inference-time token embedding. embedding.forward caches its hash
+// indices for backprop, so the packed inference path (infer_batch.go)
+// embeds through inferRowInto instead, which writes no encoder state
+// and produces the identical row.
 
 // FNV-1a 32-bit constants, matching hash/fnv so the allocation-free
 // fast path below lands in the same buckets as hashToken.
@@ -56,10 +51,9 @@ func paddedByte(tok string, j int) byte {
 }
 
 // inferRowInto overwrites row with the inference-time embedding of tok
-// at position pos (within its sentence). Shared by the per-sentence
-// and packed-batch paths so the two embed identically. The trigram
-// average is guarded against tokens that produce no trigrams — the
-// unguarded 1/len(grams) would poison the row with ±Inf.
+// at position pos (within its sentence). The trigram average is
+// guarded against tokens that produce no trigrams — the unguarded
+// 1/len(grams) would poison the row with ±Inf.
 //
 // Lower-case ASCII tokens (the overwhelming majority after social-media
 // normalization) take an allocation-free path that feeds token and
@@ -122,67 +116,4 @@ func (e *embedding) inferRowInto(row []float64, tok string, pos int) {
 		nn.AddScaled(row, e.ortho.W.Row(featURL), 1)
 	}
 	nn.AddScaled(row, e.pos.Row(pos), 1)
-}
-
-// infer embeds a token sequence without caching hash indices.
-func (e *embedding) infer(tokens []string) *nn.Matrix {
-	T := len(tokens)
-	out := nn.NewMatrix(T, e.cfg.Dim)
-	for i, tok := range tokens {
-		e.inferRowInto(out.Row(i), tok, i)
-	}
-	return out
-}
-
-// Infer runs self-attention without caching backprop state. All
-// intermediates are local, so concurrent calls over one set of weights
-// are safe.
-func (a *multiHeadAttention) Infer(x *nn.Matrix) *nn.Matrix {
-	q := a.wq.Infer(x)
-	k := a.wk.Infer(x)
-	v := a.wv.Infer(x)
-	T := x.Rows
-	dh := a.cfg.Dim / a.cfg.Heads
-	invSqrt := 1 / math.Sqrt(float64(dh))
-	concat := nn.NewMatrix(T, a.cfg.Dim)
-	for h := 0; h < a.cfg.Heads; h++ {
-		qh := a.headSlice(q, h)
-		kh := a.headSlice(k, h)
-		vh := a.headSlice(v, h)
-		scores := nn.MatMulT(qh, kh)
-		scores.ScaleInPlace(invSqrt)
-		attn := nn.SoftmaxRows(scores)
-		oh := nn.MatMul(attn, vh)
-		a.headStore(concat, oh, h)
-	}
-	return a.wo.Infer(concat)
-}
-
-// Infer runs one encoder block without caching residual state.
-func (l *encoderLayer) Infer(x *nn.Matrix) *nn.Matrix {
-	h := l.attn.Infer(x)
-	h.AddInPlace(x)
-	mid := l.ln1.Infer(h)
-	f := l.ff.Infer(mid)
-	f.AddInPlace(mid)
-	return l.ln2.Infer(f)
-}
-
-// Infer encodes tokens into a T×Dim matrix of contextual token
-// embeddings with no writes to encoder state. At the default F64 tier
-// the result is identical to Forward(tokens, false) bit for bit; at a
-// reduced tier the sentence routes through the packed reduced-
-// precision path so per-sentence and batched inference agree within
-// one tier. Concurrent Infer calls on one Encoder are safe;
-// Forward/Backward training must not run at the same time.
-func (e *Encoder) Infer(tokens []string) *nn.Matrix {
-	if p := e.Precision(); p != nn.F64 {
-		return e.InferBatchAt([][]string{tokens}, p)[0]
-	}
-	tokens = e.Truncate(tokens)
-	x := e.embed.infer(tokens)
-	for _, l := range e.layers {
-		x = l.Infer(x)
-	}
-	return x
 }

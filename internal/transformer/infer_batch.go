@@ -6,28 +6,32 @@ import (
 	"nerglobalizer/internal/nn"
 )
 
-// Batched inference. InferBatch packs many sentences into one flat
-// token matrix and runs every position-independent layer (dense
-// projections, feed-forward, layer norm) as a single pass over all
-// packed tokens — one large GEMM per projection instead of one small
-// GEMM per sentence. Only attention depends on sentence boundaries;
-// it iterates segment offsets over the packed q/k/v, reusing one
-// per-worker head workspace instead of re-slicing allocations.
+// Cache-free inference. Forward caches activations on the encoder
+// structs for backprop (attention stores q/k/v/attn/concat, the
+// embedding its hash indices), so one encoder cannot run Forward from
+// several goroutines. InferBatch is the encoder's one inference path:
+// it writes no encoder state, packs many sentences into one flat token
+// matrix and runs every position-independent layer (dense projections,
+// feed-forward, layer norm) as a single pass over all packed tokens —
+// one large GEMM per projection instead of one small GEMM per
+// sentence. Only attention depends on sentence boundaries; it iterates
+// segment offsets over the packed q/k/v, reusing one per-worker head
+// workspace instead of re-slicing allocations.
 //
 // All intermediates live in an InferScratch arena recycled through the
-// encoder's sync.Pool, so steady-state batched inference performs no
-// heap allocations beyond the returned token states (one backing
-// array per call, shared by the per-sentence views).
+// encoder's sync.Pool, so steady-state inference performs no heap
+// allocations beyond the returned token states (one backing array per
+// call, shared by the per-sentence views).
 //
-// The identity contract extends Infer's: for every sentence in the
-// batch, InferBatch returns exactly the bytes Infer would, at every
-// batch composition and worker count. This holds by construction —
-// the nn kernels compute each output element with the same
+// The identity contract: at F64, for every sentence in the batch,
+// InferBatch returns exactly the bytes Forward(tokens, false) would, at
+// every batch composition and worker count. This holds by construction
+// — the nn kernels compute each output element with the same
 // floating-point operations in the same order whether a matrix holds
 // one sentence or fifty (dense rows are independent dot products with
 // ascending-k accumulation; layer norm and GELU are row- and
 // element-local), and the fused kernels in nn/fused.go are pinned
-// bit-identical to the unfused pairs they replace.
+// bit-identical to the layer forwards they replace.
 
 // InferScratch is a per-worker arena for packed batched inference. It
 // grows to the largest packed batch seen and is reused across calls;
@@ -57,32 +61,27 @@ type InferScratch struct {
 	qs nn.I8Scratch
 }
 
-// InferBatch encodes a batch of token sequences at the encoder's
-// active precision tier, returning one T×Dim matrix of contextual
-// token embeddings per sentence. At the default F64 tier the output is
-// byte-identical to calling Infer on each sentence, but packed into
-// large fused kernels over a recycled scratch arena; the reduced tiers
+// InferBatch encodes a batch of token sequences at precision tier p,
+// returning one T×Dim matrix of contextual token embeddings per
+// sentence. At F64 every matrix is byte-identical to
+// Forward(tokens, false) on that sentence, computed in large fused
+// kernels over a recycled scratch arena; the reduced tiers
 // (infer_batch32.go) trade that bit-identity for bandwidth under the
 // error bounds pinned in nn. Sequences longer than MaxLen are
-// truncated; empty sequences yield 0×Dim matrices. Concurrent
-// InferBatch (and Infer) calls on one Encoder are safe, including at
-// different tiers.
-func (e *Encoder) InferBatch(batch [][]string) []*nn.Matrix {
-	return e.InferBatchAt(batch, e.Precision())
-}
-
-// InferBatchAt encodes a batch at an explicit precision tier,
-// regardless of the encoder's configured default.
-func (e *Encoder) InferBatchAt(batch [][]string, prec nn.Precision) []*nn.Matrix {
+// truncated; empty sequences yield 0×Dim matrices. InferBatch writes
+// no encoder state, so concurrent calls on one Encoder are safe,
+// including at different tiers; Forward/Backward training must not run
+// at the same time.
+func (e *Encoder) InferBatch(batch [][]string, p nn.Precision) []*nn.Matrix {
 	s, _ := e.scratch.Get().(*InferScratch)
 	if s == nil {
 		s = new(InferScratch)
 	}
 	var out []*nn.Matrix
-	if prec == nn.F64 {
+	if p == nn.F64 {
 		out = e.inferPacked(batch, s)
 	} else {
-		out = e.inferPacked32(batch, s, prec)
+		out = e.inferPacked32(batch, s, p)
 	}
 	e.scratch.Put(s)
 	return out
@@ -90,8 +89,8 @@ func (e *Encoder) InferBatchAt(batch [][]string, prec nn.Precision) []*nn.Matrix
 
 // packEmbed fills s.offs with the packed row offsets of batch and
 // embeds every (truncated) sentence at its offset in s.x; positions
-// restart at every segment boundary, exactly as in the per-sentence
-// path. Returns the packed token count and the longest segment.
+// restart at every segment boundary, exactly as Forward numbers them.
+// Returns the packed token count and the longest segment.
 // Embedding always runs in f64 — it is a sparse gather/accumulate, not
 // a GEMM, so the reduced tiers share it and downconvert the result.
 func (e *Encoder) packEmbed(batch [][]string, s *InferScratch) (n, maxT int) {

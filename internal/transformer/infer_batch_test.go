@@ -52,9 +52,10 @@ func assertBitIdentical(t *testing.T, got, want *nn.Matrix, label string) {
 	}
 }
 
-// TestInferBatchIdentityRagged pins InferBatch to per-sentence Infer
-// bit for bit across ragged batches that include empty sentences,
-// single tokens, and sentences at (and beyond) MaxLen.
+// TestInferBatchIdentityRagged pins InferBatch at F64 to the training
+// forward of every sentence bit for bit across ragged batches that
+// include empty sentences, single tokens, and sentences at (and beyond)
+// MaxLen.
 func TestInferBatchIdentityRagged(t *testing.T) {
 	cfg := tinyConfig()
 	enc := NewEncoder(cfg)
@@ -75,12 +76,12 @@ func TestInferBatchIdentityRagged(t *testing.T) {
 		append(testSentences(13, 4), []string{}, long, overlong),
 	}
 	for bi, batch := range batches {
-		got := enc.InferBatch(batch)
+		got := enc.InferBatch(batch, nn.F64)
 		if len(got) != len(batch) {
 			t.Fatalf("batch %d: %d outputs for %d sentences", bi, len(got), len(batch))
 		}
 		for i, toks := range batch {
-			want := enc.Infer(toks)
+			want := enc.Forward(toks, false)
 			assertBitIdentical(t, got[i], want, fmt.Sprintf("batch %d sentence %d", bi, i))
 		}
 	}
@@ -88,20 +89,20 @@ func TestInferBatchIdentityRagged(t *testing.T) {
 
 // TestInferBatchIdentityAcrossCompositions verifies that a sentence's
 // output does not depend on what it is packed with: the same sentences
-// split into batches of 1, 4, and all-at-once must agree bit for bit.
+// split into batches of 1, 4, 7 and all-at-once must each equal the
+// sentence's own training forward bit for bit.
 func TestInferBatchIdentityAcrossCompositions(t *testing.T) {
 	enc := NewEncoder(tinyConfig())
 	sents := testSentences(24, 9)
-	whole := enc.InferBatch(sents)
-	for _, size := range []int{1, 4, 7} {
+	for _, size := range []int{1, 4, 7, len(sents)} {
 		for lo := 0; lo < len(sents); lo += size {
 			hi := lo + size
 			if hi > len(sents) {
 				hi = len(sents)
 			}
-			part := enc.InferBatch(sents[lo:hi])
+			part := enc.InferBatch(sents[lo:hi], nn.F64)
 			for i := range part {
-				assertBitIdentical(t, part[i], whole[lo+i],
+				assertBitIdentical(t, part[i], enc.Forward(sents[lo+i], false),
 					fmt.Sprintf("size %d chunk at %d sentence %d", size, lo, i))
 			}
 		}
@@ -109,15 +110,16 @@ func TestInferBatchIdentityAcrossCompositions(t *testing.T) {
 }
 
 // TestInferBatchIdentityConcurrent hammers one shared Encoder (and its
-// scratch pool) from many goroutines mixing InferBatch and Infer, and
-// checks every result against serial references. Run with -race this
-// doubles as the data-race smoke for the scratch arena recycling.
+// scratch pool) from many goroutines mixing batched and one-sentence
+// InferBatch calls, and checks every result against the serial
+// training forward. Run with -race this doubles as the data-race smoke
+// for the scratch arena recycling.
 func TestInferBatchIdentityConcurrent(t *testing.T) {
 	enc := NewEncoder(tinyConfig())
 	sents := testSentences(40, 77)
 	refs := make([]*nn.Matrix, len(sents))
 	for i, s := range sents {
-		refs[i] = enc.Infer(s)
+		refs[i] = enc.Forward(s, false)
 	}
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -133,19 +135,19 @@ func TestInferBatchIdentityConcurrent(t *testing.T) {
 					hi = len(sents)
 				}
 				if g%3 == 0 {
-					// Mix in the per-sentence path to interleave pool usage.
+					// Mix in one-sentence calls to interleave pool usage.
 					for i := lo; i < hi; i++ {
-						out := enc.Infer(sents[i])
+						out := enc.InferBatch(sents[i:i+1], nn.F64)[0]
 						for j := range out.Data {
 							if out.Data[j] != refs[i].Data[j] {
-								errs <- fmt.Errorf("goroutine %d: Infer sentence %d diverges", g, i)
+								errs <- fmt.Errorf("goroutine %d: lone sentence %d diverges", g, i)
 								return
 							}
 						}
 					}
 					continue
 				}
-				outs := enc.InferBatch(sents[lo:hi])
+				outs := enc.InferBatch(sents[lo:hi], nn.F64)
 				for i, out := range outs {
 					ref := refs[lo+i]
 					if out.Rows != ref.Rows {
@@ -208,7 +210,7 @@ func TestLayerNamesDeepStack(t *testing.T) {
 func TestEmbedInferFiniteOnEdgeTokens(t *testing.T) {
 	enc := NewEncoder(tinyConfig())
 	for _, tok := range []string{"", "a", "€", "^$", "…"} {
-		out := enc.Infer([]string{tok})
+		out := enc.InferBatch([][]string{{tok}}, nn.F64)[0]
 		for i, v := range out.Data {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("token %q: non-finite output at %d: %v", tok, i, v)
@@ -276,8 +278,9 @@ func benchSentences(n int) [][]string {
 	return base
 }
 
-// BenchmarkInferSerial measures the per-sentence inference path at the
-// small-scale pipeline's encoder size.
+// BenchmarkInferSerial measures the packed path fed one sentence per
+// call (what -infer-batch 0 runs) at the small-scale pipeline's encoder
+// size.
 func BenchmarkInferSerial(b *testing.B) {
 	cfg := Config{Dim: 24, Heads: 2, Layers: 2, FFDim: 48, MaxLen: 24,
 		VocabBuckets: 1024, CharBuckets: 256, Seed: 3}
@@ -286,24 +289,24 @@ func BenchmarkInferSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, s := range sents {
-			enc.Infer(s)
+		for j := range sents {
+			enc.InferBatch(sents[j:j+1], nn.F64)
 		}
 	}
 }
 
-// BenchmarkInferBatch measures the packed batched path over the same
+// BenchmarkInferBatch measures one 64-sentence call over the same
 // workload; steady state should show near-zero allocations per batch.
 func BenchmarkInferBatch(b *testing.B) {
 	cfg := Config{Dim: 24, Heads: 2, Layers: 2, FFDim: 48, MaxLen: 24,
 		VocabBuckets: 1024, CharBuckets: 256, Seed: 3}
 	enc := NewEncoder(cfg)
 	sents := benchSentences(64)
-	enc.InferBatch(sents) // grow the scratch arena once
+	enc.InferBatch(sents, nn.F64) // grow the scratch arena once
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc.InferBatch(sents)
+		enc.InferBatch(sents, nn.F64)
 	}
 }
 
@@ -324,12 +327,11 @@ func BenchmarkInferBatchTiers(b *testing.B) {
 		for _, p := range []nn.Precision{nn.F64, nn.F32, nn.I8} {
 			b.Run(fmt.Sprintf("%s/%s", level, p), func(b *testing.B) {
 				enc := NewEncoder(cfg)
-				enc.SetPrecision(p)
-				enc.InferBatch(sents)
+				enc.InferBatch(sents, p) // build the packs, grow the arena
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					enc.InferBatch(sents)
+					enc.InferBatch(sents, p)
 				}
 			})
 		}
@@ -349,17 +351,17 @@ func TestInferBatchTierISAStability(t *testing.T) {
 	defer nn.SetMatMulWorkers(0)
 
 	nn.SetMatMulWorkers(1)
-	f64Base := enc.InferBatchAt(sents, nn.F64)
+	f64Base := enc.InferBatch(sents, nn.F64)
 	for _, level := range nn.SupportedSIMDLevels() {
 		if err := nn.SetSIMD(level); err != nil {
 			t.Fatalf("SetSIMD(%s): %v", level, err)
 		}
 		for _, prec := range []nn.Precision{nn.F32, nn.I8} {
 			nn.SetMatMulWorkers(1)
-			base := enc.InferBatchAt(sents, prec)
+			base := enc.InferBatch(sents, prec)
 			for _, workers := range []int{2, 8} {
 				nn.SetMatMulWorkers(workers)
-				got := enc.InferBatchAt(sents, prec)
+				got := enc.InferBatch(sents, prec)
 				for i := range base {
 					assertBitIdentical(t, got[i], base[i],
 						fmt.Sprintf("%s/%s workers=%d sentence %d", level, prec, workers, i))
@@ -367,7 +369,7 @@ func TestInferBatchTierISAStability(t *testing.T) {
 			}
 		}
 		nn.SetMatMulWorkers(1)
-		f64Got := enc.InferBatchAt(sents, nn.F64)
+		f64Got := enc.InferBatch(sents, nn.F64)
 		for i := range f64Base {
 			assertBitIdentical(t, f64Got[i], f64Base[i],
 				fmt.Sprintf("%s/f64 sentence %d", level, i))

@@ -35,12 +35,12 @@ func TestInferBatchReducedPrecisionErrorBound(t *testing.T) {
 	batch := testSentences(12, 3)
 	batch = append(batch, nil, []string{}, []string{"one"},
 		testSentences(1, 9)[0], append(testSentences(1, 11)[0], testSentences(1, 13)[0]...))
-	want := enc.InferBatch(batch)
+	want := enc.InferBatch(batch, nn.F64)
 	for _, tc := range []struct {
 		prec  nn.Precision
 		bound float64
 	}{{nn.F32, 1e-4}, {nn.I8, 0.15}} {
-		got := enc.InferBatchAt(batch, tc.prec)
+		got := enc.InferBatch(batch, tc.prec)
 		if len(got) != len(want) {
 			t.Fatalf("%v: %d outputs, want %d", tc.prec, len(got), len(want))
 		}
@@ -56,24 +56,21 @@ func TestInferBatchReducedPrecisionErrorBound(t *testing.T) {
 	}
 }
 
-// TestInferMatchesInferBatchReduced pins the per-sentence Infer at a
-// reduced tier to the batched path: both must route through the same
-// packed kernels, so the results are bit-identical within a tier.
+// TestInferMatchesInferBatchReduced pins, per tier, a sentence encoded
+// alone to the same sentence encoded inside a batch: the packed kernels
+// compute a row the same way whatever shares its matrix, so the results
+// are bit-identical within a tier — including the reduced ones, which
+// have no exact reference.
 func TestInferMatchesInferBatchReduced(t *testing.T) {
 	enc := NewEncoder(tinyConfig())
 	batch := testSentences(6, 5)
-	for _, prec := range []nn.Precision{nn.F32, nn.I8} {
-		enc.SetPrecision(prec)
-		if enc.Precision() != prec {
-			t.Fatalf("Precision() = %v after SetPrecision(%v)", enc.Precision(), prec)
-		}
-		fromBatch := enc.InferBatchAt(batch, prec)
-		for i, sent := range batch {
-			single := enc.Infer(sent)
-			assertBitIdentical(t, single, fromBatch[i], "reduced Infer vs batched "+prec.String())
+	for _, prec := range []nn.Precision{nn.F64, nn.F32, nn.I8} {
+		fromBatch := enc.InferBatch(batch, prec)
+		for i := range batch {
+			single := enc.InferBatch(batch[i:i+1], prec)[0]
+			assertBitIdentical(t, single, fromBatch[i], "lone vs batched "+prec.String())
 		}
 	}
-	enc.SetPrecision(nn.F64)
 }
 
 // TestInferBatchF64UnaffectedByTierMachinery pins the acceptance
@@ -84,13 +81,10 @@ func TestInferBatchF64UnaffectedByTierMachinery(t *testing.T) {
 	ref := NewEncoder(tinyConfig())
 	enc := NewEncoder(tinyConfig())
 	batch := testSentences(8, 7)
-	want := ref.InferBatch(batch)
-	enc.SetPrecision(nn.I8)
-	enc.InferBatch(batch) // populate packs, run the reduced path
-	enc.SetPrecision(nn.F32)
-	enc.InferBatch(batch)
-	enc.SetPrecision(nn.F64)
-	got := enc.InferBatch(batch)
+	want := ref.InferBatch(batch, nn.F64)
+	enc.InferBatch(batch, nn.I8) // populate packs, run the reduced path
+	enc.InferBatch(batch, nn.F32)
+	got := enc.InferBatch(batch, nn.F64)
 	for i := range want {
 		assertBitIdentical(t, got[i], want[i], "f64 after tier churn")
 	}
@@ -106,7 +100,7 @@ func TestInferBatchMixedPrecisionConcurrent(t *testing.T) {
 	batch := testSentences(10, 17)
 	baseline := map[nn.Precision][]*nn.Matrix{}
 	for _, p := range []nn.Precision{nn.F64, nn.F32, nn.I8} {
-		baseline[p] = enc.InferBatchAt(batch, p)
+		baseline[p] = enc.InferBatch(batch, p)
 	}
 	const goroutines = 12
 	const iters = 8
@@ -118,7 +112,7 @@ func TestInferBatchMixedPrecisionConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				got := enc.InferBatchAt(batch, prec)
+				got := enc.InferBatch(batch, prec)
 				for i := range got {
 					want := baseline[prec][i]
 					for j := range want.Data {
