@@ -5,11 +5,16 @@
 
 GO ?= go
 
-.PHONY: all check vet build test race bench-module bench-smoke bench
+.PHONY: all check test-names vet build test race bench-module bench-smoke bench
 
 all: check
 
-check: vet build race bench-module bench-smoke
+check: test-names vet build race bench-module bench-smoke
+
+# A -run/-bench/-fuzz alternative that names a test which no longer
+# exists selects nothing and passes; fail on it, here and in CI.
+test-names:
+	./scripts/check_test_names.sh
 
 vet:
 	$(GO) vet ./...

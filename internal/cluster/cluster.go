@@ -106,109 +106,21 @@ func AgglomerativeWithLinkage(embs [][]float64, threshold float64, linkage Linka
 }
 
 // AgglomerativePool is AgglomerativeWithLinkage with the O(n²)
-// distance-matrix construction sharded over pool. The merge loop stays
-// serial, so merge order — and therefore the clustering — is unchanged
-// at any worker count.
+// distance-matrix construction sharded over pool: one Cluster call on a
+// fresh DistMatrix, so there is one merge loop. It stays serial, so
+// merge order — and therefore the clustering — is unchanged at any
+// worker count.
 func AgglomerativePool(embs [][]float64, threshold float64, linkage Linkage, pool *parallel.Pool) Result {
-	if len(embs) == 0 {
-		return Result{}
-	}
-	return agglomerate(PairwiseCosineDistances(embs, pool), threshold, linkage)
-}
-
-// agglomerate runs the serial merge loop over a pairwise distance
-// matrix, which it consumes (the Lance–Williams updates overwrite it).
-// Callers that keep a pristine matrix must pass a copy.
-//
-// Pair selection replays the textbook "scan every pair, take the first
-// strict minimum" order through a per-row nearest-neighbour cache:
-// rowmin[i]/nnIdx[i] hold the smallest dist[i][j] over active j > i
-// (first j on ties), so each merge selects in O(n) instead of O(n²)
-// and only rows whose cached neighbour was touched by the merge are
-// rescanned. Comparisons are strict < with the same scan order as the
-// naive double loop, so the merge sequence — and therefore the
-// clustering — is bit-identical to it (the test suite checks this
-// against a reference implementation). It always starts from
-// singletons, which makes it the oracle DistMatrix.Cluster's replay is
-// tested against.
-func agglomerate(dist [][]float64, threshold float64, linkage Linkage) Result {
-	n := len(dist)
-	if n == 0 {
-		return Result{}
-	}
-	active := make([]bool, n)
-	size := make([]int, n)
-	parent := make([]int, n)
-	rowmin := make([]float64, n)
-	nnIdx := make([]int, n)
-	inf := math.Inf(1)
-	for i := range active {
-		active[i] = true
-		size[i] = 1
-		parent[i] = i
-	}
-	recompute := func(i int) {
-		rowmin[i], nnIdx[i] = inf, -1
-		row := dist[i]
-		for j := i + 1; j < n; j++ {
-			if active[j] && row[j] < rowmin[i] {
-				rowmin[i], nnIdx[i] = row[j], j
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		recompute(i)
-	}
-	for {
-		bi, best := -1, threshold
-		for i := 0; i < n; i++ {
-			if active[i] && rowmin[i] < best {
-				bi, best = i, rowmin[i]
-			}
-		}
-		if bi < 0 {
-			break
-		}
-		bj := nnIdx[bi]
-		// Merge bj into bi.
-		si, sj := float64(size[bi]), float64(size[bj])
-		for k := 0; k < n; k++ {
-			if !active[k] || k == bi || k == bj {
-				continue
-			}
-			d := lanceWilliams(linkage, dist[bi][k], dist[bj][k], si, sj)
-			dist[bi][k], dist[k][bi] = d, d
-		}
-		size[bi] += size[bj]
-		active[bj] = false
-		parent[bj] = bi
-		// Refresh the nearest-neighbour cache: the merged row changed
-		// everywhere, rows whose cached neighbour was bi or bj are
-		// stale, and other rows left of bi only need to check their
-		// updated distance to the merged cluster (ties prefer the
-		// smaller column, matching the naive scan order).
-		recompute(bi)
-		for r := 0; r < n; r++ {
-			if !active[r] || r == bi {
-				continue
-			}
-			if nnIdx[r] == bi || nnIdx[r] == bj {
-				recompute(r)
-			} else if r < bi {
-				if d := dist[r][bi]; d < rowmin[r] || (d == rowmin[r] && bi < nnIdx[r]) {
-					rowmin[r], nnIdx[r] = d, bi
-				}
-			}
-		}
-	}
-	return denseIDs(parent)
+	m := NewDistMatrix(threshold, linkage)
+	m.Grow(embs, pool)
+	return m.Cluster()
 }
 
 // lanceWilliams is the distance from a third cluster to the merge of
 // clusters i and j, given its distances dik and djk to each and their
-// sizes. It is the only copy of this arithmetic: agglomerate and both
-// halves of DistMatrix.Cluster call it, so they cannot compile to
-// different floating-point code (arm64 may fuse x*y+z).
+// sizes. It is the only copy of this arithmetic: both halves of
+// DistMatrix.Cluster call it, so they cannot compile to different
+// floating-point code (arm64 may fuse x*y+z).
 func lanceWilliams(linkage Linkage, dik, djk, si, sj float64) float64 {
 	switch linkage {
 	case SingleLinkage:
@@ -440,14 +352,21 @@ func (m *DistMatrix) merge(bi, bj int) int {
 	return pj
 }
 
-// mergeLoop is agglomerate's loop over the live list: it builds the
-// nearest-neighbour cache for the live clusters of the scratch state,
-// then selects, records and applies merges until none is closer than
-// the threshold. Selection order, tie-breaking and every floating-point
-// operation are agglomerate's; only the rows visited differ — merged
-// rows are skipped by not being listed rather than by a flag, and the
-// stale-neighbour sweep stops at bj, since a row's cached neighbour
-// lies to its right and so no row right of bj can point at bi or bj.
+// mergeLoop selects, records and applies merges over the live clusters
+// of the scratch state until none is closer than the threshold.
+//
+// Pair selection replays the textbook "scan every pair, take the first
+// strict minimum" order through a per-row nearest-neighbour cache:
+// rowmin[i]/nnIdx[i] hold the smallest d[i][j] over live j > i (first j
+// on ties), so each merge selects in O(n) instead of O(n²) and only rows
+// whose cached neighbour was touched by the merge are rescanned.
+// Comparisons are strict < with the same scan order as the naive double
+// loop, so the merge sequence — and therefore the clustering — is
+// bit-identical to it (the test suite checks this against a reference
+// implementation). Merged rows are skipped by not being listed rather
+// than by a flag, and the stale-neighbour sweep stops at bj, since a
+// row's cached neighbour lies to its right and so no row right of bj can
+// point at bi or bj.
 func (m *DistMatrix) mergeLoop() {
 	s := &m.scratch
 	// recompute rescans the row at live position p for its nearest
@@ -480,6 +399,11 @@ func (m *DistMatrix) mergeLoop() {
 		bj := s.nnIdx[bi]
 		m.rec = append(m.rec, mergeStep{bi, bj, best})
 		pj := m.merge(bi, bj)
+		// Refresh the nearest-neighbour cache (merge did row bi): rows
+		// whose cached neighbour was bi or bj are stale, and other rows
+		// left of bi only need to check their updated distance to the
+		// merged cluster (ties prefer the smaller column, matching the
+		// naive scan order).
 		rowBi := m.row(bi) // symmetric: rowBi[r] == d[r][bi]
 		for p, r := range s.live[:pj] {
 			if p == pi {

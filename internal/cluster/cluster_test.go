@@ -241,18 +241,13 @@ func TestDistMatrixGrowNoop(t *testing.T) {
 	}
 }
 
-// naiveAgglomerate is the reference merge loop: a full O(n²) pair scan
-// per merge, exactly the implementation agglomerate's nearest-neighbour
-// cache replaced. Kept here to pin the cache to the reference merge
-// order bit for bit.
-func naiveAgglomerate(dist [][]float64, threshold float64, linkage Linkage) Result {
-	res, _ := naiveMerges(dist, threshold, linkage)
-	return res
-}
-
-// naiveMerges is naiveAgglomerate returning its merge sequence too, so
-// a test can compare merge order and heights, not only the partition
-// (which often survives a wrong order among tied pairs).
+// naiveMerges is the reference merge loop: a full O(n²) pair scan per
+// merge over a distance matrix it consumes, exactly the implementation
+// the nearest-neighbour cache of DistMatrix's merge loop replaced. Kept
+// here to pin the cache to the reference merge order bit for bit; it
+// returns its merge sequence too, so a test can compare merge order and
+// heights, not only the partition (which often survives a wrong order
+// among tied pairs).
 func naiveMerges(dist [][]float64, threshold float64, linkage Linkage) (Result, []mergeStep) {
 	n := len(dist)
 	if n == 0 {
@@ -327,19 +322,13 @@ func naiveMerges(dist [][]float64, threshold float64, linkage Linkage) (Result, 
 	return res, steps
 }
 
-// TestAgglomerateMatchesNaiveReference pins the nearest-neighbour-
-// cached merge loop to the naive full-scan reference across linkages,
-// thresholds and sizes — including distance matrices with exact ties,
-// where only identical tie-breaking keeps the merge order identical.
+// TestAgglomerateMatchesNaiveReference pins the public clustering
+// function — a fresh DistMatrix and its nearest-neighbour-cached merge
+// loop — to the naive full-scan reference across linkages, thresholds
+// and sizes, including distance matrices with exact ties, where only
+// identical tie-breaking keeps the merge order identical.
 func TestAgglomerateMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	copyOf := func(d [][]float64) [][]float64 {
-		cp := make([][]float64, len(d))
-		for i := range d {
-			cp[i] = append([]float64(nil), d[i]...)
-		}
-		return cp
-	}
 	for _, n := range []int{1, 2, 3, 7, 20, 45} {
 		for _, quantized := range []bool{false, true} {
 			// Quantized distances produce frequent exact ties.
@@ -354,11 +343,10 @@ func TestAgglomerateMatchesNaiveReference(t *testing.T) {
 				}
 				embs[i] = v
 			}
-			dist := PairwiseCosineDistances(embs, nil)
-			for _, linkage := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
+			for _, linkage := range allLinkages {
 				for _, th := range []float64{0.05, 0.3, 0.75, 1.5} {
-					got := agglomerate(copyOf(dist), th, linkage)
-					want := naiveAgglomerate(copyOf(dist), th, linkage)
+					got := AgglomerativeWithLinkage(embs, th, linkage)
+					want, _ := naiveMerges(PairwiseCosineDistances(embs, nil), th, linkage)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("n=%d quantized=%v linkage=%s th=%.2f: cached merge loop diverged from naive reference\ngot  %+v\nwant %+v",
 							n, quantized, linkage, th, got, want)

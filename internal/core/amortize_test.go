@@ -58,7 +58,7 @@ func compareCycles(t *testing.T, name string, got, want []cycleSnapshot) {
 
 // TestCachedMatchesUncachedBatchEngine compares multi-cycle
 // ProcessBatch runs with amortization on against the scratch
-// recomputation, across ablation modes and worker counts.
+// recomputation, across worker counts.
 func TestCachedMatchesUncachedBatchEngine(t *testing.T) {
 	g := trainedGlobalizer(t)
 	origWorkers := g.Workers()
@@ -77,7 +77,7 @@ func TestCachedMatchesUncachedBatchEngine(t *testing.T) {
 		got := runCycles(g, test.Sentences, 25, true, workers, nil)
 		compareCycles(t, "ModeFull cached", got, ref)
 
-		st := g.AmortStats()
+		st := g.amort.stats
 		if st.Sentences != len(test.Sentences) {
 			t.Fatalf("stats saw %d sentences, want %d", st.Sentences, len(test.Sentences))
 		}
@@ -88,22 +88,13 @@ func TestCachedMatchesUncachedBatchEngine(t *testing.T) {
 			t.Fatalf("final cycle re-scanned all %d sentences — scan cache never engaged", st.Sentences)
 		}
 	}
-
-	// Remaining global modes: cached parallel run against the uncached
-	// serial reference.
-	for _, mode := range []Mode{ModeLocalEmbeddings, ModeMentionExtraction} {
-		mode := mode
-		modeAt := func(int) Mode { return mode }
-		ref := runCycles(g, test.Sentences, 25, false, 1, modeAt)
-		got := runCycles(g, test.Sentences, 25, true, 4, modeAt)
-		compareCycles(t, mode.String(), got, ref)
-	}
 }
 
-// TestCachedModeSwitchMidStream switches ablation modes between cycles
-// of one continuous run: cached surface outcomes encode the mode they
-// were computed at, so a switch must invalidate them — the output must
-// still match the scratch recomputation exactly.
+// TestCachedModeSwitchMidStream runs ablation cycles in the middle of
+// one continuous cached run. The amortizer holds ModeFull state only,
+// so those cycles take the scratch recomputation and leave it stale —
+// they, and the ModeFull cycles that revalidate after them, must match
+// the scratch run exactly.
 func TestCachedModeSwitchMidStream(t *testing.T) {
 	g := trainedGlobalizer(t)
 	origWorkers := g.Workers()
@@ -115,6 +106,8 @@ func TestCachedModeSwitchMidStream(t *testing.T) {
 	test := smallStream("amortmode", 80, 59)
 	modeAt := func(cycle int) Mode {
 		switch cycle {
+		case 1:
+			return ModeMentionExtraction
 		case 2:
 			return ModeLocalEmbeddings
 		default:
@@ -124,6 +117,38 @@ func TestCachedModeSwitchMidStream(t *testing.T) {
 	ref := runCycles(g, test.Sentences, 20, false, 1, modeAt)
 	got := runCycles(g, test.Sentences, 20, true, 4, modeAt)
 	compareCycles(t, "mode switch", got, ref)
+}
+
+// TestBatchRepeatsSentenceKey feeds a cycle whose batch holds one
+// sentence key twice: the second occurrence replaces a record the same
+// batch added, at a position the per-sentence table must already have.
+// The stream keeps one record for the key, and the run — that cycle and
+// the ones after it — matches the scratch run, which sees the same batch.
+func TestBatchRepeatsSentenceKey(t *testing.T) {
+	g := trainedGlobalizer(t)
+	origWorkers := g.Workers()
+	defer func() {
+		g.SetWorkers(origWorkers)
+		g.setCaching(true)
+	}()
+
+	test := smallStream("amortdup", 80, 67)
+	dup := *test.Sentences[27]
+	dup.Tokens = test.Sentences[5].Tokens
+	sents := append(append(append([]*types.Sentence(nil), test.Sentences[:30]...), &dup), test.Sentences[30:]...)
+
+	ref := runCycles(g, sents, 20, false, 1, nil)
+	if got, want := g.TweetBase().Len(), len(test.Sentences); got != want {
+		t.Fatalf("stream holds %d records, want %d: the repeated key adds none", got, want)
+	}
+	got := runCycles(g, sents, 20, true, 4, nil)
+	compareCycles(t, "repeated key", got, ref)
+	if got, want := len(g.amort.rows), len(test.Sentences); got != want {
+		t.Fatalf("table holds %d rows for %d records", got, want)
+	}
+	if rec := g.TweetBase().Get(dup.Key()); !reflect.DeepEqual(rec.Sentence.Tokens, dup.Tokens) {
+		t.Fatal("the key's record is not the batch's last occurrence")
+	}
 }
 
 // TestCachedMatchesUncachedEMD covers the EMD Globalizer comparison
@@ -161,22 +186,30 @@ func TestLateSurfaceInvalidatesScanCache(t *testing.T) {
 	s1 := &types.Sentence{TweetID: 2, Tokens: []string{"alpha", "beta", "gamma"}}
 	s2 := &types.Sentence{TweetID: 3, Tokens: []string{"talk", "about", "new", "york", "city"}}
 
+	// extract runs one cycle's rescan pass and returns the cached scans
+	// concatenated in stream order.
 	extract := func(batch []*types.Sentence, newSurfaces [][]string) []types.Mention {
 		for _, s := range batch {
 			g.tweetBase.Add(&stream.Record{Sentence: s})
 		}
+		g.amort.grow(g.tweetBase.Len())
 		for _, toks := range newSurfaces {
 			g.trie.Insert(toks)
 		}
-		return g.amort.extract(g, batch, newSurfaces)
+		g.amort.rescanPass(g, newSurfaces)
+		var out []types.Mention
+		for _, row := range g.amort.rows {
+			out = append(out, row.scan...)
+		}
+		return out
 	}
 	// fullRescan is the ground truth: every sentence against the full
 	// trie, concatenated in stream order.
 	fullRescan := func() []types.Mention {
 		var want []types.Mention
-		for _, r := range g.tweetBase.Records() {
+		g.tweetBase.Each(func(r *stream.Record) {
 			want = append(want, mention.Extract(r.Sentence, g.trie, r.LocalEntities)...)
-		}
+		})
 		return want
 	}
 
@@ -198,7 +231,7 @@ func TestLateSurfaceInvalidatesScanCache(t *testing.T) {
 	if st := g.amort.stats; st.Sentences != 2 || st.Rescanned != 1 {
 		t.Fatalf("cycle 2: rescanned %d of %d sentences, want 1 of 2", st.Rescanned, st.Sentences)
 	}
-	s1Scan := g.amort.scans[s1.Key()]
+	s1Scan := g.amort.rows[1].scan
 
 	// Cycle 3: "new york city" arrives late. Its first token occurs in
 	// s0, so s0 must be re-scanned — the longer surface now shadows the
@@ -224,7 +257,7 @@ func TestLateSurfaceInvalidatesScanCache(t *testing.T) {
 	if !sawLong {
 		t.Fatal("cycle 3: s0 was not re-scanned against the late surface")
 	}
-	if &g.amort.scans[s1.Key()][0] != &s1Scan[0] {
+	if &g.amort.rows[1].scan[0] != &s1Scan[0] {
 		t.Fatal("cycle 3: s1 was re-scanned although the filter should have skipped it")
 	}
 }

@@ -402,15 +402,6 @@ func (g *Globalizer) ProcessBatch(batch []*types.Sentence, mode Mode) map[types.
 	return g.tweetBase.FinalEntityMap()
 }
 
-// ProcessBatchEntities consumes one execution cycle exactly like
-// ProcessBatch but returns entities for the batch's sentences only,
-// skipping the whole-stream entity map build — the shape serving paths
-// want, since /annotate answers for the submitted tweets.
-func (g *Globalizer) ProcessBatchEntities(batch []*types.Sentence, mode Mode) map[types.SentenceKey][]types.Entity {
-	g.runCycle(batch, nil, mode)
-	return g.batchEntities(batch, mode)
-}
-
 // TagBatch runs Local NER tagging — the encoder forward and BIO decode
 // — over a batch without touching stream state. Fleet routers
 // partition this stage across shards: per-sentence results are
@@ -425,17 +416,23 @@ func (g *Globalizer) TagBatch(batch []*types.Sentence) []*localner.Result {
 	return g.Tagger.RunBatch(toks, g.pool, g.prec)
 }
 
-// ProcessTagged consumes one execution cycle with externally supplied
-// tag results (index-aligned with batch, e.g. shipped from another
-// shard that ran TagBatch), returning entities for the batch's
-// sentences. Byte-identical to ProcessBatchEntities when the results
-// came from an identically configured engine.
+// ProcessTagged consumes one execution cycle exactly like ProcessBatch
+// but returns entities for the batch's sentences only, skipping the
+// whole-stream entity map build — the shape serving paths want, since
+// /annotate answers for the submitted tweets. tagged, when non-nil,
+// supplies the batch's tag results (index-aligned with batch, e.g.
+// shipped from another shard that ran TagBatch) instead of tagging
+// here; the cycle is byte-identical either way when they came from an
+// identically configured engine.
 func (g *Globalizer) ProcessTagged(batch []*types.Sentence, tagged []*localner.Result, mode Mode) map[types.SentenceKey][]types.Entity {
 	g.runCycle(batch, tagged, mode)
 	return g.batchEntities(batch, mode)
 }
 
-// runCycle is the shared cycle body of the ProcessBatch variants.
+// runCycle is the shared cycle body of ProcessBatch and ProcessTagged.
+// The amortizer holds the complete pipeline's state only, so a cycle at
+// an ablation mode — like every cycle with caching off — recomputes the
+// global phase from scratch.
 func (g *Globalizer) runCycle(batch []*types.Sentence, tagged []*localner.Result, mode Mode) {
 	tr := g.o.beginCycle()
 	t0 := g.o.now()
@@ -449,14 +446,14 @@ func (g *Globalizer) runCycle(batch []*types.Sentence, tagged []*localner.Result
 		g.o.cycleDone(tr, t0, g.tweetBase.Len(), 0)
 		return
 	}
-	if g.uncached {
+	if g.uncached || mode != ModeFull {
 		g.candBase = stream.NewCandidateBase()
 		g.globalPhase(mode, tr)
 		// The amortizer did not see this cycle's outputs; the next
 		// amortized cycle revalidates and republishes everything.
 		g.amort.markStale()
 	} else {
-		g.amortizedGlobalPhase(batch, newSurfaces, mode, tr)
+		g.amortizedGlobalPhase(newSurfaces, tr)
 	}
 	g.o.cycleDone(tr, t0, g.tweetBase.Len(), g.candBase.Len())
 }
@@ -510,14 +507,17 @@ func (g *Globalizer) applyTagged(batch []*types.Sentence, results []*localner.Re
 	var newSurfaces [][]string
 	for i, s := range batch {
 		r := results[i]
-		if g.tweetBase.Get(s.Key()) != nil {
-			g.amort.invalidateSentence(s.Key())
+		if pos := g.tweetBase.IndexOf(s.Key()); pos >= 0 {
+			g.amort = g.amort.recordReplaced(pos)
 		}
 		g.tweetBase.Add(&stream.Record{
 			Sentence:      s,
 			LocalEntities: r.Entities,
 			Embeddings:    r.Embeddings,
 		})
+		// Per record, not per batch: a key the batch itself repeats is
+		// replaced at a position the batch added.
+		g.amort.grow(g.tweetBase.Len())
 		for _, e := range r.Entities {
 			if e.End <= len(r.Tokens) {
 				toks := r.Tokens[e.Start:e.End]
@@ -543,7 +543,8 @@ type surfaceOutcome struct {
 	cands   []*stream.Candidate
 	// members holds, index-aligned with cands, each candidate's member
 	// indices into the surface's mention pool — the form warm-state
-	// captures store. Immutable once set.
+	// captures store (so only outcomeFromEmbeddings, the one producer of
+	// captured outcomes, fills it). Immutable once set.
 	members [][]int
 	typed   []types.Mention
 }
@@ -613,70 +614,59 @@ func (g *Globalizer) processSurface(surface string, ms []types.Mention, mode Mod
 		o.stageEmbed.Observe(time.Since(te).Seconds())
 	}
 
+	if mode == ModeLocalEmbeddings {
+		return g.classifyEachMention(surface, ms, embs)
+	}
+
 	// Step 3: candidate cluster generation (Section V-C). The O(n²)
 	// distance matrix row-shards over the pool; the merge loop inside
 	// stays serial so merge order is unchanged.
-	var clustering cluster.Result
-	if mode != ModeLocalEmbeddings {
-		tc := o.now()
-		clustering = cluster.AgglomerativePool(embs, g.cfg.ClusterThreshold, cluster.AverageLinkage, g.pool)
-		o.clusteringDone(tc, len(embs), clustering.Count, 0)
+	tc := o.now()
+	clustering := cluster.AgglomerativePool(embs, g.cfg.ClusterThreshold, cluster.AverageLinkage, g.pool)
+	o.clusteringDone(tc, len(embs), clustering.Count, 0)
+	return g.outcomeFromEmbeddings(surface, ms, embs, clustering, nil)
+}
+
+// classifyEachMention is the "+local embeddings" ablation's step 4:
+// every mention is classified from its own local embedding, with no
+// clustering or pooling, and becomes a candidate of its own.
+func (g *Globalizer) classifyEachMention(surface string, ms []types.Mention, embs [][]float64) surfaceOutcome {
+	oc := surfaceOutcome{surface: surface}
+	for i, m := range ms {
+		tc := g.o.now()
+		et, conf := g.classify([][]float64{embs[i]})
+		if g.o != nil {
+			g.o.stageClassify.Observe(time.Since(tc).Seconds())
+			g.o.clustersClassified.Inc()
+		}
+		m.Type = et
+		oc.cands = append(oc.cands, &stream.Candidate{
+			Surface: surface, ClusterID: i,
+			Mentions:   []types.Mention{m},
+			Embs:       [][]float64{embs[i]},
+			Type:       et,
+			Confidence: conf,
+		})
+		if et != types.None {
+			oc.typed = append(oc.typed, m)
+		}
 	}
-	return g.outcomeFromEmbeddings(surface, ms, embs, mode, clustering, nil)
+	return oc
 }
 
 // outcomeFromEmbeddings runs Global NER step 4 (global pooling +
 // Entity Classifier, Section V-D) over already-embedded mentions and
-// an already-computed clustering. It is the shared tail of the
-// recompute and amortized paths, so the two stay equivalent by
-// construction. clustering is ignored at ModeLocalEmbeddings.
+// an already-computed clustering. It is the shared tail of the scratch
+// and amortized paths, so the two stay equivalent by construction.
 //
 // ccache, when non-nil, memoizes per-cluster verdicts by membership
 // signature: over an append-only mention pool, a cluster's global
 // embedding, type and confidence are pure functions of its member
 // index set, so a dirty surface only re-classifies the clusters the
-// new mentions actually reshaped. The uncached path passes nil and
+// new mentions actually reshaped. The scratch path passes nil and
 // recomputes everything.
-func (g *Globalizer) outcomeFromEmbeddings(surface string, ms []types.Mention, embs [][]float64, mode Mode, clustering cluster.Result, ccache map[string]*clusterVerdict) surfaceOutcome {
+func (g *Globalizer) outcomeFromEmbeddings(surface string, ms []types.Mention, embs [][]float64, clustering cluster.Result, ccache map[string]*clusterVerdict) surfaceOutcome {
 	oc := surfaceOutcome{surface: surface}
-
-	if mode == ModeLocalEmbeddings {
-		// Ablation: classify every mention from its own local
-		// embedding, no clustering or pooling.
-		for i, m := range ms {
-			idxs := []int{i}
-			key := clusterKey(idxs)
-			v := ccache[key]
-			if v == nil {
-				tc := g.o.now()
-				et, conf := g.classify([][]float64{embs[i]})
-				if g.o != nil {
-					g.o.stageClassify.Observe(time.Since(tc).Seconds())
-					g.o.clustersClassified.Inc()
-				}
-				v = &clusterVerdict{et: et, conf: conf}
-				if ccache != nil {
-					ccache[key] = v
-				}
-			} else if g.o != nil {
-				g.o.verdictCacheHits.Inc()
-			}
-			m.Type = v.et
-			oc.members = append(oc.members, idxs)
-			oc.cands = append(oc.cands, &stream.Candidate{
-				Surface: surface, ClusterID: i,
-				Mentions:   []types.Mention{m},
-				Embs:       [][]float64{embs[i]},
-				Type:       v.et,
-				Confidence: v.conf,
-			})
-			if v.et != types.None {
-				oc.typed = append(oc.typed, m)
-			}
-		}
-		return oc
-	}
-
 	for cid, idxs := range clustering.Members() {
 		cand := &stream.Candidate{Surface: surface, ClusterID: cid}
 		for _, i := range idxs {

@@ -239,11 +239,9 @@ func (o *pipeObs) cycleDone(tr *obs.Trace, t0 time.Time, streamSentences, candid
 	tr.End()
 }
 
-// publishAmort mirrors the most recent cycle's AmortStats onto the
-// registry gauges — the registry is where operators read them; the
-// AmortStats accessor keeps serving the same numbers to existing
-// callers.
-func (o *pipeObs) publishAmort(st AmortStats) {
+// publishAmort mirrors the most recent cycle's amortStats onto the
+// registry gauges, where operators read them.
+func (o *pipeObs) publishAmort(st amortStats) {
 	if o == nil {
 		return
 	}

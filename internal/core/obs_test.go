@@ -73,7 +73,7 @@ func TestObserverRecordsPipelineActivity(t *testing.T) {
 	g.ProcessBatch(sents[:30], ModeFull)
 
 	s := reg.Snapshot()
-	st := g.AmortStats()
+	st := g.amort.stats
 
 	if got := s.Counters["ner_cycles_total"]; got != 5 {
 		t.Fatalf("ner_cycles_total = %d, want 5", got)
@@ -112,12 +112,12 @@ func TestObserverRecordsPipelineActivity(t *testing.T) {
 	if s.Counters["ner_scan_cache_hits_total"] <= 0 {
 		t.Error("scan cache recorded no hits over a warm replay")
 	}
-	// AmortStats and the registry gauges are the same numbers.
+	// The amortizer's stats and the registry gauges are the same numbers.
 	if got := s.Gauges["ner_amort_sentences"]; got != int64(st.Sentences) {
-		t.Errorf("ner_amort_sentences = %d, AmortStats.Sentences = %d", got, st.Sentences)
+		t.Errorf("ner_amort_sentences = %d, amort.stats.Sentences = %d", got, st.Sentences)
 	}
 	if got := s.Gauges["ner_amort_reused"]; got != int64(st.Reused) {
-		t.Errorf("ner_amort_reused = %d, AmortStats.Reused = %d", got, st.Reused)
+		t.Errorf("ner_amort_reused = %d, amort.stats.Reused = %d", got, st.Reused)
 	}
 	if got := s.Gauges["ner_stream_sentences"]; got != int64(g.TweetBase().Len()) {
 		t.Errorf("ner_stream_sentences = %d, TweetBase.Len = %d", got, g.TweetBase().Len())

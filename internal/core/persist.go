@@ -114,7 +114,7 @@ func (g *Globalizer) CaptureWarmState() *WarmState {
 	if ws.Amort != nil {
 		g.amort.arm(g.tweetBase.Len())
 	} else {
-		g.amort.disarm()
+		g.amort.track = nil
 	}
 	return ws
 }
@@ -132,15 +132,12 @@ func recordState(r *stream.Record) RecordState {
 }
 
 // amortCapturable reports whether the amortizer is in the clean state a
-// capture can flatten: caching on, last cycle at ModeFull, nothing
-// stale or dirty, and every bookkeeping counter level with the stream
-// and trie.
+// capture can flatten: caching on, nothing stale or dirty, and every
+// bookkeeping counter level with the stream and trie.
 func (g *Globalizer) amortCapturable() bool {
 	a := g.amort
-	return !g.uncached && a.haveMode && a.lastMode == ModeFull && !a.stale &&
-		len(a.dirty) == 0 && len(a.finalDirty) == 0 &&
-		a.scannedLen == g.tweetBase.Len() && a.trieLen == g.trie.Len() &&
-		len(a.surfaces) == len(a.pools)
+	return !g.uncached && !a.stale && len(a.dirty) == 0 && len(a.finalDirty) == 0 &&
+		a.scannedLen == g.tweetBase.Len() && a.trieLen == g.trie.Len()
 }
 
 // candStates flattens a surface outcome's candidate clusters.
@@ -161,22 +158,18 @@ func candStates(oc *surfaceOutcome) []CandState {
 	return out
 }
 
-// embedLess orders cached embeddings the way a capture lists them:
-// stream order of the sentence, then span.
-func embedLess(a, b *MentionEmbed, pos func(types.SentenceKey) int) bool {
-	if a.Key != b.Key {
-		return pos(a.Key) < pos(b.Key)
+// spanLess orders the spans of one sentence the way a capture lists
+// its embeddings.
+func spanLess(a, b types.Span) bool {
+	if a.Start != b.Start {
+		return a.Start < b.Start
 	}
-	if a.Span.Start != b.Span.Start {
-		return a.Span.Start < b.Span.Start
-	}
-	return a.Span.End < b.Span.End
+	return a.End < b.End
 }
 
 // captureAmort flattens the amortizer, or returns nil when its state is
-// not cleanly capturable (see amortCapturable) or shows any internal
-// inconsistency. nil is always safe — restore falls back to a cold
-// amortizer over warm records.
+// not cleanly capturable (see amortCapturable). nil is always safe —
+// restore falls back to a cold amortizer over warm records.
 func (g *Globalizer) captureAmort() *AmortState {
 	a := g.amort
 	if !g.amortCapturable() {
@@ -186,54 +179,38 @@ func (g *Globalizer) captureAmort() *AmortState {
 		ScannedLen:   a.scannedLen,
 		TrieLen:      a.trieLen,
 		MentionCount: a.mentionCount,
-		Mode:         int(a.lastMode),
+		Mode:         int(ModeFull),
+		Scans:        make([]ScanState, len(a.rows)),
 	}
-	keys := g.tweetBase.Keys()
-	as.Scans = make([]ScanState, 0, len(keys))
-	for _, key := range keys {
-		ms, ok := a.scans[key]
-		if !ok {
-			return nil
+	// The table is in stream order: scans and embeddings (spans
+	// ascending within a sentence) come out in it, so snapshot bytes are
+	// deterministic for a given engine state.
+	for p := range a.rows {
+		row := &a.rows[p]
+		key := g.tweetBase.At(p).Sentence.Key()
+		as.Scans[p] = ScanState{Key: key, Mentions: row.scan}
+		first := len(as.Embeds)
+		for sp, vec := range row.embeds {
+			as.Embeds = append(as.Embeds, MentionEmbed{Key: key, Span: sp, Vec: vec})
 		}
-		as.Scans = append(as.Scans, ScanState{Key: key, Mentions: ms})
+		if es := as.Embeds[first:]; len(es) > 1 {
+			sort.Slice(es, func(i, j int) bool { return spanLess(es[i].Span, es[j].Span) })
+		}
 	}
 
-	surfs := make([]string, 0, len(a.pools))
-	for s := range a.pools {
+	surfs := make([]string, 0, len(a.surfaces))
+	for s := range a.surfaces {
 		surfs = append(surfs, s)
 	}
 	sort.Strings(surfs)
-	as.Surfaces = make([]SurfaceState, 0, len(surfs))
-	for _, s := range surfs {
+	as.Surfaces = make([]SurfaceState, len(surfs))
+	for i, s := range surfs {
 		sa := a.surfaces[s]
-		pool := a.pools[s]
-		if sa == nil || !mentionsEqual(sa.mentions, pool) {
-			return nil
-		}
-		as.Surfaces = append(as.Surfaces, SurfaceState{
-			Surface: s, Pool: pool, Skip: sa.outcome.skip, Cands: candStates(&sa.outcome),
-		})
-	}
-
-	// Flatten the embedding cache in stream order, spans ascending, so
-	// snapshot bytes are deterministic for a given engine state.
-	a.embeds.mu.RLock()
-	for _, key := range keys {
-		bySpan := a.embeds.m[key]
-		first := len(as.Embeds)
-		for sp, vec := range bySpan {
-			as.Embeds = append(as.Embeds, MentionEmbed{Key: key, Span: sp, Vec: vec})
-		}
-		if len(bySpan) > 1 {
-			sortEmbeds(as.Embeds[first:], g.tweetBase.IndexOf)
+		as.Surfaces[i] = SurfaceState{
+			Surface: s, Pool: sa.pool, Skip: sa.outcome.skip, Cands: candStates(&sa.outcome),
 		}
 	}
-	a.embeds.mu.RUnlock()
 	return as
-}
-
-func sortEmbeds(es []MentionEmbed, pos func(types.SentenceKey) int) {
-	sort.Slice(es, func(i, j int) bool { return embedLess(&es[i], &es[j], pos) })
 }
 
 // SurfaceDelta is one surface form's rewritten amortization state
@@ -284,8 +261,8 @@ type WarmDelta struct {
 // CaptureWarmDelta flattens what changed since the previous capture
 // (full or delta) in time proportional to the change, and restarts
 // change tracking from here. It returns nil when a delta cannot express
-// the change — no previous capture holds the amortizer state, caching
-// was off for a cycle, the amortizer went stale or switched modes, a
+// the change — no previous capture holds the amortizer state, a cycle
+// ran outside the amortized path (caching off, an ablation mode), a
 // sentence was replaced, or the amortizer is not cleanly capturable
 // right now; the caller then takes a full CaptureWarmState. Same
 // locking contract as CaptureWarmState.
@@ -301,36 +278,36 @@ func (g *Globalizer) CaptureWarmDelta() *WarmDelta {
 		ScannedLen:   a.scannedLen,
 		TrieLen:      a.trieLen,
 		MentionCount: a.mentionCount,
-		Mode:         int(a.lastMode),
+		Mode:         int(ModeFull),
 	}
 	for _, toks := range t.surfaces {
 		d.Surfaces = append(d.Surfaces, types.CanonicalSurface(toks))
 	}
 	sort.Strings(d.Surfaces)
 
-	older := func(marked map[types.SentenceKey]bool) []types.SentenceKey {
-		keys := make([]types.SentenceKey, 0, len(marked))
-		for key := range marked {
-			if tb.IndexOf(key) < t.baseLen {
-				keys = append(keys, key)
+	// older lists the marked positions the previous capture holds, in
+	// stream order.
+	older := func(marked map[int]bool) []int {
+		ps := make([]int, 0, len(marked))
+		for p := range marked {
+			if p < t.baseLen {
+				ps = append(ps, p)
 			}
 		}
-		sort.Slice(keys, func(i, j int) bool { return tb.IndexOf(keys[i]) < tb.IndexOf(keys[j]) })
-		return keys
+		sort.Ints(ps)
+		return ps
 	}
-	for _, key := range older(t.finals) {
-		d.Finals = append(d.Finals, ScanState{Key: key, Mentions: tb.Get(key).FinalMentions})
+	for _, p := range older(t.finals) {
+		r := tb.At(p)
+		d.Finals = append(d.Finals, ScanState{Key: r.Sentence.Key(), Mentions: r.FinalMentions})
 	}
-	for _, key := range older(t.scans) {
-		d.Scans = append(d.Scans, ScanState{Key: key, Mentions: a.scans[key]})
+	for _, p := range older(t.scans) {
+		d.Scans = append(d.Scans, ScanState{Key: tb.At(p).Sentence.Key(), Mentions: a.rows[p].scan})
 	}
-	for _, key := range tb.KeysFrom(t.baseLen) {
-		ms, ok := a.scans[key]
-		if !ok {
-			return nil
-		}
-		d.Records = append(d.Records, recordState(tb.Get(key)))
-		d.Scans = append(d.Scans, ScanState{Key: key, Mentions: ms})
+	for p := t.baseLen; p < tb.Len(); p++ {
+		r := tb.At(p)
+		d.Records = append(d.Records, recordState(r))
+		d.Scans = append(d.Scans, ScanState{Key: r.Sentence.Key(), Mentions: a.rows[p].scan})
 	}
 
 	surfs := make([]string, 0, len(t.pools))
@@ -339,16 +316,9 @@ func (g *Globalizer) CaptureWarmDelta() *WarmDelta {
 	}
 	sort.Strings(surfs)
 	for _, s := range surfs {
-		sa, pool, kept := a.surfaces[s], a.pools[s], t.pools[s]
-		// The outcome must stand on the pool as it is now: the very
-		// slice the last recomputation ran over (nothing is dirty, so
-		// the pool was not spliced since).
-		if sa == nil || kept > len(pool) || len(sa.mentions) != len(pool) ||
-			(len(pool) > 0 && &sa.mentions[0] != &pool[0]) {
-			return nil
-		}
+		sa, kept := a.surfaces[s], t.pools[s]
 		d.Pools = append(d.Pools, SurfaceDelta{
-			Surface: s, PoolFrom: kept, Pool: pool[kept:],
+			Surface: s, PoolFrom: kept, Pool: sa.pool[kept:],
 			Skip: sa.outcome.skip, Cands: candStates(&sa.outcome),
 		})
 	}
@@ -357,10 +327,19 @@ func (g *Globalizer) CaptureWarmDelta() *WarmDelta {
 	}
 	sort.Strings(d.Deleted)
 
-	a.embeds.mu.RLock()
-	d.Embeds = a.embeds.added
-	a.embeds.mu.RUnlock()
-	sortEmbeds(d.Embeds, tb.IndexOf)
+	// Workers logged the stored embeddings in completion order; a
+	// capture lists them in stream order, then span.
+	sort.Slice(t.embeds, func(i, j int) bool {
+		if t.embeds[i].pos != t.embeds[j].pos {
+			return t.embeds[i].pos < t.embeds[j].pos
+		}
+		return spanLess(t.embeds[i].span, t.embeds[j].span)
+	})
+	for _, e := range t.embeds {
+		d.Embeds = append(d.Embeds, MentionEmbed{
+			Key: tb.At(e.pos).Sentence.Key(), Span: e.span, Vec: a.rows[e.pos].embeds[e.span],
+		})
+	}
 
 	a.arm(tb.Len())
 	return d
@@ -376,6 +355,9 @@ func (ws *WarmState) Apply(d *WarmDelta) error {
 	as := ws.Amort
 	if as == nil {
 		return fmt.Errorf("core: warm delta applied to a state without amortizer caches")
+	}
+	if d.Mode != int(ModeFull) {
+		return fmt.Errorf("core: warm delta carries mode %d, the amortizer only runs %d (%v)", d.Mode, int(ModeFull), ModeFull)
 	}
 	if d.BaseRecords != len(ws.Records) || len(as.Scans) != len(ws.Records) {
 		return fmt.Errorf("core: warm delta extends a state of %d records, this one has %d (%d scanned)",
@@ -403,7 +385,7 @@ func (ws *WarmState) Apply(d *WarmDelta) error {
 		ws.Records[i].Final = f.Mentions
 	}
 
-	as.ScannedLen, as.TrieLen, as.MentionCount, as.Mode = d.ScannedLen, d.TrieLen, d.MentionCount, d.Mode
+	as.ScannedLen, as.TrieLen, as.MentionCount = d.ScannedLen, d.TrieLen, d.MentionCount
 	for _, sc := range d.Scans {
 		i, ok := pos[sc.Key]
 		switch {
@@ -438,7 +420,12 @@ func (ws *WarmState) Apply(d *WarmDelta) error {
 			return fmt.Errorf("core: warm delta embeds a mention of unknown sentence %v", d.Embeds[i].Key)
 		}
 	}
-	as.Embeds = mergeOrdered(as.Embeds, d.Embeds, func(a, b *MentionEmbed) bool { return embedLess(a, b, at) })
+	as.Embeds = mergeOrdered(as.Embeds, d.Embeds, func(a, b *MentionEmbed) bool {
+		if a.Key != b.Key {
+			return at(a.Key) < at(b.Key)
+		}
+		return spanLess(a.Span, b.Span)
+	})
 	return nil
 }
 
@@ -525,6 +512,7 @@ func (g *Globalizer) RestoreWarmState(ws *WarmState) error {
 			FinalMentions: rs.Final,
 		})
 	}
+	g.amort.grow(g.tweetBase.Len())
 	if ws.Amort == nil {
 		// No cache state: the next cycle re-derives everything from the
 		// records and trie (byte-identical, once-off full-recompute cost).
@@ -543,25 +531,29 @@ func (g *Globalizer) restoreAmort(as *AmortState) error {
 	if as.TrieLen != g.trie.Len() {
 		return fmt.Errorf("core: warm state trie length %d, rebuilt trie has %d", as.TrieLen, g.trie.Len())
 	}
+	if as.Mode != int(ModeFull) {
+		return fmt.Errorf("core: warm state caches outcomes of mode %d, the amortizer only runs %d (%v)", as.Mode, int(ModeFull), ModeFull)
+	}
 	if len(as.Scans) != g.tweetBase.Len() {
 		return fmt.Errorf("core: warm state has %d scans for %d sentences", len(as.Scans), g.tweetBase.Len())
 	}
-	for i := range as.Scans {
-		key := as.Scans[i].Key
-		if g.tweetBase.Get(key) == nil {
-			return fmt.Errorf("core: warm state scans unknown sentence %v", key)
+	for p := range as.Scans {
+		if key := g.tweetBase.At(p).Sentence.Key(); as.Scans[p].Key != key {
+			return fmt.Errorf("core: warm state scan %d is of sentence %v, the stream holds %v there", p, as.Scans[p].Key, key)
 		}
-		a.scans[key] = as.Scans[i].Mentions
+		a.rows[p].scan = as.Scans[p].Mentions
 	}
 	a.indexTokens(g.tweetBase)
 	for i := range as.Embeds {
 		e := &as.Embeds[i]
-		bySpan := a.embeds.m[e.Key]
-		if bySpan == nil {
-			bySpan = make(map[types.Span][]float64)
-			a.embeds.m[e.Key] = bySpan
+		p := g.tweetBase.IndexOf(e.Key)
+		if p < 0 {
+			return fmt.Errorf("core: warm state embeds a mention of unknown sentence %v", e.Key)
 		}
-		bySpan[e.Span] = e.Vec
+		if a.rows[p].embeds == nil {
+			a.rows[p].embeds = make(map[types.Span][]float64)
+		}
+		a.rows[p].embeds[e.Span] = e.Vec
 	}
 
 	for i := range as.Surfaces {
@@ -570,12 +562,11 @@ func (g *Globalizer) restoreAmort(as *AmortState) error {
 			return fmt.Errorf("core: warm state pools unowned surface %q", st.Surface)
 		}
 		pool := st.Pool
-		a.pools[st.Surface] = pool
-		sa := g.newSurfaceAmort()
-		sa.mentions = pool
+		sa := g.newSurfaceAmort(st.Surface)
+		sa.pool, sa.mentions = pool, pool
+		a.surfaces[st.Surface] = sa
 		if st.Skip {
 			sa.outcome = surfaceOutcome{surface: st.Surface, skip: true}
-			a.surfaces[st.Surface] = sa
 			continue
 		}
 		// Re-derive the pool's embeddings through the (just restored)
@@ -583,6 +574,9 @@ func (g *Globalizer) restoreAmort(as *AmortState) error {
 		// cycle, which is pure over these exact float bits.
 		sa.embs = make([][]float64, len(pool))
 		for j := range pool {
+			if g.tweetBase.IndexOf(pool[j].Key) < 0 {
+				return fmt.Errorf("core: warm state pools a mention of unknown sentence %v under %q", pool[j].Key, st.Surface)
+			}
 			sa.embs[j] = g.embedMention(pool[j])
 		}
 		oc := surfaceOutcome{surface: st.Surface}
@@ -613,15 +607,10 @@ func (g *Globalizer) restoreAmort(as *AmortState) error {
 		}
 		sa.outcome = oc
 		sa.typedBySent = typedBySentence(oc.typed)
-		a.surfaces[st.Surface] = sa
 		g.candBase.SetClusters(st.Surface, oc.cands)
 	}
 
-	a.scannedLen = as.ScannedLen
 	a.trieLen = as.TrieLen
 	a.mentionCount = as.MentionCount
-	a.lastMode = Mode(as.Mode)
-	a.haveMode = true
-	a.stale = false
 	return nil
 }

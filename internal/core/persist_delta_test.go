@@ -195,7 +195,7 @@ func TestWarmDeltaRefusesWhatItCannotExpress(t *testing.T) {
 	g := trainedGlobalizer(t)
 	e := g.WithClusterThreshold(g.Config().ClusterThreshold)
 	batches := stream.Batches(smallStream("persist-delta-nil", 90, 97).Sentences, 10)
-	cycle := func(i int) { e.ProcessBatchEntities(batches[i], ModeFull) }
+	cycle := func(i int) { e.ProcessTagged(batches[i], nil, ModeFull) }
 
 	cycle(0)
 	if e.CaptureWarmDelta() != nil {
@@ -237,7 +237,7 @@ func TestWarmDeltaRefusesWhatItCannotExpress(t *testing.T) {
 
 	// A replaced sentence drops every derived structure.
 	dup := *batches[0][0]
-	e.ProcessBatchEntities([]*types.Sentence{&dup}, ModeFull)
+	e.ProcessTagged([]*types.Sentence{&dup}, nil, ModeFull)
 	if e.CaptureWarmDelta() != nil {
 		t.Fatal("delta captured across a replaced sentence")
 	}
@@ -256,5 +256,21 @@ func TestWarmDeltaRefusesWhatItCannotExpress(t *testing.T) {
 	// A delta only extends the state it was captured against.
 	if err := base.Apply(d); err == nil {
 		t.Fatal("a delta applied twice must be rejected")
+	}
+
+	// The replaced record left the stream where the scratch run over the
+	// same cycles leaves it.
+	ref := g.WithClusterThreshold(g.Config().ClusterThreshold)
+	ref.setCaching(false)
+	for i := 0; i <= 4; i++ {
+		ref.ProcessTagged(batches[i], nil, ModeFull)
+	}
+	ref.ProcessTagged([]*types.Sentence{&dup}, nil, ModeFull)
+	ref.ProcessTagged(batches[5], nil, ModeFull)
+	if !reflect.DeepEqual(ref.tweetBase.FinalEntityMap(), e.tweetBase.FinalEntityMap()) {
+		t.Fatal("final entity map after a replaced record differs from the scratch run")
+	}
+	if !reflect.DeepEqual(ref.candBase.All(), e.candBase.All()) {
+		t.Fatal("candidate base after a replaced record differs from the scratch run")
 	}
 }

@@ -27,7 +27,7 @@ func TestWarmStateResumeByteIdentical(t *testing.T) {
 	var refAnswers []map[types.SentenceKey][]types.Entity
 	var ws, merged *WarmState
 	for i, b := range batches {
-		refAnswers = append(refAnswers, g.ProcessBatchEntities(b, ModeFull))
+		refAnswers = append(refAnswers, g.ProcessTagged(b, nil, ModeFull))
 		if i == half/2-1 {
 			merged = g.CaptureWarmState()
 		}
@@ -58,7 +58,7 @@ func TestWarmStateResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := half; i < len(batches); i++ {
-		got := g.ProcessBatchEntities(batches[i], ModeFull)
+		got := g.ProcessTagged(batches[i], nil, ModeFull)
 		if !reflect.DeepEqual(refAnswers[i], got) {
 			t.Fatalf("batch %d answers diverged after warm resume", i)
 		}
@@ -71,7 +71,7 @@ func TestWarmStateResumeByteIdentical(t *testing.T) {
 	}
 	// The first resumed cycle must actually be warm: only the new batch
 	// re-scans, not the whole restored stream.
-	if st := g.AmortStats(); st.Rescanned >= st.Sentences {
+	if st := g.amort.stats; st.Rescanned >= st.Sentences {
 		t.Fatalf("resume ran cold: rescanned %d of %d", st.Rescanned, st.Sentences)
 	}
 
@@ -82,7 +82,7 @@ func TestWarmStateResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := half; i < len(batches); i++ {
-		got := g.ProcessBatchEntities(batches[i], ModeFull)
+		got := g.ProcessTagged(batches[i], nil, ModeFull)
 		if !reflect.DeepEqual(refAnswers[i], got) {
 			t.Fatalf("batch %d answers diverged after cold-amort resume", i)
 		}
@@ -118,7 +118,7 @@ func TestWarmResumeReclustersWithoutRecording(t *testing.T) {
 		var ws *WarmState
 		var merges, replayed int64
 		for i := from; i < len(batches); i++ {
-			c := cycle{answers: g.ProcessBatchEntities(batches[i], ModeFull)}
+			c := cycle{answers: g.ProcessTagged(batches[i], nil, ModeFull)}
 			cs := reg.Snapshot().Counters
 			c.merges = cs["ner_cluster_merges_total"] - merges
 			c.replayed = cs["ner_cluster_merges_replayed_total"] - replayed
@@ -163,7 +163,7 @@ func TestWarmResumeReclustersWithoutRecording(t *testing.T) {
 func TestWarmStateRejectsMismatchedEngine(t *testing.T) {
 	g := trainedGlobalizer(t)
 	g.Reset()
-	g.ProcessBatchEntities(smallStream("persist-guard", 10, 92).Sentences, ModeFull)
+	g.ProcessTagged(smallStream("persist-guard", 10, 92).Sentences, nil, ModeFull)
 	ws := g.CaptureWarmState()
 
 	bad := *ws
@@ -175,6 +175,33 @@ func TestWarmStateRejectsMismatchedEngine(t *testing.T) {
 	bad.ShardCount = 4
 	if err := g.RestoreWarmState(&bad); err == nil {
 		t.Fatal("shard-ownership mismatch accepted")
+	}
+	// The amortizer caches the complete pipeline's outcomes only; a
+	// capture or a delta that claims another mode is not one of ours.
+	bad = *ws
+	amort := *ws.Amort
+	amort.Mode = int(ModeLocalEmbeddings)
+	bad.Amort = &amort
+	if err := g.RestoreWarmState(&bad); err == nil {
+		t.Fatal("amortizer state of an ablation mode accepted")
+	}
+	if err := ws.Apply(&WarmDelta{BaseRecords: len(ws.Records), Mode: int(ModeMentionExtraction)}); err == nil {
+		t.Fatal("delta of an ablation mode accepted")
+	}
+	// A pooled mention must be of a sentence the state holds.
+	bad = *ws
+	amort = *ws.Amort
+	amort.Surfaces = append([]SurfaceState(nil), amort.Surfaces...)
+	for i := range amort.Surfaces {
+		if st := &amort.Surfaces[i]; !st.Skip && len(st.Pool) > 0 {
+			st.Pool = append([]types.Mention(nil), st.Pool...)
+			st.Pool[0].Key.TweetID = -7
+			break
+		}
+	}
+	bad.Amort = &amort
+	if err := g.RestoreWarmState(&bad); err == nil {
+		t.Fatal("pool over an unknown sentence accepted")
 	}
 	// The guards must not have wrecked the engine: a clean restore
 	// still works.
@@ -192,7 +219,7 @@ func TestCaptureWhileCachingDisabled(t *testing.T) {
 	g.Reset()
 	sents := smallStream("persist-nocache", 20, 93).Sentences
 	batches := stream.Batches(sents, 10)
-	ref := g.ProcessBatchEntities(batches[0], ModeFull)
+	ref := g.ProcessTagged(batches[0], nil, ModeFull)
 	ws := g.CaptureWarmState()
 	if ws.Amort != nil {
 		t.Fatal("cache-off capture produced amortizer state")
@@ -203,13 +230,13 @@ func TestCaptureWhileCachingDisabled(t *testing.T) {
 	// Replaying the same batch over the restored state must answer the
 	// same (idempotent re-ingestion is the fleet's replay contract).
 	_ = ref
-	got := g.ProcessBatchEntities(batches[1], ModeFull)
+	got := g.ProcessTagged(batches[1], nil, ModeFull)
 	g.setCaching(true)
 
 	// Against a from-scratch run of both batches.
 	g.Reset()
-	g.ProcessBatchEntities(batches[0], ModeFull)
-	want := g.ProcessBatchEntities(batches[1], ModeFull)
+	g.ProcessTagged(batches[0], nil, ModeFull)
+	want := g.ProcessTagged(batches[1], nil, ModeFull)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("cache-off capture/restore diverged from scratch run")
 	}

@@ -137,30 +137,29 @@ func TestPoolsMirrorGroups(t *testing.T) {
 	g.Reset()
 	for ci, b := range stream.Batches(test.Sentences, 15) {
 		g.ProcessBatch(b, ModeFull)
-		// Ground truth: flat rescan of every sentence, grouped.
-		var all []types.Mention
-		for _, key := range g.TweetBase().Keys() {
-			all = append(all, g.amort.scans[key]...)
-		}
+		// Ground truth: every sentence's scan in stream order, grouped.
 		want := make(map[string][]types.Mention)
-		for _, m := range all {
-			want[m.Surface] = append(want[m.Surface], m)
+		for _, row := range g.amort.rows {
+			for _, m := range row.scan {
+				want[m.Surface] = append(want[m.Surface], m)
+			}
 		}
-		if len(g.amort.pools) != len(want) {
-			t.Fatalf("cycle %d: %d pooled surfaces, want %d", ci, len(g.amort.pools), len(want))
+		if len(g.amort.surfaces) != len(want) {
+			t.Fatalf("cycle %d: %d pooled surfaces, want %d", ci, len(g.amort.surfaces), len(want))
 		}
 		for s, ms := range want {
-			if !mentionsEqual(g.amort.pools[s], ms) {
+			if sa := g.amort.surfaces[s]; sa == nil || !mentionsEqual(sa.pool, ms) {
 				t.Fatalf("cycle %d: pool for %q diverged from grouped extraction", ci, s)
 			}
 		}
 	}
 }
 
-// TestProcessBatchEntitiesMatchesProcessBatch pins the scoped serving
-// API: per-batch entities must be the exact per-key values of the full
-// entity map, on both cached and uncached paths.
-func TestProcessBatchEntitiesMatchesProcessBatch(t *testing.T) {
+// TestProcessTaggedScopedToBatch pins the scoped serving API: the
+// per-batch entities ProcessTagged returns must be the exact per-key
+// values of ProcessBatch's full entity map, on both cached and uncached
+// paths.
+func TestProcessTaggedScopedToBatch(t *testing.T) {
 	g := trainedGlobalizer(t)
 	defer g.setCaching(true)
 	test := smallStream("scoped", 60, 79)
@@ -174,7 +173,7 @@ func TestProcessBatchEntitiesMatchesProcessBatch(t *testing.T) {
 		}
 		g.Reset()
 		for ci, b := range stream.Batches(test.Sentences, 20) {
-			got := g.ProcessBatchEntities(b, ModeFull)
+			got := g.ProcessTagged(b, nil, ModeFull)
 			for _, s := range b {
 				want := full[ci][s.Key()]
 				if !reflect.DeepEqual(got[s.Key()], want) {
@@ -199,7 +198,7 @@ func TestProcessTaggedMatchesLocal(t *testing.T) {
 	g.Reset()
 	var want []map[types.SentenceKey][]types.Entity
 	for _, b := range batches {
-		want = append(want, g.ProcessBatchEntities(b, ModeFull))
+		want = append(want, g.ProcessTagged(b, nil, ModeFull))
 	}
 
 	g.Reset()

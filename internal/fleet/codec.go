@@ -211,7 +211,7 @@ func (q *CommitRequest) encode() ([]byte, error) {
 	w.U64(q.Seq)
 	durable.PutCycleSentences(w, q.Sentences)
 	putTags(w, q.Tagged)
-	w.I64(int(q.Mode))
+	w.I64(int(core.ModeFull))
 	return w.Buf, w.Err
 }
 
@@ -220,7 +220,9 @@ func (q *CommitRequest) decode(b []byte) error {
 	q.Seq = r.U64()
 	q.Sentences = durable.GetCycleSentences(r)
 	q.Tagged = getTags(r)
-	q.Mode = core.Mode(r.I64())
+	if mode := r.I64(); r.Err == nil && mode != int(core.ModeFull) {
+		r.Err = fmt.Errorf("mode slot holds %d, a commit is always %d (%v)", mode, int(core.ModeFull), core.ModeFull)
+	}
 	return finish(r, "commit request")
 }
 

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"nerglobalizer/internal/binenc"
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/nn"
@@ -35,8 +36,59 @@ func fuzzSampleCommit() *CommitRequest {
 			},
 			{Tokens: nil, Entities: nil, Emb: nil},
 		},
-		Mode: core.ModeFull,
 	}
+}
+
+// validSampleCommit is the sample with one embedding row per token, as
+// an engine 3 wide would have tagged it (the sample itself, whose bytes
+// are pinned, ships two rows for three tokens).
+func validSampleCommit() *CommitRequest {
+	q := fuzzSampleCommit()
+	q.Tagged[0].Emb = nn.NewMatrix(3, 3)
+	return q
+}
+
+// malformedCommits returns commits that decode cleanly and that the
+// engine must still never see, each named by what is wrong with it:
+// every way a frame can disagree with itself about what
+// core.applyTagged and the Phrase Embedder index. They are variations of
+// a well-formed commit — valid returns a fresh one on every call — at
+// its tag result at, which must carry an entity and have as many tokens
+// as its sentence.
+func malformedCommits(valid func() *CommitRequest, at int) map[string]*CommitRequest {
+	vary := func(edit func(q *CommitRequest, t *WireTag)) *CommitRequest {
+		q := valid()
+		edit(q, &q.Tagged[at])
+		return q
+	}
+	probe := valid().Tagged[at]
+	n, dim := len(probe.Tokens), probe.Emb.Cols
+	return map[string]*CommitRequest{
+		"no tag results":        vary(func(q *CommitRequest, _ *WireTag) { q.Tagged = nil }),
+		"fewer tags than sents": vary(func(q *CommitRequest, _ *WireTag) { q.Tagged = q.Tagged[:len(q.Tagged)-1] }),
+		"more tags than sents":  vary(func(q *CommitRequest, _ *WireTag) { q.Tagged = append(q.Tagged, WireTag{}) }),
+		"same sentence twice": vary(func(q *CommitRequest, t *WireTag) {
+			q.Sentences = append(append([]durable.CycleSentence(nil), q.Sentences...), q.Sentences[at])
+			q.Tagged = append(q.Tagged, *t)
+		}),
+		"more tokens than sent": vary(func(_ *CommitRequest, t *WireTag) {
+			t.Tokens = append(append([]string(nil), t.Tokens...), "x")
+			t.Emb = nn.NewMatrix(n+1, dim)
+		}),
+		"entity starts below 0":  vary(func(_ *CommitRequest, t *WireTag) { t.Entities[0].Start = -1 }),
+		"entity start after end": vary(func(_ *CommitRequest, t *WireTag) { t.Entities[0].Span = types.Span{Start: n, End: n - 1} }),
+		"entity ends past tag":   vary(func(_ *CommitRequest, t *WireTag) { t.Entities[0].End = n + 1 }),
+		"tokens, no embeddings":  vary(func(_ *CommitRequest, t *WireTag) { t.Emb = nil }),
+		"embedding rows short":   vary(func(_ *CommitRequest, t *WireTag) { t.Emb = nn.NewMatrix(n-1, dim) }),
+		"embedding too narrow":   vary(func(_ *CommitRequest, t *WireTag) { t.Emb = nn.NewMatrix(n, dim-1) }),
+	}
+}
+
+// withModeSlot re-writes the mode slot a commit body ends in.
+func withModeSlot(body []byte, mode core.Mode) []byte {
+	w := &binenc.Writer{Buf: append([]byte(nil), body[:len(body)-8]...)}
+	w.I64(int(mode))
+	return w.Buf
 }
 
 // sampleBodies returns one valid body of every kind the frame path
@@ -68,7 +120,9 @@ func sampleBodies(tb testing.TB) [][]byte {
 // fail to decode, but they must never panic the decoder — a malformed
 // peer must not be able to crash a shard or the router.
 func decodeAny(payload []byte) {
-	_ = new(CommitRequest).decode(payload)
+	if q := new(CommitRequest); q.decode(payload) == nil {
+		_ = q.validate(3)
+	}
 	_ = new(CommitResponse).decode(payload)
 	_ = new(TagRequest).decode(payload)
 	_ = new(TagResponse).decode(payload)
@@ -80,6 +134,14 @@ func FuzzWireCodecDecode(f *testing.F) {
 	for _, body := range sampleBodies(f) {
 		f.Add(body)
 	}
+	for _, q := range malformedCommits(validSampleCommit, 0) {
+		body, err := q.encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add(withModeSlot(sampleBodies(f)[1], core.ModeLocalEmbeddings))
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
@@ -106,6 +168,36 @@ func TestWireCodecMutationsNeverPanic(t *testing.T) {
 			decodeAny(mut)
 		}
 		decodeAny(raw[:i])
+	}
+}
+
+// TestCommitValidate pins the validator on the seeds the fuzz target
+// starts from: each malformed commit survives the codec and is refused
+// by name, the commit they vary is accepted, and a foreign mode slot
+// does not decode.
+func TestCommitValidate(t *testing.T) {
+	roundTrip := func(q *CommitRequest) *CommitRequest {
+		t.Helper()
+		body, err := q.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := new(CommitRequest)
+		if err := out.decode(body); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for name, q := range malformedCommits(validSampleCommit, 0) {
+		if err := roundTrip(q).validate(3); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if err := roundTrip(validSampleCommit()).validate(3); err != nil {
+		t.Errorf("well-formed commit refused: %v", err)
+	}
+	if err := new(CommitRequest).decode(withModeSlot(sampleBodies(t)[1], core.ModeLocalEmbeddings)); err == nil {
+		t.Error("a commit with an ablation mode in its mode slot decoded cleanly")
 	}
 }
 

@@ -191,7 +191,7 @@ func (r *Router) redriveShard(i int, target uint64, bySeq map[uint64]*durable.Cy
 		if err != nil {
 			return fmt.Errorf("fleet: router recovery: re-tag cycle %d: %w", seq, err)
 		}
-		req := &CommitRequest{Seq: seq, Sentences: cr.Sentences, Tagged: tagged, Mode: core.Mode(cr.Mode)}
+		req := &CommitRequest{Seq: seq, Sentences: cr.Sentences, Tagged: tagged}
 		for {
 			_, err = r.clients[i].Commit(req)
 			if err == nil {

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
 )
 
@@ -443,7 +442,7 @@ func TestRouterResumesParentDataDir(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := &CommitRequest{Seq: cr.Seq, Sentences: cr.Sentences, Tagged: tagged.Results, Mode: core.Mode(cr.Mode)}
+		req := &CommitRequest{Seq: cr.Seq, Sentences: cr.Sentences, Tagged: tagged.Results}
 		for _, c := range h.Router.clients {
 			if _, err := c.Commit(req); err != nil {
 				t.Fatal(err)

@@ -322,7 +322,7 @@ func TestFleetConcurrentIdentity(t *testing.T) {
 		replay = append(replay, &types.Sentence{TweetID: se.TweetID, SentID: se.SentID, Tokens: toks})
 	}
 	g.Reset()
-	final := g.ProcessBatchEntities(replay, core.ModeFull)
+	final := g.ProcessTagged(replay, nil, core.ModeFull)
 	for i, sent := range replay {
 		var wantEnts []server.EntityJSON
 		for _, e := range final[sent.Key()] {
@@ -645,7 +645,6 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			},
 			{},
 		},
-		Mode: core.ModeFull,
 	}
 	cresp := &CommitResponse{
 		Seq: 7,

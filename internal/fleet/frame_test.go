@@ -25,6 +25,7 @@ import (
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/tokenizer"
+	"nerglobalizer/internal/types"
 )
 
 // testCycles tokenizes a deterministic stream into one batch of
@@ -86,7 +87,7 @@ func TestShardFrameChecks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &CommitRequest{Seq: seq, Sentences: batch, Tagged: tagged.Results, Mode: core.ModeFull}
+		return &CommitRequest{Seq: seq, Sentences: batch, Tagged: tagged.Results}
 	}
 
 	t.Run("admission", func(t *testing.T) {
@@ -175,6 +176,52 @@ func TestShardFrameChecks(t *testing.T) {
 		}
 		if _, err := fc.br.ReadByte(); err != io.EOF {
 			t.Fatalf("after an oversized header the shard kept the connection: %v", err)
+		}
+	})
+
+	// Frames that decode cleanly and disagree with themselves about what
+	// the engine's replay indexes: each is a 400, none reaches the engine,
+	// and the connection and the shard carry on — the untouched commit
+	// still applies as cycle 1.
+	t.Run("malformed commits", func(t *testing.T) {
+		s, c := oneShard(t, nil)
+		valid := commitReq(t, c, 1)
+		first := -1 // a tag result with an entity, hence tokens and a matrix
+		for i := range valid.Tagged {
+			if len(valid.Tagged[i].Entities) > 0 {
+				first = i
+				break
+			}
+		}
+		if first < 0 {
+			t.Fatal("the first cycle tagged no entity: the case needs one to corrupt")
+		}
+		// A fresh copy as deep as the variations write.
+		fresh := func() *CommitRequest {
+			q := &CommitRequest{Seq: 1, Sentences: valid.Sentences, Tagged: append([]WireTag(nil), valid.Tagged...)}
+			q.Tagged[first].Entities = append([]types.Entity(nil), q.Tagged[first].Entities...)
+			return q
+		}
+		for name, q := range malformedCommits(fresh, first) {
+			if _, err := c.Commit(q); err == nil || !strings.Contains(err.Error(), "status 400") {
+				t.Fatalf("%s: %v, want status 400", name, err)
+			}
+		}
+		body, err := valid.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.CommitEncoded(withModeSlot(body, core.ModeLocalEmbeddings)); err == nil || !strings.Contains(err.Error(), "status 400") {
+			t.Fatalf("ablation mode in the mode slot: %v, want status 400", err)
+		}
+		if st := s.Status(); st.Seq != 0 || st.StreamSize != 0 {
+			t.Fatalf("refused commits moved the shard to seq %d, stream %d", st.Seq, st.StreamSize)
+		}
+		if _, err := c.CommitEncoded(body); err != nil {
+			t.Fatalf("the valid commit after the refusals: %v", err)
+		}
+		if open, _ := c.transportStatus(); open != 1 {
+			t.Fatalf("%d connections open, want the one reused after every 400", open)
 		}
 	})
 
@@ -271,7 +318,7 @@ func holdEngine(s *Shard) (release func()) {
 // expected to be refused before the body matters.
 func untaggedCommit(cycles [][]durable.CycleSentence, seq uint64) *CommitRequest {
 	batch := cycles[seq-1]
-	return &CommitRequest{Seq: seq, Sentences: batch, Tagged: make([]WireTag, len(batch)), Mode: core.ModeFull}
+	return &CommitRequest{Seq: seq, Sentences: batch, Tagged: make([]WireTag, len(batch))}
 }
 
 // TestShardIdleDeadline checks the shard hangs up a connection that
@@ -373,7 +420,7 @@ func TestFleetTagDuringCommit(t *testing.T) {
 			}
 			off := 0
 			for i, batch := range cycles {
-				req := &CommitRequest{Seq: uint64(i + 1), Sentences: batch, Tagged: want[off : off+len(batch)], Mode: core.ModeFull}
+				req := &CommitRequest{Seq: uint64(i + 1), Sentences: batch, Tagged: want[off : off+len(batch)]}
 				off += len(batch)
 				if _, err := c.Commit(req); err != nil {
 					t.Fatalf("commit %d: %v", i+1, err)
@@ -535,7 +582,7 @@ func TestShardSubmitsSnapshotWhenReplyFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := (&CommitRequest{Seq: 1, Sentences: batch, Tagged: tagged.Results, Mode: core.ModeFull}).encode()
+	body, err := (&CommitRequest{Seq: 1, Sentences: batch, Tagged: tagged.Results}).encode()
 	if err != nil {
 		t.Fatal(err)
 	}

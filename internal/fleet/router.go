@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/server"
@@ -314,7 +313,6 @@ func (r *Router) runCycle(jobs []*server.Job) {
 		Seq:       seq,
 		Sentences: batch,
 		Tagged:    tagged,
-		Mode:      core.ModeFull,
 	}
 	// One encode serves the whole fan-out: every shard receives the
 	// same bytes, so the router's serialization cost does not grow with

@@ -53,6 +53,9 @@ type Shard struct {
 
 	index, count int
 	settings     map[string]string
+	// dim is the engine's token-embedding width, which a commit's
+	// shipped matrices must have.
+	dim int
 
 	// admit bounds concurrently admitted mutating RPCs.
 	admitMu sync.Mutex
@@ -114,6 +117,7 @@ func NewShard(g *core.Globalizer, index, count int, settings map[string]string) 
 		index:    index,
 		count:    count,
 		settings: settings,
+		dim:      g.Config().Encoder.Dim,
 		admit:    make(chan struct{}, defaultShardAdmission),
 		conns:    make(map[net.Conn]struct{}),
 		idleWait: shardConnIdleTimeout,
@@ -379,12 +383,16 @@ func (s *Shard) serveCommit(body []byte, t0 time.Time) reply {
 		return failReply(statusConflict, "commit out of order: have "+strconv.FormatUint(have, 10)+
 			", got "+strconv.FormatUint(req.Seq, 10))
 	}
+	if err := req.validate(s.dim); err != nil {
+		s.mu.Unlock()
+		return failReply(statusBadRequest, err.Error())
+	}
 	// Ack-after-durable: the replica issues the WAL append under its
 	// engine lock and the durability wait happens after mu is released —
 	// the response still never outruns the shard's disk, but under
 	// fsync=group the next cycle can start on the engine while this
 	// cycle's flush completes.
-	out, err := s.rep.Apply(req.Sentences, ToResults(req.Tagged), req.Mode)
+	out, err := s.rep.Apply(req.Sentences, ToResults(req.Tagged))
 	if err != nil {
 		s.mu.Unlock()
 		return failReply(statusInternal, "durability failure: "+err.Error())

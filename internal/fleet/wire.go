@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"io"
 
-	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/localner"
 	"nerglobalizer/internal/nn"
@@ -114,7 +113,48 @@ type CommitRequest struct {
 	Seq       uint64
 	Sentences []durable.CycleSentence
 	Tagged    []WireTag
-	Mode      core.Mode
+}
+
+// validate checks a decoded commit against everything the engine's
+// replay of it indexes without looking (core.applyTagged, then the
+// Phrase Embedder over the stored matrices), so that a frame that is
+// well-formed but inconsistent is refused instead of panicking the frame
+// goroutine under the shard's locks: one tag result per sentence, no
+// sentence key twice (a router numbers every sentence once; a repeat
+// would replace a record of the very batch that adds it), no more tagged
+// tokens than the sentence has (the tagger truncates to the encoder's
+// MaxLen), entity spans inside the tagged tokens, and one dim-wide
+// embedding row per tagged token — no matrix only for a token-less
+// result.
+func (q *CommitRequest) validate(dim int) error {
+	if len(q.Tagged) != len(q.Sentences) {
+		return fmt.Errorf("fleet: commit %d carries %d tag results for %d sentences", q.Seq, len(q.Tagged), len(q.Sentences))
+	}
+	seen := make(map[types.SentenceKey]bool, len(q.Sentences))
+	for i := range q.Tagged {
+		key := types.SentenceKey{TweetID: q.Sentences[i].TweetID, SentID: q.Sentences[i].SentID}
+		if seen[key] {
+			return fmt.Errorf("fleet: commit %d carries sentence %d/%d twice", q.Seq, key.TweetID, key.SentID)
+		}
+		seen[key] = true
+		t := &q.Tagged[i]
+		n := len(t.Tokens)
+		if n > len(q.Sentences[i].Tokens) {
+			return fmt.Errorf("fleet: commit %d tag result %d has %d tokens, its sentence %d", q.Seq, i, n, len(q.Sentences[i].Tokens))
+		}
+		for _, e := range t.Entities {
+			if e.Start < 0 || e.Start > e.End || e.End > n {
+				return fmt.Errorf("fleet: commit %d tag result %d has an entity at [%d,%d) of %d tokens", q.Seq, i, e.Start, e.End, n)
+			}
+		}
+		switch {
+		case t.Emb == nil && n > 0:
+			return fmt.Errorf("fleet: commit %d tag result %d has %d tokens and no embeddings", q.Seq, i, n)
+		case t.Emb != nil && (t.Emb.Rows != n || t.Emb.Cols != dim):
+			return fmt.Errorf("fleet: commit %d tag result %d embeds %d tokens as %dx%d, want %dx%d", q.Seq, i, n, t.Emb.Rows, t.Emb.Cols, n, dim)
+		}
+	}
+	return nil
 }
 
 // CommitResponse returns the cycle's owned annotations for the batch

@@ -2,16 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates registered parameters from their accumulated
-// gradients and clears the gradients afterwards.
-type Optimizer interface {
-	// Step applies one update using the gradients currently accumulated
-	// in each parameter, then zeroes them.
-	Step()
-	// Register adds parameters to the optimizer's working set.
-	Register(params ...*Param)
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba, 2014), the optimizer
 // the paper uses for both the Phrase Embedder (lr 0.001) and the Entity
 // Classifier (lr 0.0015). WeightDecay applies decoupled L2 decay as the

@@ -61,8 +61,9 @@ const (
 	// SIMDSSE2 is the amd64 baseline assembly tier (4-wide f32,
 	// PMADDWD W8A16). Always available on amd64 (GOAMD64=v1).
 	SIMDSSE2
-	// SIMDAVX2 is the amd64 8-wide AVX2/FMA tier (the W8A16 GEMM keeps
-	// the SSE2 bodies). Requires AVX2+FMA and OS YMM state support.
+	// SIMDAVX2 is the amd64 8-wide AVX2/FMA tier (the W8A16 GEMM and
+	// the softmax passes keep the SSE2 bodies). Requires AVX2+FMA and OS
+	// YMM state support.
 	SIMDAVX2
 	// SIMDNEON is the arm64 baseline assembly tier (4-wide f32 via
 	// Advanced SIMD, SMLAL-based W8A16). Always available on arm64 —

@@ -8,8 +8,8 @@ package nn
 // Assembly bodies: simd_amd64.s (SSE2), simd_avx2_amd64.s (AVX2/FMA).
 //
 // Tiers are applied cumulatively by newKernelSet (simd.go): the AVX2
-// overlay inherits the SSE2 W8A16 bodies for the entry points it does
-// not replace.
+// overlay inherits the SSE2 bodies (W8A16, softmax) for the entry
+// points it does not replace.
 
 var archTiers = []simdTier{
 	{level: SIMDSSE2, supported: func() bool { return true }, apply: applySSE2},
@@ -38,14 +38,20 @@ func applyAVX2(ks *kernelSet) {
 	// The W8A16 kernels (i8r, i8r4) stay at the SSE2 bodies, inherited
 	// from the SSE2 overlay.
 	ks.gelu = geluVecAVX2
-	ks.exprow = expRowAVX2
+	// The three softmax passes (exprow, rowMax, vscale) stay at the SSE2
+	// bodies too. An attention row is as long as its sentence, and an
+	// 8-lane body covers nothing of a row under 8 tokens and leaves up
+	// to 7 lanes to the scalar tail above that, where the 4-lane bodies
+	// leave at most 3. Measured on the avx2-fma box, 8-lane bodies lost
+	// 10 of 10 alternated runs on rows of 2 to 10 tokens
+	// (BenchmarkKernelTiers softmax rows, the served length mix) and
+	// were level on rows of 8 to 20 tokens (42.3–44.5 µs SSE2 vs
+	// 43.5–46.9 µs AVX2), so no tweet length pays for them.
 	ks.axpy4 = axpy4AVX2
 	ks.axpy1 = axpy1AVX2
 	ks.lnSum = lnSumAVX2
 	ks.lnSq = lnSqAVX2
 	ks.lnAffine = lnAffineAVX2
-	ks.rowMax = rowMaxAVX2
-	ks.vscale = vscaleAVX2
 }
 
 // dotRows32SSE2 computes dst[j] = Σ_k a[k]·rows[j·len(a)+k] for every
@@ -236,23 +242,6 @@ func geluVecAVX2(dst, x []float32) int {
 	return n
 }
 
-// expRow8AVX2 is the eight-lane mirror of expRow4SSE2: deliberately
-// FMA-free so its per-element bits match the scalar exp32 (and the
-// SSE2 tier) exactly. len(x) must be a multiple of 8.
-//
-//go:noescape
-func expRow8AVX2(dst, x []float32, scale, max float32) float32
-
-// expRowAVX2 runs the 8-wide softmax exp over the largest 8-aligned
-// prefix; the caller finishes the tail with scalar exp32.
-func expRowAVX2(dst, x []float32, scale, max float32) (int, float32) {
-	n := len(x) &^ 7
-	if n == 0 {
-		return 0, 0
-	}
-	return n, expRow8AVX2(dst[:n], x[:n], scale, max)
-}
-
 // axpy4AVX2 is axpy4SSE2 with 8-wide VMULPS/VADDPS (deliberately no
 // FMA — the cross-tier bit-identity contract) and 4-wide + scalar
 // tails inside the kernel.
@@ -303,34 +292,6 @@ func lnAffineAVX2(o []float32, mean, inv float32, gamma, beta []float32) int {
 	n := len(o) &^ 7
 	if n > 0 {
 		lnAffine8AVX2(o[:n], mean, inv, gamma, beta)
-	}
-	return n
-}
-
-// rowMax8AVX2 is rowMax4SSE2 eight lanes at a time. len(x) must be a
-// non-zero multiple of 8.
-//
-//go:noescape
-func rowMax8AVX2(x []float32, scale float32) float32
-
-func rowMaxAVX2(x []float32, scale float32) (int, float32) {
-	n := len(x) &^ 7
-	if n == 0 {
-		return 0, 0
-	}
-	return n, rowMax8AVX2(x[:n], scale)
-}
-
-// vscale8AVX2 is vscale4SSE2 eight lanes at a time. len(o) must be a
-// multiple of 8.
-//
-//go:noescape
-func vscale8AVX2(o []float32, inv float32)
-
-func vscaleAVX2(o []float32, inv float32) int {
-	n := len(o) &^ 7
-	if n > 0 {
-		vscale8AVX2(o[:n], inv)
 	}
 	return n
 }

@@ -373,84 +373,6 @@ g8done:
 	VZEROUPPER
 	RET
 
-// 87.0 in float32 — |w| beyond this, exp32(w) flushes to zero.
-DATA expc8<>+0x00(SB)/8, $0x42ae000042ae0000
-DATA expc8<>+0x08(SB)/8, $0x42ae000042ae0000
-DATA expc8<>+0x10(SB)/8, $0x42ae000042ae0000
-DATA expc8<>+0x18(SB)/8, $0x42ae000042ae0000
-GLOBL expc8<>(SB), RODATA|NOPTR, $32
-
-// func expRow8AVX2(dst, x []float32, scale, max float32) float32
-//
-// Eight-lane mirror of expRow4SSE2: dst[i] = exp32(x[i]·scale − max)
-// with the sum of the written values returned. len(x) must be a
-// multiple of 8 and x[i]·scale ≤ max. Deliberately FMA-free so the
-// per-element bits match scalar exp32 (and the SSE2 tier) exactly;
-// only the returned sum's fold order differs.
-TEXT ·expRow8AVX2(SB), NOSPLIT, $0-60
-	MOVQ dst_base+0(FP), DI
-	MOVQ x_base+24(FP), SI
-	MOVQ x_len+32(FP), DX
-	VBROADCASTSS scale+48(FP), Y8
-	VBROADCASTSS max+52(FP), Y9
-	VXORPS Y10, Y10, Y10    // sum accumulator
-	SHRQ $3, DX
-	JZ   ex8done
-
-ex8loop:
-	VMOVUPS (SI), Y0
-	VMULPS  Y8, Y0, Y0      // v·scale
-	VSUBPS  Y9, Y0, Y0      // w = v·scale − max ≤ 0
-	// flush mask: w < −87 ⇔ −w > 87 (positive floats order as ints)
-	VXORPS  gelu8<>+0x060(SB), Y0, Y7
-	VPCMPGTD expc8<>+0x00(SB), Y7, Y7
-	// z = w·log₂e, n = floor(z), f = z − n (trunc-and-correct)
-	VMULPS  gelu8<>+0x0a0(SB), Y0, Y4
-	VCVTTPS2DQ Y4, Y5       // n = trunc(z)
-	VCVTDQ2PS Y5, Y6        // float(n)
-	VXORPS  gelu8<>+0x060(SB), Y4, Y2  // −z
-	VXORPS  gelu8<>+0x060(SB), Y6, Y1  // −float(n)
-	VPCMPGTD Y1, Y2, Y2     // z < float(n) → truncation rounded up
-	VPADDD  Y2, Y5, Y5      // n--
-	VCVTDQ2PS Y5, Y6
-	VSUBPS  Y6, Y4, Y4      // f = z − n ∈ [0,1)
-	// p ≈ 2^f: exp32's degree-6 Horner, no FMA
-	VMOVUPS gelu8<>+0x0c0(SB), Y1
-	VMULPS  Y4, Y1, Y1
-	VADDPS  gelu8<>+0x0e0(SB), Y1, Y1
-	VMULPS  Y4, Y1, Y1
-	VADDPS  gelu8<>+0x100(SB), Y1, Y1
-	VMULPS  Y4, Y1, Y1
-	VADDPS  gelu8<>+0x120(SB), Y1, Y1
-	VMULPS  Y4, Y1, Y1
-	VADDPS  gelu8<>+0x140(SB), Y1, Y1
-	VMULPS  Y4, Y1, Y1
-	VADDPS  gelu8<>+0x160(SB), Y1, Y1
-	VMULPS  Y4, Y1, Y1
-	VADDPS  gelu8<>+0x180(SB), Y1, Y1  // p
-	VPADDD  gelu8<>+0x1e0(SB), Y5, Y5
-	VPSLLD  $23, Y5, Y5     // float bits of 2^n
-	VMULPS  Y5, Y1, Y1      // e = p·2^n
-	VPANDN  Y1, Y7, Y1      // flush: ^mask & e
-	VMOVUPS Y1, (DI)
-	VADDPS  Y1, Y10, Y10
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	DECQ    DX
-	JNZ     ex8loop
-
-ex8done:
-	// fold before any 128-bit op touches the accumulator
-	VEXTRACTF128 $1, Y10, X1
-	VADDPS  X1, X10, X10
-	VPSHUFD $0x4E, X10, X1
-	VADDPS  X1, X10, X10
-	VPSHUFD $0x55, X10, X1
-	VADDSS  X1, X10, X10
-	VZEROUPPER
-	MOVSS   X10, ret+56(FP)
-	RET
-
 // func axpy4AVX2(dst, b []float32, stride int, av []float32)
 //
 // 8-wide saxpy over four rows — deliberately VMULPS+VADDPS, no FMA:
@@ -667,57 +589,5 @@ vlnaloop:
 	JMP     vlnaloop
 
 vlnadone:
-	VZEROUPPER
-	RET
-
-// func rowMax8AVX2(x []float32, scale float32) float32
-//
-// Returns max_j x[j]·scale — exact, max never reassociates (finite
-// inputs). len(x) must be a non-zero multiple of 8.
-TEXT ·rowMax8AVX2(SB), NOSPLIT, $0-36
-	MOVQ x_base+0(FP), SI
-	MOVQ x_len+8(FP), CX
-	VBROADCASTSS scale+24(FP), Y4
-	VMOVUPS (SI), Y0
-	VMULPS  Y4, Y0, Y0
-	MOVQ    $8, BX
-
-vrmloop:
-	CMPQ BX, CX
-	JGE  vrmfold
-	VMULPS (SI)(BX*4), Y4, Y1
-	VMAXPS Y1, Y0, Y0
-	ADDQ   $8, BX
-	JMP    vrmloop
-
-vrmfold:
-	VEXTRACTF128 $1, Y0, X1
-	VMAXPS  X1, X0, X0
-	VPSHUFD $0x4E, X0, X1
-	VMAXPS  X1, X0, X0
-	VPSHUFD $0x55, X0, X1
-	VMAXSS  X1, X0, X0
-	VMOVSS  X0, ret+32(FP)
-	VZEROUPPER
-	RET
-
-// func vscale8AVX2(o []float32, inv float32)
-//
-// o[j] *= inv in place. len(o) must be a multiple of 8.
-TEXT ·vscale8AVX2(SB), NOSPLIT, $0-28
-	MOVQ o_base+0(FP), DI
-	MOVQ o_len+8(FP), CX
-	VBROADCASTSS inv+24(FP), Y4
-	XORQ BX, BX
-
-vvsloop:
-	CMPQ BX, CX
-	JGE  vvsdone
-	VMULPS (DI)(BX*4), Y4, Y0
-	VMOVUPS Y0, (DI)(BX*4)
-	ADDQ   $8, BX
-	JMP    vvsloop
-
-vvsdone:
 	VZEROUPPER
 	RET

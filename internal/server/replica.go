@@ -131,19 +131,19 @@ type Applied struct {
 // WAL order is commit order — and an append failure trips the gate: the
 // stream has advanced past its disk, so acking this cycle or taking
 // another would let a restart silently drop it.
-func (r *Replica) Apply(sentences []durable.CycleSentence, tagged []*localner.Result, mode core.Mode) (Applied, error) {
+func (r *Replica) Apply(sentences []durable.CycleSentence, tagged []*localner.Result) (Applied, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if why, _ := r.gate.Unready(); why != "" {
 		return Applied{}, errors.New(why)
 	}
-	out := r.apply(r.seq+1, sentences, tagged, mode)
+	out := r.apply(r.seq+1, sentences, tagged)
 	if r.dl == nil {
 		return out, nil
 	}
 	wait, err := r.dl.AppendAsync(&durable.CycleRecord{
 		Seq:         out.Seq,
-		Mode:        int(mode),
+		Mode:        int(core.ModeFull),
 		Sentences:   sentences,
 		Annotations: out.Annotations,
 	})
@@ -159,9 +159,10 @@ func (r *Replica) Apply(sentences []durable.CycleSentence, tagged []*localner.Re
 	return out, nil
 }
 
-// apply is the cycle itself, live or replayed. Called under mu.
-func (r *Replica) apply(seq uint64, sentences []durable.CycleSentence, tagged []*localner.Result, mode core.Mode) Applied {
-	r.g.ProcessTagged(durable.ToSentences(sentences), tagged, mode)
+// apply is the cycle itself, live or replayed: always the complete
+// pipeline. Called under mu.
+func (r *Replica) apply(seq uint64, sentences []durable.CycleSentence, tagged []*localner.Result) Applied {
+	r.g.ProcessTagged(durable.ToSentences(sentences), tagged, core.ModeFull)
 	r.seq = seq
 	out := Applied{
 		Seq:         seq,
@@ -284,8 +285,11 @@ func (r *Replica) Replay(rec *durable.Recovery) (Applied, error) {
 	}
 	var last Applied
 	for _, cr := range rec.Tail {
+		if cr.Mode != int(core.ModeFull) {
+			return Applied{}, fmt.Errorf("server: logged cycle %d ran at mode %d, a replica only runs %d (%v)", cr.Seq, cr.Mode, int(core.ModeFull), core.ModeFull)
+		}
 		r.mu.Lock()
-		last = r.apply(cr.Seq, cr.Sentences, nil, core.Mode(cr.Mode))
+		last = r.apply(cr.Seq, cr.Sentences, nil)
 		r.mu.Unlock()
 		if !durable.AnnotationsEqual(last.Annotations, cr.Annotations) {
 			return Applied{}, fmt.Errorf("server: replay of cycle %d diverged from the logged annotations — model or configuration mismatch", cr.Seq)

@@ -95,7 +95,7 @@ func TestReplicaContract(t *testing.T) {
 				if row.shipped {
 					tagged = live.Tag(batch)
 				}
-				out, err := live.Apply(batch, tagged, core.ModeFull)
+				out, err := live.Apply(batch, tagged)
 				if err != nil {
 					t.Fatalf("cycle %d: %v", i+1, err)
 				}
@@ -148,7 +148,7 @@ func TestReplicaContract(t *testing.T) {
 			engine.Reset()
 			plain := NewReplica(engine, &durable.Gate{}, row.shard)
 			for i, batch := range cycles {
-				out, err := plain.Apply(batch, nil, core.ModeFull)
+				out, err := plain.Apply(batch, nil)
 				if err != nil || out.Wait != nil || out.Snapshot != nil {
 					t.Fatalf("cycle %d without a log: %+v, %v", i+1, out, err)
 				}
@@ -184,14 +184,14 @@ func TestReplicaContract(t *testing.T) {
 			if err := os.RemoveAll(dir); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := re.Apply(cycles[0], nil, core.ModeFull); err == nil {
+			if _, err := re.Apply(cycles[0], nil); err == nil {
 				t.Fatal("apply on a lost data dir succeeded")
 			}
 			if why, _ := gate.Unready(); why == "" {
 				t.Fatal("the failed append left the gate open")
 			}
 			seq := re.Seq()
-			if _, err := re.Apply(cycles[0], nil, core.ModeFull); err == nil || re.Seq() != seq {
+			if _, err := re.Apply(cycles[0], nil); err == nil || re.Seq() != seq {
 				t.Fatalf("apply after a failed append: %v, seq %d -> %d", err, seq, re.Seq())
 			}
 		})

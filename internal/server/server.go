@@ -217,7 +217,7 @@ func (s *Server) runCycle(jobs []*Job) {
 	s.cycles.Add(1)
 	batch, perJob, nextID := Batch(jobs, s.nextID)
 	s.nextID = nextID
-	out, err := s.rep.Apply(batch, nil, core.ModeFull)
+	out, err := s.rep.Apply(batch, nil)
 	if so := s.o.Load(); so != nil {
 		so.serverCycles.Inc()
 		so.sentsPerCycle.Observe(float64(len(batch)))

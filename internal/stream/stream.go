@@ -22,93 +22,76 @@ type Record struct {
 	FinalMentions []types.Mention
 }
 
-// TweetBase indexes records by (tweet ID, sentence ID), preserving
-// insertion order for deterministic iteration.
+// TweetBase holds the stream's records in arrival order. The stream is
+// append-only, so a record's position never changes — the engine's
+// per-sentence state is a table indexed by it — and one map from
+// sentence key to position serves the lookups by key.
 type TweetBase struct {
-	records map[types.SentenceKey]*Record
-	order   []types.SentenceKey
-	index   map[types.SentenceKey]int
+	records []*Record
+	pos     map[types.SentenceKey]int
 }
 
 // NewTweetBase returns an empty TweetBase.
 func NewTweetBase() *TweetBase {
-	return &TweetBase{
-		records: make(map[types.SentenceKey]*Record),
-		index:   make(map[types.SentenceKey]int),
-	}
+	return &TweetBase{pos: make(map[types.SentenceKey]int)}
 }
 
-// Add inserts or replaces the record for the sentence.
+// Add appends the record, or replaces the one its sentence key already
+// holds, which keeps its position.
 func (tb *TweetBase) Add(r *Record) {
 	key := r.Sentence.Key()
-	if _, exists := tb.records[key]; !exists {
-		tb.index[key] = len(tb.order)
-		tb.order = append(tb.order, key)
+	if i, exists := tb.pos[key]; exists {
+		tb.records[i] = r
+		return
 	}
-	tb.records[key] = r
+	tb.pos[key] = len(tb.records)
+	tb.records = append(tb.records, r)
 }
 
 // Get returns the record for key, or nil.
-func (tb *TweetBase) Get(key types.SentenceKey) *Record { return tb.records[key] }
+func (tb *TweetBase) Get(key types.SentenceKey) *Record {
+	if i, ok := tb.pos[key]; ok {
+		return tb.records[i]
+	}
+	return nil
+}
 
-// IndexOf returns the insertion position of key, or -1 when absent.
-// The amortizer's per-surface mention pools are ordered by this index,
-// so splicing one sentence's contribution is a binary search instead
-// of a stream walk.
+// IndexOf returns the stream position of key, or -1 when absent.
 func (tb *TweetBase) IndexOf(key types.SentenceKey) int {
-	if i, ok := tb.index[key]; ok {
+	if i, ok := tb.pos[key]; ok {
 		return i
 	}
 	return -1
 }
 
+// At returns the record at stream position i, 0 <= i < Len().
+func (tb *TweetBase) At(i int) *Record { return tb.records[i] }
+
 // Len returns the number of records.
-func (tb *TweetBase) Len() int { return len(tb.order) }
+func (tb *TweetBase) Len() int { return len(tb.records) }
 
-// Keys returns the record keys in insertion order.
+// Keys returns the record keys in stream order.
 func (tb *TweetBase) Keys() []types.SentenceKey {
-	return append([]types.SentenceKey(nil), tb.order...)
-}
-
-// KeysFrom returns the record keys at insertion positions [from, Len)
-// in insertion order. Records are append-only, so this is exactly the
-// set of sentences added since the caller last observed Len() — the
-// amortized rescan uses it to find never-scanned sentences without
-// walking the whole stream.
-func (tb *TweetBase) KeysFrom(from int) []types.SentenceKey {
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(tb.order) {
-		return nil
-	}
-	return append([]types.SentenceKey(nil), tb.order[from:]...)
-}
-
-// Each calls fn for every record in insertion order.
-func (tb *TweetBase) Each(fn func(*Record)) {
-	for _, k := range tb.order {
-		fn(tb.records[k])
-	}
-}
-
-// Records returns every record in insertion order. Index-addressed
-// access is what the data-parallel phases need: workers can read
-// records[i] without touching the map.
-func (tb *TweetBase) Records() []*Record {
-	out := make([]*Record, len(tb.order))
-	for i, k := range tb.order {
-		out[i] = tb.records[k]
+	out := make([]types.SentenceKey, len(tb.records))
+	for i, r := range tb.records {
+		out[i] = r.Sentence.Key()
 	}
 	return out
+}
+
+// Each calls fn for every record in stream order.
+func (tb *TweetBase) Each(fn func(*Record)) {
+	for _, r := range tb.records {
+		fn(r)
+	}
 }
 
 // LocalEntityMap returns Local NER's entities keyed by sentence — the
 // shape the metrics package and mention extraction consume.
 func (tb *TweetBase) LocalEntityMap() map[types.SentenceKey][]types.Entity {
-	out := make(map[types.SentenceKey][]types.Entity, len(tb.order))
-	for _, k := range tb.order {
-		out[k] = tb.records[k].LocalEntities
+	out := make(map[types.SentenceKey][]types.Entity, len(tb.records))
+	for _, r := range tb.records {
+		out[r.Sentence.Key()] = r.LocalEntities
 	}
 	return out
 }
@@ -116,16 +99,16 @@ func (tb *TweetBase) LocalEntityMap() map[types.SentenceKey][]types.Entity {
 // FinalEntityMap converts the post-Global-NER mentions of every record
 // into typed entities keyed by sentence.
 func (tb *TweetBase) FinalEntityMap() map[types.SentenceKey][]types.Entity {
-	out := make(map[types.SentenceKey][]types.Entity, len(tb.order))
-	for _, k := range tb.order {
+	out := make(map[types.SentenceKey][]types.Entity, len(tb.records))
+	for _, r := range tb.records {
 		var ents []types.Entity
-		for _, m := range tb.records[k].FinalMentions {
+		for _, m := range r.FinalMentions {
 			if m.Type == types.None {
 				continue
 			}
 			ents = append(ents, types.Entity{Span: m.Span, Type: m.Type})
 		}
-		out[k] = ents
+		out[r.Sentence.Key()] = ents
 	}
 	return out
 }
