@@ -11,7 +11,7 @@
 //	serve -model model.ckpt
 //
 //	# durable: snapshot + WAL under ./state, resume warm after a crash
-//	serve -model model.ckpt -data-dir ./state -snapshot-every 64 -fsync always
+//	serve -model model.ckpt -data-dir ./state -snapshot-every 64 -fsync group
 //
 //	# two-shard fleet (every shard loads the same checkpoint):
 //	serve -role shard -model model.ckpt -shard-index 0 -shard-count 2 -addr :8081
@@ -96,7 +96,7 @@ func main() {
 	metricsOn := flag.Bool("metrics", true, "attach the observability registry: /metrics (Prometheus) and /statusz (JSON) expose pipeline stage timings, cache hits, pool and HTTP metrics")
 	dataDir := flag.String("data-dir", "", "durability root: snapshot + WAL state lives here and a restart resumes the stream warm and byte-identical; each process (single, every shard, the router) needs its own directory; empty disables durability")
 	snapshotEvery := flag.Int("snapshot-every", 0, "cycles between snapshots when -data-dir is set (0 = default 64); the WAL tail past the latest snapshot is what replays on restart")
-	fsyncName := flag.String("fsync", "always", "WAL flush policy when -data-dir is set: always (fsync before acking every cycle — crash-safe), group (concurrent/consecutive cycles share one fsync; same ack-after-durable guarantee, much cheaper under load), or none (page cache only — faster, loses the tail on power loss)")
+	fsyncName := flag.String("fsync", "group", "WAL flush policy when -data-dir is set: group (no cycle is acked before an fsync covers its record — crash-safe; concurrent and consecutive cycles share one fsync) or none (page cache only — faster, loses the tail on power loss)")
 	snapshotAsync := flag.Bool("snapshot-async", false, "write snapshots on a background goroutine with backlog back-pressure instead of a fire-and-forget write; snapshot boundaries no longer stall the cycle loop, and a snapshot that cannot be queued is skipped (the WAL still covers every cycle)")
 	flag.Parse()
 

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -109,7 +110,7 @@ func TestMerkleDomainSeparation(t *testing.T) {
 
 func TestWALRoundTripAndTornTail(t *testing.T) {
 	dir := t.TempDir()
-	w := openWAL(dir, FsyncNone, 0)
+	w := openWAL(dir, 0)
 	var want []*CycleRecord
 	for seq := uint64(1); seq <= 5; seq++ {
 		rec := sampleRecord(seq)
@@ -149,7 +150,7 @@ func TestWALRoundTripAndTornTail(t *testing.T) {
 func TestWALSealedCorruptionFails(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segment bound forces one record per segment.
-	w := openWAL(dir, FsyncNone, 1)
+	w := openWAL(dir, 1)
 	for seq := uint64(1); seq <= 3; seq++ {
 		if _, err := w.append(sampleRecord(seq)); err != nil {
 			t.Fatal(err)
@@ -176,7 +177,7 @@ func TestWALSealedCorruptionFails(t *testing.T) {
 
 func TestWALRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	w := openWAL(dir, FsyncNone, 1)
+	w := openWAL(dir, 1)
 	for seq := uint64(1); seq <= 6; seq++ {
 		if _, err := w.append(sampleRecord(seq)); err != nil {
 			t.Fatal(err)
@@ -205,7 +206,7 @@ func TestWALRotationAndCompaction(t *testing.T) {
 		t.Fatalf("post-compaction records wrong: %d records", len(got))
 	}
 	// Over-eager compaction must never touch the live tail.
-	w2 := openWAL(dir, FsyncNone, 1)
+	w2 := openWAL(dir, 1)
 	if _, err := w2.append(sampleRecord(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -465,24 +466,29 @@ func TestParseFsync(t *testing.T) {
 		in   string
 		want FsyncPolicy
 		ok   bool
-	}{{"always", FsyncAlways, true}, {"", FsyncAlways, true}, {"NONE", FsyncNone, true}, {"Group", FsyncGroup, true}, {"sometimes", FsyncAlways, false}} {
+	}{{"", FsyncGroup, true}, {"NONE", FsyncNone, true}, {"Group", FsyncGroup, true}, {"always", FsyncGroup, false}, {"sometimes", FsyncGroup, false}} {
 		got, err := ParseFsync(tc.in)
 		if (err == nil) != tc.ok || got != tc.want {
 			t.Fatalf("ParseFsync(%q) = %v, %v", tc.in, got, err)
 		}
 	}
-	if FsyncAlways.String() != "always" || FsyncNone.String() != "none" || FsyncGroup.String() != "group" {
+	// The removed policy's error names its replacement.
+	if _, err := ParseFsync("always"); err == nil || !strings.Contains(err.Error(), "group") {
+		t.Fatalf("ParseFsync(\"always\") error %v does not name group", err)
+	}
+	if FsyncNone.String() != "none" || FsyncGroup.String() != "group" {
 		t.Fatal("policy names wrong")
 	}
 }
 
-// TestGroupCommitAppendRecover exercises the fsync=group batcher:
-// AppendAsync returns before any fsync, concurrent waits all resolve
-// once covering flushes complete, the backlog drains to zero, and a
-// reopen recovers every appended record in order.
+// TestGroupCommitAppendRecover exercises the group-commit batcher, which
+// the zero Options select: AppendAsync returns before any fsync,
+// concurrent waits all resolve once covering flushes complete, the
+// backlog drains to zero, and a reopen recovers every appended record
+// in order.
 func TestGroupCommitAppendRecover(t *testing.T) {
 	dir := t.TempDir()
-	l, rec, err := Open(dir, Options{Fsync: FsyncGroup}, nil)
+	l, rec, err := Open(dir, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +530,7 @@ func TestGroupCommitAppendRecover(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec2, err := Open(dir, Options{Fsync: FsyncGroup}, nil)
+	_, rec2, err := Open(dir, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +583,7 @@ func TestAsyncSnapshotWriteOnClose(t *testing.T) {
 	if !l.ShouldSnapshot(3) {
 		t.Fatal("schedule should call for a snapshot")
 	}
-	l.SubmitSnapshot(&Snapshot{Kind: KindSingle, Seq: 2}, 0)
+	l.SubmitSnapshot(&Snapshot{Kind: KindSingle, Seq: 2})
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -972,7 +978,7 @@ func TestChainRuleBaseOrDelta(t *testing.T) {
 		t.Fatal("seq 43: want a delta on 42")
 	}
 	l.snapBusy.Store(true)
-	l.SubmitSnapshot(s3, s3.Seq)
+	l.SubmitSnapshot(s3)
 	for dropped := false; !dropped; time.Sleep(100 * time.Microsecond) {
 		l.cmu.Lock()
 		dropped = !l.captured
@@ -1226,7 +1232,7 @@ func TestParentFormatReencodesByteForByte(t *testing.T) {
 		t.Fatalf("parent WAL segment: %d records, %v", len(recs), err)
 	}
 	out := t.TempDir()
-	w := openWAL(out, FsyncNone, 0)
+	w := openWAL(out, 0)
 	for _, rec := range recs {
 		if _, err := w.append(rec); err != nil {
 			t.Fatal(err)

@@ -1,8 +1,8 @@
 // Log is the durability manager one serving process owns: the WAL
 // writer, the snapshot schedule and chain, compaction, and the
 // ner_wal_* / ner_snapshot_* metrics. The serving layers (server,
-// fleet) call Append (or AppendAsync under the group fsync policy) once
-// per committed cycle before acking, ask ShouldSnapshot on the cycle
+// fleet) call AppendAsync (or Append, which also waits) once per
+// committed cycle before acking, ask ShouldSnapshot on the cycle
 // schedule, capture with EngineSnapshot (or build a Snapshot of their
 // own), and hand it to SubmitSnapshot — the capture is the only part
 // that needs the serving lock; the write happens off the hot path.
@@ -18,13 +18,15 @@
 // bases alone would cost. A landed base deletes every older snapshot
 // file.
 //
-// Group commit: under FsyncGroup, appends write the frame without
-// syncing and take a ticket; a single syncer goroutine fsyncs once per
-// pass, covering every ticket appended before the flush started. An
-// ack waits only until the fsync covering its ticket completes, so
-// concurrent and back-to-back cycles share flushes. The ack coverage
-// rule is strict: wait() returns nil only when a completed fsync (or
-// the sealing sync of Close) covers the record — never earlier.
+// Group commit is the one flush path: an append writes the frame
+// without syncing and takes a ticket; a single syncer goroutine fsyncs
+// once per pass, covering every ticket appended before the flush
+// started. An ack waits only until the fsync covering its ticket
+// completes, so concurrent and back-to-back cycles share flushes and a
+// lone one pays a flush of its own. The ack coverage rule is strict:
+// wait() returns nil only when a completed fsync (or the sealing sync
+// of Close) covers the record — never earlier. FsyncNone promises no
+// durability, runs no syncer and never waits.
 package durable
 
 import (
@@ -100,12 +102,6 @@ type Status struct {
 	BaseSeq     uint64 `json:"base_seq"`
 }
 
-// snapJob is one queued background snapshot write.
-type snapJob struct {
-	snap           *Snapshot
-	compactThrough uint64
-}
-
 // Log manages one process's durability state. Append/AppendAsync are
 // safe for concurrent use; SaveSnapshot is single-flight (a second
 // call while one is writing is dropped).
@@ -130,7 +126,7 @@ type Log struct {
 	syncQuit   chan struct{}
 	syncerDone chan struct{}
 
-	snapCh   chan snapJob // depth-1 background snapshot queue
+	snapCh   chan *Snapshot // depth-1 background snapshot queue
 	snapDone chan struct{}
 	// saves counts the one-off writer goroutines of the synchronous
 	// snapshot mode, so Close can wait for them.
@@ -210,7 +206,7 @@ func Open(dir string, opts Options, reg *obs.Registry) (*Log, *Recovery, error) 
 		rec = &Recovery{}
 	}
 
-	l := &Log{dir: dir, opts: opts, w: openWAL(dir, opts.Fsync, opts.MaxSegmentBytes)}
+	l := &Log{dir: dir, opts: opts, w: openWAL(dir, opts.MaxSegmentBytes)}
 	l.gcond = sync.NewCond(&l.gmu)
 	l.landedSeq, l.baseSeq, l.chainLen = snapSeq, baseSeq, chainLen
 	if reg != nil {
@@ -235,14 +231,14 @@ func Open(dir string, opts Options, reg *obs.Registry) (*Log, *Recovery, error) 
 	}
 	l.segments.Set(int64(l.w.segmentCount()))
 	l.chainLength.Set(int64(chainLen))
-	if opts.Fsync == FsyncGroup {
+	if opts.Fsync != FsyncNone {
 		l.syncWake = make(chan struct{}, 1)
 		l.syncQuit = make(chan struct{})
 		l.syncerDone = make(chan struct{})
 		go l.syncer()
 	}
 	if opts.AsyncSnapshots {
-		l.snapCh = make(chan snapJob, 1)
+		l.snapCh = make(chan *Snapshot, 1)
 		l.snapDone = make(chan struct{})
 		go l.snapWriter()
 	}
@@ -250,8 +246,8 @@ func Open(dir string, opts Options, reg *obs.Registry) (*Log, *Recovery, error) 
 }
 
 // Append durably logs one committed cycle, blocking until the record
-// is as durable as the policy promises — under "always" and "group"
-// it survives a crash once Append returns.
+// is as durable as the policy promises — under "group" it survives a
+// crash once Append returns.
 func (l *Log) Append(rec *CycleRecord) error {
 	wait, err := l.AppendAsync(rec)
 	if err != nil {
@@ -261,17 +257,16 @@ func (l *Log) Append(rec *CycleRecord) error {
 }
 
 // AppendAsync writes one committed cycle record and returns a wait
-// function that blocks until the record is durable per policy. Under
-// FsyncGroup the write returns immediately and wait blocks on the
-// covering fsync; under "always" the record is already synced and
-// under "none" durability is never promised, so wait is a no-op for
-// both. The serving path must call wait before acking the cycle.
+// function that blocks until the record is durable per policy: until
+// the covering fsync under FsyncGroup, not at all under FsyncNone,
+// which never promises durability. The serving path must call wait
+// before acking the cycle.
 func (l *Log) AppendAsync(rec *CycleRecord) (func() error, error) {
 	t0 := time.Now()
 	l.mu.Lock()
 	n, err := l.w.append(rec)
 	var ticket uint64
-	if err == nil && l.opts.Fsync == FsyncGroup {
+	if err == nil && l.opts.Fsync != FsyncNone {
 		l.gmu.Lock()
 		l.appended++
 		ticket = l.appended
@@ -287,7 +282,7 @@ func (l *Log) AppendAsync(rec *CycleRecord) (func() error, error) {
 	l.walBytes.Add(int64(n))
 	l.appendSecs.Observe(time.Since(t0).Seconds())
 	l.segments.Set(int64(segs))
-	if l.opts.Fsync != FsyncGroup {
+	if l.opts.Fsync == FsyncNone {
 		return func() error { return nil }, nil
 	}
 	select {
@@ -402,8 +397,8 @@ func (l *Log) EngineSnapshot(kind int, seq uint64, g *core.Globalizer, prov *Pro
 // blocking the caller: the background writer when AsyncSnapshots is
 // on (drop-on-full — the WAL covers every cycle, so a skipped
 // snapshot only lengthens replay), a fire-and-forget goroutine
-// otherwise.
-func (l *Log) SubmitSnapshot(snap *Snapshot, compactThrough uint64) {
+// otherwise. The write compacts the WAL through snap.Seq.
+func (l *Log) SubmitSnapshot(snap *Snapshot) {
 	l.gmu.Lock()
 	closed := l.closed
 	if !closed && l.snapCh == nil {
@@ -416,7 +411,7 @@ func (l *Log) SubmitSnapshot(snap *Snapshot, compactThrough uint64) {
 	}
 	if l.snapCh != nil {
 		select {
-		case l.snapCh <- snapJob{snap: snap, compactThrough: compactThrough}:
+		case l.snapCh <- snap:
 			l.publishSnapPending()
 		default:
 			l.captureDone()
@@ -425,7 +420,7 @@ func (l *Log) SubmitSnapshot(snap *Snapshot, compactThrough uint64) {
 	}
 	go func() {
 		defer l.saves.Done()
-		l.SaveSnapshot(snap, compactThrough)
+		l.SaveSnapshot(snap, snap.Seq)
 	}()
 }
 
@@ -435,8 +430,8 @@ func (l *Log) SubmitSnapshot(snap *Snapshot, compactThrough uint64) {
 // snapshot plus a longer WAL tail.
 func (l *Log) snapWriter() {
 	defer close(l.snapDone)
-	for job := range l.snapCh {
-		l.SaveSnapshot(job.snap, job.compactThrough)
+	for snap := range l.snapCh {
+		l.SaveSnapshot(snap, snap.Seq)
 	}
 }
 
@@ -476,9 +471,7 @@ func (l *Log) captureDone() {
 // SaveSnapshot writes the snapshot and compacts sealed WAL segments
 // whose records are all at or below compactThrough. Single-flight: a
 // call that finds another write in progress returns false immediately.
-// compactThrough is normally snap.Seq; the fleet router passes the
-// lowest seq its shards have fully committed, so records it may still
-// need for re-driving a lagging shard survive compaction. A landed
+// compactThrough is snap.Seq, or lower to keep more of the WAL. A landed
 // base prunes every older snapshot file; a delta whose predecessor is
 // no longer the newest landed snapshot is discarded unwritten.
 func (l *Log) SaveSnapshot(snap *Snapshot, compactThrough uint64) (bool, error) {

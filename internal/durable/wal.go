@@ -10,8 +10,8 @@
 // Recovery reads every segment in name order. A torn frame (short
 // header, short payload, or CRC mismatch) in the newest segment is the
 // expected signature of a crash mid-append: the tail is dropped and
-// recovery succeeds with everything before it — exactly the acked
-// prefix under the "always" fsync policy. The same damage in a sealed
+// recovery succeeds with everything before it, which under the "group"
+// fsync policy includes every acked record. The same damage in a sealed
 // segment is real corruption and fails recovery loudly.
 package durable
 
@@ -31,45 +31,37 @@ import (
 type FsyncPolicy int
 
 const (
-	// FsyncAlways syncs after every append: an acked cycle survives a
-	// kill -9. The default.
-	FsyncAlways FsyncPolicy = iota
+	// FsyncGroup acks a record only once an fsync issued after its append
+	// has completed, so an acked cycle survives a kill -9 or a power loss.
+	// Concurrent and consecutive records ride one disk flush; a lone
+	// record costs one flush of its own. The default.
+	FsyncGroup FsyncPolicy = iota
 	// FsyncNone leaves flushing to the OS page cache: faster, but the
 	// newest cycles can be lost on a hard crash (recovery still works,
 	// it just resumes from an earlier prefix).
 	FsyncNone
-	// FsyncGroup batches appends under shared fsyncs: a record's ack
-	// blocks only until the first fsync issued after its append
-	// completes, so concurrent and consecutive records ride one disk
-	// flush. Same crash guarantee as FsyncAlways for acked records —
-	// nothing is acked ahead of its covering fsync — at a fraction of
-	// the per-cycle flush cost once anything overlaps.
-	FsyncGroup
 )
 
 // ParseFsync parses the -fsync flag values.
 func ParseFsync(s string) (FsyncPolicy, error) {
 	switch strings.ToLower(s) {
-	case "", "always":
-		return FsyncAlways, nil
+	case "", "group":
+		return FsyncGroup, nil
 	case "none":
 		return FsyncNone, nil
-	case "group":
-		return FsyncGroup, nil
+	case "always":
+		return FsyncGroup, fmt.Errorf("durable: fsync policy %q no longer exists: use group, which gives the same ack-after-fsync guarantee", s)
 	default:
-		return FsyncAlways, fmt.Errorf("durable: unknown fsync policy %q (want always, group, or none)", s)
+		return FsyncGroup, fmt.Errorf("durable: unknown fsync policy %q (want group or none)", s)
 	}
 }
 
 // String names the policy.
 func (p FsyncPolicy) String() string {
-	switch p {
-	case FsyncNone:
+	if p == FsyncNone {
 		return "none"
-	case FsyncGroup:
-		return "group"
 	}
-	return "always"
+	return "group"
 }
 
 var walMagic = [8]byte{'N', 'E', 'R', 'W', 'A', 'L', '0', '1'}
@@ -90,7 +82,6 @@ const maxRecordBytes = 1 << 30
 // manager serializes appends.
 type wal struct {
 	dir      string
-	policy   FsyncPolicy
 	maxBytes int64
 
 	f        *os.File
@@ -201,11 +192,11 @@ func readWAL(dir string) ([]*CycleRecord, error) {
 }
 
 // openWAL prepares the writer; the first append creates its segment.
-func openWAL(dir string, policy FsyncPolicy, maxBytes int64) *wal {
+func openWAL(dir string, maxBytes int64) *wal {
 	if maxBytes <= 0 {
 		maxBytes = defaultSegmentBytes
 	}
-	return &wal{dir: dir, policy: policy, maxBytes: maxBytes}
+	return &wal{dir: dir, maxBytes: maxBytes}
 }
 
 // startSegment opens a fresh segment whose first record will be seq.
@@ -263,26 +254,15 @@ func (w *wal) append(rec *CycleRecord) (int, error) {
 		return 0, fmt.Errorf("durable: wal append: %w", err)
 	}
 	w.fileSize += int64(len(frame))
-	if w.policy == FsyncAlways {
-		if err := w.f.Sync(); err != nil {
-			return 0, fmt.Errorf("durable: wal fsync: %w", err)
-		}
-	}
 	return len(frame), nil
 }
 
-// sync flushes the active segment to disk. A nil active segment
-// (nothing appended since rotation) is a no-op. Rotation is safe
-// between an append and its covering sync because closeSegment seals
-// with its own Sync — a record can only leave the active segment by
-// being fsynced on the way out.
-func (w *wal) sync() error { return syncFile(w.f) }
-
-// syncFile fsyncs a captured segment file; the group-commit syncer
-// calls it outside the append lock so a slow flush overlaps new
-// appends. nil (no active segment) is a no-op, and ErrClosed means a
-// concurrent rotation sealed the file out from under us — sealing
-// fsyncs, so everything the caller is covering is already durable.
+// syncFile fsyncs a captured segment file; the syncer calls it outside
+// the append lock so a slow flush overlaps new appends. nil (no active
+// segment) is a no-op, and ErrClosed means a concurrent rotation sealed
+// the file out from under us — closeSegment seals with its own Sync, so
+// a record can only leave the active segment by being fsynced on the way
+// out and everything the caller is covering is already durable.
 func syncFile(f *os.File) error {
 	if f == nil {
 		return nil

@@ -14,6 +14,7 @@ import (
 	"nerglobalizer/internal/binenc"
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
+	"nerglobalizer/internal/localner"
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/server"
 	"nerglobalizer/internal/types"
@@ -26,24 +27,24 @@ const (
 	wireOwnedMin  = 28 // entity fields + surface length
 )
 
-func tagsSize(ts []WireTag) int {
+func tagsSize(ts []*localner.Result) int {
 	n := 4
-	for i := range ts {
-		n += wireTagMin + wireEntityMin*len(ts[i].Entities)
-		for _, t := range ts[i].Tokens {
-			n += 4 + len(t)
+	for _, t := range ts {
+		n += wireTagMin + wireEntityMin*len(t.Entities)
+		for _, tok := range t.Tokens {
+			n += 4 + len(tok)
 		}
-		if ts[i].Emb != nil {
-			n += 8 + 4 + 8*len(ts[i].Emb.Data)
+		if t.Embeddings != nil {
+			n += 8 + 4 + 8*len(t.Embeddings.Data)
 		}
 	}
 	return n
 }
 
-func putTags(w *binenc.Writer, ts []WireTag) {
+// putTags writes tag results; their labels stay off the wire.
+func putTags(w *binenc.Writer, ts []*localner.Result) {
 	w.U32(len(ts))
-	for i := range ts {
-		t := &ts[i]
+	for _, t := range ts {
 		w.Strs(t.Tokens)
 		w.U32(len(t.Entities))
 		for _, e := range t.Entities {
@@ -51,27 +52,29 @@ func putTags(w *binenc.Writer, ts []WireTag) {
 			w.I64(e.End)
 			w.I64(int(e.Type))
 		}
-		if t.Emb == nil {
+		m := t.Embeddings
+		if m == nil {
 			w.I64(-1)
 			continue
 		}
-		if len(t.Emb.Data) != t.Emb.Rows*t.Emb.Cols && w.Err == nil {
-			w.Err = fmt.Errorf("fleet: matrix %dx%d has %d values", t.Emb.Rows, t.Emb.Cols, len(t.Emb.Data))
+		if len(m.Data) != m.Rows*m.Cols && w.Err == nil {
+			w.Err = fmt.Errorf("fleet: matrix %dx%d has %d values", m.Rows, m.Cols, len(m.Data))
 		}
-		w.I64(t.Emb.Rows)
-		w.I64(t.Emb.Cols)
-		w.Floats(t.Emb.Data)
+		w.I64(m.Rows)
+		w.I64(m.Cols)
+		w.Floats(m.Data)
 	}
 }
 
-func getTags(r *binenc.Reader) []WireTag {
+func getTags(r *binenc.Reader) []*localner.Result {
 	n := r.Count(wireTagMin)
 	if r.Err != nil || n == 0 {
 		return nil
 	}
-	out := make([]WireTag, n)
+	out := make([]*localner.Result, n)
 	for i := range out {
-		t := &out[i]
+		t := &localner.Result{}
+		out[i] = t
 		t.Tokens = r.Strs()
 		ne := r.Count(wireEntityMin)
 		if r.Err != nil {
@@ -94,7 +97,7 @@ func getTags(r *binenc.Reader) []WireTag {
 		if r.Err == nil && !binenc.ShapeOK(rows, cols, len(data)) {
 			r.Err = fmt.Errorf("fleet: matrix shape %dx%d has %d values", rows, cols, len(data))
 		}
-		t.Emb = &nn.Matrix{Rows: rows, Cols: cols, Data: data}
+		t.Embeddings = &nn.Matrix{Rows: rows, Cols: cols, Data: data}
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"nerglobalizer/internal/binenc"
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
+	"nerglobalizer/internal/localner"
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/server"
 	"nerglobalizer/internal/types"
@@ -28,13 +29,13 @@ func fuzzSampleCommit() *CommitRequest {
 			{TweetID: 1, SentID: 0, Tokens: []string{"Caffè", "in", "Milano"}},
 			{TweetID: 2, SentID: 1, Tokens: nil},
 		},
-		Tagged: []WireTag{
+		Tagged: []*localner.Result{
 			{
-				Tokens:   []string{"Caffè", "in", "Milano"},
-				Entities: []types.Entity{{Span: types.Span{Start: 2, End: 3}, Type: types.Location}},
-				Emb:      emb,
+				Tokens:     []string{"Caffè", "in", "Milano"},
+				Entities:   []types.Entity{{Span: types.Span{Start: 2, End: 3}, Type: types.Location}},
+				Embeddings: emb,
 			},
-			{Tokens: nil, Entities: nil, Emb: nil},
+			{},
 		},
 	}
 }
@@ -44,7 +45,7 @@ func fuzzSampleCommit() *CommitRequest {
 // are pinned, ships two rows for three tokens).
 func validSampleCommit() *CommitRequest {
 	q := fuzzSampleCommit()
-	q.Tagged[0].Emb = nn.NewMatrix(3, 3)
+	q.Tagged[0].Embeddings = nn.NewMatrix(3, 3)
 	return q
 }
 
@@ -56,31 +57,31 @@ func validSampleCommit() *CommitRequest {
 // its tag result at, which must carry an entity and have as many tokens
 // as its sentence.
 func malformedCommits(valid func() *CommitRequest, at int) map[string]*CommitRequest {
-	vary := func(edit func(q *CommitRequest, t *WireTag)) *CommitRequest {
+	vary := func(edit func(q *CommitRequest, t *localner.Result)) *CommitRequest {
 		q := valid()
-		edit(q, &q.Tagged[at])
+		edit(q, q.Tagged[at])
 		return q
 	}
 	probe := valid().Tagged[at]
-	n, dim := len(probe.Tokens), probe.Emb.Cols
+	n, dim := len(probe.Tokens), probe.Embeddings.Cols
 	return map[string]*CommitRequest{
-		"no tag results":        vary(func(q *CommitRequest, _ *WireTag) { q.Tagged = nil }),
-		"fewer tags than sents": vary(func(q *CommitRequest, _ *WireTag) { q.Tagged = q.Tagged[:len(q.Tagged)-1] }),
-		"more tags than sents":  vary(func(q *CommitRequest, _ *WireTag) { q.Tagged = append(q.Tagged, WireTag{}) }),
-		"same sentence twice": vary(func(q *CommitRequest, t *WireTag) {
+		"no tag results":        vary(func(q *CommitRequest, _ *localner.Result) { q.Tagged = nil }),
+		"fewer tags than sents": vary(func(q *CommitRequest, _ *localner.Result) { q.Tagged = q.Tagged[:len(q.Tagged)-1] }),
+		"more tags than sents":  vary(func(q *CommitRequest, _ *localner.Result) { q.Tagged = append(q.Tagged, &localner.Result{}) }),
+		"same sentence twice": vary(func(q *CommitRequest, t *localner.Result) {
 			q.Sentences = append(append([]durable.CycleSentence(nil), q.Sentences...), q.Sentences[at])
-			q.Tagged = append(q.Tagged, *t)
+			q.Tagged = append(q.Tagged, t)
 		}),
-		"more tokens than sent": vary(func(_ *CommitRequest, t *WireTag) {
+		"more tokens than sent": vary(func(_ *CommitRequest, t *localner.Result) {
 			t.Tokens = append(append([]string(nil), t.Tokens...), "x")
-			t.Emb = nn.NewMatrix(n+1, dim)
+			t.Embeddings = nn.NewMatrix(n+1, dim)
 		}),
-		"entity starts below 0":  vary(func(_ *CommitRequest, t *WireTag) { t.Entities[0].Start = -1 }),
-		"entity start after end": vary(func(_ *CommitRequest, t *WireTag) { t.Entities[0].Span = types.Span{Start: n, End: n - 1} }),
-		"entity ends past tag":   vary(func(_ *CommitRequest, t *WireTag) { t.Entities[0].End = n + 1 }),
-		"tokens, no embeddings":  vary(func(_ *CommitRequest, t *WireTag) { t.Emb = nil }),
-		"embedding rows short":   vary(func(_ *CommitRequest, t *WireTag) { t.Emb = nn.NewMatrix(n-1, dim) }),
-		"embedding too narrow":   vary(func(_ *CommitRequest, t *WireTag) { t.Emb = nn.NewMatrix(n, dim-1) }),
+		"entity starts below 0":  vary(func(_ *CommitRequest, t *localner.Result) { t.Entities[0].Start = -1 }),
+		"entity start after end": vary(func(_ *CommitRequest, t *localner.Result) { t.Entities[0].Span = types.Span{Start: n, End: n - 1} }),
+		"entity ends past tag":   vary(func(_ *CommitRequest, t *localner.Result) { t.Entities[0].End = n + 1 }),
+		"tokens, no embeddings":  vary(func(_ *CommitRequest, t *localner.Result) { t.Embeddings = nil }),
+		"embedding rows short":   vary(func(_ *CommitRequest, t *localner.Result) { t.Embeddings = nn.NewMatrix(n-1, dim) }),
+		"embedding too narrow":   vary(func(_ *CommitRequest, t *localner.Result) { t.Embeddings = nn.NewMatrix(n, dim-1) }),
 	}
 }
 

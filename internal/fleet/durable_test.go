@@ -24,10 +24,10 @@ import (
 // newest base, so each shard's recovery has a chain to merge.
 func TestFleetDurableRestartByteIdentical(t *testing.T) {
 	t.Run("base", func(t *testing.T) {
-		fleetRestartByteIdentical(t, streamBodies(16, 2), durable.Options{SnapshotEvery: 2, Fsync: durable.FsyncAlways}, 1)
+		fleetRestartByteIdentical(t, streamBodies(16, 2), durable.Options{SnapshotEvery: 2}, 1)
 	})
 	t.Run("chain", func(t *testing.T) {
-		fleetRestartByteIdentical(t, streamBodies(196, 2), durable.Options{SnapshotEvery: 4, Fsync: durable.FsyncAlways}, 4)
+		fleetRestartByteIdentical(t, streamBodies(196, 2), durable.Options{SnapshotEvery: 4}, 4)
 	})
 }
 
@@ -149,7 +149,7 @@ func TestFleetRedriveWipedShard(t *testing.T) {
 	dir := t.TempDir()
 	// No snapshots: the journal must retain everything a cold shard
 	// needs.
-	opts := durable.Options{SnapshotEvery: 1 << 20, Fsync: durable.FsyncAlways}
+	opts := durable.Options{SnapshotEvery: 1 << 20}
 
 	h1, err := NewHarness(g, 2, nil)
 	if err != nil {
@@ -274,7 +274,7 @@ func TestFleetBlankTweetRestartByteIdentical(t *testing.T) {
 		`{"tweets":["Governor Beshear gives an update","   "]}`,
 		`{"tweets":["Cases rise in Italy again"]}`,
 	}
-	opts := durable.Options{Fsync: durable.FsyncAlways}
+	opts := durable.Options{}
 	post := func(h *Harness, body string) string {
 		status, resp, _ := postBody(t, h.URL()+"/annotate", body)
 		return fmt.Sprintf("%d %s", status, resp)
@@ -312,7 +312,7 @@ func TestRouterSnapshotIsCursorOnly(t *testing.T) {
 	bodies := streamBodies(40, 1) // one tweet, so one ID, per cycle
 	want, wantCands, wantEnts := runSingle(t, g, bodies)
 	const every = 2
-	opts := durable.Options{SnapshotEvery: every, Fsync: durable.FsyncAlways}
+	opts := durable.Options{SnapshotEvery: every}
 	dir := t.TempDir()
 
 	feed := func(h *Harness, from, to int) {
@@ -449,7 +449,7 @@ func TestRouterResumesParentDataDir(t *testing.T) {
 			}
 		}
 	}
-	if err := h.Router.StartDurable(dir, durable.Options{SnapshotEvery: 4, Fsync: durable.FsyncAlways}); err != nil {
+	if err := h.Router.StartDurable(dir, durable.Options{SnapshotEvery: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Router.WaitWarm(); err != nil {

@@ -18,6 +18,7 @@ import (
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/corpus"
 	"nerglobalizer/internal/durable"
+	"nerglobalizer/internal/localner"
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/server"
@@ -446,6 +447,8 @@ func TestFleetPartialDegradation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
+	reg := obs.NewRegistry()
+	h.Router.SetObserver(reg)
 
 	// Healthy warm-up.
 	for _, body := range bodies[:2] {
@@ -494,6 +497,35 @@ func TestFleetPartialDegradation(t *testing.T) {
 			t.Fatalf("post-recovery: status %d: %s", status, resp)
 		}
 	}
+
+	// A refused cycle — every shard's admission shut, so its batch is
+	// tagged nowhere — takes no seq and leaves no state anywhere: it is
+	// not a committed cycle, while the two degraded ones above were.
+	committed := reg.Counter("ner_fleet_cycles_total", "")
+	if h.Router.Cycles() != len(bodies) || committed.Value() != int64(len(bodies)) {
+		t.Fatalf("%d cycles ingested: Cycles() = %d, ner_fleet_cycles_total = %d",
+			len(bodies), h.Router.Cycles(), committed.Value())
+	}
+	for _, sh := range h.Shards {
+		sh.SetAdmission(0)
+	}
+	if status, resp, _ := postBody(t, h.URL()+"/annotate", bodies[0]); status != http.StatusServiceUnavailable {
+		t.Fatalf("cycle no shard can tag: status %d (want 503): %s", status, resp)
+	}
+	for _, sh := range h.Shards {
+		sh.SetAdmission(4)
+	}
+	if h.Router.Cycles() != len(bodies) || committed.Value() != int64(len(bodies)) {
+		t.Fatalf("a refused cycle was counted as committed: Cycles() = %d, ner_fleet_cycles_total = %d, want %d",
+			h.Router.Cycles(), committed.Value(), len(bodies))
+	}
+	if err := json.Unmarshal([]byte(getBody(t, h.URL()+"/statusz")), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Cycles != len(bodies) || st.Seq != uint64(len(bodies)) {
+		t.Fatalf("/statusz after a refused cycle: cycles %d, seq %d, want both %d", st.Cycles, st.Seq, len(bodies))
+	}
+
 	cands := getBody(t, h.URL()+"/candidates")
 	ents := getBody(t, h.URL()+"/entities")
 
@@ -635,11 +667,11 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			{TweetID: 3, SentID: 0, Tokens: []string{"héllo", "wörld", ""}},
 			{TweetID: 4, SentID: 1},
 		},
-		Tagged: []WireTag{
+		Tagged: []*localner.Result{
 			{
 				Tokens:   []string{"héllo", "wörld"},
 				Entities: []types.Entity{{Span: types.Span{Start: 0, End: 2}, Type: types.Location}},
-				Emb: &nn.Matrix{Rows: 2, Cols: 3, Data: []float64{
+				Embeddings: &nn.Matrix{Rows: 2, Cols: 3, Data: []float64{
 					0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 5e-324, -math.Pi,
 				}},
 			},

@@ -22,6 +22,7 @@ import (
 
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
+	"nerglobalizer/internal/localner"
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/tokenizer"
@@ -198,7 +199,11 @@ func TestShardFrameChecks(t *testing.T) {
 		}
 		// A fresh copy as deep as the variations write.
 		fresh := func() *CommitRequest {
-			q := &CommitRequest{Seq: 1, Sentences: valid.Sentences, Tagged: append([]WireTag(nil), valid.Tagged...)}
+			q := &CommitRequest{Seq: 1, Sentences: valid.Sentences, Tagged: make([]*localner.Result, len(valid.Tagged))}
+			for i, t := range valid.Tagged {
+				c := *t
+				q.Tagged[i] = &c
+			}
 			q.Tagged[first].Entities = append([]types.Entity(nil), q.Tagged[first].Entities...)
 			return q
 		}
@@ -253,7 +258,7 @@ func TestShardFrameChecks(t *testing.T) {
 	t.Run("durability failure", func(t *testing.T) {
 		s, c := oneShard(t, nil)
 		dir := filepath.Join(t.TempDir(), "shard")
-		if err := s.StartDurable(dir, durable.Options{Fsync: durable.FsyncAlways}); err != nil {
+		if err := s.StartDurable(dir, durable.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.WaitWarm(); err != nil {
@@ -318,7 +323,11 @@ func holdEngine(s *Shard) (release func()) {
 // expected to be refused before the body matters.
 func untaggedCommit(cycles [][]durable.CycleSentence, seq uint64) *CommitRequest {
 	batch := cycles[seq-1]
-	return &CommitRequest{Seq: seq, Sentences: batch, Tagged: make([]WireTag, len(batch))}
+	req := &CommitRequest{Seq: seq, Sentences: batch, Tagged: make([]*localner.Result, len(batch))}
+	for i := range req.Tagged {
+		req.Tagged[i] = &localner.Result{}
+	}
+	return req
 }
 
 // TestShardIdleDeadline checks the shard hangs up a connection that
@@ -494,7 +503,7 @@ func lateReplyNotMisdelivered(t *testing.T, dur bool) {
 	h.Shards[1].SetObserver(sreg)
 	dir := t.TempDir()
 	if dur {
-		if err := h.StartDurable(dir, durable.Options{SnapshotEvery: 1, Fsync: durable.FsyncAlways}); err != nil {
+		if err := h.StartDurable(dir, durable.Options{SnapshotEvery: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -571,7 +580,7 @@ func lateReplyNotMisdelivered(t *testing.T, dur bool) {
 func TestShardSubmitsSnapshotWhenReplyFails(t *testing.T) {
 	s, c := oneShard(t, nil)
 	dir := t.TempDir()
-	if err := s.StartDurable(dir, durable.Options{SnapshotEvery: 1, Fsync: durable.FsyncAlways}); err != nil {
+	if err := s.StartDurable(dir, durable.Options{SnapshotEvery: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.WaitWarm(); err != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"nerglobalizer/internal/durable"
+	"nerglobalizer/internal/localner"
 	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/server"
 )
@@ -23,6 +24,11 @@ const cycleRetryAfterSeconds = 1
 // limit — replicas stay reconcilable and the operator gets back
 // pressure instead of an OOM.
 const maxPendingCommits = 64
+
+// commitQueueDepth is the front's tail depth under the router: one
+// commit fan-out running plus one queued. Deeper would only let tagging
+// run further ahead of shards that are the bottleneck either way.
+const commitQueueDepth = 1
 
 // Router is the fleet's stateless front: behind the serving front it
 // shares with the single server (admission, tokenization, the cycle
@@ -46,24 +52,8 @@ type Router struct {
 	// first). They drain in seq order before the shard takes new ones.
 	pending [][]*CommitRequest
 
+	// cycles counts the cycles that took a seq.
 	cycles atomic.Int64
-
-	// Cycle N's commit fan-out overlaps cycle N+1's tag stage: the
-	// scheduler hands each prepared cycle to a commit goroutine chained
-	// behind the previous cycle's, so per-shard commit order — and with
-	// it the seq gate — is untouched while the router's tag work runs
-	// ahead. Tagging is pure (it reads the trained model, never the
-	// stream), so the overlap cannot change a single byte of any commit.
-	//
-	// prevCommit / pprevCommit are the done channels of the last two
-	// scheduled commit goroutines. Scheduler-owned: runCycle, a reset
-	// (which runs on the scheduler between cycles) and Close (after the
-	// scheduler has exited) are the only readers. Waiting on pprevCommit
-	// before spawning the next commit bounds the pipeline at one commit
-	// in flight plus one chained; commits chain in cycle order, so
-	// prevCommit covers every earlier one.
-	prevCommit  chan struct{}
-	pprevCommit chan struct{}
 
 	statsMu     sync.Mutex
 	recordStats bool
@@ -170,15 +160,14 @@ func NewRouter(clients []*ShardClient) *Router {
 		clients: clients,
 		pending: make([][]*CommitRequest, len(clients)),
 	}
-	r.front = server.NewFront(r.runCycle)
+	r.front = server.NewFront(r.runCycle, commitQueueDepth)
 	return r
 }
 
-// Close stops the scheduler, waits out any in-flight commit fan-out,
-// and releases the shard connection pools.
+// Close stops the scheduler, lets the front's tail finish any commit
+// fan-out in flight, and releases the shard connection pools.
 func (r *Router) Close() {
 	r.front.Close(func() {
-		r.waitCommitsIdle()
 		r.front.Gate.WaitWarm()
 		if r.dl != nil {
 			r.dl.Close()
@@ -187,15 +176,6 @@ func (r *Router) Close() {
 			c.Close()
 		}
 	})
-}
-
-// waitCommitsIdle blocks until the most recently scheduled commit
-// goroutine — and so every one before it — has finished. Scheduler
-// goroutine only, or after it has exited.
-func (r *Router) waitCommitsIdle() {
-	if r.prevCommit != nil {
-		<-r.prevCommit
-	}
 }
 
 // SetObserver attaches a metrics registry to the router.
@@ -241,7 +221,9 @@ func (r *Router) TakeCycleStats() []CycleStat {
 	return out
 }
 
-// Cycles reports how many execution cycles the router has committed.
+// Cycles reports how many execution cycles the router has committed to
+// the fleet: those that took a seq (a refused cycle takes none), or,
+// after a restart, the journal's head.
 func (r *Router) Cycles() int { return int(r.cycles.Load()) }
 
 // runCycle executes one micro-batched cycle against the fleet:
@@ -258,13 +240,16 @@ func (r *Router) Cycles() int { return int(r.cycles.Load()) }
 //     into request order; otherwise the jobs get 503 + Retry-After
 //     (their tweets are in the stream, but annotations would be
 //     missing the degraded shard's surfaces).
-func (r *Router) runCycle(jobs []*server.Job) {
+//
+// 1, 2, taking the seq, journaling it and encoding the commit run here,
+// on the scheduler; 3 and 4 are the returned finish (commitCycle), which
+// the front's tail runs in cycle order, so shards still see commits
+// strictly in seq order while the scheduler moves on to the next cycle's
+// tag stage. Tagging is pure (it reads the trained model, never the
+// stream), so the overlap cannot change a single byte of any commit.
+func (r *Router) runCycle(jobs []*server.Job) (finish func()) {
 	cycleStart := time.Now()
-	r.cycles.Add(1)
 	ro := r.o.Load()
-	if ro != nil {
-		ro.fleetCycles.Inc()
-	}
 
 	// Admission against pending overflow.
 	r.mu.Lock()
@@ -273,39 +258,42 @@ func (r *Router) runCycle(jobs []*server.Job) {
 			r.mu.Unlock()
 			r.front.Reject(jobs, http.StatusServiceUnavailable, cycleRetryAfterSeconds,
 				fmt.Sprintf("shard %d unreachable, pending commits full", i))
-			return
+			return nil
 		}
 	}
-	// Tentative ID assignment in queue order; nothing is published
-	// until the tag stage succeeds.
-	startID := r.nextID
+	// Tentative ID and seq assignment in queue order; nothing is
+	// published until the tag stage succeeds.
+	startID, seq := r.nextID, r.seq+1
 	r.mu.Unlock()
 	batch, perJob, id := server.Batch(jobs, startID)
 
 	// Tag fan-out with failover.
-	tagged, tagBusy, tagRPC, err := r.tagPartitioned(batch, int(r.cycles.Load()))
+	tagged, tagBusy, tagRPC, err := r.tagPartitioned(batch, int(seq))
 	if err != nil {
 		r.front.Reject(jobs, http.StatusServiceUnavailable, cycleRetryAfterSeconds,
 			"tag stage failed on every shard: "+err.Error())
-		return
+		return nil
 	}
 
-	// The cycle is now ingested: publish its IDs, take a seq.
+	// The cycle is now ingested: publish its IDs and its seq, count it.
 	r.mu.Lock()
-	r.seq++
-	seq := r.seq
+	r.seq = seq
 	r.nextID = id
 	r.mu.Unlock()
+	r.cycles.Add(1)
+	if ro != nil {
+		ro.fleetCycles.Inc()
+	}
 
 	// Journal the intent before any shard sees the commit: after a
 	// router crash, every cycle a shard may have applied is re-drivable
-	// from the journal. The append is a blocking (durable) one even
-	// under fsync=group — a shard must never get ahead of the journal's
+	// from the journal. The append is a blocking one, waited for here
+	// and not on the tail — a shard must never get ahead of the journal's
 	// disk, or recovery would find records the journal lost.
 	if r.dl != nil {
 		if err := r.journalCycle(seq, batch); err != nil {
 			r.front.Reject(jobs, http.StatusInternalServerError, 0, "journal failure: "+err.Error())
-			return
+			return nil
 		}
 	}
 
@@ -330,7 +318,7 @@ func (r *Router) runCycle(jobs []*server.Job) {
 			ro.degraded.Inc()
 		}
 		r.front.Reject(jobs, http.StatusInternalServerError, 0, encErr.Error())
-		return
+		return nil
 	}
 
 	work := &commitWork{
@@ -339,24 +327,7 @@ func (r *Router) runCycle(jobs []*server.Job) {
 		tagBusy: tagBusy, tagRPC: tagRPC,
 		cycleStart: cycleStart,
 	}
-	// Hand the commit fan-out to a goroutine chained behind the
-	// previous cycle's, so shards still see commits strictly in seq
-	// order while the scheduler moves on to the next cycle's tag stage.
-	// Waiting on the cycle-before-last bounds the chain at one commit
-	// running plus one queued.
-	if r.pprevCommit != nil {
-		<-r.pprevCommit
-	}
-	prev := r.prevCommit
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if prev != nil {
-			<-prev
-		}
-		r.commitCycle(work)
-	}()
-	r.pprevCommit, r.prevCommit = r.prevCommit, done
+	return func() { r.commitCycle(work) }
 }
 
 // commitWork is one prepared cycle awaiting its commit fan-out: the
@@ -376,7 +347,7 @@ type commitWork struct {
 
 // commitCycle runs one prepared cycle's commit fan-out, degradation
 // handling, merge, and response — stages 3 and 4 of runCycle — on the
-// cycle's chained commit goroutine.
+// front's tail.
 func (r *Router) commitCycle(work *commitWork) {
 	jobs, perJob, req := work.jobs, work.perJob, work.req
 	ro := r.o.Load()
@@ -410,7 +381,7 @@ func (r *Router) commitCycle(work *commitWork) {
 
 	if r.dl != nil {
 		if snap := r.maybeSnapshot(req.Seq, work.nextID); snap != nil {
-			r.dl.SubmitSnapshot(snap, snap.Seq)
+			r.dl.SubmitSnapshot(snap)
 		}
 	}
 
@@ -457,16 +428,16 @@ func (r *Router) commitCycle(work *commitWork) {
 // tagPartitioned cuts the batch into K contiguous slices and has shard
 // (i+rot) mod K tag the i-th, failing over to the next shard in ring
 // order when one refuses: tagging is pure, so any shard's answer is
-// byte-identical. Callers pass the cycle counter as rot, so the larger
+// byte-identical. Callers pass the cycle's seq as rot, so the larger
 // share of an uneven cut — the whole batch, in a one-sentence cycle —
 // moves round the fleet instead of always landing on shard K−1. The
 // extra returns are each slice's shard-reported busy time and its
 // client-observed RPC round trip, for critical-path accounting.
-func (r *Router) tagPartitioned(batch []durable.CycleSentence, rot int) ([]WireTag, []float64, []float64, error) {
+func (r *Router) tagPartitioned(batch []durable.CycleSentence, rot int) ([]*localner.Result, []float64, []float64, error) {
 	k := len(r.clients)
 	ro := r.o.Load()
 	t0 := time.Now()
-	tagged := make([]WireTag, len(batch))
+	tagged := make([]*localner.Result, len(batch))
 	busy := make([]float64, k)
 	rpc := make([]float64, k)
 	errs := make([]error, k)
@@ -479,6 +450,9 @@ func (r *Router) tagPartitioned(batch []durable.CycleSentence, rot int) ([]WireT
 			shard := (i + rot + attempt) % k
 			rt0 := time.Now()
 			resp, err = r.clients[shard].Tag(req)
+			if err == nil && len(resp.Results) != hi-lo {
+				err = fmt.Errorf("fleet: shard %d tagged %d of %d sentences", shard, len(resp.Results), hi-lo)
+			}
 			if ro != nil {
 				ro.shardRPC[shard].Observe(time.Since(rt0).Seconds())
 				if err != nil {
@@ -695,9 +669,9 @@ func (r *Router) handleEntities(w http.ResponseWriter, req *http.Request) {
 
 // handleReset clears the whole fleet's stream state: every shard, then
 // the router's own counters. It runs on the scheduler between two
-// cycles, after the last chained commit has landed, so no cycle
-// straddles it. Failures leave the fleet inconsistent and surface as
-// 502 so the operator retries.
+// cycles, after the tail's last commit fan-out has landed
+// (Front.Exclusive), so no cycle straddles it. Failures leave the fleet
+// inconsistent and surface as 502 so the operator retries.
 func (r *Router) handleReset(w http.ResponseWriter, req *http.Request) {
 	if r.dl != nil {
 		http.Error(w, "reset is not supported with -data-dir; wipe the data dirs and restart the fleet", http.StatusConflict)
@@ -705,7 +679,6 @@ func (r *Router) handleReset(w http.ResponseWriter, req *http.Request) {
 	}
 	var err error
 	if !r.front.Exclusive(func() {
-		r.waitCommitsIdle()
 		for _, c := range r.clients {
 			if err = c.Reset(); err != nil {
 				return

@@ -345,7 +345,7 @@ func (s *Shard) serveTag(body []byte, t0 time.Time) reply {
 	if so := s.o.Load(); so != nil {
 		so.tagSeconds.Observe(busy)
 	}
-	resp := TagResponse{Seq: req.Seq, Results: ToWireTags(results), BusySeconds: busy}
+	resp := TagResponse{Seq: req.Seq, Results: results, BusySeconds: busy}
 	out, err := resp.encode()
 	if err != nil {
 		return failReply(statusInternal, err.Error())
@@ -388,11 +388,12 @@ func (s *Shard) serveCommit(body []byte, t0 time.Time) reply {
 		return failReply(statusBadRequest, err.Error())
 	}
 	// Ack-after-durable: the replica issues the WAL append under its
-	// engine lock and the durability wait happens after mu is released —
-	// the response still never outruns the shard's disk, but under
-	// fsync=group the next cycle can start on the engine while this
-	// cycle's flush completes.
-	out, err := s.rep.Apply(req.Sentences, ToResults(req.Tagged))
+	// engine lock and the durability wait happens here on the frame
+	// goroutine (a shard has no scheduler to overlap it with), after mu
+	// is released — the response still never outruns the shard's disk,
+	// but the next cycle's tag can start while this cycle's flush
+	// completes. A failure of either has tripped the gate.
+	out, err := s.rep.Apply(req.Sentences, req.Tagged)
 	if err != nil {
 		s.mu.Unlock()
 		return failReply(statusInternal, "durability failure: "+err.Error())
@@ -406,7 +407,6 @@ func (s *Shard) serveCommit(body []byte, t0 time.Time) reply {
 	s.mu.Unlock()
 	if out.Wait != nil {
 		if err := out.Wait(); err != nil {
-			s.gate.Trip()
 			return failReply(statusInternal, "durability failure: "+err.Error())
 		}
 	}

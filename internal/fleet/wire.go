@@ -44,7 +44,6 @@ import (
 
 	"nerglobalizer/internal/durable"
 	"nerglobalizer/internal/localner"
-	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/types"
 )
 
@@ -53,39 +52,6 @@ import (
 // bound is far above the router's public 1 MB JSON cap.
 const shardMaxBodyBytes = 64 << 20
 
-// WireTag is one sentence's Local NER result on the wire: exactly the
-// fields the stream-state replay (applyTagged) consumes. Tokens are
-// the tagger's view — possibly truncated to the encoder's MaxLen, and
-// the basis of entity spans — so they ship verbatim rather than being
-// re-derived from the sentence. Embeddings ship as exact float64: the
-// global phase reads them bit-for-bit, and identity across the fleet
-// depends on it.
-type WireTag struct {
-	Tokens   []string
-	Entities []types.Entity
-	Emb      *nn.Matrix
-}
-
-// ToWireTags converts tag results for shipping.
-func ToWireTags(results []*localner.Result) []WireTag {
-	out := make([]WireTag, len(results))
-	for i, r := range results {
-		out[i] = WireTag{Tokens: r.Tokens, Entities: r.Entities, Emb: r.Embeddings}
-	}
-	return out
-}
-
-// ToResults materializes shipped tag results for ProcessTagged. BIO
-// labels intentionally stay off the wire: the replay path never reads
-// them.
-func ToResults(tags []WireTag) []*localner.Result {
-	out := make([]*localner.Result, len(tags))
-	for i, t := range tags {
-		out[i] = &localner.Result{Tokens: t.Tokens, Entities: t.Entities, Embeddings: t.Emb}
-	}
-	return out
-}
-
 // TagRequest asks a shard to tag one contiguous slice of a cycle's
 // batch. Tagging is pure, so Seq is advisory (observability only).
 type TagRequest struct {
@@ -93,14 +59,20 @@ type TagRequest struct {
 	Sentences []durable.CycleSentence
 }
 
-// TagResponse returns the slice's tag results, index-aligned.
-// BusySeconds is the shard's own wall-clock for serving the RPC
-// (request decode through inference); the router uses it to separate
-// shard work from router work when it accounts a cycle's distributed
-// critical path.
+// TagResponse returns the slice's tag results, index-aligned. Of a
+// result the wire carries exactly what the stream-state replay
+// (core.applyTagged) consumes: Tokens, the tagger's view — possibly
+// truncated to the encoder's MaxLen, and the basis of entity spans — ship
+// verbatim rather than being re-derived from the sentence; Embeddings
+// ship as exact float64, because the global phase reads them bit-for-bit
+// and fleet identity depends on it; BIO labels stay off the wire (nil
+// after a decode): the replay never reads them. BusySeconds is the
+// shard's own wall-clock for serving the RPC (request decode through
+// inference); the router uses it to separate shard work from router
+// work when it accounts a cycle's distributed critical path.
 type TagResponse struct {
 	Seq         uint64
-	Results     []WireTag
+	Results     []*localner.Result
 	BusySeconds float64
 }
 
@@ -112,7 +84,7 @@ type TagResponse struct {
 type CommitRequest struct {
 	Seq       uint64
 	Sentences []durable.CycleSentence
-	Tagged    []WireTag
+	Tagged    []*localner.Result
 }
 
 // validate checks a decoded commit against everything the engine's
@@ -137,7 +109,7 @@ func (q *CommitRequest) validate(dim int) error {
 			return fmt.Errorf("fleet: commit %d carries sentence %d/%d twice", q.Seq, key.TweetID, key.SentID)
 		}
 		seen[key] = true
-		t := &q.Tagged[i]
+		t := q.Tagged[i]
 		n := len(t.Tokens)
 		if n > len(q.Sentences[i].Tokens) {
 			return fmt.Errorf("fleet: commit %d tag result %d has %d tokens, its sentence %d", q.Seq, i, n, len(q.Sentences[i].Tokens))
@@ -148,10 +120,10 @@ func (q *CommitRequest) validate(dim int) error {
 			}
 		}
 		switch {
-		case t.Emb == nil && n > 0:
+		case t.Embeddings == nil && n > 0:
 			return fmt.Errorf("fleet: commit %d tag result %d has %d tokens and no embeddings", q.Seq, i, n)
-		case t.Emb != nil && (t.Emb.Rows != n || t.Emb.Cols != dim):
-			return fmt.Errorf("fleet: commit %d tag result %d embeds %d tokens as %dx%d, want %dx%d", q.Seq, i, n, t.Emb.Rows, t.Emb.Cols, n, dim)
+		case t.Embeddings != nil && (t.Embeddings.Rows != n || t.Embeddings.Cols != dim):
+			return fmt.Errorf("fleet: commit %d tag result %d embeds %d tokens as %dx%d, want %dx%d", q.Seq, i, n, t.Embeddings.Rows, t.Embeddings.Cols, n, dim)
 		}
 	}
 	return nil

@@ -9,30 +9,24 @@ import (
 
 // TestMatMul32IntoCrossTierBitIdentity pins the attention-combine
 // contract behind the vectorized saxpy walk: MatMul32Into produces
-// identical bits at every kernel tier, worker count, and column-tile
-// floor. The tiers vectorize along the independent output columns with
-// the scalar mul-then-add order (no FMA) and never split the k walk,
-// so — unlike the dot-product GEMMs — the combine is exchangeable
-// across ISAs mid-stream. Shapes cover ragged k (odd, <4), ragged
-// column counts (sub-lane, odd, >64), empty inner dims, and one shape
-// big enough to cross the parallel-tiling threshold.
+// identical bits at every kernel tier. The tiers vectorize along the
+// independent output columns with the scalar mul-then-add order (no
+// FMA) and never split the k walk, so — unlike the dot-product GEMMs —
+// the combine is exchangeable across ISAs mid-stream. Shapes cover
+// ragged k (odd, <4), ragged column counts (sub-lane, odd, >64) and
+// empty inner dims.
 func TestMatMul32IntoCrossTierBitIdentity(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {3, 5, 2}, {2, 7, 3}, {4, 4, 4}, {5, 13, 31},
 		{3, 16, 33}, {8, 9, 100}, {2, 0, 5}, {17, 3, 1}, {32, 24, 180},
 	}
-	defer func() {
-		SetMatMulWorkers(0)
-		minGEMMColTile = 32
-		SetSIMDAuto()
-	}()
+	defer SetSIMDAuto()
 	rng := rand.New(rand.NewSource(71))
 	type gemm struct{ a, b, want *Matrix32 }
 	cases := make([]gemm, len(shapes))
 	if err := SetSIMD(SIMDGeneric); err != nil {
 		t.Fatal(err)
 	}
-	SetMatMulWorkers(1)
 	for i, sh := range shapes {
 		m, k, n := sh[0], sh[1], sh[2]
 		g := gemm{a: NewMatrix32(m, k), b: NewMatrix32(k, n), want: NewMatrix32(m, n)}
@@ -49,25 +43,17 @@ func TestMatMul32IntoCrossTierBitIdentity(t *testing.T) {
 		for i, sh := range shapes {
 			g := cases[i]
 			got := NewMatrix32(sh[0], sh[2])
-			for _, workers := range []int{1, 2, 8} {
-				for _, colTile := range []int{1, 32} {
-					SetMatMulWorkers(workers)
-					minGEMMColTile = colTile
-					for j := range got.Data {
-						got.Data[j] = float32(math.NaN()) // must be fully overwritten
-					}
-					MatMul32Into(got, g.a, g.b)
-					for j, v := range got.Data {
-						if math.Float32bits(v) != math.Float32bits(g.want.Data[j]) {
-							t.Fatalf("%dx%dx%d workers=%d colTile=%d elem %d: %g (bits %#x) vs generic %g (bits %#x)",
-								sh[0], sh[1], sh[2], workers, colTile, j, v, math.Float32bits(v),
-								g.want.Data[j], math.Float32bits(g.want.Data[j]))
-						}
-					}
+			for j := range got.Data {
+				got.Data[j] = float32(math.NaN()) // must be fully overwritten
+			}
+			MatMul32Into(got, g.a, g.b)
+			for j, v := range got.Data {
+				if math.Float32bits(v) != math.Float32bits(g.want.Data[j]) {
+					t.Fatalf("%dx%dx%d elem %d: %g (bits %#x) vs generic %g (bits %#x)",
+						sh[0], sh[1], sh[2], j, v, math.Float32bits(v),
+						g.want.Data[j], math.Float32bits(g.want.Data[j]))
 				}
 			}
-			SetMatMulWorkers(0)
-			minGEMMColTile = 32
 		}
 	})
 }

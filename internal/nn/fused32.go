@@ -20,36 +20,29 @@ import "math"
 // with portable pure-Go bodies everywhere else.
 
 // InferInto32 computes dst = x·W + b over the float32 weight mirror.
-// dst must be x.Rows×Out and must not alias x. The multiply is tiled
-// 2D (rows × output columns, gemmTiles) across the matmul pool; every
-// output element is one contiguous dot product regardless of tile
-// geometry, so shard boundaries never change the bits.
+// dst must be x.Rows×Out and must not alias x. Rows are sharded across
+// the matmul pool as the f64 kernels' are (shardPool); every output
+// element is one contiguous dot product, so shard boundaries never
+// change the bits.
 func (d *Dense) InferInto32(dst, x *Matrix32) {
 	ks := kernels()
 	pk := d.pack32s()
 	checkInferShape(dst.Rows, dst.Cols, x.Rows, x.Cols, pk.in, pk.out)
-	if p, rt, ct := gemmTiles(x.Rows, pk.out, x.Rows*pk.in*pk.out); p != nil {
-		p.ForEach(rt*ct, func(t int) {
-			r0, r1 := tileSpan(t/ct, rt, x.Rows)
-			o0, o1 := tileSpan(t%ct, ct, pk.out)
-			inferTile32(dst, x, pk, ks, r0, r1, o0, o1)
+	if p := shardPool(x.Rows, x.Rows*pk.in*pk.out); p != nil {
+		p.ForEachSpan(x.Rows, func(lo, hi int) {
+			inferRows32(dst, x, pk, ks, lo, hi)
 		})
 	} else {
-		inferTile32(dst, x, pk, ks, 0, x.Rows, 0, pk.out)
+		inferRows32(dst, x, pk, ks, 0, x.Rows)
 	}
 }
 
-// inferTile32 computes one tile of the f32 GEMM: activation rows
-// [r0,r1) × outputs [o0,o1). The weight mirror is row-major in the
-// output dimension, so a column tile is a contiguous wt slice.
-func inferTile32(dst, x *Matrix32, pk *pack32, ks *kernelSet, r0, r1, o0, o1 int) {
-	in := pk.in
-	wt := pk.wt[o0*in : o1*in]
-	b := pk.b[o0:o1]
+// inferRows32 computes activation rows [r0,r1) of the f32 GEMM.
+func inferRows32(dst, x *Matrix32, pk *pack32, ks *kernelSet, r0, r1 int) {
 	for i := r0; i < r1; i++ {
-		or := dst.Row(i)[o0:o1]
-		ks.dot(or, x.Row(i), wt)
-		for o, bv := range b {
+		or := dst.Row(i)
+		ks.dot(or, x.Row(i), pk.wt)
+		for o, bv := range pk.b {
 			or[o] += bv
 		}
 	}
@@ -91,7 +84,7 @@ func (s *I8Scratch) ensure(rows, cols int) ([]int16, []float32) {
 // is shared across layer shapes), matching the pack's padded weight
 // rows, so the group loop has no ragged tail. dst must be x.Rows×Out
 // and must not alias x. The kernel set is loaded once per call and
-// threaded through the tile function, so a concurrent SetSIMD can
+// threaded through the row-range function, so a concurrent SetSIMD can
 // never mix tiers inside one multiply.
 func (d *Dense) InferIntoI8(dst, x *Matrix32, qs *I8Scratch) {
 	ks := kernels()
@@ -103,34 +96,27 @@ func (d *Dense) InferIntoI8(dst, x *Matrix32, qs *I8Scratch) {
 	for i := 0; i < rows; i++ {
 		sx[i] = ks.quant(q[i*inPad:i*inPad+inPad], x.Row(i))
 	}
-	if p, rt, ct := gemmTiles(rows, pk.out, flops); p != nil {
-		p.ForEach(rt*ct, func(t int) {
-			r0, r1 := tileSpan(t/ct, rt, rows)
-			o0, o1 := tileSpan(t%ct, ct, pk.out)
-			inferTileI8(dst, q, sx, pk, ks, r0, r1, o0, o1)
+	if p := shardPool(rows, flops); p != nil {
+		p.ForEachSpan(rows, func(lo, hi int) {
+			inferRowsI8(dst, q, sx, pk, ks, lo, hi)
 		})
 	} else {
-		inferTileI8(dst, q, sx, pk, ks, 0, rows, 0, pk.out)
+		inferRowsI8(dst, q, sx, pk, ks, 0, rows)
 	}
 }
 
-// inferTileI8 computes one tile of the W8A16 GEMM: rows [r0,r1) ×
-// outputs [o0,o1). Blocks of four rows share one weight
-// sign-extension sweep; a row computes identical bits in the blocked
-// and single-row kernels, so neither shard boundaries (worker count)
-// nor tile boundaries change the result.
-func inferTileI8(dst *Matrix32, q []int16, sx []float32, pk *packI8, ks *kernelSet, r0, r1, o0, o1 int) {
+// inferRowsI8 computes rows [r0,r1) of the W8A16 GEMM. Blocks of four
+// rows share one weight sign-extension sweep; a row computes identical
+// bits in the blocked and single-row kernels, so shard boundaries
+// (worker count) do not change the result.
+func inferRowsI8(dst *Matrix32, q []int16, sx []float32, pk *packI8, ks *kernelSet, r0, r1 int) {
 	inPad, out := pk.inPad, pk.out
-	tw := o1 - o0
-	wt := pk.wt[o0*inPad : o1*inPad]
-	scale := pk.scale[o0*pk.nb : o1*pk.nb]
-	b := pk.b[o0:o1]
 	i := r0
 	for ; i+4 <= r1; i += 4 {
-		ks.i8r4(dst.Data[i*out+o0:(i+3)*out+o1], q[i*inPad:(i+4)*inPad], sx[i:i+4], wt, scale, b, tw, inPad, out)
+		ks.i8r4(dst.Data[i*out:(i+4)*out], q[i*inPad:(i+4)*inPad], sx[i:i+4], pk.wt, pk.scale, pk.b, out, inPad, out)
 	}
 	for ; i < r1; i++ {
-		ks.i8r(dst.Row(i)[o0:o1], q[i*inPad:i*inPad+inPad], wt, scale, b, sx[i])
+		ks.i8r(dst.Row(i), q[i*inPad:i*inPad+inPad], pk.wt, pk.scale, pk.b, sx[i])
 	}
 }
 
@@ -143,49 +129,32 @@ func checkInferShape(dstRows, dstCols, xRows, xCols, in, out int) {
 // MatMul32Into computes dst = a × b in float32, overwriting dst.
 // Saxpy-style with a four-wide k unroll and no zero-skip branches
 // (its callers feed it dense softmax/value matrices — this is the
-// attention combine, attnW × V). The multiply is tiled 2D (rows ×
-// output columns, gemmTiles) across the matmul pool and the saxpy
-// walk runs through the dispatched axpy4/axpy1 kernels, which
-// vectorize along the independent output lanes with the identical
-// per-j mul-then-add sequence (no FMA): the bits are identical at
-// every SIMD level, tile geometry, and worker count. dst must be
-// a.Rows×b.Cols and must not alias a or b.
+// attention combine, attnW × V). It runs on the calling goroutine: one
+// sentence's combine per head is at most MaxLen·MaxLen·headDim
+// multiply-adds, below the sharding threshold at every model this repo
+// builds. The saxpy walk runs through the dispatched axpy4/axpy1
+// kernels, which vectorize along the independent output lanes with the
+// identical per-j mul-then-add sequence (no FMA) over the full
+// ascending-k 4-unrolled walk: the bits are identical at every SIMD
+// level. dst must be a.Rows×b.Cols and must not alias a or b.
 func MatMul32Into(dst, a, b *Matrix32) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("nn: matmul32 shape mismatch")
 	}
 	ks := kernels()
-	if p, rt, ct := gemmTiles(a.Rows, b.Cols, a.Rows*a.Cols*b.Cols); p != nil {
-		p.ForEach(rt*ct, func(t int) {
-			r0, r1 := tileSpan(t/ct, rt, a.Rows)
-			c0, c1 := tileSpan(t%ct, ct, b.Cols)
-			combineTile32(dst, a, b, ks, r0, r1, c0, c1)
-		})
-	} else {
-		combineTile32(dst, a, b, ks, 0, a.Rows, 0, b.Cols)
-	}
-}
-
-// combineTile32 computes one tile of the f32 saxpy GEMM: activation
-// rows [r0,r1) × output columns [c0,c1). The k dimension is never
-// split — each output element sees the full ascending-k 4-unrolled
-// walk — so tile boundaries only select which independent lanes a
-// call touches, never how any lane accumulates.
-func combineTile32(dst, a, b *Matrix32, ks *kernelSet, r0, r1, c0, c1 int) {
 	K, bc := a.Cols, b.Cols
-	w := c1 - c0
-	for i := r0; i < r1; i++ {
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
-		orow := dst.Row(i)[c0:c1]
+		orow := dst.Row(i)
 		for j := range orow {
 			orow[j] = 0
 		}
 		k := 0
 		for ; k+3 < K; k += 4 {
-			ks.axpy4(orow, b.Data[k*bc+c0:(k+3)*bc+c0+w], bc, arow[k:k+4:k+4])
+			ks.axpy4(orow, b.Data[k*bc:(k+4)*bc], bc, arow[k:k+4:k+4])
 		}
 		for ; k < K; k++ {
-			ks.axpy1(orow, b.Row(k)[c0:c0+w], arow[k])
+			ks.axpy1(orow, b.Row(k), arow[k])
 		}
 	}
 }

@@ -63,61 +63,6 @@ func shardPool(rows, flops int) *parallel.Pool {
 	return p
 }
 
-// minGEMMColTile is the narrowest output-column tile the 2D packed
-// GEMM split will produce. Below ~32 outputs a tile re-reads the whole
-// activation row for too little work and the per-tile dispatch
-// overhead shows. A var, not a const, so tests can force degenerate
-// tile boundaries.
-var minGEMMColTile = 32
-
-// gemmTiles plans the cooperative 2D split of a packed GEMM: rows ×
-// output-columns. Row sharding alone (the pre-dispatch scheme) leaves
-// cores idle whenever rows < workers — a few wide sentences, or the
-// tagger head over one sentence — so leftover workers tile the output
-// dimension instead. Returns (nil, 0, 0) when the multiply should run
-// serially. Every output element is still computed by exactly one
-// worker with a fixed per-element operation order, so the result is
-// bit-identical at every worker count and tile geometry.
-func gemmTiles(rows, out, flops int) (p *parallel.Pool, rowTiles, colTiles int) {
-	pool := kernelPool()
-	if flops < parallelMatMulMinFlops || pool.Workers() <= 1 || rows == 0 || out == 0 {
-		return nil, 0, 0
-	}
-	w := pool.Workers()
-	rt := rows
-	if rt > w {
-		rt = w
-	}
-	ct := 1
-	if rt < w {
-		ct = (w + rt - 1) / rt
-		if maxCT := out / minGEMMColTile; ct > maxCT {
-			ct = maxCT
-		}
-		if ct < 1 {
-			ct = 1
-		}
-	}
-	if rt*ct <= 1 {
-		return nil, 0, 0
-	}
-	return pool, rt, ct
-}
-
-// tileSpan returns contiguous span s of [0, n) split into parts
-// near-equal pieces — the same low-to-high arithmetic
-// parallel.ForEachSpan uses, so row spans match the pre-tiling
-// sharding exactly.
-func tileSpan(s, parts, n int) (lo, hi int) {
-	q, r := n/parts, n%parts
-	lo = s*q + min(s, r)
-	hi = lo + q
-	if s < r {
-		hi++
-	}
-	return lo, hi
-}
-
 // MatMul returns a × b.
 func MatMul(a, b *Matrix) *Matrix {
 	out := NewMatrix(a.Rows, b.Cols)

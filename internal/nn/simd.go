@@ -28,7 +28,7 @@ import (
 // Contracts, per tier:
 //
 //   - Within one tier, a row computes identical bits through the
-//     blocked and single-row kernels and at any shard/tile geometry.
+//     blocked and single-row kernels and at any row-shard geometry.
 //   - Across tiers, dot/quant/i8 outputs agree to the analytic error
 //     bounds pinned in precision_test.go — cross-ISA bit equality is
 //     explicitly NOT promised (FMA contraction, 8- vs 4-lane
@@ -44,8 +44,7 @@ import (
 //     the scalar reference at EVERY tier: they vectorize along
 //     independent output lanes with mul-then-add (no FMA) and never
 //     split a reduction, or compute an order-insensitive max, so
-//     MatMul32Into produces the same bits at any level, tile geometry,
-//     and worker count.
+//     MatMul32Into produces the same bits at any level.
 //   - Only the layer-norm mean/variance reductions (lnSum/lnSq) and
 //     the softmax exp partial sum reassociate; those are pinned by
 //     analytic error bounds per tier (kernels_test.go).
@@ -221,7 +220,7 @@ func init() {
 }
 
 // kernels returns the active kernel set. Hot paths call it once per
-// GEMM and thread the set through their tile functions.
+// GEMM and thread the set through their row-range functions.
 func kernels() *kernelSet { return activeKernels.Load() }
 
 // ActiveSIMD reports the currently dispatched kernel tier.
@@ -283,7 +282,7 @@ func refKernelSet() *kernelSet {
 
 // Dispatch wrappers: the historical kernel names, now routed through
 // the active set. Non-hot-loop callers (MatMulT32Into, GELU, tests)
-// use these; the GEMM tile loops load the set once instead.
+// use these; the GEMM row loops load the set once instead.
 
 func dotRows32(dst, a, rows []float32) { kernels().dot(dst, a, rows) }
 

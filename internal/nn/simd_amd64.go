@@ -82,7 +82,7 @@ func i8RowsSSE2(dst []float32, q []int16, wt []int8, scale, b []float32, s float
 // contiguous, sx holds the four activation scales. Weight
 // sign-extension and scale broadcasts are shared across the rows;
 // per-row results are bit-identical to i8RowsSSE2, so row blocking
-// and column tiling never change the output.
+// never changes the output.
 //
 //go:noescape
 func i8Rows4SSE2(dst []float32, q []int16, sx []float32, wt []int8, scale, b []float32, out, inPad, dstStride int)

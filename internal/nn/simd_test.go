@@ -108,21 +108,17 @@ func TestDotRows32MatchesRefAcrossLevels(t *testing.T) {
 	})
 }
 
-// TestGEMMTilingBitIdentity pins the cooperative-tiling contract: the
-// packed GEMMs produce bit-identical output at every worker count,
-// column-tile floor, and kernel tier — including shapes where rows <
-// workers so the planner tiles the output dimension, and ragged spans
-// from a forced 1-element tile floor.
+// TestGEMMTilingBitIdentity pins the row-sharding contract: the packed
+// GEMMs produce bit-identical output at every worker count and kernel
+// tier — including shapes with fewer rows than workers and shard
+// boundaries that cut the i8 kernel's four-row blocks.
 func TestGEMMTilingBitIdentity(t *testing.T) {
 	shapes := []struct{ rows, in, out int }{
-		{3, 256, 256}, // rows < workers → column tiling, ragged col spans
-		{6, 256, 96},  // mixed row+col tiling, 4-row blocks + tail
-		{32, 64, 128}, // rows ≥ workers → pure row sharding
+		{3, 256, 256}, // rows < workers → one row per shard
+		{6, 256, 96},  // ragged spans, 4-row blocks + tail
+		{32, 64, 128}, // rows ≥ workers
 	}
-	defer func() {
-		SetMatMulWorkers(0)
-		minGEMMColTile = 32
-	}()
+	defer SetMatMulWorkers(0)
 	forEachSIMDLevel(t, func(t *testing.T) {
 		rng := NewRNG(59)
 		for _, sh := range shapes {
@@ -131,7 +127,6 @@ func TestGEMMTilingBitIdentity(t *testing.T) {
 			x := down(randomMatrix(sh.rows, sh.in, int64(500+sh.rows)))
 
 			SetMatMulWorkers(1)
-			minGEMMColTile = 32
 			base32 := NewMatrix32(sh.rows, sh.out)
 			d.InferInto32(base32, x)
 			var qs I8Scratch
@@ -139,66 +134,24 @@ func TestGEMMTilingBitIdentity(t *testing.T) {
 			d.InferIntoI8(baseI8, x, &qs)
 
 			for _, workers := range []int{2, 3, 8, 16} {
-				for _, colTile := range []int{1, 8, 32} {
-					SetMatMulWorkers(workers)
-					minGEMMColTile = colTile
-					got := NewMatrix32(sh.rows, sh.out)
-					d.InferInto32(got, x)
-					assertBits32(t, sh, workers, colTile, "f32", got, base32)
-					d.InferIntoI8(got, x, &qs)
-					assertBits32(t, sh, workers, colTile, "i8", got, baseI8)
-				}
+				SetMatMulWorkers(workers)
+				got := NewMatrix32(sh.rows, sh.out)
+				d.InferInto32(got, x)
+				assertBits32(t, sh, workers, "f32", got, base32)
+				d.InferIntoI8(got, x, &qs)
+				assertBits32(t, sh, workers, "i8", got, baseI8)
 			}
 			SetMatMulWorkers(0)
 		}
 	})
 }
 
-func assertBits32(t *testing.T, sh struct{ rows, in, out int }, workers, colTile int, path string, got, want *Matrix32) {
+func assertBits32(t *testing.T, sh struct{ rows, in, out int }, workers int, path string, got, want *Matrix32) {
 	t.Helper()
 	for i, v := range got.Data {
 		if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
-			t.Fatalf("%dx%d→%d %s workers=%d colTile=%d: element %d = %g, serial %g",
-				sh.rows, sh.in, sh.out, path, workers, colTile, i, v, want.Data[i])
-		}
-	}
-}
-
-// TestGemmTilesPlan sanity-checks the 2D split planner and span
-// arithmetic: small multiplies stay serial, tiles cover [0, n) exactly
-// once, and the column split never goes below the tile floor.
-func TestGemmTilesPlan(t *testing.T) {
-	defer SetMatMulWorkers(0)
-	SetMatMulWorkers(8)
-	if p, _, _ := gemmTiles(4, 8, 1000); p != nil {
-		t.Fatal("small multiply got a pool")
-	}
-	p, rt, ct := gemmTiles(3, 256, 1<<20)
-	if p == nil || rt != 3 || ct < 2 {
-		t.Fatalf("rows<workers plan = (%v, %d, %d); want col tiling", p != nil, rt, ct)
-	}
-	if max := 256 / minGEMMColTile; ct > max {
-		t.Fatalf("colTiles %d breaks the %d floor", ct, minGEMMColTile)
-	}
-	p, rt, ct = gemmTiles(32, 256, 1<<20)
-	if p == nil || rt != 8 || ct != 1 {
-		t.Fatalf("rows≥workers plan = (%v, %d, %d); want pure row sharding", p != nil, rt, ct)
-	}
-	SetMatMulWorkers(1)
-	if p, _, _ := gemmTiles(32, 256, 1<<20); p != nil {
-		t.Fatal("workers=1 got a pool")
-	}
-	for _, c := range []struct{ parts, n int }{{1, 7}, {3, 7}, {3, 256}, {6, 256}, {7, 5}, {16, 96}} {
-		next := 0
-		for s := 0; s < c.parts; s++ {
-			lo, hi := tileSpan(s, c.parts, c.n)
-			if lo != next || hi < lo {
-				t.Fatalf("tileSpan(%d, %d, %d) = [%d, %d); want lo %d", s, c.parts, c.n, lo, hi, next)
-			}
-			next = hi
-		}
-		if next != c.n {
-			t.Fatalf("spans over %d/%d end at %d", c.n, c.parts, next)
+			t.Fatalf("%dx%d→%d %s workers=%d: element %d = %g, serial %g",
+				sh.rows, sh.in, sh.out, path, workers, i, v, want.Data[i])
 		}
 	}
 }

@@ -98,10 +98,10 @@ func oneTweetGroups(tweets []string) [][]string {
 // deltas past its newest base, so recovery has a chain to merge.
 func TestDurableRestartByteIdentical(t *testing.T) {
 	t.Run("base", func(t *testing.T) {
-		restartByteIdentical(t, durableTweets, durable.Options{SnapshotEvery: 2, Fsync: durable.FsyncAlways}, 1)
+		restartByteIdentical(t, durableTweets, durable.Options{SnapshotEvery: 2}, 1)
 	})
 	t.Run("chain", func(t *testing.T) {
-		restartByteIdentical(t, oneTweetGroups(streamTweets(98, 43)), durable.Options{SnapshotEvery: 4, Fsync: durable.FsyncAlways}, 4)
+		restartByteIdentical(t, oneTweetGroups(streamTweets(98, 43)), durable.Options{SnapshotEvery: 4}, 4)
 	})
 }
 
@@ -226,7 +226,7 @@ func TestBlankTweetRestartByteIdentical(t *testing.T) {
 	post := func(url string, req annotateRequest) string { return postAnnotate(t, url, req.Tweets) }
 	start := func(dir string) (*Server, *httptest.Server) {
 		s := New(g)
-		if err := s.StartDurable(dir, durable.Options{Fsync: durable.FsyncAlways}); err != nil {
+		if err := s.StartDurable(dir, durable.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.WaitWarm(); err != nil {
@@ -645,7 +645,7 @@ func TestCloseIdempotent(t *testing.T) {
 	})
 	t.Run("durable", func(t *testing.T) {
 		s := New(g)
-		if err := s.StartDurable(t.TempDir(), durable.Options{SnapshotEvery: 2, Fsync: durable.FsyncAlways}); err != nil {
+		if err := s.StartDurable(t.TempDir(), durable.Options{SnapshotEvery: 2}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.WaitWarm(); err != nil {

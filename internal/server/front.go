@@ -98,18 +98,30 @@ func fail(jobs []*Job, status, retryAfter int, msg string) {
 
 // Front is the serving skeleton the single server and the fleet router
 // share: bounded admission of /annotate requests, the scheduler
-// goroutine that micro-batches them into execution cycles, the
-// readiness gate in front of both, and the HTTP plumbing (request
-// counting, /metrics, /healthz). A process supplies only what one
-// cycle does with its jobs, and its own read endpoints.
+// goroutine that micro-batches them into execution cycles, the ordered
+// tail their second stages run on, the readiness gate in front of all
+// of it, and the HTTP plumbing (request counting, /metrics, /healthz).
+// A process supplies only what one cycle does with its jobs, and its
+// own read endpoints.
+//
+// A cycle has two stages. Stage one (run) executes on the scheduler
+// goroutine, one cycle at a time: it is where the stream advances. What
+// it returns (finish) — the wait for durability or for the shards, the
+// replies, the snapshot hand-off — executes on the one tail goroutine, in
+// cycle order, while the scheduler is in the next cycle's stage one. With
+// depth finishes queued behind the one running, the scheduler blocks.
 type Front struct {
 	// Gate refuses /annotate while startup recovery replays and after a
 	// durability failure; the owning process runs its recovery behind it
 	// and trips it when a commit cannot be made durable.
 	Gate durable.Gate
 
-	run  func([]*Job)
+	run  func([]*Job) (finish func())
 	jobs chan *Job
+	// tail carries each cycle's finish to the tail goroutine. The
+	// scheduler is its only sender, so queue order is cycle order.
+	tail     chan func()
+	tailDone chan struct{}
 	// ops carries exclusive operations to the scheduler. Unbuffered: a
 	// completed send means the scheduler has taken the operation and
 	// will finish it before it exits.
@@ -140,18 +152,27 @@ type frontObs struct {
 	queueDepth      *obs.Gauge     // ner_jobs_queue_depth
 }
 
-// NewFront starts the scheduler: run executes one micro-batched cycle
-// over the jobs it is handed, on the scheduler goroutine, one cycle at
-// a time. Call Close to stop it.
-func NewFront(run func([]*Job)) *Front {
+// NewFront starts the scheduler and the tail over run, stage one of a
+// micro-batched cycle; a nil finish means the cycle answered its jobs
+// already, and at most tailDepth finishes queue behind the one running.
+// Call Close to stop both.
+func NewFront(run func([]*Job) (finish func()), tailDepth int) *Front {
 	f := &Front{
 		run:      run,
 		jobs:     make(chan *Job, queueDepth),
+		tail:     make(chan func(), tailDepth),
+		tailDone: make(chan struct{}),
 		ops:      make(chan func()),
 		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
 	go f.loop()
+	go func() {
+		defer close(f.tailDone)
+		for finish := range f.tail {
+			finish()
+		}
+	}()
 	return f
 }
 
@@ -194,25 +215,29 @@ func (f *Front) Registry() *obs.Registry {
 func (f *Front) SetBatchWindow(d time.Duration) { f.window.Store(int64(d)) }
 
 // Close stops the scheduler — in-flight and queued requests receive
-// 503 — and, once its goroutine has exited, runs then: the rest of the
-// owning process's shutdown, which may therefore touch scheduler-owned
-// state. Idempotent: a repeated (or concurrent) call waits for the
-// first and does nothing.
+// 503 — and, once its goroutine has exited and the tail has run every
+// finish it was handed, runs then: the rest of the owning process's
+// shutdown, which may therefore touch scheduler-owned state and seal
+// what the finishes were waiting on. Idempotent: a repeated (or
+// concurrent) call waits for the first and does nothing.
 func (f *Front) Close(then func()) {
 	f.closeOnce.Do(func() {
 		close(f.quit)
 		<-f.loopDone
+		close(f.tail)
+		<-f.tailDone
 		then()
 	})
 }
 
-// Exclusive runs op on the scheduler goroutine between two cycles, so
-// no cycle straddles it, and returns once op has; false means the
-// front is closing and op did not run.
+// Exclusive runs op on the scheduler goroutine between two cycles, once
+// the tail has finished every earlier cycle, so no cycle straddles it,
+// and returns once op has; false means the front is closing and op did
+// not run.
 func (f *Front) Exclusive(op func()) bool {
 	done := make(chan struct{})
 	select {
-	case f.ops <- func() { defer close(done); op() }:
+	case f.ops <- func() { defer close(done); f.drainTail(); op() }:
 		<-done
 		return true
 	case <-f.quit:
@@ -231,9 +256,19 @@ func (f *Front) Reject(jobs []*Job, status, retryAfter int, msg string) {
 	fail(jobs, status, retryAfter, msg)
 }
 
+// drainTail returns once every finish queued so far has run. Scheduler
+// goroutine only: nothing else sends on the tail, so a marker that has
+// run has the tail empty behind it.
+func (f *Front) drainTail() {
+	empty := make(chan struct{})
+	f.tail <- func() { close(empty) }
+	<-empty
+}
+
 // loop is the scheduler: it blocks for the first queued request,
 // drains everything else that arrived (plus anything arriving within
-// the batch window), and runs them as one execution cycle.
+// the batch window), runs them as one execution cycle and queues the
+// cycle's finish on the tail.
 func (f *Front) loop() {
 	defer close(f.loopDone)
 	for {
@@ -248,7 +283,9 @@ func (f *Front) loop() {
 				fo.queueDepth.Set(int64(len(f.jobs)))
 				fo.jobsPerCycle.Observe(float64(len(batch)))
 			}
-			f.run(batch)
+			if finish := f.run(batch); finish != nil {
+				f.tail <- finish
+			}
 		}
 	}
 }

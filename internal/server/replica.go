@@ -112,8 +112,9 @@ func (r *Replica) Tag(sents []durable.CycleSentence) []*localner.Result {
 // Applied is what one cycle left behind: the annotations it emitted for
 // its batch (index-aligned; a shard's: the owned ones), the replica's
 // sizes after it, and — on a durable replica — the wait that must
-// succeed before the cycle is acked plus the snapshot the schedule
-// called for, if any. The caller fills the snapshot's kind-specific
+// succeed before the cycle is acked (a failure trips the gate before it
+// is returned) plus the snapshot the schedule called for, if any. The
+// caller fills the snapshot's kind-specific
 // field (NextID, LastResp) and hands it to SubmitSnapshot after the ack.
 type Applied struct {
 	Seq         uint64
@@ -128,9 +129,10 @@ type Applied struct {
 // Local NER results when another process computed them; nil has the
 // engine tag the batch itself. A durable replica appends the cycle's
 // record under the engine lock — with more than one caller admitted,
-// WAL order is commit order — and an append failure trips the gate: the
-// stream has advanced past its disk, so acking this cycle or taking
-// another would let a restart silently drop it.
+// WAL order is commit order — and a failure of the append, or later of
+// the wait, trips the gate: the stream has advanced past its disk, so
+// acking this cycle or taking another would let a restart silently drop
+// it.
 func (r *Replica) Apply(sentences []durable.CycleSentence, tagged []*localner.Result) (Applied, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -151,7 +153,13 @@ func (r *Replica) Apply(sentences []durable.CycleSentence, tagged []*localner.Re
 		r.gate.Trip()
 		return Applied{}, err
 	}
-	out.Wait = wait
+	out.Wait = func() error {
+		err := wait()
+		if err != nil {
+			r.gate.Trip()
+		}
+		return err
+	}
 	r.prov.AppendCycle(out.Seq, out.Annotations)
 	if r.dl.ShouldSnapshot(out.Seq) {
 		out.Snapshot = r.dl.EngineSnapshot(r.kind(), out.Seq, r.g, r.prov)
@@ -304,7 +312,7 @@ func (r *Replica) Replay(rec *durable.Recovery) (Applied, error) {
 }
 
 // SubmitSnapshot hands a snapshot Apply captured to the log's writer.
-func (r *Replica) SubmitSnapshot(snap *durable.Snapshot) { r.dl.SubmitSnapshot(snap, snap.Seq) }
+func (r *Replica) SubmitSnapshot(snap *durable.Snapshot) { r.dl.SubmitSnapshot(snap) }
 
 // ServeProof serves Merkle inclusion proofs over this replica's chain:
 // ?tweet=N answers the bundle covering every annotated sentence of the

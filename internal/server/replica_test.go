@@ -72,7 +72,7 @@ func TestReplicaContract(t *testing.T) {
 				}
 			}
 			dir := t.TempDir()
-			opts := durable.Options{SnapshotEvery: row.every, Fsync: durable.FsyncAlways}
+			opts := durable.Options{SnapshotEvery: row.every}
 			start := func() (*Replica, *durable.Gate, Applied) {
 				gate := &durable.Gate{}
 				r := NewReplica(engine, gate, row.shard)
@@ -285,7 +285,7 @@ func TestReadsDuringReplay(t *testing.T) {
 // 8 and 12, two cycles of WAL tail.
 var (
 	parentStream = oneTweetGroups(streamTweets(17, 59))
-	parentOpts   = durable.Options{SnapshotEvery: 4, Fsync: durable.FsyncAlways}
+	parentOpts   = durable.Options{SnapshotEvery: 4}
 )
 
 const parentCycles = 14

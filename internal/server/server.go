@@ -33,7 +33,8 @@
 // are the Front (front.go), which the fleet router shares; the engine,
 // its commit tail, its replay and its reads are the Replica
 // (replica.go), which the fleet shard shares. This file composes the
-// two: tweet ID assignment, the ack pipeline and the JSON endpoints.
+// two: tweet ID assignment, the two stages of a cycle and the JSON
+// endpoints.
 package server
 
 import (
@@ -50,7 +51,8 @@ import (
 
 // Server wraps a trained pipeline with HTTP handlers: a Front in front
 // of one Replica. All pipeline execution happens on the front's
-// scheduler goroutine; the replica's engine lock guards the read-side
+// scheduler goroutine, and a durable cycle's acknowledgement on the
+// front's tail; the replica's engine lock guards the read-side
 // endpoints (/candidates, /entities) against a cycle in flight. The
 // pipeline is configured (workers, inference batching, precision)
 // before New.
@@ -70,36 +72,14 @@ type Server struct {
 	// o carries the cycle metrics; nil when no registry is attached, in
 	// which case every hook is a single branch.
 	o atomic.Pointer[serverObs]
-
-	// acks (nil unless StartDurable was called) decouples acking from the
-	// scheduler when durability is on: runCycle hands each cycle's outcome,
-	// durability wait included, to the acker goroutine, which releases
-	// clients in cycle order once the covering fsync completes. Cycle
-	// N+1's compute overlaps cycle N's flush without ever acking early.
-	acks      chan *cycleAck
-	ackerDone chan struct{}
 }
 
-// ackQueueDepth bounds how many cycles may run ahead of their
-// covering fsync. Under the group fsync policy every queued cycle
-// rides the next flush; the depth has to absorb the longest ack
-// outage — a background snapshot flush can hold the device for tens
-// of cycles — without the scheduler blocking on the acker.
+// ackQueueDepth is the front's tail depth under the server: how many
+// cycles may run ahead of their covering fsync. Every queued cycle rides
+// the next flush; the depth has to absorb the longest ack outage — a
+// background snapshot flush can hold the device for tens of cycles —
+// without the scheduler blocking on the tail.
 const ackQueueDepth = 32
-
-// cycleAck is one cycle's deferred acknowledgement: the jobs to answer
-// and what the cycle left for them — all cycle-local, so the acker never
-// touches anything a later cycle can mutate.
-type cycleAck struct {
-	jobs   []*Job
-	perJob []int
-	batch  []durable.CycleSentence
-	out    Applied
-}
-
-func (a *cycleAck) answer() {
-	Answer(a.jobs, a.perJob, a.batch, a.out.Annotations, a.out.StreamSize, a.out.Candidates)
-}
 
 // serverObs is the cycle-level metric set, registered on the same
 // registry as the front's and the pipeline's stage metrics so one
@@ -145,21 +125,18 @@ func (s *Server) Cycles() int { return int(s.cycles.Load()) }
 func New(g *core.Globalizer) *Server {
 	g.Reset()
 	s := &Server{}
-	s.front = NewFront(s.runCycle)
+	s.front = NewFront(s.runCycle, ackQueueDepth)
 	s.rep = NewReplica(g, &s.front.Gate, -1)
 	return s
 }
 
 // Close stops the scheduler. In-flight and queued requests receive 503;
-// Close returns once the scheduler goroutine has exited. Idempotent: a
+// Close returns once the scheduler goroutine has exited, every cycle it
+// ran has been acknowledged and the log is sealed. Idempotent: a
 // repeated (or concurrent) call waits for the first and does nothing.
 func (s *Server) Close() {
 	s.front.Close(func() {
 		s.front.Gate.WaitWarm()
-		if s.acks != nil {
-			close(s.acks)
-			<-s.ackerDone
-		}
 		s.rep.Close()
 	})
 }
@@ -172,8 +149,8 @@ func (s *Server) Precision() (p nn.Precision) {
 
 // StartDurable opens (or creates) the data directory and begins
 // recovery: every cycle is from then on appended to the WAL before its
-// jobs are answered (a 200 means the cycle survives kill -9 under
-// -fsync always). Call once, after New and SetObserver but before
+// jobs are answered (a 200 means the cycle survives kill -9 unless
+// the policy is -fsync none). Call once, after New and SetObserver but before
 // serving traffic. Recovery is asynchronous so /healthz can report the
 // replay in progress and /statusz how far it has come; mutating
 // endpoints answer 503 until it finishes, WaitWarm blocks on it.
@@ -182,9 +159,6 @@ func (s *Server) StartDurable(dir string, opts durable.Options) error {
 	if err != nil {
 		return err
 	}
-	s.acks = make(chan *cycleAck, ackQueueDepth)
-	s.ackerDone = make(chan struct{})
-	go s.acker()
 	s.front.Gate.Recover(func() error {
 		s.nextID = rec.NextID()
 		_, err := s.rep.Replay(rec)
@@ -202,18 +176,22 @@ func (s *Server) WaitWarm() error { return s.front.Gate.WaitWarm() }
 // Front.SetBatchWindow.
 func (s *Server) SetBatchWindow(d time.Duration) { s.front.SetBatchWindow(d) }
 
-// runCycle executes one micro-batched execution cycle: tweet IDs are
-// assigned in queue order, the coalesced batch runs through the replica
-// once, and each request is answered from its own slice of the result.
+// runCycle is stage one of a micro-batched execution cycle: tweet IDs
+// are assigned in queue order and the coalesced batch runs through the
+// replica once. Without a data dir each request is answered here from
+// its own slice of the result.
 //
 // Ack-after-durable: the replica has issued the WAL append by the time
-// Apply returns, and the acker releases the jobs only after the
-// append's durability wait succeeds — immediate under "always", after
-// the covering group fsync under "group". A failed append has tripped
-// the gate — in-memory state has already advanced past what disk holds,
-// so continuing would let a later restart silently drop acknowledged
-// cycles.
-func (s *Server) runCycle(jobs []*Job) {
+// Apply returns, and the returned finish (the front's tail runs it while
+// the scheduler computes the next cycle) releases the jobs only after
+// the covering fsync, then submits any scheduled snapshot — after the
+// fsync, so a snapshot never outruns the WAL it compacts. A failed
+// append or wait has tripped the gate — in-memory state has advanced
+// past what disk holds, so continuing would let a later restart silently
+// drop acknowledged cycles — and the jobs get the error instead of an
+// ack. The finish touches only cycle-local data, nothing a later cycle
+// can mutate.
+func (s *Server) runCycle(jobs []*Job) (finish func()) {
 	s.cycles.Add(1)
 	batch, perJob, nextID := Batch(jobs, s.nextID)
 	s.nextID = nextID
@@ -224,43 +202,34 @@ func (s *Server) runCycle(jobs []*Job) {
 	}
 	if err != nil {
 		durabilityFailed(jobs, err)
-		return
+		return nil
+	}
+	answer := func() {
+		Answer(jobs, perJob, batch, out.Annotations, out.StreamSize, out.Candidates)
+	}
+	if out.Wait == nil {
+		answer()
+		return nil
 	}
 	if out.Snapshot != nil {
 		out.Snapshot.NextID = nextID
 	}
-	ack := &cycleAck{jobs: jobs, perJob: perJob, batch: batch, out: out}
-	if out.Wait == nil {
-		ack.answer()
-		return
+	return func() {
+		if err := out.Wait(); err != nil {
+			durabilityFailed(jobs, err)
+			return
+		}
+		answer()
+		if out.Snapshot != nil {
+			s.rep.SubmitSnapshot(out.Snapshot)
+		}
 	}
-	s.acks <- ack
 }
 
 // durabilityFailed answers the cycle's jobs 500 instead of acking state
 // that disk does not hold.
 func durabilityFailed(jobs []*Job, err error) {
 	fail(jobs, http.StatusInternalServerError, 0, "durability failure: "+err.Error())
-}
-
-// acker releases each durable cycle's clients once its durability wait
-// succeeds, in cycle order, then submits any scheduled snapshot (after
-// the covering fsync, so a snapshot never outruns the WAL it compacts).
-// A wait failure is sticky: the gate trips and the cycle's jobs get the
-// error instead of an ack.
-func (s *Server) acker() {
-	defer close(s.ackerDone)
-	for a := range s.acks {
-		if err := a.out.Wait(); err != nil {
-			s.front.Gate.Trip()
-			durabilityFailed(a.jobs, err)
-			continue
-		}
-		a.answer()
-		if a.out.Snapshot != nil {
-			s.rep.SubmitSnapshot(a.out.Snapshot)
-		}
-	}
 }
 
 // Handler returns the routed HTTP handler.

@@ -24,6 +24,15 @@ say() { echo "crash_recovery_smoke: $*"; }
 go build -o "$WORK/serve" ./cmd/serve
 go build -o "$WORK/nerprove" ./cmd/nerprove
 
+# The removed inline-fsync policy is a usage error that names its
+# replacement, before anything is trained or opened.
+status=0
+"$WORK/serve" -data-dir "$WORK/never" -fsync always > "$WORK/always.log" 2>&1 || status=$?
+if [ "$status" != "2" ] || ! grep -q 'group' "$WORK/always.log" || [ -e "$WORK/never" ]; then
+  say "FAIL: serve -fsync always exited $status (want 2, naming group, touching no data dir)"
+  exit 1
+fi
+
 # The golden stream: fixed request bodies, fed in the same order to
 # every run. Entity-bearing text so the byte-diff gates real
 # annotations, not empty tables.
@@ -84,7 +93,7 @@ SERVE_PID=""
 # shutdown hook gets to run, recovery starts from fsynced state only.
 say "durable run, SIGKILL after $HALF of ${#BODIES[@]} requests"
 "$WORK/serve" -model "$WORK/model.ckpt" -data-dir "$WORK/state" \
-  -snapshot-every 2 -fsync always -addr ":$DUR_PORT" \
+  -snapshot-every 2 -fsync group -addr ":$DUR_PORT" \
   > "$WORK/durable1.log" 2>&1 &
 SERVE_PID=$!
 wait_healthy "$DUR_PORT" 300
@@ -97,7 +106,7 @@ SERVE_PID=""
 # snapshot restore + WAL replay finish, then the stream continues.
 say "restarting from $WORK/state"
 "$WORK/serve" -model "$WORK/model.ckpt" -data-dir "$WORK/state" \
-  -snapshot-every 2 -fsync always -addr ":$DUR_PORT" \
+  -snapshot-every 2 -fsync group -addr ":$DUR_PORT" \
   > "$WORK/durable2.log" 2>&1 &
 SERVE_PID=$!
 wait_healthy "$DUR_PORT" 300
@@ -116,15 +125,15 @@ curl -sf "http://localhost:$DUR_PORT/proof?tweet=0" > "$WORK/proof.json"
 
 stop_gracefully "$SERVE_PID"
 SERVE_PID=""
-say "PASS: fsync=always crash recovery is byte-identical and the proof verifies"
+say "PASS: crash recovery with one-off snapshot writes is byte-identical and the proof verifies"
 
-# Group-commit leg: the same SIGKILL protocol under -fsync group with
-# async snapshots. Acks block until the covering fsync of the commit
-# window, so a kill in the append-to-fsync gap must never lose a
-# request the client saw acknowledged — recovery from the group-mode
-# state dir has to reproduce the same bytes as the always-mode run.
+# Async-snapshot leg: the same SIGKILL protocol with snapshots handed
+# to the background writer. In both legs acks block until the covering
+# fsync of the commit window, so a kill in the append-to-fsync gap must
+# never lose a request the client saw acknowledged — recovery from this
+# state dir has to reproduce the same bytes as the first leg's.
 GRP_PORT=18082
-say "group-commit run, SIGKILL after $HALF of ${#BODIES[@]} requests"
+say "async-snapshot run, SIGKILL after $HALF of ${#BODIES[@]} requests"
 "$WORK/serve" -model "$WORK/model.ckpt" -data-dir "$WORK/gstate" \
   -snapshot-every 2 -fsync group -snapshot-async -addr ":$GRP_PORT" \
   > "$WORK/group1.log" 2>&1 &
@@ -144,19 +153,19 @@ wait_healthy "$GRP_PORT" 300
 feed "$GRP_PORT" "$HALF" "${#BODIES[@]}"
 curl -sf "http://localhost:$GRP_PORT/entities" > "$WORK/group_entities.json"
 
-say "byte-diffing group-commit resumed stream against uninterrupted reference"
+say "byte-diffing async-snapshot resumed stream against uninterrupted reference"
 if ! diff -u "$WORK/ref_entities.json" "$WORK/group_entities.json"; then
-  say "FAIL: group-commit resumed annotations diverge from the uninterrupted run"
+  say "FAIL: async-snapshot resumed annotations diverge from the uninterrupted run"
   exit 1
 fi
 
-say "verifying a live inclusion proof from the group-mode server"
+say "verifying a live inclusion proof from the async-snapshot server"
 curl -sf "http://localhost:$GRP_PORT/proof?tweet=0" > "$WORK/group_proof.json"
 "$WORK/nerprove" -in "$WORK/group_proof.json"
 
 stop_gracefully "$SERVE_PID"
 SERVE_PID=""
-say "PASS: crash recovery is byte-identical in both fsync modes and the proofs verify"
+say "PASS: crash recovery is byte-identical in both snapshot-submit modes and the proofs verify"
 
 # Delta-chain leg: a longer stream at -snapshot-every 2, so that most
 # snapshots are deltas linked to a base. The SIGKILL is held back until

@@ -81,7 +81,7 @@ stop_gracefully() { # pid — SIGTERM, wait, and require exit status 0
 
 start_shard() { # index
   "$WORK/serve" -role shard -shard-index "$1" -shard-count 2 \
-    -model "$WORK/model.ckpt" -data-dir "$WORK/shard$1" -fsync always -snapshot-every 2 \
+    -model "$WORK/model.ckpt" -data-dir "$WORK/shard$1" -fsync group -snapshot-every 2 \
     -addr ":${SHARD_PORT[$1]}" >> "$WORK/shard$1.log" 2>&1 &
   SHARD_PID[$1]=$!
   PIDS+=("$!")
