@@ -29,7 +29,6 @@ func main() {
 	confusion := flag.Bool("confusion", false, "print only the pooled confusion matrix")
 	summary := flag.Bool("summary", false, "print only the macro-F1 gain summary")
 	workers := flag.Int("workers", 0, "worker goroutines for pipeline hot paths (0 = GOMAXPROCS, 1 = serial); tables are identical at every setting")
-	inferBatch := flag.Int("infer-batch", 256, "max tokens packed per encoder inference call (0 runs every sentence as a call of its own); tables are identical at every setting")
 	precName := flag.String("precision", "f64", "inference precision tier: f64 (exact), f32 (packed float32 kernels), i8 (dynamic int8 GEMM); training always runs f64")
 	flag.Parse()
 
@@ -54,7 +53,6 @@ func main() {
 		os.Exit(1)
 	}
 	scale.Core.Workers = *workers
-	scale.Core.InferBatchTokens = *inferBatch
 	scale.Core.InferPrecision = prec.String()
 	s := experiments.NewSuite(scale)
 	fmt.Printf("training suite at %s scale...\n\n", scale.Name)

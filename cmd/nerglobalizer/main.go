@@ -32,7 +32,6 @@ func main() {
 	input := flag.String("input", "", "process this CoNLL file instead of a synthetic dataset")
 	output := flag.String("output", "", "write predictions in CoNLL format to this file")
 	workers := flag.Int("workers", 0, "worker goroutines for pipeline hot paths (0 = GOMAXPROCS, 1 = serial); output is identical at every setting")
-	inferBatch := flag.Int("infer-batch", 256, "max tokens packed per encoder inference call (0 runs every sentence as a call of its own); output is identical at every setting")
 	precName := flag.String("precision", "f64", "inference precision tier: f64 (exact), f32 (packed float32 kernels), i8 (dynamic int8 GEMM); training always runs f64")
 	flag.Parse()
 
@@ -57,7 +56,6 @@ func main() {
 		os.Exit(1)
 	}
 	scale.Core.Workers = *workers
-	scale.Core.InferBatchTokens = *inferBatch
 	scale.Core.InferPrecision = prec.String()
 	mode, ok := map[string]core.Mode{
 		"local":    core.ModeLocalOnly,

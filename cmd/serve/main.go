@@ -1,10 +1,13 @@
 // Command serve runs the NER Globalizer as an HTTP service, in one of
 // three roles. The default, -role single, serves a whole pipeline from
-// one process exactly as before. The fleet roles split the same
-// pipeline across processes: -role shard serves one hash-partitioned
-// engine replica, and -role router fronts a set of shards with the
-// deterministic surface-ownership router — client-visible endpoints
-// and payloads are identical in all topologies.
+// one process. The fleet roles split the same pipeline across
+// processes: -role shard serves one hash-partitioned engine replica,
+// and -role router fronts a set of shards with the deterministic
+// surface-ownership router — client-visible endpoints and payloads are
+// identical in all topologies. Every role exposes its metrics on
+// /metrics and /statusz. The kernel tier is the best the CPU supports
+// unless the NER_SIMD environment variable names another (generic,
+// sse2, avx2, neon).
 //
 //	serve -scale small -addr :8080
 //	serve -scale small -save model.ckpt
@@ -87,17 +90,12 @@ func main() {
 	save := flag.String("save", "", "save the trained pipeline to this path")
 	scaleName := flag.String("scale", "small", "training scale when no -model is given: small or full")
 	workers := flag.Int("workers", 0, "per-request worker goroutines (0 = GOMAXPROCS, 1 = serial); annotations are identical at every setting")
-	inferBatch := flag.Int("infer-batch", 256, "max tokens packed per encoder inference call (0 runs every sentence as a call of its own); annotations are identical at every setting")
 	precName := flag.String("precision", "f64", "inference precision tier: f64 (exact), f32 (packed float32 kernels), i8 (dynamic int8 GEMM); training always runs f64; fleets must run one tier on every shard")
-	simdName := flag.String("simd", "", "force the SIMD kernel tier: generic, sse2, avx2 (amd64), or neon (arm64) (default: best the CPU supports; the NER_SIMD env var is the same knob, the flag wins)")
-	batchWindow := flag.Duration("batch-window", 0, "how long the scheduler waits to coalesce concurrent /annotate requests into one execution cycle (0 coalesces only what is already queued)")
 	rpcTimeout := flag.Duration("rpc-timeout", 30*time.Second, "router role: per-shard RPC deadline")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables profiling")
-	metricsOn := flag.Bool("metrics", true, "attach the observability registry: /metrics (Prometheus) and /statusz (JSON) expose pipeline stage timings, cache hits, pool and HTTP metrics")
 	dataDir := flag.String("data-dir", "", "durability root: snapshot + WAL state lives here and a restart resumes the stream warm and byte-identical; each process (single, every shard, the router) needs its own directory; empty disables durability")
 	snapshotEvery := flag.Int("snapshot-every", 0, "cycles between snapshots when -data-dir is set (0 = default 64); the WAL tail past the latest snapshot is what replays on restart")
 	fsyncName := flag.String("fsync", "group", "WAL flush policy when -data-dir is set: group (no cycle is acked before an fsync covers its record — crash-safe; concurrent and consecutive cycles share one fsync) or none (page cache only — faster, loses the tail on power loss)")
-	snapshotAsync := flag.Bool("snapshot-async", false, "write snapshots on a background goroutine with backlog back-pressure instead of a fire-and-forget write; snapshot boundaries no longer stall the cycle loop, and a snapshot that cannot be queued is skipped (the WAL still covers every cycle)")
 	flag.Parse()
 
 	parallel.SetDefaultWorkers(*workers)
@@ -109,24 +107,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	dopts := durable.Options{SnapshotEvery: *snapshotEvery, Fsync: fsync, AsyncSnapshots: *snapshotAsync}
+	dopts := durable.Options{SnapshotEvery: *snapshotEvery, Fsync: fsync}
 
 	prec, err := nn.ParsePrecision(*precName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *simdName != "" {
-		level, err := nn.ParseSIMD(*simdName)
-		if err == nil {
-			err = nn.SetSIMD(level)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-			flag.Usage()
-			os.Exit(2)
-		}
 	}
 	log.Printf("SIMD kernels: %s (best supported %s)", nn.ActiveSIMD(), nn.BestSIMD())
 
@@ -139,31 +126,22 @@ func main() {
 
 	switch *role {
 	case "router":
-		runRouter(*addr, *shardURLs, *batchWindow, *rpcTimeout, *metricsOn, *dataDir, dopts)
+		runRouter(*addr, *shardURLs, *rpcTimeout, *dataDir, dopts)
 		return
 	case "single", "shard":
 	default:
 		log.Fatalf("serve: unknown role %q (want single, shard, or router)", *role)
 	}
 
-	g := loadOrTrain(*model, *save, *scaleName, *workers, *inferBatch, prec)
+	g := loadOrTrain(*model, *save, *scaleName, *workers, prec)
 
 	if *role == "shard" {
-		runShard(*addr, g, *shardIndex, *shardCount, *metricsOn, *dataDir, dopts, map[string]string{
-			"workers":     strconv.Itoa(*workers),
-			"infer_batch": strconv.Itoa(*inferBatch),
-			"precision":   prec.String(),
-			"simd":        nn.ActiveSIMD().String(),
-		})
+		runShard(*addr, g, *shardIndex, *shardCount, *dataDir, dopts, map[string]string{"workers": strconv.Itoa(*workers)})
 		return
 	}
 
 	srv := server.New(g)
-	if *batchWindow > 0 {
-		srv.SetBatchWindow(*batchWindow)
-		log.Printf("micro-batch window: %s", batchWindow.String())
-	}
-	run(srv, "single", fmt.Sprintf("NER Globalizer serving on %s", *addr), *addr, *metricsOn, *dataDir, dopts)
+	run(srv, "single", fmt.Sprintf("NER Globalizer serving on %s", *addr), *addr, *dataDir, dopts)
 	log.Printf("shutdown complete after %d execution cycles (inference precision %s)", srv.Cycles(), srv.Precision())
 }
 
@@ -184,13 +162,9 @@ type process interface {
 // and log the final metrics snapshot. Close is the process's own: a
 // shard's, for one, ends the frame connections that were hijacked from
 // the HTTP server and that its shutdown therefore does not see.
-func run(p process, name, banner, addr string, metricsOn bool, dataDir string, dopts durable.Options) {
-	var reg *obs.Registry
-	if metricsOn {
-		reg = obs.NewRegistry()
-		p.SetObserver(reg)
-		log.Printf("metrics on: GET /metrics (Prometheus), GET /statusz (JSON)")
-	}
+func run(p process, name, banner, addr, dataDir string, dopts durable.Options) {
+	reg := obs.NewRegistry()
+	p.SetObserver(reg)
 	if dataDir != "" {
 		if err := p.StartDurable(dataDir, dopts); err != nil {
 			log.Fatalf("serve: %v", err)
@@ -205,7 +179,7 @@ func run(p process, name, banner, addr string, metricsOn bool, dataDir string, d
 }
 
 // loadOrTrain resolves the engine for the single and shard roles.
-func loadOrTrain(model, save, scaleName string, workers, inferBatch int, prec nn.Precision) *core.Globalizer {
+func loadOrTrain(model, save, scaleName string, workers int, prec nn.Precision) *core.Globalizer {
 	var g *core.Globalizer
 	if model != "" {
 		log.Printf("loading checkpoint %s", model)
@@ -215,10 +189,10 @@ func loadOrTrain(model, save, scaleName string, workers, inferBatch int, prec nn
 		}
 		g = loaded
 		// Checkpoints persist the training-time config; the serving
-		// parallelism cap and inference batch size are operational
-		// choices made here (old checkpoints decode with packing off).
+		// parallelism cap is an operational choice made here, and old
+		// checkpoints decode with packing off.
 		g.SetWorkers(workers)
-		g.SetInferBatch(inferBatch)
+		g.SetInferBatch(core.DefaultConfig().InferBatchTokens)
 		if err := g.SetPrecision(prec); err != nil {
 			log.Fatalf("serve: %v", err)
 		}
@@ -233,7 +207,6 @@ func loadOrTrain(model, save, scaleName string, workers, inferBatch int, prec nn
 			log.Fatalf("serve: unknown scale %q", scaleName)
 		}
 		scale.Core.Workers = workers
-		scale.Core.InferBatchTokens = inferBatch
 		scale.Core.InferPrecision = prec.String()
 		log.Printf("training pipeline at %s scale...", scale.Name)
 		g = core.New(scale.Core)
@@ -251,21 +224,21 @@ func loadOrTrain(model, save, scaleName string, workers, inferBatch int, prec nn
 }
 
 // runShard serves one fleet partition. A fleet's shards must be
-// homogeneous (same checkpoint, precision, SIMD tier); the resolved
-// settings are reported through /statusz so the router can surface
-// them for verification.
-func runShard(addr string, g *core.Globalizer, index, count int, metricsOn bool, dataDir string, dopts durable.Options, settings map[string]string) {
+// homogeneous (same checkpoint, precision, SIMD tier); /statusz reports
+// the engine's precision and tier beside settings, so the router can
+// surface them for verification.
+func runShard(addr string, g *core.Globalizer, index, count int, dataDir string, dopts durable.Options, settings map[string]string) {
 	sh, err := fleet.NewShard(g, index, count, settings)
 	if err != nil {
 		log.Fatalf("serve: %v", err)
 	}
 	name := fmt.Sprintf("shard %d/%d", index, count)
-	run(sh, name, fmt.Sprintf("NER Globalizer %s serving on %s", name, addr), addr, metricsOn, dataDir, dopts)
+	run(sh, name, fmt.Sprintf("NER Globalizer %s serving on %s", name, addr), addr, dataDir, dopts)
 	log.Printf("%s shutdown complete", name)
 }
 
 // runRouter fronts a shard fleet.
-func runRouter(addr, shardURLs string, window, rpcTimeout time.Duration, metricsOn bool, dataDir string, dopts durable.Options) {
+func runRouter(addr, shardURLs string, rpcTimeout time.Duration, dataDir string, dopts durable.Options) {
 	var urls []string
 	for _, u := range strings.Split(shardURLs, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -281,14 +254,10 @@ func runRouter(addr, shardURLs string, window, rpcTimeout time.Duration, metrics
 	}
 	router := fleet.NewRouter(clients)
 	router.SetRPCTimeout(rpcTimeout)
-	if window > 0 {
-		router.SetBatchWindow(window)
-		log.Printf("micro-batch window: %s", window)
-	}
 	// The router's recovery re-drives lagging shards, so the shards must
 	// already be answering when it starts: run starts it only now, with
 	// the clients wired.
-	run(router, "router", fmt.Sprintf("NER Globalizer router serving on %s (%d shards)", addr, len(urls)), addr, metricsOn, dataDir, dopts)
+	run(router, "router", fmt.Sprintf("NER Globalizer router serving on %s (%d shards)", addr, len(urls)), addr, dataDir, dopts)
 	log.Printf("router shutdown complete after %d execution cycles", router.Cycles())
 }
 
@@ -327,9 +296,6 @@ func serveUntilSignal(httpSrv *http.Server) {
 }
 
 func logSnapshot(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	snap, err := json.Marshal(reg.Snapshot())
 	if err != nil {
 		log.Printf("serve: final snapshot: %v", err)

@@ -110,7 +110,7 @@ func TestMerkleDomainSeparation(t *testing.T) {
 
 func TestWALRoundTripAndTornTail(t *testing.T) {
 	dir := t.TempDir()
-	w := openWAL(dir, 0)
+	w := &wal{dir: dir, maxBytes: defaultSegmentBytes}
 	var want []*CycleRecord
 	for seq := uint64(1); seq <= 5; seq++ {
 		rec := sampleRecord(seq)
@@ -150,7 +150,7 @@ func TestWALRoundTripAndTornTail(t *testing.T) {
 func TestWALSealedCorruptionFails(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segment bound forces one record per segment.
-	w := openWAL(dir, 1)
+	w := &wal{dir: dir, maxBytes: 1}
 	for seq := uint64(1); seq <= 3; seq++ {
 		if _, err := w.append(sampleRecord(seq)); err != nil {
 			t.Fatal(err)
@@ -177,7 +177,7 @@ func TestWALSealedCorruptionFails(t *testing.T) {
 
 func TestWALRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	w := openWAL(dir, 1)
+	w := &wal{dir: dir, maxBytes: 1}
 	for seq := uint64(1); seq <= 6; seq++ {
 		if _, err := w.append(sampleRecord(seq)); err != nil {
 			t.Fatal(err)
@@ -206,7 +206,7 @@ func TestWALRotationAndCompaction(t *testing.T) {
 		t.Fatalf("post-compaction records wrong: %d records", len(got))
 	}
 	// Over-eager compaction must never touch the live tail.
-	w2 := openWAL(dir, 1)
+	w2 := &wal{dir: dir, maxBytes: 1}
 	if _, err := w2.append(sampleRecord(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -438,10 +438,11 @@ func TestLogOpenAppendRecover(t *testing.T) {
 
 func TestLogRefusesCompactedGap(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{Fsync: FsyncNone, MaxSegmentBytes: 1}, nil)
+	l, _, err := Open(dir, Options{Fsync: FsyncNone}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.w.maxBytes = 1 // one record per segment
 	for seq := uint64(1); seq <= 4; seq++ {
 		if err := l.Append(sampleRecord(seq)); err != nil {
 			t.Fatal(err)
@@ -566,44 +567,104 @@ func TestGroupCommitBlockingAppend(t *testing.T) {
 	}
 }
 
-// TestAsyncSnapshotWriteOnClose checks the background snapshot writer:
-// a submitted snapshot is written by Close's drain, and a second submit
-// while the queue is full is dropped rather than blocking.
-func TestAsyncSnapshotWriteOnClose(t *testing.T) {
+// TestSnapshotWriterContract pins the one snapshot writer. From
+// EngineSnapshot until its write ends, ShouldSnapshot is false and one
+// snapshot reads as pending. A submit that finds the writer busy and its
+// queue full returns at once and drops its capture (were it to block,
+// this test would hang: it holds the lock the stalled writer waits on),
+// so the next capture is a base. Close drains what is queued, and a
+// reopen recovers that snapshot plus the WAL past it.
+func TestSnapshotWriterContract(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{Fsync: FsyncNone, AsyncSnapshots: true, SnapshotEvery: 1}, nil)
+	l, _, err := Open(dir, Options{Fsync: FsyncNone, SnapshotEvery: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seq := uint64(1); seq <= 3; seq++ {
+	g, prov := testEngine(), NewProvenance()
+	seq := uint64(0)
+	advance := func() { seq++; engineCycle(g, prov, seq) }
+	cycle := func() {
+		t.Helper()
+		advance()
 		if err := l.Append(sampleRecord(seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !l.ShouldSnapshot(3) {
-		t.Fatal("schedule should call for a snapshot")
+	pending := func() int { return l.Status().SnapshotPending }
+	waitFor := func(cond func() bool) {
+		for !cond() {
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
-	l.SubmitSnapshot(&Snapshot{Kind: KindSingle, Seq: 2})
+	// Warm up first: early in a stream a delta is as large as its base,
+	// and the size bound alone would make the last capture below a base.
+	for seq < 40 {
+		cycle()
+	}
+	if !l.ShouldSnapshot(seq) || pending() != 0 {
+		t.Fatal("an idle writer at cadence 1 must call for a snapshot")
+	}
+	s1 := l.EngineSnapshot(KindSingle, seq, g, prov)
+	if l.ShouldSnapshot(seq+1) || pending() != 1 {
+		t.Fatalf("a capture on its way to the writer: ShouldSnapshot %v, pending %d", l.ShouldSnapshot(seq+1), pending())
+	}
+
+	// Stall the writer once s1's file has landed: compaction, the last
+	// step of its write, takes the WAL lock.
+	l.mu.Lock()
+	l.SubmitSnapshot(s1)
+	waitFor(func() bool { l.cmu.Lock(); defer l.cmu.Unlock(); return l.tipSeq == s1.Seq })
+	if l.ShouldSnapshot(seq+1) || pending() != 1 {
+		t.Fatalf("a write in flight: ShouldSnapshot %v, pending %d", l.ShouldSnapshot(seq+1), pending())
+	}
+	advance()
+	l.SubmitSnapshot(l.EngineSnapshot(KindSingle, seq, g, prov)) // queued behind s1
+	advance()
+	l.SubmitSnapshot(l.EngineSnapshot(KindSingle, seq, g, prov)) // queue full: dropped
+	if got := pending(); got != 2 {
+		t.Fatalf("one write in flight and one queued read as %d pending", got)
+	}
+	l.mu.Unlock()
+	for s := seq - 1; s <= seq; s++ {
+		if err := l.Append(sampleRecord(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(func() bool { return pending() == 0 })
+
+	cycle()
+	if !l.ShouldSnapshot(seq) {
+		t.Fatal("the writer is idle again: the schedule must call for a snapshot")
+	}
+	last := l.EngineSnapshot(KindSingle, seq, g, prov)
+	if last.Delta != nil || last.Warm == nil {
+		t.Fatal("the capture after a dropped one must be a base")
+	}
+	l.SubmitSnapshot(last)
+	cycle()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec, err := Open(dir, Options{Fsync: FsyncNone, AsyncSnapshots: true}, nil)
+	if got := pending(); got != 0 {
+		t.Fatalf("Close left %d snapshots pending", got)
+	}
+	_, rec, err := Open(dir, Options{Fsync: FsyncNone}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Snapshot == nil || rec.Snapshot.Seq != 2 {
-		t.Fatalf("recovery snapshot = %+v, want seq 2", rec.Snapshot)
+	if rec.Snapshot == nil || rec.Snapshot.Seq != last.Seq || rec.Snapshot.Warm == nil {
+		t.Fatalf("recovery snapshot = %+v, want the base at seq %d", rec.Snapshot, last.Seq)
 	}
-	if len(rec.Tail) != 1 || rec.Tail[0].Seq != 3 {
-		t.Fatalf("recovery tail = %+v, want just seq 3", rec.Tail)
+	if len(rec.Tail) != 1 || rec.Tail[0].Seq != seq {
+		t.Fatalf("recovery tail = %+v, want just seq %d", rec.Tail, seq)
 	}
 }
 
-// TestAsyncSnapshotWriterDeathFallsBack proves the restart contract
-// when the background writer dies mid-file: an orphan .tmp and even a
-// corrupt completed snapshot are skipped, and recovery falls back to
-// the previous valid snapshot plus the WAL tail past it.
-func TestAsyncSnapshotWriterDeathFallsBack(t *testing.T) {
+// TestSnapshotWriterDeathFallsBack proves the restart contract when the
+// snapshot writer dies mid-file: an orphan .tmp and even a corrupt
+// completed snapshot are skipped, and recovery falls back to the
+// previous valid snapshot plus the WAL tail past it.
+func TestSnapshotWriterDeathFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{Fsync: FsyncNone}, nil)
 	if err != nil {
@@ -841,10 +902,11 @@ func TestSnapshotChainRecovery(t *testing.T) {
 func TestOpenNeedsWALFromBrokenLink(t *testing.T) {
 	for _, compacted := range []bool{false, true} {
 		dir := t.TempDir()
-		l, _, err := Open(dir, Options{Fsync: FsyncNone, MaxSegmentBytes: 1}, nil)
+		l, _, err := Open(dir, Options{Fsync: FsyncNone}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		l.w.maxBytes = 1 // one record per segment
 		for seq := uint64(1); seq <= 45; seq++ {
 			if err := l.Append(sampleRecord(seq)); err != nil {
 				t.Fatal(err)
@@ -917,7 +979,7 @@ func engineCycle(g *core.Globalizer, prov *Provenance, seq uint64) {
 func TestChainRuleBaseOrDelta(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	l, _, err := Open(dir, Options{Fsync: FsyncNone, SnapshotEvery: 1, AsyncSnapshots: true}, reg)
+	l, _, err := Open(dir, Options{Fsync: FsyncNone, SnapshotEvery: 1}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1232,7 +1294,7 @@ func TestParentFormatReencodesByteForByte(t *testing.T) {
 		t.Fatalf("parent WAL segment: %d records, %v", len(recs), err)
 	}
 	out := t.TempDir()
-	w := openWAL(out, 0)
+	w := &wal{dir: out, maxBytes: defaultSegmentBytes}
 	for _, rec := range recs {
 		if _, err := w.append(rec); err != nil {
 			t.Fatal(err)

@@ -47,12 +47,8 @@ type Options struct {
 	SnapshotEvery int
 	// Fsync is the WAL flush policy.
 	Fsync FsyncPolicy
-	// MaxSegmentBytes bounds WAL segment size; <= 0 selects the default.
-	MaxSegmentBytes int64
-	// AsyncSnapshots moves snapshot writes to a background writer with a
-	// depth-1 queue. A snapshot submitted while the queue is full is
-	// dropped — safe, because the WAL covers every cycle and the next
-	// schedule boundary retries.
+	// Deprecated: ignored. Every Log writes its snapshots on one
+	// background writer.
 	AsyncSnapshots bool
 }
 
@@ -92,7 +88,6 @@ func (rec *Recovery) NextID() int {
 // Status is a point-in-time durability summary for /statusz.
 type Status struct {
 	Fsync           string `json:"fsync"`
-	AsyncSnapshots  bool   `json:"async_snapshots"`
 	WALBacklog      uint64 `json:"wal_backlog"`
 	SnapshotPending int    `json:"snapshot_pending"`
 	// ChainLength counts the snapshot files recovery would merge today
@@ -126,12 +121,8 @@ type Log struct {
 	syncQuit   chan struct{}
 	syncerDone chan struct{}
 
-	snapCh   chan *Snapshot // depth-1 background snapshot queue
+	snapCh   chan *Snapshot // the snapshot writer's depth-1 queue
 	snapDone chan struct{}
-	// saves counts the one-off writer goroutines of the synchronous
-	// snapshot mode, so Close can wait for them.
-	saves sync.WaitGroup
-
 	snapBusy atomic.Bool
 
 	// Snapshot chain state. landedSeq is the newest landed snapshot (the
@@ -206,13 +197,19 @@ func Open(dir string, opts Options, reg *obs.Registry) (*Log, *Recovery, error) 
 		rec = &Recovery{}
 	}
 
-	l := &Log{dir: dir, opts: opts, w: openWAL(dir, opts.MaxSegmentBytes)}
+	l := &Log{
+		dir:      dir,
+		opts:     opts,
+		w:        &wal{dir: dir, maxBytes: defaultSegmentBytes},
+		snapCh:   make(chan *Snapshot, 1),
+		snapDone: make(chan struct{}),
+	}
 	l.gcond = sync.NewCond(&l.gmu)
 	l.landedSeq, l.baseSeq, l.chainLen = snapSeq, baseSeq, chainLen
 	if reg != nil {
 		l.appends = reg.Counter("ner_wal_appends_total", "WAL records appended")
 		l.walBytes = reg.Counter("ner_wal_bytes_total", "WAL bytes written (framed)")
-		l.appendSecs = reg.Histogram("ner_wal_append_seconds", "WAL append latency including fsync", obs.DefBuckets)
+		l.appendSecs = reg.Histogram("ner_wal_append_seconds", "WAL append latency: frame and write, plus the sealing sync when the append rotates a segment; the covering fsync is the ack's wait, not part of the append", obs.DefBuckets)
 		l.segments = reg.Gauge("ner_wal_segments", "WAL segment files on disk")
 		l.compactions = reg.Counter("ner_wal_compactions_total", "WAL segments deleted by compaction")
 		l.groupSize = reg.Histogram("ner_wal_group_size", "records covered per group-commit fsync", groupSizeBuckets)
@@ -237,11 +234,7 @@ func Open(dir string, opts Options, reg *obs.Registry) (*Log, *Recovery, error) 
 		l.syncerDone = make(chan struct{})
 		go l.syncer()
 	}
-	if opts.AsyncSnapshots {
-		l.snapCh = make(chan *Snapshot, 1)
-		l.snapDone = make(chan struct{})
-		go l.snapWriter()
-	}
+	go l.snapWriter()
 	return l, rec, nil
 }
 
@@ -393,41 +386,33 @@ func (l *Log) EngineSnapshot(kind int, seq uint64, g *core.Globalizer, prov *Pro
 	return snap
 }
 
-// SubmitSnapshot hands a captured snapshot to the write path without
-// blocking the caller: the background writer when AsyncSnapshots is
-// on (drop-on-full — the WAL covers every cycle, so a skipped
-// snapshot only lengthens replay), a fire-and-forget goroutine
-// otherwise. The write compacts the WAL through snap.Seq.
+// SubmitSnapshot queues a captured snapshot for the background writer
+// without blocking the caller. A snapshot that finds the queue full,
+// or the Log closed, is dropped: the WAL covers every cycle, so a
+// skipped snapshot only lengthens replay. The write compacts the WAL
+// through snap.Seq.
 func (l *Log) SubmitSnapshot(snap *Snapshot) {
+	queued := false
 	l.gmu.Lock()
-	closed := l.closed
-	if !closed && l.snapCh == nil {
-		l.saves.Add(1)
+	if !l.closed {
+		select {
+		case l.snapCh <- snap:
+			queued = true
+		default:
+		}
 	}
 	l.gmu.Unlock()
-	if closed {
+	if !queued {
 		l.captureDone()
 		return
 	}
-	if l.snapCh != nil {
-		select {
-		case l.snapCh <- snap:
-			l.publishSnapPending()
-		default:
-			l.captureDone()
-		}
-		return
-	}
-	go func() {
-		defer l.saves.Done()
-		l.SaveSnapshot(snap, snap.Seq)
-	}()
+	l.publishSnapPending()
 }
 
-// snapWriter drains the background snapshot queue. If this goroutine
-// (or the process) dies mid-file, the tmp+rename protocol leaves only
-// an orphan .tmp behind and recovery falls back to the previous
-// snapshot plus a longer WAL tail.
+// snapWriter drains the snapshot queue until Close closes it. If this
+// goroutine (or the process) dies mid-file, the tmp+rename protocol
+// leaves only an orphan .tmp behind and recovery falls back to the
+// previous snapshot plus a longer WAL tail.
 func (l *Log) snapWriter() {
 	defer close(l.snapDone)
 	for snap := range l.snapCh {
@@ -438,10 +423,7 @@ func (l *Log) snapWriter() {
 // snapshotsPending counts snapshot writes queued or in flight, and
 // counts a capture that has not reached the writer yet as one.
 func (l *Log) snapshotsPending() int {
-	n := 0
-	if l.snapCh != nil {
-		n = len(l.snapCh)
-	}
+	n := len(l.snapCh)
 	if l.snapBusy.Load() {
 		n++
 	}
@@ -533,7 +515,7 @@ func (l *Log) SaveSnapshot(snap *Snapshot, compactThrough uint64) (bool, error) 
 
 // Status summarizes the commit path for /statusz.
 func (l *Log) Status() Status {
-	s := Status{Fsync: l.opts.Fsync.String(), AsyncSnapshots: l.opts.AsyncSnapshots}
+	s := Status{Fsync: l.opts.Fsync.String()}
 	l.gmu.Lock()
 	s.WALBacklog = l.appended - l.synced
 	l.gmu.Unlock()
@@ -553,10 +535,10 @@ func (l *Log) ObserveReplay(cycles int, elapsed time.Duration) {
 // ProofServed counts one served proof bundle.
 func (l *Log) ProofServed() { l.proofsServed.Inc() }
 
-// Close drains the background goroutines, then seals the active WAL
-// segment. The seal syncs, so after a clean Close every appended
-// record is durable; any waiters still parked are released with that
-// outcome.
+// Close stops the syncer, lets the snapshot writer finish the snapshot
+// it holds and the one queued, then seals the active WAL segment. The
+// seal syncs, so after a clean Close every appended record is durable;
+// any waiters still parked are released with that outcome.
 func (l *Log) Close() error {
 	l.gmu.Lock()
 	if l.closed {
@@ -569,11 +551,8 @@ func (l *Log) Close() error {
 		close(l.syncQuit)
 		<-l.syncerDone
 	}
-	if l.snapCh != nil {
-		close(l.snapCh)
-		<-l.snapDone
-	}
-	l.saves.Wait()
+	close(l.snapCh)
+	<-l.snapDone
 	l.mu.Lock()
 	err := l.w.close()
 	l.mu.Unlock()

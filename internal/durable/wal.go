@@ -191,14 +191,6 @@ func readWAL(dir string) ([]*CycleRecord, error) {
 	return out, nil
 }
 
-// openWAL prepares the writer; the first append creates its segment.
-func openWAL(dir string, maxBytes int64) *wal {
-	if maxBytes <= 0 {
-		maxBytes = defaultSegmentBytes
-	}
-	return &wal{dir: dir, maxBytes: maxBytes}
-}
-
 // startSegment opens a fresh segment whose first record will be seq.
 func (w *wal) startSegment(seq uint64) error {
 	if w.f != nil {

@@ -10,16 +10,16 @@ import (
 )
 
 // TestGroupCommitPipelinedFleetHammer drives a durable group-commit
-// fleet with concurrent clients — the -race hammer for the whole new
-// commit path at once: group-commit WAL tickets, async snapshot
-// writers, the shard's unlock-before-fsync-wait commit handler, and the
-// router's chained commit goroutines. Every acked request must then be
+// fleet with concurrent clients — the -race hammer for the whole
+// commit path at once: group-commit WAL tickets, the snapshot writers,
+// the shard's unlock-before-fsync-wait commit handler, and the router's
+// commit fan-outs on the front's tail. Every acked request must then be
 // recoverable: a restart from the same data dirs has to reproduce the
 // final /entities body byte for byte.
 func TestGroupCommitPipelinedFleetHammer(t *testing.T) {
 	g := trainedPipeline(t)
 	dir := t.TempDir()
-	opts := durable.Options{SnapshotEvery: 3, Fsync: durable.FsyncGroup, AsyncSnapshots: true}
+	opts := durable.Options{SnapshotEvery: 3, Fsync: durable.FsyncGroup}
 
 	h1, err := NewHarness(g, 3, nil)
 	if err != nil {

@@ -192,10 +192,6 @@ func (r *Router) SetObserver(reg *obs.Registry) {
 	}
 }
 
-// SetBatchWindow sets the micro-batch coalescing window; see
-// server.Front.SetBatchWindow.
-func (r *Router) SetBatchWindow(d time.Duration) { r.front.SetBatchWindow(d) }
-
 // SetRPCTimeout re-bounds every shard RPC (tests use short ones).
 func (r *Router) SetRPCTimeout(d time.Duration) {
 	for _, c := range r.clients {

@@ -85,7 +85,7 @@ func (l SIMDLevel) String() string {
 	}
 }
 
-// ParseSIMD maps an operator-facing level name (NER_SIMD, -simd) to a
+// ParseSIMD maps an operator-facing level name (NER_SIMD) to a
 // SIMDLevel. "avx2" and the reporting name "avx2-fma" are synonyms.
 // Every level name parses on every architecture — forcing a level the
 // local architecture cannot run fails later, in SetSIMD or init, with

@@ -312,14 +312,14 @@ func TestProofWithoutDataDir(t *testing.T) {
 // group-commit fsync policy with concurrent clients, then restarts it
 // from the data dir. Acks are only sent after the covering fsync, so
 // everything the clients saw acknowledged must be reconstructed
-// byte-identically — with async snapshots on, the WAL alone has to
-// carry whatever the background writer had not yet flushed. A serial
+// byte-identically — the WAL alone has to carry whatever the snapshot
+// writer had not yet flushed. A serial
 // tail then grows the snapshot chain to three deltas past its base, so
 // the restart merges a chain the concurrent phase started.
 func TestGroupCommitConcurrentRestart(t *testing.T) {
 	g := trainedPipeline(t)
 	dir := t.TempDir()
-	opts := durable.Options{SnapshotEvery: 2, Fsync: durable.FsyncGroup, AsyncSnapshots: true}
+	opts := durable.Options{SnapshotEvery: 2, Fsync: durable.FsyncGroup}
 
 	s1 := New(g)
 	if err := s1.StartDurable(dir, opts); err != nil {
@@ -482,8 +482,8 @@ func snapshotBytes(t *testing.T, snap *durable.Snapshot) []byte {
 	return b
 }
 
-// driveChain starts a durable server with async snapshots at the given
-// cadence over dir and feeds it the tweets one request at a time, letting the
+// driveChain starts a durable server snapshotting at the given cadence
+// over dir and feeds it the tweets one request at a time, letting the
 // writer go idle after each; landed runs after every cycle in which a
 // snapshot landed. The caller closes the returned servers.
 func driveChain(t *testing.T, dir string, tweets []string, cadence int, landed func(cycle int, st durable.Status, m obs.Snapshot)) (s *Server, ts *httptest.Server, reg *obs.Registry) {
@@ -491,7 +491,7 @@ func driveChain(t *testing.T, dir string, tweets []string, cadence int, landed f
 	s = New(trainedPipeline(t))
 	reg = obs.NewRegistry()
 	s.SetObserver(reg)
-	if err := s.StartDurable(dir, durable.Options{SnapshotEvery: cadence, Fsync: durable.FsyncNone, AsyncSnapshots: true}); err != nil {
+	if err := s.StartDurable(dir, durable.Options{SnapshotEvery: cadence, Fsync: durable.FsyncNone}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.WaitWarm(); err != nil {

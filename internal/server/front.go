@@ -126,9 +126,6 @@ type Front struct {
 	// completed send means the scheduler has taken the operation and
 	// will finish it before it exits.
 	ops chan func()
-	// window is the micro-batch coalescing window in nanoseconds
-	// (0 = coalesce only what is already queued).
-	window atomic.Int64
 
 	quit      chan struct{}
 	loopDone  chan struct{}
@@ -207,13 +204,6 @@ func (f *Front) Registry() *obs.Registry {
 	return nil
 }
 
-// SetBatchWindow sets how long the scheduler waits after a request
-// arrives to coalesce more requests into the same execution cycle.
-// Zero (the default) still coalesces everything that queued while the
-// previous cycle was running — the window only adds deliberate latency
-// to trade for bigger micro-batches under bursty concurrent load.
-func (f *Front) SetBatchWindow(d time.Duration) { f.window.Store(int64(d)) }
-
 // Close stops the scheduler — in-flight and queued requests receive
 // 503 — and, once its goroutine has exited and the tail has run every
 // finish it was handed, runs then: the rest of the owning process's
@@ -265,10 +255,10 @@ func (f *Front) drainTail() {
 	<-empty
 }
 
-// loop is the scheduler: it blocks for the first queued request,
-// drains everything else that arrived (plus anything arriving within
-// the batch window), runs them as one execution cycle and queues the
-// cycle's finish on the tail.
+// loop is the scheduler: it blocks for the first queued request, takes
+// everything else that queued meanwhile — while the previous cycle ran —
+// runs them as one execution cycle and queues the cycle's finish on the
+// tail.
 func (f *Front) loop() {
 	defer close(f.loopDone)
 	for {
@@ -290,34 +280,17 @@ func (f *Front) loop() {
 	}
 }
 
-// drain collects every queued job without blocking, then keeps
-// collecting until the batch window (if any) expires.
+// drain collects every queued job without blocking.
 func (f *Front) drain() []*Job {
 	var out []*Job
 	for {
 		select {
 		case j := <-f.jobs:
 			out = append(out, j)
-			continue
 		default:
-		}
-		break
-	}
-	if w := time.Duration(f.window.Load()); w > 0 {
-		timer := time.NewTimer(w)
-		defer timer.Stop()
-		for {
-			select {
-			case j := <-f.jobs:
-				out = append(out, j)
-			case <-timer.C:
-				return out
-			case <-f.quit:
-				return out
-			}
+			return out
 		}
 	}
-	return out
 }
 
 // Mux returns a mux serving the front's own endpoints — /annotate,

@@ -203,6 +203,29 @@ func TestAnnotateSaturationRejects(t *testing.T) {
 	}
 }
 
+// TestRefusedCycleNotCounted: a cycle the replica refuses at a tripped
+// gate takes no seq, so it must not move Cycles(), the cycle series or
+// the tweet ID cursor — only its job learns of the refusal.
+func TestRefusedCycleNotCounted(t *testing.T) {
+	_, s := newTestServerFull(t)
+	reg := obs.NewRegistry()
+	s.SetObserver(reg)
+	s.front.Gate.Trip()
+	job := &Job{Tweets: [][][]string{{{"refused", "tweet"}}}, done: make(chan jobResult, 1)}
+	if finish := s.runCycle([]*Job{job}); finish != nil {
+		t.Fatal("a refused cycle left work for the tail")
+	}
+	if res := <-job.done; res.status != http.StatusInternalServerError {
+		t.Fatalf("refused job answered %d %q, want 500", res.status, res.msg)
+	}
+	snap := reg.Snapshot()
+	if s.Cycles() != 0 || s.nextID != 0 || snap.Counters["ner_server_cycles_total"] != 0 ||
+		snap.Histograms["ner_batch_sentences_per_cycle"].Count != 0 {
+		t.Fatalf("refused cycle counted: Cycles %d, nextID %d, ner_server_cycles_total %d, sentences-per-cycle count %d",
+			s.Cycles(), s.nextID, snap.Counters["ner_server_cycles_total"], snap.Histograms["ner_batch_sentences_per_cycle"].Count)
+	}
+}
+
 func TestAnnotateRejectsOversizedBody(t *testing.T) {
 	ts := newTestServer(t)
 	// A body past maxBodyBytes must 400 at the decoder, not be buffered.

@@ -132,7 +132,8 @@ type Applied struct {
 // WAL order is commit order — and a failure of the append, or later of
 // the wait, trips the gate: the stream has advanced past its disk, so
 // acking this cycle or taking another would let a restart silently drop
-// it.
+// it. A cycle refused at a closed gate returns a zero Applied; one whose
+// append failed returns its Seq alone, since it did run.
 func (r *Replica) Apply(sentences []durable.CycleSentence, tagged []*localner.Result) (Applied, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -151,7 +152,7 @@ func (r *Replica) Apply(sentences []durable.CycleSentence, tagged []*localner.Re
 	})
 	if err != nil {
 		r.gate.Trip()
-		return Applied{}, err
+		return Applied{Seq: out.Seq}, err
 	}
 	out.Wait = func() error {
 		err := wait()

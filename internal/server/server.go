@@ -8,9 +8,7 @@
 // Concurrent /annotate requests are micro-batched: a single scheduler
 // goroutine coalesces everything queued while a cycle is in flight
 // into the next execution cycle, so N concurrent clients cost one
-// Global NER refresh instead of N serialized ones. An optional batch
-// window makes the scheduler wait a little after the first arrival to
-// coalesce more aggressively under bursty load.
+// Global NER refresh instead of N serialized ones.
 //
 // Endpoints:
 //
@@ -41,7 +39,6 @@ import (
 	"net/http"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
@@ -172,14 +169,12 @@ func (s *Server) StartDurable(dir string, opts durable.Options) error {
 // error, if any. Without StartDurable it returns immediately.
 func (s *Server) WaitWarm() error { return s.front.Gate.WaitWarm() }
 
-// SetBatchWindow sets the micro-batch coalescing window; see
-// Front.SetBatchWindow.
-func (s *Server) SetBatchWindow(d time.Duration) { s.front.SetBatchWindow(d) }
-
 // runCycle is stage one of a micro-batched execution cycle: tweet IDs
 // are assigned in queue order and the coalesced batch runs through the
 // replica once. Without a data dir each request is answered here from
-// its own slice of the result.
+// its own slice of the result. The cycle counts, and its IDs are spent,
+// only if the replica took its seq: a cycle refused at a closed gate
+// leaves no trace.
 //
 // Ack-after-durable: the replica has issued the WAL append by the time
 // Apply returns, and the returned finish (the front's tail runs it while
@@ -192,13 +187,15 @@ func (s *Server) SetBatchWindow(d time.Duration) { s.front.SetBatchWindow(d) }
 // ack. The finish touches only cycle-local data, nothing a later cycle
 // can mutate.
 func (s *Server) runCycle(jobs []*Job) (finish func()) {
-	s.cycles.Add(1)
 	batch, perJob, nextID := Batch(jobs, s.nextID)
-	s.nextID = nextID
 	out, err := s.rep.Apply(batch, nil)
-	if so := s.o.Load(); so != nil {
-		so.serverCycles.Inc()
-		so.sentsPerCycle.Observe(float64(len(batch)))
+	if out.Seq != 0 {
+		s.nextID = nextID
+		s.cycles.Add(1)
+		if so := s.o.Load(); so != nil {
+			so.serverCycles.Inc()
+			so.sentsPerCycle.Observe(float64(len(batch)))
+		}
 	}
 	if err != nil {
 		durabilityFailed(jobs, err)
@@ -255,8 +252,8 @@ type StatuszResponse struct {
 	// fleet member (sse2/avx2-fma tiers) from an arm64 one (neon).
 	// SIMD is the dispatched kernel tier (generic, sse2, avx2-fma,
 	// neon); SIMDBest is the highest tier this CPU supports — they
-	// differ when an operator pinned a lower tier via NER_SIMD or
-	// -simd. SIMDSupported lists every tier this arch can run.
+	// differ when an operator pinned a lower tier via NER_SIMD.
+	// SIMDSupported lists every tier this arch can run.
 	GOARCH        string   `json:"goarch"`
 	SIMD          string   `json:"simd"`
 	SIMDBest      string   `json:"simd_best"`
@@ -264,7 +261,7 @@ type StatuszResponse struct {
 	// ClusterReplayedShare is ner_cluster_merges_replayed_total over
 	// ner_cluster_merges_total: the fraction of agglomerative merge
 	// steps taken from a surface's recorded merge sequence instead of
-	// selected again (0 without -metrics).
+	// selected again (0 without a registry attached).
 	ClusterReplayedShare float64 `json:"cluster_merges_replayed_share"`
 	// Durability summarizes the commit path (fsync policy, WAL backlog,
 	// snapshot-writer depth); nil when the server runs without -data-dir.

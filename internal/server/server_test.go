@@ -203,15 +203,16 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestConcurrentAnnotateMicroBatches fires many concurrent /annotate
-// requests: every client must get its own tweets back annotated, the
-// stream must accumulate all of them, and the scheduler must have
-// coalesced the burst into fewer execution cycles than requests.
+// TestConcurrentAnnotateMicroBatches fires concurrent /annotate
+// requests at a parked scheduler: every client must get its own tweets
+// back annotated, the stream must accumulate all of them, and the
+// requests that queued while the scheduler was busy must run as exactly
+// one execution cycle.
 func TestConcurrentAnnotateMicroBatches(t *testing.T) {
 	ts, srv := newTestServerFull(t)
-	// A generous window so the burst below coalesces even on a slow,
-	// heavily loaded test machine.
-	srv.SetBatchWindow(250 * time.Millisecond)
+	release, held := make(chan struct{}), make(chan struct{})
+	go srv.Front().Exclusive(func() { close(held); <-release })
+	<-held
 
 	const clients = 8
 	var wg sync.WaitGroup
@@ -242,10 +243,17 @@ func TestConcurrentAnnotateMicroBatches(t *testing.T) {
 			}
 		}()
 	}
+	for len(srv.front.jobs) < clients {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	if got := srv.Cycles(); got != 1 {
+		t.Fatalf("%d requests queued behind a busy scheduler ran as %d cycles, want 1", clients, got)
 	}
 
 	resp := postJSON(t, ts.URL+"/annotate", annotateRequest{Tweets: []string{"final probe"}})
@@ -256,9 +264,6 @@ func TestConcurrentAnnotateMicroBatches(t *testing.T) {
 	resp.Body.Close()
 	if out.StreamSize != clients+1 {
 		t.Fatalf("stream size = %d, want %d", out.StreamSize, clients+1)
-	}
-	if got := srv.Cycles(); got >= clients+1 {
-		t.Fatalf("scheduler ran %d cycles for %d requests — no micro-batching happened", got, clients+1)
 	}
 }
 

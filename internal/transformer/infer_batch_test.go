@@ -279,7 +279,7 @@ func benchSentences(n int) [][]string {
 }
 
 // BenchmarkInferSerial measures the packed path fed one sentence per
-// call (what -infer-batch 0 runs) at the small-scale pipeline's encoder
+// call (what SetInferBatch(0) runs) at the small-scale pipeline's encoder
 // size.
 func BenchmarkInferSerial(b *testing.B) {
 	cfg := Config{Dim: 24, Heads: 2, Layers: 2, FFDim: 48, MaxLen: 24,
