@@ -13,6 +13,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"nerglobalizer/internal/nn"
@@ -118,9 +119,9 @@ func AgglomerativePool(embs [][]float64, threshold float64, linkage Linkage, poo
 
 // lanceWilliams is the distance from a third cluster to the merge of
 // clusters i and j, given its distances dik and djk to each and their
-// sizes. It is the only copy of this arithmetic: both halves of
-// DistMatrix.Cluster call it, so they cannot compile to different
-// floating-point code (arm64 may fuse x*y+z).
+// sizes. It is the only copy of this arithmetic: the merge and the fold
+// of DistMatrix.Cluster both call it, so they cannot compile to
+// different floating-point code (arm64 may fuse x*y+z).
 func lanceWilliams(linkage Linkage, dik, djk, si, sj float64) float64 {
 	switch linkage {
 	case SingleLinkage:
@@ -163,50 +164,72 @@ type mergeStep struct {
 	height float64
 }
 
-// DistMatrix is a growable pristine pairwise cosine-distance matrix
-// with a fixed threshold and linkage. It amortizes re-clustering of a
-// mention pool that only ever gains members across execution cycles,
-// twice over. Grow appends rows for the new embeddings — computing only
-// new-vs-old and new-vs-new pairs — while the old n×n block is reused
-// verbatim. Cluster remembers the merge sequence it ran and, on the
-// grown pool, replays that sequence up to the first step an appended
-// mention would have taken part in, instead of selecting every merge
-// again from singletons. The result is bit-identical to agglomerating
-// a freshly built matrix: each pair's distance is the same
-// nn.CosineDistance call, and every Lance–Williams update runs on the
-// same operands in the same order.
+// DistMatrix is a growable pairwise cosine-distance matrix with a fixed
+// threshold and linkage that holds the state its last Cluster call
+// ended in. It amortizes re-clustering of a mention pool that only ever
+// gains members across execution cycles, twice over. Grow writes only
+// new-vs-old and new-vs-new distances, into the new rows and columns,
+// and the old block is never rebuilt or copied. Cluster carries the
+// appended columns forward through the merges the last call recorded,
+// up to the first step an appended mention would have taken part in,
+// rolls the old block back to that step from an undo log, and selects
+// merges again only from there. The result is bit-identical to
+// agglomerating a freshly built matrix: each pair's distance is the
+// same nn.CosineDistance call, every Lance–Williams update runs on the
+// same operands in the same order, and every value a rollback puts back
+// is the one that was there, never recomputed (Lance–Williams does not
+// invert in floating point).
 type DistMatrix struct {
 	threshold float64
 	linkage   Linkage
-	n         int
-	d         [][]float64
-	// rec is the complete merge sequence of the last Cluster call,
-	// which covered the first recN embeddings. It is O(n), lives only
-	// in memory, and is empty on a new (or restored) matrix, whose
-	// first Cluster call therefore selects every merge itself.
-	rec  []mergeStep
-	recN int
-	// replayed is how many of the last Cluster call's merges came from
-	// rec.
+	// n embeddings are covered; the last Cluster call covered the
+	// first recN of them.
+	n, recN int
+	// d is the distance state, row-major with row stride ≥ n: among
+	// the first recN clusters, as the last Cluster call left it (a
+	// merged-away cluster's row and column frozen at its merge); in
+	// rows and columns recN..n-1, Grow's distances.
+	d      []float64
+	stride int
+	// live lists the clusters not yet merged away, ascending; every
+	// pass of the merge loop walks it instead of 0..n. size and parent
+	// are per cluster, rowmin/nnIdx the merge loop's
+	// nearest-neighbour cache.
+	live, size, parent []int
+	rowmin             []float64
+	nnIdx              []int
+	// rec is the merge sequence of the last Cluster call. It is O(n),
+	// lives only in memory, and is empty on a new (or restored)
+	// matrix, whose first Cluster call therefore selects every merge
+	// itself.
+	rec []mergeStep
+	// The undo log has two parts. undo is written at merge time: step
+	// t's run, from undoAt[t] to the next step's offset (or the end),
+	// holds row rec[t].bi before the merge over the live clusters other
+	// than bi and bj, ascending. It covers the columns that existed
+	// when the step was recorded. folded[c] covers a column appended
+	// after that: its t-th entry is (rec[t].bi, c) before step t, for
+	// each step a later Cluster call folded c through.
+	undo   []float64
+	undoAt []int
+	folded [][]float64
+	// replayed is how many of the last Cluster call's merges were kept
+	// from the recording.
 	replayed int
-	// scratch holds Cluster's consumable state, reused across calls so
-	// a hot surface re-clustering every cycle stops allocating (and
-	// GC-scanning) a fresh n×n matrix each time. live lists the indices
-	// of the clusters not yet merged away, ascending; every pass of the
-	// merge loop walks it instead of 0..n.
-	scratch struct {
-		d      []float64 // n×n, row-major
-		rowmin []float64
-		nnIdx  []int
-		live   []int
-		size   []int
-		parent []int
+	// fold is foldAppended's scratch, reused across calls: each
+	// cluster's size as of the step being folded (0 once merged away),
+	// and per appended column its nearest live cluster to the left and
+	// that distance.
+	fold struct {
+		size []int
+		min  []float64
+		arg  []int
 	}
 }
 
 // NewDistMatrix returns an empty growable distance matrix that clusters
 // at the given threshold and linkage. Fixing both for the matrix's life
-// is what lets a recorded merge sequence be replayed without a key.
+// is what lets a recorded merge sequence be kept without a key.
 func NewDistMatrix(threshold float64, linkage Linkage) *DistMatrix {
 	return &DistMatrix{threshold: threshold, linkage: linkage}
 }
@@ -217,143 +240,205 @@ func (m *DistMatrix) Len() int { return m.n }
 // Grow extends the matrix to cover all of embs, whose first Len()
 // entries must be the same embeddings previous Grow calls saw. New
 // rows shard over pool: the worker owning new index i writes row i and
-// column i only, so writes are disjoint and the matrix is identical at
-// any worker count. A nil pool runs serially.
+// column i left of the diagonal only, so writes are disjoint and the
+// matrix is identical at any worker count. A nil pool runs serially.
 func (m *DistMatrix) Grow(embs [][]float64, pool *parallel.Pool) {
 	oldN, newN := m.n, len(embs)
 	if newN <= oldN {
 		return
 	}
-	for i := 0; i < oldN; i++ {
-		m.d[i] = append(m.d[i], make([]float64, newN-oldN)...)
+	if newN > m.stride {
+		// A quarter of headroom per side keeps a pool growing one
+		// mention at a time from reallocating on every call while
+		// holding the state at most 1.5625 n² floats.
+		stride := newN + newN/4
+		d := make([]float64, stride*stride)
+		for i := 0; i < oldN; i++ {
+			copy(d[i*stride:i*stride+oldN], m.row(i))
+		}
+		m.d, m.stride = d, stride
 	}
-	for i := oldN; i < newN; i++ {
-		m.d = append(m.d, make([]float64, newN))
-	}
+	m.n = newN
+	m.folded = append(m.folded, make([][]float64, newN-oldN)...)
 	pool.ForEach(newN-oldN, func(k int) {
 		i := oldN + k
+		row := m.row(i)
 		for j := 0; j < i; j++ {
 			dd := nn.CosineDistance(embs[i], embs[j])
-			m.d[i][j], m.d[j][i] = dd, dd
+			row[j], m.d[j*m.stride+i] = dd, dd
 		}
 	})
-	m.n = newN
 }
 
-// row returns row i of the scratch matrix.
-func (m *DistMatrix) row(i int) []float64 { return m.scratch.d[i*m.n : (i+1)*m.n] }
+// row returns row i of the state.
+func (m *DistMatrix) row(i int) []float64 { return m.d[i*m.stride : i*m.stride+m.n] }
 
 // Replayed returns how many merge steps of the last Cluster call were
-// taken from the previous call's recording rather than selected.
+// kept from the previous call's recording rather than selected.
 func (m *DistMatrix) Replayed() int { return m.replayed }
 
-// Cluster agglomerates a scratch copy of the pristine matrix. The
-// merge sequence of a grown pool starts with the previous pool's for as
-// long as no pair involving an appended mention is the one to merge, so
-// Cluster replays that prefix from the recording — Lance–Williams
-// updates only, no selection and no neighbour cache — and runs the
-// ordinary loop from where the sequences part, recording as it goes.
+// Cluster agglomerates the grown pool. The merge sequence of a grown
+// pool starts with the previous pool's for as long as no pair involving
+// an appended mention is the one to merge, so Cluster keeps that prefix
+// of the recording — it folds the appended columns through it, rolls
+// the steps after it back, and adds the appended mentions as singletons
+// — and runs the ordinary loop from where the sequences part,
+// recording as it goes.
 func (m *DistMatrix) Cluster() Result {
-	n := m.n
-	if n == 0 {
+	if m.n == 0 {
 		return Result{}
 	}
-	s := &m.scratch
-	if cap(s.d) < n*n {
-		// The matrix is overwritten by every call, so regrowing it
-		// copies nothing; a quarter of headroom per side keeps a pool
-		// growing one mention at a time from reallocating each call
-		// while holding the scratch under 1.6 n² floats.
-		side := n + n/4
-		s.d = make([]float64, 0, side*side)
+	t := m.foldAppended()
+	m.rollback(t)
+	for c := m.recN; c < m.n; c++ {
+		m.live = append(m.live, c)
+		m.size = append(m.size, 1)
+		m.parent = append(m.parent, c)
+		m.rowmin = append(m.rowmin, 0)
+		m.nnIdx = append(m.nnIdx, 0)
 	}
-	if cap(s.live) < n {
-		s.rowmin = make([]float64, 0, 2*n)
-		s.nnIdx = make([]int, 0, 2*n)
-		s.live = make([]int, 0, 2*n)
-		s.size = make([]int, 0, 2*n)
-		s.parent = make([]int, 0, 2*n)
-	}
-	s.d = s.d[:n*n]
-	s.rowmin = s.rowmin[:n]
-	s.nnIdx = s.nnIdx[:n]
-	s.live = s.live[:n]
-	s.size = s.size[:n]
-	s.parent = s.parent[:n]
-	for i := 0; i < n; i++ {
-		copy(m.row(i), m.d[i])
-		s.live[i] = i
-		s.size[i] = 1
-		s.parent[i] = i
-	}
-	m.replayed = m.replay()
-	m.rec, m.recN = m.rec[:m.replayed], n
+	m.replayed, m.recN = t, m.n
 	m.mergeLoop()
-	return denseIDs(s.parent)
+	return denseIDs(m.parent)
 }
 
-// replay applies the recorded merges to the scratch state for as long
-// as the from-singletons loop would have selected exactly them, and
-// returns how many it applied. Merges among the first recN clusters
-// read and write only that block, so until an appended column is part
-// of the selected pair the old block evolves as it did last time and
-// the recorded pair is again the first strict minimum of it. An
-// appended column c takes over at the first step where some live row
-// i < c has d[i][c] below the recorded height, or equal to it with
-// i < bi: selection scans rows ascending and, within a row, columns
-// ascending, and c lies right of every recorded bj, so on equal
-// distance (i, c) precedes (bi, bj) exactly when i < bi.
-func (m *DistMatrix) replay() int {
-	s := &m.scratch
+// foldAppended carries the appended columns recN..n-1 through the
+// recorded merges for as long as the from-singletons loop would have
+// selected exactly them, and returns how many it carried them through.
+// Step t applies the Lance–Williams update to entry (bi, c) of every
+// appended column c, as the merge would have, and logs the old value in
+// folded[c]. Merges among the first recN clusters read and write only
+// that block, so until an appended column is part of the selected pair
+// the old block evolves as it did last time and the recorded pair is
+// again the first strict minimum of it. An appended column c takes over
+// at the first step where some live row i < c has d[i][c] below the
+// recorded height, or equal to it with i < bi: selection scans rows
+// ascending and, within a row, columns ascending, and c lies right of
+// every recorded bj, so on equal distance (i, c) precedes (bi, bj)
+// exactly when i < bi. That test needs only the first smallest d[i][c]
+// over live i < c, which each column keeps as a running minimum,
+// rescanning its row only when the minimum's row merges away or grows.
+func (m *DistMatrix) foldAppended() int {
+	if m.recN == m.n || len(m.rec) == 0 {
+		return len(m.rec)
+	}
+	f := &m.fold
+	f.size = f.size[:0]
+	for i := 0; i < m.n; i++ {
+		f.size = append(f.size, 1)
+	}
+	f.min, f.arg = f.min[:0], f.arg[:0]
+	for c := m.recN; c < m.n; c++ {
+		d, i := m.nearestLeft(c)
+		f.min, f.arg = append(f.min, d), append(f.arg, i)
+	}
 	for t, st := range m.rec {
-		for c := m.recN; c < m.n; c++ {
-			row := m.row(c) // mirrors column c and is contiguous
-			for _, i := range s.live {
-				if i >= c {
-					break
-				}
-				if d := row[i]; d < st.height || (d == st.height && i < st.bi) {
-					return t
-				}
+		for k, d := range f.min {
+			if d < st.height || (d == st.height && f.arg[k] < st.bi) {
+				return t
 			}
 		}
-		m.merge(st.bi, st.bj)
+		si, sj := float64(f.size[st.bi]), float64(f.size[st.bj])
+		f.size[st.bi] += f.size[st.bj]
+		f.size[st.bj] = 0
+		for k := range f.min {
+			c := m.recN + k
+			row := m.row(c) // mirrors column c and is contiguous
+			old := row[st.bi]
+			d := lanceWilliams(m.linkage, old, row[st.bj], si, sj)
+			m.folded[c] = append(m.folded[c], old)
+			row[st.bi], m.d[st.bi*m.stride+c] = d, d
+			switch arg := f.arg[k]; {
+			case arg == st.bj || (arg == st.bi && !(d <= f.min[k])):
+				f.min[k], f.arg[k] = m.nearestLeft(c)
+			case arg == st.bi:
+				f.min[k] = d
+			case d < f.min[k] || (d == f.min[k] && st.bi < arg):
+				f.min[k], f.arg[k] = d, st.bi
+			}
+		}
 	}
 	return len(m.rec)
 }
 
-// merge joins live cluster bj into bi (bi < bj): the Lance–Williams
-// update of row and column bi over the live clusters, then bj leaves
-// the live list. The pass has every new d[bi][k] in hand in ascending
-// k, so it also refreshes bi's entry in the nearest-neighbour cache
-// (first strict minimum right of bi, as a rescan would find it). It
-// returns the position bj held in the live list, which after the
-// removal is the number of live clusters left of bj.
-func (m *DistMatrix) merge(bi, bj int) int {
-	s := &m.scratch
-	ri, rj := m.row(bi), m.row(bj)
-	si, sj := float64(s.size[bi]), float64(s.size[bj])
+// nearestLeft returns the smallest d[i][c] over the clusters i < c
+// that are live at the step being folded, and the first i holding it.
+func (m *DistMatrix) nearestLeft(c int) (float64, int) {
+	row := m.row(c)
 	best, arg := math.Inf(1), -1
-	for _, k := range s.live {
+	for i, size := range m.fold.size[:c] {
+		if size > 0 && row[i] < best {
+			best, arg = row[i], i
+		}
+	}
+	return best, arg
+}
+
+// rollback undoes the recorded merges after the first t, last first,
+// returning the first recN clusters to the state they were in before
+// step t. Each step puts back row and column bi from the undo log —
+// the merge-time run for the columns that existed when the step was
+// recorded, then folded[k] for every live k appended after it, which
+// lies right of all of those — and returns bj to the live list.
+func (m *DistMatrix) rollback(t int) {
+	for last := len(m.rec) - 1; last >= t; last-- {
+		st, at := m.rec[last], m.undoAt[last]
+		logged := m.undo[at:]
+		ri := m.row(st.bi)
+		for _, k := range m.live {
+			if k == st.bi {
+				continue
+			}
+			var d float64
+			if len(logged) > 0 {
+				d, logged = logged[0], logged[1:]
+			} else {
+				d, m.folded[k] = m.folded[k][last], m.folded[k][:last]
+			}
+			ri[k], m.d[k*m.stride+st.bi] = d, d
+		}
+		m.rec, m.undo, m.undoAt = m.rec[:last], m.undo[:at], m.undoAt[:last]
+		m.size[st.bi] -= m.size[st.bj]
+		m.parent[st.bj] = st.bj
+		m.live = slices.Insert(m.live, sort.SearchInts(m.live, st.bj), st.bj)
+	}
+}
+
+// merge records and applies the merge of live cluster bj into bi
+// (bi < bj): the Lance–Williams update of row and column bi over the
+// live clusters, logging the values it overwrites, then bj leaves the
+// live list. The pass has every new d[bi][k] in hand in ascending k, so
+// it also refreshes bi's entry in the nearest-neighbour cache (first
+// strict minimum right of bi, as a rescan would find it). It returns
+// the position bj held in the live list, which after the removal is the
+// number of live clusters left of bj.
+func (m *DistMatrix) merge(bi, bj int, height float64) int {
+	m.rec = append(m.rec, mergeStep{bi, bj, height})
+	m.undoAt = append(m.undoAt, len(m.undo))
+	ri, rj := m.row(bi), m.row(bj)
+	si, sj := float64(m.size[bi]), float64(m.size[bj])
+	best, arg := math.Inf(1), -1
+	for _, k := range m.live {
 		if k == bi || k == bj {
 			continue
 		}
+		m.undo = append(m.undo, ri[k])
 		d := lanceWilliams(m.linkage, ri[k], rj[k], si, sj)
-		ri[k], s.d[k*m.n+bi] = d, d
+		ri[k], m.d[k*m.stride+bi] = d, d
 		if k > bi && d < best {
 			best, arg = d, k
 		}
 	}
-	s.rowmin[bi], s.nnIdx[bi] = best, arg
-	s.size[bi] += s.size[bj]
-	s.parent[bj] = bi
-	pj := sort.SearchInts(s.live, bj)
-	s.live = append(s.live[:pj], s.live[pj+1:]...)
+	m.rowmin[bi], m.nnIdx[bi] = best, arg
+	m.size[bi] += m.size[bj]
+	m.parent[bj] = bi
+	pj := sort.SearchInts(m.live, bj)
+	m.live = append(m.live[:pj], m.live[pj+1:]...)
 	return pj
 }
 
 // mergeLoop selects, records and applies merges over the live clusters
-// of the scratch state until none is closer than the threshold.
+// until none is closer than the threshold.
 //
 // Pair selection replays the textbook "scan every pair, take the first
 // strict minimum" order through a per-row nearest-neighbour cache:
@@ -368,52 +453,50 @@ func (m *DistMatrix) merge(bi, bj int) int {
 // row's cached neighbour lies to its right and so no row right of bj can
 // point at bi or bj.
 func (m *DistMatrix) mergeLoop() {
-	s := &m.scratch
 	// recompute rescans the row at live position p for its nearest
 	// live neighbour to the right.
 	recompute := func(p int) {
-		i := s.live[p]
+		i := m.live[p]
 		row := m.row(i)
 		best, arg := math.Inf(1), -1
-		for _, j := range s.live[p+1:] {
+		for _, j := range m.live[p+1:] {
 			if row[j] < best {
 				best, arg = row[j], j
 			}
 		}
-		s.rowmin[i], s.nnIdx[i] = best, arg
+		m.rowmin[i], m.nnIdx[i] = best, arg
 	}
-	for p := range s.live {
+	for p := range m.live {
 		recompute(p)
 	}
 	for {
 		pi, best := -1, m.threshold
-		for p, i := range s.live {
-			if s.rowmin[i] < best {
-				pi, best = p, s.rowmin[i]
+		for p, i := range m.live {
+			if m.rowmin[i] < best {
+				pi, best = p, m.rowmin[i]
 			}
 		}
 		if pi < 0 {
 			return
 		}
-		bi := s.live[pi]
-		bj := s.nnIdx[bi]
-		m.rec = append(m.rec, mergeStep{bi, bj, best})
-		pj := m.merge(bi, bj)
+		bi := m.live[pi]
+		bj := m.nnIdx[bi]
+		pj := m.merge(bi, bj, best)
 		// Refresh the nearest-neighbour cache (merge did row bi): rows
 		// whose cached neighbour was bi or bj are stale, and other rows
 		// left of bi only need to check their updated distance to the
 		// merged cluster (ties prefer the smaller column, matching the
 		// naive scan order).
 		rowBi := m.row(bi) // symmetric: rowBi[r] == d[r][bi]
-		for p, r := range s.live[:pj] {
+		for p, r := range m.live[:pj] {
 			if p == pi {
 				continue
 			}
-			if s.nnIdx[r] == bi || s.nnIdx[r] == bj {
+			if m.nnIdx[r] == bi || m.nnIdx[r] == bj {
 				recompute(p)
 			} else if p < pi {
-				if d := rowBi[r]; d < s.rowmin[r] || (d == s.rowmin[r] && bi < s.nnIdx[r]) {
-					s.rowmin[r], s.nnIdx[r] = d, bi
+				if d := rowBi[r]; d < m.rowmin[r] || (d == m.rowmin[r] && bi < m.nnIdx[r]) {
+					m.rowmin[r], m.nnIdx[r] = d, bi
 				}
 			}
 		}

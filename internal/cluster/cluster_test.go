@@ -3,6 +3,7 @@ package cluster
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -166,9 +167,10 @@ func TestAgglomerativeDefaultIsAverage(t *testing.T) {
 }
 
 // TestDistMatrixGrowMatchesScratch is the incremental-matrix contract:
-// growing the pristine matrix in arbitrary increments and clustering
-// from it must be bit-identical to recomputing the full matrix and
-// clustering from scratch, at every prefix and at any worker count.
+// growing the matrix in arbitrary increments, with Grow sharded over
+// the pool, and clustering after each must give the partition and the
+// merge sequence of the naive reference on a freshly built matrix, at
+// every prefix and at any worker count.
 func TestDistMatrixGrowMatchesScratch(t *testing.T) {
 	rng := nn.NewRNG(17)
 	embs := make([][]float64, 40)
@@ -180,45 +182,38 @@ func TestDistMatrixGrowMatchesScratch(t *testing.T) {
 		embs[i] = nn.Normalize(v)
 	}
 	for _, workers := range []int{1, 4} {
-		pool := parallel.New(workers)
-		for _, lk := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
-			m := NewDistMatrix(0.75, lk)
-			for _, upto := range []int{1, 5, 6, 20, 21, 40} {
-				m.Grow(embs[:upto], pool)
-				if m.Len() != upto {
-					t.Fatalf("Len = %d, want %d", m.Len(), upto)
-				}
-				scratch := PairwiseCosineDistances(embs[:upto], nil)
-				if !reflect.DeepEqual(m.d, scratch) {
-					t.Fatalf("grown matrix differs from scratch at n=%d workers=%d", upto, workers)
-				}
-				got := m.Cluster()
-				want := AgglomerativeWithLinkage(embs[:upto], 0.75, lk)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("clustering differs at n=%d linkage=%v workers=%d", upto, lk, workers)
-				}
-			}
+		for _, lk := range allLinkages {
+			checkGrowReplay(t, embs, []int{1, 5, 6, 20, 21, 40}, 0.75, lk, parallel.New(workers))
 		}
 	}
 }
 
-// TestDistMatrixClusterPreservesPristine checks that Cluster's working
-// copy protects the pristine matrix from the merge loop's in-place
-// Lance–Williams updates.
-func TestDistMatrixClusterPreservesPristine(t *testing.T) {
+// TestDistMatrixClusterIsFixedPoint checks that the state a Cluster call
+// ends in is the one the next call starts from: clustering again
+// without growing keeps the whole recording, returns the same result
+// and leaves the state and the recording as they were.
+func TestDistMatrixClusterIsFixedPoint(t *testing.T) {
 	embs := [][]float64{{1, 0}, {0.9, 0.44}, {0, 1}, {0.5, 0.87}}
-	m := NewDistMatrix(0.75, AverageLinkage)
-	m.Grow(embs, nil)
-	before := make([][]float64, len(m.d))
-	for i := range m.d {
-		before[i] = append([]float64(nil), m.d[i]...)
-	}
-	m.Cluster()
-	if !reflect.DeepEqual(m.d, before) {
-		t.Fatal("Cluster mutated the pristine matrix")
-	}
-	if got, want := m.Cluster(), Agglomerative(embs, 0.75); !reflect.DeepEqual(got, want) {
-		t.Fatal("repeat Cluster differs from scratch clustering")
+	for _, lk := range allLinkages {
+		m := NewDistMatrix(0.75, lk)
+		m.Grow(embs, nil)
+		first := m.Cluster()
+		rec, state := slices.Clone(m.rec), slices.Clone(m.d)
+		if len(rec) == 0 {
+			t.Fatalf("%s: nothing merged; the test needs a recording", lk)
+		}
+		if got := m.Cluster(); !reflect.DeepEqual(got, first) {
+			t.Fatalf("%s: repeat Cluster = %+v, first call %+v", lk, got, first)
+		}
+		if !slices.Equal(m.rec, rec) || m.Replayed() != len(rec) {
+			t.Fatalf("%s: repeat Cluster kept %d of %v and holds %v", lk, m.Replayed(), rec, m.rec)
+		}
+		if !slices.Equal(m.d, state) {
+			t.Fatalf("%s: repeat Cluster changed the state", lk)
+		}
+		if want := AgglomerativeWithLinkage(embs, 0.75, lk); !reflect.DeepEqual(first, want) {
+			t.Fatalf("%s: Cluster = %+v, scratch clustering %+v", lk, first, want)
+		}
 	}
 }
 

@@ -7,19 +7,25 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"nerglobalizer/internal/parallel"
 )
 
 // checkGrowReplay grows one matrix over embs to each prefix length in
-// cuts and, after every Grow, requires Cluster — its partition and the
-// merge sequence it ends up holding, pair by pair and height by height
-// — to equal the naive from-singletons reference run on a freshly
-// built matrix. It returns how many merges each Cluster call replayed.
-func checkGrowReplay(t testing.TB, embs [][]float64, cuts []int, th float64, lk Linkage) []int {
+// cuts, sharding Grow over pool, and after every Grow requires Cluster
+// — its partition and the merge sequence it ends up holding, pair by
+// pair and height by height — to equal the naive from-singletons
+// reference run on a freshly built matrix. It returns how many merges
+// each Cluster call kept from the previous call's recording.
+func checkGrowReplay(t testing.TB, embs [][]float64, cuts []int, th float64, lk Linkage, pool *parallel.Pool) []int {
 	t.Helper()
 	m := NewDistMatrix(th, lk)
 	replayed := make([]int, len(cuts))
 	for ci, n := range cuts {
-		m.Grow(embs[:n], nil)
+		m.Grow(embs[:n], pool)
+		if m.Len() != n {
+			t.Fatalf("Len = %d, want %d", m.Len(), n)
+		}
 		got := m.Cluster()
 		want, steps := naiveMerges(PairwiseCosineDistances(embs[:n], nil), th, lk)
 		if !reflect.DeepEqual(got, want) {
@@ -91,11 +97,20 @@ func TestDistMatrixReplayBuiltCases(t *testing.T) {
 		{"empty recording", [][]float64{x, y, z}, []int{2, 3}, 0.5, 0},
 		// One mention at a time from the start.
 		{"one at a time", groups, []int{1, 2, 3, 4, 5, 6}, 0.3, 3},
+		// Rolls back a step an earlier call kept. The first call records
+		// (0,1) at ≈ 1.5e-4. The second appends mentions at -4° and 5°,
+		// ≥ 2.4e-3 from everything, so it keeps step 0 — folding both
+		// columns through it — and merges them in after it. The third
+		// appends one at 0.3°, closer to mention 0 than step 0's height,
+		// so it rolls back every step: the second call's own, then step
+		// 0, whose entries in the two folded columns only their fold log
+		// holds.
+		{"rolls back a step an earlier call kept", [][]float64{unit(0), unit(1), unit(-4), unit(5), unit(0.3)}, []int{2, 4, 5}, 0.3, 0},
 	}
 	for _, tc := range cases {
 		for _, lk := range allLinkages {
 			t.Run(fmt.Sprintf("%s/%s", tc.name, lk), func(t *testing.T) {
-				replayed := checkGrowReplay(t, tc.embs, tc.cuts, tc.th, lk)
+				replayed := checkGrowReplay(t, tc.embs, tc.cuts, tc.th, lk, nil)
 				if replayed[0] != 0 {
 					t.Fatalf("first call on a new matrix replayed %d merges", replayed[0])
 				}
@@ -146,7 +161,7 @@ func TestDistMatrixReplayMatchesNaive(t *testing.T) {
 		embs, cuts := randomGrowth(rng, 2+rng.Intn(40))
 		th := []float64{0.05, 0.3, 0.75, 1.5}[rng.Intn(4)]
 		for _, lk := range allLinkages {
-			for _, r := range checkGrowReplay(t, embs, cuts, th, lk) {
+			for _, r := range checkGrowReplay(t, embs, cuts, th, lk, nil) {
 				replayed += r
 				calls++
 			}
@@ -166,6 +181,12 @@ func FuzzDistMatrixReplay(f *testing.F) {
 	f.Add([]byte{0x01, 0, 0x01, 0, 0x04, 0, 0x04, 0, 0x01, 0}, uint8(0), uint8(5))
 	f.Add([]byte{0x1b, 1, 0x1b, 0, 0xe4, 1, 0x6c, 0, 0x1b, 0, 0x40, 0}, uint8(1), uint8(7))
 	f.Add([]byte{0x40, 1, 0x10, 1, 0x04, 1, 0x01, 0, 0x55, 0}, uint8(2), uint8(15))
+	// Each rolls back a step an earlier call kept, restoring a column
+	// that call folded through it. The second fails if only the
+	// merge-time log is restored: the stale entry (a complete-linkage
+	// max) decides a merge height there.
+	f.Add([]byte("2000B00000"), uint8('Y'), uint8(5))
+	f.Add([]byte("00208070"), uint8(20), uint8(6))
 	f.Fuzz(func(t *testing.T, data []byte, lkRaw, thRaw uint8) {
 		if len(data) > 128 {
 			data = data[:128]
@@ -190,6 +211,6 @@ func FuzzDistMatrixReplay(f *testing.F) {
 			cuts = append(cuts, len(embs))
 		}
 		th := 0.05 + float64(thRaw%20)/10
-		checkGrowReplay(t, embs, cuts, th, allLinkages[int(lkRaw)%len(allLinkages)])
+		checkGrowReplay(t, embs, cuts, th, allLinkages[int(lkRaw)%len(allLinkages)], nil)
 	})
 }

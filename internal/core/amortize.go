@@ -30,9 +30,10 @@ import (
 //     tokens), and its mention embeddings, computed once per span ever;
 //   - one entry per surface form (surfaceAmort): its mention pool,
 //     spliced from scan diffs, and the outcome computed over it, redone
-//     only when the pool changed — over a growable pristine distance
-//     matrix that appends rows for new mentions instead of recomputing
-//     the full N×N block.
+//     only when the pool changed — over a growable distance matrix that
+//     appends rows for new mentions instead of recomputing the full N×N
+//     block, and re-clusters from the state its last clustering ended
+//     in.
 //
 // The stream is append-only, so a sentence's position is its address
 // for good: everything per sentence is a slice indexed by it, and stream
@@ -144,8 +145,8 @@ func (g *Globalizer) embedMention(m types.Mention) []float64 {
 
 // surfaceAmort is the Global NER state of one surface form: its live
 // mention pool, and the finished outcome (candidate clusters plus typed
-// mentions) with the embeddings and pristine distance matrix it was
-// computed over. The outcome is valid exactly while the pool is
+// mentions) with the embeddings and distance matrix (in the state its
+// clustering ended in) it was computed over. The outcome is valid exactly while the pool is
 // unchanged; a pool that grew by appending reuses the embedding and
 // distance prefixes.
 type surfaceAmort struct {
