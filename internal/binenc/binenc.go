@@ -6,8 +6,8 @@
 // complement, counts and string lengths are uint32, strings are
 // length-prefixed bytes, slices are count-prefixed elements, floats are
 // IEEE-754 bit images. Float64 bits round-trip exactly — warm resume
-// and fleet identity both reproduce byte-identical annotations from
-// them.
+// reproduces byte-identical annotations from them, and a shard's
+// candidate confidences reach the router's /candidates unchanged.
 //
 // The Reader latches its first error and returns zero values from then
 // on, so decoders run straight-line and check Done once; element counts

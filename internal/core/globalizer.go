@@ -403,11 +403,10 @@ func (g *Globalizer) ProcessBatch(batch []*types.Sentence, mode Mode) map[types.
 }
 
 // TagBatch runs Local NER tagging — the encoder forward and BIO decode
-// — over a batch without touching stream state. Fleet routers
-// partition this stage across shards: per-sentence results are
-// byte-identical at any batch composition (the PR 3 contract), so any
-// shard may tag any slice and the results replay everywhere via
-// ProcessTagged.
+// — over a batch without touching stream state. Per-sentence results
+// are byte-identical at any batch composition (the batching contract),
+// so a fleet shard tags a commit's batch with it ahead of the cycle and
+// hands the results to ProcessTagged.
 func (g *Globalizer) TagBatch(batch []*types.Sentence) []*localner.Result {
 	toks := make([][]string, len(batch))
 	for i, s := range batch {
@@ -420,10 +419,10 @@ func (g *Globalizer) TagBatch(batch []*types.Sentence) []*localner.Result {
 // but returns entities for the batch's sentences only, skipping the
 // whole-stream entity map build — the shape serving paths want, since
 // /annotate answers for the submitted tweets. tagged, when non-nil,
-// supplies the batch's tag results (index-aligned with batch, e.g.
-// shipped from another shard that ran TagBatch) instead of tagging
-// here; the cycle is byte-identical either way when they came from an
-// identically configured engine.
+// supplies the batch's tag results (index-aligned with batch, from
+// TagBatch ahead of the cycle) instead of tagging here; the cycle is
+// byte-identical either way when they came from an identically
+// configured engine.
 func (g *Globalizer) ProcessTagged(batch []*types.Sentence, tagged []*localner.Result, mode Mode) map[types.SentenceKey][]types.Entity {
 	g.runCycle(batch, tagged, mode)
 	return g.batchEntities(batch, mode)
@@ -501,8 +500,8 @@ func (g *Globalizer) localPhase(batch []*types.Sentence, tr *obs.Trace) [][]stri
 
 // applyTagged replays tag results into the stream state (TweetBase
 // records, CTrie seeding) in batch order — the serial half of the
-// local phase, shared by the in-process and fleet (wire-shipped tag
-// results) paths.
+// local phase, shared by the cycle that tags its own batch and the one
+// handed results tagged ahead (a fleet shard's).
 func (g *Globalizer) applyTagged(batch []*types.Sentence, results []*localner.Result, tr *obs.Trace, t0 time.Time) [][]string {
 	var newSurfaces [][]string
 	for i, s := range batch {

@@ -187,7 +187,7 @@ func CycleSentencesSize(cs []CycleSentence) int {
 }
 
 // PutCycleSentences writes a sentence list: the one layout the WAL, the
-// router journal and the fleet's tag and commit frames all carry.
+// router journal and the fleet's commit frames all carry.
 func PutCycleSentences(w *binenc.Writer, cs []CycleSentence) {
 	w.U32(len(cs))
 	for i := range cs {

@@ -58,7 +58,7 @@ type clientObs struct {
 }
 
 // ShardClient is the router's handle to one shard: a bounded pool of
-// persistent frame connections for the five binary RPCs, plus an HTTP
+// persistent frame connections for the four binary RPCs, plus an HTTP
 // client for the JSON endpoints (/statusz, /shard/proof).
 //
 // Three rules keep the frame connections safe. A call that fails or
@@ -66,8 +66,8 @@ type clientObs struct {
 // never be read as the next call's answer. A failure before the first
 // reply byte on a connection that has served a call before (the socket
 // may simply be stale: the shard restarted, or closed it idle) redials
-// once and resends; every op tolerates the resend (tag and the fan-ins
-// are pure, reset is idempotent, commit is seq-gated and a duplicate is
+// once and resends; every op tolerates the resend (the fan-ins are
+// pure, reset is idempotent, commit is seq-gated and a duplicate is
 // answered from the shard's cached last response). And one call owns a
 // connection from its first request byte to its last reply byte.
 type ShardClient struct {
@@ -282,30 +282,9 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// Tag runs Local NER for one batch slice on the shard.
-func (c *ShardClient) Tag(req *TagRequest) (*TagResponse, error) {
-	body, err := req.encode()
-	if err != nil {
-		return nil, err
-	}
-	reply, err := c.call(opTag, "tag", body)
-	if err != nil {
-		return nil, err
-	}
-	var out TagResponse
-	if err := out.decode(reply); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Commit applies one execution cycle to the shard's replica.
 func (c *ShardClient) Commit(req *CommitRequest) (*CommitResponse, error) {
-	body, err := req.encode()
-	if err != nil {
-		return nil, err
-	}
-	return c.CommitEncoded(body)
+	return c.CommitEncoded(req.encode())
 }
 
 // CommitEncoded is Commit with a pre-encoded request body, shared by

@@ -3,117 +3,78 @@ package fleet
 import (
 	"bytes"
 	"errors"
-	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"nerglobalizer/internal/binenc"
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
-	"nerglobalizer/internal/localner"
-	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/server"
 	"nerglobalizer/internal/types"
 )
 
 // fuzzSampleCommit builds a small but structurally complete
-// CommitRequest: nested lists, a matrix, non-ASCII strings, edge-case
-// floats. The fuzz targets below use its encoding as the seed corpus
+// CommitRequest: a nested token list, non-ASCII strings, an empty
+// sentence. The fuzz targets below use its encoding as the seed corpus
 // so mutation starts from a valid body, not random noise.
 func fuzzSampleCommit() *CommitRequest {
-	emb := nn.NewMatrix(2, 3)
-	emb.Data = []float64{math.Inf(1), math.Copysign(0, -1), 5e-324, 1.5, -2.25, 0}
 	return &CommitRequest{
 		Seq: 7,
 		Sentences: []durable.CycleSentence{
 			{TweetID: 1, SentID: 0, Tokens: []string{"Caffè", "in", "Milano"}},
 			{TweetID: 2, SentID: 1, Tokens: nil},
 		},
-		Tagged: []*localner.Result{
-			{
-				Tokens:     []string{"Caffè", "in", "Milano"},
-				Entities:   []types.Entity{{Span: types.Span{Start: 2, End: 3}, Type: types.Location}},
-				Embeddings: emb,
-			},
-			{},
-		},
 	}
 }
 
-// validSampleCommit is the sample with one embedding row per token, as
-// an engine 3 wide would have tagged it (the sample itself, whose bytes
-// are pinned, ships two rows for three tokens).
-func validSampleCommit() *CommitRequest {
-	q := fuzzSampleCommit()
-	q.Tagged[0].Embeddings = nn.NewMatrix(3, 3)
-	return q
+// opRetiredTag is the op number of the tag RPC builds that shipped tag
+// results served; no op carries it now.
+const opRetiredTag byte = 1
+
+// repeatedKeyCommit is q with its first sentence sent again at the end:
+// it decodes cleanly and the engine must still never see it.
+func repeatedKeyCommit(q *CommitRequest) *CommitRequest {
+	return &CommitRequest{Seq: q.Seq, Sentences: append(append([]durable.CycleSentence(nil), q.Sentences...), q.Sentences[0])}
 }
 
-// malformedCommits returns commits that decode cleanly and that the
-// engine must still never see, each named by what is wrong with it:
-// every way a frame can disagree with itself about what
-// core.applyTagged and the Phrase Embedder index. They are variations of
-// a well-formed commit — valid returns a fresh one on every call — at
-// its tag result at, which must carry an entity and have as many tokens
-// as its sentence.
-func malformedCommits(valid func() *CommitRequest, at int) map[string]*CommitRequest {
-	vary := func(edit func(q *CommitRequest, t *localner.Result)) *CommitRequest {
-		q := valid()
-		edit(q, q.Tagged[at])
-		return q
+// parentCommitBody lays q out as builds that shipped tag results did:
+// [seq][sentences][tag results][mode], each sentence tagged with its own
+// tokens, one entity on its first token and a zero embedding row per
+// token, and the mode slot ModeFull.
+func parentCommitBody(q *CommitRequest) []byte {
+	w := &binenc.Writer{}
+	w.U64(q.Seq)
+	durable.PutCycleSentences(w, q.Sentences)
+	w.U32(len(q.Sentences))
+	for _, cs := range q.Sentences {
+		w.Strs(cs.Tokens)
+		if len(cs.Tokens) == 0 {
+			w.U32(0)
+			w.I64(-1)
+			continue
+		}
+		w.U32(1)
+		w.I64(0)
+		w.I64(1)
+		w.I64(int(types.Location))
+		w.I64(len(cs.Tokens))
+		w.I64(3)
+		w.Floats(make([]float64, 3*len(cs.Tokens)))
 	}
-	probe := valid().Tagged[at]
-	n, dim := len(probe.Tokens), probe.Embeddings.Cols
-	return map[string]*CommitRequest{
-		"no tag results":        vary(func(q *CommitRequest, _ *localner.Result) { q.Tagged = nil }),
-		"fewer tags than sents": vary(func(q *CommitRequest, _ *localner.Result) { q.Tagged = q.Tagged[:len(q.Tagged)-1] }),
-		"more tags than sents":  vary(func(q *CommitRequest, _ *localner.Result) { q.Tagged = append(q.Tagged, &localner.Result{}) }),
-		"same sentence twice": vary(func(q *CommitRequest, t *localner.Result) {
-			q.Sentences = append(append([]durable.CycleSentence(nil), q.Sentences...), q.Sentences[at])
-			q.Tagged = append(q.Tagged, t)
-		}),
-		"more tokens than sent": vary(func(_ *CommitRequest, t *localner.Result) {
-			t.Tokens = append(append([]string(nil), t.Tokens...), "x")
-			t.Embeddings = nn.NewMatrix(n+1, dim)
-		}),
-		"entity starts below 0":  vary(func(_ *CommitRequest, t *localner.Result) { t.Entities[0].Start = -1 }),
-		"entity start after end": vary(func(_ *CommitRequest, t *localner.Result) { t.Entities[0].Span = types.Span{Start: n, End: n - 1} }),
-		"entity ends past tag":   vary(func(_ *CommitRequest, t *localner.Result) { t.Entities[0].End = n + 1 }),
-		"tokens, no embeddings":  vary(func(_ *CommitRequest, t *localner.Result) { t.Embeddings = nil }),
-		"embedding rows short":   vary(func(_ *CommitRequest, t *localner.Result) { t.Embeddings = nn.NewMatrix(n-1, dim) }),
-		"embedding too narrow":   vary(func(_ *CommitRequest, t *localner.Result) { t.Embeddings = nn.NewMatrix(n, dim-1) }),
-	}
-}
-
-// withModeSlot re-writes the mode slot a commit body ends in.
-func withModeSlot(body []byte, mode core.Mode) []byte {
-	w := &binenc.Writer{Buf: append([]byte(nil), body[:len(body)-8]...)}
-	w.I64(int(mode))
+	w.I64(int(core.ModeFull))
 	return w.Buf
 }
 
 // sampleBodies returns one valid body of every kind the frame path
-// carries, tag and commit bodies first.
-func sampleBodies(tb testing.TB) [][]byte {
-	creq := fuzzSampleCommit()
-	commit, err := creq.encode()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tagReq, err := (&TagRequest{Seq: 3, Sentences: creq.Sentences}).encode()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tagResp, err := (&TagResponse{Seq: 3, Results: creq.Tagged, BusySeconds: 1.5}).encode()
-	if err != nil {
-		tb.Fatal(err)
-	}
+// carries, the commit request first.
+func sampleBodies() [][]byte {
 	owned := []durable.SentenceAnnotation{
 		{TweetID: 1, SentID: 0, Entities: []durable.Entity{{Start: 2, End: 3, Type: types.Location, Surface: "milano"}}},
 	}
 	commitResp := (&CommitResponse{Seq: 7, Entities: owned, StreamSize: 2, Candidates: 1, BusySeconds: 0.25}).encode()
 	cands := encodeCandidates([]server.Candidate{{Surface: "milano", ClusterID: 1, Type: types.Location, Mentions: 3, Confidence: 0.5}})
-	return [][]byte{tagReq, commit, tagResp, commitResp, cands, encodeEntities(owned)}
+	return [][]byte{fuzzSampleCommit().encode(), commitResp, cands, encodeEntities(owned)}
 }
 
 // decodeAny drives every body decoder over the same payload. The
@@ -122,30 +83,41 @@ func sampleBodies(tb testing.TB) [][]byte {
 // peer must not be able to crash a shard or the router.
 func decodeAny(payload []byte) {
 	if q := new(CommitRequest); q.decode(payload) == nil {
-		_ = q.validate(3)
+		_ = q.validate()
 	}
 	_ = new(CommitResponse).decode(payload)
-	_ = new(TagRequest).decode(payload)
-	_ = new(TagResponse).decode(payload)
 	_, _ = decodeCandidates(payload)
 	_, _ = decodeEntities(payload)
 }
 
 func FuzzWireCodecDecode(f *testing.F) {
-	for _, body := range sampleBodies(f) {
+	bodies := sampleBodies()
+	for _, body := range bodies {
 		f.Add(body)
 	}
-	for _, q := range malformedCommits(validSampleCommit, 0) {
-		body, err := q.encode()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(body)
-	}
-	f.Add(withModeSlot(sampleBodies(f)[1], core.ModeLocalEmbeddings))
+	f.Add(repeatedKeyCommit(fuzzSampleCommit()).encode())
+	f.Add(parentCommitBody(fuzzSampleCommit()))
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	// Every body one byte short and one byte long.
+	for _, body := range bodies {
+		f.Add(body[:len(body)-1])
+		f.Add(append(append([]byte(nil), body...), 0))
+	}
+	// Counts far past what the body holds: of a commit's sentences, of
+	// its sentence's tokens (or a commit response's entities), of an
+	// entities reply's entities, of candidates.
+	absurd := func(prefix func(w *binenc.Writer)) []byte {
+		w := &binenc.Writer{}
+		prefix(w)
+		w.U32(1<<32 - 1)
+		return w.Buf
+	}
+	f.Add(absurd(func(w *binenc.Writer) { w.U64(7) }))
+	f.Add(absurd(func(w *binenc.Writer) { w.U64(7); w.U32(1); w.I64(1); w.I64(0) }))
+	f.Add(absurd(func(w *binenc.Writer) { w.U32(1); w.I64(1); w.I64(0) }))
+	f.Add(absurd(func(w *binenc.Writer) {}))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		decodeAny(payload)
@@ -158,10 +130,7 @@ func FuzzWireCodecDecode(f *testing.F) {
 // the decoders. Decoding may succeed (some mutations only touch payload
 // values) or error — it must not panic or over-allocate.
 func TestWireCodecMutationsNeverPanic(t *testing.T) {
-	raw, err := fuzzSampleCommit().encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := fuzzSampleCommit().encode()
 	for i := range raw {
 		for _, flip := range []byte{0x01, 0x80, 0xff} {
 			mut := append([]byte(nil), raw...)
@@ -172,33 +141,27 @@ func TestWireCodecMutationsNeverPanic(t *testing.T) {
 	}
 }
 
-// TestCommitValidate pins the validator on the seeds the fuzz target
-// starts from: each malformed commit survives the codec and is refused
-// by name, the commit they vary is accepted, and a foreign mode slot
-// does not decode.
+// TestCommitValidate pins the validator and the decoder on the seeds
+// the fuzz target starts from: a commit that repeats a sentence key
+// survives the codec and is refused, the commit it varies is accepted,
+// and a commit body of a build that shipped tag results does not decode.
 func TestCommitValidate(t *testing.T) {
 	roundTrip := func(q *CommitRequest) *CommitRequest {
 		t.Helper()
-		body, err := q.encode()
-		if err != nil {
-			t.Fatal(err)
-		}
 		out := new(CommitRequest)
-		if err := out.decode(body); err != nil {
+		if err := out.decode(q.encode()); err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-	for name, q := range malformedCommits(validSampleCommit, 0) {
-		if err := roundTrip(q).validate(3); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
+	if err := roundTrip(repeatedKeyCommit(fuzzSampleCommit())).validate(); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Errorf("a commit repeating a sentence key: %v, want a refusal", err)
 	}
-	if err := roundTrip(validSampleCommit()).validate(3); err != nil {
+	if err := roundTrip(fuzzSampleCommit()).validate(); err != nil {
 		t.Errorf("well-formed commit refused: %v", err)
 	}
-	if err := new(CommitRequest).decode(withModeSlot(sampleBodies(t)[1], core.ModeLocalEmbeddings)); err == nil {
-		t.Error("a commit with an ablation mode in its mode slot decoded cleanly")
+	if err := new(CommitRequest).decode(parentCommitBody(fuzzSampleCommit())); err == nil {
+		t.Error("a commit body with tag results and a mode slot decoded cleanly")
 	}
 }
 
@@ -240,11 +203,11 @@ func readFrames(t *testing.T, data []byte) {
 // lengths, truncated headers and bodies, unknown ops and statuses must
 // all come back as errors — never a panic, never a body above the cap.
 func FuzzFrameRead(f *testing.F) {
-	bodies := sampleBodies(f)
-	f.Add(requestFrame(opTag, bodies[0]))
-	f.Add(requestFrame(opCommit, bodies[1]))
+	bodies := sampleBodies()
+	f.Add(requestFrame(opCommit, bodies[0]))
+	f.Add(requestFrame(opRetiredTag, parentCommitBody(fuzzSampleCommit())))
+	f.Add(replyFrame(statusOK, 0, bodies[1]))
 	f.Add(replyFrame(statusOK, 0, bodies[2]))
-	f.Add(replyFrame(statusOK, 0, bodies[3]))
 	f.Add(replyFrame(statusUnavailable, 1, []byte("shard saturated")))
 	f.Add(requestFrame(opReset, nil))
 	f.Add([]byte{})
@@ -257,7 +220,7 @@ func FuzzFrameRead(f *testing.F) {
 
 // TestFrameReadRejects pins the frame readers' refusals one by one.
 func TestFrameReadRejects(t *testing.T) {
-	body := sampleBodies(t)[1]
+	body := sampleBodies()[0]
 	good := requestFrame(opCommit, body)
 	if op, got, err := readRequestFrame(bytes.NewReader(good)); err != nil || op != opCommit || !bytes.Equal(got, body) {
 		t.Fatalf("valid request frame: op %d, %d bytes, %v", op, len(got), err)
@@ -266,7 +229,7 @@ func TestFrameReadRejects(t *testing.T) {
 		t.Fatalf("valid reply frame: status %d, retry %d, %d bytes, %v", st, retry, len(got), err)
 	}
 	var fe *frameError
-	for _, op := range []byte{0, opEnd, 0xff} {
+	for _, op := range []byte{0, opRetiredTag, opEnd, 0xff} {
 		if _, _, err := readRequestFrame(bytes.NewReader(requestFrame(op, nil))); !errors.As(err, &fe) {
 			t.Fatalf("op %d: err = %v, want a frame error", op, err)
 		}

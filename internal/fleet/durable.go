@@ -22,9 +22,8 @@ import (
 //     annotations — it never computes any) BEFORE the commit fan-out.
 //     Shards can therefore never be ahead of the journal, and a router
 //     restart re-drives any shard that lags the journaled seq by
-//     re-tagging the logged batches (tagging is pure and byte-identical
-//     on any shard) and committing them in order; the shard seq gate
-//     makes the re-drive exactly-once.
+//     committing the logged batches to it in order, as the live cycle
+//     did; the shard seq gate makes the re-drive exactly-once.
 //   - The router snapshots only at cycles every shard has acked, so the
 //     journal tail past the latest snapshot always contains every
 //     record a lagging shard could need. That snapshot is the cycle
@@ -75,7 +74,7 @@ func (s *Shard) Close() {
 
 // recoverFrom has the replica restore its snapshot and re-execute the
 // WAL tail by self-tagging each logged batch — byte-identical to the
-// original commits by the fleet's homogeneity contract — and restores
+// original commits, which tagged it the same way — and restores
 // the cached last response: the snapshot's, or the last replayed
 // cycle's.
 func (s *Shard) recoverFrom(rec *durable.Recovery) error {
@@ -150,7 +149,7 @@ func (r *Router) recoverFrom(rec *durable.Recovery) error {
 
 	// Re-drive: every shard must reach the journaled seq. Shards are
 	// never ahead (the journal is appended before the fan-out); a shard
-	// behind gets the missing cycles re-tagged and committed in order.
+	// behind gets the missing cycles committed in order.
 	for i := range r.clients {
 		if err := r.redriveShard(i, target, bySeq); err != nil {
 			return err
@@ -187,11 +186,7 @@ func (r *Router) redriveShard(i int, target uint64, bySeq map[uint64]*durable.Cy
 		if !ok {
 			return fmt.Errorf("fleet: router recovery: shard %d needs cycle %d but the journal starts later — compaction outran the shard", i, seq)
 		}
-		tagged, _, _, err := r.tagPartitioned(cr.Sentences, int(seq))
-		if err != nil {
-			return fmt.Errorf("fleet: router recovery: re-tag cycle %d: %w", seq, err)
-		}
-		req := &CommitRequest{Seq: seq, Sentences: cr.Sentences, Tagged: tagged}
+		req := &CommitRequest{Seq: seq, Sentences: cr.Sentences}
 		for {
 			_, err = r.clients[i].Commit(req)
 			if err == nil {

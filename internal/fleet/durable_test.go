@@ -141,8 +141,9 @@ func fleetRestartByteIdentical(t *testing.T, bodies []string, opts durable.Optio
 
 // TestFleetRedriveWipedShard loses one shard's entire data dir and
 // restarts: the shard recovers cold at seq 0 and the router re-drives
-// every journaled cycle into it (re-tagging is pure, the seq gate makes
-// replay exactly-once), converging back to the identical stream.
+// every journaled cycle into it (the shard tags each batch itself, the
+// seq gate makes replay exactly-once), converging back to the identical
+// stream.
 func TestFleetRedriveWipedShard(t *testing.T) {
 	g := trainedPipeline(t)
 	bodies := streamBodies(8, 2)
@@ -390,7 +391,7 @@ func TestRouterSnapshotIsCursorOnly(t *testing.T) {
 // (testdata/parent_router: six cycles, a snapshot at cycle 4 listing
 // every sentence ingested till then, the journal of all six). The
 // shards are brought to the journal's last cycle first — by the same
-// tag-and-commit re-drive the router does — so the router under test has
+// commits the router's re-drive sends — so the router under test has
 // only itself to restore: it must load the snapshot, take the ID cursor
 // from the tail, and serve the bodies of a run that never stopped.
 func TestRouterResumesParentDataDir(t *testing.T) {
@@ -438,11 +439,7 @@ func TestRouterResumesParentDataDir(t *testing.T) {
 	}
 	defer h.Close()
 	for _, cr := range journal {
-		tagged, err := h.Router.clients[0].Tag(&TagRequest{Sentences: cr.Sentences})
-		if err != nil {
-			t.Fatal(err)
-		}
-		req := &CommitRequest{Seq: cr.Seq, Sentences: cr.Sentences, Tagged: tagged.Results}
+		req := &CommitRequest{Seq: cr.Seq, Sentences: cr.Sentences}
 		for _, c := range h.Router.clients {
 			if _, err := c.Commit(req); err != nil {
 				t.Fatal(err)

@@ -15,18 +15,13 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
-	"nerglobalizer/internal/localner"
-	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/tokenizer"
-	"nerglobalizer/internal/types"
 )
 
 // testCycles tokenizes a deterministic stream into one batch of
@@ -81,24 +76,15 @@ func dropConns(s *Shard) {
 // path, with the same typed error on the router's side.
 func TestShardFrameChecks(t *testing.T) {
 	cycles := testCycles(t, 6, 2)
-	commitReq := func(t *testing.T, c *ShardClient, seq uint64) *CommitRequest {
-		t.Helper()
-		batch := cycles[seq-1]
-		tagged, err := c.Tag(&TagRequest{Sentences: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &CommitRequest{Seq: seq, Sentences: batch, Tagged: tagged.Results}
+	commitReq := func(seq uint64) *CommitRequest {
+		return &CommitRequest{Seq: seq, Sentences: cycles[seq-1]}
 	}
 
 	t.Run("admission", func(t *testing.T) {
 		s, c := oneShard(t, nil)
-		req := commitReq(t, c, 1)
+		req := commitReq(1)
 		s.SetAdmission(0)
 		var ue *ShardUnavailableError
-		if _, err := c.Tag(&TagRequest{Sentences: cycles[0]}); !errors.As(err, &ue) || ue.RetryAfter != shardRetryAfterSeconds {
-			t.Fatalf("tag on a saturated shard: %v, want unavailable with retry-after %d", err, shardRetryAfterSeconds)
-		}
 		if _, err := c.Commit(req); !errors.As(err, &ue) || ue.RetryAfter != shardRetryAfterSeconds {
 			t.Fatalf("commit on a saturated shard: %v, want unavailable with retry-after %d", err, shardRetryAfterSeconds)
 		}
@@ -118,7 +104,7 @@ func TestShardFrameChecks(t *testing.T) {
 
 	t.Run("seq gate", func(t *testing.T) {
 		s, c := oneShard(t, nil)
-		first, second := commitReq(t, c, 1), commitReq(t, c, 2)
+		first, second := commitReq(1), commitReq(2)
 		var ce *ShardConflictError
 		if _, err := c.Commit(second); !errors.As(err, &ce) || !strings.Contains(ce.Detail, "have 0, got 2") {
 			t.Fatalf("commit 2 on an empty shard: %v, want an out-of-order conflict", err)
@@ -180,65 +166,32 @@ func TestShardFrameChecks(t *testing.T) {
 		}
 	})
 
-	// Frames that decode cleanly and disagree with themselves about what
-	// the engine's replay indexes: each is a 400, none reaches the engine,
-	// and the connection and the shard carry on — the untouched commit
-	// still applies as cycle 1.
+	// A frame that decodes cleanly and repeats a sentence key is a 400,
+	// never reaches the engine, and the connection and the shard carry on
+	// — the untouched commit still applies as cycle 1.
 	t.Run("malformed commits", func(t *testing.T) {
 		s, c := oneShard(t, nil)
-		valid := commitReq(t, c, 1)
-		first := -1 // a tag result with an entity, hence tokens and a matrix
-		for i := range valid.Tagged {
-			if len(valid.Tagged[i].Entities) > 0 {
-				first = i
-				break
-			}
-		}
-		if first < 0 {
-			t.Fatal("the first cycle tagged no entity: the case needs one to corrupt")
-		}
-		// A fresh copy as deep as the variations write.
-		fresh := func() *CommitRequest {
-			q := &CommitRequest{Seq: 1, Sentences: valid.Sentences, Tagged: make([]*localner.Result, len(valid.Tagged))}
-			for i, t := range valid.Tagged {
-				c := *t
-				q.Tagged[i] = &c
-			}
-			q.Tagged[first].Entities = append([]types.Entity(nil), q.Tagged[first].Entities...)
-			return q
-		}
-		for name, q := range malformedCommits(fresh, first) {
-			if _, err := c.Commit(q); err == nil || !strings.Contains(err.Error(), "status 400") {
-				t.Fatalf("%s: %v, want status 400", name, err)
-			}
-		}
-		body, err := valid.encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.CommitEncoded(withModeSlot(body, core.ModeLocalEmbeddings)); err == nil || !strings.Contains(err.Error(), "status 400") {
-			t.Fatalf("ablation mode in the mode slot: %v, want status 400", err)
+		valid := commitReq(1)
+		if _, err := c.Commit(repeatedKeyCommit(valid)); err == nil || !strings.Contains(err.Error(), "status 400") {
+			t.Fatalf("a commit repeating a sentence key: %v, want status 400", err)
 		}
 		if st := s.Status(); st.Seq != 0 || st.StreamSize != 0 {
-			t.Fatalf("refused commits moved the shard to seq %d, stream %d", st.Seq, st.StreamSize)
+			t.Fatalf("the refused commit moved the shard to seq %d, stream %d", st.Seq, st.StreamSize)
 		}
-		if _, err := c.CommitEncoded(body); err != nil {
-			t.Fatalf("the valid commit after the refusals: %v", err)
+		if _, err := c.Commit(valid); err != nil {
+			t.Fatalf("the valid commit after the refusal: %v", err)
 		}
 		if open, _ := c.transportStatus(); open != 1 {
-			t.Fatalf("%d connections open, want the one reused after every 400", open)
+			t.Fatalf("%d connections open, want the one reused after the 400", open)
 		}
 	})
 
 	t.Run("unready gate", func(t *testing.T) {
 		s, c := oneShard(t, nil)
-		req := commitReq(t, c, 1)
+		req := commitReq(1)
 		var ue *ShardUnavailableError
 		warm := make(chan struct{})
 		s.gate.Recover(func() error { <-warm; return nil })
-		if _, err := c.Tag(&TagRequest{Sentences: cycles[0]}); !errors.As(err, &ue) {
-			t.Fatalf("tag while replaying: %v, want unavailable", err)
-		}
 		if _, err := c.Commit(req); !errors.As(err, &ue) {
 			t.Fatalf("commit while replaying: %v, want unavailable", err)
 		}
@@ -264,7 +217,7 @@ func TestShardFrameChecks(t *testing.T) {
 		if err := s.WaitWarm(); err != nil {
 			t.Fatal(err)
 		}
-		req := commitReq(t, c, 1)
+		req := commitReq(1)
 		// The first append has to create its segment; without the
 		// directory it cannot.
 		if err := os.RemoveAll(dir); err != nil {
@@ -275,11 +228,8 @@ func TestShardFrameChecks(t *testing.T) {
 			t.Fatalf("commit on a lost data dir: %v, want status 500 durability failure", err)
 		}
 		var ue *ShardUnavailableError
-		if _, err := c.Commit(untaggedCommit(cycles, 2)); !errors.As(err, &ue) {
+		if _, err := c.Commit(commitReq(2)); !errors.As(err, &ue) {
 			t.Fatalf("commit after a durability failure: %v, want the shard to stay bricked", err)
-		}
-		if _, err := c.Tag(&TagRequest{Sentences: cycles[0]}); !errors.As(err, &ue) {
-			t.Fatalf("tag after a durability failure: %v, want the shard to stay bricked", err)
 		}
 		if err := c.Reset(); err == nil {
 			t.Fatal("reset accepted on a durable shard")
@@ -319,15 +269,46 @@ func holdEngine(s *Shard) (release func()) {
 	return func() { close(done) }
 }
 
-// untaggedCommit builds a commit with empty tag results, for calls
-// expected to be refused before the body matters.
-func untaggedCommit(cycles [][]durable.CycleSentence, seq uint64) *CommitRequest {
-	batch := cycles[seq-1]
-	req := &CommitRequest{Seq: seq, Sentences: batch, Tagged: make([]*localner.Result, len(batch))}
-	for i := range req.Tagged {
-		req.Tagged[i] = &localner.Result{}
+// TestShardRefusesParentFrames sends a shard what a router of a build
+// that shipped tag results sends: a commit body carrying tag results
+// and a mode slot, and a frame with op 1, the tag RPC. Each is answered
+// 400 and leaves the shard's seq where it was.
+func TestShardRefusesParentFrames(t *testing.T) {
+	s, c := oneShard(t, nil)
+	req := &CommitRequest{Seq: 1, Sentences: testCycles(t, 2, 2)[0]}
+	if _, err := c.CommitEncoded(parentCommitBody(req)); err == nil || !strings.Contains(err.Error(), "status 400") {
+		t.Fatalf("a parent-build commit body: %v, want status 400", err)
 	}
-	return req
+	if st := s.Status(); st.Seq != 0 || st.StreamSize != 0 {
+		t.Fatalf("a parent-build commit body moved the shard to seq %d, stream %d", st.Seq, st.StreamSize)
+	}
+
+	fc, err := c.dial(time.Now().Add(5 * time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.closeConn(fc)
+	if _, err := fc.nc.Write(requestFrame(opRetiredTag, req.encode())); err != nil {
+		t.Fatal(err)
+	}
+	status, _, msg, err := readReplyFrame(fc.br)
+	if err != nil || status != statusBadRequest || !strings.Contains(string(msg), "unknown frame op 1") {
+		t.Fatalf("an op-1 frame: status %d %q (%v), want a 400 naming the op", status, msg, err)
+	}
+	if _, err := fc.br.ReadByte(); err != io.EOF {
+		t.Fatalf("after an op-1 frame the shard kept the connection: %v", err)
+	}
+	if st := s.Status(); st.Seq != 0 || st.StreamSize != 0 {
+		t.Fatalf("an op-1 frame moved the shard to seq %d, stream %d", st.Seq, st.StreamSize)
+	}
+
+	// The commit itself, in this build's layout, applies as cycle 1.
+	if _, err := c.Commit(req); err != nil {
+		t.Fatalf("the commit after the refusals: %v", err)
+	}
+	if st := s.Status(); st.Seq != 1 {
+		t.Fatalf("shard at seq %d after the commit, want 1", st.Seq)
+	}
 }
 
 // TestShardIdleDeadline checks the shard hangs up a connection that
@@ -368,105 +349,6 @@ func TestShardIdleDeadline(t *testing.T) {
 	}
 	if n := reg.Counter("ner_fleet_connections_dialed_total", "").Value(); n != 2 {
 		t.Fatalf("connections dialed = %d, want 2", n)
-	}
-}
-
-// TestFleetTagDuringCommit pins the tag path's independence from the
-// engine lock, at the exact tier and at f32 (whose packed weight
-// mirrors are built lazily by whichever call gets there first): a tag
-// completes while the lock a commit holds for its whole cycle is taken,
-// and taggers hammering the shard while commits apply get the same
-// bytes a quiet replica gives. Run under -race.
-func TestFleetTagDuringCommit(t *testing.T) {
-	cycles := testCycles(t, 24, 2)
-	var all []durable.CycleSentence
-	for _, batch := range cycles {
-		all = append(all, batch...)
-	}
-	for _, prec := range []nn.Precision{nn.F64, nn.F32} {
-		t.Run(prec.String(), func(t *testing.T) {
-			configure := func(r *core.Globalizer) {
-				if err := r.SetPrecision(prec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			_, quiet := oneShard(t, configure)
-			ref, err := quiet.Tag(&TagRequest{Sentences: all})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := ref.Results
-
-			s, c := oneShard(t, configure)
-			// First tags on this replica race the first commits below —
-			// nothing has packed its mirrors yet.
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			tags := make([]atomic.Int64, 2) // calls each tagger completed
-			for w := range tags {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for lo := w; ; lo = (lo + 3) % len(all) {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						hi := min(lo+4, len(all))
-						resp, err := c.Tag(&TagRequest{Sentences: all[lo:hi]})
-						if err != nil {
-							t.Errorf("tagger %d: %v", w, err)
-							return
-						}
-						if !reflect.DeepEqual(resp.Results, want[lo:hi]) {
-							t.Errorf("tagger %d: sentences %d..%d tagged differently during commits", w, lo, hi)
-							return
-						}
-						tags[w].Add(1)
-					}
-				}(w)
-			}
-			off := 0
-			for i, batch := range cycles {
-				req := &CommitRequest{Seq: uint64(i + 1), Sentences: batch, Tagged: want[off : off+len(batch)]}
-				off += len(batch)
-				if _, err := c.Commit(req); err != nil {
-					t.Fatalf("commit %d: %v", i+1, err)
-				}
-			}
-			// With the engine lock held — where a commit spends its whole
-			// cycle — a tag still completes.
-			deadline := time.Now().Add(20 * time.Second)
-			release := holdEngine(s)
-			done := make(chan error, 1)
-			go func() {
-				_, err := c.Tag(&TagRequest{Sentences: all[:2]})
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Errorf("tag under a held engine lock: %v", err)
-				}
-			case <-time.After(time.Until(deadline)):
-				t.Error("tag queued behind the engine lock")
-			}
-			// The taggers stop only once each has had a call checked against
-			// the quiet replica: how many they fit in beside the commits is
-			// the scheduler's business, that they ran at all is the test's.
-			for w := range tags {
-				for tags[w].Load() == 0 && !t.Failed() {
-					if time.Now().After(deadline) {
-						t.Errorf("tagger %d completed no call in 20 s", w)
-					}
-					time.Sleep(time.Millisecond)
-				}
-			}
-			release()
-			close(stop)
-			wg.Wait()
-		})
 	}
 }
 
@@ -578,7 +460,7 @@ func lateReplyNotMisdelivered(t *testing.T, dur bool) {
 // still reach the log: a capture that never does holds the snapshot
 // schedule for good.
 func TestShardSubmitsSnapshotWhenReplyFails(t *testing.T) {
-	s, c := oneShard(t, nil)
+	s, _ := oneShard(t, nil)
 	dir := t.TempDir()
 	if err := s.StartDurable(dir, durable.Options{SnapshotEvery: 1}); err != nil {
 		t.Fatal(err)
@@ -586,15 +468,7 @@ func TestShardSubmitsSnapshotWhenReplyFails(t *testing.T) {
 	if err := s.WaitWarm(); err != nil {
 		t.Fatal(err)
 	}
-	batch := testCycles(t, 2, 2)[0]
-	tagged, err := c.Tag(&TagRequest{Sentences: batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := (&CommitRequest{Seq: 1, Sentences: batch, Tagged: tagged.Results}).encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := (&CommitRequest{Seq: 1, Sentences: testCycles(t, 2, 2)[0]}).encode()
 	// net.Pipe is synchronous: the peer's write returns once the shard
 	// has read the frame, and closing it then fails the reply's write.
 	peer, conn := net.Pipe()
@@ -743,8 +617,8 @@ func TestFleetTransportVisible(t *testing.T) {
 	if n := st.Metrics.Counters["ner_fleet_rpc_redials_total"]; n != 0 {
 		t.Fatalf("redials = %d on a healthy fleet", n)
 	}
-	// One commit frame per cycle, the shard's share of the tag frames,
-	// and the HTTP requests (upgrades, /statusz) on top.
+	// One commit frame per cycle, and the HTTP requests (upgrades,
+	// /statusz) on top.
 	if n := sreg.Counter("ner_fleet_shard_requests_total", "").Value(); n < int64(len(bodies)) {
 		t.Fatalf("shard 0 counted %d requests over %d cycles: frames are not counted", n, len(bodies))
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"nerglobalizer/internal/durable"
-	"nerglobalizer/internal/localner"
 	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/server"
 )
@@ -22,23 +21,26 @@ const cycleRetryAfterSeconds = 1
 // shard has missed. When a shard is down long enough to hit the bound
 // the router stops ingesting (503) rather than growing memory without
 // limit — replicas stay reconcilable and the operator gets back
-// pressure instead of an OOM.
+// pressure instead of an OOM — and each refused cycle offers the
+// backlog to the shard again, so ingesting resumes once it has taken it.
 const maxPendingCommits = 64
 
 // commitQueueDepth is the front's tail depth under the router: one
-// commit fan-out running plus one queued. Deeper would only let tagging
-// run further ahead of shards that are the bottleneck either way.
+// commit fan-out running plus one queued. Deeper would only let the
+// router take seqs and journal cycles further ahead of shards that are
+// the bottleneck either way.
 const commitQueueDepth = 1
 
 // Router is the fleet's stateless front: behind the serving front it
 // shares with the single server (admission, tokenization, the cycle
-// schedule) it owns tweet ID assignment and the fleet cycle, fanning
-// tag and commit RPCs to the shards and merging their owned annotations
-// back into request order. "Stateless" means no model and no stream:
-// the router keeps a cursor (cycle seq, next tweet ID) and the commits
-// a lagging shard has yet to take, bounded by maxPendingCommits —
-// nothing that grows with the tweets served. The surface every entity
-// is rendered with is the one its shard shipped.
+// schedule) it owns tweet ID assignment and the fleet cycle, fanning one
+// commit RPC per cycle to every shard — each tags the batch itself — and
+// merging their owned annotations back into request order. "Stateless"
+// means no model and no stream: the router keeps a cursor (cycle seq,
+// next tweet ID) and the commits a lagging shard has yet to take,
+// bounded by maxPendingCommits — nothing that grows with the tweets
+// served. The surface every entity is rendered with is the one its
+// shard shipped.
 type Router struct {
 	clients []*ShardClient
 	// front owns admission, the scheduler that calls runCycle, the
@@ -68,33 +70,33 @@ type Router struct {
 
 // CycleStat is one committed cycle's timing decomposition. The
 // distributed critical path — what a fleet with each shard on its own
-// machine and the fan-outs running in parallel would spend on the
+// machine and the fan-out running in parallel would spend on the
 // cycle — is
 //
 //	WallSeconds - TagRPCSum - CommitRPCSum + TagRPCMax + CommitRPCMax
 //
 // wall-clock minus every shard RPC's client-observed round trip (which
 // a single-box harness with fewer cores than shards strings end to
-// end), plus the slowest RPC of each of the two sequential stages.
-// Each round trip includes the shard's busy time AND the per-RPC
-// transport cost (connection handling, body transfer, response
-// decode), so the model charges transport to the per-shard lanes it
-// actually rides on rather than to the router's serial residue. At one
-// shard every sum equals its max and the expression reduces to
-// WallSeconds exactly, which anchors the model to a measured number.
+// end), plus the slowest commit RPC. Each round trip includes the
+// shard's busy time AND the per-RPC transport cost (connection
+// handling, body transfer, response decode), so the model charges
+// transport to the per-shard lanes it actually rides on rather than to
+// the router's serial residue. At one shard every sum equals its max and
+// the expression reduces to WallSeconds exactly, which anchors the
+// model. BusySum totals the shard-reported handler times, so the gap to
+// the RPC sums is the per-RPC transport overhead, visible as data.
 //
-// The Busy fields carry the shard-reported handler times for the same
-// stages — the gap between an RPC max and a busy max is the per-RPC
-// transport overhead, reported so it stays visible as data.
+// TagRPCSum and TagRPCMax read 0: a cycle has no tag RPC any more. They
+// stay because the benchmark's traced run (bench/tracerun.go) reads
+// them; they go when that run stops re-composing the serving path
+// (ROADMAP item 5).
 type CycleStat struct {
-	WallSeconds   float64
-	TagRPCSum     float64
-	TagRPCMax     float64
-	CommitRPCSum  float64
-	CommitRPCMax  float64
-	TagBusyMax    float64
-	CommitBusyMax float64
-	BusySum       float64
+	WallSeconds  float64
+	TagRPCSum    float64
+	TagRPCMax    float64
+	CommitRPCSum float64
+	CommitRPCMax float64
+	BusySum      float64
 }
 
 // routerObs is the router metric set. The obs registry has no label
@@ -103,7 +105,6 @@ type CycleStat struct {
 type routerObs struct {
 	fleetCycles  *obs.Counter   // ner_fleet_cycles_total
 	degraded     *obs.Counter   // ner_fleet_degraded_cycles_total
-	tagSeconds   *obs.Histogram // ner_fleet_tag_seconds
 	mergeSeconds *obs.Histogram // ner_fleet_merge_seconds
 
 	shardRPC  []*obs.Histogram // ner_fleet_shard<i>_rpc_seconds
@@ -124,8 +125,6 @@ func newRouterObs(reg *obs.Registry, shards int) *routerObs {
 			"Execution cycles the router has committed to the fleet."),
 		degraded: reg.Counter("ner_fleet_degraded_cycles_total",
 			"Committed cycles some shard missed (its commit went to the pending queue)."),
-		tagSeconds: reg.Histogram("ner_fleet_tag_seconds",
-			"Wall-clock of the partitioned tag fan-out per cycle.", nil),
 		mergeSeconds: reg.Histogram("ner_fleet_merge_seconds",
 			"Wall-clock of the cross-shard annotation merge per cycle.", nil),
 	}
@@ -224,57 +223,45 @@ func (r *Router) Cycles() int { return int(r.cycles.Load()) }
 
 // runCycle executes one micro-batched cycle against the fleet:
 //
-//  1. Admission: refuse outright if any shard's pending queue is full.
-//  2. Tag: shard i tags the i-th contiguous slice of the batch, with
-//     failover to the next shard (tagging is pure). If a slice cannot
-//     be tagged anywhere the cycle aborts with no state change.
-//  3. Commit: once tagging succeeded the cycle is ingested — seq and
-//     the ID counter advance — and every shard receives the full batch
-//     plus full tag results, draining its pending queue first. A shard
-//     that fails gets the commit queued instead.
+//  1. Admission: refuse outright if any shard's pending queue is full;
+//     the refusal's finish offers every backlog to its shard.
+//  2. Ingest: the cycle takes its seq and its tweet IDs and is
+//     journaled; from here on it is part of the stream whatever the
+//     shards answer.
+//  3. Commit: every shard receives the batch, draining its pending
+//     queue first, and tags and applies it. A shard that fails gets
+//     the commit queued instead — every shard, if none can take it.
 //  4. Respond: if every shard committed, the owned annotations merge
 //     into request order; otherwise the jobs get 503 + Retry-After
 //     (their tweets are in the stream, but annotations would be
-//     missing the degraded shard's surfaces).
+//     missing the degraded shards' surfaces).
 //
-// 1, 2, taking the seq, journaling it and encoding the commit run here,
-// on the scheduler; 3 and 4 are the returned finish (commitCycle), which
-// the front's tail runs in cycle order, so shards still see commits
-// strictly in seq order while the scheduler moves on to the next cycle's
-// tag stage. Tagging is pure (it reads the trained model, never the
-// stream), so the overlap cannot change a single byte of any commit.
+// 1, 2 and encoding the commit run here, on the scheduler; 3 and 4 are
+// the returned finish (commitCycle), which the front's tail runs in
+// cycle order, so shards see commits strictly in seq order while the
+// scheduler moves on to the next cycle.
 func (r *Router) runCycle(jobs []*server.Job) (finish func()) {
 	cycleStart := time.Now()
 	ro := r.o.Load()
 
-	// Admission against pending overflow.
 	r.mu.Lock()
 	for i := range r.pending {
 		if len(r.pending[i]) >= maxPendingCommits {
 			r.mu.Unlock()
-			r.front.Reject(jobs, http.StatusServiceUnavailable, cycleRetryAfterSeconds,
-				fmt.Sprintf("shard %d unreachable, pending commits full", i))
-			return nil
+			msg := fmt.Sprintf("shard %d unreachable, pending commits full", i)
+			// Only a fan-out drains a pending FIFO, and a refused cycle has
+			// none: its finish offers every backlog to its shard, or one
+			// full FIFO would refuse every later cycle too.
+			return func() {
+				r.eachShard(func(i int) { r.drainPending(i) })
+				r.front.Reject(jobs, http.StatusServiceUnavailable, cycleRetryAfterSeconds, msg)
+			}
 		}
 	}
-	// Tentative ID and seq assignment in queue order; nothing is
-	// published until the tag stage succeeds.
-	startID, seq := r.nextID, r.seq+1
-	r.mu.Unlock()
-	batch, perJob, id := server.Batch(jobs, startID)
-
-	// Tag fan-out with failover.
-	tagged, tagBusy, tagRPC, err := r.tagPartitioned(batch, int(seq))
-	if err != nil {
-		r.front.Reject(jobs, http.StatusServiceUnavailable, cycleRetryAfterSeconds,
-			"tag stage failed on every shard: "+err.Error())
-		return nil
-	}
-
-	// The cycle is now ingested: publish its IDs and its seq, count it.
-	r.mu.Lock()
-	r.seq = seq
+	batch, perJob, id := server.Batch(jobs, r.nextID)
+	r.seq++
 	r.nextID = id
+	seq := r.seq
 	r.mu.Unlock()
 	r.cycles.Add(1)
 	if ro != nil {
@@ -293,51 +280,27 @@ func (r *Router) runCycle(jobs []*server.Job) (finish func()) {
 		}
 	}
 
-	req := &CommitRequest{
-		Seq:       seq,
-		Sentences: batch,
-		Tagged:    tagged,
-	}
-	// One encode serves the whole fan-out: every shard receives the
-	// same bytes, so the router's serialization cost does not grow with
-	// the fleet.
-	body, encErr := req.encode()
-	if encErr != nil {
-		// Unreachable with well-formed engine output; queue the commit
-		// everywhere so seq bookkeeping stays consistent and degrade.
-		r.mu.Lock()
-		for i := range r.pending {
-			r.pending[i] = append(r.pending[i], req)
-		}
-		r.mu.Unlock()
-		if ro != nil {
-			ro.degraded.Inc()
-		}
-		r.front.Reject(jobs, http.StatusInternalServerError, 0, encErr.Error())
-		return nil
-	}
-
+	req := &CommitRequest{Seq: seq, Sentences: batch}
 	work := &commitWork{
 		jobs: jobs, perJob: perJob,
-		req: req, body: body, nextID: id,
-		tagBusy: tagBusy, tagRPC: tagRPC,
+		// One encode serves the whole fan-out: every shard receives the
+		// same bytes, so the router's serialization cost does not grow
+		// with the fleet.
+		req: req, body: req.encode(), nextID: id,
 		cycleStart: cycleStart,
 	}
 	return func() { r.commitCycle(work) }
 }
 
 // commitWork is one prepared cycle awaiting its commit fan-out: the
-// jobs to answer, the shared pre-encoded commit body, the cursor as the
-// cycle leaves it (what a router snapshot of the cycle records), and
-// the tag-stage timings for CycleStat.
+// jobs to answer, the shared pre-encoded commit body, and the cursor as
+// the cycle leaves it (what a router snapshot of the cycle records).
 type commitWork struct {
 	jobs       []*server.Job
 	perJob     []int // sentences per job, contiguous in req.Sentences
 	req        *CommitRequest
 	body       []byte
 	nextID     int
-	tagBusy    []float64
-	tagRPC     []float64
 	cycleStart time.Time
 }
 
@@ -396,99 +359,14 @@ func (r *Router) commitCycle(work *commitWork) {
 	r.statsMu.Lock()
 	if r.recordStats {
 		stat := CycleStat{WallSeconds: time.Since(work.cycleStart).Seconds()}
-		for i, b := range work.tagBusy {
-			stat.BusySum += b
-			stat.TagRPCSum += work.tagRPC[i]
-			if b > stat.TagBusyMax {
-				stat.TagBusyMax = b
-			}
-			if work.tagRPC[i] > stat.TagRPCMax {
-				stat.TagRPCMax = work.tagRPC[i]
-			}
-		}
 		for i, resp := range resps {
 			stat.BusySum += resp.BusySeconds
 			stat.CommitRPCSum += commitRPC[i]
-			if resp.BusySeconds > stat.CommitBusyMax {
-				stat.CommitBusyMax = resp.BusySeconds
-			}
-			if commitRPC[i] > stat.CommitRPCMax {
-				stat.CommitRPCMax = commitRPC[i]
-			}
+			stat.CommitRPCMax = max(stat.CommitRPCMax, commitRPC[i])
 		}
 		r.stats = append(r.stats, stat)
 	}
 	r.statsMu.Unlock()
-}
-
-// tagPartitioned cuts the batch into K contiguous slices and has shard
-// (i+rot) mod K tag the i-th, failing over to the next shard in ring
-// order when one refuses: tagging is pure, so any shard's answer is
-// byte-identical. Callers pass the cycle's seq as rot, so the larger
-// share of an uneven cut — the whole batch, in a one-sentence cycle —
-// moves round the fleet instead of always landing on shard K−1. The
-// extra returns are each slice's shard-reported busy time and its
-// client-observed RPC round trip, for critical-path accounting.
-func (r *Router) tagPartitioned(batch []durable.CycleSentence, rot int) ([]*localner.Result, []float64, []float64, error) {
-	k := len(r.clients)
-	ro := r.o.Load()
-	t0 := time.Now()
-	tagged := make([]*localner.Result, len(batch))
-	busy := make([]float64, k)
-	rpc := make([]float64, k)
-	errs := make([]error, k)
-	tagSlice := func(i, lo, hi int) {
-		req := &TagRequest{Sentences: batch[lo:hi]}
-		var resp *TagResponse
-		var err error
-		st0 := time.Now()
-		for attempt := 0; attempt < k; attempt++ {
-			shard := (i + rot + attempt) % k
-			rt0 := time.Now()
-			resp, err = r.clients[shard].Tag(req)
-			if err == nil && len(resp.Results) != hi-lo {
-				err = fmt.Errorf("fleet: shard %d tagged %d of %d sentences", shard, len(resp.Results), hi-lo)
-			}
-			if ro != nil {
-				ro.shardRPC[shard].Observe(time.Since(rt0).Seconds())
-				if err != nil {
-					ro.shardErrs[shard].Inc()
-				}
-			}
-			if err == nil {
-				break
-			}
-		}
-		rpc[i] = time.Since(st0).Seconds()
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		busy[i] = resp.BusySeconds
-		copy(tagged[lo:hi], resp.Results)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		lo, hi := i*len(batch)/k, (i+1)*len(batch)/k
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			tagSlice(i, lo, hi)
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	if ro != nil {
-		ro.tagSeconds.Observe(time.Since(t0).Seconds())
-	}
-	return tagged, busy, rpc, nil
 }
 
 // commitShard drains shard i's pending commits in seq order, then
@@ -499,47 +377,53 @@ func (r *Router) tagPartitioned(batch []durable.CycleSentence, rot int) ([]*loca
 // the shard's total client-observed commit round-trip time this cycle
 // (replays included — they ride the same per-shard lane).
 func (r *Router) commitShard(i int, req *CommitRequest, body []byte) (*CommitResponse, float64, error) {
-	ro := r.o.Load()
 	lane := time.Now()
-	observe := func(t0 time.Time, err error) {
-		if ro != nil {
-			ro.shardRPC[i].Observe(time.Since(t0).Seconds())
-			if err != nil {
-				ro.shardErrs[i].Inc()
-			}
-		}
+	err := r.drainPending(i)
+	var resp *CommitResponse
+	if err == nil {
+		resp, err = r.commitRPC(i, body)
 	}
+	if err != nil {
+		r.mu.Lock()
+		r.pending[i] = append(r.pending[i], req)
+		r.mu.Unlock()
+	}
+	return resp, time.Since(lane).Seconds(), err
+}
+
+// drainPending sends shard i its pending commits in seq order. The
+// first failure is returned and leaves that commit and the rest queued.
+// It runs on the front's tail only, so no two drains of one FIFO overlap.
+func (r *Router) drainPending(i int) error {
 	for {
 		r.mu.Lock()
 		if len(r.pending[i]) == 0 {
 			r.mu.Unlock()
-			break
+			return nil
 		}
 		head := r.pending[i][0]
 		r.mu.Unlock()
-		t0 := time.Now()
-		_, err := r.clients[i].Commit(head)
-		observe(t0, err)
-		if err != nil {
-			r.mu.Lock()
-			r.pending[i] = append(r.pending[i], req)
-			r.mu.Unlock()
-			return nil, time.Since(lane).Seconds(), err
+		if _, err := r.commitRPC(i, head.encode()); err != nil {
+			return err
 		}
 		r.mu.Lock()
 		r.pending[i] = r.pending[i][1:]
 		r.mu.Unlock()
 	}
+}
+
+// commitRPC sends one encoded commit to shard i and observes its round
+// trip on the shard's series.
+func (r *Router) commitRPC(i int, body []byte) (*CommitResponse, error) {
 	t0 := time.Now()
 	resp, err := r.clients[i].CommitEncoded(body)
-	observe(t0, err)
-	if err != nil {
-		r.mu.Lock()
-		r.pending[i] = append(r.pending[i], req)
-		r.mu.Unlock()
-		return nil, time.Since(lane).Seconds(), err
+	if ro := r.o.Load(); ro != nil {
+		ro.shardRPC[i].Observe(time.Since(t0).Seconds())
+		if err != nil {
+			ro.shardErrs[i].Inc()
+		}
 	}
-	return resp, time.Since(lane).Seconds(), nil
+	return resp, err
 }
 
 // mergeGroups interleaves per-shard surface groups back into the

@@ -40,8 +40,7 @@ const shardFrameTimeout = 30 * time.Second
 // server.Replica — the engine, its lock, its log and its reads, the same
 // ones the single server runs — that owns the surfaces ctrie.OwnerShard
 // assigns to its index, plus what only a shard needs: admission, the
-// commit seq gate and the cached last response. Tagging reads only the
-// trained model, so it overlaps a commit in progress (Replica.Tag).
+// commit seq gate and the cached last response.
 type Shard struct {
 	rep *server.Replica
 	// mu orders commits and resets: the seq gate, the cycle it admits
@@ -53,9 +52,6 @@ type Shard struct {
 
 	index, count int
 	settings     map[string]string
-	// dim is the engine's token-embedding width, which a commit's
-	// shipped matrices must have.
-	dim int
 
 	// admit bounds concurrently admitted mutating RPCs.
 	admitMu sync.Mutex
@@ -96,9 +92,9 @@ func newShardObs(reg *obs.Registry) *shardObs {
 		rejected: reg.Counter("ner_fleet_shard_rejected_total",
 			"Fleet RPCs rejected with 503 because shard admission was saturated."),
 		tagSeconds: reg.Histogram("ner_fleet_shard_tag_seconds",
-			"Wall-clock of tag RPCs (Local NER over one batch slice).", nil),
+			"Wall-clock of the Local NER a commit runs over its whole batch before applying the cycle.", nil),
 		commitSeconds: reg.Histogram("ner_fleet_shard_commit_seconds",
-			"Wall-clock of commit RPCs (stream replay + owned global phase).", nil),
+			"Wall-clock of commit RPCs (tagging + stream update + owned global phase).", nil),
 	}
 }
 
@@ -117,7 +113,6 @@ func NewShard(g *core.Globalizer, index, count int, settings map[string]string) 
 		index:    index,
 		count:    count,
 		settings: settings,
-		dim:      g.Config().Encoder.Dim,
 		admit:    make(chan struct{}, defaultShardAdmission),
 		conns:    make(map[net.Conn]struct{}),
 		idleWait: shardConnIdleTimeout,
@@ -305,8 +300,6 @@ func (s *Shard) serveFrames(conn net.Conn, br *bufio.Reader) {
 
 func (s *Shard) dispatch(op byte, body []byte, t0 time.Time) reply {
 	switch op {
-	case opTag:
-		return s.serveTag(body, t0)
 	case opCommit:
 		return s.serveCommit(body, t0)
 	case opReset:
@@ -321,36 +314,6 @@ func (s *Shard) dispatch(op byte, body []byte, t0 time.Time) reply {
 		return reply{body: encodeCandidates(s.rep.Candidates())}
 	}
 	return reply{body: encodeEntities(s.rep.Entities())}
-}
-
-// serveTag runs Local NER over a batch slice. Tagging is pure — it
-// reads the trained model, never the stream — so any shard can tag any
-// slice, the router is free to fail a slice over to a healthy peer, and
-// the call does not wait for a commit holding the engine lock.
-func (s *Shard) serveTag(body []byte, t0 time.Time) reply {
-	if why, retry := s.gate.Unready(); why != "" {
-		return unavailableReply(why, retry)
-	}
-	var req TagRequest
-	if err := req.decode(body); err != nil {
-		return failReply(statusBadRequest, err.Error())
-	}
-	release, ok := s.tryAdmit()
-	if !ok {
-		return unavailableReply("shard saturated", shardRetryAfterSeconds)
-	}
-	defer release()
-	results := s.rep.Tag(req.Sentences)
-	busy := time.Since(t0).Seconds()
-	if so := s.o.Load(); so != nil {
-		so.tagSeconds.Observe(busy)
-	}
-	resp := TagResponse{Seq: req.Seq, Results: results, BusySeconds: busy}
-	out, err := resp.encode()
-	if err != nil {
-		return failReply(statusInternal, err.Error())
-	}
-	return reply{body: out}
 }
 
 // serveCommit applies one cycle to the replicated stream. The Seq gate
@@ -383,17 +346,25 @@ func (s *Shard) serveCommit(body []byte, t0 time.Time) reply {
 		return failReply(statusConflict, "commit out of order: have "+strconv.FormatUint(have, 10)+
 			", got "+strconv.FormatUint(req.Seq, 10))
 	}
-	if err := req.validate(s.dim); err != nil {
+	if err := req.validate(); err != nil {
 		s.mu.Unlock()
 		return failReply(statusBadRequest, err.Error())
+	}
+	// The shard tags the batch itself, before the cycle: the engine's
+	// cycle clock times what the shard owns, and the tagging every shard
+	// replicates is timed here.
+	tagStart := time.Now()
+	tagged := s.rep.Tag(req.Sentences)
+	if so := s.o.Load(); so != nil {
+		so.tagSeconds.Observe(time.Since(tagStart).Seconds())
 	}
 	// Ack-after-durable: the replica issues the WAL append under its
 	// engine lock and the durability wait happens here on the frame
 	// goroutine (a shard has no scheduler to overlap it with), after mu
 	// is released — the response still never outruns the shard's disk,
-	// but the next cycle's tag can start while this cycle's flush
+	// but the next cycle's commit can start while this cycle's flush
 	// completes. A failure of either has tripped the gate.
-	out, err := s.rep.Apply(req.Sentences, req.Tagged)
+	out, err := s.rep.Apply(req.Sentences, tagged)
 	if err != nil {
 		s.mu.Unlock()
 		return failReply(statusInternal, "durability failure: "+err.Error())

@@ -111,11 +111,7 @@ func TestSyncFailureTripsGate(t *testing.T) {
 		}
 		cycles := testCycles(t, 6, 2)
 		commit := func(seq uint64) error {
-			tagged, err := c.Tag(&TagRequest{Sentences: cycles[seq-1]})
-			if err != nil {
-				return err
-			}
-			_, err = c.Commit(&CommitRequest{Seq: seq, Sentences: cycles[seq-1], Tagged: tagged.Results})
+			_, err := c.Commit(&CommitRequest{Seq: seq, Sentences: cycles[seq-1]})
 			return err
 		}
 		if err := commit(1); err != nil {

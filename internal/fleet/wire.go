@@ -14,12 +14,11 @@
 // surface's own mention pool, the union of the shards' outputs is
 // byte-identical to a single-process run at any shard count.
 //
-// Tagging is partitioned too: per-sentence tag results are
-// byte-identical at any batch composition (the localner batching
-// contract), so the router has each shard tag one contiguous slice of
-// each cycle's batch and ships the results to every shard, which
-// replays them with ProcessTagged. Each cycle therefore costs one tag
-// RPC and one commit RPC per shard.
+// Each cycle is one commit RPC per shard carrying the batch's
+// sentences; the shard tags them itself before applying the cycle.
+// Local NER is a pure function of a sentence (the localner batching
+// contract), so every shard of a homogeneous fleet computes the same tag
+// results the single process does, and nothing but sentences is shipped.
 //
 // The wire is frames on persistent connections. The router opens a few
 // connections per shard with GET /shard/rpc + Upgrade on the shard's
@@ -43,88 +42,38 @@ import (
 	"io"
 
 	"nerglobalizer/internal/durable"
-	"nerglobalizer/internal/localner"
 	"nerglobalizer/internal/types"
 )
 
-// shardMaxBodyBytes caps frame bodies in both directions. Commit
-// payloads carry the batch's token embeddings (float64 matrices), so the
-// bound is far above the router's public 1 MB JSON cap.
+// shardMaxBodyBytes caps frame bodies in both directions. The largest
+// body is the /entities fan-in reply, which lists every annotated
+// sentence of the stream, so the bound is far above the router's public
+// 1 MB JSON cap.
 const shardMaxBodyBytes = 64 << 20
 
-// TagRequest asks a shard to tag one contiguous slice of a cycle's
-// batch. Tagging is pure, so Seq is advisory (observability only).
-type TagRequest struct {
-	Seq       uint64
-	Sentences []durable.CycleSentence
-}
-
-// TagResponse returns the slice's tag results, index-aligned. Of a
-// result the wire carries exactly what the stream-state replay
-// (core.applyTagged) consumes: Tokens, the tagger's view — possibly
-// truncated to the encoder's MaxLen, and the basis of entity spans — ship
-// verbatim rather than being re-derived from the sentence; Embeddings
-// ship as exact float64, because the global phase reads them bit-for-bit
-// and fleet identity depends on it; BIO labels stay off the wire (nil
-// after a decode): the replay never reads them. BusySeconds is the
-// shard's own wall-clock for serving the RPC (request decode through
-// inference); the router uses it to separate shard work from router
-// work when it accounts a cycle's distributed critical path.
-type TagResponse struct {
-	Seq         uint64
-	Results     []*localner.Result
-	BusySeconds float64
-}
-
 // CommitRequest applies one execution cycle to a shard's replicated
-// stream: the full batch with its full tag results, in batch order.
+// stream: the full batch, in batch order; the shard tags it itself.
 // Commits must apply in Seq order (1, 2, 3, ...) — the shard rejects
 // gaps, which is how a router-side retry after a partial failure stays
 // exact instead of silently desynchronizing the replica.
 type CommitRequest struct {
 	Seq       uint64
 	Sentences []durable.CycleSentence
-	Tagged    []*localner.Result
 }
 
-// validate checks a decoded commit against everything the engine's
-// replay of it indexes without looking (core.applyTagged, then the
-// Phrase Embedder over the stored matrices), so that a frame that is
-// well-formed but inconsistent is refused instead of panicking the frame
-// goroutine under the shard's locks: one tag result per sentence, no
-// sentence key twice (a router numbers every sentence once; a repeat
-// would replace a record of the very batch that adds it), no more tagged
-// tokens than the sentence has (the tagger truncates to the encoder's
-// MaxLen), entity spans inside the tagged tokens, and one dim-wide
-// embedding row per tagged token — no matrix only for a token-less
-// result.
-func (q *CommitRequest) validate(dim int) error {
-	if len(q.Tagged) != len(q.Sentences) {
-		return fmt.Errorf("fleet: commit %d carries %d tag results for %d sentences", q.Seq, len(q.Tagged), len(q.Sentences))
-	}
+// validate checks a decoded commit for what the engine's cycle indexes
+// without looking, so that a frame that is well-formed but inconsistent
+// is refused instead of panicking the frame goroutine under the shard's
+// locks: no sentence key twice (a router numbers every sentence once; a
+// repeat would replace a record of the very batch that adds it).
+func (q *CommitRequest) validate() error {
 	seen := make(map[types.SentenceKey]bool, len(q.Sentences))
-	for i := range q.Tagged {
-		key := types.SentenceKey{TweetID: q.Sentences[i].TweetID, SentID: q.Sentences[i].SentID}
+	for _, cs := range q.Sentences {
+		key := types.SentenceKey{TweetID: cs.TweetID, SentID: cs.SentID}
 		if seen[key] {
 			return fmt.Errorf("fleet: commit %d carries sentence %d/%d twice", q.Seq, key.TweetID, key.SentID)
 		}
 		seen[key] = true
-		t := q.Tagged[i]
-		n := len(t.Tokens)
-		if n > len(q.Sentences[i].Tokens) {
-			return fmt.Errorf("fleet: commit %d tag result %d has %d tokens, its sentence %d", q.Seq, i, n, len(q.Sentences[i].Tokens))
-		}
-		for _, e := range t.Entities {
-			if e.Start < 0 || e.Start > e.End || e.End > n {
-				return fmt.Errorf("fleet: commit %d tag result %d has an entity at [%d,%d) of %d tokens", q.Seq, i, e.Start, e.End, n)
-			}
-		}
-		switch {
-		case t.Embeddings == nil && n > 0:
-			return fmt.Errorf("fleet: commit %d tag result %d has %d tokens and no embeddings", q.Seq, i, n)
-		case t.Embeddings != nil && (t.Embeddings.Rows != n || t.Embeddings.Cols != dim):
-			return fmt.Errorf("fleet: commit %d tag result %d embeds %d tokens as %dx%d, want %dx%d", q.Seq, i, n, t.Embeddings.Rows, t.Embeddings.Cols, n, dim)
-		}
 	}
 	return nil
 }
@@ -147,8 +96,8 @@ type CommitResponse struct {
 
 // ShardStatus is a shard's resolved configuration and health, surfaced
 // through the router's /statusz so an operator can verify the fleet is
-// homogeneous (mixed precision or SIMD tiers across shards would break
-// bit-identical tag shipping).
+// homogeneous (mixed precision or SIMD tiers across shards would tag the
+// same sentence differently, and the shards would disagree).
 type ShardStatus struct {
 	Index      int               `json:"index"`
 	Count      int               `json:"count"`
@@ -169,10 +118,11 @@ type ShardStatus struct {
 // frameProtocol is the Upgrade token of the shard RPC connection.
 const frameProtocol = "ner-frames/1"
 
-// Frame ops: the five binary shard RPCs.
+// Frame ops: the four binary shard RPCs. Op 1 carried the tag RPC of
+// builds that shipped tag results; it stays unassigned, so a frame from
+// such a build is an unknown op.
 const (
-	opTag byte = 1 + iota
-	opCommit
+	opCommit byte = 2 + iota
 	opReset
 	opCandidates
 	opEntities
@@ -251,7 +201,7 @@ func readRequestFrame(r io.Reader) (op byte, body []byte, err error) {
 	}
 	op = hdr[0]
 	n := binary.LittleEndian.Uint32(hdr[1:])
-	if op == 0 || op >= opEnd {
+	if op < opCommit || op >= opEnd {
 		return 0, nil, &frameError{fmt.Sprintf("unknown frame op %d", op)}
 	}
 	if n > shardMaxBodyBytes {

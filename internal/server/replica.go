@@ -23,9 +23,6 @@ import (
 // the engine, what it appends, how a restart replays it and what the
 // read endpoints list exist here once for both.
 type Replica struct {
-	// cfgMu excludes engine reconfiguration (SetObserver, the snapshot
-	// restore) from tagging; taken before mu where both are held.
-	cfgMu sync.RWMutex
 	// mu is the engine lock: the stream state is single-writer, so every
 	// cycle, replayed or live, and every read of the stream holds it.
 	mu  sync.Mutex
@@ -58,8 +55,6 @@ func (r *Replica) kind() int {
 
 // SetObserver attaches a metrics registry to the engine.
 func (r *Replica) SetObserver(reg *obs.Registry) {
-	r.cfgMu.Lock()
-	defer r.cfgMu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.g.SetObserver(reg)
@@ -101,11 +96,12 @@ func (r *Replica) Reset() {
 	r.seq = 0
 }
 
-// Tag runs Local NER over sentences. It reads only the trained model,
-// so it does not wait for a cycle holding the engine lock.
+// Tag runs Local NER over sentences, under the engine lock, without
+// touching the stream: a fleet shard tags a commit's batch with it
+// before applying the cycle.
 func (r *Replica) Tag(sents []durable.CycleSentence) []*localner.Result {
-	r.cfgMu.RLock()
-	defer r.cfgMu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.g.TagBatch(durable.ToSentences(sents))
 }
 
@@ -126,13 +122,13 @@ type Applied struct {
 }
 
 // Apply runs the next cycle over sentences. tagged carries the batch's
-// Local NER results when another process computed them; nil has the
-// engine tag the batch itself. A durable replica appends the cycle's
-// record under the engine lock — with more than one caller admitted,
-// WAL order is commit order — and a failure of the append, or later of
-// the wait, trips the gate: the stream has advanced past its disk, so
-// acking this cycle or taking another would let a restart silently drop
-// it. A cycle refused at a closed gate returns a zero Applied; one whose
+// Local NER results when the caller computed them ahead (Tag); nil has
+// the engine tag the batch inside the cycle. A durable replica appends
+// the cycle's record under the engine lock — with more than one caller
+// admitted, WAL order is commit order — and a failure of the append, or
+// later of the wait, trips the gate: the stream has advanced past its
+// disk, so acking this cycle or taking another would let a restart
+// silently drop it. A cycle refused at a closed gate returns a zero Applied; one whose
 // append failed returns its Seq alone, since it did run.
 func (r *Replica) Apply(sentences []durable.CycleSentence, tagged []*localner.Result) (Applied, error) {
 	r.mu.Lock()
@@ -281,12 +277,10 @@ func (r *Replica) Replay(rec *durable.Recovery) (Applied, error) {
 		if snap.Warm == nil {
 			return Applied{}, fmt.Errorf("server: snapshot at seq %d has no engine state", snap.Seq)
 		}
-		r.cfgMu.Lock()
 		r.mu.Lock()
 		err := r.g.RestoreWarmState(snap.Warm)
 		r.seq = snap.Seq
 		r.mu.Unlock()
-		r.cfgMu.Unlock()
 		if err != nil {
 			return Applied{}, err
 		}

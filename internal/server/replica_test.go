@@ -51,9 +51,10 @@ func TestReplicaContract(t *testing.T) {
 	for _, row := range []struct {
 		name  string
 		shard int // -1: the single server's replica
-		// shipped has the cycles applied with tag results computed ahead,
-		// as a shard receives them; otherwise the replica tags, as the
-		// single server's does.
+		// shipped has the cycles applied with tag results handed in,
+		// computed by Tag ahead of the cycle as a shard's commit handler
+		// does; otherwise the replica tags inside the cycle, as the single
+		// server's does.
 		shipped bool
 		every   int // snapshot cadence; past the stream = replay from the WAL alone
 	}{
