@@ -563,9 +563,9 @@ func BenchmarkEncoderForwardParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPairwiseDistances measures the O(n²) cosine-distance matrix
-// that dominates agglomerative clustering of frequent surface forms,
-// serial versus row-sharded across the pool.
+// BenchmarkPairwiseDistances measures the O(n²) cosine-distance
+// columns that a surface's first clustering pays for: DistMatrix.Grow
+// from empty to n = 256, serial versus column-sharded across the pool.
 func BenchmarkPairwiseDistances(b *testing.B) {
 	rng := nn.NewRNG(8)
 	embs := make([][]float64, 256)
@@ -587,8 +587,9 @@ func BenchmarkPairwiseDistances(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dist := cluster.PairwiseCosineDistances(embs, bc.pool)
-				if len(dist) != len(embs) {
+				m := cluster.NewDistMatrix(cluster.DefaultThreshold, cluster.AverageLinkage)
+				m.Grow(embs, bc.pool)
+				if m.Len() != len(embs) {
 					b.Fatal("bad matrix")
 				}
 			}

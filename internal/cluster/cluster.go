@@ -71,27 +71,6 @@ func (l Linkage) String() string {
 	}
 }
 
-// PairwiseCosineDistances builds the symmetric n×n cosine-distance
-// matrix of the embeddings, row-sharding the O(n²) upper triangle over
-// the pool. The worker owning row i writes dist[i][j] and dist[j][i]
-// for j > i only, so writes are disjoint and each element is computed
-// exactly once — the matrix is identical at any worker count. A nil
-// pool runs serially.
-func PairwiseCosineDistances(embs [][]float64, pool *parallel.Pool) [][]float64 {
-	n := len(embs)
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
-	}
-	pool.ForEach(n, func(i int) {
-		for j := i + 1; j < n; j++ {
-			d := nn.CosineDistance(embs[i], embs[j])
-			dist[i][j], dist[j][i] = d, d
-		}
-	})
-	return dist
-}
-
 // Agglomerative clusters the embeddings bottom-up with average linkage
 // and cosine distance, merging until no pair of clusters is closer
 // than threshold. It runs in O(n³) time, which is ample for the
@@ -134,25 +113,22 @@ func lanceWilliams(linkage Linkage, dik, djk, si, sj float64) float64 {
 }
 
 // denseIDs turns a merge forest (parent[i] == i at roots) into dense
-// cluster ids numbered by first member.
+// cluster ids numbered by first member. A merge hangs bj under bi < bj,
+// so every root is its cluster's first member and is numbered before
+// any other member reads its id from the root's entry.
 func denseIDs(parent []int) Result {
-	find := func(i int) int {
-		for parent[i] != i {
-			i = parent[i]
-		}
-		return i
-	}
-	idOf := make(map[int]int)
 	res := Result{Assignments: make([]int, len(parent))}
 	for i := range parent {
-		root := find(i)
-		id, ok := idOf[root]
-		if !ok {
-			id = res.Count
-			idOf[root] = id
-			res.Count++
+		root := i
+		for parent[root] != root {
+			root = parent[root]
 		}
-		res.Assignments[i] = id
+		if root == i {
+			res.Assignments[i] = res.Count
+			res.Count++
+		} else {
+			res.Assignments[i] = res.Assignments[root]
+		}
 	}
 	return res
 }
@@ -167,37 +143,40 @@ type mergeStep struct {
 // DistMatrix is a growable pairwise cosine-distance matrix with a fixed
 // threshold and linkage that holds the state its last Cluster call
 // ended in. It amortizes re-clustering of a mention pool that only ever
-// gains members across execution cycles, twice over. Grow writes only
-// new-vs-old and new-vs-new distances, into the new rows and columns,
-// and the old block is never rebuilt or copied. Cluster carries the
-// appended columns forward through the merges the last call recorded,
-// up to the first step an appended mention would have taken part in,
-// rolls the old block back to that step from an undo log, and selects
-// merges again only from there. The result is bit-identical to
-// agglomerating a freshly built matrix: each pair's distance is the
-// same nn.CosineDistance call, every Lance–Williams update runs on the
-// same operands in the same order, and every value a rollback puts back
-// is the one that was there, never recomputed (Lance–Williams does not
-// invert in floating point).
+// gains members across execution cycles, twice over. Grow appends only
+// the new mentions' columns, and the old ones are never rebuilt or
+// copied. Cluster carries the appended columns forward through the
+// merges the last call recorded, up to the first step an appended
+// mention would have taken part in, rolls the old block back to that
+// step from an undo log, and selects merges again only from there. The
+// result is bit-identical to agglomerating a freshly built matrix: each
+// pair's distance is the arithmetic of nn.CosineDistance, every
+// Lance–Williams update runs on the same operands in the same order,
+// and every value a rollback puts back is the one that was there, never
+// recomputed (Lance–Williams does not invert in floating point).
 type DistMatrix struct {
 	threshold float64
 	linkage   Linkage
 	// n embeddings are covered; the last Cluster call covered the
 	// first recN of them.
 	n, recN int
-	// d is the distance state, row-major with row stride ≥ n: among
-	// the first recN clusters, as the last Cluster call left it (a
-	// merged-away cluster's row and column frozen at its merge); in
-	// rows and columns recN..n-1, Grow's distances.
-	d      []float64
-	stride int
+	// d is the distance state, each pair stored once: the strict upper
+	// triangle packed by column, d(i, j) for i < j at j(j−1)/2 + i, so
+	// column j is one contiguous run (col). Among the first recN
+	// clusters it holds what the last Cluster call left (a merged-away
+	// cluster's entries frozen at its merge); in columns recN..n-1,
+	// Grow's distances.
+	d []float64
+	// norms holds each embedding's L2 norm, computed once by Grow.
+	norms []float64
 	// live lists the clusters not yet merged away, ascending; every
 	// pass of the merge loop walks it instead of 0..n. size and parent
-	// are per cluster, rowmin/nnIdx the merge loop's
-	// nearest-neighbour cache.
+	// are per cluster. colmin/colArg are the merge loop's
+	// nearest-neighbour cache: per column j, the smallest d(i, j) over
+	// live i < j and the first i holding it.
 	live, size, parent []int
-	rowmin             []float64
-	nnIdx              []int
+	colmin             []float64
+	colArg             []int
 	// rec is the merge sequence of the last Cluster call. It is O(n),
 	// lives only in memory, and is empty on a new (or restored)
 	// matrix, whose first Cluster call therefore selects every merge
@@ -205,17 +184,20 @@ type DistMatrix struct {
 	rec []mergeStep
 	// The undo log has two parts. undo is written at merge time: step
 	// t's run, from undoAt[t] to the next step's offset (or the end),
-	// holds row rec[t].bi before the merge over the live clusters other
-	// than bi and bj, ascending. It covers the columns that existed
-	// when the step was recorded. folded[c] covers a column appended
-	// after that: its t-th entry is (rec[t].bi, c) before step t, for
-	// each step a later Cluster call folded c through.
+	// holds d(rec[t].bi, k) before the merge over the live clusters k
+	// other than bi and bj, ascending. It covers the columns that
+	// existed when the step was recorded. folded[c] covers a column
+	// appended after that: its t-th entry is d(rec[t].bi, c) before
+	// step t, for each step a later Cluster call folded c through.
 	undo   []float64
 	undoAt []int
 	folded [][]float64
 	// replayed is how many of the last Cluster call's merges were kept
 	// from the recording.
 	replayed int
+	// first is rollback's scratch: per surviving cluster, the earliest
+	// step being undone that it survived.
+	first []int
 	// fold is foldAppended's scratch, reused across calls: each
 	// cluster's size as of the step being folded (0 once merged away),
 	// and per appended column its nearest live cluster to the left and
@@ -238,40 +220,37 @@ func NewDistMatrix(threshold float64, linkage Linkage) *DistMatrix {
 func (m *DistMatrix) Len() int { return m.n }
 
 // Grow extends the matrix to cover all of embs, whose first Len()
-// entries must be the same embeddings previous Grow calls saw. New
-// rows shard over pool: the worker owning new index i writes row i and
-// column i left of the diagonal only, so writes are disjoint and the
-// matrix is identical at any worker count. A nil pool runs serially.
+// entries must be the same embeddings previous Grow calls saw. It
+// appends one column per new embedding, holding its distance to every
+// earlier one. Columns shard over pool: each worker fills the columns
+// it owns and nothing else, so the matrix is identical at any worker
+// count. A nil pool runs serially.
 func (m *DistMatrix) Grow(embs [][]float64, pool *parallel.Pool) {
 	oldN, newN := m.n, len(embs)
 	if newN <= oldN {
 		return
 	}
-	if newN > m.stride {
-		// A quarter of headroom per side keeps a pool growing one
-		// mention at a time from reallocating on every call while
-		// holding the state at most 1.5625 n² floats.
-		stride := newN + newN/4
-		d := make([]float64, stride*stride)
-		for i := 0; i < oldN; i++ {
-			copy(d[i*stride:i*stride+oldN], m.row(i))
-		}
-		m.d, m.stride = d, stride
+	for _, e := range embs[oldN:] {
+		m.norms = append(m.norms, nn.L2Norm(e))
 	}
+	pairs := newN * (newN - 1) / 2
+	m.d = slices.Grow(m.d, pairs-len(m.d))[:pairs]
 	m.n = newN
 	m.folded = append(m.folded, make([][]float64, newN-oldN)...)
 	pool.ForEach(newN-oldN, func(k int) {
-		i := oldN + k
-		row := m.row(i)
-		for j := 0; j < i; j++ {
-			dd := nn.CosineDistance(embs[i], embs[j])
-			row[j], m.d[j*m.stride+i] = dd, dd
+		j := oldN + k
+		col := m.col(j)
+		for i := range col {
+			col[i] = 1 - nn.CosineSimilarityNorms(embs[i], embs[j], m.norms[i], m.norms[j])
 		}
 	})
 }
 
-// row returns row i of the state.
-func (m *DistMatrix) row(i int) []float64 { return m.d[i*m.stride : i*m.stride+m.n] }
+// col returns column j of the state: d(i, j) for every i < j.
+func (m *DistMatrix) col(j int) []float64 {
+	at := j * (j - 1) / 2
+	return m.d[at : at+j]
+}
 
 // Replayed returns how many merge steps of the last Cluster call were
 // kept from the previous call's recording rather than selected.
@@ -294,8 +273,8 @@ func (m *DistMatrix) Cluster() Result {
 		m.live = append(m.live, c)
 		m.size = append(m.size, 1)
 		m.parent = append(m.parent, c)
-		m.rowmin = append(m.rowmin, 0)
-		m.nnIdx = append(m.nnIdx, 0)
+		m.colmin = append(m.colmin, 0)
+		m.colArg = append(m.colArg, 0)
 	}
 	m.replayed, m.recN = t, m.n
 	m.mergeLoop()
@@ -311,13 +290,13 @@ func (m *DistMatrix) Cluster() Result {
 // that block, so until an appended column is part of the selected pair
 // the old block evolves as it did last time and the recorded pair is
 // again the first strict minimum of it. An appended column c takes over
-// at the first step where some live row i < c has d[i][c] below the
-// recorded height, or equal to it with i < bi: selection scans rows
-// ascending and, within a row, columns ascending, and c lies right of
-// every recorded bj, so on equal distance (i, c) precedes (bi, bj)
-// exactly when i < bi. That test needs only the first smallest d[i][c]
-// over live i < c, which each column keeps as a running minimum,
-// rescanning its row only when the minimum's row merges away or grows.
+// at the first step where some live i < c has d(i, c) below the
+// recorded height, or equal to it with i < bi: selection takes the
+// smallest (d, i, j) and c lies right of every recorded bj, so on equal
+// distance (i, c) precedes (bi, bj) exactly when i < bi. That test
+// needs only the first smallest d(i, c) over live i < c, which each
+// column keeps as a running minimum, rescanning only when the minimum's
+// cluster merges away or grows.
 func (m *DistMatrix) foldAppended() int {
 	if m.recN == m.n || len(m.rec) == 0 {
 		return len(m.rec)
@@ -343,11 +322,11 @@ func (m *DistMatrix) foldAppended() int {
 		f.size[st.bj] = 0
 		for k := range f.min {
 			c := m.recN + k
-			row := m.row(c) // mirrors column c and is contiguous
-			old := row[st.bi]
-			d := lanceWilliams(m.linkage, old, row[st.bj], si, sj)
+			col := m.col(c)
+			old := col[st.bi]
+			d := lanceWilliams(m.linkage, old, col[st.bj], si, sj)
 			m.folded[c] = append(m.folded[c], old)
-			row[st.bi], m.d[st.bi*m.stride+c] = d, d
+			col[st.bi] = d
 			switch arg := f.arg[k]; {
 			case arg == st.bj || (arg == st.bi && !(d <= f.min[k])):
 				f.min[k], f.arg[k] = m.nearestLeft(c)
@@ -361,14 +340,14 @@ func (m *DistMatrix) foldAppended() int {
 	return len(m.rec)
 }
 
-// nearestLeft returns the smallest d[i][c] over the clusters i < c
+// nearestLeft returns the smallest d(i, c) over the clusters i < c
 // that are live at the step being folded, and the first i holding it.
 func (m *DistMatrix) nearestLeft(c int) (float64, int) {
-	row := m.row(c)
+	col := m.col(c)
 	best, arg := math.Inf(1), -1
 	for i, size := range m.fold.size[:c] {
-		if size > 0 && row[i] < best {
-			best, arg = row[i], i
+		if size > 0 && col[i] < best {
+			best, arg = col[i], i
 		}
 	}
 	return best, arg
@@ -376,129 +355,152 @@ func (m *DistMatrix) nearestLeft(c int) (float64, int) {
 
 // rollback undoes the recorded merges after the first t, last first,
 // returning the first recN clusters to the state they were in before
-// step t. Each step puts back row and column bi from the undo log —
-// the merge-time run for the columns that existed when the step was
-// recorded, then folded[k] for every live k appended after it, which
-// lies right of all of those — and returns bj to the live list.
+// step t. Every step restores size, parent and the live list, but only
+// a survivor's earliest undone step puts its entries back: the clusters
+// live then are a superset of those live at any later step it survived,
+// and the values it logged are the ones from before all of them.
 func (m *DistMatrix) rollback(t int) {
+	m.first = slices.Grow(m.first[:0], m.recN)[:m.recN]
+	for s := len(m.rec) - 1; s >= t; s-- {
+		m.first[m.rec[s].bi] = s
+	}
 	for last := len(m.rec) - 1; last >= t; last-- {
 		st, at := m.rec[last], m.undoAt[last]
-		logged := m.undo[at:]
-		ri := m.row(st.bi)
-		for _, k := range m.live {
-			if k == st.bi {
-				continue
-			}
-			var d float64
-			if len(logged) > 0 {
-				d, logged = logged[0], logged[1:]
-			} else {
-				d, m.folded[k] = m.folded[k][last], m.folded[k][:last]
-			}
-			ri[k], m.d[k*m.stride+st.bi] = d, d
+		if m.first[st.bi] == last {
+			m.restore(st.bi, last, m.undo[at:])
 		}
 		m.rec, m.undo, m.undoAt = m.rec[:last], m.undo[:at], m.undoAt[:last]
 		m.size[st.bi] -= m.size[st.bj]
 		m.parent[st.bj] = st.bj
 		m.live = slices.Insert(m.live, sort.SearchInts(m.live, st.bj), st.bj)
 	}
-}
-
-// merge records and applies the merge of live cluster bj into bi
-// (bi < bj): the Lance–Williams update of row and column bi over the
-// live clusters, logging the values it overwrites, then bj leaves the
-// live list. The pass has every new d[bi][k] in hand in ascending k, so
-// it also refreshes bi's entry in the nearest-neighbour cache (first
-// strict minimum right of bi, as a rescan would find it). It returns
-// the position bj held in the live list, which after the removal is the
-// number of live clusters left of bj.
-func (m *DistMatrix) merge(bi, bj int, height float64) int {
-	m.rec = append(m.rec, mergeStep{bi, bj, height})
-	m.undoAt = append(m.undoAt, len(m.undo))
-	ri, rj := m.row(bi), m.row(bj)
-	si, sj := float64(m.size[bi]), float64(m.size[bj])
-	best, arg := math.Inf(1), -1
-	for _, k := range m.live {
-		if k == bi || k == bj {
-			continue
-		}
-		m.undo = append(m.undo, ri[k])
-		d := lanceWilliams(m.linkage, ri[k], rj[k], si, sj)
-		ri[k], m.d[k*m.stride+bi] = d, d
-		if k > bi && d < best {
-			best, arg = d, k
+	for k, f := range m.folded {
+		if len(f) > t {
+			m.folded[k] = f[:t]
 		}
 	}
-	m.rowmin[bi], m.nnIdx[bi] = best, arg
+}
+
+// restore puts back d(bi, k) as it was before step t for every live k
+// other than bi: the merge-time run for the columns that existed when
+// the step was recorded, then folded[k][t] for every live k appended
+// after it, which lies right of all of those.
+func (m *DistMatrix) restore(bi, t int, run []float64) {
+	col := m.col(bi)
+	for _, k := range m.live {
+		if k == bi {
+			continue
+		}
+		var d float64
+		if len(run) > 0 {
+			d, run = run[0], run[1:]
+		} else {
+			d = m.folded[k][t]
+		}
+		if k < bi {
+			col[k] = d
+		} else {
+			m.d[k*(k-1)/2+bi] = d
+		}
+	}
+}
+
+// rescan rebuilds the nearest-neighbour cache entry of the column at
+// live position p from one pass over that column.
+func (m *DistMatrix) rescan(p int) {
+	j := m.live[p]
+	col := m.col(j)
+	best, arg := math.Inf(1), -1
+	for _, i := range m.live[:p] {
+		if col[i] < best {
+			best, arg = col[i], i
+		}
+	}
+	m.colmin[j], m.colArg[j] = best, arg
+}
+
+// merge records and applies the merge of the live cluster at position
+// pj into bi < it, in one pass over the clusters k still live after it.
+// Each k gets the Lance–Williams update of d(bi, k), with the value it
+// overwrites logged, and has its cache entry kept exact on the way.
+// Left of bi that is bi's own column, whose entry the pass rebuilds
+// (first strict minimum, as a rescan would find it). Right of bi it is
+// entry (bi, k) of column k, and column k's entry changes only through
+// bi or bj: it is rescanned if it named bj, or named bi and the value
+// rose; otherwise bi takes it if it is now smaller, or equal with bi
+// first.
+func (m *DistMatrix) merge(bi, pj int, height float64) {
+	bj := m.live[pj]
+	m.rec = append(m.rec, mergeStep{bi, bj, height})
+	m.undoAt = append(m.undoAt, len(m.undo))
+	si, sj := float64(m.size[bi]), float64(m.size[bj])
 	m.size[bi] += m.size[bj]
 	m.parent[bj] = bi
-	pj := sort.SearchInts(m.live, bj)
-	m.live = append(m.live[:pj], m.live[pj+1:]...)
-	return pj
+	m.live = slices.Delete(m.live, pj, pj+1)
+	atI, atJ := bi*(bi-1)/2, bj*(bj-1)/2
+	best, arg := math.Inf(1), -1
+	for p, k := range m.live {
+		var ik, jk int // where d(bi, k) and d(bj, k) are stored
+		switch {
+		case k < bi:
+			ik, jk = atI+k, atJ+k
+		case k == bi:
+			continue
+		case k < bj:
+			ik, jk = k*(k-1)/2+bi, atJ+k
+		default:
+			atK := k * (k - 1) / 2
+			ik, jk = atK+bi, atK+bj
+		}
+		old := m.d[ik]
+		m.undo = append(m.undo, old)
+		d := lanceWilliams(m.linkage, old, m.d[jk], si, sj)
+		m.d[ik] = d
+		if k < bi {
+			if d < best {
+				best, arg = d, k
+			}
+			continue
+		}
+		switch a := m.colArg[k]; {
+		case a == bj || (a == bi && !(d <= m.colmin[k])):
+			m.rescan(p)
+		case a == bi:
+			m.colmin[k] = d
+		case d < m.colmin[k] || (d == m.colmin[k] && bi < a):
+			m.colmin[k], m.colArg[k] = d, bi
+		}
+	}
+	m.colmin[bi], m.colArg[bi] = best, arg
 }
 
 // mergeLoop selects, records and applies merges over the live clusters
 // until none is closer than the threshold.
 //
 // Pair selection replays the textbook "scan every pair, take the first
-// strict minimum" order through a per-row nearest-neighbour cache:
-// rowmin[i]/nnIdx[i] hold the smallest d[i][j] over live j > i (first j
-// on ties), so each merge selects in O(n) instead of O(n²) and only rows
-// whose cached neighbour was touched by the merge are rescanned.
-// Comparisons are strict < with the same scan order as the naive double
-// loop, so the merge sequence — and therefore the clustering — is
-// bit-identical to it (the test suite checks this against a reference
-// implementation). Merged rows are skipped by not being listed rather
-// than by a flag, and the stale-neighbour sweep stops at bj, since a
-// row's cached neighbour lies to its right and so no row right of bj can
-// point at bi or bj.
+// strict minimum" order through a per-column nearest-neighbour cache:
+// the naive row-major scan takes the smallest (d, i, j) in
+// lexicographic order, so selection takes, over the live columns j in
+// ascending order, the entry (colmin[j], colArg[j]) that is smaller or
+// equal with a smaller row, strictly below the threshold. Each merge
+// then selects in O(n) instead of O(n²), and merge keeps the cache
+// exact in the pass that updates the distances, so the merge sequence —
+// and therefore the clustering — is bit-identical to the naive loop
+// (the test suite checks this against a reference implementation).
 func (m *DistMatrix) mergeLoop() {
-	// recompute rescans the row at live position p for its nearest
-	// live neighbour to the right.
-	recompute := func(p int) {
-		i := m.live[p]
-		row := m.row(i)
-		best, arg := math.Inf(1), -1
-		for _, j := range m.live[p+1:] {
-			if row[j] < best {
-				best, arg = row[j], j
-			}
-		}
-		m.rowmin[i], m.nnIdx[i] = best, arg
-	}
 	for p := range m.live {
-		recompute(p)
+		m.rescan(p)
 	}
 	for {
-		pi, best := -1, m.threshold
-		for p, i := range m.live {
-			if m.rowmin[i] < best {
-				pi, best = p, m.rowmin[i]
+		pj, bi, best := -1, -1, m.threshold
+		for p, j := range m.live {
+			if d := m.colmin[j]; d < best || (d == best && m.colArg[j] < bi) {
+				pj, bi, best = p, m.colArg[j], d
 			}
 		}
-		if pi < 0 {
+		if pj < 0 {
 			return
 		}
-		bi := m.live[pi]
-		bj := m.nnIdx[bi]
-		pj := m.merge(bi, bj, best)
-		// Refresh the nearest-neighbour cache (merge did row bi): rows
-		// whose cached neighbour was bi or bj are stale, and other rows
-		// left of bi only need to check their updated distance to the
-		// merged cluster (ties prefer the smaller column, matching the
-		// naive scan order).
-		rowBi := m.row(bi) // symmetric: rowBi[r] == d[r][bi]
-		for p, r := range m.live[:pj] {
-			if p == pi {
-				continue
-			}
-			if m.nnIdx[r] == bi || m.nnIdx[r] == bj {
-				recompute(p)
-			} else if p < pi {
-				if d := rowBi[r]; d < m.rowmin[r] || (d == m.rowmin[r] && bi < m.nnIdx[r]) {
-					m.rowmin[r], m.nnIdx[r] = d, bi
-				}
-			}
-		}
+		m.merge(bi, pj, best)
 	}
 }

@@ -236,6 +236,27 @@ func TestDistMatrixGrowNoop(t *testing.T) {
 	}
 }
 
+// PairwiseCosineDistances builds the symmetric n×n cosine-distance
+// matrix the naive reference consumes, each pair from its own
+// nn.CosineDistance call, so the oracle shares neither DistMatrix's
+// packed layout nor its norm cache. It row-shards the upper triangle
+// over the pool: the worker owning row i writes dist[i][j] and
+// dist[j][i] for j > i only. A nil pool runs serially.
+func PairwiseCosineDistances(embs [][]float64, pool *parallel.Pool) [][]float64 {
+	n := len(embs)
+	dist := make([][]float64, n)
+	for i := range dist {
+		dist[i] = make([]float64, n)
+	}
+	pool.ForEach(n, func(i int) {
+		for j := i + 1; j < n; j++ {
+			d := nn.CosineDistance(embs[i], embs[j])
+			dist[i][j], dist[j][i] = d, d
+		}
+	})
+	return dist
+}
+
 // naiveMerges is the reference merge loop: a full O(n²) pair scan per
 // merge over a distance matrix it consumes, exactly the implementation
 // the nearest-neighbour cache of DistMatrix's merge loop replaced. Kept

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/parallel"
 )
 
@@ -213,4 +214,78 @@ func FuzzDistMatrixReplay(f *testing.F) {
 		th := 0.05 + float64(thRaw%20)/10
 		checkGrowReplay(t, embs, cuts, th, allLinkages[int(lkRaw)%len(allLinkages)], nil)
 	})
+}
+
+// TestDistMatrixStoresEachPairOnce pins the packed layout: after every
+// Grow, before any Cluster call, the state holds exactly n(n−1)/2
+// floats and d(i, j) sits at j(j−1)/2 + i, bit-equal to
+// nn.CosineDistance — on random vectors, duplicates, the zero vector
+// and a vector whose norm (1e-13) is below the zero-vector cut-off, at
+// any worker count.
+func TestDistMatrixStoresEachPairOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	embs := [][]float64{make([]float64, 6), {1e-13, 0, 0, 0, 0, 0}}
+	for len(embs) < 33 {
+		v := make([]float64, 6)
+		for k := range v {
+			v[k] = rng.NormFloat64()
+		}
+		embs = append(embs, v)
+		if rng.Intn(4) == 0 {
+			embs = append(embs, slices.Clone(embs[rng.Intn(len(embs))]))
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		m := NewDistMatrix(0.75, AverageLinkage)
+		for _, n := range []int{1, 2, 7, 8, 19, len(embs)} {
+			m.Grow(embs[:n], parallel.New(workers))
+			if len(m.d) != n*(n-1)/2 {
+				t.Fatalf("workers=%d n=%d: state holds %d floats, want %d", workers, n, len(m.d), n*(n-1)/2)
+			}
+			for j := 0; j < n; j++ {
+				for i := 0; i < j; i++ {
+					got, want := m.d[j*(j-1)/2+i], nn.CosineDistance(embs[i], embs[j])
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("workers=%d n=%d: d(%d, %d) = %v, nn.CosineDistance %v", workers, n, i, j, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDistMatrixRollbackRestoresSurvivorOnce builds a rollback in which
+// one survivor absorbed two of the undone steps, so only the earlier of
+// them may put its entries back. Mentions 0°, 1° and 3° merge as (0,1)
+// then (0,2); the second call appends 60° and 65°, far from the rest,
+// folds them through both steps and merges them as (3,4); the third
+// appends 0.5°, closer to mention 0 than step 0's height, so every step
+// is undone. Step 1 would write d(0, k) from before step 1, in both the
+// merge-time log and the fold log of columns 3 and 4; the result must
+// hold step 0's values.
+func TestDistMatrixRollbackRestoresSurvivorOnce(t *testing.T) {
+	embs := [][]float64{unit(0), unit(1), unit(3), unit(60), unit(65), unit(0.5)}
+	cuts := []int{3, 5, 6}
+	for _, lk := range allLinkages {
+		m := NewDistMatrix(0.3, lk)
+		var rec []mergeStep
+		for _, n := range cuts {
+			rec = slices.Clone(m.rec)
+			m.Grow(embs[:n], nil)
+			m.Cluster()
+		}
+		survived := map[int]int{}
+		for _, st := range rec[m.Replayed():] {
+			survived[st.bi]++
+		}
+		if survived[0] < 2 {
+			t.Fatalf("%s: undone steps %v leave mention 0 surviving %d of them; the case needs 2", lk, rec[m.Replayed():], survived[0])
+		}
+		for _, workers := range []int{1, 4} {
+			replayed := checkGrowReplay(t, embs, cuts, 0.3, lk, parallel.New(workers))
+			if !slices.Equal(replayed, []int{0, 2, 0}) {
+				t.Fatalf("%s: replayed %v, want [0 2 0]", lk, replayed)
+			}
+		}
+	}
 }

@@ -58,7 +58,14 @@ func Normalize(v []float64) []float64 {
 // CosineSimilarity returns the cosine of the angle between a and b,
 // in [-1, 1]. Zero vectors yield similarity 0.
 func CosineSimilarity(a, b []float64) float64 {
-	na, nb := L2Norm(a), L2Norm(b)
+	return CosineSimilarityNorms(a, b, L2Norm(a), L2Norm(b))
+}
+
+// CosineSimilarityNorms is CosineSimilarity given na = L2Norm(a) and
+// nb = L2Norm(b), for a caller that compares each vector with many
+// others and computes its norm once. It is the only copy of the
+// arithmetic, so the two agree bit for bit.
+func CosineSimilarityNorms(a, b []float64, na, nb float64) float64 {
 	if na < 1e-12 || nb < 1e-12 {
 		return 0
 	}

@@ -81,6 +81,31 @@ func TestCosineDistanceScaleInvarianceProperty(t *testing.T) {
 	}
 }
 
+// TestCosineSimilarityNormsMatchesCosineDistance pins that supplying
+// the norms changes no bit: 1 − CosineSimilarityNorms with L2Norm of
+// each side equals CosineDistance on random vectors, on duplicates, on
+// the zero vector and on a vector whose norm (1e-13) is below the
+// zero-vector cut-off.
+func TestCosineSimilarityNormsMatchesCosineDistance(t *testing.T) {
+	rng := NewRNG(5)
+	vecs := [][]float64{make([]float64, 6), {1e-13, 0, 0, 0, 0, 0}}
+	for i := 0; i < 30; i++ {
+		v := make([]float64, 6)
+		for k := range v {
+			v[k] = rng.NormFloat64()
+		}
+		vecs = append(vecs, v, append([]float64(nil), v...))
+	}
+	for _, a := range vecs {
+		for _, b := range vecs {
+			got := 1 - CosineSimilarityNorms(a, b, L2Norm(a), L2Norm(b))
+			if want := CosineDistance(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v vs %v: %v with norms, CosineDistance %v", a, b, got, want)
+			}
+		}
+	}
+}
+
 func TestEuclideanDistance(t *testing.T) {
 	if got := EuclideanDistance([]float64{0, 0}, []float64{3, 4}); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("EuclideanDistance = %v", got)
