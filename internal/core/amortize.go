@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -144,11 +143,12 @@ func (g *Globalizer) embedMention(m types.Mention) []float64 {
 }
 
 // surfaceAmort is the Global NER state of one surface form: its live
-// mention pool, and the finished outcome (candidate clusters plus typed
-// mentions) with the embeddings and distance matrix (in the state its
-// clustering ended in) it was computed over. The outcome is valid exactly while the pool is
-// unchanged; a pool that grew by appending reuses the embedding and
-// distance prefixes.
+// mention pool, and the finished outcome (candidate clusters plus each
+// mention's cluster) with the embeddings and distance matrix (in the
+// state its clustering ended in) it was computed over. The outcome is
+// valid exactly while the pool is unchanged; a pool that grew by
+// appending reuses the embedding and distance prefixes, and the
+// clusters it left untouched.
 type surfaceAmort struct {
 	surface string
 	// pool mirrors mention.GroupBySurface over the whole stream for this
@@ -157,6 +157,9 @@ type surfaceAmort struct {
 	// per cycle, so steady-state cycle cost tracks what changed, not
 	// stream length. Unowned surfaces (sharded fleets) have no entry.
 	pool []types.Mention
+	// at holds the stream position of every pool entry, index-aligned
+	// with pool, so a sentence's run is found without a key lookup.
+	at []int
 	// dirty marks a pool that changed since the outcome was computed;
 	// the entry is on amortizer.dirty exactly while it is set.
 	dirty bool
@@ -166,15 +169,6 @@ type surfaceAmort struct {
 	embs     [][]float64
 	dist     *cluster.DistMatrix
 	outcome  surfaceOutcome
-	// typedBySent splits outcome.typed by sentence, preserving the
-	// outcome's within-surface order. Incremental FinalMentions rebuilds
-	// read it, and diffing it against a fresh outcome yields exactly the
-	// sentences whose annotations changed.
-	typedBySent map[types.SentenceKey][]types.Mention
-	// ccache memoizes step-4 cluster verdicts by membership signature;
-	// valid only while the pool keeps its prefix (indices identify the
-	// same mentions), so it resets together with embs/dist.
-	ccache map[string]*clusterVerdict
 }
 
 // newSurfaceAmort returns the empty state of a surface.
@@ -185,32 +179,11 @@ func (g *Globalizer) newSurfaceAmort(surface string) *surfaceAmort {
 }
 
 // resetOutcome drops what a surface's outcome was computed over: a
-// distance matrix fixed to the engine's clustering parameters and an
-// empty verdict cache take its place.
+// distance matrix fixed to the engine's clustering parameters takes its
+// place.
 func (g *Globalizer) resetOutcome(sa *surfaceAmort) {
 	sa.mentions, sa.embs = nil, nil
 	sa.dist = cluster.NewDistMatrix(g.cfg.ClusterThreshold, cluster.AverageLinkage)
-	sa.ccache = make(map[string]*clusterVerdict)
-}
-
-// clusterVerdict is the cached step-4 result of one candidate cluster:
-// its pooled global embedding and the ensemble's decision. Entries are
-// immutable once stored.
-type clusterVerdict struct {
-	globalEmb []float64
-	et        types.EntityType
-	conf      float64
-}
-
-// clusterKey builds the membership signature of a cluster from its
-// member indices (ascending by construction of Members).
-func clusterKey(idxs []int) string {
-	var b strings.Builder
-	for _, i := range idxs {
-		b.WriteString(strconv.Itoa(i))
-		b.WriteByte(',')
-	}
-	return b.String()
 }
 
 // amortStats summarizes the most recent amortized cycle: how many of
@@ -515,24 +488,26 @@ func (a *amortizer) splicePool(g *Globalizer, surface string, pos int, repl []ty
 		a.surfaces[surface] = sa
 	}
 	pool := sa.pool
-	lo := sort.Search(len(pool), func(i int) bool {
-		return g.tweetBase.IndexOf(pool[i].Key) >= pos
-	})
-	key := g.tweetBase.At(pos).Sentence.Key()
-	hi := lo
-	for hi < len(pool) && pool[hi].Key == key {
-		hi++
-	}
+	lo, hi := sa.run(pos)
 	if mentionsEqual(pool[lo:hi], repl) {
 		return
 	}
 	if lo == len(pool) {
 		sa.pool = append(pool, repl...)
+		for range repl {
+			sa.at = append(sa.at, pos)
+		}
 	} else {
 		np := make([]types.Mention, 0, len(pool)-(hi-lo)+len(repl))
 		np = append(np, pool[:lo]...)
 		np = append(np, repl...)
 		sa.pool = append(np, pool[hi:]...)
+		at := make([]int, 0, len(sa.pool))
+		at = append(at, sa.at[:lo]...)
+		for range repl {
+			at = append(at, pos)
+		}
+		sa.at = append(at, sa.at[hi:]...)
 	}
 	if !sa.dirty {
 		sa.dirty = true
@@ -540,38 +515,71 @@ func (a *amortizer) splicePool(g *Globalizer, surface string, pos int, repl []ty
 	}
 }
 
-// typedBySentence splits a surface outcome's typed mentions by
-// sentence, preserving the outcome's order within each.
-func typedBySentence(typed []types.Mention) map[types.SentenceKey][]types.Mention {
-	if len(typed) == 0 {
-		return nil
+// run returns the run pool[lo:hi] of the sentence at pos — empty, at
+// the place it would go, when the sentence has no mention there.
+func (sa *surfaceAmort) run(pos int) (lo, hi int) {
+	lo, _ = slices.BinarySearch(sa.at, pos)
+	hi = lo
+	for hi < len(sa.at) && sa.at[hi] == pos {
+		hi++
 	}
-	out := make(map[types.SentenceKey][]types.Mention, 8)
-	for _, m := range typed {
-		out[m.Key] = append(out[m.Key], m)
-	}
-	return out
+	return lo, hi
 }
 
-// markTypedDiff marks every sentence whose typed mentions differ
-// between two outcomes of one surface.
-func markTypedDiff(dst map[types.SentenceKey]bool, old, cur map[types.SentenceKey][]types.Mention) {
-	for key, oms := range old {
-		if !mentionsEqual(oms, cur[key]) {
-			dst[key] = true
+// markTyped marks every sentence whose typed mentions of one surface
+// differ between two of its outcomes, old over oldPool and cur over
+// curPool, by one merge walk over the two pools, sentence run by
+// sentence run. Both are ordered by stream position, so runs of one
+// sentence meet; over a kept prefix the two keys agree and no position
+// is looked up. A surface that left is a walk against an empty pool.
+// Most runs are one mention long, and those compare without rendering.
+func (a *amortizer) markTyped(tb *stream.TweetBase, old *surfaceOutcome, oldPool []types.Mention, cur *surfaceOutcome, curPool []types.Mention) {
+	var ob, cb []types.Mention
+	for i, j := 0, 0; i < len(oldPool) || j < len(curPool); {
+		var key types.SentenceKey
+		inOld := j == len(curPool)
+		inCur := i == len(oldPool)
+		switch {
+		case inOld:
+			key = oldPool[i].Key
+		case inCur:
+			key = curPool[j].Key
+		case oldPool[i].Key == curPool[j].Key:
+			key, inOld, inCur = oldPool[i].Key, true, true
+		case tb.IndexOf(oldPool[i].Key) < tb.IndexOf(curPool[j].Key):
+			key, inOld = oldPool[i].Key, true
+		default:
+			key, inCur = curPool[j].Key, true
 		}
-	}
-	for key := range cur {
-		if _, seen := old[key]; !seen {
-			dst[key] = true
+		ohi, chi := i, j
+		if inOld {
+			ohi = runEnd(oldPool, i)
 		}
+		if inCur {
+			chi = runEnd(curPool, j)
+		}
+		var same bool
+		if ohi-i == 1 && chi-j == 1 {
+			om, cm := oldPool[i], curPool[j]
+			om.Type, cm.Type = old.typeAt(i), cur.typeAt(j)
+			same = om.Type == cm.Type && (om.Type == types.None || om == cm)
+		} else {
+			ob = appendTyped(ob[:0], old, oldPool, i, ohi)
+			cb = appendTyped(cb[:0], cur, curPool, j, chi)
+			same = mentionsEqual(ob, cb)
+		}
+		if !same {
+			a.finalDirty[key] = true
+		}
+		i, j = ohi, chi
 	}
 }
 
 // rebuildFinal reassembles the FinalMentions of the sentence at pos
 // from the cached outcomes of the surfaces its scan mentions — ascending
-// surface order, each surface's mentions in pool order — which is
-// exactly the order the full rebuild produces.
+// surface order, each surface's mentions in its outcome's order — which
+// is exactly the order the full rebuild produces. It runs once every
+// outcome is recomputed, so each surface's outcome stands on its pool.
 func (a *amortizer) rebuildFinal(pos int) []types.Mention {
 	scan := a.rows[pos].scan
 	if len(scan) == 0 {
@@ -587,7 +595,8 @@ func (a *amortizer) rebuildFinal(pos int) []types.Mention {
 	var out []types.Mention
 	for _, s := range surfs {
 		if sa := a.surfaces[s]; sa != nil {
-			out = append(out, sa.typedBySent[scan[0].Key]...)
+			lo, hi := sa.run(pos)
+			out = appendTyped(out, &sa.outcome, sa.pool, lo, hi)
 		}
 	}
 	return out
@@ -645,7 +654,7 @@ func (g *Globalizer) amortizedGlobalPhase(newSurfaces [][]string, tr *obs.Trace)
 			dirty = append(dirty, sa)
 			continue
 		}
-		markTypedDiff(a.finalDirty, sa.typedBySent, nil)
+		a.markTyped(tb, &sa.outcome, sa.mentions, &surfaceOutcome{}, nil)
 		delete(a.surfaces, sa.surface)
 		g.candBase.Delete(sa.surface)
 		if a.track != nil {
@@ -658,12 +667,16 @@ func (g *Globalizer) amortizedGlobalPhase(newSurfaces [][]string, tr *obs.Trace)
 	a.stats.Reused = len(a.surfaces) - len(dirty)
 
 	// Dirty surfaces fan out one per worker exactly like globalPhase;
-	// each worker touches only its own surface's entry. The old typed
-	// views are captured first so the serial merge below can diff them
-	// (updateSurface rewrites the entry in place).
-	oldTyped := make([]map[types.SentenceKey][]types.Mention, len(dirty))
+	// each worker touches only its own surface's entry. The old outcomes
+	// and the pools they stand on are kept first so the serial merge
+	// below can diff them (updateSurface rewrites the entry in place).
+	type standing struct {
+		outcome surfaceOutcome
+		pool    []types.Mention
+	}
+	old := make([]standing, len(dirty))
 	for i, sa := range dirty {
-		oldTyped[i] = sa.typedBySent
+		old[i] = standing{sa.outcome, sa.mentions}
 	}
 	ts := g.o.now()
 	kept := parallel.MapOrdered(g.pool, len(dirty), func(si int) int {
@@ -673,8 +686,7 @@ func (g *Globalizer) amortizedGlobalPhase(newSurfaces [][]string, tr *obs.Trace)
 	g.o.publishAmort(a.stats)
 
 	for si, sa := range dirty {
-		sa.typedBySent = typedBySentence(sa.outcome.typed)
-		markTypedDiff(a.finalDirty, oldTyped[si], sa.typedBySent)
+		a.markTyped(tb, &old[si].outcome, old[si].pool, &sa.outcome, sa.mentions)
 		if a.track != nil {
 			a.track.surfaceWritten(sa.surface, kept[si])
 		}
@@ -716,9 +728,10 @@ func (g *Globalizer) amortizedGlobalPhase(newSurfaces [][]string, tr *obs.Trace)
 // updateSurface recomputes one dirty surface in place and returns how
 // many leading mentions of the pool its previous outcome stood on are
 // unchanged. A pool that grew by appending keeps its embedding prefix,
-// distance matrix and verdict cache; a pool whose earlier mentions
-// changed (a late-arriving longer surface re-shaped an old sentence's
-// scan) rebuilds from the sentence rows' cached embeddings, which still
+// its distance matrix and the candidates of the clusters the new
+// mentions left untouched; a pool whose earlier mentions changed (a
+// late-arriving longer surface re-shaped an old sentence's scan)
+// rebuilds from the sentence rows' cached embeddings, which still
 // spares the per-mention encoder work.
 func (g *Globalizer) updateSurface(sa *surfaceAmort) (kept int) {
 	if mentionsPrefix(sa.mentions, sa.pool) {
@@ -744,6 +757,6 @@ func (g *Globalizer) updateSurface(sa *surfaceAmort) (kept int) {
 	sa.dist.Grow(sa.embs, g.pool)
 	clustering := sa.dist.Cluster()
 	o.clusteringDone(tc, len(ms), clustering.Count, sa.dist.Replayed())
-	sa.outcome = g.outcomeFromEmbeddings(sa.surface, ms, sa.embs, clustering, sa.ccache)
+	sa.outcome = g.outcomeFromEmbeddings(sa.surface, ms, sa.embs, clustering, &sa.outcome, kept)
 	return kept
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -534,18 +535,80 @@ func (g *Globalizer) applyTagged(batch []*types.Sentence, results []*localner.Re
 }
 
 // surfaceOutcome carries one surface form's Global NER results out of
-// the parallel fan-out: its candidate clusters and its typed mentions,
-// each in the exact order the serial loop would have produced them.
+// the parallel fan-out: its candidate clusters, in the exact order the
+// serial loop would have produced them, and which candidate each
+// mention of the pool it was computed over belongs to. Its typed
+// mentions are not stored; appendTyped renders them from the pool.
 type surfaceOutcome struct {
 	surface string
 	skip    bool
 	cands   []*stream.Candidate
+	// assign maps each pool index to the index of its candidate in cands.
+	assign []int
 	// members holds, index-aligned with cands, each candidate's member
-	// indices into the surface's mention pool — the form warm-state
-	// captures store (so only outcomeFromEmbeddings, the one producer of
-	// captured outcomes, fills it). Immutable once set.
+	// indices into the surface's mention pool, ascending — the form
+	// warm-state captures store and the next cycle's carry-over compares.
+	// outcomeFromEmbeddings and restore fill it; the "+local embeddings"
+	// ablation, whose outcomes are never kept, leaves it nil. Immutable
+	// once set.
 	members [][]int
-	typed   []types.Mention
+}
+
+// appendTyped appends to dst the typed mentions one sentence holds
+// under a surface outcome: of the sentence's run pool[lo:hi] in the pool
+// the outcome stands on, every mention whose candidate has a type,
+// carrying that type, ordered by candidate index and then pool index.
+// It appends nothing to a skipped outcome, so a nil dst stays nil when
+// the sentence holds no typed mention.
+func appendTyped(dst []types.Mention, oc *surfaceOutcome, pool []types.Mention, lo, hi int) []types.Mention {
+	n := 0
+	for i := lo; i < hi; i++ {
+		if oc.typeAt(i) != types.None {
+			n++
+		}
+	}
+	if n == 0 {
+		return dst
+	}
+	// A sentence holds few mentions of one surface: each goes straight
+	// to its rank among them.
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	for i := lo; i < hi; i++ {
+		if oc.typeAt(i) == types.None {
+			continue
+		}
+		r := 0
+		for j := lo; j < hi; j++ {
+			if j != i && oc.typeAt(j) != types.None && (oc.assign[j] < oc.assign[i] || oc.assign[j] == oc.assign[i] && j < i) {
+				r++
+			}
+		}
+		m := pool[i]
+		m.Type = oc.typeAt(i)
+		out[r] = m
+	}
+	return dst[:len(dst)+n]
+}
+
+// typeAt returns the type a surface outcome gives the mention at pool
+// index i: its candidate's, or None when the outcome is skipped.
+func (oc *surfaceOutcome) typeAt(i int) types.EntityType {
+	if oc.skip {
+		return types.None
+	}
+	return oc.cands[oc.assign[i]].Type
+}
+
+// runEnd returns the end of the run of pool entries from lo on that
+// belong to pool[lo]'s sentence. Pools are ordered by stream position,
+// so a sentence's mentions of one surface are one run.
+func runEnd(pool []types.Mention, lo int) int {
+	hi := lo + 1
+	for hi < len(pool) && pool[hi].Key == pool[lo].Key {
+		hi++
+	}
+	return hi
 }
 
 // globalPhase runs the four Global NER steps over the whole TweetBase.
@@ -580,13 +643,19 @@ func (g *Globalizer) globalPhase(mode Mode, tr *obs.Trace) {
 	g.o.surfacesDone(tr, ts, len(surfaces), 0)
 
 	finalBySent := make(map[types.SentenceKey][]types.Mention)
-	for _, oc := range outcomes {
+	for i := range outcomes {
+		oc := &outcomes[i]
 		if oc.skip {
 			continue
 		}
 		g.candBase.SetClusters(oc.surface, oc.cands)
-		for _, m := range oc.typed {
-			finalBySent[m.Key] = append(finalBySent[m.Key], m)
+		ms := groups[oc.surface]
+		for lo := 0; lo < len(ms); {
+			hi := runEnd(ms, lo)
+			if typed := appendTyped(finalBySent[ms[lo].Key], oc, ms, lo, hi); typed != nil {
+				finalBySent[ms[lo].Key] = typed
+			}
+			lo = hi
 		}
 	}
 	g.tweetBase.Each(func(r *stream.Record) {
@@ -623,7 +692,7 @@ func (g *Globalizer) processSurface(surface string, ms []types.Mention, mode Mod
 	tc := o.now()
 	clustering := cluster.AgglomerativePool(embs, g.cfg.ClusterThreshold, cluster.AverageLinkage, g.pool)
 	o.clusteringDone(tc, len(embs), clustering.Count, 0)
-	return g.outcomeFromEmbeddings(surface, ms, embs, clustering, nil)
+	return g.outcomeFromEmbeddings(surface, ms, embs, clustering, nil, 0)
 }
 
 // classifyEachMention is the "+local embeddings" ablation's step 4:
@@ -646,9 +715,7 @@ func (g *Globalizer) classifyEachMention(surface string, ms []types.Mention, emb
 			Type:       et,
 			Confidence: conf,
 		})
-		if et != types.None {
-			oc.typed = append(oc.typed, m)
-		}
+		oc.assign = append(oc.assign, i)
 	}
 	return oc
 }
@@ -658,49 +725,87 @@ func (g *Globalizer) classifyEachMention(surface string, ms []types.Mention, emb
 // an already-computed clustering. It is the shared tail of the scratch
 // and amortized paths, so the two stay equivalent by construction.
 //
-// ccache, when non-nil, memoizes per-cluster verdicts by membership
-// signature: over an append-only mention pool, a cluster's global
-// embedding, type and confidence are pure functions of its member
-// index set, so a dirty surface only re-classifies the clusters the
-// new mentions actually reshaped. The scratch path passes nil and
-// recomputes everything.
-func (g *Globalizer) outcomeFromEmbeddings(surface string, ms []types.Mention, embs [][]float64, clustering cluster.Result, ccache map[string]*clusterVerdict) surfaceOutcome {
-	oc := surfaceOutcome{surface: surface}
-	for cid, idxs := range clustering.Members() {
-		cand := &stream.Candidate{Surface: surface, ClusterID: cid}
-		for _, i := range idxs {
-			cand.Mentions = append(cand.Mentions, ms[i])
-			cand.Embs = append(cand.Embs, embs[i])
-		}
-		key := clusterKey(idxs)
-		v := ccache[key]
-		if v == nil {
-			tp := g.o.now()
-			v = &clusterVerdict{globalEmb: g.Classifier.GlobalEmbedding(cand.Embs)}
+// prev, when non-nil, is the surface's previous outcome, computed over
+// a pool whose first kept mentions (and their embeddings) are this
+// one's. A cluster's global embedding, type and confidence are pure
+// functions of its members, so a cluster prev already held — all its
+// members below kept, and exactly the members of the candidate prev
+// put the first of them in — keeps prev's candidate: the same pointer
+// when its id is unchanged, a copy under the new id otherwise. Only the
+// clusters the new mentions reshaped are pooled and classified. The
+// scratch path passes nil and computes every cluster.
+func (g *Globalizer) outcomeFromEmbeddings(surface string, ms []types.Mention, embs [][]float64, clustering cluster.Result, prev *surfaceOutcome, kept int) surfaceOutcome {
+	members := membersOf(clustering)
+	oc := surfaceOutcome{
+		surface: surface,
+		cands:   make([]*stream.Candidate, len(members)),
+		assign:  clustering.Assignments,
+		members: members,
+	}
+	for cid, idxs := range members {
+		if cand := prev.carried(idxs, kept); cand != nil {
+			if cand.ClusterID != cid {
+				moved := *cand
+				moved.ClusterID = cid
+				cand = &moved
+			}
+			oc.cands[cid] = cand
 			if g.o != nil {
-				// Attention pooling (eq. 6) separated from the ensemble
-				// decision timed inside decideClusterType.
-				g.o.stagePool.Observe(time.Since(tp).Seconds())
+				g.o.verdictCacheHits.Inc()
 			}
-			v.et, v.conf = g.decideClusterType(cand.Mentions, cand.Embs)
-			if ccache != nil {
-				ccache[key] = v
-			}
-		} else if g.o != nil {
-			g.o.verdictCacheHits.Inc()
-		}
-		cand.GlobalEmb, cand.Type, cand.Confidence = v.globalEmb, v.et, v.conf
-		oc.cands = append(oc.cands, cand)
-		oc.members = append(oc.members, idxs)
-		if cand.Type == types.None {
 			continue
 		}
-		for _, m := range cand.Mentions {
-			m.Type = cand.Type
-			oc.typed = append(oc.typed, m)
+		cand := &stream.Candidate{
+			Surface: surface, ClusterID: cid,
+			Mentions: make([]types.Mention, len(idxs)),
+			Embs:     make([][]float64, len(idxs)),
 		}
+		for j, i := range idxs {
+			cand.Mentions[j], cand.Embs[j] = ms[i], embs[i]
+		}
+		tp := g.o.now()
+		cand.GlobalEmb = g.Classifier.GlobalEmbedding(cand.Embs)
+		if g.o != nil {
+			// Attention pooling (eq. 6) separated from the ensemble
+			// decision timed inside decideClusterType.
+			g.o.stagePool.Observe(time.Since(tp).Seconds())
+		}
+		cand.Type, cand.Confidence = g.decideClusterType(cand.Mentions, cand.Embs)
+		oc.cands[cid] = cand
 	}
 	return oc
+}
+
+// carried returns the candidate of oc that is exactly the cluster
+// idxs of a pool whose first kept mentions oc stood on, or nil.
+func (oc *surfaceOutcome) carried(idxs []int, kept int) *stream.Candidate {
+	if oc == nil || oc.skip || idxs[len(idxs)-1] >= kept {
+		return nil
+	}
+	k := oc.assign[idxs[0]]
+	if !slices.Equal(oc.members[k], idxs) {
+		return nil
+	}
+	return oc.cands[k]
+}
+
+// membersOf returns clustering.Members() — each cluster's input
+// indices, ascending — sliced out of one allocation.
+func membersOf(clustering cluster.Result) [][]int {
+	out := make([][]int, clustering.Count)
+	flat := make([]int, len(clustering.Assignments))
+	end := make([]int, clustering.Count+1)
+	for _, c := range clustering.Assignments {
+		end[c+1]++
+	}
+	for c := range out {
+		end[c+1] += end[c]
+		out[c] = flat[end[c]:end[c]:end[c+1]]
+	}
+	for i, c := range clustering.Assignments {
+		out[c] = append(out[c], i)
+	}
+	return out
 }
 
 // assignMajorityTypes implements the first ablation baseline: every

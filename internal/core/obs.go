@@ -108,7 +108,7 @@ func newPipeObs(reg *obs.Registry) *pipeObs {
 		clusterMerges:      reg.Counter("ner_cluster_merges_total", "agglomerative merge steps performed"),
 		mergesReplayed:     reg.Counter("ner_cluster_merges_replayed_total", "merge steps taken from a surface's recorded merge sequence instead of selected again"),
 		clustersClassified: reg.Counter("ner_clusters_classified_total", "cluster type decisions computed"),
-		verdictCacheHits:   reg.Counter("ner_cluster_verdict_cache_hits_total", "cluster verdicts served from the membership-signature cache"),
+		verdictCacheHits:   reg.Counter("ner_cluster_verdict_cache_hits_total", "cluster verdicts carried from the surface's previous outcome"),
 
 		streamSentences: reg.Gauge("ner_stream_sentences", "sentences in the accumulated stream"),
 		candClusters:    reg.Gauge("ner_candidate_clusters", "candidate clusters in the current CandidateBase"),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"nerglobalizer/internal/nn"
@@ -564,6 +565,12 @@ func (g *Globalizer) restoreAmort(as *AmortState) error {
 		pool := st.Pool
 		sa := g.newSurfaceAmort(st.Surface)
 		sa.pool, sa.mentions = pool, pool
+		sa.at = make([]int, len(pool))
+		for j := range pool {
+			if sa.at[j] = g.tweetBase.IndexOf(pool[j].Key); sa.at[j] < 0 {
+				return fmt.Errorf("core: warm state pools a mention of unknown sentence %v under %q", pool[j].Key, st.Surface)
+			}
+		}
 		a.surfaces[st.Surface] = sa
 		if st.Skip {
 			sa.outcome = surfaceOutcome{surface: st.Surface, skip: true}
@@ -574,43 +581,69 @@ func (g *Globalizer) restoreAmort(as *AmortState) error {
 		// cycle, which is pure over these exact float bits.
 		sa.embs = make([][]float64, len(pool))
 		for j := range pool {
-			if g.tweetBase.IndexOf(pool[j].Key) < 0 {
-				return fmt.Errorf("core: warm state pools a mention of unknown sentence %v under %q", pool[j].Key, st.Surface)
-			}
 			sa.embs[j] = g.embedMention(pool[j])
 		}
-		oc := surfaceOutcome{surface: st.Surface}
-		for _, cs := range st.Cands {
-			cand := &stream.Candidate{
-				Surface:    st.Surface,
-				ClusterID:  cs.ClusterID,
-				GlobalEmb:  cs.GlobalEmb,
-				Type:       cs.Type,
-				Confidence: cs.Conf,
-			}
-			for _, idx := range cs.Members {
-				if idx < 0 || idx >= len(pool) {
-					return fmt.Errorf("core: warm state cluster member %d outside pool of %q", idx, st.Surface)
-				}
-				cand.Mentions = append(cand.Mentions, pool[idx])
-				cand.Embs = append(cand.Embs, sa.embs[idx])
-			}
-			sa.ccache[clusterKey(cs.Members)] = &clusterVerdict{globalEmb: cs.GlobalEmb, et: cs.Type, conf: cs.Conf}
-			oc.cands = append(oc.cands, cand)
-			oc.members = append(oc.members, cs.Members)
-			if cand.Type != types.None {
-				for _, m := range cand.Mentions {
-					m.Type = cand.Type
-					oc.typed = append(oc.typed, m)
-				}
-			}
+		oc, err := restoredOutcome(st, sa.embs)
+		if err != nil {
+			return err
 		}
 		sa.outcome = oc
-		sa.typedBySent = typedBySentence(oc.typed)
 		g.candBase.SetClusters(st.Surface, oc.cands)
 	}
 
 	a.trieLen = as.TrieLen
 	a.mentionCount = as.MentionCount
 	return nil
+}
+
+// restoredOutcome rebuilds a surface's outcome from its captured
+// candidates over its restored pool and embeddings. The candidates must
+// partition the pool, numbered by position: every pool index in exactly
+// one of them, none of them empty, and each ClusterID its index.
+// Anything else is not an outcome the engine computed, and serving it
+// would annotate sentences with clusters the live run never formed.
+func restoredOutcome(st *SurfaceState, embs [][]float64) (surfaceOutcome, error) {
+	pool := st.Pool
+	oc := surfaceOutcome{
+		surface: st.Surface,
+		cands:   make([]*stream.Candidate, len(st.Cands)),
+		assign:  make([]int, len(pool)),
+		members: make([][]int, len(st.Cands)),
+	}
+	for i := range oc.assign {
+		oc.assign[i] = -1
+	}
+	for k, cs := range st.Cands {
+		if cs.ClusterID != k {
+			return oc, fmt.Errorf("core: warm state lists cluster %d of %q at position %d", cs.ClusterID, st.Surface, k)
+		}
+		if len(cs.Members) == 0 {
+			return oc, fmt.Errorf("core: warm state holds an empty cluster %d of %q", k, st.Surface)
+		}
+		cand := &stream.Candidate{
+			Surface:    st.Surface,
+			ClusterID:  cs.ClusterID,
+			Mentions:   make([]types.Mention, len(cs.Members)),
+			Embs:       make([][]float64, len(cs.Members)),
+			GlobalEmb:  cs.GlobalEmb,
+			Type:       cs.Type,
+			Confidence: cs.Conf,
+		}
+		for j, idx := range cs.Members {
+			if idx < 0 || idx >= len(pool) {
+				return oc, fmt.Errorf("core: warm state cluster member %d outside pool of %q", idx, st.Surface)
+			}
+			if oc.assign[idx] >= 0 {
+				return oc, fmt.Errorf("core: warm state puts mention %d of %q in clusters %d and %d", idx, st.Surface, oc.assign[idx], k)
+			}
+			oc.assign[idx] = k
+			cand.Mentions[j], cand.Embs[j] = pool[idx], embs[idx]
+		}
+		oc.cands[k] = cand
+		oc.members[k] = cs.Members
+	}
+	if i := slices.Index(oc.assign, -1); i >= 0 {
+		return oc, fmt.Errorf("core: warm state puts mention %d of %q in no cluster", i, st.Surface)
+	}
+	return oc, nil
 }
