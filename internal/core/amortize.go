@@ -119,6 +119,9 @@ func (g *Globalizer) embedMention(m types.Mention) []float64 {
 	}
 	if g.o != nil {
 		g.o.mentionsEmbedded.Inc()
+		if pos < g.o.cycleFirst {
+			g.o.embedsLate.Inc()
+		}
 	}
 	v := g.Embedder.Embed(g.mentionStates(pos), m.Span)
 	if g.uncached {

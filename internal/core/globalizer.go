@@ -362,7 +362,7 @@ type RunResult struct {
 func (g *Globalizer) Run(sents []*types.Sentence, mode Mode) *RunResult {
 	g.Reset()
 	res := &RunResult{}
-	tr := g.o.beginCycle()
+	tr := g.o.beginCycle(g.tweetBase.Len())
 	t0 := g.o.now()
 
 	startLocal := time.Now()
@@ -434,7 +434,7 @@ func (g *Globalizer) ProcessTagged(batch []*types.Sentence, tagged []*localner.R
 // an ablation mode — like every cycle with caching off — recomputes the
 // global phase from scratch.
 func (g *Globalizer) runCycle(batch []*types.Sentence, tagged []*localner.Result, mode Mode) {
-	tr := g.o.beginCycle()
+	tr := g.o.beginCycle(g.tweetBase.Len())
 	t0 := g.o.now()
 	var newSurfaces [][]string
 	if tagged != nil {

@@ -45,6 +45,7 @@ type pipeObs struct {
 	trieSurfaces       *obs.Counter
 	mentionsExtracted  *obs.Counter
 	mentionsEmbedded   *obs.Counter
+	embedsLate         *obs.Counter
 	embedCacheHits     *obs.Counter
 	sentencesRescanned *obs.Counter
 	scanCacheHits      *obs.Counter
@@ -63,7 +64,8 @@ type pipeObs struct {
 	// throughput shifts to precision changes.
 	inferPrecision *obs.Gauge
 	// kernelISA is the dispatched SIMD kernel tier's index (0 =
-	// generic, 1 = sse2, 2 = avx2-fma, 3 = neon) — the second axis
+	// generic, 2 = avx2-fma, 3 = neon; 1 was the retired amd64 sse2
+	// tier and is not reused) — the second axis
 	// dashboards need to compare throughput across heterogeneous
 	// machines, including mixed amd64/arm64 fleets.
 	kernelISA *obs.Gauge
@@ -72,6 +74,10 @@ type pipeObs struct {
 	amortRescanned *obs.Gauge
 	amortSurfaces  *obs.Gauge
 	amortReused    *obs.Gauge
+
+	// cycleFirst is the first stream position the running cycle added.
+	// Set by the cycle's serial body before the surface fan-out reads it.
+	cycleFirst int
 }
 
 // newPipeObs registers the pipeline metric set on the registry. A nil
@@ -99,6 +105,7 @@ func newPipeObs(reg *obs.Registry) *pipeObs {
 		trieSurfaces:       reg.Counter("ner_trie_surfaces_total", "surface forms registered in the CTrie"),
 		mentionsExtracted:  reg.Counter("ner_mentions_extracted_total", "mentions mined from the accumulated stream"),
 		mentionsEmbedded:   reg.Counter("ner_mentions_embedded_total", "phrase-embedder invocations (embed-cache misses)"),
+		embedsLate:         reg.Counter("ner_mentions_embedded_late_total", "mention embeddings computed for a sentence that arrived in an earlier cycle"),
 		embedCacheHits:     reg.Counter("ner_embed_cache_hits_total", "mention embeddings served from the cross-cycle cache"),
 		sentencesRescanned: reg.Counter("ner_sentences_rescanned_total", "sentences re-scanned against the CTrie"),
 		scanCacheHits:      reg.Counter("ner_scan_cache_hits_total", "sentence scans served from the cross-cycle cache"),
@@ -113,7 +120,7 @@ func newPipeObs(reg *obs.Registry) *pipeObs {
 		streamSentences: reg.Gauge("ner_stream_sentences", "sentences in the accumulated stream"),
 		candClusters:    reg.Gauge("ner_candidate_clusters", "candidate clusters in the current CandidateBase"),
 		inferPrecision:  reg.Gauge("ner_infer_precision", "active inference precision tier (0=f64, 1=f32, 2=i8)"),
-		kernelISA:       reg.Gauge("ner_kernel_isa", "dispatched SIMD kernel tier (0=generic, 1=sse2, 2=avx2-fma, 3=neon)"),
+		kernelISA:       reg.Gauge("ner_kernel_isa", "dispatched SIMD kernel tier (0=generic, 2=avx2-fma, 3=neon; 1 was the retired sse2)"),
 
 		amortSentences: reg.Gauge("ner_amort_sentences", "stream length seen by the most recent amortized cycle"),
 		amortRescanned: reg.Gauge("ner_amort_rescanned", "sentences re-scanned in the most recent amortized cycle"),
@@ -136,8 +143,9 @@ func (g *Globalizer) SetObserver(reg *obs.Registry) {
 }
 
 // setKernelISA publishes the dispatched SIMD tier's index on the info
-// gauge. Called on attach and after runtime tier switches; the value
-// mirrors nn.ActiveSIMD at that moment.
+// gauge. Only SetObserver calls it: the tier is fixed at process start
+// (NER_SIMD or CPU detection), and nothing outside tests switches it
+// afterwards.
 func (o *pipeObs) setKernelISA() {
 	if o == nil {
 		return
@@ -182,10 +190,15 @@ func (o *pipeObs) now() time.Time {
 }
 
 // beginCycle opens a cycle trace and bumps the cycle counter.
-func (o *pipeObs) beginCycle() *obs.Trace {
+// streamLen is the TweetBase length before the cycle adds its batch:
+// a mention embedded at a position below it is a late embed (a record
+// the batch replaces in place keeps its old position, so it counts
+// too).
+func (o *pipeObs) beginCycle(streamLen int) *obs.Trace {
 	if o == nil {
 		return nil
 	}
+	o.cycleFirst = streamLen
 	o.cycles.Inc()
 	return o.spans.Begin()
 }

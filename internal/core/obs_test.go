@@ -104,6 +104,12 @@ func TestObserverRecordsPipelineActivity(t *testing.T) {
 	if got, want := g.ClusterReplayedShare(), float64(replayed)/float64(merges); got != want {
 		t.Errorf("ClusterReplayedShare = %v, want %v", got, want)
 	}
+	// The re-submitted records keep their stream positions, all before
+	// the last cycle's first, so the mentions re-embedded for them are
+	// late embeds; every late embed is also an embed.
+	if late, all := s.Counters["ner_mentions_embedded_late_total"], s.Counters["ner_mentions_embedded_total"]; late <= 0 || late > all {
+		t.Errorf("ner_mentions_embedded_late_total = %d of %d embeds, want in (0, embeds]", late, all)
+	}
 	// Cross-cycle caches must have produced hits over a 4-cycle replay
 	// of a mostly unchanged stream.
 	if s.Counters["ner_embed_cache_hits_total"] <= 0 {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -85,7 +86,7 @@ func TestMatMul32IntoMatchesF64OnOddWidths(t *testing.T) {
 // lnSq) may reassociate and are bounded against f64 instead. Coverage
 // must be a lane-aligned prefix the scalar tail can finish.
 func TestRowKernelHooksBitContract(t *testing.T) {
-	forEachSIMDLevel(t, func(t *testing.T) {
+	forEachKernelSet(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(97))
 		ks := kernels()
 		for _, n := range []int{1, 3, 4, 5, 8, 17, 33, 64} {
@@ -176,11 +177,15 @@ func TestRowKernelHooksBitContract(t *testing.T) {
 	})
 }
 
+// hostAVX2FMA is cpuHasAVX2FMA on amd64 (cpu_amd64_test.go) and false
+// elsewhere: the feature bits the avx2-fma tier's gate must follow.
+var hostAVX2FMA bool
+
 // TestBestSIMDPerArch pins the per-architecture dispatch expectations:
-// the NEON tier is the arm64 baseline (and unsupported elsewhere), the
-// x86 tiers exist only on amd64, and BestSIMD always lands on this
-// arch's top tier. On the arm64 CI runner this is the proof that
-// BestSIMD() == neon, not a silent generic fallback.
+// each architecture has one vector tier — neon on arm64, avx2-fma on
+// amd64 exactly when the CPU has AVX2+FMA — beside generic, and
+// BestSIMD always lands on it. On the arm64 CI runner this is the
+// proof that BestSIMD() == neon, not a silent generic fallback.
 func TestBestSIMDPerArch(t *testing.T) {
 	supported := map[SIMDLevel]bool{}
 	for _, l := range SupportedSIMDLevels() {
@@ -191,18 +196,19 @@ func TestBestSIMDPerArch(t *testing.T) {
 		if BestSIMD() != SIMDNEON {
 			t.Fatalf("BestSIMD() = %s on arm64; want neon", BestSIMD())
 		}
-		if !supported[SIMDNEON] || supported[SIMDSSE2] || supported[SIMDAVX2] {
+		if !supported[SIMDNEON] || supported[SIMDAVX2] {
 			t.Fatalf("arm64 supported set %v; want neon without x86 tiers", SupportedSIMDLevels())
 		}
 	case "amd64":
-		if supported[SIMDNEON] {
-			t.Fatalf("amd64 supported set %v claims neon", SupportedSIMDLevels())
+		want := []SIMDLevel{SIMDGeneric}
+		if hostAVX2FMA {
+			want = append(want, SIMDAVX2)
 		}
-		if !supported[SIMDSSE2] {
-			t.Fatalf("amd64 supported set %v lacks sse2", SupportedSIMDLevels())
+		if got := SupportedSIMDLevels(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("amd64 supported set %v; want %v (AVX2+FMA %v)", got, want, hostAVX2FMA)
 		}
-		if best := BestSIMD(); best < SIMDSSE2 || best == SIMDNEON {
-			t.Fatalf("BestSIMD() = %s on amd64", best)
+		if best := BestSIMD(); best != want[len(want)-1] {
+			t.Fatalf("BestSIMD() = %s on amd64; want %s", best, want[len(want)-1])
 		}
 	default:
 		if len(SupportedSIMDLevels()) != 1 || BestSIMD() != SIMDGeneric {
@@ -211,7 +217,7 @@ func TestBestSIMDPerArch(t *testing.T) {
 	}
 	// Forcing a tier from a foreign architecture must fail loudly, with
 	// the error naming this platform.
-	for _, l := range []SIMDLevel{SIMDSSE2, SIMDAVX2, SIMDNEON} {
+	for _, l := range []SIMDLevel{SIMDAVX2, SIMDNEON} {
 		if supported[l] {
 			continue
 		}

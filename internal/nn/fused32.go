@@ -14,10 +14,11 @@ import "math"
 // every dst element once per k; the reduced kernels instead read the
 // TRANSPOSED mirror so each output element is one contiguous dot
 // product — no dst traffic, no zero-check branches, and the bias folds
-// into the same pass. The per-row inner loops (dotRows32, i8Rows) live
-// in simd_amd64.s / simd_generic.go: SSE2 on amd64 — four-lane f32
-// multiply-accumulate, and PMADDWD int16×int8 for the quantized tier —
-// with portable pure-Go bodies everywhere else.
+// into the same pass. The per-row inner loops (dotRows32, i8Rows) are
+// dispatched through the active kernel set (simd.go): on amd64's
+// avx2-fma tier, 8-wide FMA f32 multiply-accumulate and PMADDWD
+// int16×int8 for the quantized tier; NEON FMLA and SMLAL on arm64; the
+// portable pure-Go bodies (kernels_ref.go) everywhere else.
 
 // InferInto32 computes dst = x·W + b over the float32 weight mirror.
 // dst must be x.Rows×Out and must not alias x. Rows are sharded across

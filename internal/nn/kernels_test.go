@@ -45,7 +45,7 @@ func testGeluVecMatchesScalar(t *testing.T) {
 // underflow flush, w = 0 (the max element), and exact-integer z values
 // where the trunc-vs-floor correction is live, at every tier.
 func TestExpRowMatchesScalar(t *testing.T) {
-	forEachSIMDLevel(t, testExpRowMatchesScalar)
+	forEachKernelSet(t, testExpRowMatchesScalar)
 }
 
 func testExpRowMatchesScalar(t *testing.T) {
@@ -144,7 +144,7 @@ func testQuantRowProperties(t *testing.T) {
 // worker count, and the i8 tier stays deterministic only if blocking
 // never changes a row's result. Checked at every dispatched tier.
 func TestI8Rows4MatchesSingleRow(t *testing.T) {
-	forEachSIMDLevel(t, testI8Rows4MatchesSingleRow)
+	forEachKernelSet(t, testI8Rows4MatchesSingleRow)
 }
 
 func testI8Rows4MatchesSingleRow(t *testing.T) {

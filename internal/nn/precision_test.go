@@ -238,7 +238,7 @@ func TestTanh32Accuracy(t *testing.T) {
 // probabilities so the bound is absolute.
 func TestScaledSoftmax32ErrorBound(t *testing.T) {
 	const scale = 0.25
-	forEachSIMDLevel(t, func(t *testing.T) {
+	forEachKernelSet(t, func(t *testing.T) {
 		for _, shape := range [][2]int{{1, 1}, {6, 6}, {17, 5}, {0, 4}, {3, 0}, {9, 48}} {
 			x := randomMatrix(shape[0], shape[1], int64(shape[0]*37+shape[1]))
 			x.ScaleInPlace(4) // widen logit spread

@@ -9,13 +9,14 @@ import (
 )
 
 // Runtime kernel dispatch. The reduced-precision inner loops come in
-// up to three ISA tiers per architecture — a portable Go reference
-// (kernels_ref.go), the amd64 SSE2 baseline (simd_amd64.s) and 8-wide
-// AVX2/FMA assembly (simd_avx2_amd64.s), and the arm64 NEON baseline
-// (simd_arm64.s) — selected once at init from CPU feature bits and
-// swappable at runtime through SetSIMD. This file owns the level
-// namespace and the dispatch machinery; each architecture contributes
-// its tiers through the archTiers registry (simd_amd64.go,
+// two tiers per architecture: the portable Go reference
+// (kernels_ref.go) and one vector tier — 8-wide AVX2/FMA assembly on
+// amd64 (simd_avx2_amd64.s, plus the 4-lane softmax and W8A16 bodies
+// in simd_amd64.s) when CPUID and XGETBV allow it, and NEON on arm64
+// (simd_arm64.s). The vector tier is selected once at init from CPU
+// feature bits and can be swapped at runtime through SetSIMD. This
+// file owns the level namespace and the dispatch machinery; each
+// architecture contributes its one tier as archTier (simd_amd64.go,
 // simd_arm64.go, simd_generic.go), so levels parse uniformly on every
 // platform and forcing a level the local architecture cannot run is a
 // loud error rather than a silent generic fallback.
@@ -49,65 +50,65 @@ import (
 //     the softmax exp partial sum reassociate; those are pinned by
 //     analytic error bounds per tier (kernels_test.go).
 
-// SIMDLevel identifies one dispatched kernel tier.
+// SIMDLevel identifies one dispatched kernel tier. The values are the
+// ner_kernel_isa gauge's codes; code 1 named the retired amd64 sse2
+// tier and is not reused.
 type SIMDLevel uint8
 
 const (
 	// SIMDGeneric is the portable pure-Go reference tier — the only
-	// tier on architectures without assembly kernels, and a forcing
-	// target everywhere for differential testing.
-	SIMDGeneric SIMDLevel = iota
-	// SIMDSSE2 is the amd64 baseline assembly tier (4-wide f32,
-	// PMADDWD W8A16). Always available on amd64 (GOAMD64=v1).
-	SIMDSSE2
-	// SIMDAVX2 is the amd64 8-wide AVX2/FMA tier (the W8A16 GEMM and
-	// the softmax passes keep the SSE2 bodies). Requires AVX2+FMA and OS
-	// YMM state support.
-	SIMDAVX2
-	// SIMDNEON is the arm64 baseline assembly tier (4-wide f32 via
-	// Advanced SIMD, SMLAL-based W8A16). Always available on arm64 —
-	// NEON is part of the aarch64 base ISA.
-	SIMDNEON
+	// tier on architectures without assembly kernels and on amd64
+	// hosts without AVX2+FMA, and a forcing target everywhere for
+	// differential testing.
+	SIMDGeneric SIMDLevel = 0
+	// SIMDAVX2 is the amd64 vector tier: 8-wide AVX2/FMA bodies, plus
+	// 4-lane bodies for the W8A16 GEMM and the softmax passes.
+	// Requires AVX2+FMA and OS YMM state support.
+	SIMDAVX2 SIMDLevel = 2
+	// SIMDNEON is the arm64 vector tier (4-wide f32 via Advanced SIMD,
+	// SMLAL-based W8A16). Always available on arm64 — NEON is part of
+	// the aarch64 base ISA.
+	SIMDNEON SIMDLevel = 3
 )
 
 // String returns the level's reporting name, as surfaced in /statusz,
 // the ner_kernel_isa gauge, and the bench fingerprint.
 func (l SIMDLevel) String() string {
 	switch l {
-	case SIMDSSE2:
-		return "sse2"
+	case SIMDGeneric:
+		return "generic"
 	case SIMDAVX2:
 		return "avx2-fma"
 	case SIMDNEON:
 		return "neon"
-	default:
-		return "generic"
 	}
+	return fmt.Sprintf("SIMDLevel(%d)", uint8(l))
 }
 
 // ParseSIMD maps an operator-facing level name (NER_SIMD) to a
 // SIMDLevel. "avx2" and the reporting name "avx2-fma" are synonyms.
 // Every level name parses on every architecture — forcing a level the
 // local architecture cannot run fails later, in SetSIMD or init, with
-// an error that names the architecture and its supported levels.
+// an error that names the architecture and its supported levels. The
+// retired "sse2" level is an error naming what this host runs instead.
 func ParseSIMD(s string) (SIMDLevel, error) {
 	switch s {
 	case "generic":
 		return SIMDGeneric, nil
-	case "sse2":
-		return SIMDSSE2, nil
 	case "avx2", "avx2-fma":
 		return SIMDAVX2, nil
 	case "neon":
 		return SIMDNEON, nil
+	case "sse2":
+		return 0, fmt.Errorf("nn: SIMD level sse2 was removed; amd64 runs avx2-fma or generic (supported levels on %s/%s: %s)",
+			runtime.GOOS, runtime.GOARCH, supportedNames())
 	}
-	return 0, fmt.Errorf("nn: unknown SIMD level %q (want generic, sse2, avx2, or neon)", s)
+	return 0, fmt.Errorf("nn: unknown SIMD level %q (want generic, avx2, or neon)", s)
 }
 
-// simdTier is one architecture-contributed kernel tier: a feature
-// gate and the overlay that installs its entry points on top of the
-// reference set. Per-arch files declare archTiers in ascending level
-// order; simd.go derives bestSIMD/simdSupported/newKernelSet from it.
+// simdTier is an architecture's one vector tier: a feature gate and
+// the overlay that installs its entry points on top of the reference
+// set.
 type simdTier struct {
 	level     SIMDLevel
 	supported func() bool
@@ -115,51 +116,38 @@ type simdTier struct {
 }
 
 func bestSIMD() SIMDLevel {
-	best := SIMDGeneric
-	for _, t := range archTiers {
-		if t.supported() {
-			best = t.level
-		}
+	if archTier != nil && archTier.supported() {
+		return archTier.level
 	}
-	return best
+	return SIMDGeneric
 }
 
-func simdSupported(l SIMDLevel) bool {
-	if l == SIMDGeneric {
-		return true
-	}
-	for _, t := range archTiers {
-		if t.level == l {
-			return t.supported()
-		}
-	}
-	return false
-}
+func simdSupported(l SIMDLevel) bool { return l == SIMDGeneric || l == bestSIMD() }
 
+// newKernelSet builds the reference set, overlaid with the
+// architecture's vector tier unless l is generic. l must be supported.
 func newKernelSet(l SIMDLevel) *kernelSet {
 	ks := refKernelSet()
-	ks.level = l
-	// Apply every supported tier up to and including the requested
-	// level, lowest first, so a higher tier inherits the lower tier's
-	// kernels for entry points it does not override (AVX2 keeps the
-	// SSE2 W8A16 bodies, for example).
-	for _, t := range archTiers {
-		if t.level <= l && t.supported() {
-			t.apply(ks)
-		}
+	if l != SIMDGeneric {
+		archTier.apply(ks)
+		ks.level = l
 	}
 	return ks
+}
+
+func supportedNames() string {
+	var names []string
+	for _, s := range SupportedSIMDLevels() {
+		names = append(names, s.String())
+	}
+	return strings.Join(names, ", ")
 }
 
 // simdUnsupportedErr explains why a parsed level cannot run here:
 // names the architecture and lists what it does support.
 func simdUnsupportedErr(l SIMDLevel) error {
-	names := make([]string, 0, 4)
-	for _, s := range SupportedSIMDLevels() {
-		names = append(names, s.String())
-	}
 	return fmt.Errorf("nn: SIMD level %s is not supported on %s/%s (supported levels: %s)",
-		l, runtime.GOOS, runtime.GOARCH, strings.Join(names, ", "))
+		l, runtime.GOOS, runtime.GOARCH, supportedNames())
 }
 
 // kernelSet is one immutable, coherent bundle of kernel entry points.
@@ -208,7 +196,7 @@ func init() {
 	if env := os.Getenv("NER_SIMD"); env != "" {
 		l, err := ParseSIMD(env)
 		if err != nil {
-			panic(err.Error())
+			panic(fmt.Sprintf("nn: NER_SIMD=%s: %v", env, err))
 		}
 		if !simdSupported(l) {
 			panic(fmt.Sprintf("nn: NER_SIMD=%s: %v", env, simdUnsupportedErr(l)))
@@ -230,16 +218,13 @@ func ActiveSIMD() SIMDLevel { return kernels().level }
 func BestSIMD() SIMDLevel { return bestSIMD() }
 
 // SupportedSIMDLevels lists every tier SetSIMD would accept on this
-// machine, lowest first. The set is architecture-specific: amd64
-// reports generic/sse2[/avx2-fma], arm64 reports generic/neon.
+// machine, generic first. The set is architecture-specific: amd64
+// reports generic[/avx2-fma], arm64 reports generic/neon.
 func SupportedSIMDLevels() []SIMDLevel {
-	out := []SIMDLevel{SIMDGeneric}
-	for _, t := range archTiers {
-		if t.supported() {
-			out = append(out, t.level)
-		}
+	if best := bestSIMD(); best != SIMDGeneric {
+		return []SIMDLevel{SIMDGeneric, best}
 	}
-	return out
+	return []SIMDLevel{SIMDGeneric}
 }
 
 // SetSIMD pins the kernel tier. It rejects (rather than silently
@@ -260,7 +245,7 @@ func SetSIMDAuto() {
 }
 
 // refKernelSet builds the portable reference tier; newKernelSet
-// overlays the architecture tiers on top of it.
+// overlays the architecture's vector tier on top of it.
 func refKernelSet() *kernelSet {
 	return &kernelSet{
 		level:    SIMDGeneric,

@@ -2,219 +2,11 @@
 
 #include "textflag.h"
 
-// 32767.0 in float32 — the symmetric int16 activation range.
-DATA qconst<>+0(SB)/4, $0x46fffe00
-GLOBL qconst<>(SB), RODATA|NOPTR, $4
-
-// func dotRows32SSE2(dst, a, rows []float32)
-//
-// dst[j] = Σ_k a[k]·rows[j·len(a)+k]. Two four-lane accumulators per
-// row (X0 lanes carry k≡0..3 (mod 8), X1 lanes k≡4..7), a possible
-// lone 4-block, then scalar tail into X0's low lane, and a horizontal
-// reduction pairing (l0+l1)+(l2+l3). Pure SSE2.
-TEXT ·dotRows32SSE2(SB), NOSPLIT, $0-72
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), DX
-	MOVQ a_base+24(FP), SI
-	MOVQ a_len+32(FP), CX
-	MOVQ rows_base+48(FP), R8
-	TESTQ DX, DX
-	JZ   drdone
-
-drouter:
-	XORPS X0, X0
-	XORPS X1, X1
-	MOVQ  SI, R10 // a cursor
-	MOVQ  R8, R11 // weight-row cursor
-	MOVQ  CX, R9
-	SHRQ  $3, R9  // 8-wide blocks
-	JZ    drtail4
-
-drloop8:
-	MOVUPS (R10), X2
-	MOVUPS (R11), X3
-	MULPS  X3, X2
-	ADDPS  X2, X0
-	MOVUPS 16(R10), X4
-	MOVUPS 16(R11), X5
-	MULPS  X5, X4
-	ADDPS  X4, X1
-	ADDQ   $32, R10
-	ADDQ   $32, R11
-	DECQ   R9
-	JNZ    drloop8
-
-drtail4:
-	MOVQ  CX, R9
-	ANDQ  $7, R9
-	SHRQ  $2, R9
-	JZ    drcomb
-	MOVUPS (R10), X2
-	MOVUPS (R11), X3
-	MULPS  X3, X2
-	ADDPS  X2, X0
-	ADDQ   $16, R10
-	ADDQ   $16, R11
-
-drcomb:
-	ADDPS X1, X0
-	MOVQ  CX, R9
-	ANDQ  $3, R9
-	JZ    drhsum
-
-drtail1:
-	MOVSS (R10), X2
-	MULSS (R11), X2
-	ADDSS X2, X0
-	ADDQ  $4, R10
-	ADDQ  $4, R11
-	DECQ  R9
-	JNZ   drtail1
-
-drhsum:
-	PSHUFD $0x01, X0, X2
-	PSHUFD $0x02, X0, X3
-	PSHUFD $0x03, X0, X4
-	ADDSS  X2, X0
-	ADDSS  X4, X3
-	ADDSS  X3, X0
-	MOVSS  X0, (DI)
-	ADDQ   $4, DI
-	LEAQ   (R8)(CX*4), R8 // next weight row
-	DECQ   DX
-	JNZ    drouter
-
-drdone:
-	RET
-
-// func quantRowSSE2(q []int16, x []float32) float32
-//
-// Symmetric int16 quantization of one activation row: maxabs scan
-// (packed |x| via an 0x7fffffff mask and MAXPS), then q = round(x ·
-// 32767/maxabs) with CVTPS2DQ's round-to-nearest and a saturating
-// PACKSSDW pack, the q[len(x):] padding tail zeroed, and maxabs/32767
-// returned as the row's dequantization scale. A zero row zeroes q and
-// returns 0. Rounding is round-half-even here vs the portable
-// fallback's half-away — within the ±½-step bound either way, and
-// cross-architecture bit equality is explicitly not the contract.
-TEXT ·quantRowSSE2(SB), NOSPLIT, $0-52
-	MOVQ q_base+0(FP), DI
-	MOVQ q_len+8(FP), DX  // padded length
-	MOVQ x_base+24(FP), SI
-	MOVQ x_len+32(FP), CX // real length
-	PCMPEQL X7, X7
-	PSRLL   $1, X7        // 0x7fffffff lanes
-	XORPS   X0, X0        // maxabs accumulator
-	MOVQ    SI, R10
-	MOVQ    CX, R9
-	SHRQ    $2, R9
-	JZ      qmtail
-
-qmloop:
-	MOVUPS (R10), X1
-	ANDPS  X7, X1
-	MAXPS  X1, X0
-	ADDQ   $16, R10
-	DECQ   R9
-	JNZ    qmloop
-
-qmtail:
-	MOVQ CX, R9
-	ANDQ $3, R9
-	JZ   qmhmax
-
-qmtail1:
-	MOVSS (R10), X1
-	ANDPS X7, X1
-	MAXSS X1, X0
-	ADDQ  $4, R10
-	DECQ  R9
-	JNZ   qmtail1
-
-qmhmax:
-	PSHUFD $0x4E, X0, X1
-	MAXPS  X1, X0
-	PSHUFD $0x55, X0, X1
-	MAXSS  X1, X0 // low lane = maxabs
-	XORPS  X2, X2
-	UCOMISS X2, X0
-	JNE    qscale
-	// zero row: clear the whole padded q, return scale 0
-	MOVQ DX, R9
-	SHRQ $3, R9 // len(q) is a whole number of 16-wide groups
-
-qzero:
-	MOVOU X2, (DI)
-	ADDQ  $16, DI
-	DECQ  R9
-	JNZ   qzero
-	MOVSS X2, ret+48(FP)
-	RET
-
-qscale:
-	MOVSS  qconst<>+0(SB), X3
-	DIVSS  X0, X3    // inv = 32767/maxabs
-	SHUFPS $0, X3, X3
-	MOVQ   SI, R10
-	MOVQ   CX, R9
-	SHRQ   $3, R9
-	JZ     qtail4
-
-q8:
-	MOVUPS (R10), X1
-	MULPS  X3, X1
-	CVTPS2PL X1, X1
-	MOVUPS 16(R10), X2
-	MULPS  X3, X2
-	CVTPS2PL X2, X2
-	PACKSSLW X2, X1 // 8 saturated int16
-	MOVOU  X1, (DI)
-	ADDQ   $32, R10
-	ADDQ   $16, DI
-	DECQ   R9
-	JNZ    q8
-
-qtail4:
-	MOVQ CX, R9
-	ANDQ $7, R9
-	JZ   qpad
-
-qtail1:
-	MOVSS (R10), X1
-	MULSS X3, X1
-	CVTSS2SL X1, AX
-	CMPL  AX, $32767
-	JLE   qclamplo
-	MOVL  $32767, AX
-
-qclamplo:
-	CMPL AX, $-32768
-	JGE  qstore
-	MOVL $-32768, AX
-
-qstore:
-	MOVW AX, (DI)
-	ADDQ $4, R10
-	ADDQ $2, DI
-	DECQ R9
-	JNZ  qtail1
-
-qpad:
-	MOVQ DX, R9
-	SUBQ CX, R9
-	JZ   qret
-	XORL AX, AX
-
-qpadloop:
-	MOVW AX, (DI)
-	ADDQ $2, DI
-	DECQ R9
-	JNZ  qpadloop
-
-qret:
-	DIVSS qconst<>+0(SB), X0 // sx = maxabs/32767
-	MOVSS X0, ret+48(FP)
-	RET
+// The 4-lane bodies of the avx2-fma tier (simd_amd64.go): the W8A16
+// GEMM and the three softmax passes. They are SSE2-encoded; every
+// 8-wide kernel of the tier is in simd_avx2_amd64.s and clears the
+// upper YMM state before returning, so mixing the encodings costs no
+// transition penalty.
 
 // func i8RowsSSE2(dst []float32, q []int16, wt []int8, scale, b []float32, s float32)
 //
@@ -411,147 +203,33 @@ b4group:
 b4done:
 	RET
 
-// Broadcast constant table for gelu4 — the float32 bit patterns of the
-// exact constants the scalar GELU/tanh32/exp32 path uses, so the
-// packed lanes compute the same IEEE single-precision operation
-// sequence as the scalar code.
-DATA gelu<>+0x00(SB)/8, $0x3d3727133d372713 // 0.044715
-DATA gelu<>+0x08(SB)/8, $0x3d3727133d372713
-DATA gelu<>+0x10(SB)/8, $0x3f4c422a3f4c422a // √(2/π)
-DATA gelu<>+0x18(SB)/8, $0x3f4c422a3f4c422a
-DATA gelu<>+0x20(SB)/8, $0x7fffffff7fffffff // |·| mask
-DATA gelu<>+0x28(SB)/8, $0x7fffffff7fffffff
-DATA gelu<>+0x30(SB)/8, $0x8000000080000000 // sign mask
-DATA gelu<>+0x38(SB)/8, $0x8000000080000000
-DATA gelu<>+0x40(SB)/8, $0xc0000000c0000000 // -2.0
-DATA gelu<>+0x48(SB)/8, $0xc0000000c0000000
-DATA gelu<>+0x50(SB)/8, $0x3fb8aa3b3fb8aa3b // log₂(e)
-DATA gelu<>+0x58(SB)/8, $0x3fb8aa3b3fb8aa3b
-DATA gelu<>+0x60(SB)/8, $0x3921848939218489 // exp32 poly, degree 6 first
-DATA gelu<>+0x68(SB)/8, $0x3921848939218489
-DATA gelu<>+0x70(SB)/8, $0x3aaec3ff3aaec3ff
-DATA gelu<>+0x78(SB)/8, $0x3aaec3ff3aaec3ff
-DATA gelu<>+0x80(SB)/8, $0x3c1d955b3c1d955b
-DATA gelu<>+0x88(SB)/8, $0x3c1d955b3c1d955b
-DATA gelu<>+0x90(SB)/8, $0x3d6358473d635847
-DATA gelu<>+0x98(SB)/8, $0x3d6358473d635847
-DATA gelu<>+0xa0(SB)/8, $0x3e75fdf03e75fdf0
-DATA gelu<>+0xa8(SB)/8, $0x3e75fdf03e75fdf0
-DATA gelu<>+0xb0(SB)/8, $0x3f3172183f317218
-DATA gelu<>+0xb8(SB)/8, $0x3f3172183f317218
-DATA gelu<>+0xc0(SB)/8, $0x3f8000003f800000 // 1.0
-DATA gelu<>+0xc8(SB)/8, $0x3f8000003f800000
-DATA gelu<>+0xd0(SB)/8, $0x3f0000003f000000 // 0.5
-DATA gelu<>+0xd8(SB)/8, $0x3f0000003f000000
-DATA gelu<>+0xe0(SB)/8, $0x410fffff410fffff // bits(9.0)−1, for a≥9 as ints
-DATA gelu<>+0xe8(SB)/8, $0x410fffff410fffff
-DATA gelu<>+0xf0(SB)/8, $0x0000007f0000007f // exponent bias 127
-DATA gelu<>+0xf8(SB)/8, $0x0000007f0000007f
-GLOBL gelu<>(SB), RODATA|NOPTR, $256
-
-// func gelu4SSE2(dst, x []float32)
-//
-// Tanh-approximated GELU over four lanes at a time, replicating the
-// scalar 0.5·v·(1+tanh32(c·(v+0.044715·v³))) operation-for-operation
-// in packed IEEE single arithmetic: exp32's exponent/polynomial split
-// runs packed (floor via truncate-and-adjust — the z<n compare maps
-// to a signed-int compare of the negated floats, both ≥0 since the
-// tanh argument is ≤0), and the |x|≥9 saturation lanes are blended to
-// ±1, which also discards the garbage lanes where 2^n under/overflows.
-// len(x) must be a multiple of 4; dst may alias x.
-TEXT ·gelu4SSE2(SB), NOSPLIT, $0-48
-	MOVQ dst_base+0(FP), DI
-	MOVQ x_base+24(FP), SI
-	MOVQ x_len+32(FP), DX
-	SHRQ $2, DX
-	JZ   gdone
-
-gloop:
-	MOVUPS (SI), X0         // v
-	MOVUPS gelu<>+0x00(SB), X1
-	MULPS  X0, X1
-	MULPS  X0, X1
-	MULPS  X0, X1           // 0.044715·v³ (left-assoc like the scalar code)
-	ADDPS  X0, X1
-	MOVUPS gelu<>+0x10(SB), X2
-	MULPS  X2, X1           // x = c·(v + 0.044715·v³)
-	MOVUPS gelu<>+0x30(SB), X3
-	ANDPS  X1, X3           // X3 = sign bits of x
-	MOVUPS gelu<>+0x20(SB), X2
-	ANDPS  X2, X1           // X1 = a = |x|
-	MOVO   X1, X2
-	MOVUPS gelu<>+0xe0(SB), X5
-	PCMPGTL X5, X2          // X2 = saturation mask (a ≥ 9)
-	// e = exp32(-2a)
-	MOVUPS gelu<>+0x40(SB), X4
-	MULPS  X1, X4           // -2a
-	MOVUPS gelu<>+0x50(SB), X5
-	MULPS  X5, X4           // z = -2a·log₂e  (≤ 0)
-	CVTTPS2PL X4, X5        // n = trunc(z)
-	CVTPL2PS X5, X6         // float(n)
-	MOVUPS gelu<>+0x30(SB), X1
-	MOVO   X4, X7
-	XORPS  X1, X7           // -z
-	XORPS  X6, X1           // -float(n)
-	PCMPGTL X1, X7          // z < float(n) → need floor correction
-	PADDL  X7, X5           // n-- where truncation rounded up
-	CVTPL2PS X5, X6
-	SUBPS  X6, X4           // f = z - n ∈ [0,1)
-	MOVUPS gelu<>+0x60(SB), X7
-	MOVUPS gelu<>+0x70(SB), X1
-	MULPS  X4, X7
-	ADDPS  X1, X7
-	MOVUPS gelu<>+0x80(SB), X1
-	MULPS  X4, X7
-	ADDPS  X1, X7
-	MOVUPS gelu<>+0x90(SB), X1
-	MULPS  X4, X7
-	ADDPS  X1, X7
-	MOVUPS gelu<>+0xa0(SB), X1
-	MULPS  X4, X7
-	ADDPS  X1, X7
-	MOVUPS gelu<>+0xb0(SB), X1
-	MULPS  X4, X7
-	ADDPS  X1, X7
-	MOVUPS gelu<>+0xc0(SB), X1
-	MULPS  X4, X7
-	ADDPS  X1, X7           // p ≈ 2^f
-	MOVOU  gelu<>+0xf0(SB), X1
-	PADDL  X1, X5
-	PSLLL  $23, X5          // float bits of 2^n
-	MULPS  X5, X7           // e = p·2^n
-	// t = (1-e)/(1+e), then restore sign
-	MOVUPS gelu<>+0xc0(SB), X1
-	MOVO   X1, X4
-	SUBPS  X7, X4
-	ADDPS  X7, X1
-	DIVPS  X1, X4
-	XORPS  X3, X4           // t, signed
-	// saturated lanes → ±1
-	MOVUPS gelu<>+0xc0(SB), X1
-	XORPS  X3, X1           // ±1
-	PAND   X2, X1
-	PANDN  X4, X2
-	POR    X1, X2           // t, saturation applied
-	// gelu = (0.5·v)·(1+t)
-	MOVUPS gelu<>+0xd0(SB), X1
-	MULPS  X0, X1
-	MOVUPS gelu<>+0xc0(SB), X4
-	ADDPS  X2, X4
-	MULPS  X4, X1
-	MOVUPS X1, (DI)
-	ADDQ   $16, SI
-	ADDQ   $16, DI
-	DECQ   DX
-	JNZ    gloop
-
-gdone:
-	RET
-
-// 87.0 in float32 — |w| beyond this, exp32(w) flushes to zero.
-DATA expc<>+0x00(SB)/8, $0x42ae000042ae0000
-DATA expc<>+0x08(SB)/8, $0x42ae000042ae0000
-GLOBL expc<>(SB), RODATA|NOPTR, $16
+// Broadcast constant table for expRow4 — the float32 bit patterns of
+// the exact constants the scalar exp32 path uses, so the packed lanes
+// compute the same IEEE single-precision operation sequence as the
+// scalar code.
+DATA exp4<>+0x00(SB)/8, $0x8000000080000000 // sign mask
+DATA exp4<>+0x08(SB)/8, $0x8000000080000000
+DATA exp4<>+0x10(SB)/8, $0x3fb8aa3b3fb8aa3b // log₂(e)
+DATA exp4<>+0x18(SB)/8, $0x3fb8aa3b3fb8aa3b
+DATA exp4<>+0x20(SB)/8, $0x3921848939218489 // exp32 poly, degree 6 first
+DATA exp4<>+0x28(SB)/8, $0x3921848939218489
+DATA exp4<>+0x30(SB)/8, $0x3aaec3ff3aaec3ff
+DATA exp4<>+0x38(SB)/8, $0x3aaec3ff3aaec3ff
+DATA exp4<>+0x40(SB)/8, $0x3c1d955b3c1d955b
+DATA exp4<>+0x48(SB)/8, $0x3c1d955b3c1d955b
+DATA exp4<>+0x50(SB)/8, $0x3d6358473d635847
+DATA exp4<>+0x58(SB)/8, $0x3d6358473d635847
+DATA exp4<>+0x60(SB)/8, $0x3e75fdf03e75fdf0
+DATA exp4<>+0x68(SB)/8, $0x3e75fdf03e75fdf0
+DATA exp4<>+0x70(SB)/8, $0x3f3172183f317218
+DATA exp4<>+0x78(SB)/8, $0x3f3172183f317218
+DATA exp4<>+0x80(SB)/8, $0x3f8000003f800000 // 1.0
+DATA exp4<>+0x88(SB)/8, $0x3f8000003f800000
+DATA exp4<>+0x90(SB)/8, $0x0000007f0000007f // exponent bias 127
+DATA exp4<>+0x98(SB)/8, $0x0000007f0000007f
+DATA exp4<>+0xa0(SB)/8, $0x42ae000042ae0000 // 87.0: |w| beyond this, exp32(w) flushes to zero
+DATA exp4<>+0xa8(SB)/8, $0x42ae000042ae0000
+GLOBL exp4<>(SB), RODATA|NOPTR, $176
 
 // func expRow4SSE2(dst, x []float32, scale, max float32) float32
 //
@@ -579,17 +257,17 @@ exloop:
 	MULPS  X8, X0           // v·scale
 	SUBPS  X9, X0           // w = v·scale − max ≤ 0
 	// flush mask: w < −87 ⇔ −w > 87 (positive floats order as ints)
-	MOVUPS gelu<>+0x30(SB), X1
+	MOVUPS exp4<>+0x00(SB), X1
 	MOVO   X0, X7
 	XORPS  X1, X7           // −w
-	MOVUPS expc<>+0x00(SB), X2
+	MOVUPS exp4<>+0xa0(SB), X2
 	PCMPGTL X2, X7          // X7 = flush mask
 	// z = w·log₂e, n = floor(z), f = z − n (trunc-and-correct, as exp32)
-	MOVUPS gelu<>+0x50(SB), X1
+	MOVUPS exp4<>+0x10(SB), X1
 	MULPS  X1, X0           // z (w dead)
 	CVTTPS2PL X0, X5        // n = trunc(z)
 	CVTPL2PS X5, X6         // float(n)
-	MOVUPS gelu<>+0x30(SB), X1
+	MOVUPS exp4<>+0x00(SB), X1
 	MOVO   X0, X2
 	XORPS  X1, X2           // −z
 	MOVO   X6, X3
@@ -599,26 +277,26 @@ exloop:
 	CVTPL2PS X5, X6
 	SUBPS  X6, X0           // f = z − n ∈ [0,1)
 	// p ≈ 2^f: exp32's degree-6 Horner, multiply and add kept separate
-	MOVUPS gelu<>+0x60(SB), X1
+	MOVUPS exp4<>+0x20(SB), X1
 	MULPS  X0, X1
-	MOVUPS gelu<>+0x70(SB), X2
+	MOVUPS exp4<>+0x30(SB), X2
 	ADDPS  X2, X1
 	MULPS  X0, X1
-	MOVUPS gelu<>+0x80(SB), X2
+	MOVUPS exp4<>+0x40(SB), X2
 	ADDPS  X2, X1
 	MULPS  X0, X1
-	MOVUPS gelu<>+0x90(SB), X2
+	MOVUPS exp4<>+0x50(SB), X2
 	ADDPS  X2, X1
 	MULPS  X0, X1
-	MOVUPS gelu<>+0xa0(SB), X2
+	MOVUPS exp4<>+0x60(SB), X2
 	ADDPS  X2, X1
 	MULPS  X0, X1
-	MOVUPS gelu<>+0xb0(SB), X2
+	MOVUPS exp4<>+0x70(SB), X2
 	ADDPS  X2, X1
 	MULPS  X0, X1
-	MOVUPS gelu<>+0xc0(SB), X2
+	MOVUPS exp4<>+0x80(SB), X2
 	ADDPS  X2, X1           // p
-	MOVOU  gelu<>+0xf0(SB), X2
+	MOVOU  exp4<>+0x90(SB), X2
 	PADDL  X2, X5
 	PSLLL  $23, X5          // float bits of 2^n
 	MULPS  X5, X1           // e = p·2^n
@@ -637,213 +315,6 @@ exdone:
 	PSHUFD $0x55, X10, X1
 	ADDSS  X1, X10
 	MOVSS  X10, ret+56(FP)
-	RET
-
-// func axpy4SSE2(dst, b []float32, stride int, av []float32)
-//
-// dst[j] += av[0]·b[j] + av[1]·b[stride+j] + av[2]·b[2s+j] +
-// av[3]·b[3s+j]. Vectorized along the independent j lanes with
-// mul-then-add in ascending row order — the exact scalar operation
-// sequence per lane, so the bits match the reference walk at every
-// tile geometry. Scalar tail inside the kernel (same MULSS/ADDSS
-// order, identical IEEE results lane-for-lane).
-TEXT ·axpy4SSE2(SB), NOSPLIT, $0-80
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ b_base+24(FP), SI
-	MOVQ stride+48(FP), R8
-	SHLQ $2, R8 // stride in bytes
-	MOVQ av_base+56(FP), AX
-	MOVSS  0(AX), X4
-	SHUFPS $0x00, X4, X4
-	MOVSS  4(AX), X5
-	SHUFPS $0x00, X5, X5
-	MOVSS  8(AX), X6
-	SHUFPS $0x00, X6, X6
-	MOVSS  12(AX), X7
-	SHUFPS $0x00, X7, X7
-	LEAQ (SI)(R8*1), R9
-	LEAQ (R9)(R8*1), R10
-	LEAQ (R10)(R8*1), R11
-	XORQ BX, BX
-	MOVQ CX, DX
-	ANDQ $-4, DX
-
-ax4vec:
-	CMPQ BX, DX
-	JGE  ax4tail
-	MOVUPS (DI)(BX*4), X0
-	MOVUPS (SI)(BX*4), X1
-	MULPS  X4, X1
-	ADDPS  X1, X0
-	MOVUPS (R9)(BX*4), X1
-	MULPS  X5, X1
-	ADDPS  X1, X0
-	MOVUPS (R10)(BX*4), X1
-	MULPS  X6, X1
-	ADDPS  X1, X0
-	MOVUPS (R11)(BX*4), X1
-	MULPS  X7, X1
-	ADDPS  X1, X0
-	MOVUPS X0, (DI)(BX*4)
-	ADDQ   $4, BX
-	JMP    ax4vec
-
-ax4tail:
-	CMPQ BX, CX
-	JGE  ax4done
-	MOVSS (DI)(BX*4), X0
-	MOVSS (SI)(BX*4), X1
-	MULSS X4, X1
-	ADDSS X1, X0
-	MOVSS (R9)(BX*4), X1
-	MULSS X5, X1
-	ADDSS X1, X0
-	MOVSS (R10)(BX*4), X1
-	MULSS X6, X1
-	ADDSS X1, X0
-	MOVSS (R11)(BX*4), X1
-	MULSS X7, X1
-	ADDSS X1, X0
-	MOVSS X0, (DI)(BX*4)
-	INCQ  BX
-	JMP   ax4tail
-
-ax4done:
-	RET
-
-// func axpy1SSE2(dst, b []float32, av float32)
-//
-// dst[j] += av·b[j] — the k-tail of the saxpy walk. Scalar tail
-// inside the kernel.
-TEXT ·axpy1SSE2(SB), NOSPLIT, $0-52
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ b_base+24(FP), SI
-	MOVSS  av+48(FP), X4
-	SHUFPS $0x00, X4, X4
-	XORQ BX, BX
-	MOVQ CX, DX
-	ANDQ $-4, DX
-
-ax1vec:
-	CMPQ BX, DX
-	JGE  ax1tail
-	MOVUPS (DI)(BX*4), X0
-	MOVUPS (SI)(BX*4), X1
-	MULPS  X4, X1
-	ADDPS  X1, X0
-	MOVUPS X0, (DI)(BX*4)
-	ADDQ   $4, BX
-	JMP    ax1vec
-
-ax1tail:
-	CMPQ BX, CX
-	JGE  ax1done
-	MOVSS (DI)(BX*4), X0
-	MOVSS (SI)(BX*4), X1
-	MULSS X4, X1
-	ADDSS X1, X0
-	MOVSS X0, (DI)(BX*4)
-	INCQ  BX
-	JMP   ax1tail
-
-ax1done:
-	RET
-
-// func lnSum4SSE2(o, x, res []float32) float32
-//
-// o[j] = x[j] + res[j], returning Σ o[j] over the whole slice with a
-// 4-lane accumulator folded (l0+l2)+(l1+l3). len(o) must be a
-// multiple of 4 (the Go wrapper slices to the aligned prefix).
-TEXT ·lnSum4SSE2(SB), NOSPLIT, $0-76
-	MOVQ o_base+0(FP), DI
-	MOVQ o_len+8(FP), CX
-	MOVQ x_base+24(FP), SI
-	MOVQ res_base+48(FP), DX
-	XORPS X0, X0
-	XORQ  BX, BX
-
-lnsloop:
-	CMPQ BX, CX
-	JGE  lnsfold
-	MOVUPS (SI)(BX*4), X1
-	MOVUPS (DX)(BX*4), X2
-	ADDPS  X2, X1
-	MOVUPS X1, (DI)(BX*4)
-	ADDPS  X1, X0
-	ADDQ   $4, BX
-	JMP    lnsloop
-
-lnsfold:
-	PSHUFD $0x4E, X0, X1
-	ADDPS  X1, X0
-	PSHUFD $0x55, X0, X1
-	ADDSS  X1, X0
-	MOVSS  X0, ret+72(FP)
-	RET
-
-// func lnSq4SSE2(o []float32, mean float32) float32
-//
-// Returns Σ (o[j]−mean)², 4-lane accumulator, (l0+l2)+(l1+l3) fold.
-// len(o) must be a multiple of 4.
-TEXT ·lnSq4SSE2(SB), NOSPLIT, $0-36
-	MOVQ o_base+0(FP), DI
-	MOVQ o_len+8(FP), CX
-	MOVSS  mean+24(FP), X4
-	SHUFPS $0x00, X4, X4
-	XORPS X0, X0
-	XORQ  BX, BX
-
-lnqloop:
-	CMPQ BX, CX
-	JGE  lnqfold
-	MOVUPS (DI)(BX*4), X1
-	SUBPS  X4, X1
-	MULPS  X1, X1
-	ADDPS  X1, X0
-	ADDQ   $4, BX
-	JMP    lnqloop
-
-lnqfold:
-	PSHUFD $0x4E, X0, X1
-	ADDPS  X1, X0
-	PSHUFD $0x55, X0, X1
-	ADDSS  X1, X0
-	MOVSS  X0, ret+32(FP)
-	RET
-
-// func lnAffine4SSE2(o []float32, mean, inv float32, gamma, beta []float32)
-//
-// o[j] = ((o[j]−mean)·inv)·gamma[j] + beta[j] — the exact scalar
-// operation order (no FMA), so bits match the reference at every
-// tier. len(o) must be a multiple of 4.
-TEXT ·lnAffine4SSE2(SB), NOSPLIT, $0-80
-	MOVQ o_base+0(FP), DI
-	MOVQ o_len+8(FP), CX
-	MOVSS  mean+24(FP), X4
-	SHUFPS $0x00, X4, X4
-	MOVSS  inv+28(FP), X5
-	SHUFPS $0x00, X5, X5
-	MOVQ gamma_base+32(FP), SI
-	MOVQ beta_base+56(FP), DX
-	XORQ BX, BX
-
-lnaloop:
-	CMPQ BX, CX
-	JGE  lnadone
-	MOVUPS (DI)(BX*4), X0
-	SUBPS  X4, X0
-	MULPS  X5, X0
-	MOVUPS (SI)(BX*4), X1
-	MULPS  X1, X0
-	MOVUPS (DX)(BX*4), X1
-	ADDPS  X1, X0
-	MOVUPS X0, (DI)(BX*4)
-	ADDQ   $4, BX
-	JMP    lnaloop
-
-lnadone:
 	RET
 
 // func rowMax4SSE2(x []float32, scale float32) float32

@@ -9,9 +9,7 @@ package nn
 // emitted as WORD-encoded aarch64 opcodes (fixed 4-byte instructions)
 // and pinned by disassembly; see the .s file header.
 
-var archTiers = []simdTier{
-	{level: SIMDNEON, supported: func() bool { return true }, apply: applyNEON},
-}
+var archTier = &simdTier{level: SIMDNEON, supported: func() bool { return true }, apply: applyNEON}
 
 func applyNEON(ks *kernelSet) {
 	ks.dot = dotRows32NEON

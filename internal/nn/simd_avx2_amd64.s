@@ -99,9 +99,12 @@ adrdone:
 
 // func quantRowAVX2(q []int16, x []float32) float32
 //
-// quantRowSSE2 widened: 8-wide maxabs scan, 16-wide quantize loop
-// (two VCVTPS2DQ round-half-even conversions, VPACKSSDW per-lane pack,
-// VPERMQ $0xD8 lane fix), scalar CVTSS2SL tail after VZEROUPPER.
+// Symmetric int16 quantization of one activation row: an 8-wide
+// maxabs scan, then q = round(x · 32767/maxabs) in a 16-wide loop (two
+// VCVTPS2DQ round-half-even conversions, VPACKSSDW per-lane pack,
+// VPERMQ $0xD8 lane fix), a scalar CVTSS2SL tail after VZEROUPPER, the
+// q[len(x):] padding tail zeroed, and maxabs/32767 returned as the
+// row's dequantization scale. A zero row zeroes q and returns 0.
 // Same half-even tie rounding as the vector body, so the tier is
 // internally consistent; cross-tier bit equality is not the contract.
 TEXT ·quantRowAVX2(SB), NOSPLIT, $0-52
@@ -228,8 +231,10 @@ aqret:
 	MOVSS X0, ret+48(FP)
 	RET
 
-// Broadcast constant table for gelu8 — the same float32 bit patterns
-// as the SSE2 gelu<> table, widened to 32 bytes per entry.
+// Broadcast constant table for gelu8 — the float32 bit patterns of the
+// exact constants the scalar GELU/tanh32/exp32 path uses, 32 bytes per
+// entry, so the packed lanes compute the same IEEE single-precision
+// operation sequence as the scalar code.
 DATA gelu8<>+0x000(SB)/8, $0x3d3727133d372713 // 0.044715
 DATA gelu8<>+0x008(SB)/8, $0x3d3727133d372713
 DATA gelu8<>+0x010(SB)/8, $0x3d3727133d372713
@@ -298,12 +303,16 @@ GLOBL gelu8<>(SB), RODATA|NOPTR, $512
 
 // func gelu8AVX2(dst, x []float32)
 //
-// gelu4SSE2 widened to eight lanes: the identical IEEE operation
-// sequence in 3-operand AVX form. Deliberately NO FMA anywhere — the
-// contract is bit equality with the scalar
-// 0.5·v·(1+tanh32(c·(v+0.044715·v³))) at every lane, and FMA's fused
-// rounding would break it. len(x) must be a multiple of 8; dst may
-// alias x.
+// Tanh-approximated GELU over eight lanes at a time, replicating the
+// scalar 0.5·v·(1+tanh32(c·(v+0.044715·v³))) operation-for-operation
+// in packed IEEE single arithmetic: exp32's exponent/polynomial split
+// runs packed (floor via truncate-and-adjust — the z<n compare maps to
+// a signed-int compare of the negated floats, both ≥0 since the tanh
+// argument is ≤0), and the |x|≥9 saturation lanes are blended to ±1,
+// which also discards the garbage lanes where 2^n under/overflows.
+// Deliberately NO FMA anywhere — the contract is bit equality with the
+// scalar formula at every lane, and FMA's fused rounding would break
+// it. len(x) must be a multiple of 8; dst may alias x.
 TEXT ·gelu8AVX2(SB), NOSPLIT, $0-48
 	MOVQ dst_base+0(FP), DI
 	MOVQ x_base+24(FP), SI

@@ -5,6 +5,6 @@ package nn
 // Architectures without assembly kernels run the portable reference
 // tier only; the dispatch machinery still works (SetSIMD(SIMDGeneric)
 // is valid) so cross-platform code can use the same knobs, and
-// forcing sse2/avx2/neon fails with an error naming this arch.
+// forcing avx2/neon fails with an error naming this arch.
 
-var archTiers []simdTier
+var archTier *simdTier

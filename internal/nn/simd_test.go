@@ -3,6 +3,9 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -24,8 +27,36 @@ func forEachSIMDLevel(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
+// sse2Bodies, set on amd64 (cpu_amd64_test.go), installs the five
+// SSE2-encoded 4-lane bodies of the avx2-fma tier (i8Rows, i8Rows4,
+// expRow, rowMax, vscale) and nothing else.
+var sse2Bodies func(*kernelSet)
+
+// forEachKernelSet is forEachSIMDLevel plus, on amd64, an "sse2"
+// subtest that dispatches the reference set overlaid with only the
+// SSE2-encoded bodies, reporting avx2-fma (the tier they belong to):
+// they are checked apart from the 8-wide AVX2 ones, and on every amd64
+// host, with AVX2 or without. The SSE2 and AVX2 bodies share no entry
+// point, so each test holds both to the same contract as the whole
+// tier.
+func forEachKernelSet(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	forEachSIMDLevel(t, fn)
+	if sse2Bodies == nil {
+		return
+	}
+	defer SetSIMDAuto()
+	t.Run("sse2", func(t *testing.T) {
+		ks := refKernelSet()
+		sse2Bodies(ks)
+		ks.level = SIMDAVX2
+		activeKernels.Store(ks)
+		fn(t)
+	})
+}
+
 func TestParseSIMDRoundTrip(t *testing.T) {
-	for _, l := range []SIMDLevel{SIMDGeneric, SIMDSSE2, SIMDAVX2, SIMDNEON} {
+	for _, l := range []SIMDLevel{SIMDGeneric, SIMDAVX2, SIMDNEON} {
 		got, err := ParseSIMD(l.String())
 		if err != nil || got != l {
 			t.Errorf("ParseSIMD(%q) = %v, %v; want %v", l.String(), got, err, l)
@@ -37,6 +68,35 @@ func TestParseSIMDRoundTrip(t *testing.T) {
 	for _, bad := range []string{"", "sse4", "avx512", "AVX2"} {
 		if _, err := ParseSIMD(bad); err == nil {
 			t.Errorf("ParseSIMD(%q) accepted; want error", bad)
+		}
+	}
+}
+
+// TestRetiredSSE2LevelRefused pins that the removed amd64 sse2 tier is
+// a loud error, never a silent remap: ParseSIMD rejects it, its old
+// gauge code 1 is not a level, and a process booted with NER_SIMD=sse2
+// exits non-zero naming sse2 and the levels this host supports.
+func TestRetiredSSE2LevelRefused(t *testing.T) {
+	if _, err := ParseSIMD("sse2"); err == nil {
+		t.Fatal("ParseSIMD(sse2) accepted; want error")
+	}
+	if err := SetSIMD(SIMDLevel(1)); err == nil {
+		SetSIMDAuto()
+		t.Fatal("SetSIMD(1) accepted the retired sse2 code")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "NER_SIMD=sse2")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("NER_SIMD=sse2 booted; output:\n%s", out)
+	}
+	want := []string{"sse2"}
+	for _, l := range SupportedSIMDLevels() {
+		want = append(want, l.String())
+	}
+	for _, w := range want {
+		if !strings.Contains(string(out), w) {
+			t.Fatalf("NER_SIMD=sse2 error does not name %q:\n%s", w, out)
 		}
 	}
 }
@@ -119,7 +179,7 @@ func TestGEMMTilingBitIdentity(t *testing.T) {
 		{32, 64, 128}, // rows ≥ workers
 	}
 	defer SetMatMulWorkers(0)
-	forEachSIMDLevel(t, func(t *testing.T) {
+	forEachKernelSet(t, func(t *testing.T) {
 		rng := NewRNG(59)
 		for _, sh := range shapes {
 			d := NewDense("t", sh.in, sh.out, rng)

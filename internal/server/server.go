@@ -249,11 +249,11 @@ type StatuszResponse struct {
 	Candidates int    `json:"candidates"`
 	Precision  string `json:"precision"`
 	// GOARCH names the architecture so dashboards can tell an amd64
-	// fleet member (sse2/avx2-fma tiers) from an arm64 one (neon).
-	// SIMD is the dispatched kernel tier (generic, sse2, avx2-fma,
-	// neon); SIMDBest is the highest tier this CPU supports — they
-	// differ when an operator pinned a lower tier via NER_SIMD.
-	// SIMDSupported lists every tier this arch can run.
+	// fleet member (avx2-fma tier) from an arm64 one (neon). SIMD is
+	// the dispatched kernel tier (generic, avx2-fma, neon); SIMDBest is
+	// the architecture's vector tier when this CPU runs it, generic
+	// otherwise — they differ when an operator pinned generic via
+	// NER_SIMD. SIMDSupported lists every tier this host can run.
 	GOARCH        string   `json:"goarch"`
 	SIMD          string   `json:"simd"`
 	SIMDBest      string   `json:"simd_best"`
