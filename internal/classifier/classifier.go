@@ -119,17 +119,6 @@ func (c *Classifier) poolInfer(embs [][]float64) []float64 {
 	return global
 }
 
-// GlobalEmbedding returns the pooled global candidate embedding
-// (eqs. 6–8) for a cluster's local mention embeddings. Returns a zero
-// vector for an empty cluster. Safe for concurrent use on a trained
-// classifier.
-func (c *Classifier) GlobalEmbedding(embs [][]float64) []float64 {
-	if len(embs) == 0 {
-		return make([]float64, c.dim)
-	}
-	return c.poolInfer(embs)
-}
-
 // Classify pools the cluster and returns the predicted class together
 // with the class probability vector (index order: None, PER, LOC, ORG,
 // MISC). Safe for concurrent use on a trained classifier.

@@ -8,27 +8,6 @@ import (
 	"nerglobalizer/internal/types"
 )
 
-func TestGlobalEmbeddingIsConvexCombination(t *testing.T) {
-	c := New(3, 1)
-	embs := [][]float64{{1, 0, 0}, {0, 1, 0}}
-	g := c.GlobalEmbedding(embs)
-	// g = w1·e1 + w2·e2 with w1+w2 = 1, w positive: components along
-	// each axis equal the weights.
-	if g[0] <= 0 || g[1] <= 0 || math.Abs(g[0]+g[1]-1) > 1e-9 || g[2] != 0 {
-		t.Fatalf("GlobalEmbedding = %v", g)
-	}
-}
-
-func TestGlobalEmbeddingEmptyCluster(t *testing.T) {
-	c := New(3, 1)
-	g := c.GlobalEmbedding(nil)
-	for _, v := range g {
-		if v != 0 {
-			t.Fatal("empty cluster should pool to zero")
-		}
-	}
-}
-
 func TestClassifyEmptyClusterIsNone(t *testing.T) {
 	c := New(3, 1)
 	et, probs := c.Classify(nil)

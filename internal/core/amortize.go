@@ -59,44 +59,42 @@ type sentRow struct {
 	// the vectors — so one embedding is computed per mention ever, no
 	// matter how many cycles re-visit its surface form.
 	embeds map[types.Span][]float64
-	// state32 is the float32-grade re-embed of the sentence's tokens the
-	// i8 tier pools mention embeddings from (see mentionStates).
-	state32 *nn.Matrix
 }
 
 // mentionStates returns the token states mention embeddings pool over
-// (eqs. 1–2) for the sentence at one stream position. At f64 and f32
-// these are the local-phase encoder outputs stored on the record. At i8
-// the sentence is lazily re-embedded at f32: quantized weights shift
-// mention embeddings by ~1.5e-2 in cosine distance, far above the
-// ~1e-4 near-tie margins that decide average-linkage merge order, so
-// clustering — and with it candidate identity — would diverge from
-// the exact path. Re-embedding only the mentioned sentences keeps the
-// tagging hot path fully quantized while the global phase sees
-// f32-grade geometry. With caching on a sentence is re-embedded once
-// ever; with caching off it is recomputed per mention, like every
-// other cache-off computation.
+// (eqs. 1–2) for the sentence at one stream position, at the pooling
+// tier: the running cycle's tag result when applyTagged kept it, else a
+// re-embed, kept too. The cycle's tail clears both, so token states
+// live one cycle on every path. A re-embed is bit-identical to the tag
+// result it stands in for: a sentence's encoder output does not depend
+// on what it is batched with (TestInferBatchIdentityAcrossCompositions).
 func (g *Globalizer) mentionStates(pos int) *nn.Matrix {
-	rec := g.tweetBase.At(pos)
-	if g.prec != nn.I8 {
-		return rec.Embeddings
-	}
-	if g.uncached {
-		return g.Tagger.Embed(rec.Sentence.Tokens, nn.F32)
-	}
-	a := g.amort
-	a.mu.RLock()
-	v := a.rows[pos].state32
-	a.mu.RUnlock()
+	g.statesMu.Lock()
+	v := g.states[pos]
+	g.statesMu.Unlock()
 	if v == nil {
-		// Concurrent first computations of one row are benign: both
+		// Concurrent first computations of one position are benign: both
 		// produce identical matrices.
-		v = g.Tagger.Embed(rec.Sentence.Tokens, nn.F32)
-		a.mu.Lock()
-		a.rows[pos].state32 = v
-		a.mu.Unlock()
+		v = g.Tagger.Embed(g.tweetBase.At(pos).Sentence.Tokens, g.poolTier())
+		g.statesMu.Lock()
+		g.states[pos] = v
+		g.statesMu.Unlock()
 	}
 	return v
+}
+
+// poolTier is the tier mention embeddings pool token states from: the
+// engine's, or f32 at i8. Quantized weights shift mention embeddings by
+// ~1.5e-2 in cosine distance, far above the ~1e-4 near-tie margins that
+// decide average-linkage merge order, so clustering — and with it
+// candidate identity — would diverge from the exact path. Re-embedding
+// only the mentioned sentences keeps the tagging hot path fully
+// quantized while the global phase sees f32-grade geometry.
+func (g *Globalizer) poolTier() nn.Precision {
+	if g.prec == nn.I8 {
+		return nn.F32
+	}
+	return g.prec
 }
 
 // embedMention returns the local mention embedding, computing and
@@ -206,8 +204,8 @@ type amortStats struct {
 // of the stream state by Globalizer.Reset.
 type amortizer struct {
 	// mu guards what the per-surface workers of one cycle write side by
-	// side: every row's embeds and state32, and track.embeds. All else
-	// is written by the cycle's serial body alone.
+	// side: every row's embeds, and track.embeds. All else is written
+	// by the cycle's serial body alone.
 	mu sync.RWMutex
 	// rows holds one entry per TweetBase position, grown wherever records
 	// are added (applyTagged, RestoreWarmState).

@@ -24,6 +24,7 @@ import (
 // isolates exactly that difference.
 func (g *Globalizer) RunEMDGlobalizer(sents []*types.Sentence) map[types.SentenceKey][]types.Entity {
 	g.Reset()
+	defer clear(g.states)
 	tr := g.o.beginCycle(g.tweetBase.Len())
 	t0 := g.o.now()
 	for _, batch := range stream.Batches(sents, g.cfg.BatchSize) {

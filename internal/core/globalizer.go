@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"nerglobalizer/internal/classifier"
@@ -81,6 +82,10 @@ type Globalizer struct {
 	// amort carries the cross-cycle caches of the continuous execution
 	// setup (embeddings, scans, surface outcomes); see amortize.go.
 	amort *amortizer
+	// states holds the running cycle's token states by stream position
+	// (see mentionStates); every cycle body clears it at its tail.
+	states   map[int]*nn.Matrix
+	statesMu sync.Mutex
 	// uncached routes every cycle through the scratch globalPhase
 	// instead of the amortizer — the oracle the package's identity
 	// tests compare the amortized path against (see setCaching).
@@ -326,6 +331,7 @@ func (g *Globalizer) Reset() {
 	g.tweetBase = stream.NewTweetBase()
 	g.candBase = stream.NewCandidateBase()
 	g.amort = newAmortizer()
+	g.states = make(map[int]*nn.Matrix)
 }
 
 // setCaching toggles the cross-cycle amortization layer; only the
@@ -361,6 +367,7 @@ type RunResult struct {
 // stream state. Run resets per-stream state first.
 func (g *Globalizer) Run(sents []*types.Sentence, mode Mode) *RunResult {
 	g.Reset()
+	defer clear(g.states)
 	res := &RunResult{}
 	tr := g.o.beginCycle(g.tweetBase.Len())
 	t0 := g.o.now()
@@ -434,6 +441,7 @@ func (g *Globalizer) ProcessTagged(batch []*types.Sentence, tagged []*localner.R
 // an ablation mode — like every cycle with caching off — recomputes the
 // global phase from scratch.
 func (g *Globalizer) runCycle(batch []*types.Sentence, tagged []*localner.Result, mode Mode) {
+	defer clear(g.states)
 	tr := g.o.beginCycle(g.tweetBase.Len())
 	t0 := g.o.now()
 	var newSurfaces [][]string
@@ -502,7 +510,8 @@ func (g *Globalizer) localPhase(batch []*types.Sentence, tr *obs.Trace) [][]stri
 // applyTagged replays tag results into the stream state (TweetBase
 // records, CTrie seeding) in batch order — the serial half of the
 // local phase, shared by the cycle that tags its own batch and the one
-// handed results tagged ahead (a fleet shard's).
+// handed results tagged ahead (a fleet shard's). The cycle, not the
+// record, keeps a result's token states, if they are at the pooling tier.
 func (g *Globalizer) applyTagged(batch []*types.Sentence, results []*localner.Result, tr *obs.Trace, t0 time.Time) [][]string {
 	var newSurfaces [][]string
 	for i, s := range batch {
@@ -513,8 +522,10 @@ func (g *Globalizer) applyTagged(batch []*types.Sentence, results []*localner.Re
 		g.tweetBase.Add(&stream.Record{
 			Sentence:      s,
 			LocalEntities: r.Entities,
-			Embeddings:    r.Embeddings,
 		})
+		if g.prec == g.poolTier() {
+			g.states[g.tweetBase.IndexOf(s.Key())] = r.Embeddings
+		}
 		// Per record, not per batch: a key the batch itself repeats is
 		// replaced at a position the batch added.
 		g.amort.grow(g.tweetBase.Len())
@@ -727,13 +738,13 @@ func (g *Globalizer) classifyEachMention(surface string, ms []types.Mention, emb
 //
 // prev, when non-nil, is the surface's previous outcome, computed over
 // a pool whose first kept mentions (and their embeddings) are this
-// one's. A cluster's global embedding, type and confidence are pure
-// functions of its members, so a cluster prev already held — all its
-// members below kept, and exactly the members of the candidate prev
-// put the first of them in — keeps prev's candidate: the same pointer
-// when its id is unchanged, a copy under the new id otherwise. Only the
-// clusters the new mentions reshaped are pooled and classified. The
-// scratch path passes nil and computes every cluster.
+// one's. A cluster's type and confidence are pure functions of its
+// members, so a cluster prev already held — all its members below kept,
+// and exactly the members of the candidate prev put the first of them
+// in — keeps prev's candidate: the same pointer when its id is
+// unchanged, a copy under the new id otherwise. Only the clusters the
+// new mentions reshaped are classified. The scratch path passes nil and
+// computes every cluster.
 func (g *Globalizer) outcomeFromEmbeddings(surface string, ms []types.Mention, embs [][]float64, clustering cluster.Result, prev *surfaceOutcome, kept int) surfaceOutcome {
 	members := membersOf(clustering)
 	oc := surfaceOutcome{
@@ -762,13 +773,6 @@ func (g *Globalizer) outcomeFromEmbeddings(surface string, ms []types.Mention, e
 		}
 		for j, i := range idxs {
 			cand.Mentions[j], cand.Embs[j] = ms[i], embs[i]
-		}
-		tp := g.o.now()
-		cand.GlobalEmb = g.Classifier.GlobalEmbedding(cand.Embs)
-		if g.o != nil {
-			// Attention pooling (eq. 6) separated from the ensemble
-			// decision timed inside decideClusterType.
-			g.o.stagePool.Observe(time.Since(tp).Seconds())
 		}
 		cand.Type, cand.Confidence = g.decideClusterType(cand.Mentions, cand.Embs)
 		oc.cands[cid] = cand

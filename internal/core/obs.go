@@ -19,8 +19,8 @@ import (
 // Stage metrics map onto the paper's pipeline stages: Local NER
 // tagging (stage_local), CTrie mention re-mining (stage_extract),
 // phrase embedding (stage_embed), agglomerative clustering
-// (stage_cluster), attention pooling (stage_pool), and cluster
-// classification (stage_classify). Wall-clock stages observe once per
+// (stage_cluster), and cluster classification with its attention
+// pooling (stage_classify). Wall-clock stages observe once per
 // cycle; fan-out stages observe once per work unit (surface form in
 // the batch engines, cycle in the incremental engine), so sums are
 // busy time across workers.
@@ -38,7 +38,6 @@ type pipeObs struct {
 	stageSurfaces *obs.Histogram
 	stageEmbed    *obs.Histogram
 	stageCluster  *obs.Histogram
-	stagePool     *obs.Histogram
 	stageClassify *obs.Histogram
 
 	sentencesTagged    *obs.Counter
@@ -98,7 +97,6 @@ func newPipeObs(reg *obs.Registry) *pipeObs {
 		stageSurfaces: reg.Histogram("ner_stage_surfaces_seconds", "surface fan-out (embed+cluster+classify) wall time per cycle", nil),
 		stageEmbed:    reg.Histogram("ner_stage_embed_seconds", "phrase embedding busy time per work unit", nil),
 		stageCluster:  reg.Histogram("ner_stage_cluster_seconds", "agglomerative clustering busy time per surface form", nil),
-		stagePool:     reg.Histogram("ner_stage_pool_seconds", "attention pooling busy time per candidate cluster", nil),
 		stageClassify: reg.Histogram("ner_stage_classify_seconds", "cluster classification busy time per decision", nil),
 
 		sentencesTagged:    reg.Counter("ner_sentences_tagged_total", "sentences run through Local NER tagging"),

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/stream"
 	"nerglobalizer/internal/types"
 )
@@ -25,9 +24,10 @@ import (
 // Capture is synchronous: every map is flattened into slices under the
 // caller's lock, so the returned WarmState can be encoded to disk
 // concurrently with later cycles. Leaf slices alias live engine data —
-// token slices, embedding vectors and record matrices are immutable
-// once published, and mention pools only ever grow in place or are
-// replaced wholesale, so a captured slice header keeps its bytes.
+// token slices and embedding vectors are immutable once published, and
+// mention pools only ever grow in place or are replaced wholesale, so a
+// captured slice header keeps its bytes. Token states are not captured:
+// they live one cycle (see mentionStates).
 
 // RecordState is one TweetBase record in serializable form.
 type RecordState struct {
@@ -35,7 +35,6 @@ type RecordState struct {
 	Tokens          []string
 	Gold            []types.Entity
 	Local           []types.Entity
-	Emb             *nn.Matrix
 	Final           []types.Mention
 }
 
@@ -57,7 +56,6 @@ type MentionEmbed struct {
 type CandState struct {
 	ClusterID int
 	Members   []int
-	GlobalEmb []float64
 	Type      types.EntityType
 	Conf      float64
 }
@@ -127,7 +125,6 @@ func recordState(r *stream.Record) RecordState {
 		Tokens:  r.Sentence.Tokens,
 		Gold:    r.Sentence.Gold,
 		Local:   r.LocalEntities,
-		Emb:     r.Embeddings,
 		Final:   r.FinalMentions,
 	}
 }
@@ -151,7 +148,6 @@ func candStates(oc *surfaceOutcome) []CandState {
 		out[i] = CandState{
 			ClusterID: cand.ClusterID,
 			Members:   oc.members[i],
-			GlobalEmb: cand.GlobalEmb,
 			Type:      cand.Type,
 			Conf:      cand.Confidence,
 		}
@@ -229,8 +225,8 @@ type SurfaceDelta struct {
 
 // WarmDelta is what changed in the per-stream state between two
 // captures, in the same flat form as WarmState: the records appended,
-// and every older part a cycle rewrote, whole. Everything else — token
-// embeddings, cached mention embeddings, untouched scans, pools and
+// and every older part a cycle rewrote, whole. Everything else — the
+// older records, cached mention embeddings, untouched scans, pools and
 // outcomes — is immutable once captured and stays in the state the
 // delta extends. (*WarmState).Apply merges a delta back.
 type WarmDelta struct {
@@ -497,6 +493,7 @@ func (g *Globalizer) RestoreWarmState(ws *WarmState) error {
 			ws.ShardIndex, ws.ShardCount, g.shardIndex, g.shardCount)
 	}
 	g.Reset()
+	defer clear(g.states) // what the restore re-embeds, like a cycle
 	for _, s := range ws.Surfaces {
 		g.trie.InsertSurface(s)
 	}
@@ -509,7 +506,6 @@ func (g *Globalizer) RestoreWarmState(ws *WarmState) error {
 		g.tweetBase.Add(&stream.Record{
 			Sentence:      sent,
 			LocalEntities: rs.Local,
-			Embeddings:    rs.Emb,
 			FinalMentions: rs.Final,
 		})
 	}
@@ -625,7 +621,6 @@ func restoredOutcome(st *SurfaceState, embs [][]float64) (surfaceOutcome, error)
 			ClusterID:  cs.ClusterID,
 			Mentions:   make([]types.Mention, len(cs.Members)),
 			Embs:       make([][]float64, len(cs.Members)),
-			GlobalEmb:  cs.GlobalEmb,
 			Type:       cs.Type,
 			Confidence: cs.Conf,
 		}

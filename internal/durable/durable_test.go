@@ -2,6 +2,8 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,7 +15,6 @@ import (
 
 	"nerglobalizer/internal/binenc"
 	"nerglobalizer/internal/core"
-	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/transformer"
 	"nerglobalizer/internal/types"
@@ -224,10 +225,6 @@ func TestWALRotationAndCompaction(t *testing.T) {
 }
 
 func sampleWarmState() *core.WarmState {
-	m := nn.NewMatrix(2, 3)
-	for i := range m.Data {
-		m.Data[i] = float64(i) * 0.25
-	}
 	key := types.SentenceKey{TweetID: 1, SentID: 0}
 	return &core.WarmState{
 		Precision:  "f64",
@@ -238,7 +235,6 @@ func sampleWarmState() *core.WarmState {
 			TweetID: 1, SentID: 0,
 			Tokens: []string{"obama", "in", "paris"},
 			Local:  []types.Entity{{Span: types.Span{Start: 0, End: 1}, Type: types.Person}},
-			Emb:    m,
 			Final: []types.Mention{{
 				Key: key, Span: types.Span{Start: 0, End: 1},
 				Surface: "obama", Type: types.Person, FromLocalNER: true,
@@ -254,8 +250,7 @@ func sampleWarmState() *core.WarmState {
 				{Surface: "obama",
 					Pool: []types.Mention{{Key: key, Span: types.Span{Start: 0, End: 1}, Surface: "obama", Type: types.Person, FromLocalNER: true}},
 					Cands: []core.CandState{{
-						ClusterID: 0, Members: []int{0},
-						GlobalEmb: []float64{0.5, -0.5}, Type: types.Person, Conf: 0.93,
+						ClusterID: 0, Members: []int{0}, Type: types.Person, Conf: 0.93,
 					}},
 				},
 				{Surface: "paris", Pool: []types.Mention{{Key: key, Span: types.Span{Start: 2, End: 3}, Surface: "paris"}}, Skip: true},
@@ -707,12 +702,11 @@ func TestSnapshotWriterDeathFallsBack(t *testing.T) {
 func sampleWarmDelta() *core.WarmDelta {
 	key := types.SentenceKey{TweetID: 2, SentID: 0}
 	men := types.Mention{Key: key, Span: types.Span{Start: 1, End: 2}, Surface: "obama"}
-	m := nn.NewMatrix(2, 3)
 	return &core.WarmDelta{
 		BaseRecords: 1,
 		Surfaces:    []string{"rome"},
 		Records: []core.RecordState{{
-			TweetID: 2, SentID: 0, Tokens: []string{"hi", "obama"}, Emb: m,
+			TweetID: 2, SentID: 0, Tokens: []string{"hi", "obama"},
 			Final: []types.Mention{men},
 		}},
 		Finals:     []core.ScanState{{Key: types.SentenceKey{TweetID: 1}, Mentions: nil}},
@@ -720,7 +714,7 @@ func sampleWarmDelta() *core.WarmDelta {
 		Scans: []core.ScanState{{Key: key, Mentions: []types.Mention{men}}},
 		Pools: []core.SurfaceDelta{{
 			Surface: "obama", PoolFrom: 1, Pool: []types.Mention{men},
-			Cands: []core.CandState{{ClusterID: 0, Members: []int{0, 1}, GlobalEmb: []float64{0.25, 0.75}, Type: types.Person, Conf: 0.9}},
+			Cands: []core.CandState{{ClusterID: 0, Members: []int{0, 1}, Type: types.Person, Conf: 0.9}},
 		}},
 		Deleted: []string{"paris"},
 		Embeds:  []core.MentionEmbed{{Key: key, Span: types.Span{Start: 1, End: 2}, Vec: []float64{4, 5, 6}}},
@@ -761,11 +755,14 @@ func payload(s *Snapshot) []byte {
 // in, followed by exactly the in-memory encoding.
 func TestSnapshotStreamsInChunks(t *testing.T) {
 	ws := sampleWarmState()
-	big := nn.NewMatrix(700, 1000) // 5.6 MB of floats: more than one chunk
-	for i := range big.Data {
-		big.Data[i] = float64(i%977) * 0.5
+	// 2,000 records of 40 64-byte tokens: 5.3 MB, more than one chunk.
+	for i := 0; i < 2000; i++ {
+		toks := make([]string, 40)
+		for j := range toks {
+			toks[j] = strings.Repeat(string(rune('a'+(i+j)%26)), 64)
+		}
+		ws.Records = append(ws.Records, core.RecordState{TweetID: 2 + i, Tokens: toks})
 	}
-	ws.Records[0].Emb = big
 	snap := &Snapshot{Kind: KindSingle, Seq: 9, NextID: 4, Warm: ws}
 	dir := t.TempDir()
 	size, err := WriteSnapshot(dir, snap)
@@ -1138,6 +1135,41 @@ func TestChainRuleBaseOrDelta(t *testing.T) {
 	}
 }
 
+// TestSnapshotVersionGate pins which snapshot versions load: this
+// build writes version 3 and reads 2 and 3 through one decoder (a
+// version-3 payload is a version-2 payload with the retired slots
+// empty); version 1 and anything past 3 are refused by name.
+func TestSnapshotVersionGate(t *testing.T) {
+	dir := t.TempDir()
+	want := &Snapshot{Kind: KindSingle, Seq: 10, NextID: 4, Warm: sampleWarmState()}
+	if _, err := WriteSnapshot(dir, want); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapshotName(10))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(b[8:]); v != 3 {
+		t.Fatalf("wrote snapshot version %d, want 3", v)
+	}
+	for _, v := range []uint32{1, 2, 3, 4} {
+		binary.LittleEndian.PutUint32(b[8:], v)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readSnapshot(path)
+		switch {
+		case v == 2 || v == 3:
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("version %d: decoded %+v, %v", v, got, err)
+			}
+		case err == nil || !strings.Contains(err.Error(), fmt.Sprintf("snapshot version %d", v)):
+			t.Fatalf("version %d: got %v, want a snapshot version error", v, err)
+		}
+	}
+}
+
 // FuzzSnapshotDecode feeds the snapshot payload decoder arbitrary
 // bytes: it must return a snapshot or an error, never panic or hang,
 // and whatever decodes must re-encode to something that decodes again.
@@ -1146,7 +1178,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(payload(s))
 	}
 	f.Add(parentRouterPayload(&Snapshot{Kind: KindRouter, Seq: 5, NextID: 7}, []CycleSentence{{TweetID: 1, Tokens: []string{"a", "b"}}}))
-	f.Add(wrappedShapePayload())
+	f.Add(parentMatrixPayload(snapshotSeeds()[0], 2, 3, []float64{0, 0.25, 0.5, 0.75, 1, 1.25}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := decodeSnapshotPayload(b)
 		if err != nil {
@@ -1169,14 +1201,6 @@ func snapshotSeeds() []*Snapshot {
 	}
 }
 
-// wrappedShapePayload is a base whose one record claims a 2^62 x 4
-// embedding matrix and carries no values: the product wraps to 0.
-func wrappedShapePayload() []byte {
-	ws := sampleWarmState()
-	ws.Records[0].Emb = &nn.Matrix{Rows: 1 << 62, Cols: 4}
-	return payload(&Snapshot{Kind: KindSingle, Seq: 10, Warm: ws})
-}
-
 // parentRouterPayload is a router snapshot payload as builds before the
 // router stopped holding the stream wrote it: the trailing sentence list
 // populated instead of empty.
@@ -1187,7 +1211,30 @@ func parentRouterPayload(s *Snapshot, sents []CycleSentence) []byte {
 	return w.Buf
 }
 
-// TestSnapshotDecodeMutationsNeverPanic truncates and corrupts the v2
+// parentMatrixPayload is the payload of a base as builds before token
+// states left the format wrote it: its first record's token-matrix
+// slot, which now stays absent, holds a rows x cols shape over data.
+func parentMatrixPayload(s *Snapshot, rows, cols int, data []float64) []byte {
+	full := payload(s)
+	rs := &s.Warm.Records[0]
+	rec := &binenc.Writer{}
+	putRecordState(rec, rs)
+	head := &binenc.Writer{} // the record's fields before the slot
+	head.I64(rs.TweetID)
+	head.I64(rs.SentID)
+	head.Strs(rs.Tokens)
+	putEntities(head, rs.Gold)
+	putEntities(head, rs.Local)
+	slot := bytes.Index(full, rec.Buf) + len(head.Buf)
+	m := &binenc.Writer{Buf: append([]byte{}, full[:slot]...)}
+	m.U8(1)
+	m.I64(rows)
+	m.I64(cols)
+	m.Floats(data)
+	return append(m.Buf, full[slot+1:]...)
+}
+
+// TestSnapshotDecodeMutationsNeverPanic truncates and corrupts the
 // payload of a base, a delta and a router snapshot at every byte.
 func TestSnapshotDecodeMutationsNeverPanic(t *testing.T) {
 	for _, s := range snapshotSeeds() {
@@ -1224,11 +1271,22 @@ func TestSnapshotDecodeMutationsNeverPanic(t *testing.T) {
 			t.Fatalf("router payload cut inside its sentence list at %d bytes decoded without error", n)
 		}
 	}
-	// A matrix whose rows*cols wraps around to its value count is a shape
-	// error, not a matrix the first pooled mention indexes out of.
-	if s, err := decodeSnapshotPayload(wrappedShapePayload()); err == nil {
-		m := s.Warm.Records[0].Emb
-		t.Fatalf("a %dx%d matrix backed by %d values decoded", m.Rows, m.Cols, len(m.Data))
+	// A record that still carries its token matrix loads without it;
+	// cut short anywhere, the payload is refused.
+	base := snapshotSeeds()[0]
+	old = parentMatrixPayload(base, 2, 3, []float64{0, 0.25, 0.5, 0.75, 1, 1.25})
+	if got, err := decodeSnapshotPayload(old); err != nil || !reflect.DeepEqual(base, got) {
+		t.Fatalf("base payload with a token matrix decoded to %+v, %v", got, err)
+	}
+	for n := 0; n < len(old); n++ {
+		if _, err := decodeSnapshotPayload(old[:n]); err == nil {
+			t.Fatalf("base payload with a token matrix cut to %d bytes decoded without error", n)
+		}
+	}
+	// The slot is retired but still checked: a matrix whose rows*cols
+	// wraps around to its value count is a shape error.
+	if _, err := decodeSnapshotPayload(parentMatrixPayload(base, 1<<62, 4, nil)); err == nil {
+		t.Fatal("a 2^62x4 matrix backed by no values decoded")
 	}
 	// A delta must name what it extends, a base must not.
 	bad := &Snapshot{Kind: KindSingle, Seq: 20, Delta: sampleWarmDelta()}
@@ -1241,11 +1299,13 @@ func TestSnapshotDecodeMutationsNeverPanic(t *testing.T) {
 	}
 }
 
-// TestParentFormatReencodesByteForByte pins the on-disk formats across
-// the move of the codec primitives into internal/binenc: the snapshot
-// chain (a base and two deltas) and the WAL segment under
-// testdata/parent_v2 were written by the commit before the move, and
-// each must decode and re-encode to exactly the bytes on disk.
+// TestParentFormatReencodesByteForByte pins the on-disk formats the
+// commit before the codec primitives moved into internal/binenc wrote
+// under testdata/parent_v2: a snapshot chain (a base and two deltas) in
+// version 2 and a WAL segment. Each snapshot must decode, re-encode as
+// version 3 (no token matrices, no global embeddings) and decode from
+// that to the state the parent's file held; the WAL segment must
+// re-encode to exactly the bytes on disk.
 func TestParentFormatReencodesByteForByte(t *testing.T) {
 	const dir = "testdata/parent_v2"
 	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
@@ -1254,9 +1314,12 @@ func TestParentFormatReencodesByteForByte(t *testing.T) {
 	}
 	deltas := 0
 	for _, path := range snaps {
-		want, err := os.ReadFile(path)
+		parent, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint32(parent[8:]); v != 2 {
+			t.Fatalf("%s: fixture is version %d, want 2", path, v)
 		}
 		s, err := readSnapshot(path)
 		if err != nil {
@@ -1269,12 +1332,21 @@ func TestParentFormatReencodesByteForByte(t *testing.T) {
 		if _, err := WriteSnapshot(out, s); err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(filepath.Join(out, snapshotName(s.Seq)))
+		rewritten := filepath.Join(out, snapshotName(s.Seq))
+		b, err := os.ReadFile(rewritten)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: re-encoded snapshot differs from the parent's bytes (%d vs %d bytes)", path, len(got), len(want))
+		if v := binary.LittleEndian.Uint32(b[8:]); v != snapVersion || len(b) >= len(parent) {
+			t.Fatalf("%s: re-encoded as version %d in %d bytes, want version %d in fewer than the parent's %d",
+				path, v, len(b), snapVersion, len(parent))
+		}
+		got, err := readSnapshot(rewritten)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, s) {
+			t.Fatalf("%s: the re-encoded snapshot decodes to a different state", path)
 		}
 	}
 	if deltas != 2 {

@@ -28,9 +28,10 @@ import (
 
 var snapMagic = [8]byte{'N', 'E', 'R', 'S', 'N', 'A', 'P', '1'}
 
-// snapVersion 2 added Prev and Delta; version 1 files (always whole
-// states) are rejected rather than read.
-const snapVersion = 2
+// snapVersion 3 retired the token-state slots (see warm.go); version 2,
+// which added Prev and Delta, reads through the same decoder. Version 1
+// files (always whole states) and later versions are rejected.
+const snapVersion = 3
 
 // Snapshot kinds: the three serving processes persist different state
 // shapes, and recovery refuses to load a data dir written by a
@@ -64,7 +65,7 @@ type Snapshot struct {
 	// Warm is the engine state of a base (single server, shard).
 	Warm *core.WarmState
 	// Delta is the engine state of a delta, relative to Prev's. What it
-	// leaves out is immutable once captured (token embeddings, cached
+	// leaves out is immutable once captured (older records, cached
 	// mention embeddings) or was not rewritten since.
 	Delta *core.WarmDelta
 	// Provenance is the Merkle chain's ground truth (single, shard): in
@@ -216,8 +217,8 @@ func readSnapshot(path string) (*Snapshot, error) {
 	if len(b) < 16 || string(b[:8]) != string(snapMagic[:]) {
 		return nil, fmt.Errorf("durable: %s: bad snapshot magic", filepath.Base(path))
 	}
-	if v := binary.LittleEndian.Uint32(b[8:]); v != snapVersion {
-		return nil, fmt.Errorf("durable: %s: snapshot version %d, want %d", filepath.Base(path), v, snapVersion)
+	if v := binary.LittleEndian.Uint32(b[8:]); v != 2 && v != snapVersion {
+		return nil, fmt.Errorf("durable: %s: snapshot version %d, want 2 or %d", filepath.Base(path), v, snapVersion)
 	}
 	sum := binary.LittleEndian.Uint32(b[12:])
 	payload := b[16:]

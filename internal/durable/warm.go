@@ -1,6 +1,8 @@
 // Binary codec for core.WarmState — the engine-state body of a
 // snapshot. Field order here is the format; any change needs a
-// snapshot version bump in snapshot.go.
+// snapshot version bump in snapshot.go. Since version 3 a record's token
+// matrix is written absent and a candidate's global embedding empty;
+// both slots are still read, checked and dropped, so version 2 decodes.
 package durable
 
 import (
@@ -8,7 +10,6 @@ import (
 
 	"nerglobalizer/internal/binenc"
 	"nerglobalizer/internal/core"
-	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/types"
 )
 
@@ -103,27 +104,16 @@ func getMentions(r *binenc.Reader) []types.Mention {
 	return out
 }
 
-func putMatrix(w *binenc.Writer, m *nn.Matrix) {
-	if m == nil {
-		w.U8(0)
+// skipMatrix reads a record's retired token-matrix slot, checking the
+// shape of a version-2 file's matrix and dropping its values.
+func skipMatrix(r *binenc.Reader) {
+	if r.U8() == 0 {
 		return
 	}
-	w.U8(1)
-	w.I64(m.Rows)
-	w.I64(m.Cols)
-	w.Floats(m.Data)
-}
-
-func getMatrix(r *binenc.Reader) *nn.Matrix {
-	if r.U8() == 0 {
-		return nil
+	rows, cols := r.I64(), r.I64()
+	if n := len(r.Floats()); r.Err == nil && !binenc.ShapeOK(rows, cols, n) {
+		r.Err = fmt.Errorf("durable: matrix shape %dx%d has %d values", rows, cols, n)
 	}
-	m := &nn.Matrix{Rows: r.I64(), Cols: r.I64()}
-	m.Data = r.Floats()
-	if r.Err == nil && !binenc.ShapeOK(m.Rows, m.Cols, len(m.Data)) {
-		r.Err = fmt.Errorf("durable: matrix shape %dx%d has %d values", m.Rows, m.Cols, len(m.Data))
-	}
-	return m
 }
 
 func putRecordState(w *binenc.Writer, rs *core.RecordState) {
@@ -132,7 +122,7 @@ func putRecordState(w *binenc.Writer, rs *core.RecordState) {
 	w.Strs(rs.Tokens)
 	putEntities(w, rs.Gold)
 	putEntities(w, rs.Local)
-	putMatrix(w, rs.Emb)
+	w.U8(0) // the retired token matrix, absent
 	putMentions(w, rs.Final)
 }
 
@@ -143,7 +133,7 @@ func getRecordState(r *binenc.Reader) core.RecordState {
 	rs.Tokens = r.Strs()
 	rs.Gold = getEntities(r)
 	rs.Local = getEntities(r)
-	rs.Emb = getMatrix(r)
+	skipMatrix(r)
 	rs.Final = getMentions(r)
 	return rs
 }
@@ -205,7 +195,7 @@ func putOutcome(w *binenc.Writer, skip bool, cands []core.CandState) {
 		cs := &cands[j]
 		w.I64(cs.ClusterID)
 		putInts(w, cs.Members)
-		w.Floats(cs.GlobalEmb)
+		w.Floats(nil) // the retired global embedding, empty
 		w.I64(int(cs.Type))
 		w.F64(cs.Conf)
 	}
@@ -219,7 +209,7 @@ func getOutcome(r *binenc.Reader) (skip bool, cands []core.CandState) {
 			cs := &cands[j]
 			cs.ClusterID = r.I64()
 			cs.Members = getInts(r)
-			cs.GlobalEmb = r.Floats()
+			r.Floats() // the retired global embedding
 			cs.Type = types.EntityType(r.I64())
 			cs.Conf = r.F64()
 		}

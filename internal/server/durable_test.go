@@ -101,7 +101,7 @@ func TestDurableRestartByteIdentical(t *testing.T) {
 		restartByteIdentical(t, durableTweets, durable.Options{SnapshotEvery: 2}, 1)
 	})
 	t.Run("chain", func(t *testing.T) {
-		restartByteIdentical(t, oneTweetGroups(streamTweets(98, 43)), durable.Options{SnapshotEvery: 4}, 4)
+		restartByteIdentical(t, oneTweetGroups(streamTweets(88, 43)), durable.Options{SnapshotEvery: 4}, 4)
 	})
 }
 

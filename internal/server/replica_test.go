@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -312,9 +313,11 @@ func writeParentStream(t *testing.T, dir string) {
 // TestParentSingleDataDir holds the single server to the bytes of the
 // build before the replica existed (testdata/parent_single, written by
 // that build's binary running writeParentStream): the same stream leaves
-// the same WAL segment and snapshot files, byte for byte, and the
-// parent's directory resumes here and serves /entities, /candidates and
-// the following /annotate replies as a server that never stopped.
+// the same WAL segment, byte for byte, and snapshot files that recover
+// to the same state — they are snapshot version 3 here, version 2 there
+// — and the parent's directory resumes here and serves /entities,
+// /candidates and the following /annotate replies as a server that
+// never stopped.
 func TestParentSingleDataDir(t *testing.T) {
 	const parent = "testdata/parent_single"
 	fresh := t.TempDir()
@@ -344,13 +347,14 @@ func TestParentSingleDataDir(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
+		if !strings.HasSuffix(name, ".snap") && !bytes.Equal(got, want) {
 			t.Fatalf("%s: %d bytes here differ from the parent's %d", name, len(got), len(want))
 		}
 		if err := os.WriteFile(filepath.Join(resumed, name), want, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	sameRecoveries(t, parent, fresh, files)
 
 	ref := New(trainedPipeline(t))
 	refTS := httptest.NewServer(ref.Handler())
@@ -386,6 +390,50 @@ func TestParentSingleDataDir(t *testing.T) {
 	for i, tweets := range parentStream[parentCycles:] {
 		if got := postAnnotate(t, ts.URL, tweets); got != want[i] {
 			t.Fatalf("request %d after resuming the parent's data dir\nwant: %s\ngot:  %s", i, want[i], got)
+		}
+	}
+}
+
+// sameRecoveries fails unless data dirs a and b, which hold the same
+// files, recover to the same state at every snapshot of their chain:
+// for each snapshot file in turn, copies of both holding the WAL and
+// the snapshots up to that one must open to equal recoveries. It
+// compares snapshots written in different format versions by what they
+// hold rather than by their bytes.
+func sameRecoveries(t *testing.T, a, b string, files []string) {
+	t.Helper()
+	var kept []string
+	for _, name := range files {
+		if !strings.HasSuffix(name, ".snap") {
+			kept = append(kept, name)
+		}
+	}
+	for _, snap := range files {
+		if !strings.HasSuffix(snap, ".snap") {
+			continue
+		}
+		kept = append(kept, snap)
+		var recs [2]*durable.Recovery
+		for i, dir := range []string{a, b} {
+			cp := t.TempDir()
+			for _, name := range kept {
+				buf, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(cp, name), buf, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l, rec, err := durable.Open(cp, durable.Options{}, nil)
+			if err != nil {
+				t.Fatalf("%s up to %s: %v", dir, snap, err)
+			}
+			l.Close()
+			recs[i] = rec
+		}
+		if !reflect.DeepEqual(recs[0], recs[1]) {
+			t.Fatalf("%s and %s recover to different states up to %s", a, b, snap)
 		}
 	}
 }

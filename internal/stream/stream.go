@@ -8,17 +8,16 @@ package stream
 import (
 	"sort"
 
-	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/types"
 )
 
 // Record is the TweetBase entry for one tweet sentence: the sentence
-// itself, what Local NER said about it, the cached entity-aware token
-// embeddings, and — after Global NER — the final verified mentions.
+// itself, what Local NER said about it, and — after Global NER — the
+// final verified mentions. Its entity-aware token embeddings live only
+// in the cycle that tagged it; a later cycle re-embeds the sentence.
 type Record struct {
 	Sentence      *types.Sentence
 	LocalEntities []types.Entity
-	Embeddings    *nn.Matrix
 	FinalMentions []types.Mention
 }
 
@@ -132,15 +131,15 @@ func Batches(sents []*types.Sentence, size int) [][]*types.Sentence {
 }
 
 // Candidate is a CandidateBase entry: one candidate cluster of a
-// surface form, its mentions, their local embeddings, the global
-// embedding pooled from them, and the type assigned by the Entity
-// Classifier (None until classified, or for rejected candidates).
+// surface form, its mentions, their local embeddings, and the type
+// assigned by the Entity Classifier (None until classified, or for
+// rejected candidates). Their global embedding (eqs. 6–8) exists only
+// inside classification, pooled per ensemble member.
 type Candidate struct {
 	Surface   string
 	ClusterID int
 	Mentions  []types.Mention
 	Embs      [][]float64
-	GlobalEmb []float64
 	Type      types.EntityType
 	// Confidence is the classifier's probability for the assigned type.
 	Confidence float64

@@ -88,22 +88,29 @@ func TestInferBatchIdentityRagged(t *testing.T) {
 }
 
 // TestInferBatchIdentityAcrossCompositions verifies that a sentence's
-// output does not depend on what it is packed with: the same sentences
-// split into batches of 1, 4, 7 and all-at-once must each equal the
-// sentence's own training forward bit for bit.
+// output does not depend on what it is packed with, at every tier: the
+// same sentences split into batches of 1, 4, 7 and all-at-once must
+// each equal, bit for bit, the sentence's own training forward at F64
+// and the tier's whole-batch output at F32 and I8. Re-embedding one
+// sentence alone therefore reproduces the states it was tagged with.
 func TestInferBatchIdentityAcrossCompositions(t *testing.T) {
 	enc := NewEncoder(tinyConfig())
 	sents := testSentences(24, 9)
-	for _, size := range []int{1, 4, 7, len(sents)} {
-		for lo := 0; lo < len(sents); lo += size {
-			hi := lo + size
-			if hi > len(sents) {
-				hi = len(sents)
+	for _, p := range []nn.Precision{nn.F64, nn.F32, nn.I8} {
+		want := enc.InferBatch(sents, p)
+		for i, s := range sents {
+			if p == nn.F64 {
+				want[i] = enc.Forward(s, false)
 			}
-			part := enc.InferBatch(sents[lo:hi], nn.F64)
-			for i := range part {
-				assertBitIdentical(t, part[i], enc.Forward(sents[lo+i], false),
-					fmt.Sprintf("size %d chunk at %d sentence %d", size, lo, i))
+		}
+		for _, size := range []int{1, 4, 7, len(sents)} {
+			for lo := 0; lo < len(sents); lo += size {
+				hi := min(lo+size, len(sents))
+				part := enc.InferBatch(sents[lo:hi], p)
+				for i := range part {
+					assertBitIdentical(t, part[i], want[lo+i],
+						fmt.Sprintf("%v size %d chunk at %d sentence %d", p, size, lo, i))
+				}
 			}
 		}
 	}
