@@ -42,10 +42,12 @@ import (
 // at every worker count. Every cached value is keyed by the exact inputs
 // of the computation it skips, and every skipped recomputation is a pure
 // function of those inputs (trained parameters are frozen during
-// serving). The layer runs the complete pipeline only: a cycle at an
-// ablation mode takes the scratch recomputation (see runCycle), and the
-// package's tests switch the layer off wholesale (setCaching) to get
-// that recomputation as their oracle.
+// serving). The engine holds the amortizer of its whole stream or none:
+// any write the layer cannot follow — a cycle at another mode than
+// ModeFull, a replaced record, Run, RunEMDGlobalizer, a restore without
+// caches — drops it, and the stream runs the scratch globalPhase until
+// the next Reset. The package's tests switch the layer off (setCaching)
+// to get that recomputation as their oracle.
 
 // sentRow is the amortizer's state for the sentence at one stream
 // position.
@@ -97,14 +99,14 @@ func (g *Globalizer) poolTier() nn.Precision {
 	return g.prec
 }
 
-// embedMention returns the local mention embedding, computing and
-// storing it in the sentence's row on first use unless caching is
-// disabled. Concurrent callers may compute the same entry twice; both
-// compute identical values, so the race is benign.
+// embedMention returns the local mention embedding, computing it on
+// first use and storing it in the sentence's row while the engine holds
+// its amortizer. Concurrent callers may compute the same entry twice;
+// both compute identical values, so the race is benign.
 func (g *Globalizer) embedMention(m types.Mention) []float64 {
 	pos := g.tweetBase.IndexOf(m.Key)
 	a := g.amort
-	if !g.uncached {
+	if a != nil {
 		a.mu.RLock()
 		v := a.rows[pos].embeds[m.Span]
 		a.mu.RUnlock()
@@ -122,7 +124,7 @@ func (g *Globalizer) embedMention(m types.Mention) []float64 {
 		}
 	}
 	v := g.Embedder.Embed(g.mentionStates(pos), m.Span)
-	if g.uncached {
+	if a == nil {
 		return v
 	}
 	a.mu.Lock()
@@ -164,6 +166,10 @@ type surfaceAmort struct {
 	// dirty marks a pool that changed since the outcome was computed;
 	// the entry is on amortizer.dirty exactly while it is set.
 	dirty bool
+	// reshaped marks a pool that changed other than by appending since
+	// the outcome was computed, so the outcome's mentions are no longer
+	// its prefix. splicePool sets it; updateSurface reads and clears it.
+	reshaped bool
 	// mentions is the pool the outcome below stands on: the pool itself
 	// between cycles, its previous value while scan diffs splice it.
 	mentions []types.Mention
@@ -207,8 +213,8 @@ type amortizer struct {
 	// side: every row's embeds, and track.embeds. All else is written
 	// by the cycle's serial body alone.
 	mu sync.RWMutex
-	// rows holds one entry per TweetBase position, grown wherever records
-	// are added (applyTagged, RestoreWarmState).
+	// rows holds one entry per TweetBase position, grown to the stream
+	// by each rescan pass and by a restore.
 	rows []sentRow
 	// tokIndex maps a case-folded token to the positions of the scanned
 	// sentences containing it, ascending. The rescan filter reads it to
@@ -231,17 +237,6 @@ type amortizer struct {
 	// mentionCount tracks the stream's total mention count (all
 	// surfaces, owned or not) for observability.
 	mentionCount int
-	// trieLen is the trie size the bookkeeping last saw. A mismatch
-	// beyond this cycle's registrations means surfaces were inserted
-	// outside the amortized path (scratch cycles, ModeLocalOnly cycles)
-	// and the first-token filter cannot be trusted — the cycle falls back
-	// to a full rescan, which the diffs then repair exactly.
-	trieLen int
-	// stale records that stream outputs (FinalMentions, CandidateBase)
-	// were last written outside the amortized path, so the next
-	// amortized cycle must republish candidates and rebuild every
-	// sentence's FinalMentions from its (pool-validated) outcomes.
-	stale bool
 	// stats describes the most recent cycle's cache activity.
 	stats amortStats
 	// track records what changed since the last warm-state capture, so
@@ -324,35 +319,6 @@ func (a *amortizer) grow(n int) {
 	}
 }
 
-// recordReplaced returns the amortizer to continue with after the
-// record at pos was replaced in the TweetBase — a pathological case
-// (stream keys are unique by construction) that changes the content
-// under a position: the replaced sentence's embeddings may back
-// arbitrary surfaces, and every mention pool indexes into the stream.
-// Everything derived is dropped but the other sentences' embeddings,
-// which are functions of their own records alone; the next amortized
-// cycle rescans every sentence and rebuilds the pools from empty.
-func (a *amortizer) recordReplaced(pos int) *amortizer {
-	fresh := newAmortizer()
-	fresh.rows = a.rows
-	for i := range fresh.rows {
-		fresh.rows[i].scan = nil
-	}
-	fresh.rows[pos] = sentRow{}
-	fresh.stale = true
-	return fresh
-}
-
-// markStale notes that stream outputs were written outside the
-// amortized path — a scratch cycle wrote FinalMentions and the
-// CandidateBase directly, or a restore brought records without cache
-// state. The tracker did not see those writes, so the next capture must
-// be a full one.
-func (a *amortizer) markStale() {
-	a.stale = true
-	a.track = nil
-}
-
 // rescanPass refreshes the cached scans for one cycle, byte-identical to
 // scanning every sentence against the full trie, while actually
 // re-scanning only (a) the sentences no pass has scanned yet — this
@@ -365,9 +331,9 @@ func (a *amortizer) markStale() {
 // token to be among the sentence's tokens. Sentences failing that
 // membership test reuse their cached result; sentences passing it are
 // re-scanned (often to an unchanged result, which refreshes the cache
-// harmlessly). When the trie grew outside this cycle's registrations
-// (scratch or local-only cycles ran in between), the filter's input
-// is incomplete and every sentence re-scans.
+// harmlessly). The engine drops its amortizer on any trie write that
+// bypasses this path, so newSurfaces is every surface the trie gained
+// since the last pass.
 //
 // Every scan that actually changed is diffed against its predecessor,
 // splicing the per-surface mention pools and marking the touched
@@ -375,28 +341,23 @@ func (a *amortizer) markStale() {
 // on.
 func (a *amortizer) rescanPass(g *Globalizer, newSurfaces [][]string) {
 	tb := g.tweetBase
-	rescanAll := a.stale || g.trie.Len() != a.trieLen+len(newSurfaces)
+	a.grow(tb.Len())
 	a.stats.Sentences = tb.Len()
 
 	// Candidate positions, ascending, so diffs apply in stream order:
 	// the old sentences the inverted index lists under a new surface's
 	// first token, then the never-scanned tail.
 	var cands []int
-	from := a.scannedLen
-	if rescanAll {
-		from = 0
-	} else {
-		first := make(map[string]bool, len(newSurfaces))
-		for _, toks := range newSurfaces {
-			if f := strings.ToLower(toks[0]); !first[f] {
-				first[f] = true
-				cands = append(cands, a.tokIndex[f]...)
-			}
+	first := make(map[string]bool, len(newSurfaces))
+	for _, toks := range newSurfaces {
+		if f := strings.ToLower(toks[0]); !first[f] {
+			first[f] = true
+			cands = append(cands, a.tokIndex[f]...)
 		}
-		sort.Ints(cands)
-		cands = slices.Compact(cands)
 	}
-	for p := from; p < tb.Len(); p++ {
+	sort.Ints(cands)
+	cands = slices.Compact(cands)
+	for p := a.scannedLen; p < tb.Len(); p++ {
 		cands = append(cands, p)
 	}
 	a.stats.Rescanned = len(cands)
@@ -411,7 +372,7 @@ func (a *amortizer) rescanPass(g *Globalizer, newSurfaces [][]string) {
 
 	for i, p := range cands {
 		row := &a.rows[p]
-		if !mentionsEqual(row.scan, scanned[i]) {
+		if !slices.Equal(row.scan, scanned[i]) {
 			a.applyScanDiff(g, p, row.scan, scanned[i])
 			a.mentionCount += len(scanned[i]) - len(row.scan)
 			if a.track != nil {
@@ -422,7 +383,6 @@ func (a *amortizer) rescanPass(g *Globalizer, newSurfaces [][]string) {
 	}
 
 	a.indexTokens(tb)
-	a.trieLen = g.trie.Len()
 }
 
 // indexTokens extends tokIndex over the stream's tail no pass has
@@ -461,7 +421,7 @@ func (a *amortizer) applyScanDiff(g *Globalizer, pos int, old, cur []types.Menti
 	oldBy := groupScan(old)
 	curBy := groupScan(cur)
 	for s, oms := range oldBy {
-		if g.ownsSurface(s) && !mentionsEqual(oms, curBy[s]) {
+		if g.ownsSurface(s) && !slices.Equal(oms, curBy[s]) {
 			a.splicePool(g, s, pos, curBy[s])
 		}
 	}
@@ -478,7 +438,9 @@ func (a *amortizer) applyScanDiff(g *Globalizer, pos int, old, cur []types.Menti
 // the tail extend the slice in place — safe because the prefix an
 // outcome stands on is never overwritten, only extended past its length
 // — while interior splices copy into a fresh slice so that prefix keeps
-// its bytes.
+// its bytes, and mark the pool reshaped. A cycle splices in ascending
+// stream position, so an interior splice always lands inside the
+// mentions the outcome stood on: the flag is exact.
 func (a *amortizer) splicePool(g *Globalizer, surface string, pos int, repl []types.Mention) {
 	sa := a.surfaces[surface]
 	if sa == nil {
@@ -490,7 +452,7 @@ func (a *amortizer) splicePool(g *Globalizer, surface string, pos int, repl []ty
 	}
 	pool := sa.pool
 	lo, hi := sa.run(pos)
-	if mentionsEqual(pool[lo:hi], repl) {
+	if slices.Equal(pool[lo:hi], repl) {
 		return
 	}
 	if lo == len(pool) {
@@ -509,6 +471,7 @@ func (a *amortizer) splicePool(g *Globalizer, surface string, pos int, repl []ty
 			at = append(at, pos)
 		}
 		sa.at = append(at, sa.at[hi:]...)
+		sa.reshaped = true
 	}
 	if !sa.dirty {
 		sa.dirty = true
@@ -567,7 +530,7 @@ func (a *amortizer) markTyped(tb *stream.TweetBase, old *surfaceOutcome, oldPool
 		} else {
 			ob = appendTyped(ob[:0], old, oldPool, i, ohi)
 			cb = appendTyped(cb[:0], cur, curPool, j, chi)
-			same = mentionsEqual(ob, cb)
+			same = slices.Equal(ob, cb)
 		}
 		if !same {
 			a.finalDirty[key] = true
@@ -603,24 +566,6 @@ func (a *amortizer) rebuildFinal(pos int) []types.Mention {
 	return out
 }
 
-// mentionsPrefix reports whether old is a prefix of cur — the "pool
-// only grew" case whose embeddings and distance matrix can be reused.
-func mentionsPrefix(old, cur []types.Mention) bool {
-	if len(old) > len(cur) {
-		return false
-	}
-	for i, m := range old {
-		if cur[i] != m {
-			return false
-		}
-	}
-	return true
-}
-
-func mentionsEqual(a, b []types.Mention) bool {
-	return len(a) == len(b) && mentionsPrefix(a, b)
-}
-
 // amortizedGlobalPhase is globalPhase at ModeFull with cross-cycle
 // reuse, run incrementally: cached scans feed the rescan filter, scan
 // diffs splice the per-surface mention pools, only pool-changed (dirty)
@@ -633,18 +578,13 @@ func mentionsEqual(a, b []types.Mention) bool {
 func (g *Globalizer) amortizedGlobalPhase(newSurfaces [][]string, tr *obs.Trace) {
 	a := g.amort
 	tb := g.tweetBase
-	stale := a.stale
+	if a.track != nil {
+		a.track.surfaces = append(a.track.surfaces, newSurfaces...)
+	}
 
 	t0 := g.o.now()
 	a.rescanPass(g, newSurfaces)
 	g.o.extractDone(tr, t0, a.mentionCount, a.stats.Rescanned, a.stats.Sentences-a.stats.Rescanned)
-
-	if stale {
-		// Candidates were last published outside this path: start from an
-		// empty base and republish every cached outcome below, after the
-		// dirty recomputations land.
-		g.candBase = stream.NewCandidateBase()
-	}
 
 	// Surfaces whose pool emptied (a late longer surface shadowing every
 	// match) disappear from every output.
@@ -698,23 +638,6 @@ func (g *Globalizer) amortizedGlobalPhase(newSurfaces [][]string, tr *obs.Trace)
 		}
 	}
 
-	if stale {
-		// Republish the clean outcomes too into the fresh candidate base
-		// (order is irrelevant: surfaces are distinct keys) and rebuild
-		// every sentence.
-		for s, sa := range a.surfaces {
-			if !sa.outcome.skip {
-				g.candBase.SetClusters(s, sa.outcome.cands)
-			}
-		}
-		for p := 0; p < tb.Len(); p++ {
-			tb.At(p).FinalMentions = a.rebuildFinal(p)
-		}
-		clear(a.finalDirty)
-		a.stale = false
-		return
-	}
-
 	for key := range a.finalDirty {
 		delete(a.finalDirty, key)
 		if p := tb.IndexOf(key); p >= 0 {
@@ -730,15 +653,16 @@ func (g *Globalizer) amortizedGlobalPhase(newSurfaces [][]string, tr *obs.Trace)
 // many leading mentions of the pool its previous outcome stood on are
 // unchanged. A pool that grew by appending keeps its embedding prefix,
 // its distance matrix and the candidates of the clusters the new
-// mentions left untouched; a pool whose earlier mentions changed (a
-// late-arriving longer surface re-shaped an old sentence's scan)
-// rebuilds from the sentence rows' cached embeddings, which still
-// spares the per-mention encoder work.
+// mentions left untouched; a reshaped pool (a late-arriving longer
+// surface re-shaped an old sentence's scan) rebuilds from the sentence
+// rows' cached embeddings, which still spares the per-mention encoder
+// work.
 func (g *Globalizer) updateSurface(sa *surfaceAmort) (kept int) {
-	if mentionsPrefix(sa.mentions, sa.pool) {
-		kept = len(sa.mentions)
-	} else {
+	if sa.reshaped {
+		sa.reshaped = false
 		g.resetOutcome(sa)
+	} else {
+		kept = len(sa.mentions)
 	}
 	ms := sa.pool
 	sa.mentions = ms

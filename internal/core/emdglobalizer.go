@@ -22,8 +22,13 @@ import (
 // type-aware clustering keeping entity and non-entity mentions of the
 // same surface form apart. Running both on the same trained components
 // isolates exactly that difference.
+//
+// Like Run it resets per-stream state first and leaves a stream without
+// an amortizer: cycles continuing it run the scratch globalPhase until
+// Reset.
 func (g *Globalizer) RunEMDGlobalizer(sents []*types.Sentence) map[types.SentenceKey][]types.Entity {
 	g.Reset()
+	g.amort = nil
 	defer clear(g.states)
 	tr := g.o.beginCycle(g.tweetBase.Len())
 	t0 := g.o.now()
@@ -49,8 +54,7 @@ func (g *Globalizer) RunEMDGlobalizer(sents []*types.Sentence) map[types.Sentenc
 			return types.None
 		}
 		// One pooled candidate per surface form: all mentions together,
-		// ambiguity unresolved. Embeddings route through the shared
-		// mention-embedding cache when enabled.
+		// ambiguity unresolved.
 		te := g.o.now()
 		embs := make([][]float64, len(ms))
 		for i, m := range ms {

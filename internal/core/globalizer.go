@@ -80,15 +80,18 @@ type Globalizer struct {
 	tweetBase *stream.TweetBase
 	candBase  *stream.CandidateBase
 	// amort carries the cross-cycle caches of the continuous execution
-	// setup (embeddings, scans, surface outcomes); see amortize.go.
+	// setup (embeddings, scans, surface outcomes) of the whole stream;
+	// see amortize.go. nil once a write it cannot follow dropped it (or
+	// with caching off): every cycle then runs the scratch globalPhase
+	// until Reset.
 	amort *amortizer
 	// states holds the running cycle's token states by stream position
 	// (see mentionStates); every cycle body clears it at its tail.
 	states   map[int]*nn.Matrix
 	statesMu sync.Mutex
-	// uncached routes every cycle through the scratch globalPhase
-	// instead of the amortizer — the oracle the package's identity
-	// tests compare the amortized path against (see setCaching).
+	// uncached makes Reset start streams without an amortizer, so every
+	// cycle runs the scratch globalPhase — the oracle the package's
+	// identity tests compare the amortized path against (see setCaching).
 	uncached bool
 	// shardIndex/shardCount restrict the Global NER phase to surface
 	// forms this engine owns in a sharded fleet (see SetShardOwnership);
@@ -330,16 +333,24 @@ func (g *Globalizer) Reset() {
 	g.trie = ctrie.New()
 	g.tweetBase = stream.NewTweetBase()
 	g.candBase = stream.NewCandidateBase()
-	g.amort = newAmortizer()
+	g.amort = nil
+	if !g.uncached {
+		g.amort = newAmortizer()
+	}
 	g.states = make(map[int]*nn.Matrix)
 }
 
 // setCaching toggles the cross-cycle amortization layer; only the
 // package's tests turn it off, to run the scratch recomputation as
-// their reference. Annotations are byte-identical either way, and
-// toggling mid-stream is safe: every cache entry is validated against
-// its exact inputs before reuse.
-func (g *Globalizer) setCaching(enabled bool) { g.uncached = !enabled }
+// their reference. Annotations are byte-identical either way. Turning
+// it off drops the amortizer at once; turning it on takes effect at the
+// next Reset.
+func (g *Globalizer) setCaching(enabled bool) {
+	g.uncached = !enabled
+	if !enabled {
+		g.amort = nil
+	}
+}
 
 // TweetBase exposes the per-sentence records of the current stream.
 func (g *Globalizer) TweetBase() *stream.TweetBase { return g.tweetBase }
@@ -364,9 +375,12 @@ type RunResult struct {
 // Run executes the pipeline over the sentences at the given mode: the
 // Local NER phase proceeds batch by batch (the CTrie growing as the
 // stream evolves), then the Global NER phase processes the accumulated
-// stream state. Run resets per-stream state first.
+// stream state. Run resets per-stream state first and writes through
+// the scratch path, so the stream it leaves has no amortizer: cycles
+// continuing it run the scratch globalPhase until Reset.
 func (g *Globalizer) Run(sents []*types.Sentence, mode Mode) *RunResult {
 	g.Reset()
+	g.amort = nil
 	defer clear(g.states)
 	res := &RunResult{}
 	tr := g.o.beginCycle(g.tweetBase.Len())
@@ -437,11 +451,14 @@ func (g *Globalizer) ProcessTagged(batch []*types.Sentence, tagged []*localner.R
 }
 
 // runCycle is the shared cycle body of ProcessBatch and ProcessTagged.
-// The amortizer holds the complete pipeline's state only, so a cycle at
-// an ablation mode — like every cycle with caching off — recomputes the
-// global phase from scratch.
+// The amortizer follows ModeFull cycles only: a cycle at any other mode
+// drops it, and a stream without one recomputes the global phase from
+// scratch.
 func (g *Globalizer) runCycle(batch []*types.Sentence, tagged []*localner.Result, mode Mode) {
 	defer clear(g.states)
+	if mode != ModeFull {
+		g.amort = nil
+	}
 	tr := g.o.beginCycle(g.tweetBase.Len())
 	t0 := g.o.now()
 	var newSurfaces [][]string
@@ -454,12 +471,9 @@ func (g *Globalizer) runCycle(batch []*types.Sentence, tagged []*localner.Result
 		g.o.cycleDone(tr, t0, g.tweetBase.Len(), 0)
 		return
 	}
-	if g.uncached || mode != ModeFull {
+	if g.amort == nil {
 		g.candBase = stream.NewCandidateBase()
 		g.globalPhase(mode, tr)
-		// The amortizer did not see this cycle's outputs; the next
-		// amortized cycle revalidates and republishes everything.
-		g.amort.markStale()
 	} else {
 		g.amortizedGlobalPhase(newSurfaces, tr)
 	}
@@ -516,8 +530,10 @@ func (g *Globalizer) applyTagged(batch []*types.Sentence, results []*localner.Re
 	var newSurfaces [][]string
 	for i, s := range batch {
 		r := results[i]
-		if pos := g.tweetBase.IndexOf(s.Key()); pos >= 0 {
-			g.amort = g.amort.recordReplaced(pos)
+		if g.tweetBase.IndexOf(s.Key()) >= 0 {
+			// A replaced record changes the sentence under a position
+			// every scan, pool and embedding of the amortizer addresses.
+			g.amort = nil
 		}
 		g.tweetBase.Add(&stream.Record{
 			Sentence:      s,
@@ -526,17 +542,11 @@ func (g *Globalizer) applyTagged(batch []*types.Sentence, results []*localner.Re
 		if g.prec == g.poolTier() {
 			g.states[g.tweetBase.IndexOf(s.Key())] = r.Embeddings
 		}
-		// Per record, not per batch: a key the batch itself repeats is
-		// replaced at a position the batch added.
-		g.amort.grow(g.tweetBase.Len())
 		for _, e := range r.Entities {
 			if e.End <= len(r.Tokens) {
 				toks := r.Tokens[e.Start:e.End]
 				if g.trie.Insert(toks) {
 					newSurfaces = append(newSurfaces, toks)
-					if t := g.amort.track; t != nil {
-						t.surfaces = append(t.surfaces, toks)
-					}
 				}
 			}
 		}
@@ -682,8 +692,8 @@ func (g *Globalizer) processSurface(surface string, ms []types.Mention, mode Mod
 		return surfaceOutcome{surface: surface, skip: true}
 	}
 	o := g.o
-	// Step 2: local mention embeddings (eqs. 1–3), through the
-	// embedding cache when enabled.
+	// Step 2: local mention embeddings (eqs. 1–3). The scratch path runs
+	// without an amortizer, so embedMention caches none of them.
 	te := o.now()
 	embs := make([][]float64, len(ms))
 	for i, m := range ms {

@@ -61,16 +61,29 @@ func TestObserverRecordsPipelineActivity(t *testing.T) {
 	g := trainedGlobalizer(t)
 	defer g.SetObserver(nil)
 	sents := smallStream("obs-activity", 120, 92).Sentences
+	// An old sentence holding a surface that registers only in the last
+	// cycle.
+	sents[7] = &types.Sentence{TweetID: sents[7].TweetID, Tokens: []string{"flights", "over", "zeta", "ridge", "resume"}}
 
 	reg := obs.NewRegistry()
 	g.setCaching(true)
 	runObserved(g, sents, 30, reg)
-	// Re-submit the first batch: replacing records invalidates their
-	// sentences and clears every cached surface outcome, so the rebuild
-	// re-embeds mention pools through the embed cache — the
-	// deterministic cache-hit path (append-only growth reuses embedding
-	// prefixes without consulting the cache at all).
-	g.ProcessBatch(sents[:30], ModeFull)
+	// The late surface: its first mention is in the old sentence, which
+	// the cycle re-scans and embeds late.
+	batch := []*types.Sentence{{TweetID: 900001, Tokens: []string{"zeta", "ridge", "reopens"}}}
+	tagged := g.TagBatch(batch)
+	forceEntities(tagged[0], types.Span{Start: 0, End: 2})
+	lateBefore := reg.Snapshot().Counters["ner_mentions_embedded_late_total"]
+	g.ProcessTagged(batch, tagged, ModeFull)
+	hitsBefore := reg.Snapshot().Counters["ner_embed_cache_hits_total"]
+	// A restore re-derives every pool's embeddings through the embed
+	// cache it reinstalls — the deterministic cache-hit path (append-only
+	// growth reuses embedding prefixes without consulting the cache).
+	restored := g.WithClusterThreshold(g.Config().ClusterThreshold)
+	restored.SetObserver(reg)
+	if err := restored.RestoreWarmState(g.CaptureWarmState()); err != nil {
+		t.Fatal(err)
+	}
 
 	s := reg.Snapshot()
 	st := g.amort.stats
@@ -104,16 +117,15 @@ func TestObserverRecordsPipelineActivity(t *testing.T) {
 	if got, want := g.ClusterReplayedShare(), float64(replayed)/float64(merges); got != want {
 		t.Errorf("ClusterReplayedShare = %v, want %v", got, want)
 	}
-	// The re-submitted records keep their stream positions, all before
-	// the last cycle's first, so the mentions re-embedded for them are
-	// late embeds; every late embed is also an embed.
-	if late, all := s.Counters["ner_mentions_embedded_late_total"], s.Counters["ner_mentions_embedded_total"]; late <= 0 || late > all {
-		t.Errorf("ner_mentions_embedded_late_total = %d of %d embeds, want in (0, embeds]", late, all)
+	// The old sentence's mention of the late surface is a late embed;
+	// every late embed is also an embed.
+	if late, all := s.Counters["ner_mentions_embedded_late_total"], s.Counters["ner_mentions_embedded_total"]; late <= lateBefore || late > all {
+		t.Errorf("ner_mentions_embedded_late_total = %d of %d embeds, %d before the late surface: want in (%d, embeds]", late, all, lateBefore, lateBefore)
 	}
-	// Cross-cycle caches must have produced hits over a 4-cycle replay
-	// of a mostly unchanged stream.
-	if s.Counters["ner_embed_cache_hits_total"] <= 0 {
-		t.Error("embed cache recorded no hits over a warm replay")
+	// Cross-cycle caches must have produced hits: the scan cache over
+	// five cycles of a growing stream, the embed cache in the restore.
+	if got := s.Counters["ner_embed_cache_hits_total"]; got <= hitsBefore {
+		t.Errorf("embed cache hits = %d after a restore, %d before it: the restore hit no cache entry", got, hitsBefore)
 	}
 	if s.Counters["ner_scan_cache_hits_total"] <= 0 {
 		t.Error("scan cache recorded no hits over a warm replay")

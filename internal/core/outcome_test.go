@@ -61,7 +61,7 @@ func typedBySentence(typed []types.Mention) map[types.SentenceKey][]types.Mentio
 // between two outcomes of one surface.
 func markTypedDiff(dst map[types.SentenceKey]bool, old, cur map[types.SentenceKey][]types.Mention) {
 	for key, oms := range old {
-		if !mentionsEqual(oms, cur[key]) {
+		if !slices.Equal(oms, cur[key]) {
 			dst[key] = true
 		}
 	}
@@ -372,7 +372,7 @@ func TestCarryOverKeepsUntouchedClusters(t *testing.T) {
 	if hot == nil || len(hot.outcome.cands) < 2 {
 		t.Fatal("no surface with two clusters: the case needs a hot surface")
 	}
-	prev, kept := hot.outcome, len(hot.mentions)
+	prev, kept, pool := hot.outcome, len(hot.mentions), slices.Clone(hot.pool)
 
 	// One sentence that is the surface alone, with Local NER's entities
 	// cleared so that nothing new registers: the cycle dirties the hot
@@ -388,7 +388,7 @@ func TestCarryOverKeepsUntouchedClusters(t *testing.T) {
 	if st := g.amort.stats; st.Surfaces-st.Reused != 1 {
 		t.Fatalf("the cycle recomputed %d surfaces, want the hot one alone", st.Surfaces-st.Reused)
 	}
-	if len(hot.mentions) != kept+1 || !mentionsPrefix(hot.mentions[:kept], hot.mentions) {
+	if len(hot.mentions) != kept+1 || !slices.Equal(hot.mentions[:kept], pool) {
 		t.Fatalf("the hot pool went from %d to %d mentions, want one appended", kept, len(hot.mentions))
 	}
 	oc := hot.outcome

@@ -17,8 +17,8 @@ import (
 // The amortization invariant ("byte-identical with caching on or off")
 // is the safety net: everything in AmortState is a cache over the
 // records and trie, so RestoreWarmState only has to choose between
-// reinstalling those caches exactly or discarding them (Amort == nil),
-// in which case the next cycle falls back to a full recompute that
+// reinstalling those caches exactly or going without them (Amort ==
+// nil), in which case the stream runs the scratch path until Reset and
 // produces the same annotations, just without the warm speed.
 //
 // Capture is synchronous: every map is flattened into slices under the
@@ -69,8 +69,8 @@ type SurfaceState struct {
 	Cands   []CandState
 }
 
-// AmortState is the amortizer's cross-cycle cache state, captured only
-// when the amortizer is clean (see captureAmort). Everything here is
+// AmortState is the amortizer's cross-cycle cache state, captured
+// exactly when the engine holds its amortizer. Everything here is
 // derivable from the records and trie — restoring it buys warm-resume
 // speed, not correctness.
 type AmortState struct {
@@ -82,8 +82,8 @@ type AmortState struct {
 }
 
 // WarmState is the engine's complete per-stream state in serializable
-// form. Amort is nil when the amortizer was not cleanly capturable; the
-// restored engine then rebuilds its caches on the next cycle.
+// form. Amort is nil when the engine held no amortizer; the restored
+// engine then holds none either.
 type WarmState struct {
 	Precision              string
 	ShardIndex, ShardCount int
@@ -109,11 +109,9 @@ func (g *Globalizer) CaptureWarmState() *WarmState {
 	g.tweetBase.Each(func(r *stream.Record) {
 		ws.Records = append(ws.Records, recordState(r))
 	})
-	ws.Amort = g.captureAmort()
-	if ws.Amort != nil {
+	if g.amort != nil {
+		ws.Amort = g.captureAmort()
 		g.amort.arm(g.tweetBase.Len())
-	} else {
-		g.amort.track = nil
 	}
 	return ws
 }
@@ -127,15 +125,6 @@ func recordState(r *stream.Record) RecordState {
 		Local:   r.LocalEntities,
 		Final:   r.FinalMentions,
 	}
-}
-
-// amortCapturable reports whether the amortizer is in the clean state a
-// capture can flatten: caching on, nothing stale or dirty, and every
-// bookkeeping counter level with the stream and trie.
-func (g *Globalizer) amortCapturable() bool {
-	a := g.amort
-	return !g.uncached && !a.stale && len(a.dirty) == 0 && len(a.finalDirty) == 0 &&
-		a.scannedLen == g.tweetBase.Len() && a.trieLen == g.trie.Len()
 }
 
 // candStates flattens a surface outcome's candidate clusters.
@@ -164,17 +153,13 @@ func spanLess(a, b types.Span) bool {
 	return a.End < b.End
 }
 
-// captureAmort flattens the amortizer, or returns nil when its state is
-// not cleanly capturable (see amortCapturable). nil is always safe —
-// restore falls back to a cold amortizer over warm records.
+// captureAmort flattens the amortizer. Between cycles it is level with
+// the stream: every record scanned, no pool dirty.
 func (g *Globalizer) captureAmort() *AmortState {
 	a := g.amort
-	if !g.amortCapturable() {
-		return nil
-	}
 	as := &AmortState{
 		ScannedLen:   a.scannedLen,
-		TrieLen:      a.trieLen,
+		TrieLen:      g.trie.Len(),
 		MentionCount: a.mentionCount,
 		Mode:         int(ModeFull),
 		Scans:        make([]ScanState, len(a.rows)),
@@ -258,22 +243,21 @@ type WarmDelta struct {
 // CaptureWarmDelta flattens what changed since the previous capture
 // (full or delta) in time proportional to the change, and restarts
 // change tracking from here. It returns nil when a delta cannot express
-// the change — no previous capture holds the amortizer state, a cycle
-// ran outside the amortized path (caching off, an ablation mode), a
-// sentence was replaced, or the amortizer is not cleanly capturable
-// right now; the caller then takes a full CaptureWarmState. Same
-// locking contract as CaptureWarmState.
+// the change — no previous capture holds the amortizer state, or the
+// engine holds no amortizer (caching off, or a write it could not
+// follow dropped it); the caller then takes a full CaptureWarmState.
+// Same locking contract as CaptureWarmState.
 func (g *Globalizer) CaptureWarmDelta() *WarmDelta {
 	a := g.amort
-	t := a.track
-	if t == nil || !g.amortCapturable() {
+	if a == nil || a.track == nil {
 		return nil
 	}
+	t := a.track
 	tb := g.tweetBase
 	d := &WarmDelta{
 		BaseRecords:  t.baseLen,
 		ScannedLen:   a.scannedLen,
-		TrieLen:      a.trieLen,
+		TrieLen:      g.trie.Len(),
 		MentionCount: a.mentionCount,
 		Mode:         int(ModeFull),
 	}
@@ -483,7 +467,9 @@ func mergeSurfaces(old []SurfaceState, pools []SurfaceDelta, deleted []string) (
 // engine must already be configured identically to the one that
 // captured (precision tier, shard ownership); per-stream state is
 // discarded and replaced. After restore, continued cycles produce
-// byte-identical annotations to the uninterrupted run.
+// byte-identical annotations to the uninterrupted run. A capture
+// without Amort, or an engine with caching off, leaves the stream
+// without an amortizer: it runs the scratch path until Reset.
 func (g *Globalizer) RestoreWarmState(ws *WarmState) error {
 	if ws.Precision != g.Precision().String() {
 		return fmt.Errorf("core: warm state captured at precision %q, engine runs %q", ws.Precision, g.Precision())
@@ -509,19 +495,17 @@ func (g *Globalizer) RestoreWarmState(ws *WarmState) error {
 			FinalMentions: rs.Final,
 		})
 	}
-	g.amort.grow(g.tweetBase.Len())
-	if ws.Amort == nil {
-		// No cache state: the next cycle re-derives everything from the
-		// records and trie (byte-identical, once-off full-recompute cost).
-		g.amort.markStale()
+	if ws.Amort == nil || g.amort == nil {
+		g.amort = nil
 		return nil
 	}
 	return g.restoreAmort(ws.Amort)
 }
 
-// restoreAmort reinstalls the amortizer caches from a clean capture.
+// restoreAmort reinstalls the amortizer caches from a capture.
 func (g *Globalizer) restoreAmort(as *AmortState) error {
 	a := g.amort
+	a.grow(g.tweetBase.Len())
 	if as.ScannedLen != g.tweetBase.Len() {
 		return fmt.Errorf("core: warm state scanned %d of %d sentences", as.ScannedLen, g.tweetBase.Len())
 	}
@@ -587,7 +571,6 @@ func (g *Globalizer) restoreAmort(as *AmortState) error {
 		g.candBase.SetClusters(st.Surface, oc.cands)
 	}
 
-	a.trieLen = as.TrieLen
 	a.mentionCount = as.MentionCount
 	return nil
 }

@@ -187,46 +187,32 @@ func TestWarmDeltaChainByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmDeltaRefusesWhatItCannotExpress builds the cases in which
-// CaptureWarmDelta must return nil — no capture to extend, a cycle
-// with caching off, a replaced sentence — and checks that the full
-// capture taken instead re-arms delta capture.
+// TestWarmDeltaRefusesWhatItCannotExpress checks when CaptureWarmDelta
+// returns nil. Before any full capture there is nothing to extend, and a
+// full capture re-arms delta capture. A cycle with caching off and a
+// replaced sentence each drop the amortizer: from then on until Reset
+// the stream runs the scratch path, so there is no delta and no Amort,
+// and the annotations are the scratch run's.
 func TestWarmDeltaRefusesWhatItCannotExpress(t *testing.T) {
 	g := trainedGlobalizer(t)
-	e := g.WithClusterThreshold(g.Config().ClusterThreshold)
+	engine := func() *Globalizer { return g.WithClusterThreshold(g.Config().ClusterThreshold) }
 	batches := stream.Batches(smallStream("persist-delta-nil", 90, 97).Sentences, 10)
-	cycle := func(i int) { e.ProcessTagged(batches[i], nil, ModeFull) }
+	e := engine()
+	cycle := func(e *Globalizer, i int) { e.ProcessTagged(batches[i], nil, ModeFull) }
 
-	cycle(0)
+	cycle(e, 0)
 	if e.CaptureWarmDelta() != nil {
 		t.Fatal("delta captured before any full capture")
 	}
 	if e.CaptureWarmState().Amort == nil {
 		t.Fatal("clean capture lost the amortizer state")
 	}
-	cycle(1)
+	cycle(e, 1)
 	if e.CaptureWarmDelta() == nil {
 		t.Fatal("no delta after a plain cached cycle")
 	}
-
-	// Caching off for one cycle: that cycle writes every FinalMentions
-	// outside the amortizer. Neither the capture right after it nor the
-	// one after the next cached cycle can be a delta.
-	e.setCaching(false)
-	cycle(2)
-	e.setCaching(true)
-	if e.CaptureWarmDelta() != nil {
-		t.Fatal("delta captured right after a cycle with caching off")
-	}
-	cycle(3)
-	if e.CaptureWarmDelta() != nil {
-		t.Fatal("delta captured across a cycle with caching off")
-	}
 	base := e.CaptureWarmState()
-	if base.Amort == nil {
-		t.Fatal("full capture after the revalidating cycle lost the amortizer state")
-	}
-	cycle(4)
+	cycle(e, 2)
 	d := e.CaptureWarmDelta()
 	if d == nil {
 		t.Fatal("the full capture did not re-arm delta capture")
@@ -234,43 +220,54 @@ func TestWarmDeltaRefusesWhatItCannotExpress(t *testing.T) {
 	if err := base.Apply(d); err != nil {
 		t.Fatal(err)
 	}
-
-	// A replaced sentence drops every derived structure.
-	dup := *batches[0][0]
-	e.ProcessTagged([]*types.Sentence{&dup}, nil, ModeFull)
-	if e.CaptureWarmDelta() != nil {
-		t.Fatal("delta captured across a replaced sentence")
-	}
-	base = e.CaptureWarmState()
-	cycle(5)
-	if d = e.CaptureWarmDelta(); d == nil {
-		t.Fatal("the full capture after a replaced sentence did not re-arm delta capture")
-	}
-	if err := base.Apply(d); err != nil {
-		t.Fatal(err)
-	}
 	if want := e.CaptureWarmState(); !bytes.Equal(warmBytes(t, base), warmBytes(t, want)) {
 		t.Fatal("base + delta after the re-arm does not encode to the full capture")
 	}
-
 	// A delta only extends the state it was captured against.
 	if err := base.Apply(d); err == nil {
 		t.Fatal("a delta applied twice must be rejected")
 	}
 
-	// The replaced record left the stream where the scratch run over the
-	// same cycles leaves it.
-	ref := g.WithClusterThreshold(g.Config().ClusterThreshold)
-	ref.setCaching(false)
-	for i := 0; i <= 4; i++ {
-		ref.ProcessTagged(batches[i], nil, ModeFull)
-	}
-	ref.ProcessTagged([]*types.Sentence{&dup}, nil, ModeFull)
-	ref.ProcessTagged(batches[5], nil, ModeFull)
-	if !reflect.DeepEqual(ref.tweetBase.FinalEntityMap(), e.tweetBase.FinalEntityMap()) {
-		t.Fatal("final entity map after a replaced record differs from the scratch run")
-	}
-	if !reflect.DeepEqual(ref.candBase.All(), e.candBase.All()) {
-		t.Fatal("candidate base after a replaced record differs from the scratch run")
+	dup := *batches[0][0]
+	for _, leg := range []struct {
+		name  string
+		batch []*types.Sentence
+		off   bool
+	}{
+		{"a cycle with caching off", batches[3], true},
+		{"a replaced sentence", []*types.Sentence{&dup}, false},
+	} {
+		e, ref := engine(), engine()
+		ref.setCaching(false)
+		for i := 0; i < 3; i++ {
+			cycle(e, i)
+			cycle(ref, i)
+		}
+		e.CaptureWarmState()
+		e.setCaching(!leg.off)
+		e.ProcessTagged(leg.batch, nil, ModeFull)
+		e.setCaching(true)
+		ref.ProcessTagged(leg.batch, nil, ModeFull)
+		for i := 4; i < 6; i++ {
+			if e.CaptureWarmDelta() != nil {
+				t.Fatalf("%s: delta captured %d cycles after it", leg.name, i-4)
+			}
+			if e.CaptureWarmState().Amort != nil {
+				t.Fatalf("%s: full capture %d cycles after it holds amortizer state", leg.name, i-4)
+			}
+			cycle(e, i)
+			cycle(ref, i)
+		}
+		if !reflect.DeepEqual(ref.tweetBase.FinalEntityMap(), e.tweetBase.FinalEntityMap()) {
+			t.Fatalf("%s: final entity map differs from the scratch run", leg.name)
+		}
+		if !reflect.DeepEqual(ref.candBase.All(), e.candBase.All()) {
+			t.Fatalf("%s: candidate base differs from the scratch run", leg.name)
+		}
+		e.Reset()
+		cycle(e, 0)
+		if e.CaptureWarmState().Amort == nil {
+			t.Fatalf("%s: the engine did not hold an amortizer again after Reset", leg.name)
+		}
 	}
 }

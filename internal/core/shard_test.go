@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"nerglobalizer/internal/stream"
@@ -148,7 +149,7 @@ func TestPoolsMirrorGroups(t *testing.T) {
 			t.Fatalf("cycle %d: %d pooled surfaces, want %d", ci, len(g.amort.surfaces), len(want))
 		}
 		for s, ms := range want {
-			if sa := g.amort.surfaces[s]; sa == nil || !mentionsEqual(sa.pool, ms) {
+			if sa := g.amort.surfaces[s]; sa == nil || !slices.Equal(sa.pool, ms) {
 				t.Fatalf("cycle %d: pool for %q diverged from grouped extraction", ci, s)
 			}
 		}

@@ -11,11 +11,10 @@ import (
 
 // TestEmbedCacheMatchesWholeStreamTagging is the direct oracle for
 // token states that live one cycle. A stream whose embeds reach back
-// to older sentences — longer surfaces arriving late, a record replaced
-// in place, a ModeLocalOnly cycle whose sentences the next cycle embeds,
-// a mid-stream restore into a fresh engine — must leave every entry of
-// the embed cache equal to the embedding of its span over the states
-// one RunBatch over the whole final stream gives at the pooling tier.
+// to older sentences — longer surfaces arriving late, a mid-stream
+// restore into a fresh engine — must leave every entry of the embed
+// cache equal to the embedding of its span over the states one RunBatch
+// over the whole final stream gives at the pooling tier.
 // The oracle does not go through mentionStates, so it holds the lazy
 // re-embed to the tag results it replaces at every tier, worker count
 // and packing budget, i8 (whose pooling tier is f32) included.
@@ -38,21 +37,8 @@ func TestEmbedCacheMatchesWholeStreamTagging(t *testing.T) {
 				reg := obs.NewRegistry()
 				e.SetObserver(reg)
 
-				batches := deltaStream(e)
-				// Cycle 12 re-sends the key of a sentence from cycle 3
-				// with the tokens of another one.
-				dup := *batches[3].sents[0]
-				dup.Tokens = batches[1].sents[2].Tokens
-				rb := &batches[12]
-				rb.sents = append(slices.Clip(rb.sents), &dup)
-				rb.tagged = e.TagBatch(rb.sents)
-
-				for ci, b := range batches {
-					mode := ModeFull
-					if ci == 6 {
-						mode = ModeLocalOnly
-					}
-					e.ProcessTagged(b.sents, b.tagged, mode)
+				for ci, b := range deltaStream(e) {
+					e.ProcessTagged(b.sents, b.tagged, ModeFull)
 					if ci == 9 {
 						ws := e.CaptureWarmState()
 						if ws.Amort == nil {

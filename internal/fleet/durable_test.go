@@ -316,6 +316,10 @@ func TestRouterSnapshotIsCursorOnly(t *testing.T) {
 	opts := durable.Options{SnapshotEvery: every}
 	dir := t.TempDir()
 
+	// feed waits after each request for the shards' snapshot writers and
+	// the router's: the router answers before its snapshot lands, and a
+	// snapshot still pending at the next due cycle makes that cycle skip
+	// its own.
 	feed := func(h *Harness, from, to int) {
 		t.Helper()
 		for i := from; i < to; i++ {
@@ -324,6 +328,13 @@ func TestRouterSnapshotIsCursorOnly(t *testing.T) {
 				t.Fatalf("request %d: status %d, differs from single-process\nfleet:  %s\nsingle: %s", i, status, resp, want[i])
 			}
 			shardsIdle(t, h)
+			deadline := time.Now().Add(30 * time.Second)
+			for h.Router.dl.Status().SnapshotPending > 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("request %d: router snapshot writer still busy after 30s", i)
+				}
+				time.Sleep(200 * time.Microsecond)
+			}
 		}
 	}
 	// newestSnapshot waits for the router snapshot the schedule owes at

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
 )
 
@@ -212,6 +213,30 @@ func TestParentFleetDataDir(t *testing.T) {
 	for i := parentFleetCycles; i < len(bodies); i++ {
 		if status, resp, _ := postBody(t, h.URL()+"/annotate", bodies[i]); status != http.StatusOK || resp != want[i] {
 			t.Fatalf("request %d after resuming the parent's data dirs: status %d\nfleet:  %s\nsingle: %s", i, status, resp, want[i])
+		}
+	}
+}
+
+// TestParentFleetDataDirStaysAmortized resumes the parent's fleet data
+// dirs and checks that every resumed shard engine still holds its
+// amortizer, so that a capture carries it. A resume that fell to the
+// scratch path would answer the same bytes, only slower, and no byte
+// comparison sees that.
+func TestParentFleetDataDirStaysAmortized(t *testing.T) {
+	dir := t.TempDir()
+	for _, member := range []string{"shard-0", "shard-1", "router"} {
+		cp := copyTestdata(t, filepath.Join("testdata/parent_fleet", member, "*"))
+		if err := os.Rename(cp, filepath.Join(dir, member)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := durableFleet(t, dir, parentFleetOpts)
+	defer h.Close()
+	for i, s := range h.Shards {
+		var amortized bool
+		s.rep.View(func(g *core.Globalizer) { amortized = g.CaptureWarmState().Amort != nil })
+		if !amortized {
+			t.Fatalf("shard %d resumed from the parent's data dir holds no amortizer", i)
 		}
 	}
 }

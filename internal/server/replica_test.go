@@ -394,6 +394,41 @@ func TestParentSingleDataDir(t *testing.T) {
 	}
 }
 
+// TestParentSingleDataDirStaysAmortized resumes the parent's data dir
+// and checks that the resumed engine still holds its amortizer, so that
+// a capture carries it. A resume that fell to the scratch path would
+// answer the same bytes, only slower, and no byte comparison sees that.
+func TestParentSingleDataDirStaysAmortized(t *testing.T) {
+	const parent = "testdata/parent_single"
+	entries, err := os.ReadDir(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, e := range entries {
+		buf, err := os.ReadFile(filepath.Join(parent, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(trainedPipeline(t))
+	if err := s.StartDurable(dir, parentOpts); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.WaitWarm(); err != nil {
+		t.Fatalf("recovery of the parent's data dir: %v", err)
+	}
+	var amortized bool
+	s.rep.View(func(g *core.Globalizer) { amortized = g.CaptureWarmState().Amort != nil })
+	if !amortized {
+		t.Fatal("the engine resumed from the parent's data dir holds no amortizer")
+	}
+}
+
 // sameRecoveries fails unless data dirs a and b, which hold the same
 // files, recover to the same state at every snapshot of their chain:
 // for each snapshot file in turn, copies of both holding the WAL and
