@@ -1,4 +1,4 @@
-# Developer entry points. `make check` is the tier-1 gate: vet, build,
+# Developer entry points. `make check` is the tier-1 gate: vet and gofmt, build,
 # full test suite under the race detector, and a one-iteration pass
 # over the kernel and parallelism micro-benchmarks so a broken
 # benchmark cannot sit unnoticed until someone profiles.
@@ -18,6 +18,7 @@ test-names:
 
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -32,10 +33,11 @@ race:
 	$(GO) test -race -timeout 60m ./...
 
 # The repository benchmark is a nested module (bench/go.mod), invisible
-# to the root ./... patterns: its accounting tests and smoke run need
-# their own invocation.
+# to the root ./... patterns: it compiles against the root's exported
+# API, so its vet, accounting tests and smoke run need their own
+# invocation.
 bench-module:
-	cd bench && $(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of the fast micro-benchmarks (no suite training):
 # compiles every benchmark in the tree and executes the kernel and

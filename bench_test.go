@@ -179,32 +179,6 @@ func BenchmarkPipelineFull(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLocalEncoder compares the two Local NER language-
-// model families (Transformer stand-in vs BiGRU) end to end: each
-// sub-benchmark trains its own pipeline and reports macro-F1 on D1.
-func BenchmarkAblationLocalEncoder(b *testing.B) {
-	s := suite(b)
-	d := s.Datasets()[0]
-	train := s.Scale.TrainSet().Sentences
-	d5 := s.Scale.D5().Sentences
-	for _, kind := range []core.EncoderKind{core.EncoderTransformer, core.EncoderBiGRU} {
-		b.Run(kind.String(), func(b *testing.B) {
-			var f1 float64
-			for i := 0; i < b.N; i++ {
-				cfg := s.Scale.Core
-				cfg.Kind = kind
-				g := core.New(cfg)
-				g.PretrainEncoder(corpus.PretrainTweets(s.Scale.PretrainN, 21))
-				g.FineTuneLocal(train)
-				g.TrainGlobal(d5)
-				res := g.Run(d.Sentences, core.ModeFull)
-				f1 = metrics.Evaluate(d.GoldByKey(), res.Final).MacroF1()
-			}
-			b.ReportMetric(f1, "macroF1")
-		})
-	}
-}
-
 // BenchmarkAblationLinkage sweeps the agglomerative linkage criterion
 // on a fixed mention-embedding workload.
 func BenchmarkAblationLinkage(b *testing.B) {

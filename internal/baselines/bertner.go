@@ -61,11 +61,9 @@ func (b *BERTNER) Name() string { return "BERT-NER" }
 // sentences.
 func (b *BERTNER) Train(train []*types.Sentence) {
 	formal := corpus.PretrainFormal(b.pretrainN, b.seed)
-	if enc, ok := b.tagger.Encoder().(*transformer.Encoder); ok {
-		mlm := transformer.NewMLMTrainer(enc, b.pretrainLR)
-		for i := 0; i < b.pretrainEpochs; i++ {
-			mlm.TrainEpoch(formal)
-		}
+	mlm := transformer.NewMLMTrainer(b.tagger.Encoder(), b.pretrainLR)
+	for i := 0; i < b.pretrainEpochs; i++ {
+		mlm.TrainEpoch(formal)
 	}
 	b.tagger.Train(train, b.fineTuneEpochs)
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"nerglobalizer/internal/core"
 )
@@ -85,6 +86,14 @@ func Load(r io.Reader) (*core.Globalizer, error) {
 	}
 	if f.Version != formatVersion {
 		return nil, fmt.Errorf("checkpoint: unsupported version %d (want %d)", f.Version, formatVersion)
+	}
+	// A checkpoint of the retired BiGRU encoder still decodes (gob drops
+	// its vanished Config.Kind field) but holds rnn.* weights, a name no
+	// Transformer parameter carries; say so before the count check does.
+	for _, t := range f.Tensors {
+		if strings.HasPrefix(t.Name, "rnn.") {
+			return nil, fmt.Errorf("checkpoint: parameter %q belongs to the retired BiGRU encoder; retrain with the Transformer encoder", t.Name)
+		}
 	}
 	g := core.New(f.Config)
 	params := g.AllParams()

@@ -196,6 +196,16 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesBiGRUCheckpoint loads testdata/bigru.ckpt, an untrained
+// pipeline with the retired BiGRU Local NER encoder at tinyConfig's
+// dimensions: Load must refuse it by name, not by a parameter count.
+func TestLoadRefusesBiGRUCheckpoint(t *testing.T) {
+	_, err := LoadFile(filepath.Join("testdata", "bigru.ckpt"))
+	if err == nil || !strings.Contains(err.Error(), "BiGRU") || !strings.Contains(err.Error(), "Transformer") {
+		t.Fatalf("LoadFile = %v, want an error naming the retired BiGRU encoder", err)
+	}
+}
+
 func TestLoadFileMissing(t *testing.T) {
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.ckpt")); err == nil {
 		t.Fatal("expected error for missing file")

@@ -33,33 +33,12 @@ func (o Objective) String() string {
 	return "Triplet"
 }
 
-// EncoderKind selects the Local NER language-model family.
-type EncoderKind int
-
-// Encoder families.
-const (
-	// EncoderTransformer is the BERTweet stand-in (default).
-	EncoderTransformer EncoderKind = iota
-	// EncoderBiGRU is the BiLSTM-era recurrent alternative.
-	EncoderBiGRU
-)
-
-// String names the encoder kind.
-func (k EncoderKind) String() string {
-	if k == EncoderBiGRU {
-		return "bigru"
-	}
-	return "transformer"
-}
-
 // Config gathers every knob of the pipeline.
 type Config struct {
-	// Encoder configures the Local NER language model (dimensions are
-	// shared by both encoder kinds).
+	// Encoder configures the Local NER language model, the Transformer
+	// stand-in for BERTweet; its Dim also sizes the Phrase Embedder and
+	// the Entity Classifiers.
 	Encoder transformer.Config
-	// Kind selects the language-model family; masked-LM pre-training
-	// applies only to EncoderTransformer.
-	Kind EncoderKind
 	// PretrainSentences and PretrainEpochs control masked-LM
 	// pre-training of the encoder.
 	PretrainSentences int

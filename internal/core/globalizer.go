@@ -16,7 +16,6 @@ import (
 	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/parallel"
 	"nerglobalizer/internal/phrase"
-	"nerglobalizer/internal/rnn"
 	"nerglobalizer/internal/stream"
 	"nerglobalizer/internal/transformer"
 	"nerglobalizer/internal/types"
@@ -106,23 +105,10 @@ type Globalizer struct {
 // follow with PretrainEncoder, FineTuneLocal and TrainGlobal (or use
 // the Trainer in train.go).
 func New(cfg Config) *Globalizer {
-	var enc localner.Encoder
-	switch cfg.Kind {
-	case EncoderBiGRU:
-		enc = rnn.NewEncoder(rnn.Config{
-			Dim:          cfg.Encoder.Dim,
-			MaxLen:       cfg.Encoder.MaxLen,
-			VocabBuckets: cfg.Encoder.VocabBuckets,
-			CharBuckets:  cfg.Encoder.CharBuckets,
-			Seed:         cfg.Encoder.Seed,
-		})
-	default:
-		enc = transformer.NewEncoder(cfg.Encoder)
-	}
 	g := &Globalizer{
 		cfg:      cfg,
 		pool:     parallel.New(cfg.Workers),
-		Tagger:   localner.NewTagger(enc, cfg.FineTuneLR),
+		Tagger:   localner.NewTagger(transformer.NewEncoder(cfg.Encoder), cfg.FineTuneLR),
 		Embedder: phrase.NewEmbedder(cfg.Encoder.Dim, cfg.Seed+1),
 	}
 	g.Tagger.BatchTokens = cfg.InferBatchTokens
@@ -213,16 +199,10 @@ func (g *Globalizer) SetInferBatch(tokens int) {
 // tier, eagerly builds the packed weight mirrors the tier reads (so the
 // first cycle after the switch does not pay for packing) and records
 // the tier in the config (so checkpoints round-trip the setting). F64
-// restores the exact, bit-identical-to-training path. Returns an error
-// when the encoder family has no reduced-precision kernels (the
-// BiGRU); the pipeline is left on its previous tier in that case.
+// restores the exact, bit-identical-to-training path. It never fails;
+// the error result is kept for its callers.
 func (g *Globalizer) SetPrecision(p nn.Precision) error {
-	if p != nn.F64 && g.cfg.Kind == EncoderBiGRU {
-		return fmt.Errorf("core: encoder kind %q does not support inference precision %q", g.cfg.Kind, p)
-	}
-	if enc, ok := g.Tagger.Encoder().(*transformer.Encoder); ok {
-		enc.WarmPacks(p)
-	}
+	g.Tagger.Encoder().WarmPacks(p)
 	g.prec = p
 	g.cfg.InferPrecision = p.String()
 	g.o.setPrecision(p)

@@ -93,8 +93,7 @@ func logMarginHistogram(t *testing.T, g *Globalizer, test *corpus.Dataset, tier 
 }
 
 // TestPrecisionConfigValidation pins the no-silent-fallback contract:
-// unknown spellings are rejected at construction, and the BiGRU
-// encoder (no tier support) refuses reduced tiers instead of quietly
+// unknown spellings are rejected at construction instead of quietly
 // running exact.
 func TestPrecisionConfigValidation(t *testing.T) {
 	cfg := testConfig()
@@ -103,31 +102,6 @@ func TestPrecisionConfigValidation(t *testing.T) {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("New must panic on an unknown InferPrecision spelling")
-			}
-		}()
-		New(cfg)
-	}()
-
-	cfg = testConfig()
-	cfg.Kind = EncoderBiGRU
-	g := New(cfg)
-	if err := g.SetPrecision(nn.F32); err == nil {
-		t.Fatal("SetPrecision(f32) must fail for the BiGRU encoder")
-	}
-	if got := g.Precision(); got != nn.F64 {
-		t.Fatalf("failed SetPrecision must leave the tier at f64, got %s", got)
-	}
-	if err := g.SetPrecision(nn.F64); err != nil {
-		t.Fatalf("SetPrecision(f64) must succeed for the BiGRU encoder: %v", err)
-	}
-
-	cfg = testConfig()
-	cfg.Kind = EncoderBiGRU
-	cfg.InferPrecision = "i8"
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("New must panic on a reduced tier with a tierless encoder")
 			}
 		}()
 		New(cfg)

@@ -13,15 +13,9 @@ import (
 
 // PretrainEncoder runs masked-LM pre-training over the unlabeled
 // corpus for Config.PretrainEpochs epochs, returning per-epoch losses.
-// This is the "BERTweet pre-training" stage of the reproduction. It is
-// a no-op for non-Transformer encoders (the BiLSTM-era local models
-// trained without masked-LM pre-training).
+// This is the "BERTweet pre-training" stage of the reproduction.
 func (g *Globalizer) PretrainEncoder(corpus [][]string) []float64 {
-	enc, ok := g.Tagger.Encoder().(*transformer.Encoder)
-	if !ok {
-		return nil
-	}
-	trainer := transformer.NewMLMTrainer(enc, g.cfg.PretrainLR)
+	trainer := transformer.NewMLMTrainer(g.Tagger.Encoder(), g.cfg.PretrainLR)
 	losses := make([]float64, 0, g.cfg.PretrainEpochs)
 	for i := 0; i < g.cfg.PretrainEpochs; i++ {
 		losses = append(losses, trainer.TrainEpoch(corpus))

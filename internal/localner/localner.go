@@ -12,8 +12,8 @@
 // corrects.
 //
 // Inference has one entry point, Tagger.RunBatch, over the encoder's one
-// cache-free forward, Encoder.InferBatch. The precision tier is an
-// argument of both — neither the tagger nor the encoder stores it.
+// cache-free forward, transformer.Encoder.InferBatch. The precision tier
+// is an argument of both — neither the tagger nor the encoder stores it.
 package localner
 
 import (
@@ -25,30 +25,9 @@ import (
 	"nerglobalizer/internal/types"
 )
 
-// Encoder is the language-model contract Local NER needs: a trainable
-// sequence encoder producing one contextual embedding per token. Both
-// the Transformer stand-in (internal/transformer) and the BiGRU
-// (internal/rnn) satisfy it — the paper notes either family serves as
-// the Local NER language model, and the pipeline is decoupled from the
-// choice.
-type Encoder interface {
-	Forward(tokens []string, train bool) *nn.Matrix
-	// InferBatch encodes every sentence of batch at precision tier p
-	// while writing no encoder state, so concurrent calls over one
-	// trained encoder are safe. At nn.F64 each matrix must equal
-	// Forward(tokens, false) bit for bit at every batch composition; an
-	// empty sentence yields a 0×Dim matrix.
-	InferBatch(batch [][]string, p nn.Precision) []*nn.Matrix
-	Backward(dout *nn.Matrix)
-	Params() []*nn.Param
-	Truncate(tokens []string) []string
-	Dim() int
-	RNG() *nn.RNG
-}
-
-// Tagger is a fine-tunable BIO token tagger over a sequence encoder.
+// Tagger is a fine-tunable BIO token tagger over a Transformer encoder.
 type Tagger struct {
-	enc  Encoder
+	enc  *transformer.Encoder
 	head *nn.Dense
 	opt  *nn.Adam
 	rng  *nn.RNG
@@ -68,11 +47,11 @@ type Tagger struct {
 	BatchTokens int
 }
 
-// NewTagger attaches a fresh classification head to the encoder. The
-// optimizer covers both encoder and head, so Train fine-tunes
-// end-to-end (as the paper does before freezing the encoder for the
-// Global NER stage).
-func NewTagger(enc Encoder, lr float64) *Tagger {
+// NewTagger attaches a fresh classification head to the Transformer
+// encoder. The optimizer covers both encoder and head, so Train
+// fine-tunes end-to-end (as the paper does before freezing the encoder
+// for the Global NER stage).
+func NewTagger(enc *transformer.Encoder, lr float64) *Tagger {
 	rng := enc.RNG().Fork()
 	head := nn.NewDense("ner.head", enc.Dim(), types.NumBIOLabels, rng)
 	opt := nn.NewAdam(lr)
@@ -81,11 +60,11 @@ func NewTagger(enc Encoder, lr float64) *Tagger {
 	return &Tagger{enc: enc, head: head, opt: opt, rng: rng}
 }
 
-// Encoder returns the underlying encoder (used by the Phrase Embedder,
-// which consumes the same entity-aware token embeddings with the
-// encoder weights frozen, and by masked-LM pre-training when the
-// encoder is a Transformer).
-func (t *Tagger) Encoder() Encoder { return t.enc }
+// Encoder returns the underlying Transformer encoder (used by the
+// Phrase Embedder, which consumes the same entity-aware token
+// embeddings with the encoder weights frozen, by masked-LM
+// pre-training and by the precision tiers' weight packing).
+func (t *Tagger) Encoder() *transformer.Encoder { return t.enc }
 
 // Dim returns the token-embedding dimensionality.
 func (t *Tagger) Dim() int { return t.enc.Dim() }

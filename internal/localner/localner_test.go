@@ -7,7 +7,6 @@ import (
 
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/parallel"
-	"nerglobalizer/internal/rnn"
 	"nerglobalizer/internal/transformer"
 	"nerglobalizer/internal/types"
 )
@@ -115,15 +114,12 @@ func batchTestSentences() [][]string {
 }
 
 // TestRunBatchIdentityAcrossBatchSizes pins tagging at F64 to the
-// training forward: at every BatchTokens setting and worker count, for
-// both encoder families, RunBatch must reproduce the labels and
-// entities decoded from Forward(tokens, false) and its embedding bytes.
+// training forward: at every BatchTokens setting and worker count,
+// RunBatch must reproduce the labels and entities decoded from
+// Forward(tokens, false) and its embedding bytes.
 func TestRunBatchIdentityAcrossBatchSizes(t *testing.T) {
-	encoders := map[string]Encoder{
+	encoders := map[string]*transformer.Encoder{
 		"transformer": transformer.NewEncoder(testConfig()),
-		"bigru": rnn.NewEncoder(rnn.Config{
-			Dim: 16, MaxLen: 16, VocabBuckets: 256, CharBuckets: 64, Seed: 5,
-		}),
 	}
 	sents := batchTestSentences()
 	for name, enc := range encoders {
