@@ -51,9 +51,7 @@ const geluC = 0.7978845608028654 // sqrt(2/π)
 func (g *GELU) Forward(x *Matrix, train bool) *Matrix {
 	g.x = x
 	out := NewMatrix(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = 0.5 * v * (1 + math.Tanh(geluC*(v+0.044715*v*v*v)))
-	}
+	g.InferInto(out, x)
 	return out
 }
 

@@ -29,9 +29,7 @@ func (d *Dense) InferInto(dst, x *Matrix) {
 // allowed (each element is read before it is written).
 func (g *GELU) InferInto(dst, x *Matrix) {
 	x.mustSameShape(dst)
-	for i, v := range x.Data {
-		dst.Data[i] = 0.5 * v * (1 + math.Tanh(geluC*(v+0.044715*v*v*v)))
-	}
+	kernels().gelu64(dst.Data, x.Data)
 }
 
 // ScaledSoftmaxRowsInto fuses x.ScaleInPlace(scale) followed by

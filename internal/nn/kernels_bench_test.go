@@ -16,7 +16,8 @@ var benchCorpusLengths = [...]int{2: 5, 3: 4, 4: 3, 5: 10, 6: 20, 7: 15, 8: 6, 9
 // BenchmarkKernelTiers times the dispatched kernels themselves at each
 // supported SIMD level on the pipeline's packed-batch shapes (Dim 24 ×
 // FFDim 48, ~900 packed token rows per 64-sentence batch; attention
-// rows of the bench corpus's sentence lengths): the
+// rows of the bench corpus's sentence lengths), f64 GEMM and GELU
+// included: the
 // undiluted per-ISA view below BenchmarkInferBatchTiers
 // (internal/transformer, whole encoder per level × precision) and
 // bench/'s localner.tag_{f64,f32,i8}_sents_per_s (whole tagger, end to
@@ -34,6 +35,11 @@ func BenchmarkKernelTiers(b *testing.B) {
 		wt[i] = float32(rng.NormFloat64() * 0.1)
 	}
 	dst := make([]float32, rows*out)
+	// The f64 tier at the encoder's served shapes: the packed rows
+	// through the 24→24 attention projections, the 24→48 and 48→24
+	// feed-forward pair, and the GELU between them.
+	shapes64 := [][2]int{{in, in}, {in, out}, {out, in}}
+	gelu64In, gelu64Out := randomMatrix(rows, out, 23), NewMatrix(rows, out)
 	act := NewGELU()
 	geluIn := &Matrix32{Rows: rows, Cols: out, Data: dst}
 	geluOut := NewMatrix32(rows, out)
@@ -65,6 +71,19 @@ func BenchmarkKernelTiers(b *testing.B) {
 				for r := 0; r < rows; r++ {
 					dotRows32(dst[r*out:(r+1)*out], x[r*inPad:(r+1)*inPad], wt)
 				}
+			}
+		})
+		for _, sh := range shapes64 {
+			a, w, c := randomMatrix(rows, sh[0], 19), randomMatrix(sh[0], sh[1], 29), NewMatrix(rows, sh[1])
+			b.Run(fmt.Sprintf("matmul64/%dx%d/%s", sh[0], sh[1], level), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MatMulInto(c, a, w)
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("gelu64/%s", level), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				act.InferInto(gelu64Out, gelu64In)
 			}
 		})
 		b.Run(fmt.Sprintf("geluVec/%s", level), func(b *testing.B) {

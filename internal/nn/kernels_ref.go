@@ -1,13 +1,78 @@
 package nn
 
-// Portable reference bodies for the reduced-precision inner loops.
-// These compile on every architecture: they are the only tier on
+import "math"
+
+// Portable reference bodies for the dispatched inner loops. These
+// compile on every architecture: they are the only tier on
 // non-amd64, the SIMDGeneric forcing target on amd64, and the
 // differential oracle the cross-ISA equivalence tests compare the
-// assembly tiers against. The assembly versions may differ in the
-// last float32 ulp (different accumulation widths, FMA contraction,
-// and quantizer tie rounding) — the contract is the analytic error
-// bound in precision_test.go, not cross-tier bit equality.
+// assembly tiers against. The reduced-precision assembly versions may
+// differ in the last float32 ulp (different accumulation widths, FMA
+// contraction, and quantizer tie rounding) — the contract there is the
+// analytic error bound in precision_test.go, not cross-tier bit
+// equality. The f64 entries (matMulRangeRef, gelu64Ref) are the
+// exception: every tier reproduces their bits exactly.
+
+// matMulRangeRef is the f64 GEMM row walk behind MatMulInto: it
+// accumulates rows [i0, i1) of dst += a × b, k-blocked so each 64-row
+// panel of b is reused across every output row in the span. The k loop
+// is unrolled four-wide: each pass over the output row folds in four b
+// rows, quartering the load/store traffic on dst. Per output element
+// the additions still happen one at a time in ascending-k order —
+// ((o + a₀b₀) + a₁b₁) + … — so the result matches the unblocked triple
+// loop bit for bit. Zero a-row entries are skipped exactly as the
+// scalar kernel skips them (the fused pass runs only when all four
+// coefficients are nonzero; a mixed group falls back to the per-k
+// loop), which keeps one-hot and padded inputs cheap and never folds
+// in 0·b terms the scalar kernel would have skipped.
+func matMulRangeRef(dst, a, b *Matrix, i0, i1 int) {
+	K := a.Cols
+	for k0 := 0; k0 < K; k0 += matmulBlock {
+		k1 := k0 + matmulBlock
+		if k1 > K {
+			k1 = K
+		}
+		for i := i0; i < i1; i++ {
+			arow := a.Row(i)
+			orow := dst.Row(i)
+			k := k0
+			for ; k+4 <= k1; k += 4 {
+				av0, av1, av2, av3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+				if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
+					b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
+					for j, v0 := range b0 {
+						s := orow[j] + av0*v0
+						s += av1 * b1[j]
+						s += av2 * b2[j]
+						s += av3 * b3[j]
+						orow[j] = s
+					}
+					continue
+				}
+				for kk := k; kk < k+4; kk++ {
+					av := arow[kk]
+					if av == 0 {
+						continue
+					}
+					brow := b.Row(kk)
+					for j, bv := range brow {
+						orow[j] += av * bv
+					}
+				}
+			}
+			for ; k < k1; k++ {
+				av := arow[k]
+				if av == 0 {
+					continue
+				}
+				brow := b.Row(k)
+				for j, bv := range brow {
+					orow[j] += av * bv
+				}
+			}
+		}
+	}
+}
 
 // dotRows32Ref computes dst[j] = Σ_k a[k]·rows[j·len(a)+k] for every
 // j: one activation row against len(dst) contiguous (transposed)
@@ -170,4 +235,13 @@ func rowMaxRef(x []float32, scale float32) (int, float32) {
 // vscaleRef is the reference tier's in-place row-scale hook.
 func vscaleRef(o []float32, inv float32) int {
 	return 0
+}
+
+// gelu64Ref applies the tanh-approximated GELU element-wise:
+// dst[i] = 0.5·x[i]·(1 + tanh(c·(x[i] + 0.044715·x[i]³))). dst may
+// alias x (each element is read before it is written).
+func gelu64Ref(dst, x []float64) {
+	for i, v := range x {
+		dst[i] = 0.5 * v * (1 + math.Tanh(geluC*(v+0.044715*v*v*v)))
+	}
 }

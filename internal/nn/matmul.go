@@ -19,6 +19,13 @@ import (
 //     package matmul pool. Each output element is still accumulated
 //     by exactly one worker in ascending-k order, so the result is
 //     bit-identical to the serial kernel at any worker count.
+//
+// MatMulInto's row walk is a dispatched kernel (simd.go): the scalar
+// reference matMulRangeRef (kernels_ref.go) or the tier's vector body,
+// which keeps each output lane's operation sequence and so its bits.
+// MatMulInto loads the kernel set once and hands it to every row
+// shard, so one product never mixes tiers. MatMulTInto and TMatMulInto
+// (attention scores and training backprop) stay scalar here.
 
 // matmulBlock is the k-panel height of the blocked kernels: 64 rows of
 // a float64 matrix with a few hundred columns fit comfortably in L2.
@@ -70,7 +77,8 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MatMulInto computes dst = a × b, overwriting dst. dst must be
+// MatMulInto computes dst = a × b, overwriting dst, bit-identical to
+// the naive triple loop at every tier and worker count. dst must be
 // a.Rows×b.Cols and must not alias a or b.
 func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
@@ -80,72 +88,13 @@ func MatMulInto(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("nn: matmul dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	dst.Zero()
+	ks := kernels()
 	if p := shardPool(a.Rows, a.Rows*a.Cols*b.Cols); p != nil {
 		p.ForEachSpan(a.Rows, func(lo, hi int) {
-			matMulRange(dst, a, b, lo, hi)
+			ks.mm64(dst, a, b, lo, hi)
 		})
 	} else {
-		matMulRange(dst, a, b, 0, a.Rows)
-	}
-}
-
-// matMulRange accumulates rows [i0, i1) of dst += a × b, k-blocked so
-// each 64-row panel of b is reused across every output row in the
-// span. The k loop is unrolled four-wide: each pass over the output
-// row folds in four b rows, quartering the load/store traffic on dst.
-// Per output element the additions still happen one at a time in
-// ascending-k order — ((o + a₀b₀) + a₁b₁) + … — so the result matches
-// the unblocked triple loop bit for bit. Zero a-row entries are
-// skipped exactly as the scalar kernel skips them (the fused pass runs
-// only when all four coefficients are nonzero; a mixed group falls
-// back to the per-k loop), which keeps one-hot and padded inputs cheap
-// and never folds in 0·b terms the scalar kernel would have skipped.
-func matMulRange(dst, a, b *Matrix, i0, i1 int) {
-	K := a.Cols
-	for k0 := 0; k0 < K; k0 += matmulBlock {
-		k1 := k0 + matmulBlock
-		if k1 > K {
-			k1 = K
-		}
-		for i := i0; i < i1; i++ {
-			arow := a.Row(i)
-			orow := dst.Row(i)
-			k := k0
-			for ; k+4 <= k1; k += 4 {
-				av0, av1, av2, av3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-				if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
-					b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
-					for j, v0 := range b0 {
-						s := orow[j] + av0*v0
-						s += av1 * b1[j]
-						s += av2 * b2[j]
-						s += av3 * b3[j]
-						orow[j] = s
-					}
-					continue
-				}
-				for kk := k; kk < k+4; kk++ {
-					av := arow[kk]
-					if av == 0 {
-						continue
-					}
-					brow := b.Row(kk)
-					for j, bv := range brow {
-						orow[j] += av * bv
-					}
-				}
-			}
-			for ; k < k1; k++ {
-				av := arow[k]
-				if av == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
+		ks.mm64(dst, a, b, 0, a.Rows)
 	}
 }
 

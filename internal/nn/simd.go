@@ -8,12 +8,12 @@ import (
 	"sync/atomic"
 )
 
-// Runtime kernel dispatch. The reduced-precision inner loops come in
-// two tiers per architecture: the portable Go reference
-// (kernels_ref.go) and one vector tier — 8-wide AVX2/FMA assembly on
-// amd64 (simd_avx2_amd64.s, plus the 4-lane softmax and W8A16 bodies
-// in simd_amd64.s) when CPUID and XGETBV allow it, and NEON on arm64
-// (simd_arm64.s). The vector tier is selected once at init from CPU
+// Runtime kernel dispatch. The reduced-precision inner loops and the
+// exact f64 GEMM and GELU come in two tiers per architecture: the
+// portable Go reference (kernels_ref.go) and one vector tier — AVX2/FMA
+// assembly on amd64 (simd_avx2_amd64.s, plus the 4-lane softmax and
+// W8A16 bodies in simd_amd64.s) when CPUID and XGETBV allow it, and
+// NEON on arm64 (simd_arm64.s). The vector tier is selected once at init from CPU
 // feature bits and can be swapped at runtime through SetSIMD. This
 // file owns the level namespace and the dispatch machinery; each
 // architecture contributes its one tier as archTier (simd_amd64.go,
@@ -46,6 +46,18 @@ import (
 //     independent output lanes with mul-then-add (no FMA) and never
 //     split a reduction, or compute an order-insensitive max, so
 //     MatMul32Into produces the same bits at any level.
+//   - The f64 GEMM row walk (mm64, behind MatMulInto: every f64 Dense,
+//     the f64 attention combine, the classifier MLP, the Phrase
+//     Embedder, training) and the f64 GELU (gelu64) are bit-identical
+//     to the reference bodies at EVERY tier, -0/NaN/±Inf/subnormal
+//     inputs included (TestF64KernelsBitContract; a NaN's payload is
+//     not pinned). mm64 keeps each
+//     lane's ascending-k mul-then-add sequence and its ±0-coefficient
+//     skip; gelu64 transliterates math.Tanh branch for branch, and
+//     math.Exp's FMA path, the one it runs on every host the amd64
+//     vector tier accepts. On arm64 both stay on the reference
+//     bodies: gc contracts x*y+z into FMADD there, so the reference's
+//     own bits are fused ones a FMUL+FADD body would not reproduce.
 //   - Only the layer-norm mean/variance reductions (lnSum/lnSq) and
 //     the softmax exp partial sum reassociate; those are pinned by
 //     analytic error bounds per tier (kernels_test.go).
@@ -62,7 +74,8 @@ const (
 	// differential testing.
 	SIMDGeneric SIMDLevel = 0
 	// SIMDAVX2 is the amd64 vector tier: 8-wide AVX2/FMA bodies, plus
-	// 4-lane bodies for the W8A16 GEMM and the softmax passes.
+	// 4-lane bodies for the W8A16 GEMM, the softmax passes and the
+	// f64 GEMM and GELU.
 	// Requires AVX2+FMA and OS YMM state support.
 	SIMDAVX2 SIMDLevel = 2
 	// SIMDNEON is the arm64 vector tier (4-wide f32 via Advanced SIMD,
@@ -183,6 +196,14 @@ type kernelSet struct {
 	// multiplies a prefix of o by inv in place (element-wise, exact).
 	rowMax func(x []float32, scale float32) (int, float32)
 	vscale func(o []float32, inv float32) int
+
+	// The exact f64 tier. mm64 is MatMulInto's row walk: rows [i0, i1)
+	// of dst += a×b, each output lane folding in a[i][k]·b[k][j] in
+	// ascending k, mul-then-add, skipping every ±0 coefficient. gelu64
+	// is the GELU layer's element loop. Both reproduce the reference
+	// bodies' bits at every tier.
+	mm64   func(dst, a, b *Matrix, i0, i1 int)
+	gelu64 func(dst, x []float64)
 }
 
 var activeKernels atomic.Pointer[kernelSet]
@@ -262,6 +283,8 @@ func refKernelSet() *kernelSet {
 		lnAffine: lnAffineRef,
 		rowMax:   rowMaxRef,
 		vscale:   vscaleRef,
+		mm64:     matMulRangeRef,
+		gelu64:   gelu64Ref,
 	}
 }
 

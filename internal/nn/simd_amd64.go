@@ -4,9 +4,10 @@ package nn
 
 // amd64 kernel tier: avx2-fma, dispatched when the CPU has AVX2 and
 // FMA and the OS saves YMM state (cpu_amd64.go); without them the host
-// runs the portable reference tier. Assembly bodies: the 8-wide ones
-// in simd_avx2_amd64.s, and in simd_amd64.s the 4-lane SSE2-encoded
-// bodies the tier keeps for the W8A16 GEMM and the softmax passes.
+// runs the portable reference tier. Assembly bodies: the 8-wide f32
+// ones and the 4-lane f64 GEMM and GELU in simd_avx2_amd64.s, and in
+// simd_amd64.s the 4-lane SSE2-encoded bodies the tier keeps for the
+// W8A16 GEMM and the softmax passes.
 
 var archTier = &simdTier{level: SIMDAVX2, supported: func() bool { return cpuHasAVX2FMA }, apply: applyAVX2}
 
@@ -33,6 +34,8 @@ func applyAVX2(ks *kernelSet) {
 	ks.lnAffine = lnAffineAVX2
 	ks.rowMax = rowMaxSSE2
 	ks.vscale = vscaleSSE2
+	ks.mm64 = matMulRangeAVX2
+	ks.gelu64 = gelu64AVX2
 }
 
 // i8RowsSSE2 computes one activation row of the W8A16 GEMM:
@@ -189,4 +192,48 @@ func lnAffineAVX2(o []float32, mean, inv float32, gamma, beta []float32) int {
 		lnAffine8AVX2(o[:n], mean, inv, gamma, beta)
 	}
 	return n
+}
+
+// mm64PanelAVX2 accumulates o += a × b over one k panel for rows
+// consecutive output rows: o holds the rows n apart, a holds them lda
+// apart (the panel's kn coefficients first in each), and b is the
+// panel's kn rows of n. Each row stays in YMM accumulators across the
+// whole panel, in column tiles of 48, 24, 12 and 4 lanes plus a scalar
+// tail; per k a ±0 coefficient is skipped and otherwise every lane
+// takes one VMULPD then one VADDPD — matMulRangeRef's per-lane
+// sequence, so the bits are its bits. rows, kn and n must be positive.
+//
+//go:noescape
+func mm64PanelAVX2(o, a, b []float64, rows, kn, n, lda int)
+
+// matMulRangeAVX2 is matMulRangeRef's panel walk over the row-resident
+// assembly body.
+func matMulRangeAVX2(dst, a, b *Matrix, i0, i1 int) {
+	K, N := a.Cols, b.Cols
+	if i0 >= i1 || N == 0 {
+		return
+	}
+	for k0 := 0; k0 < K; k0 += matmulBlock {
+		k1 := min(k0+matmulBlock, K)
+		mm64PanelAVX2(dst.Data[i0*N:i1*N], a.Data[i0*K+k0:], b.Data[k0*N:k1*N], i1-i0, k1-k0, N, K)
+	}
+}
+
+// gelu64x4AVX2 applies the tanh-approximated GELU four f64 lanes at a
+// time, bit-identical to gelu64Ref: math.Tanh's three branches are
+// computed for every lane and blended, the exp branch transliterating
+// math.Exp's amd64 FMA path. len(x) must be a multiple of 4; dst may
+// alias x.
+//
+//go:noescape
+func gelu64x4AVX2(dst, x []float64)
+
+// gelu64AVX2 runs the 4-lane GELU over the largest 4-aligned prefix
+// and the reference loop over the rest.
+func gelu64AVX2(dst, x []float64) {
+	n := len(x) &^ 3
+	if n > 0 {
+		gelu64x4AVX2(dst[:n], x[:n])
+	}
+	gelu64Ref(dst[n:len(x)], x[n:])
 }

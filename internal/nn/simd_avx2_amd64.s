@@ -600,3 +600,314 @@ vlnaloop:
 vlnadone:
 	VZEROUPPER
 	RET
+
+// The exact f64 tier. Both bodies below keep every bit of their
+// reference (kernels_ref.go): the GEMM is mul-then-add per lane, and
+// the GELU fuses exactly where math.Exp's FMA path fuses and nowhere
+// else.
+
+// MM64LD/MM64ST move one YMM accumulator between the output row tile
+// at (DI)(R10) and a register; MM64MA folds the broadcast coefficient
+// Y12 times the b row at (R13) into one accumulator, product then sum.
+#define MM64LD(off, acc) VMOVUPD off(DI)(R10*1), acc
+#define MM64ST(off, acc) VMOVUPD acc, off(DI)(R10*1)
+#define MM64MA(off, acc) VMULPD off(R13), Y12, Y13; VADDPD Y13, acc, acc
+
+// MM64K opens a tile's k walk: R14 walks the a row, R13 the b column
+// tile, R12 counts k down. MM64SKIP jumps to the tile's step label when
+// a[k] is +0 or −0 (shifting out the sign leaves zero); NaN is not
+// skipped.
+#define MM64K MOVQ SI, R14; LEAQ (DX)(R10*1), R13; MOVQ CX, R12
+#define MM64SKIP(step) MOVQ (R14), AX; SHLQ $1, AX; JZ step
+#define MM64STEP ADDQ $8, R14; ADDQ R8, R13; DECQ R12
+
+// func mm64PanelAVX2(o, a, b []float64, rows, kn, n, lda int)
+//
+// DI/SI: the current o and a rows; DX: b; CX: kn; R8: n·8 (the o and b
+// row stride); R9: lda·8; R10: the column tile's byte offset; R11: the
+// row's bytes left to tile.
+TEXT ·mm64PanelAVX2(SB), NOSPLIT, $0-104
+	MOVQ o_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	MOVQ rows+72(FP), BX
+	MOVQ kn+80(FP), CX
+	MOVQ n+88(FP), R8
+	MOVQ lda+96(FP), R9
+	SHLQ $3, R8
+	SHLQ $3, R9
+
+mmrow:
+	XORQ R10, R10
+	MOVQ R8, R11
+
+mmt48:
+	CMPQ R11, $384
+	JLT  mmt24
+	MM64LD(0, Y0); MM64LD(32, Y1); MM64LD(64, Y2); MM64LD(96, Y3)
+	MM64LD(128, Y4); MM64LD(160, Y5); MM64LD(192, Y6); MM64LD(224, Y7)
+	MM64LD(256, Y8); MM64LD(288, Y9); MM64LD(320, Y10); MM64LD(352, Y11)
+	MM64K
+
+mmk48:
+	MM64SKIP(mms48)
+	VBROADCASTSD (R14), Y12
+	MM64MA(0, Y0); MM64MA(32, Y1); MM64MA(64, Y2); MM64MA(96, Y3)
+	MM64MA(128, Y4); MM64MA(160, Y5); MM64MA(192, Y6); MM64MA(224, Y7)
+	MM64MA(256, Y8); MM64MA(288, Y9); MM64MA(320, Y10); MM64MA(352, Y11)
+
+mms48:
+	MM64STEP
+	JNZ mmk48
+	MM64ST(0, Y0); MM64ST(32, Y1); MM64ST(64, Y2); MM64ST(96, Y3)
+	MM64ST(128, Y4); MM64ST(160, Y5); MM64ST(192, Y6); MM64ST(224, Y7)
+	MM64ST(256, Y8); MM64ST(288, Y9); MM64ST(320, Y10); MM64ST(352, Y11)
+	ADDQ $384, R10
+	SUBQ $384, R11
+	JMP  mmt48
+
+mmt24:
+	CMPQ R11, $192
+	JLT  mmt12
+	MM64LD(0, Y0); MM64LD(32, Y1); MM64LD(64, Y2)
+	MM64LD(96, Y3); MM64LD(128, Y4); MM64LD(160, Y5)
+	MM64K
+
+mmk24:
+	MM64SKIP(mms24)
+	VBROADCASTSD (R14), Y12
+	MM64MA(0, Y0); MM64MA(32, Y1); MM64MA(64, Y2)
+	MM64MA(96, Y3); MM64MA(128, Y4); MM64MA(160, Y5)
+
+mms24:
+	MM64STEP
+	JNZ mmk24
+	MM64ST(0, Y0); MM64ST(32, Y1); MM64ST(64, Y2)
+	MM64ST(96, Y3); MM64ST(128, Y4); MM64ST(160, Y5)
+	ADDQ $192, R10
+	SUBQ $192, R11
+
+mmt12:
+	CMPQ R11, $96
+	JLT  mmt4
+	MM64LD(0, Y0); MM64LD(32, Y1); MM64LD(64, Y2)
+	MM64K
+
+mmk12:
+	MM64SKIP(mms12)
+	VBROADCASTSD (R14), Y12
+	MM64MA(0, Y0); MM64MA(32, Y1); MM64MA(64, Y2)
+
+mms12:
+	MM64STEP
+	JNZ mmk12
+	MM64ST(0, Y0); MM64ST(32, Y1); MM64ST(64, Y2)
+	ADDQ $96, R10
+	SUBQ $96, R11
+
+mmt4:
+	CMPQ R11, $32
+	JLT  mmt1
+	MM64LD(0, Y0)
+	MM64K
+
+mmk4:
+	MM64SKIP(mms4)
+	VBROADCASTSD (R14), Y12
+	MM64MA(0, Y0)
+
+mms4:
+	MM64STEP
+	JNZ mmk4
+	MM64ST(0, Y0)
+	ADDQ $32, R10
+	SUBQ $32, R11
+	JMP  mmt4
+
+mmt1:
+	TESTQ R11, R11
+	JZ    mmnext
+	VMOVSD (DI)(R10*1), X0
+	MM64K
+
+mmk1:
+	MM64SKIP(mms1)
+	VMOVSD (R14), X12
+	VMULSD (R13), X12, X13
+	VADDSD X13, X0, X0
+
+mms1:
+	MM64STEP
+	JNZ mmk1
+	VMOVSD X0, (DI)(R10*1)
+	ADDQ $8, R10
+	SUBQ $8, R11
+	JMP  mmt1
+
+mmnext:
+	ADDQ R8, DI
+	ADDQ R9, SI
+	DECQ BX
+	JNZ  mmrow
+	VZEROUPPER
+	RET
+
+// Constants of gelu64x4AVX2, one float64 each (broadcast at use): the
+// GELU cubic, math.Tanh's rational coefficients and branch points, and
+// math.Exp's (exp_amd64.s) range-reduction and Taylor constants.
+DATA gelu64<>+0x00(SB)/8, $0.044715
+DATA gelu64<>+0x08(SB)/8, $0.7978845608028654 // sqrt(2/π)
+DATA gelu64<>+0x10(SB)/8, $-9.64399179425052238628e-1 // tanhP
+DATA gelu64<>+0x18(SB)/8, $-9.92877231001918586564e1
+DATA gelu64<>+0x20(SB)/8, $-1.61468768441708447952e3
+DATA gelu64<>+0x28(SB)/8, $1.12811678491632931402e2 // tanhQ
+DATA gelu64<>+0x30(SB)/8, $2.23548839060100448583e3
+DATA gelu64<>+0x38(SB)/8, $4.84406305325125486048e3
+DATA gelu64<>+0x40(SB)/8, $1.4426950408889634073599246810018920 // log₂e
+DATA gelu64<>+0x48(SB)/8, $0.69314718055966295651160180568695068359375 // ln2, upper half
+DATA gelu64<>+0x50(SB)/8, $0.28235290563031577122588448175013436025525412068e-12 // ln2, lower half
+DATA gelu64<>+0x58(SB)/8, $0.0625
+DATA gelu64<>+0x60(SB)/8, $2.4801587301587301587e-5 // Taylor, 1/8! … 1/3!
+DATA gelu64<>+0x68(SB)/8, $1.9841269841269841270e-4
+DATA gelu64<>+0x70(SB)/8, $1.3888888888888888889e-3
+DATA gelu64<>+0x78(SB)/8, $8.3333333333333333333e-3
+DATA gelu64<>+0x80(SB)/8, $4.1666666666666666667e-2
+DATA gelu64<>+0x88(SB)/8, $1.6666666666666666667e-1
+DATA gelu64<>+0x90(SB)/8, $0.5
+DATA gelu64<>+0x98(SB)/8, $1.0
+DATA gelu64<>+0xa0(SB)/8, $2.0
+DATA gelu64<>+0xa8(SB)/8, $0.625
+DATA gelu64<>+0xb0(SB)/8, $44.014845965556527147994 // 0.5·MAXLOG
+DATA gelu64<>+0xb8(SB)/8, $0x8000000000000000 // sign bit
+DATA gelu64<>+0xc0(SB)/8, $0x000003ff000003ff // exponent bias 1023, 4 × int32
+DATA gelu64<>+0xc8(SB)/8, $0x000003ff000003ff
+GLOBL gelu64<>(SB), RODATA|NOPTR, $208
+
+// func gelu64x4AVX2(dst, x []float64)
+//
+// GELU over four lanes at a time: 0.5·v·(1+tanh(u)) with
+// u = c·(v + 0.044715·v³), in gelu64Ref's operation order. tanh runs
+// math.Tanh's three branches on every lane and blends them: the
+// rational form (|u| < 0.625, u = ±0 returned as is), 1 − 2/(e+1) with
+// e = exp(2|u|) and u's sign (|u| ≥ 0.625), and ±1 (|u| > 0.5·MAXLOG,
+// ±Inf). NaN fails both compares and stays on the rational form, as in
+// the scalar code. exp follows exp_amd64.s's FMA path instruction for
+// instruction; on the lanes that reach it 2|u| lies in [1.25, 88.03],
+// so none of its special cases (non-finite, overflow, denormal) can
+// apply and the integer exponent n is in [2, 127]. The other lanes
+// compute garbage there that the blend discards. len(x) must be a
+// multiple of 4; dst may alias x.
+TEXT ·gelu64x4AVX2(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), DX
+	SHRQ $2, DX
+	JZ   g64done
+	VBROADCASTSD gelu64<>+0xb8(SB), Y13 // sign bit
+	VBROADCASTSD gelu64<>+0xa0(SB), Y14 // 2.0
+	VBROADCASTSD gelu64<>+0x98(SB), Y15 // 1.0
+
+g64loop:
+	VMOVUPD      (SI), Y0                // v
+	VBROADCASTSD gelu64<>+0x00(SB), Y1
+	VMULPD       Y0, Y1, Y1
+	VMULPD       Y0, Y1, Y1
+	VMULPD       Y0, Y1, Y1              // 0.044715·v·v·v, left to right
+	VADDPD       Y1, Y0, Y1
+	VBROADCASTSD gelu64<>+0x08(SB), Y2
+	VMULPD       Y1, Y2, Y1              // u
+	VANDNPD      Y1, Y13, Y2             // z = |u|
+
+	// Rational branch: u + u·s·P(s)/Q(s), s = u².
+	VMULPD       Y1, Y1, Y3              // s
+	VBROADCASTSD gelu64<>+0x10(SB), Y4
+	VMULPD       Y3, Y4, Y4
+	VBROADCASTSD gelu64<>+0x18(SB), Y5
+	VADDPD       Y5, Y4, Y4
+	VMULPD       Y3, Y4, Y4
+	VBROADCASTSD gelu64<>+0x20(SB), Y5
+	VADDPD       Y5, Y4, Y4              // (P0·s + P1)·s + P2
+	VBROADCASTSD gelu64<>+0x28(SB), Y5
+	VADDPD       Y5, Y3, Y5
+	VMULPD       Y3, Y5, Y5
+	VBROADCASTSD gelu64<>+0x30(SB), Y6
+	VADDPD       Y6, Y5, Y5
+	VMULPD       Y3, Y5, Y5
+	VBROADCASTSD gelu64<>+0x38(SB), Y6
+	VADDPD       Y6, Y5, Y5              // ((s + Q0)·s + Q1)·s + Q2
+	VMULPD       Y3, Y1, Y6
+	VMULPD       Y4, Y6, Y6
+	VDIVPD       Y5, Y6, Y6
+	VADDPD       Y6, Y1, Y6
+	VXORPD       Y7, Y7, Y7
+	VCMPPD       $0x00, Y7, Y1, Y7       // u == 0
+	VBLENDVPD    Y7, Y1, Y6, Y6          // tanh(±0) = ±0
+
+	// Exp branch: e = exp(2z), as exp_amd64.s computes it.
+	VADDPD       Y2, Y2, Y7              // x = 2z
+	VBROADCASTSD gelu64<>+0x40(SB), Y8
+	VMULPD       Y7, Y8, Y8
+	VCVTPD2DQY   Y8, X8                  // n = round(x·log₂e)
+	VCVTDQ2PD    X8, Y9
+	VBROADCASTSD gelu64<>+0x48(SB), Y10
+	VFNMADD231PD Y10, Y9, Y7             // x −= n·ln2hi, fused
+	VBROADCASTSD gelu64<>+0x50(SB), Y10
+	VFNMADD231PD Y10, Y9, Y7             // x −= n·ln2lo, fused
+	VBROADCASTSD gelu64<>+0x58(SB), Y10
+	VMULPD       Y10, Y7, Y7             // r = x/16
+	VBROADCASTSD gelu64<>+0x60(SB), Y9
+	VBROADCASTSD gelu64<>+0x68(SB), Y10
+	VFMADD213PD  Y10, Y7, Y9             // p = p·r + c, fused, 1/7! … 1
+	VBROADCASTSD gelu64<>+0x70(SB), Y10
+	VFMADD213PD  Y10, Y7, Y9
+	VBROADCASTSD gelu64<>+0x78(SB), Y10
+	VFMADD213PD  Y10, Y7, Y9
+	VBROADCASTSD gelu64<>+0x80(SB), Y10
+	VFMADD213PD  Y10, Y7, Y9
+	VBROADCASTSD gelu64<>+0x88(SB), Y10
+	VFMADD213PD  Y10, Y7, Y9
+	VBROADCASTSD gelu64<>+0x90(SB), Y10
+	VFMADD213PD  Y10, Y7, Y9
+	VFMADD213PD  Y15, Y7, Y9
+	VMULPD       Y9, Y7, Y7              // r·p
+	VADDPD       Y14, Y7, Y9             // squared four times: r·(r+2) …
+	VMULPD       Y9, Y7, Y7
+	VADDPD       Y14, Y7, Y9
+	VMULPD       Y9, Y7, Y7
+	VADDPD       Y14, Y7, Y9
+	VMULPD       Y9, Y7, Y7
+	VADDPD       Y14, Y7, Y9
+	VFMADD213PD  Y15, Y9, Y7             // … the last one fused with +1
+	VPADDD       gelu64<>+0xc0(SB), X8, X8
+	VPMOVZXDQ    X8, Y8
+	VPSLLQ       $52, Y8, Y8             // 2ⁿ
+	VMULPD       Y8, Y7, Y7              // e
+
+	// tanh = ±(1 − 2/(e+1)); the saturated value is ±1.
+	VADDPD       Y15, Y7, Y7
+	VDIVPD       Y7, Y14, Y7
+	VSUBPD       Y7, Y15, Y7
+	VANDPD       Y13, Y1, Y8             // u's sign
+	VXORPD       Y8, Y7, Y7
+	VORPD        Y15, Y8, Y9             // ±1
+	VBROADCASTSD gelu64<>+0xa8(SB), Y10
+	VCMPPD       $0x1d, Y10, Y2, Y10     // z ≥ 0.625
+	VBLENDVPD    Y10, Y7, Y6, Y6
+	VBROADCASTSD gelu64<>+0xb0(SB), Y10
+	VCMPPD       $0x1e, Y10, Y2, Y10     // z > 0.5·MAXLOG
+	VBLENDVPD    Y10, Y9, Y6, Y6         // t = tanh(u)
+
+	// (0.5·v)·(1 + t)
+	VBROADCASTSD gelu64<>+0x90(SB), Y10
+	VMULPD       Y10, Y0, Y0
+	VADDPD       Y15, Y6, Y6
+	VMULPD       Y6, Y0, Y0
+	VMOVUPD      Y0, (DI)
+	ADDQ         $32, SI
+	ADDQ         $32, DI
+	DECQ         DX
+	JNZ          g64loop
+
+g64done:
+	VZEROUPPER
+	RET

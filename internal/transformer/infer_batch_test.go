@@ -348,9 +348,10 @@ func BenchmarkInferBatchTiers(b *testing.B) {
 // TestInferBatchTierISAStability is the determinism contract for the
 // kernel-dispatch layer at the encoder level: within any one forced
 // SIMD tier, the reduced-precision batch output must be bit-identical no matter how many GEMM workers carve the batch —
-// the 2D tiling must never change a row's arithmetic. The f64 path
-// uses no dispatched kernels, so it must additionally be bit-identical
-// across every SIMD level.
+// the 2D tiling must never change a row's arithmetic. The f64 path's
+// dispatched kernels (the GEMM row walk and GELU) reproduce the
+// reference bodies' bits at every tier, so it must additionally be
+// bit-identical across every SIMD level.
 func TestInferBatchTierISAStability(t *testing.T) {
 	enc := NewEncoder(tinyConfig())
 	sents := append(testSentences(24, 5), []string{}, []string{"solo"})
