@@ -12,6 +12,8 @@
 package classifier
 
 import (
+	"sync"
+
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/types"
 )
@@ -27,7 +29,24 @@ type Classifier struct {
 	// cached forward state for trainRecord backprop
 	lastEmbs    [][]float64
 	lastWeights []float64
+
+	// scratch recycles ClassifyInto's intermediates (*verdictScratch),
+	// so concurrent verdicts allocate nothing in steady state.
+	scratch sync.Pool
 }
+
+// verdictScratch is one ClassifyInto call's working set: the pooling
+// weights (grown to the largest cluster seen) and the 1-row planes of
+// the global embedding, both hidden layers, the logits and the
+// probabilities. The caller's probs only receives a copy of the last,
+// so a stack array passed in stays on the caller's stack.
+type verdictScratch struct {
+	weights                []float64
+	global, h1, h2, logits nn.Matrix
+	probs                  []float64
+}
+
+func plane(n int) nn.Matrix { return nn.Matrix{Rows: 1, Cols: n, Data: make([]float64, n)} }
 
 // New creates a Classifier over d-dimensional mention embeddings with
 // a two-hidden-layer ReLU network.
@@ -98,40 +117,60 @@ func (c *Classifier) poolBackward(dglobal []float64) {
 	}
 }
 
-// poolInfer computes eqs. (6)–(8) without caching attention state, so
-// concurrent callers can share one trained classifier. The value
-// matches poolForward exactly.
-func (c *Classifier) poolInfer(embs [][]float64) []float64 {
-	n := len(embs)
-	scores := make([]float64, n)
+// Classify pools the cluster and returns the predicted class together
+// with the class probability vector (index order: None, PER, LOC, ORG,
+// MISC). Safe for concurrent use on a trained classifier.
+func (c *Classifier) Classify(embs [][]float64) (types.EntityType, []float64) {
+	probs := make([]float64, types.NumClasses)
+	return c.ClassifyInto(probs, embs), probs
+}
+
+// ClassifyInto is Classify writing the class probabilities into probs
+// (len types.NumClasses). It computes eqs. (6)–(8) and the network in
+// pooled scratch, without caching attention state, and allocates
+// nothing in steady state; the values are bit-identical to poolForward
+// followed by the network's Forward and a softmax. Safe for concurrent
+// use on a trained classifier.
+func (c *Classifier) ClassifyInto(probs []float64, embs [][]float64) types.EntityType {
+	if len(embs) == 0 {
+		clear(probs[:types.NumClasses])
+		probs[int(types.None)] = 1
+		return types.None
+	}
+	sc, _ := c.scratch.Get().(*verdictScratch)
+	if sc == nil {
+		sc = &verdictScratch{
+			global: plane(c.dim), h1: plane(2 * c.dim), h2: plane(c.dim),
+			logits: plane(types.NumClasses), probs: make([]float64, types.NumClasses),
+		}
+	}
+	if cap(sc.weights) < len(embs) {
+		sc.weights = make([]float64, len(embs))
+	}
+	w := sc.weights[:len(embs)]
 	for j, e := range embs {
 		s := c.ba.W.Data[0]
 		for i, v := range e {
 			s += c.wa.W.Data[i] * v
 		}
-		scores[j] = s
+		w[j] = s
 	}
-	weights := nn.Softmax(scores)
-	global := make([]float64, c.dim)
+	nn.SoftmaxInto(w, w)
+	g := sc.global.Data
+	clear(g)
 	for j, e := range embs {
-		nn.AddScaled(global, e, weights[j])
+		nn.AddScaled(g, e, w[j])
 	}
-	return global
-}
-
-// Classify pools the cluster and returns the predicted class together
-// with the class probability vector (index order: None, PER, LOC, ORG,
-// MISC). Safe for concurrent use on a trained classifier.
-func (c *Classifier) Classify(embs [][]float64) (types.EntityType, []float64) {
-	if len(embs) == 0 {
-		probs := make([]float64, types.NumClasses)
-		probs[int(types.None)] = 1
-		return types.None, probs
-	}
-	g := c.poolInfer(embs)
-	logits := c.mlp.Infer(nn.FromVec(g))
-	probs := nn.Softmax(logits.Row(0))
-	return types.EntityType(nn.ArgMax(probs)), probs
+	l := c.mlp.Layers
+	l[0].(*nn.Dense).InferInto(&sc.h1, &sc.global)
+	nn.ReLUInPlace(sc.h1.Data)
+	l[2].(*nn.Dense).InferInto(&sc.h2, &sc.h1)
+	nn.ReLUInPlace(sc.h2.Data)
+	l[4].(*nn.Dense).InferInto(&sc.logits, &sc.h2)
+	nn.SoftmaxInto(sc.probs, sc.logits.Data)
+	copy(probs, sc.probs)
+	c.scratch.Put(sc)
+	return types.EntityType(nn.ArgMax(probs[:types.NumClasses]))
 }
 
 // Params returns all trainable parameters (pooling + network).

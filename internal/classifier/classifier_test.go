@@ -126,3 +126,44 @@ func TestEvalMacroF1PerfectAndEmpty(t *testing.T) {
 		t.Fatalf("empty eval = %v", got)
 	}
 }
+
+// TestClassifyMatchesForward pins the scratch verdict path to the
+// training composition bit for bit — poolForward, the network's
+// Forward, then Softmax — on random clusters of 1 to 9 members, and
+// checks that it allocates nothing once its scratch is warm (outside
+// -race builds, whose sync.Pool drops items on purpose).
+func TestClassifyMatchesForward(t *testing.T) {
+	const dim = 6
+	c := New(dim, 7)
+	rng := nn.NewRNG(11)
+	for _, p := range c.Params() {
+		rng.NormalInit(p.W, 0.8) // biases too, so some ReLU inputs are ≤ 0
+	}
+	probs := make([]float64, types.NumClasses)
+	for trial := 0; trial < 200; trial++ {
+		embs := make([][]float64, 1+trial%9)
+		for j := range embs {
+			m := nn.NewMatrix(1, dim)
+			rng.NormalInit(m, 1)
+			embs[j] = m.Data
+		}
+		g := c.poolForward(embs)
+		want := nn.Softmax(c.mlp.Forward(nn.FromVec(g), false).Row(0))
+		et := c.ClassifyInto(probs, embs)
+		if int(et) != nn.ArgMax(want) {
+			t.Fatalf("trial %d: class %v, forward argmax %d", trial, et, nn.ArgMax(want))
+		}
+		for i, p := range probs {
+			if math.Float64bits(p) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d (%d members) class %d: %v, forward %v", trial, len(embs), i, p, want[i])
+			}
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	embs := [][]float64{{0.1, -0.2, 0.3, 0.4, -0.5, 0.6}, {0.3, 0.1, -0.4, 0.2, 0.9, -0.1}}
+	if n := testing.AllocsPerRun(100, func() { c.ClassifyInto(probs, embs) }); n != 0 {
+		t.Fatalf("ClassifyInto allocates %v times per call", n)
+	}
+}

@@ -146,9 +146,9 @@ func (g *Globalizer) classify(embs [][]float64) (types.EntityType, float64) {
 	if len(embs) == 0 {
 		return types.None, 1
 	}
-	mean := make([]float64, types.NumClasses)
+	var mean, probs [types.NumClasses]float64
 	for _, c := range g.Ensemble {
-		_, probs := c.Classify(embs)
+		c.ClassifyInto(probs[:], embs)
 		for i, p := range probs {
 			mean[i] += p
 		}

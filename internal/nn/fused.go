@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"sync"
+)
 
 // Fused inference kernels. The transformer inference path
 // (internal/transformer, InferBatch) packs many sentences into one
@@ -18,10 +22,11 @@ import "math"
 // roundings.
 
 // InferInto computes dst = x·W + b without caching backprop state,
-// bit-identical to Infer. dst must be x.Rows×Out and must not alias x.
+// bit-identical to MatMulInto followed by AddRowVecInPlace: the kernel
+// adds the bias in its final store. dst must be x.Rows×Out and must not
+// alias x.
 func (d *Dense) InferInto(dst, x *Matrix) {
-	MatMulInto(dst, x, d.W.W)
-	dst.AddRowVecInPlace(d.B.W.Data)
+	matMulBiasInto(dst, x, d.W.W, d.B.W.Data)
 }
 
 // InferInto applies the tanh-approximated GELU element-wise into dst,
@@ -39,28 +44,85 @@ func (g *GELU) InferInto(dst, x *Matrix) {
 // bit-identical. dst must share x's shape; dst == x is allowed.
 func ScaledSoftmaxRowsInto(dst, x *Matrix, scale float64) {
 	x.mustSameShape(dst)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		if len(row) == 0 {
-			continue
-		}
-		o := dst.Row(i)
-		max := row[0] * scale
+	if x.Cols > 0 {
+		softmaxRows64(kernels(), dst.Data, x.Data, x.Cols, scale)
+	}
+}
+
+// softmaxRows64 writes the softmax of scale·row into dst for each row
+// of cols elements of x (dst may alias x). Per row: the max of the
+// scaled logits, the dispatched exp pass, the sum in ascending j (that
+// order defines the bits), then one division per element. The passes
+// run over all rows at once — one exp call, and the row sums
+// accumulated side by side — so no row waits on the previous row's
+// latency chain.
+func softmaxRows64(ks *kernelSet, dst, x []float64, cols int, scale float64) {
+	rows := len(x) / cols
+	buf := softmaxStats.Get().(*[]float64)
+	if cap(*buf) < 2*rows {
+		*buf = make([]float64, 2*rows)
+	}
+	maxs, sums := (*buf)[:rows], (*buf)[rows:2*rows]
+	for r := range maxs {
+		row := x[r*cols : r*cols+cols]
+		m := row[0] * scale
 		for _, v := range row[1:] {
-			if sv := v * scale; sv > max {
-				max = sv
+			if sv := v * scale; sv > m {
+				m = sv
 			}
 		}
-		sum := 0.0
-		for j, v := range row {
-			e := math.Exp(v*scale - max)
-			o[j] = e
-			sum += e
+		maxs[r] = m
+	}
+	ks.exp64(dst[:len(x)], x, cols, scale, maxs)
+	clear(sums)
+	for j := 0; j < cols; j++ {
+		for r := range sums {
+			sums[r] += dst[r*cols+j]
 		}
+	}
+	for r, sum := range sums {
+		o := dst[r*cols : r*cols+cols]
 		for j := range o {
 			o[j] /= sum
 		}
 	}
+	softmaxStats.Put(buf)
+}
+
+// softmaxStats recycles softmaxRows64's per-row maxima and sums (a
+// stack array would escape through the dispatched exp64 call).
+var softmaxStats = sync.Pool{New: func() any { return new([]float64) }}
+
+// AttentionHeadInto runs one head of scaled dot-product attention over
+// one segment of packed token planes, in place: with q, k, v and out
+// sharing one shape, it reads rows [row, row+T) and columns
+// [col, col+dh) of q, k and v and writes
+// softmax(scale·q_h·k_hᵀ)·v_h into the same block of out. scores is a
+// T×T scratch. No head is copied out of its plane: the kernels walk the
+// strided views directly. The result is bit-identical to copying the
+// head out, MatMulTInto, ScaledSoftmaxRowsInto, MatMulInto, and adding
+// the product into a zeroed out: the combine's accumulators start at
+// +0 and so never hold −0, which makes that +0 + x store the identity.
+func AttentionHeadInto(out, q, k, v, scores *Matrix, row, T, col, dh int, scale float64) {
+	q.mustSameShape(k)
+	q.mustSameShape(v)
+	q.mustSameShape(out)
+	if row < 0 || T < 0 || row+T > q.Rows || col < 0 || dh < 0 || col+dh > q.Cols {
+		panic(fmt.Sprintf("nn: attention head rows [%d,%d) cols [%d,%d) outside %dx%d planes",
+			row, row+T, col, col+dh, q.Rows, q.Cols))
+	}
+	if scores.Rows != T || scores.Cols != T {
+		panic(fmt.Sprintf("nn: attention scores %dx%d, want %dx%d", scores.Rows, scores.Cols, T, T))
+	}
+	if T == 0 || dh == 0 {
+		return
+	}
+	ks := kernels()
+	ld := q.Cols
+	off := row*ld + col
+	ks.mmT64(scores.Data, q.Data[off:], k.Data[off:], T, T, dh, T, ld, ld)
+	softmaxRows64(ks, scores.Data, scores.Data, T, scale)
+	ks.mm64(out.Data[off:], scores.Data, v.Data[off:], nil, T, dh, T, ld, T, ld)
 }
 
 // InferResidualInto fuses the residual add into the normalization:

@@ -29,7 +29,7 @@ func (d *Dense) InferInto32(dst, x *Matrix32) {
 	ks := kernels()
 	pk := d.pack32s()
 	checkInferShape(dst.Rows, dst.Cols, x.Rows, x.Cols, pk.in, pk.out)
-	if p := shardPool(x.Rows, x.Rows*pk.in*pk.out); p != nil {
+	if p := shardPool(x.Rows, x.Rows*pk.in*pk.out, parallelMatMulMinFlops); p != nil {
 		p.ForEachSpan(x.Rows, func(lo, hi int) {
 			inferRows32(dst, x, pk, ks, lo, hi)
 		})
@@ -97,7 +97,7 @@ func (d *Dense) InferIntoI8(dst, x *Matrix32, qs *I8Scratch) {
 	for i := 0; i < rows; i++ {
 		sx[i] = ks.quant(q[i*inPad:i*inPad+inPad], x.Row(i))
 	}
-	if p := shardPool(rows, flops); p != nil {
+	if p := shardPool(rows, flops, parallelMatMulMinFlops); p != nil {
 		p.ForEachSpan(rows, func(lo, hi int) {
 			inferRowsI8(dst, q, sx, pk, ks, lo, hi)
 		})

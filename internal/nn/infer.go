@@ -1,5 +1,7 @@
 package nn
 
+import "math"
+
 // Inference path. Layer.Forward caches activations for backprop even
 // with train=false (Dense stores its input, LayerNorm its normalized
 // rows, and so on), so a shared model cannot run Forward from several
@@ -21,20 +23,32 @@ type Inferer interface {
 
 // Infer computes x·W + b without caching the input for backprop.
 func (d *Dense) Infer(x *Matrix) *Matrix {
-	out := MatMul(x, d.W.W)
-	out.AddRowVecInPlace(d.B.W.Data)
+	out := NewMatrix(x.Rows, d.W.W.Cols)
+	d.InferInto(out, x)
 	return out
 }
 
 // Infer clamps negative inputs to zero without recording the mask.
 func (r *ReLU) Infer(x *Matrix) *Matrix {
-	out := NewMatrix(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		}
-	}
+	out := x.Clone()
+	ReLUInPlace(out.Data)
 	return out
+}
+
+// ReLUInPlace sets every element of x that is not > 0 to +0 — −0 and
+// NaN included — exactly as ReLU.Forward and ReLU.Infer write them. It
+// decides on the bits, so the select compiles without a branch (a
+// hidden layer's signs are a coin flip to the branch predictor): v > 0
+// exactly when its bits minus one stay below +Inf's, which fails for +0
+// (the subtraction wraps), every negative (sign bit set) and every NaN.
+func ReLUInPlace(x []float64) {
+	for i, v := range x {
+		b := math.Float64bits(v)
+		if b-1 >= 0x7ff0000000000000 {
+			b = 0
+		}
+		x[i] = math.Float64frombits(b)
+	}
 }
 
 // Infer runs every layer's Infer in order. All layers of the Sequential

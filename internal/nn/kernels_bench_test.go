@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -16,8 +17,8 @@ var benchCorpusLengths = [...]int{2: 5, 3: 4, 4: 3, 5: 10, 6: 20, 7: 15, 8: 6, 9
 // BenchmarkKernelTiers times the dispatched kernels themselves at each
 // supported SIMD level on the pipeline's packed-batch shapes (Dim 24 ×
 // FFDim 48, ~900 packed token rows per 64-sentence batch; attention
-// rows of the bench corpus's sentence lengths), f64 GEMM and GELU
-// included: the
+// rows of the bench corpus's sentence lengths), the f64 GEMM, GELU,
+// softmax exp, attention scores and packed attention included: the
 // undiluted per-ISA view below BenchmarkInferBatchTiers
 // (internal/transformer, whole encoder per level × precision) and
 // bench/'s localner.tag_{f64,f32,i8}_sents_per_s (whole tagger, end to
@@ -48,6 +49,40 @@ func BenchmarkKernelTiers(b *testing.B) {
 	for i := range lnX.Data {
 		lnX.Data[i], lnRes.Data[i] = float32(rng.NormFloat64()), float32(rng.NormFloat64())
 	}
+	// The f64 attention path: exp64 over each of the batch's T×T score
+	// blocks (logit differences ≤ 0), one call per block, mmT64 at the
+	// served head shapes (T×12 against T×12), and AttentionHeadInto
+	// over one layer of packed planes (Dim 24, 2 heads of 12).
+	type expBlock struct {
+		T      int
+		x, max []float64
+	}
+	var expBlocks []expBlock
+	for T, count := range benchCorpusLengths {
+		for ; count > 0; count-- {
+			blk := expBlock{T: T, x: make([]float64, T*T), max: make([]float64, T)}
+			for j := range blk.x {
+				blk.x[j] = -math.Abs(rng.NormFloat64()) * 2
+			}
+			expBlocks = append(expBlocks, blk)
+		}
+	}
+	expOut := make([]float64, 100)
+	headQ, headK := randomMatrix(24, 12, 31), randomMatrix(24, 12, 37)
+	headS := NewMatrix(24, 24)
+	var segs []int // packed segment lengths, in corpus order
+	for T, count := range benchCorpusLengths {
+		for ; count > 0; count-- {
+			segs = append(segs, T)
+		}
+	}
+	planeRows := 0
+	for _, T := range segs {
+		planeRows += T
+	}
+	pq, pk, pv := randomMatrix(planeRows, in, 41), randomMatrix(planeRows, in, 43), randomMatrix(planeRows, in, 47)
+	pout, pscores := NewMatrix(planeRows, in), NewMatrix(10, 10)
+
 	// One T×T score matrix per sentence of the batch.
 	var scores, attn []*Matrix32
 	for T, count := range benchCorpusLengths {
@@ -84,6 +119,36 @@ func BenchmarkKernelTiers(b *testing.B) {
 		b.Run(fmt.Sprintf("gelu64/%s", level), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				act.InferInto(gelu64Out, gelu64In)
+			}
+		})
+		b.Run(fmt.Sprintf("exp64/%s", level), func(b *testing.B) {
+			ks := kernels()
+			for i := 0; i < b.N; i++ {
+				for _, blk := range expBlocks {
+					T := blk.T
+					ks.exp64(expOut[:T*T], blk.x, T, 1, blk.max)
+				}
+			}
+		})
+		for _, T := range []int{8, 16, 24} {
+			q, k := &Matrix{Rows: T, Cols: 12, Data: headQ.Data[:T*12]}, &Matrix{Rows: T, Cols: 12, Data: headK.Data[:T*12]}
+			s := &Matrix{Rows: T, Cols: T, Data: headS.Data[:T*T]}
+			b.Run(fmt.Sprintf("mmT64/T%d/dh12/%s", T, level), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MatMulTInto(s, q, k)
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("attention64/%s", level), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				off := 0
+				for _, T := range segs {
+					s := &Matrix{Rows: T, Cols: T, Data: pscores.Data[:T*T]}
+					for h := 0; h < 2; h++ {
+						AttentionHeadInto(pout, pq, pk, pv, s, off, T, h*12, 12, 0.2887)
+					}
+					off += T
+				}
 			}
 		})
 		b.Run(fmt.Sprintf("geluVec/%s", level), func(b *testing.B) {

@@ -10,36 +10,42 @@ import "math"
 // differ in the last float32 ulp (different accumulation widths, FMA
 // contraction, and quantizer tie rounding) — the contract there is the
 // analytic error bound in precision_test.go, not cross-tier bit
-// equality. The f64 entries (matMulRangeRef, gelu64Ref) are the
-// exception: every tier reproduces their bits exactly.
+// equality. The f64 entries (mm64Ref, mmT64Ref, exp64Ref, gelu64Ref)
+// are the exception: every tier reproduces their bits exactly.
 
-// matMulRangeRef is the f64 GEMM row walk behind MatMulInto: it
-// accumulates rows [i0, i1) of dst += a × b, k-blocked so each 64-row
-// panel of b is reused across every output row in the span. The k loop
-// is unrolled four-wide: each pass over the output row folds in four b
-// rows, quartering the load/store traffic on dst. Per output element
-// the additions still happen one at a time in ascending-k order —
-// ((o + a₀b₀) + a₁b₁) + … — so the result matches the unblocked triple
-// loop bit for bit. Zero a-row entries are skipped exactly as the
-// scalar kernel skips them (the fused pass runs only when all four
+// mm64Ref is the f64 GEMM behind MatMulInto, the bias-fused
+// Dense.InferInto and the attention combine: dst = a × b (+ bias), over
+// strided row-major views — a is m×k with rows lda apart, b is k×n with
+// rows ldb apart, dst is m×n with rows ldd apart, and bias (nil for
+// none) is one n-vector added to every row. It overwrites dst. The
+// walk is k-blocked so each 64-row panel of b is reused across every
+// output row, and the k loop is unrolled four-wide: each pass over the
+// output row folds in four b rows, quartering the load/store traffic on
+// dst. Per output element the additions still happen one at a time in
+// ascending-k order from +0 — ((0 + a₀b₀) + a₁b₁) + … — then the bias
+// last, so the result matches the naive triple loop followed by a
+// separate bias pass bit for bit. Zero a entries are skipped exactly as
+// the scalar kernel skips them (the fused pass runs only when all four
 // coefficients are nonzero; a mixed group falls back to the per-k
-// loop), which keeps one-hot and padded inputs cheap and never folds
-// in 0·b terms the scalar kernel would have skipped.
-func matMulRangeRef(dst, a, b *Matrix, i0, i1 int) {
-	K := a.Cols
-	for k0 := 0; k0 < K; k0 += matmulBlock {
-		k1 := k0 + matmulBlock
-		if k1 > K {
-			k1 = K
-		}
-		for i := i0; i < i1; i++ {
-			arow := a.Row(i)
-			orow := dst.Row(i)
-			k := k0
-			for ; k+4 <= k1; k += 4 {
-				av0, av1, av2, av3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+// loop), which keeps one-hot and padded inputs cheap and never folds in
+// 0·b terms the scalar kernel would have skipped.
+func mm64Ref(dst, a, b, bias []float64, m, n, k, ldd, lda, ldb int) {
+	for i := 0; i < m; i++ {
+		clear(dst[i*ldd : i*ldd+n])
+	}
+	for k0 := 0; k0 < k; k0 += matmulBlock {
+		k1 := min(k0+matmulBlock, k)
+		for i := 0; i < m; i++ {
+			arow := a[i*lda : i*lda+k]
+			orow := dst[i*ldd : i*ldd+n]
+			kk := k0
+			for ; kk+4 <= k1; kk += 4 {
+				av0, av1, av2, av3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
 				if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
-					b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
+					b0 := b[kk*ldb : kk*ldb+n]
+					b1 := b[(kk+1)*ldb : (kk+1)*ldb+n]
+					b2 := b[(kk+2)*ldb : (kk+2)*ldb+n]
+					b3 := b[(kk+3)*ldb : (kk+3)*ldb+n]
 					for j, v0 := range b0 {
 						s := orow[j] + av0*v0
 						s += av1 * b1[j]
@@ -49,27 +55,59 @@ func matMulRangeRef(dst, a, b *Matrix, i0, i1 int) {
 					}
 					continue
 				}
-				for kk := k; kk < k+4; kk++ {
-					av := arow[kk]
-					if av == 0 {
-						continue
-					}
-					brow := b.Row(kk)
-					for j, bv := range brow {
-						orow[j] += av * bv
+				for q := kk; q < kk+4; q++ {
+					if av := arow[q]; av != 0 {
+						axpy64(orow, b[q*ldb:q*ldb+n], av)
 					}
 				}
 			}
-			for ; k < k1; k++ {
-				av := arow[k]
-				if av == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j, bv := range brow {
-					orow[j] += av * bv
+			for ; kk < k1; kk++ {
+				if av := arow[kk]; av != 0 {
+					axpy64(orow, b[kk*ldb:kk*ldb+n], av)
 				}
 			}
+		}
+	}
+	if bias != nil {
+		for i := 0; i < m; i++ {
+			orow := dst[i*ldd : i*ldd+n]
+			for j, v := range bias[:n] {
+				orow[j] += v
+			}
+		}
+	}
+}
+
+// axpy64 is mm64Ref's single-coefficient step: o[j] += av·b[j].
+func axpy64(o, b []float64, av float64) {
+	for j, bv := range b {
+		o[j] += av * bv
+	}
+}
+
+// mmT64Ref is the f64 GEMM behind MatMulTInto and the attention
+// scores: dst = a × bᵀ over strided views — a is m×k (rows lda apart),
+// b is n×k (rows ldb apart), dst is m×n (rows ldd apart). Every element
+// is Dot(a_i, b_j): ascending k from +0, a multiply then an add, and no
+// zero coefficient skipped (0·Inf is NaN here, as in Dot).
+func mmT64Ref(dst, a, b []float64, m, n, k, ldd, lda, ldb int) {
+	for i := 0; i < m; i++ {
+		arow := a[i*lda : i*lda+k]
+		orow := dst[i*ldd : i*ldd+n]
+		for j := range orow {
+			orow[j] = Dot(arow, b[j*ldb:j*ldb+k])
+		}
+	}
+}
+
+// exp64Ref is the softmax exp pass over rows of cols elements, each
+// against its own max: dst[r·cols+j] = math.Exp(x[r·cols+j]·scale −
+// max[r]). dst may alias x.
+func exp64Ref(dst, x []float64, cols int, scale float64, max []float64) {
+	for p := 0; p < len(x); p += cols {
+		m := max[p/cols]
+		for j, v := range x[p : p+cols] {
+			dst[p+j] = math.Exp(v*scale - m)
 		}
 	}
 }

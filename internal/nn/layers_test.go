@@ -75,6 +75,25 @@ func TestReLUForward(t *testing.T) {
 	}
 }
 
+// TestReLUInPlaceMatchesForward pins the branch-free in-place ReLU to
+// ReLU.Forward's bits on every class of input: ±0, ±subnormal, ±Inf,
+// NaN of either sign, and values either side of them.
+func TestReLUInPlaceMatchesForward(t *testing.T) {
+	xs := []float64{
+		0, math.Copysign(0, -1), 5e-324, -5e-324, 1, -1, math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(math.NaN(), -1),
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0x7fefffffffffffff),
+	}
+	want := NewReLU().Forward(FromRows([][]float64{xs}), false).Data
+	got := append([]float64(nil), xs...)
+	ReLUInPlace(got)
+	for i, v := range got {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Fatalf("ReLU(%v) = %v (bits %#x), Forward %v", xs[i], v, math.Float64bits(v), want[i])
+		}
+	}
+}
+
 func TestGELUGradients(t *testing.T) {
 	checkLayerGradients(t, NewGELU(), 4, 6, 51, 1e-5)
 }

@@ -20,22 +20,33 @@ import (
 //     by exactly one worker in ascending-k order, so the result is
 //     bit-identical to the serial kernel at any worker count.
 //
-// MatMulInto's row walk is a dispatched kernel (simd.go): the scalar
-// reference matMulRangeRef (kernels_ref.go) or the tier's vector body,
-// which keeps each output lane's operation sequence and so its bits.
-// MatMulInto loads the kernel set once and hands it to every row
-// shard, so one product never mixes tiers. MatMulTInto and TMatMulInto
-// (attention scores and training backprop) stay scalar here.
+// MatMulInto and MatMulTInto run dispatched kernels (simd.go, mm64 and
+// mmT64): the scalar references in kernels_ref.go or the tier's vector
+// bodies, which keep each output lane's operation sequence and so its
+// bits. Each loads the kernel set once and hands it to every row shard,
+// so one product never mixes tiers. TMatMulInto (training backprop
+// only) stays scalar here.
 
 // matmulBlock is the k-panel height of the blocked kernels: 64 rows of
 // a float64 matrix with a few hundred columns fit comfortably in L2.
 const matmulBlock = 64
 
-// parallelMatMulMinFlops gates row sharding: below ~128k multiply-adds
-// the goroutine fan-out costs more than it saves. The pipeline's
-// per-token matrices (Dim≈32) stay under it and run serially even when
-// the pool is wide.
+// parallelMatMulMinFlops gates row sharding of the scalar TMatMulInto
+// and the f32/i8 GEMMs: below ~128k multiply-adds the goroutine
+// fan-out costs more than it saves.
 const parallelMatMulMinFlops = 1 << 17
+
+// mm64MinFlops and mmT64MinFlops gate row sharding of the dispatched
+// f64 kernels, whose vector bodies finish a shard so fast that a
+// two-worker fan-out breaks even only near 10⁶ multiply-adds
+// (BenchmarkMatMulKernels, the served rows: on a 2-core avx2-fma host
+// both kernels lose or tie sharded up to 5.9·10⁵ and mostly win from
+// 1.03·10⁶). The packed batches' projections stay under them and run
+// serially even when the pool is wide.
+const (
+	mm64MinFlops  = 1 << 20
+	mmT64MinFlops = 1 << 20
+)
 
 // matmulPool is the pool used for oversized multiplies. It defaults to
 // the process-wide pool; SetMatMulWorkers overrides it.
@@ -62,9 +73,9 @@ func kernelPool() *parallel.Pool {
 // through a callback would heap-allocate a closure per multiply, which
 // dominates the profile once the batched inference path drives
 // thousands of small attention GEMMs per cycle.
-func shardPool(rows, flops int) *parallel.Pool {
+func shardPool(rows, flops, minFlops int) *parallel.Pool {
 	p := kernelPool()
-	if flops < parallelMatMulMinFlops || p.Workers() <= 1 || rows <= 1 {
+	if flops < minFlops || p.Workers() <= 1 || rows <= 1 {
 		return nil
 	}
 	return p
@@ -80,21 +91,32 @@ func MatMul(a, b *Matrix) *Matrix {
 // MatMulInto computes dst = a × b, overwriting dst, bit-identical to
 // the naive triple loop at every tier and worker count. dst must be
 // a.Rows×b.Cols and must not alias a or b.
-func MatMulInto(dst, a, b *Matrix) {
+func MatMulInto(dst, a, b *Matrix) { matMulBiasInto(dst, a, b, nil) }
+
+// matMulBiasInto is MatMulInto followed by dst.AddRowVecInPlace(bias)
+// when bias is non-nil, with the bias folded into the kernel's final
+// store: the same additions in the same order.
+func matMulBiasInto(dst, a, b *Matrix, bias []float64) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: matmul dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
-	dst.Zero()
+	if bias != nil && len(bias) != b.Cols {
+		panic(fmt.Sprintf("nn: bias length %d does not match %d cols", len(bias), b.Cols))
+	}
 	ks := kernels()
-	if p := shardPool(a.Rows, a.Rows*a.Cols*b.Cols); p != nil {
-		p.ForEachSpan(a.Rows, func(lo, hi int) {
-			ks.mm64(dst, a, b, lo, hi)
+	M, K, N := a.Rows, a.Cols, b.Cols
+	// The shard closure captures the backing slices, not the matrices,
+	// so a caller's stack-held Matrix headers stay on its stack.
+	dd, ad, bd := dst.Data, a.Data, b.Data
+	if p := shardPool(M, M*K*N, mm64MinFlops); p != nil {
+		p.ForEachSpan(M, func(lo, hi int) {
+			ks.mm64(dd[lo*N:], ad[lo*K:], bd, bias, hi-lo, N, K, N, K, N)
 		})
 	} else {
-		ks.mm64(dst, a, b, 0, a.Rows)
+		ks.mm64(dd, ad, bd, bias, M, N, K, N, K, N)
 	}
 }
 
@@ -105,8 +127,9 @@ func MatMulT(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MatMulTInto computes dst = a × bᵀ, overwriting dst. dst must be
-// a.Rows×b.Rows and must not alias a or b.
+// MatMulTInto computes dst = a × bᵀ, overwriting dst: every element is
+// Dot(a_i, b_j), bit for bit, at every tier and worker count. dst must
+// be a.Rows×b.Rows and must not alias a or b.
 func MatMulTInto(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: matmulT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -114,31 +137,15 @@ func MatMulTInto(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: matmulT dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	if p := shardPool(a.Rows, a.Rows*a.Cols*b.Rows); p != nil {
-		p.ForEachSpan(a.Rows, func(lo, hi int) {
-			matMulTRange(dst, a, b, lo, hi)
+	ks := kernels()
+	M, K, N := a.Rows, a.Cols, b.Rows
+	dd, ad, bd := dst.Data, a.Data, b.Data
+	if p := shardPool(M, M*K*N, mmT64MinFlops); p != nil {
+		p.ForEachSpan(M, func(lo, hi int) {
+			ks.mmT64(dd[lo*N:], ad[lo*K:], bd, hi-lo, N, K, N, K, K)
 		})
 	} else {
-		matMulTRange(dst, a, b, 0, a.Rows)
-	}
-}
-
-// matMulTRange fills rows [i0, i1) of dst = a × bᵀ, j-blocked so a
-// panel of b rows is reused across the span. Every element is one full
-// dot product, so blocking cannot change its value.
-func matMulTRange(dst, a, b *Matrix, i0, i1 int) {
-	for j0 := 0; j0 < b.Rows; j0 += matmulBlock {
-		j1 := j0 + matmulBlock
-		if j1 > b.Rows {
-			j1 = b.Rows
-		}
-		for i := i0; i < i1; i++ {
-			arow := a.Row(i)
-			orow := dst.Row(i)
-			for j := j0; j < j1; j++ {
-				orow[j] = Dot(arow, b.Row(j))
-			}
-		}
+		ks.mmT64(dd, ad, bd, M, N, K, N, K, K)
 	}
 }
 
@@ -159,7 +166,7 @@ func TMatMulInto(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("nn: tmatmul dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
 	dst.Zero()
-	if p := shardPool(a.Cols, a.Rows*a.Cols*b.Cols); p != nil {
+	if p := shardPool(a.Cols, a.Rows*a.Cols*b.Cols, parallelMatMulMinFlops); p != nil {
 		p.ForEachSpan(a.Cols, func(lo, hi int) {
 			tMatMulRange(dst, a, b, lo, hi)
 		})

@@ -9,7 +9,8 @@ import (
 )
 
 // Runtime kernel dispatch. The reduced-precision inner loops and the
-// exact f64 GEMM and GELU come in two tiers per architecture: the
+// exact f64 tier's GEMMs, softmax exp and GELU come in two tiers per
+// architecture: the
 // portable Go reference (kernels_ref.go) and one vector tier — AVX2/FMA
 // assembly on amd64 (simd_avx2_amd64.s, plus the 4-lane softmax and
 // W8A16 bodies in simd_amd64.s) when CPUID and XGETBV allow it, and
@@ -46,18 +47,23 @@ import (
 //     independent output lanes with mul-then-add (no FMA) and never
 //     split a reduction, or compute an order-insensitive max, so
 //     MatMul32Into produces the same bits at any level.
-//   - The f64 GEMM row walk (mm64, behind MatMulInto: every f64 Dense,
-//     the f64 attention combine, the classifier MLP, the Phrase
-//     Embedder, training) and the f64 GELU (gelu64) are bit-identical
-//     to the reference bodies at EVERY tier, -0/NaN/±Inf/subnormal
-//     inputs included (TestF64KernelsBitContract; a NaN's payload is
-//     not pinned). mm64 keeps each
-//     lane's ascending-k mul-then-add sequence and its ±0-coefficient
-//     skip; gelu64 transliterates math.Tanh branch for branch, and
+//   - The f64 kernels are bit-identical to the reference bodies at
+//     EVERY tier, -0/NaN/±Inf/subnormal inputs included
+//     (TestF64KernelsBitContract, TestF64AttentionKernelsBitContract;
+//     a NaN's payload is not pinned): mm64 (MatMulInto and the
+//     bias-fused Dense.InferInto — every f64 Dense, the attention
+//     combine, the classifier MLP, the Phrase Embedder, training),
+//     mmT64 (MatMulTInto — the attention scores and training's
+//     backward), exp64 (the softmax exp pass) and gelu64. mm64 keeps
+//     each lane's ascending-k mul-then-add sequence from +0, its
+//     ±0-coefficient skip and the bias added last; mmT64 is Dot per
+//     element, nothing skipped; exp64 and gelu64 transliterate
 //     math.Exp's FMA path, the one it runs on every host the amd64
-//     vector tier accepts. On arm64 both stay on the reference
-//     bodies: gc contracts x*y+z into FMADD there, so the reference's
-//     own bits are fused ones a FMUL+FADD body would not reproduce.
+//     vector tier accepts, and hand every lane outside its plain path
+//     to math.Exp itself (exp64) or blend math.Tanh's branches
+//     (gelu64). On arm64 all four stay on the reference bodies: gc
+//     contracts x*y+z into FMADD there, so the reference's own bits
+//     are fused ones a FMUL+FADD body would not reproduce.
 //   - Only the layer-norm mean/variance reductions (lnSum/lnSq) and
 //     the softmax exp partial sum reassociate; those are pinned by
 //     analytic error bounds per tier (kernels_test.go).
@@ -75,7 +81,7 @@ const (
 	SIMDGeneric SIMDLevel = 0
 	// SIMDAVX2 is the amd64 vector tier: 8-wide AVX2/FMA bodies, plus
 	// 4-lane bodies for the W8A16 GEMM, the softmax passes and the
-	// f64 GEMM and GELU.
+	// f64 GEMMs, softmax exp and GELU.
 	// Requires AVX2+FMA and OS YMM state support.
 	SIMDAVX2 SIMDLevel = 2
 	// SIMDNEON is the arm64 vector tier (4-wide f32 via Advanced SIMD,
@@ -197,12 +203,20 @@ type kernelSet struct {
 	rowMax func(x []float32, scale float32) (int, float32)
 	vscale func(o []float32, inv float32) int
 
-	// The exact f64 tier. mm64 is MatMulInto's row walk: rows [i0, i1)
-	// of dst += a×b, each output lane folding in a[i][k]·b[k][j] in
-	// ascending k, mul-then-add, skipping every ±0 coefficient. gelu64
-	// is the GELU layer's element loop. Both reproduce the reference
-	// bodies' bits at every tier.
-	mm64   func(dst, a, b *Matrix, i0, i1 int)
+	// The exact f64 tier, over strided row-major views (kernels_ref.go
+	// spells out each operation sequence). mm64 is dst = a×b (+ bias):
+	// MatMulInto, Dense.InferInto and the attention combine; each lane
+	// folds in a[i][k]·b[k][j] in ascending k from +0, mul-then-add,
+	// skipping every ±0 coefficient, and adds the bias last. mmT64 is
+	// dst = a×bᵀ, one Dot per element (no skip): MatMulTInto and the
+	// attention scores. exp64 is the softmax exp pass over rows of cols
+	// elements, dst[r·cols+j] = math.Exp(x[r·cols+j]·scale − max[r]).
+	// gelu64 is the GELU layer's
+	// element loop. All four reproduce the reference bodies' bits at
+	// every tier.
+	mm64   func(dst, a, b, bias []float64, m, n, k, ldd, lda, ldb int)
+	mmT64  func(dst, a, b []float64, m, n, k, ldd, lda, ldb int)
+	exp64  func(dst, x []float64, cols int, scale float64, max []float64)
 	gelu64 func(dst, x []float64)
 }
 
@@ -283,7 +297,9 @@ func refKernelSet() *kernelSet {
 		lnAffine: lnAffineRef,
 		rowMax:   rowMaxRef,
 		vscale:   vscaleRef,
-		mm64:     matMulRangeRef,
+		mm64:     mm64Ref,
+		mmT64:    mmT64Ref,
+		exp64:    exp64Ref,
 		gelu64:   gelu64Ref,
 	}
 }

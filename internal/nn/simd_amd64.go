@@ -2,10 +2,13 @@
 
 package nn
 
+import "sync"
+
 // amd64 kernel tier: avx2-fma, dispatched when the CPU has AVX2 and
 // FMA and the OS saves YMM state (cpu_amd64.go); without them the host
 // runs the portable reference tier. Assembly bodies: the 8-wide f32
-// ones and the 4-lane f64 GEMM and GELU in simd_avx2_amd64.s, and in
+// ones and the 4-lane f64 GEMM (which the transposed GEMM reuses),
+// softmax exp and GELU in simd_avx2_amd64.s, and in
 // simd_amd64.s the 4-lane SSE2-encoded bodies the tier keeps for the
 // W8A16 GEMM and the softmax passes.
 
@@ -34,7 +37,9 @@ func applyAVX2(ks *kernelSet) {
 	ks.lnAffine = lnAffineAVX2
 	ks.rowMax = rowMaxSSE2
 	ks.vscale = vscaleSSE2
-	ks.mm64 = matMulRangeAVX2
+	ks.mm64 = mm64AVX2
+	ks.mmT64 = mmT64AVX2
+	ks.exp64 = exp64AVX2
 	ks.gelu64 = gelu64AVX2
 }
 
@@ -195,27 +200,116 @@ func lnAffineAVX2(o []float32, mean, inv float32, gamma, beta []float32) int {
 }
 
 // mm64PanelAVX2 accumulates o += a × b over one k panel for rows
-// consecutive output rows: o holds the rows n apart, a holds them lda
+// consecutive output rows: o holds the rows ldo apart, a holds them lda
 // apart (the panel's kn coefficients first in each), and b is the
-// panel's kn rows of n. Each row stays in YMM accumulators across the
-// whole panel, in column tiles of 48, 24, 12 and 4 lanes plus a scalar
-// tail; per k a ±0 coefficient is skipped and otherwise every lane
-// takes one VMULPD then one VADDPD — matMulRangeRef's per-lane
-// sequence, so the bits are its bits. rows, kn and n must be positive.
+// panel's kn rows of n, ldb apart. Each row stays in YMM accumulators
+// across the whole panel, in column tiles of 48, 24, 12 and 4 lanes
+// plus one masked tile for the last 1–3 columns (lanes past n are
+// neither read nor written); per k a ±0 coefficient is skipped unless
+// keep is nonzero, and otherwise every lane takes one VMULPD then one VADDPD —
+// the references' per-lane sequence, so the bits are theirs. flags
+// mmFromZero starts the accumulators at +0 instead of loading o, and
+// mmAddBias adds bias[j] to each lane before the store. rows, kn and n
+// must be positive.
 //
 //go:noescape
-func mm64PanelAVX2(o, a, b []float64, rows, kn, n, lda int)
+func mm64PanelAVX2(o, a, b, bias []float64, rows, kn, n, ldo, lda, ldb, keep, flags int)
 
-// matMulRangeAVX2 is matMulRangeRef's panel walk over the row-resident
-// assembly body.
-func matMulRangeAVX2(dst, a, b *Matrix, i0, i1 int) {
-	K, N := a.Cols, b.Cols
-	if i0 >= i1 || N == 0 {
+const (
+	mmFromZero = 1
+	mmAddBias  = 2
+)
+
+// mustCover panics unless s holds rows rows of n elements, ld apart:
+// the assembly bodies index the strided views unchecked.
+func mustCover(s []float64, rows, n, ld int) {
+	if len(s) < (rows-1)*ld+n {
+		panic("nn: strided view shorter than its shape")
+	}
+}
+
+// mm64AVX2 is mm64Ref's panel walk over the row-resident assembly
+// body: the first panel starts from +0 and the last one adds the bias.
+func mm64AVX2(dst, a, b, bias []float64, m, n, k, ldd, lda, ldb int) {
+	if m == 0 || n == 0 || k == 0 {
+		mm64Ref(dst, a, b, bias, m, n, k, ldd, lda, ldb)
 		return
 	}
-	for k0 := 0; k0 < K; k0 += matmulBlock {
-		k1 := min(k0+matmulBlock, K)
-		mm64PanelAVX2(dst.Data[i0*N:i1*N], a.Data[i0*K+k0:], b.Data[k0*N:k1*N], i1-i0, k1-k0, N, K)
+	mustCover(dst, m, n, ldd)
+	mustCover(a, m, k, lda)
+	mustCover(b, k, n, ldb)
+	if bias != nil {
+		mustCover(bias, 1, n, n)
+	}
+	for k0 := 0; k0 < k; k0 += matmulBlock {
+		k1 := min(k0+matmulBlock, k)
+		flags := 0
+		if k0 == 0 {
+			flags |= mmFromZero
+		}
+		if k1 == k && bias != nil {
+			flags |= mmAddBias
+		}
+		mm64PanelAVX2(dst, a[k0:], b[k0*ldb:], bias, m, k1-k0, n, ldd, lda, ldb, 0, flags)
+	}
+}
+
+// mmT64Bufs recycles mmT64AVX2's transposed-operand blocks.
+var mmT64Bufs = sync.Pool{New: func() any { return new([]float64) }}
+
+// mmT64AVX2 is mmT64Ref on the GEMM panel body: it transposes b into a
+// contiguous k×n block and runs the panels from +0 with keep set, so
+// each element is Dot's ascending-k mul-then-add with no term skipped.
+func mmT64AVX2(dst, a, b []float64, m, n, k, ldd, lda, ldb int) {
+	if m == 0 || n == 0 || k == 0 {
+		mmT64Ref(dst, a, b, m, n, k, ldd, lda, ldb)
+		return
+	}
+	mustCover(dst, m, n, ldd)
+	mustCover(a, m, k, lda)
+	buf := mmT64Bufs.Get().(*[]float64)
+	if cap(*buf) < n*k {
+		*buf = make([]float64, n*k)
+	}
+	bt := (*buf)[:n*k]
+	for j := 0; j < n; j++ {
+		for kk, v := range b[j*ldb : j*ldb+k] {
+			bt[kk*n+j] = v
+		}
+	}
+	for k0 := 0; k0 < k; k0 += matmulBlock {
+		k1 := min(k0+matmulBlock, k)
+		flags := 0
+		if k0 == 0 {
+			flags = mmFromZero
+		}
+		mm64PanelAVX2(dst, a[k0:], bt[k0*n:], nil, m, k1-k0, n, ldd, lda, n, 1, flags)
+	}
+	mmT64Bufs.Put(buf)
+}
+
+// exp64RowsAVX2 is the exp pass over rows of cols elements, row r
+// against max[r]: four lanes at a time, each row's last 1–3 elements as
+// one masked block, bit-identical to math.Exp. It stops in front of the
+// first block holding a lane outside math.Exp's plain path (NaN, ±Inf,
+// overflow, a subnormal or zero result) and returns how many elements
+// it wrote. dst may alias x; len(x) must be a multiple of cols.
+//
+//go:noescape
+func exp64RowsAVX2(dst, x []float64, cols int, scale float64, max []float64) int
+
+// exp64AVX2 runs the 4-lane exp pass; the rest of a row whose block
+// stopped it runs on scalar math.Exp, and the pass resumes at the next
+// row.
+func exp64AVX2(dst, x []float64, cols int, scale float64, max []float64) {
+	for p := 0; p < len(x); {
+		p += exp64RowsAVX2(dst[p:len(x)], x[p:], cols, scale, max[p/cols:])
+		if p < len(x) {
+			r := p / cols
+			end := (r + 1) * cols
+			exp64Ref(dst[p:end], x[p:end], end-p, scale, max[r:r+1])
+			p = end
+		}
 	}
 }
 

@@ -601,52 +601,96 @@ vlnadone:
 	VZEROUPPER
 	RET
 
-// The exact f64 tier. Both bodies below keep every bit of their
+// The exact f64 tier. Every body below keeps every bit of its
 // reference (kernels_ref.go): the GEMM is mul-then-add per lane, and
-// the GELU fuses exactly where math.Exp's FMA path fuses and nowhere
-// else.
+// the exp passes fuse exactly where math.Exp's FMA path fuses and
+// nowhere else.
 
 // MM64LD/MM64ST move one YMM accumulator between the output row tile
-// at (DI)(R10) and a register; MM64MA folds the broadcast coefficient
+// at (DI)(R10) and a register; MM64Z starts one at +0; MM64B adds the
+// bias tile at (AX)(R10) to one; MM64MA folds the broadcast coefficient
 // Y12 times the b row at (R13) into one accumulator, product then sum.
 #define MM64LD(off, acc) VMOVUPD off(DI)(R10*1), acc
 #define MM64ST(off, acc) VMOVUPD acc, off(DI)(R10*1)
+#define MM64Z(acc) VXORPD acc, acc, acc
+#define MM64B(off, acc) VADDPD off(AX)(R10*1), acc, acc
 #define MM64MA(off, acc) VMULPD off(R13), Y12, Y13; VADDPD Y13, acc, acc
 
 // MM64K opens a tile's k walk: R14 walks the a row, R13 the b column
 // tile, R12 counts k down. MM64SKIP jumps to the tile's step label when
-// a[k] is +0 or −0 (shifting out the sign leaves zero); NaN is not
-// skipped.
+// a[k] is +0 or −0 (shifting out the sign leaves zero) and keep (R15)
+// is 0; a nonzero keep ORs in a set bit, so every term is folded in.
+// NaN is never skipped.
 #define MM64K MOVQ SI, R14; LEAQ (DX)(R10*1), R13; MOVQ CX, R12
-#define MM64SKIP(step) MOVQ (R14), AX; SHLQ $1, AX; JZ step
-#define MM64STEP ADDQ $8, R14; ADDQ R8, R13; DECQ R12
+#define MM64SKIP(step) MOVQ (R14), AX; SHLQ $1, AX; ORQ R15, AX; JZ step
+#define MM64STEP ADDQ $8, R14; ADDQ R11, R13; DECQ R12
 
-// func mm64PanelAVX2(o, a, b []float64, rows, kn, n, lda int)
+// Store masks for the column tail: entry r−1 keeps the low r of four
+// lanes.
+DATA mm64mask<>+0x00(SB)/8, $-1
+DATA mm64mask<>+0x08(SB)/8, $0
+DATA mm64mask<>+0x10(SB)/8, $0
+DATA mm64mask<>+0x18(SB)/8, $0
+DATA mm64mask<>+0x20(SB)/8, $-1
+DATA mm64mask<>+0x28(SB)/8, $-1
+DATA mm64mask<>+0x30(SB)/8, $0
+DATA mm64mask<>+0x38(SB)/8, $0
+DATA mm64mask<>+0x40(SB)/8, $-1
+DATA mm64mask<>+0x48(SB)/8, $-1
+DATA mm64mask<>+0x50(SB)/8, $-1
+DATA mm64mask<>+0x58(SB)/8, $0
+GLOBL mm64mask<>(SB), RODATA|NOPTR, $96
+
+// func mm64PanelAVX2(o, a, b, bias []float64, rows, kn, n, ldo, lda, ldb, keep, flags int)
 //
-// DI/SI: the current o and a rows; DX: b; CX: kn; R8: n·8 (the o and b
-// row stride); R9: lda·8; R10: the column tile's byte offset; R11: the
-// row's bytes left to tile.
-TEXT ·mm64PanelAVX2(SB), NOSPLIT, $0-104
+// o += a × b over one k panel for rows consecutive output rows: o holds
+// them ldo apart, a holds them lda apart (the panel's kn coefficients
+// first in each), and b holds the panel's kn rows of n, ldb apart. Each
+// row stays in YMM accumulators across the whole panel, in column tiles
+// of 48, 24, 12 and 4 lanes plus one masked tile for the last 1–3
+// columns (VMASKMOVPD: lanes past n are neither read nor written); per k a ±0 coefficient
+// is skipped unless keep is nonzero, and otherwise every lane takes one
+// VMULPD then one VADDPD — the references' per-lane sequence, so the
+// bits are theirs. flags: 1 starts the accumulators at +0 instead of
+// loading o; 2 adds bias[j] to each lane before the store. rows, kn and
+// n must be positive.
+//
+// DI/SI: the current o and a rows; DX: b; CX: kn; R8: ldo·8; R9: lda·8;
+// R10: the column tile's byte offset; R11: ldb·8; R15: keep.
+TEXT ·mm64PanelAVX2(SB), NOSPLIT, $0-160
 	MOVQ o_base+0(FP), DI
 	MOVQ a_base+24(FP), SI
 	MOVQ b_base+48(FP), DX
-	MOVQ rows+72(FP), BX
-	MOVQ kn+80(FP), CX
-	MOVQ n+88(FP), R8
-	MOVQ lda+96(FP), R9
+	MOVQ rows+96(FP), BX
+	MOVQ kn+104(FP), CX
+	MOVQ ldb+136(FP), R11
+	MOVQ ldo+120(FP), R8
+	MOVQ lda+128(FP), R9
+	MOVQ keep+144(FP), R15
+	SHLQ $3, R11
 	SHLQ $3, R8
 	SHLQ $3, R9
 
 mmrow:
 	XORQ R10, R10
-	MOVQ R8, R11
 
 mmt48:
-	CMPQ R11, $384
-	JLT  mmt24
+	LEAQ 384(R10), AX
+	SHRQ $3, AX
+	CMPQ AX, n+112(FP)
+	JGT  mmt24
+	TESTQ $1, flags+152(FP)
+	JNZ   mmz48
 	MM64LD(0, Y0); MM64LD(32, Y1); MM64LD(64, Y2); MM64LD(96, Y3)
 	MM64LD(128, Y4); MM64LD(160, Y5); MM64LD(192, Y6); MM64LD(224, Y7)
 	MM64LD(256, Y8); MM64LD(288, Y9); MM64LD(320, Y10); MM64LD(352, Y11)
+	JMP mmo48
+
+mmz48:
+	MM64Z(Y0); MM64Z(Y1); MM64Z(Y2); MM64Z(Y3); MM64Z(Y4); MM64Z(Y5)
+	MM64Z(Y6); MM64Z(Y7); MM64Z(Y8); MM64Z(Y9); MM64Z(Y10); MM64Z(Y11)
+
+mmo48:
 	MM64K
 
 mmk48:
@@ -659,18 +703,35 @@ mmk48:
 mms48:
 	MM64STEP
 	JNZ mmk48
+	TESTQ $2, flags+152(FP)
+	JZ    mmw48
+	MOVQ  bias_base+72(FP), AX
+	MM64B(0, Y0); MM64B(32, Y1); MM64B(64, Y2); MM64B(96, Y3)
+	MM64B(128, Y4); MM64B(160, Y5); MM64B(192, Y6); MM64B(224, Y7)
+	MM64B(256, Y8); MM64B(288, Y9); MM64B(320, Y10); MM64B(352, Y11)
+
+mmw48:
 	MM64ST(0, Y0); MM64ST(32, Y1); MM64ST(64, Y2); MM64ST(96, Y3)
 	MM64ST(128, Y4); MM64ST(160, Y5); MM64ST(192, Y6); MM64ST(224, Y7)
 	MM64ST(256, Y8); MM64ST(288, Y9); MM64ST(320, Y10); MM64ST(352, Y11)
 	ADDQ $384, R10
-	SUBQ $384, R11
 	JMP  mmt48
 
 mmt24:
-	CMPQ R11, $192
-	JLT  mmt12
+	LEAQ 192(R10), AX
+	SHRQ $3, AX
+	CMPQ AX, n+112(FP)
+	JGT  mmt12
+	TESTQ $1, flags+152(FP)
+	JNZ   mmz24
 	MM64LD(0, Y0); MM64LD(32, Y1); MM64LD(64, Y2)
 	MM64LD(96, Y3); MM64LD(128, Y4); MM64LD(160, Y5)
+	JMP mmo24
+
+mmz24:
+	MM64Z(Y0); MM64Z(Y1); MM64Z(Y2); MM64Z(Y3); MM64Z(Y4); MM64Z(Y5)
+
+mmo24:
 	MM64K
 
 mmk24:
@@ -682,15 +743,31 @@ mmk24:
 mms24:
 	MM64STEP
 	JNZ mmk24
+	TESTQ $2, flags+152(FP)
+	JZ    mmw24
+	MOVQ  bias_base+72(FP), AX
+	MM64B(0, Y0); MM64B(32, Y1); MM64B(64, Y2)
+	MM64B(96, Y3); MM64B(128, Y4); MM64B(160, Y5)
+
+mmw24:
 	MM64ST(0, Y0); MM64ST(32, Y1); MM64ST(64, Y2)
 	MM64ST(96, Y3); MM64ST(128, Y4); MM64ST(160, Y5)
 	ADDQ $192, R10
-	SUBQ $192, R11
 
 mmt12:
-	CMPQ R11, $96
-	JLT  mmt4
+	LEAQ 96(R10), AX
+	SHRQ $3, AX
+	CMPQ AX, n+112(FP)
+	JGT  mmt4
+	TESTQ $1, flags+152(FP)
+	JNZ   mmz12
 	MM64LD(0, Y0); MM64LD(32, Y1); MM64LD(64, Y2)
+	JMP mmo12
+
+mmz12:
+	MM64Z(Y0); MM64Z(Y1); MM64Z(Y2)
+
+mmo12:
 	MM64K
 
 mmk12:
@@ -701,14 +778,29 @@ mmk12:
 mms12:
 	MM64STEP
 	JNZ mmk12
+	TESTQ $2, flags+152(FP)
+	JZ    mmw12
+	MOVQ  bias_base+72(FP), AX
+	MM64B(0, Y0); MM64B(32, Y1); MM64B(64, Y2)
+
+mmw12:
 	MM64ST(0, Y0); MM64ST(32, Y1); MM64ST(64, Y2)
 	ADDQ $96, R10
-	SUBQ $96, R11
 
 mmt4:
-	CMPQ R11, $32
-	JLT  mmt1
+	LEAQ 32(R10), AX
+	SHRQ $3, AX
+	CMPQ AX, n+112(FP)
+	JGT  mmt1
+	TESTQ $1, flags+152(FP)
+	JNZ   mmz4
 	MM64LD(0, Y0)
+	JMP mmo4
+
+mmz4:
+	MM64Z(Y0)
+
+mmo4:
 	MM64K
 
 mmk4:
@@ -719,30 +811,53 @@ mmk4:
 mms4:
 	MM64STEP
 	JNZ mmk4
+	TESTQ $2, flags+152(FP)
+	JZ    mmw4
+	MOVQ  bias_base+72(FP), AX
+	MM64B(0, Y0)
+
+mmw4:
 	MM64ST(0, Y0)
 	ADDQ $32, R10
-	SUBQ $32, R11
 	JMP  mmt4
 
 mmt1:
-	TESTQ R11, R11
-	JZ    mmnext
-	VMOVSD (DI)(R10*1), X0
+	MOVQ n+112(FP), AX
+	SHLQ $3, AX
+	SUBQ R10, AX
+	JLE  mmnext
+	SHLQ $2, AX
+	LEAQ mm64mask<>(SB), R12
+	VMOVDQU -32(R12)(AX*1), Y14     // lanes below the 1–3 left
+	TESTQ $1, flags+152(FP)
+	JNZ   mmz1
+	VMASKMOVPD (DI)(R10*1), Y14, Y0
+	JMP mmo1
+
+mmz1:
+	MM64Z(Y0)
+
+mmo1:
 	MM64K
 
 mmk1:
 	MM64SKIP(mms1)
-	VMOVSD (R14), X12
-	VMULSD (R13), X12, X13
-	VADDSD X13, X0, X0
+	VBROADCASTSD (R14), Y12
+	VMASKMOVPD   (R13), Y14, Y13
+	VMULPD       Y13, Y12, Y13
+	VADDPD       Y13, Y0, Y0
 
 mms1:
 	MM64STEP
 	JNZ mmk1
-	VMOVSD X0, (DI)(R10*1)
-	ADDQ $8, R10
-	SUBQ $8, R11
-	JMP  mmt1
+	TESTQ $2, flags+152(FP)
+	JZ    mmw1
+	MOVQ  bias_base+72(FP), AX
+	VMASKMOVPD (AX)(R10*1), Y14, Y13
+	VADDPD     Y13, Y0, Y0
+
+mmw1:
+	VMASKMOVPD Y0, Y14, (DI)(R10*1)
 
 mmnext:
 	ADDQ R8, DI
@@ -909,5 +1024,154 @@ g64loop:
 	JNZ          g64loop
 
 g64done:
+	VZEROUPPER
+	RET
+
+// The softmax exp pass's exponent range: math.Exp's scalar code takes
+// its plain path only for 1 ≤ n+1023 ≤ 0x7FE, i.e. n in (−1023, 1024).
+DATA exp64<>+0(SB)/4, $-1023
+DATA exp64<>+4(SB)/4, $1024
+GLOBL exp64<>(SB), RODATA|NOPTR, $8
+
+// EXP64N rounds the argument lanes in Y7 to the integer exponent
+// n = round(x·log₂e) in X8, as math.Exp does, and leaves in AX one bit
+// per lane whose n is inside the plain path's range (X13 = −1023s,
+// X4 = 1024s). EXP64REST finishes e = exp(x) in Y7 from Y7 and X8,
+// gelu64x4AVX2's exp branch instruction for instruction: the two fused
+// ln2 reductions, x/16, the fused Taylor chain, four squarings (the
+// last fused with +1), times 2ⁿ (Y14 = 2.0s, Y15 = 1.0s).
+#define EXP64N \
+	VBROADCASTSD gelu64<>+0x40(SB), Y8; \
+	VMULPD       Y7, Y8, Y8; \
+	VCVTPD2DQY   Y8, X8; \
+	VPCMPGTD     X13, X8, X1; \
+	VPCMPGTD     X8, X4, X2; \
+	VPAND        X2, X1, X1; \
+	VMOVMSKPS    X1, AX
+
+#define EXP64REST \
+	VCVTDQ2PD    X8, Y9; \
+	VBROADCASTSD gelu64<>+0x48(SB), Y10; \
+	VFNMADD231PD Y10, Y9, Y7; \
+	VBROADCASTSD gelu64<>+0x50(SB), Y10; \
+	VFNMADD231PD Y10, Y9, Y7; \
+	VBROADCASTSD gelu64<>+0x58(SB), Y10; \
+	VMULPD       Y10, Y7, Y7; \
+	VBROADCASTSD gelu64<>+0x60(SB), Y9; \
+	VBROADCASTSD gelu64<>+0x68(SB), Y10; \
+	VFMADD213PD  Y10, Y7, Y9; \
+	VBROADCASTSD gelu64<>+0x70(SB), Y10; \
+	VFMADD213PD  Y10, Y7, Y9; \
+	VBROADCASTSD gelu64<>+0x78(SB), Y10; \
+	VFMADD213PD  Y10, Y7, Y9; \
+	VBROADCASTSD gelu64<>+0x80(SB), Y10; \
+	VFMADD213PD  Y10, Y7, Y9; \
+	VBROADCASTSD gelu64<>+0x88(SB), Y10; \
+	VFMADD213PD  Y10, Y7, Y9; \
+	VBROADCASTSD gelu64<>+0x90(SB), Y10; \
+	VFMADD213PD  Y10, Y7, Y9; \
+	VFMADD213PD  Y15, Y7, Y9; \
+	VMULPD       Y9, Y7, Y7; \
+	VADDPD       Y14, Y7, Y9; \
+	VMULPD       Y9, Y7, Y7; \
+	VADDPD       Y14, Y7, Y9; \
+	VMULPD       Y9, Y7, Y7; \
+	VADDPD       Y14, Y7, Y9; \
+	VMULPD       Y9, Y7, Y7; \
+	VADDPD       Y14, Y7, Y9; \
+	VFMADD213PD  Y15, Y9, Y7; \
+	VPADDD       gelu64<>+0xc0(SB), X8, X8; \
+	VPMOVZXDQ    X8, Y8; \
+	VPSLLQ       $52, Y8, Y8; \
+	VMULPD       Y8, Y7, Y7
+
+// func exp64RowsAVX2(dst, x []float64, cols int, scale float64, max []float64) int
+//
+// dst[r·cols+j] = math.Exp(x[r·cols+j]·scale − max[r]), four lanes at a
+// time, in math.Exp's order: the argument is one VMULPD then one
+// VSUBPD, and the exp is gelu64x4AVX2's transliteration of
+// exp_amd64.s's FMA path. That path is the scalar code's only for an
+// integer exponent n with −1023 < n < 1024; NaN and ±Inf arguments
+// (which convert to the integer indefinite), overflow, and the denormal
+// and underflow branches all fall outside it. So each block first
+// checks n on its lanes and stops in front of a block that leaves the
+// range, returning how many elements it wrote; the caller finishes that
+// row on scalar math.Exp. The last 1–3 elements of a row run as one
+// masked block (VMASKMOVPD: lanes past the row are neither read nor
+// written, nor checked). Rows run back to back in one call, so the
+// out-of-order core overlaps their latency chains. dst may alias x;
+// len(x) must be a multiple of cols.
+//
+// DI/SI: dst and x at the current block; R10: x's end; R11: the
+// current row's end; DX: the max walk; CX: elements written.
+TEXT ·exp64RowsAVX2(SB), NOSPLIT, $0-96
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  x_base+24(FP), SI
+	MOVQ  x_len+32(FP), R10
+	MOVQ  cols+48(FP), R12
+	MOVQ  max_base+64(FP), DX
+	XORQ  CX, CX
+	TESTQ R10, R10
+	JZ    e64done
+	SHLQ  $3, R10
+	ADDQ  SI, R10
+	SHLQ  $3, R12
+	MOVQ  SI, R11
+	VBROADCASTSD scale+56(FP), Y11
+	VPBROADCASTD exp64<>+0(SB), X13     // −1023
+	VPBROADCASTD exp64<>+4(SB), X4      // 1024
+	VBROADCASTSD gelu64<>+0xa0(SB), Y14 // 2.0
+	VBROADCASTSD gelu64<>+0x98(SB), Y15 // 1.0
+
+e64row:
+	CMPQ   SI, R10
+	JGE    e64done
+	ADDQ   R12, R11
+	VBROADCASTSD (DX), Y12
+	ADDQ   $8, DX
+
+e64loop:
+	MOVQ   R11, BX
+	SUBQ   SI, BX
+	CMPQ   BX, $32
+	JLT    e64tail
+	VMOVUPD (SI), Y0
+	VMULPD Y11, Y0, Y7
+	VSUBPD Y12, Y7, Y7                   // x = v·scale − max
+	EXP64N
+	CMPQ   AX, $15
+	JNE    e64done
+	EXP64REST
+	VMOVUPD Y7, (DI)
+	ADDQ   $32, SI
+	ADDQ   $32, DI
+	ADDQ   $4, CX
+	JMP    e64loop
+
+e64tail:
+	TESTQ  BX, BX
+	JZ     e64row
+	MOVQ   BX, R8
+	SHLQ   $2, R8
+	LEAQ   mm64mask<>(SB), R9
+	VMOVDQU -32(R9)(R8*1), Y3            // the 1–3 live lanes
+	VMASKMOVPD (SI), Y3, Y0
+	VMULPD Y11, Y0, Y7
+	VSUBPD Y12, Y7, Y7
+	EXP64N
+	VMOVMSKPD Y3, R8
+	ANDQ   R8, AX
+	CMPQ   AX, R8
+	JNE    e64done
+	EXP64REST
+	VMASKMOVPD Y7, Y3, (DI)
+	ADDQ   BX, SI
+	ADDQ   BX, DI
+	SHRQ   $3, BX
+	ADDQ   BX, CX
+	JMP    e64row
+
+e64done:
+	MOVQ CX, ret+88(FP)
 	VZEROUPPER
 	RET

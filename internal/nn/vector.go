@@ -116,25 +116,18 @@ func Mean(vecs [][]float64) []float64 {
 // numerically stabilized by subtracting the maximum logit.
 func Softmax(logits []float64) []float64 {
 	out := make([]float64, len(logits))
-	if len(logits) == 0 {
-		return out
-	}
-	max := logits[0]
-	for _, v := range logits[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	sum := 0.0
-	for i, v := range logits {
-		e := math.Exp(v - max)
-		out[i] = e
-		sum += e
-	}
-	for i := range out {
-		out[i] /= sum
-	}
+	SoftmaxInto(out, logits)
 	return out
+}
+
+// SoftmaxInto writes the softmax of logits into dst (len(dst) ≥
+// len(logits); dst may alias logits): the max logit, math.Exp(v − max)
+// per element (the dispatched exp pass at scale 1, where v·1 − max is
+// v − max exactly), their sum in ascending order, one division each.
+func SoftmaxInto(dst, logits []float64) {
+	if len(logits) > 0 {
+		softmaxRows64(kernels(), dst[:len(logits)], logits, len(logits), 1)
+	}
 }
 
 // ArgMax returns the index of the largest element of v, or -1 for an

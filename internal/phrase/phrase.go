@@ -103,8 +103,11 @@ func (e *Embedder) Params() []*nn.Param { return e.dense.Params() }
 // normalized vector, producing the local mention embedding. It uses the
 // cache-free inference path, so concurrent calls are safe.
 func (e *Embedder) EmbedPooled(pooled []float64) []float64 {
-	out := e.dense.Infer(nn.FromVec(pooled))
-	return append([]float64(nil), out.Row(0)...)
+	x := nn.Matrix{Rows: 1, Cols: len(pooled), Data: pooled}
+	out := nn.Matrix{Rows: 1, Cols: e.dense.W.W.Cols}
+	out.Data = make([]float64, out.Cols)
+	e.dense.InferInto(&out, &x)
+	return out.Data
 }
 
 // Embed runs the full eqs. (1)–(3) path for one mention span. The

@@ -15,8 +15,10 @@ import (
 // feed-forward, layer norm) as a single pass over all packed tokens —
 // one large GEMM per projection instead of one small GEMM per
 // sentence. Only attention depends on sentence boundaries; it iterates
-// segment offsets over the packed q/k/v, reusing one per-worker head
-// workspace instead of re-slicing allocations.
+// segment offsets over the packed q/k/v and reads each head in place
+// from those planes, writing its output straight into its own columns
+// of the packed concat plane; the only per-segment workspace is one
+// T×T score block.
 //
 // All intermediates live in an InferScratch arena recycled through the
 // encoder's sync.Pool, so steady-state inference performs no heap
@@ -42,9 +44,9 @@ type InferScratch struct {
 	x, q, k, v, concat, mid *nn.Matrix
 	// ff is the packed N×FFDim feed-forward intermediate.
 	ff *nn.Matrix
-	// Per-segment, per-head attention workspaces (≤ maxT rows).
-	qh, kh, vh, oh *nn.Matrix
-	scores, attnW  *nn.Matrix
+	// scores is the per-segment, per-head T×T attention block (≤ maxT
+	// rows); the softmax runs in place on it.
+	scores *nn.Matrix
 	// offs[i] is the packed row offset of sentence i; offs[len] is the
 	// total packed token count.
 	offs []int
@@ -121,19 +123,13 @@ func (e *Encoder) inferPacked(batch [][]string, s *InferScratch) []*nn.Matrix {
 
 	// Pre-size every buffer to this batch so the per-segment reshapes
 	// below never allocate mid-layer.
-	dh := dim / e.cfg.Heads
 	s.q = nn.ReuseMatrix(s.q, n, dim)
 	s.k = nn.ReuseMatrix(s.k, n, dim)
 	s.v = nn.ReuseMatrix(s.v, n, dim)
 	s.concat = nn.ReuseMatrix(s.concat, n, dim)
 	s.mid = nn.ReuseMatrix(s.mid, n, dim)
 	s.ff = nn.ReuseMatrix(s.ff, n, e.cfg.FFDim)
-	s.qh = nn.ReuseMatrix(s.qh, maxT, dh)
-	s.kh = nn.ReuseMatrix(s.kh, maxT, dh)
-	s.vh = nn.ReuseMatrix(s.vh, maxT, dh)
-	s.oh = nn.ReuseMatrix(s.oh, maxT, dh)
 	s.scores = nn.ReuseMatrix(s.scores, maxT, maxT)
-	s.attnW = nn.ReuseMatrix(s.attnW, maxT, maxT)
 
 	for _, l := range e.layers {
 		l.inferPacked(e.cfg, s)
@@ -158,7 +154,8 @@ func (e *Encoder) inferPacked(batch [][]string, s *InferScratch) []*nn.Matrix {
 // inferPacked runs one encoder block over the packed token states in
 // s.x, leaving the block's output in s.x. Dense, feed-forward and
 // layer-norm run over all packed rows at once; attention walks the
-// segment offsets.
+// segment offsets. Every (segment, head) block of s.concat is written
+// by exactly one AttentionHeadInto, so the plane needs no zeroing.
 func (l *encoderLayer) inferPacked(cfg Config, s *InferScratch) {
 	dim := cfg.Dim
 	dh := dim / cfg.Heads
@@ -168,26 +165,14 @@ func (l *encoderLayer) inferPacked(cfg Config, s *InferScratch) {
 	a.wq.InferInto(s.q, s.x)
 	a.wk.InferInto(s.k, s.x)
 	a.wv.InferInto(s.v, s.x)
-	s.concat.Zero()
 	for seg := 0; seg+1 < len(s.offs); seg++ {
 		off, T := s.offs[seg], s.offs[seg+1]-s.offs[seg]
 		if T == 0 {
 			continue
 		}
-		s.qh = nn.ReuseMatrix(s.qh, T, dh)
-		s.kh = nn.ReuseMatrix(s.kh, T, dh)
-		s.vh = nn.ReuseMatrix(s.vh, T, dh)
-		s.oh = nn.ReuseMatrix(s.oh, T, dh)
 		s.scores = nn.ReuseMatrix(s.scores, T, T)
-		s.attnW = nn.ReuseMatrix(s.attnW, T, T)
 		for h := 0; h < cfg.Heads; h++ {
-			segHeadSliceInto(s.qh, s.q, off, h*dh)
-			segHeadSliceInto(s.kh, s.k, off, h*dh)
-			segHeadSliceInto(s.vh, s.v, off, h*dh)
-			nn.MatMulTInto(s.scores, s.qh, s.kh)
-			nn.ScaledSoftmaxRowsInto(s.attnW, s.scores, invSqrt)
-			nn.MatMulInto(s.oh, s.attnW, s.vh)
-			segHeadStore(s.concat, s.oh, off, h*dh)
+			nn.AttentionHeadInto(s.concat, s.q, s.k, s.v, s.scores, off, T, h*dh, dh, invSqrt)
 		}
 	}
 	// q/k/v are free once the heads are done; reuse q for the output
@@ -198,25 +183,4 @@ func (l *encoderLayer) inferPacked(cfg Config, s *InferScratch) {
 	l.gelu.InferInto(s.ff, s.ff)
 	l.ff2.InferInto(s.v, s.ff)
 	l.ln2.InferResidualInto(s.x, s.v, s.mid)
-}
-
-// segHeadSliceInto fills dst (T×dh) with rows [rowOff, rowOff+T) of m,
-// columns [colOff, colOff+dh) — one head of one packed segment.
-func segHeadSliceInto(dst, m *nn.Matrix, rowOff, colOff int) {
-	dh := dst.Cols
-	for i := 0; i < dst.Rows; i++ {
-		copy(dst.Row(i), m.Row(rowOff + i)[colOff:colOff+dh])
-	}
-}
-
-// segHeadStore adds src (T×dh) into rows [rowOff, rowOff+T) of dst,
-// columns [colOff, colOff+dh).
-func segHeadStore(dst, src *nn.Matrix, rowOff, colOff int) {
-	dh := src.Cols
-	for i := 0; i < src.Rows; i++ {
-		drow := dst.Row(rowOff + i)[colOff : colOff+dh]
-		for j, v := range src.Row(i) {
-			drow[j] += v
-		}
-	}
 }
