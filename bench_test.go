@@ -573,18 +573,26 @@ func BenchmarkPairwiseDistances(b *testing.B) {
 
 // BenchmarkDistMatrixGrowCluster is the long-stream shape of Global NER
 // step 3 in isolation: one surface's pool (three senses, as a hot
-// surface ends in a handful of clusters) grows a mention at a time to
-// n = 512 and is re-clustered after every arrival. Loose senses (noise
-// 0.4) put a new mention's first merge early in the recorded sequence,
-// so most steps are rolled back; tight ones (noise 0.1) put it late, so
-// most are kept.
+// surface ends in a handful of clusters) grows to n = 512 and is
+// re-clustered after every arrival of step mentions. Loose senses
+// (noise 0.4) put a new mention's first merge early in the recorded
+// sequence, tight ones (noise 0.1) late. The served cases add what a
+// served hot pool has and the others lack: each mention copies an
+// earlier one with probability 0.37 (a repeated tweet embeds
+// identically; 204 of the 512 here), so 303 mentions (59 %) have a
+// nearest neighbour at distance 0 and a new mention leaves most
+// recorded merges clean. One grows a mention per call, as a one-tweet
+// cycle does; one grows 32, as a bulk request does.
 func BenchmarkDistMatrixGrowCluster(b *testing.B) {
 	for _, bc := range []struct {
-		name  string
-		noise float64
+		name       string
+		noise, dup float64
+		step       int
 	}{
-		{"loose-senses", 0.4},
-		{"tight-senses", 0.1},
+		{"loose-senses", 0.4, 0, 1},
+		{"tight-senses", 0.1, 0, 1},
+		{"served-1-per-call", 0.4, 0.37, 1},
+		{"served-32-per-call", 0.4, 0.37, 32},
 	} {
 		rng := nn.NewRNG(8)
 		centers := make([][]float64, 3)
@@ -596,6 +604,10 @@ func BenchmarkDistMatrixGrowCluster(b *testing.B) {
 		}
 		embs := make([][]float64, 512)
 		for i := range embs {
+			if bc.dup > 0 && i > 0 && rng.Float64() < bc.dup {
+				embs[i] = embs[rng.Intn(i)]
+				continue
+			}
 			v := make([]float64, 24)
 			for j := range v {
 				v[j] = centers[i%3][j] + bc.noise*rng.NormFloat64()
@@ -607,9 +619,13 @@ func BenchmarkDistMatrixGrowCluster(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m := cluster.NewDistMatrix(cluster.DefaultThreshold, cluster.AverageLinkage)
 				var res cluster.Result
-				for n := 1; n <= len(embs); n++ {
+				for n := bc.step; ; n += bc.step {
+					n = min(n, len(embs))
 					m.Grow(embs[:n], nil)
 					res = m.Cluster()
+					if n == len(embs) {
+						break
+					}
 				}
 				if len(res.Assignments) != len(embs) {
 					b.Fatal("bad clustering")

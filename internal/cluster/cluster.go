@@ -14,7 +14,7 @@ package cluster
 import (
 	"math"
 	"slices"
-	"sort"
+	"sync"
 
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/parallel"
@@ -73,8 +73,10 @@ func (l Linkage) String() string {
 
 // Agglomerative clusters the embeddings bottom-up with average linkage
 // and cosine distance, merging until no pair of clusters is closer
-// than threshold. It runs in O(n³) time, which is ample for the
-// per-surface-form mention sets the pipeline feeds it.
+// than threshold. A per-column nearest-neighbour cache makes each merge
+// O(n) plus one pass over every column whose cached neighbour it
+// removed or moved away: O(n²) on the pools the pipeline feeds it,
+// O(n³) only if every merge invalidated most columns.
 func Agglomerative(embs [][]float64, threshold float64) Result {
 	return AgglomerativeWithLinkage(embs, threshold, AverageLinkage)
 }
@@ -98,9 +100,10 @@ func AgglomerativePool(embs [][]float64, threshold float64, linkage Linkage, poo
 
 // lanceWilliams is the distance from a third cluster to the merge of
 // clusters i and j, given its distances dik and djk to each and their
-// sizes. It is the only copy of this arithmetic: the merge and the fold
-// of DistMatrix.Cluster both call it, so they cannot compile to
-// different floating-point code (arm64 may fuse x*y+z).
+// sizes. It is the only copy of this arithmetic: the fold, the kept
+// steps and the merges of DistMatrix.Cluster all call it, so they
+// cannot compile to different floating-point code (arm64 may fuse
+// x*y+z).
 func lanceWilliams(linkage Linkage, dik, djk, si, sj float64) float64 {
 	switch linkage {
 	case SingleLinkage:
@@ -143,17 +146,18 @@ type mergeStep struct {
 // DistMatrix is a growable pairwise cosine-distance matrix with a fixed
 // threshold and linkage that holds the state its last Cluster call
 // ended in. It amortizes re-clustering of a mention pool that only ever
-// gains members across execution cycles, twice over. Grow appends only
-// the new mentions' columns, and the old ones are never rebuilt or
-// copied. Cluster carries the appended columns forward through the
-// merges the last call recorded, up to the first step an appended
-// mention would have taken part in, rolls the old block back to that
-// step from an undo log, and selects merges again only from there. The
-// result is bit-identical to agglomerating a freshly built matrix: each
-// pair's distance is the arithmetic of nn.CosineDistance, every
-// Lance–Williams update runs on the same operands in the same order,
-// and every value a rollback puts back is the one that was there, never
-// recomputed (Lance–Williams does not invert in floating point).
+// gains members across execution cycles. Grow appends only the new
+// mentions' columns; the old ones are never rebuilt or copied. Cluster
+// keeps every recorded merge the new mentions leave alone and selects
+// only the ones they change: a cluster stays clean while its merge
+// history is the recording's, and the distance between two clean
+// clusters is then the recorded one bit for bit, so the state already
+// holds it or the log does. The result is bit-identical to
+// agglomerating a freshly built matrix: each pair's distance is the
+// arithmetic of nn.CosineDistance, every Lance–Williams update runs on
+// the same operands in the same order, and every value read back from
+// the log is the one that was there, never recomputed (Lance–Williams
+// does not invert in floating point).
 type DistMatrix struct {
 	threshold float64
 	linkage   Linkage
@@ -169,44 +173,27 @@ type DistMatrix struct {
 	d []float64
 	// norms holds each embedding's L2 norm, computed once by Grow.
 	norms []float64
-	// live lists the clusters not yet merged away, ascending; every
-	// pass of the merge loop walks it instead of 0..n. size and parent
-	// are per cluster. colmin/colArg are the merge loop's
-	// nearest-neighbour cache: per column j, the smallest d(i, j) over
-	// live i < j and the first i holding it.
+	// live lists the clusters not yet merged away, ascending; size and
+	// parent are per cluster.
 	live, size, parent []int
-	colmin             []float64
-	colArg             []int
 	// rec is the merge sequence of the last Cluster call. It is O(n),
 	// lives only in memory, and is empty on a new (or restored)
 	// matrix, whose first Cluster call therefore selects every merge
 	// itself.
 	rec []mergeStep
-	// The undo log has two parts. undo is written at merge time: step
-	// t's run, from undoAt[t] to the next step's offset (or the end),
-	// holds d(rec[t].bi, k) before the merge over the live clusters k
-	// other than bi and bj, ascending. It covers the columns that
-	// existed when the step was recorded. folded[c] covers a column
-	// appended after that: its t-th entry is d(rec[t].bi, c) before
-	// step t, for each step a later Cluster call folded c through.
+	// The log has two parts. undo is written with the step: step t's
+	// run, from undoAt[t] to the next step's offset (or the end), holds
+	// d(rec[t].bi, k) before the merge over the live clusters k other
+	// than bi and bj, ascending. It covers the columns that existed
+	// when the step was recorded. folded[c] covers a column appended
+	// after that: its t-th entry is d(rec[t].bi, c) before step t, for
+	// each step a later Cluster call folded c through.
 	undo   []float64
 	undoAt []int
 	folded [][]float64
-	// replayed is how many of the last Cluster call's merges were kept
-	// from the recording.
-	replayed int
-	// first is rollback's scratch: per surviving cluster, the earliest
-	// step being undone that it survived.
-	first []int
-	// fold is foldAppended's scratch, reused across calls: each
-	// cluster's size as of the step being folded (0 once merged away),
-	// and per appended column its nearest live cluster to the left and
-	// that distance.
-	fold struct {
-		size []int
-		min  []float64
-		arg  []int
-	}
+	// replayed is how many leading merges of the last Cluster call were
+	// the recording's, kept how many of all its merges were.
+	replayed, kept int
 }
 
 // NewDistMatrix returns an empty growable distance matrix that clusters
@@ -252,32 +239,135 @@ func (m *DistMatrix) col(j int) []float64 {
 	return m.d[at : at+j]
 }
 
-// Replayed returns how many merge steps of the last Cluster call were
-// kept from the previous call's recording rather than selected.
+// pair returns where d(a, b), a ≠ b, is stored.
+func pair(a, b int) int {
+	if a > b {
+		a, b = b, a
+	}
+	return b*(b-1)/2 + a
+}
+
+// Replayed returns how many leading merge steps of the last Cluster
+// call were kept from the previous call's recording: the steps before
+// the first one an appended mention took part in.
 func (m *DistMatrix) Replayed() int { return m.replayed }
 
-// Cluster agglomerates the grown pool. The merge sequence of a grown
-// pool starts with the previous pool's for as long as no pair involving
-// an appended mention is the one to merge, so Cluster keeps that prefix
-// of the recording — it folds the appended columns through it, rolls
-// the steps after it back, and adds the appended mentions as singletons
-// — and runs the ordinary loop from where the sequences part,
-// recording as it goes.
+// Kept returns how many merge steps of the last Cluster call were kept
+// from the previous call's recording rather than selected: the
+// Replayed prefix plus every later recorded merge of two clusters the
+// appended mentions left clean.
+func (m *DistMatrix) Kept() int { return m.kept }
+
+// scratch is one Cluster call's working state. None of it outlives the
+// call, so matrices share it through scratches: calls running at the
+// same time take different ones.
+type scratch struct {
+	// oldN clusters are covered by the recording, which has steps
+	// steps; this call's merge sequence parts from it at step t, and r
+	// is the first recorded step the loop has not yet kept or skipped.
+	oldN, t, steps, r int
+	// dirty marks the clusters whose merge history has left the
+	// recording; dlist lists the live ones ascending, and gone the
+	// recorded clusters a dirty merge took away, ascending.
+	dirty       []bool
+	dlist, gone []int
+	// The selection cache of the dirty pairs, each pair cached once:
+	// per dirty column j, cmin[j] is the smallest d(i, j) over live
+	// i < j and carg[j] the first i holding it; per dirty row i, rmin[i]
+	// is the smallest d(i, k) over clean live k > i and rarg[i] the
+	// first such k.
+	cmin, rmin []float64
+	carg, rarg []int
+	// absorbed[c] is the recorded step that merged c away, or steps.
+	absorbed []int
+	// stamp[k] == epoch marks k as settled in the row being rebuilt.
+	stamp []int
+	epoch int
+	// rec is the recording from step t on, and step s's run lies at
+	// at[s−t]..at[s−t+1] of the old log, copied out of the matrix since
+	// the new merge sequence is written over them.
+	rec []mergeStep
+	at  []int
+	// The new log is written over the old one from at[0] on, w being
+	// where the next run goes. Before a write reaches a recorded run the
+	// loop may still read, the run moves to q, which holds the old log
+	// from offset qa on, up to that of step e: runs of steps before e are
+	// read from q, later ones where they are. A write that follows the
+	// read position closely moves little.
+	w, e, qa int
+	q        []float64
+}
+
+// scratches keeps the scratch states of finished Cluster calls for the
+// next ones, at most one per call ever running at once. It is a free
+// list, not a sync.Pool: a pool drops what it holds across garbage
+// collections and keeps one per P, and growing the dropped queue and
+// arrays again cost 6 % more CPU than the parent on a pool grown 32
+// mentions per call (BenchmarkDistMatrixGrowCluster), where the list
+// is at parity.
+var scratches struct {
+	sync.Mutex
+	free []*scratch
+}
+
+func takeScratch() *scratch {
+	scratches.Lock()
+	defer scratches.Unlock()
+	if k := len(scratches.free); k > 0 {
+		s := scratches.free[k-1]
+		scratches.free = scratches.free[:k-1]
+		return s
+	}
+	return new(scratch)
+}
+
+func releaseScratch(s *scratch) {
+	scratches.Lock()
+	defer scratches.Unlock()
+	scratches.free = append(scratches.free, s)
+}
+
+// resize returns s with length n, reusing its backing array when it
+// is large enough; the contents are unspecified.
+func resize[E any](s []E, n int) []E {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// Cluster agglomerates the grown pool. It folds the appended columns
+// through the leading recorded merges for as long as those are what the
+// from-singletons loop selects, then runs one loop from where the
+// sequences part. A cluster an appended mention reaches turns dirty;
+// every other one stays clean, and each step takes the smaller of the
+// next recorded merge of two clean clusters, which it keeps, and the
+// best pair with a dirty cluster, which it merges as the loop always
+// has. On a new matrix every mention is dirty and it is the plain loop.
 func (m *DistMatrix) Cluster() Result {
 	if m.n == 0 {
 		return Result{}
 	}
-	t := m.foldAppended()
-	m.rollback(t)
-	for c := m.recN; c < m.n; c++ {
-		m.live = append(m.live, c)
-		m.size = append(m.size, 1)
-		m.parent = append(m.parent, c)
-		m.colmin = append(m.colmin, 0)
-		m.colArg = append(m.colArg, 0)
+	if m.recN == m.n {
+		m.replayed, m.kept = len(m.rec), len(m.rec)
+		return denseIDs(m.parent)
 	}
-	m.replayed, m.recN = t, m.n
-	m.mergeLoop()
+	s := takeScratch()
+	defer releaseScratch(s)
+	m.size, m.parent = resize(m.size, m.n), resize(m.parent, m.n)
+	for c := range m.parent {
+		m.size[c], m.parent[c] = 1, c
+	}
+	s.dirty = resize(s.dirty, m.n)
+	clear(s.dirty)
+	s.cmin, s.carg = resize(s.cmin, m.n), resize(s.carg, m.n)
+	s.rmin, s.rarg = resize(s.rmin, m.n), resize(s.rarg, m.n)
+	for c := range s.rarg {
+		s.rmin[c], s.rarg[c] = math.Inf(1), -1
+	}
+	if len(s.stamp) < m.n {
+		s.stamp = append(s.stamp, make([]int, m.n-len(s.stamp))...)
+	}
+	t := m.foldAppended(s)
+	kept := m.resume(s, t)
+	m.replayed, m.kept, m.recN = t, t+kept, m.n
 	return denseIDs(m.parent)
 }
 
@@ -294,46 +384,36 @@ func (m *DistMatrix) Cluster() Result {
 // recorded height, or equal to it with i < bi: selection takes the
 // smallest (d, i, j) and c lies right of every recorded bj, so on equal
 // distance (i, c) precedes (bi, bj) exactly when i < bi. That test
-// needs only the first smallest d(i, c) over live i < c, which each
-// column keeps as a running minimum, rescanning only when the minimum's
-// cluster merges away or grows.
-func (m *DistMatrix) foldAppended() int {
-	if m.recN == m.n || len(m.rec) == 0 {
-		return len(m.rec)
-	}
-	f := &m.fold
-	f.size = f.size[:0]
-	for i := 0; i < m.n; i++ {
-		f.size = append(f.size, 1)
-	}
-	f.min, f.arg = f.min[:0], f.arg[:0]
+// needs only the first smallest d(i, c) over live i < c, the column's
+// cache entry, which it keeps as a running minimum, rescanning only
+// when the minimum's cluster merges away or grows. Size and parent
+// follow the folded steps, so they hold the state after them.
+func (m *DistMatrix) foldAppended(s *scratch) int {
 	for c := m.recN; c < m.n; c++ {
-		d, i := m.nearestLeft(c)
-		f.min, f.arg = append(f.min, d), append(f.arg, i)
+		s.cmin[c], s.carg[c] = m.nearestLeft(c)
 	}
 	for t, st := range m.rec {
-		for k, d := range f.min {
-			if d < st.height || (d == st.height && f.arg[k] < st.bi) {
+		for c := m.recN; c < m.n; c++ {
+			if d := s.cmin[c]; d < st.height || (d == st.height && s.carg[c] < st.bi) {
 				return t
 			}
 		}
-		si, sj := float64(f.size[st.bi]), float64(f.size[st.bj])
-		f.size[st.bi] += f.size[st.bj]
-		f.size[st.bj] = 0
-		for k := range f.min {
-			c := m.recN + k
+		si, sj := float64(m.size[st.bi]), float64(m.size[st.bj])
+		m.size[st.bi] += m.size[st.bj]
+		m.parent[st.bj] = st.bi
+		for c := m.recN; c < m.n; c++ {
 			col := m.col(c)
 			old := col[st.bi]
 			d := lanceWilliams(m.linkage, old, col[st.bj], si, sj)
 			m.folded[c] = append(m.folded[c], old)
 			col[st.bi] = d
-			switch arg := f.arg[k]; {
-			case arg == st.bj || (arg == st.bi && !(d <= f.min[k])):
-				f.min[k], f.arg[k] = m.nearestLeft(c)
+			switch arg := s.carg[c]; {
+			case arg == st.bj || (arg == st.bi && !(d <= s.cmin[c])):
+				s.cmin[c], s.carg[c] = m.nearestLeft(c)
 			case arg == st.bi:
-				f.min[k] = d
-			case d < f.min[k] || (d == f.min[k] && st.bi < arg):
-				f.min[k], f.arg[k] = d, st.bi
+				s.cmin[c] = d
+			case d < s.cmin[c] || (d == s.cmin[c] && st.bi < arg):
+				s.cmin[c], s.carg[c] = d, st.bi
 			}
 		}
 	}
@@ -345,70 +425,262 @@ func (m *DistMatrix) foldAppended() int {
 func (m *DistMatrix) nearestLeft(c int) (float64, int) {
 	col := m.col(c)
 	best, arg := math.Inf(1), -1
-	for i, size := range m.fold.size[:c] {
-		if size > 0 && col[i] < best {
+	for i, p := range m.parent[:c] {
+		if p == i && col[i] < best {
 			best, arg = col[i], i
 		}
 	}
 	return best, arg
 }
 
-// rollback undoes the recorded merges after the first t, last first,
-// returning the first recN clusters to the state they were in before
-// step t. Every step restores size, parent and the live list, but only
-// a survivor's earliest undone step puts its entries back: the clusters
-// live then are a superset of those live at any later step it survived,
-// and the values it logged are the ones from before all of them.
-func (m *DistMatrix) rollback(t int) {
-	m.first = slices.Grow(m.first[:0], m.recN)[:m.recN]
-	for s := len(m.rec) - 1; s >= t; s-- {
-		m.first[m.rec[s].bi] = s
+// resume runs the merge loop from recorded step t on, where the fold
+// stopped, writing the new merge sequence and its log over the old
+// ones from step t, and returns how many recorded merges it kept.
+//
+// The naive loop takes the smallest (d, i, j) over the live pairs. Among
+// pairs of two clean clusters that is the next recorded step both of
+// whose clusters are clean: those clusters are live in the recorded run
+// at that step, hold the same distances, and the recorded pair was the
+// smallest of them all. Among pairs with a dirty cluster it is the best
+// entry of the dirty cache. A recorded step with a dirty cluster can
+// never be taken; its clean one turns dirty before it is passed.
+func (m *DistMatrix) resume(s *scratch, t int) (kept int) {
+	s.oldN, s.t, s.steps = m.recN, t, len(m.rec)
+	s.absorbed = resize(s.absorbed, m.recN)
+	for c := range s.absorbed {
+		s.absorbed[c] = len(m.rec)
 	}
-	for last := len(m.rec) - 1; last >= t; last-- {
-		st, at := m.rec[last], m.undoAt[last]
-		if m.first[st.bi] == last {
-			m.restore(st.bi, last, m.undo[at:])
+	for i, st := range m.rec {
+		s.absorbed[st.bj] = i
+	}
+	s.rec = append(s.rec[:0], m.rec[t:]...)
+	s.at = append(append(s.at[:0], m.undoAt[t:]...), len(m.undo))
+	m.rec, m.undoAt = m.rec[:t], m.undoAt[:t]
+	s.w, s.e, s.q, s.qa = s.at[0], t, s.q[:0], s.at[0]
+
+	m.live = m.live[:0]
+	for c, p := range m.parent {
+		if p == c {
+			m.live = append(m.live, c)
 		}
-		m.rec, m.undo, m.undoAt = m.rec[:last], m.undo[:at], m.undoAt[:last]
-		m.size[st.bi] -= m.size[st.bj]
-		m.parent[st.bj] = st.bj
-		m.live = slices.Insert(m.live, sort.SearchInts(m.live, st.bj), st.bj)
 	}
-	for k, f := range m.folded {
+	s.dlist, s.gone = s.dlist[:0], s.gone[:0]
+	for c := m.recN; c < m.n; c++ {
+		s.dirty[c] = true
+		s.dlist = append(s.dlist, c)
+	}
+	for s.r = t; ; {
+		for ; s.r < s.steps; s.r++ {
+			st := s.rec[s.r-t]
+			if !s.dirty[st.bi] && !s.dirty[st.bj] {
+				break
+			}
+			if !s.dirty[st.bi] {
+				m.makeDirty(s, st.bi)
+			} else if !s.dirty[st.bj] {
+				m.makeDirty(s, st.bj)
+			}
+		}
+		bi, bj, best := -1, -1, m.threshold
+		for _, x := range s.dlist {
+			if d, i := s.cmin[x], s.carg[x]; d < best || (d == best && (i < bi || (i == bi && x < bj))) {
+				bi, bj, best = i, x, d
+			}
+			if d, k := s.rmin[x], s.rarg[x]; d < best || (d == best && (x < bi || (x == bi && k < bj))) {
+				bi, bj, best = x, k, d
+			}
+		}
+		if s.r < s.steps {
+			st := s.rec[s.r-t]
+			if bi < 0 || st.height < best || (st.height == best && (st.bi < bi || (st.bi == bi && st.bj < bj))) {
+				m.keep(s, st)
+				s.r++
+				kept++
+				continue
+			}
+		}
+		if bi < 0 {
+			break
+		}
+		if !s.dirty[bi] {
+			m.makeDirty(s, bi)
+		}
+		if !s.dirty[bj] {
+			m.makeDirty(s, bj)
+		}
+		m.merge(s, bi, bj, best)
+	}
+	m.undo = m.undo[:s.w]
+	for c, f := range m.folded {
 		if len(f) > t {
-			m.folded[k] = f[:t]
+			m.folded[c] = f[:t]
 		}
 	}
+	return kept
 }
 
-// restore puts back d(bi, k) as it was before step t for every live k
-// other than bi: the merge-time run for the columns that existed when
-// the step was recorded, then folded[k][t] for every live k appended
-// after it, which lies right of all of those.
-func (m *DistMatrix) restore(bi, t int, run []float64) {
-	col := m.col(bi)
-	for _, k := range m.live {
-		if k == bi {
+// run returns the run recorded step r ≥ s.r logged.
+func (m *DistMatrix) run(s *scratch, r int) []float64 {
+	lo, hi := s.at[r-s.t], s.at[r-s.t+1]
+	if r < s.e {
+		return s.q[lo-s.qa : hi-s.qa]
+	}
+	return m.undo[lo:hi]
+}
+
+// reserve returns the next k entries of the new log to write. Each
+// recorded run the write would reach moves to q first, unless the loop
+// is past its step; q drops what it is past once that is half of it.
+func (m *DistMatrix) reserve(s *scratch, k int) []float64 {
+	end := s.w + k
+	for ; s.e < s.steps && s.at[s.e-s.t] < end; s.e++ {
+		lo, hi := s.at[s.e-s.t], s.at[s.e-s.t+1]
+		if s.e < s.r {
+			s.q, s.qa = s.q[:0], hi
+			continue
+		}
+		if done := s.at[s.r-s.t] - s.qa; done > len(s.q)/2 {
+			s.q = s.q[:copy(s.q, s.q[done:])]
+			s.qa += done
+		}
+		s.q = append(s.q, m.undo[lo:hi]...)
+	}
+	if end > len(m.undo) {
+		m.undo = slices.Grow(m.undo, end-len(m.undo))[:end]
+	}
+	out := m.undo[s.w:end]
+	s.w = end
+	return out
+}
+
+// inRun reports whether recorded cluster c has an entry in the run of
+// recorded step r: it was still live then, and its column existed when
+// the step was recorded (else its entry is folded[c][r]).
+func (m *DistMatrix) inRun(s *scratch, c, r int) bool {
+	return c < s.oldN && s.absorbed[c] > r && r >= len(m.folded[c])
+}
+
+// makeDirty moves the clean live cluster x into the dirty set before
+// recorded step r = s.r. Its entries with dirty clusters are current
+// already. Each entry d(x, k) with a clean live k is what the recording
+// held before step r: the value the first step from r on that writes
+// the pair logged — one with bi = x while k is still live, or bi = k
+// while x is — or else what the state holds, which nothing wrote after
+// r. The pass that reads x's own run also rebuilds x's cache entries.
+// A dirty row whose entry names x keeps it: the pair is live, holds its
+// current value and is no larger than any clean entry of that row,
+// until a merge changes it.
+func (m *DistMatrix) makeDirty(s *scratch, x int) {
+	r, own := s.r, -1
+	s.epoch++
+	// below counts the recorded clusters left of x merged away before
+	// step u, from the first step that needs it on.
+	below := -1
+	for u := r; u < s.steps; u++ {
+		st := s.rec[u-s.t]
+		if st.bj == x {
+			break
+		}
+		if st.bi == x {
+			own = u
+			break
+		}
+		if k := st.bi; !s.dirty[k] && s.stamp[k] != s.epoch {
+			s.stamp[k] = s.epoch
+			var d float64
+			if f := m.folded[x]; u < len(f) {
+				d = f[u]
+			} else {
+				if below < 0 {
+					below = 0
+					for _, a := range s.absorbed[:x] {
+						if a < u {
+							below++
+						}
+					}
+				}
+				// x's rank among the clusters step u's run covers.
+				pos := x - below
+				if k < x {
+					pos--
+				}
+				if st.bj < x {
+					pos--
+				}
+				d = m.run(s, u)[pos]
+			}
+			m.d[pair(x, k)] = d
+		}
+		s.stamp[st.bj] = s.epoch
+		if st.bj < x && below >= 0 {
+			below++
+		}
+	}
+	// One pass over the live clusters settles the rest from x's own
+	// run and rebuilds x's cache entries. The run covers, ascending, the
+	// recorded clusters live at step own other than x and its bj, whose
+	// columns existed when it was recorded: live clusters here, or gone
+	// ones, whose slots the pass counts on the way.
+	var run []float64
+	if own >= 0 {
+		run = m.run(s, own)
+	}
+	col := m.col(x)
+	pos, gi := 0, 0
+	cbest, carg := math.Inf(1), -1
+	rbest, rarg := math.Inf(1), -1
+	for _, c := range m.live {
+		if c >= s.oldN {
+			break // appended here: dirty, right of x, in no recorded run
+		}
+		if c == x {
 			continue
 		}
 		var d float64
-		if len(run) > 0 {
-			d, run = run[0], run[1:]
-		} else {
-			d = m.folded[k][t]
+		settled := false
+		if own >= 0 {
+			for ; gi < len(s.gone) && s.gone[gi] < c; gi++ {
+				if g := s.gone[gi]; s.absorbed[g] > own && own >= len(m.folded[g]) {
+					pos++
+				}
+			}
+			if s.absorbed[c] > own {
+				if f := m.folded[c]; own < len(f) {
+					d = f[own]
+				} else {
+					d, pos = run[pos], pos+1
+				}
+				if settled = !s.dirty[c] && s.stamp[c] != s.epoch; settled {
+					m.d[pair(x, c)] = d
+				}
+			}
 		}
-		if k < bi {
-			col[k] = d
-		} else {
-			m.d[k*(k-1)/2+bi] = d
+		switch {
+		case c < x:
+			if !settled {
+				d = col[c]
+			}
+			if d < cbest {
+				cbest, carg = d, c
+			}
+		case !s.dirty[c]:
+			if !settled {
+				d = m.d[c*(c-1)/2+x]
+			}
+			if d < rbest {
+				rbest, rarg = d, c
+			}
 		}
 	}
+	s.cmin[x], s.carg[x], s.rmin[x], s.rarg[x] = cbest, carg, rbest, rarg
+	s.dirty[x] = true
+	p, _ := slices.BinarySearch(s.dlist, x)
+	s.dlist = slices.Insert(s.dlist, p, x)
 }
 
-// rescan rebuilds the nearest-neighbour cache entry of the column at
-// live position p from one pass over that column.
-func (m *DistMatrix) rescan(p int) {
-	j := m.live[p]
+// rescanCol rebuilds the cache entry of dirty column j, at live
+// position p, from one pass over the column.
+func (m *DistMatrix) rescanCol(s *scratch, j, p int) {
 	col := m.col(j)
 	best, arg := math.Inf(1), -1
 	for _, i := range m.live[:p] {
@@ -416,29 +688,177 @@ func (m *DistMatrix) rescan(p int) {
 			best, arg = col[i], i
 		}
 	}
-	m.colmin[j], m.colArg[j] = best, arg
+	s.cmin[j], s.carg[j] = best, arg
 }
 
-// merge records and applies the merge of the live cluster at position
-// pj into bi < it, in one pass over the clusters k still live after it.
-// Each k gets the Lance–Williams update of d(bi, k), with the value it
-// overwrites logged, and has its cache entry kept exact on the way.
-// Left of bi that is bi's own column, whose entry the pass rebuilds
-// (first strict minimum, as a rescan would find it). Right of bi it is
-// entry (bi, k) of column k, and column k's entry changes only through
-// bi or bj: it is rescanned if it named bj, or named bi and the value
-// rose; otherwise bi takes it if it is now smaller, or equal with bi
-// first.
-func (m *DistMatrix) merge(bi, pj int, height float64) {
-	bj := m.live[pj]
+// rescanRow rebuilds the cache entry of dirty row i, at live position
+// p, from its entries with the clean live clusters right of it.
+func (m *DistMatrix) rescanRow(s *scratch, i, p int) {
+	best, arg := math.Inf(1), -1
+	for _, k := range m.live[p+1:] {
+		if !s.dirty[k] {
+			if d := m.d[k*(k-1)/2+i]; d < best {
+				best, arg = d, k
+			}
+		}
+	}
+	s.rmin[i], s.rarg[i] = best, arg
+}
+
+// join records the merge of bj into bi (bi < bj) at height, its run
+// to start at the log's write position, applies it to size, parent and
+// the live list, and returns the two sizes before it.
+func (m *DistMatrix) join(s *scratch, bi, bj int, height float64) (si, sj float64) {
 	m.rec = append(m.rec, mergeStep{bi, bj, height})
-	m.undoAt = append(m.undoAt, len(m.undo))
-	si, sj := float64(m.size[bi]), float64(m.size[bj])
+	m.undoAt = append(m.undoAt, s.w)
+	si, sj = float64(m.size[bi]), float64(m.size[bj])
 	m.size[bi] += m.size[bj]
 	m.parent[bj] = bi
-	m.live = slices.Delete(m.live, pj, pj+1)
+	p, _ := slices.BinarySearch(m.live, bj)
+	m.live = slices.Delete(m.live, p, p+1)
+	return si, sj
+}
+
+// keep takes recorded step r = s.r, both of whose clusters are clean,
+// and logs its run: d(bi, k) before the step over the live k other
+// than bi, ascending. The clean clusters are the same in this run and
+// the recorded one, so the stretches between consecutive dirty
+// clusters copy over in blocks, and a gone cluster the recorded run
+// still covers has its slot there skipped. The entries with clean
+// clusters are the recording's, so only a dirty cluster's entry gets
+// the Lance–Williams update, after its old value is logged, and its
+// cache entries are kept exact on the way: a column's through bi and
+// bj left of it, a row's through bi and bj right of it.
+func (m *DistMatrix) keep(s *scratch, st mergeStep) {
+	bi, bj, r := st.bi, st.bj, s.r
+	si, sj := m.join(s, bi, bj, st.height)
+	out := m.reserve(s, len(m.live)-1)[:0]
+	run := m.run(s, r)
+	sp, lp, gi := 0, 0, 0
+	for di := 0; ; di++ {
+		x := m.n
+		if di < len(s.dlist) {
+			x = s.dlist[di]
+		}
+		for ; gi < len(s.gone) && s.gone[gi] < x; gi++ {
+			g := s.gone[gi]
+			q := searchFrom(m.live, lp, g)
+			out, sp = m.copyClean(out, m.live[lp:q], bi, run, sp, r)
+			if m.inRun(s, g, r) {
+				sp++
+			}
+			lp = q
+		}
+		if x == m.n {
+			m.copyClean(out, m.live[lp:], bi, run, sp, r)
+			break
+		}
+		p := searchFrom(m.live, lp, x)
+		out, sp = m.copyClean(out, m.live[lp:p], bi, run, sp, r)
+		if m.inRun(s, x, r) {
+			sp++
+		}
+		lp = p + 1
+		ik := pair(bi, x)
+		old := m.d[ik]
+		out = append(out, old)
+		d := lanceWilliams(m.linkage, old, m.d[pair(bj, x)], si, sj)
+		m.d[ik] = d
+		if x > bi {
+			switch a := s.carg[x]; {
+			case a == bj || (a == bi && !(d <= s.cmin[x])):
+				m.rescanCol(s, x, p)
+			case a == bi:
+				s.cmin[x] = d
+			case d < s.cmin[x] || (d == s.cmin[x] && bi < a):
+				s.cmin[x], s.carg[x] = d, bi
+			}
+			if x < bj && s.rarg[x] == bj {
+				m.rescanRow(s, x, p)
+			}
+			continue
+		}
+		switch a := s.rarg[x]; {
+		case a == bj || (a == bi && !(d <= s.rmin[x])):
+			m.rescanRow(s, x, p)
+		case a == bi:
+			s.rmin[x] = d
+		case d < s.rmin[x] || (d == s.rmin[x] && bi < a):
+			s.rmin[x], s.rarg[x] = d, bi
+		}
+	}
+	// A gone cluster merged away by step r in the recording is in no
+	// later recorded run.
+	s.gone = slices.DeleteFunc(s.gone, func(c int) bool { return s.absorbed[c] <= r })
+}
+
+// searchFrom returns the position of the first element of the
+// ascending a at or after lo that is not below y. It looks at the next
+// few elements before it bisects, since dirty clusters are often
+// neighbours in the live list.
+func searchFrom(a []int, lo, y int) int {
+	for end := min(lo+8, len(a)); lo < end; lo++ {
+		if a[lo] >= y {
+			return lo
+		}
+	}
+	at, _ := slices.BinarySearch(a[lo:], y)
+	return lo + at
+}
+
+// copyClean appends to out the entries of the clean live clusters ids,
+// minus bi, from the recorded run at sp on, and returns where it
+// stopped there. Past the run's end the clusters' columns were appended
+// after step r was recorded, and their fold logs hold the entries.
+func (m *DistMatrix) copyClean(out []float64, ids []int, bi int, run []float64, sp, r int) ([]float64, int) {
+	c := len(ids)
+	if c == 0 {
+		return out, sp
+	}
+	if ids[0] <= bi && bi <= ids[c-1] {
+		c--
+	}
+	k := min(c, len(run)-sp)
+	out = append(out, run[sp:sp+k]...)
+	if k < c {
+		skip := k
+		for _, id := range ids {
+			if id == bi {
+				continue
+			}
+			if skip > 0 {
+				skip--
+				continue
+			}
+			out = append(out, m.folded[id][r])
+		}
+	}
+	return out, sp + k
+}
+
+// merge records and applies the merge of bj into bi < bj, both dirty,
+// in one pass over the clusters k still live after it. Each k gets the
+// Lance–Williams update of d(bi, k), with the value it overwrites
+// logged. Left of bi that is bi's own column, whose cache entry the
+// pass rebuilds (first strict minimum, as a rescan would find it); so
+// it does bi's row entry over the clean k right of it. A dirty k right
+// of bi has its column's entry kept exact: it is rescanned if it named
+// bj, or named bi and the value rose; otherwise bi takes it if it is
+// now smaller, or equal with bi first. A dirty row whose entry named bi
+// or bj, left there when that cluster turned dirty, is rescanned: the
+// pair changed or went.
+func (m *DistMatrix) merge(s *scratch, bi, bj int, height float64) {
+	si, sj := m.join(s, bi, bj, height)
+	p, _ := slices.BinarySearch(s.dlist, bj)
+	s.dlist = slices.Delete(s.dlist, p, p+1)
+	if bj < s.oldN {
+		p, _ := slices.BinarySearch(s.gone, bj)
+		s.gone = slices.Insert(s.gone, p, bj)
+	}
+	out := m.reserve(s, len(m.live)-1)[:0]
 	atI, atJ := bi*(bi-1)/2, bj*(bj-1)/2
-	best, arg := math.Inf(1), -1
+	cbest, carg := math.Inf(1), -1
+	rbest, rarg := math.Inf(1), -1
 	for p, k := range m.live {
 		var ik, jk int // where d(bi, k) and d(bj, k) are stored
 		switch {
@@ -453,54 +873,33 @@ func (m *DistMatrix) merge(bi, pj int, height float64) {
 			ik, jk = atK+bi, atK+bj
 		}
 		old := m.d[ik]
-		m.undo = append(m.undo, old)
+		out = append(out, old)
 		d := lanceWilliams(m.linkage, old, m.d[jk], si, sj)
 		m.d[ik] = d
-		if k < bi {
-			if d < best {
-				best, arg = d, k
+		if a := s.rarg[k]; a == bi || a == bj {
+			m.rescanRow(s, k, p)
+		}
+		switch {
+		case k < bi:
+			if d < cbest {
+				cbest, carg = d, k
+			}
+			continue
+		case !s.dirty[k]:
+			if d < rbest {
+				rbest, rarg = d, k
 			}
 			continue
 		}
-		switch a := m.colArg[k]; {
-		case a == bj || (a == bi && !(d <= m.colmin[k])):
-			m.rescan(p)
+		switch a := s.carg[k]; {
+		case a == bj || (a == bi && !(d <= s.cmin[k])):
+			m.rescanCol(s, k, p)
 		case a == bi:
-			m.colmin[k] = d
-		case d < m.colmin[k] || (d == m.colmin[k] && bi < a):
-			m.colmin[k], m.colArg[k] = d, bi
+			s.cmin[k] = d
+		case d < s.cmin[k] || (d == s.cmin[k] && bi < a):
+			s.cmin[k], s.carg[k] = d, bi
 		}
 	}
-	m.colmin[bi], m.colArg[bi] = best, arg
-}
-
-// mergeLoop selects, records and applies merges over the live clusters
-// until none is closer than the threshold.
-//
-// Pair selection replays the textbook "scan every pair, take the first
-// strict minimum" order through a per-column nearest-neighbour cache:
-// the naive row-major scan takes the smallest (d, i, j) in
-// lexicographic order, so selection takes, over the live columns j in
-// ascending order, the entry (colmin[j], colArg[j]) that is smaller or
-// equal with a smaller row, strictly below the threshold. Each merge
-// then selects in O(n) instead of O(n²), and merge keeps the cache
-// exact in the pass that updates the distances, so the merge sequence —
-// and therefore the clustering — is bit-identical to the naive loop
-// (the test suite checks this against a reference implementation).
-func (m *DistMatrix) mergeLoop() {
-	for p := range m.live {
-		m.rescan(p)
-	}
-	for {
-		pj, bi, best := -1, -1, m.threshold
-		for p, j := range m.live {
-			if d := m.colmin[j]; d < best || (d == best && m.colArg[j] < bi) {
-				pj, bi, best = p, m.colArg[j], d
-			}
-		}
-		if pj < 0 {
-			return
-		}
-		m.merge(bi, pj, best)
-	}
+	s.cmin[bi], s.carg[bi] = cbest, carg
+	s.rmin[bi], s.rarg[bi] = rbest, rarg
 }

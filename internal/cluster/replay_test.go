@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"nerglobalizer/internal/nn"
@@ -123,6 +124,69 @@ func TestDistMatrixReplayBuiltCases(t *testing.T) {
 	}
 }
 
+// TestDistMatrixCleanSuffixBuiltCases pins the paths past the point
+// where the merge sequence parts from the recording, each in a case the
+// naive reference tells apart: recorded merges kept after it, a
+// recorded step skipped, and the three places a clean cluster's
+// distances are read back from the log. Each asserts how many merges
+// the last call replayed and kept, so none can pass by turning every
+// cluster dirty.
+func TestDistMatrixCleanSuffixBuiltCases(t *testing.T) {
+	// The tight and loose groups of TestDistMatrixReplayBuiltCases.
+	groups := [][]float64{unit(0), unit(1), unit(2), unit(60), unit(70), unit(85)}
+	with := func(base [][]float64, more ...[]float64) [][]float64 {
+		return append(append([][]float64{}, base...), more...)
+	}
+	cases := []struct {
+		name string
+		embs [][]float64
+		cuts []int
+		th   float64
+		lk   Linkage
+		// replayed and kept are the last Cluster call's counts.
+		replayed, kept int
+	}{
+		// The appended mention joins mention 0 before the first recorded
+		// step; the loose group never meets a dirty cluster, so both its
+		// recorded merges are kept after the sequences part.
+		{"keeps clean merges after the divergence", with(groups, unit(0.01)), []int{6, 7}, 0.3, AverageLinkage, 0, 2},
+		// 2.1° joins mention 2 first. The recorded (0,1) is kept, then
+		// the recorded (0,2) is skipped because 2 is dirty, and 0 turns
+		// dirty before it: its entries with the loose group must be the
+		// ones from before (0,2), which decide where the groups meet
+		// under the 0.75 threshold.
+		{"skips a recorded step whose partner turned dirty", with(groups, unit(2.1)), []int{6, 7}, 0.75, AverageLinkage, 0, 3},
+		// The same first merge absorbs clean mention 2 into a dirty
+		// cluster. d(0, 2) before step 0 is not in a run of 2's (2 never
+		// survives a recorded merge) but in the run of step 0, where 0
+		// survives: it is read at 2's rank there.
+		{"absorbs a clean cluster logged in the other survivor's run", with(groups, unit(2.1)), []int{6, 7}, 0.3, AverageLinkage, 0, 3},
+		// The first call records (0,1); the second appends 80°, folds it
+		// through (0,1) and merges it in. The third appends a copy of
+		// 80°, which takes clean mention 2 before step 0: d(2, 0) before
+		// step 0 is in 2's fold log, since column 2 did not exist when
+		// step 0 was recorded.
+		{"reads a clean column's entry back from its fold log", [][]float64{unit(0), unit(20), unit(80), unit(80)}, []int{2, 3, 4}, 0.75, AverageLinkage, 0, 1},
+		// A kept step's run is rebuilt from the recorded one, and the
+		// entries of clean columns appended after that step was
+		// recorded come from their fold logs.
+		{"copies a kept step's fold-logged entries", [][]float64{unit(0), unit(10), unit(40), unit(20), unit(20), unit(10)}, []int{2, 3, 5, 6}, 1.5, AverageLinkage, 0, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkGrowReplay(t, tc.embs, tc.cuts, tc.th, tc.lk, nil)
+			m := NewDistMatrix(tc.th, tc.lk)
+			for _, n := range tc.cuts {
+				m.Grow(tc.embs[:n], nil)
+				m.Cluster()
+			}
+			if m.Replayed() != tc.replayed || m.Kept() != tc.kept {
+				t.Fatalf("last call replayed %d and kept %d merges, want %d and %d", m.Replayed(), m.Kept(), tc.replayed, tc.kept)
+			}
+		})
+	}
+}
+
 // randomGrowth draws a pool with the features replay has to survive —
 // exact duplicates (zero distances), coarse coordinates (exact ties
 // between distinct pairs) and free points — and prefix lengths that
@@ -174,6 +238,95 @@ func TestDistMatrixReplayMatchesNaive(t *testing.T) {
 	t.Logf("%d merges replayed over %d calls", replayed, calls)
 }
 
+// TestDistMatrixConcurrentMatrices clusters growing pools on separate
+// matrices at once, as the per-surface workers do, so the race detector
+// sees calls share the scratch states; each must still match the
+// naive reference.
+func TestDistMatrixConcurrentMatrices(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	type pool struct {
+		embs [][]float64
+		cuts []int
+	}
+	pools := make([]pool, 8)
+	for i := range pools {
+		pools[i].embs, pools[i].cuts = randomGrowth(rng, 20+rng.Intn(20))
+	}
+	var wg sync.WaitGroup
+	for _, p := range pools {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := NewDistMatrix(0.75, AverageLinkage)
+			for _, n := range p.cuts {
+				m.Grow(p.embs[:n], nil)
+				got := m.Cluster()
+				want, steps := naiveMerges(PairwiseCosineDistances(p.embs[:n], nil), 0.75, AverageLinkage)
+				if !reflect.DeepEqual(got, want) || !slices.Equal(m.rec, steps) {
+					t.Errorf("n=%d: Cluster diverged from the naive reference", n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestDistMatrixServedShapeMatchesFresh is the replay contract on the
+// shape of a served hot pool, at a size the naive reference is too slow
+// for: 600 mentions of 24 dimensions around three senses, about 40 % of
+// them exact copies of an earlier one, grown 1–3 at a time. After every
+// Grow, Cluster's partition and merge sequence must equal those of a
+// fresh matrix on the same prefix (whose merge loop
+// TestAgglomerateMatchesNaiveReference pins to the reference), and most
+// of the merges must be kept from the recording.
+func TestDistMatrixServedShapeMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	centers := make([][]float64, 3)
+	for c := range centers {
+		centers[c] = make([]float64, 24)
+		for k := range centers[c] {
+			centers[c][k] = rng.NormFloat64()
+		}
+	}
+	embs := make([][]float64, 600)
+	for i := range embs {
+		if i > 0 && rng.Float64() < 0.4 {
+			embs[i] = embs[rng.Intn(i)]
+			continue
+		}
+		v := make([]float64, 24)
+		for k := range v {
+			v[k] = centers[rng.Intn(3)][k] + 0.4*rng.NormFloat64()
+		}
+		embs[i] = nn.Normalize(v)
+	}
+	var cuts []int
+	for at := 0; at < len(embs); {
+		at = min(len(embs), at+1+rng.Intn(3))
+		cuts = append(cuts, at)
+	}
+	for _, lk := range allLinkages {
+		m := NewDistMatrix(DefaultThreshold, lk)
+		kept, merges := 0, 0
+		for _, n := range cuts {
+			m.Grow(embs[:n], nil)
+			got := m.Cluster()
+			fresh := NewDistMatrix(DefaultThreshold, lk)
+			fresh.Grow(embs[:n], nil)
+			if want := fresh.Cluster(); !reflect.DeepEqual(got, want) || !slices.Equal(m.rec, fresh.rec) {
+				t.Fatalf("%s: Cluster at n=%d (replayed %d, kept %d) diverged from a fresh matrix", lk, n, m.Replayed(), m.Kept())
+			}
+			kept += m.Kept()
+			merges += len(m.rec)
+		}
+		if kept*2 < merges {
+			t.Fatalf("%s: kept %d of %d merges; the served shape keeps most", lk, kept, merges)
+		}
+		t.Logf("%s: kept %d of %d merges over %d calls", lk, kept, merges, len(cuts))
+	}
+}
+
 // FuzzDistMatrixReplay lets the fuzzer choose the pool and how it
 // grows: each byte pair is one mention (four 2-bit coordinates, so
 // duplicates and exact ties are the common case) and whether to cluster
@@ -182,12 +335,24 @@ func FuzzDistMatrixReplay(f *testing.F) {
 	f.Add([]byte{0x01, 0, 0x01, 0, 0x04, 0, 0x04, 0, 0x01, 0}, uint8(0), uint8(5))
 	f.Add([]byte{0x1b, 1, 0x1b, 0, 0xe4, 1, 0x6c, 0, 0x1b, 0, 0x40, 0}, uint8(1), uint8(7))
 	f.Add([]byte{0x40, 1, 0x10, 1, 0x04, 1, 0x01, 0, 0x55, 0}, uint8(2), uint8(15))
-	// Each rolls back a step an earlier call kept, restoring a column
-	// that call folded through it. The second fails if only the
-	// merge-time log is restored: the stale entry (a complete-linkage
-	// max) decides a merge height there.
+	// Each parts from the recording before a step an earlier call
+	// kept, so a column that call folded through it is read back from
+	// its fold log. The second fails if the fold log is not read: the
+	// stale entry (a complete-linkage max) decides a merge height there.
 	f.Add([]byte("2000B00000"), uint8('Y'), uint8(5))
 	f.Add([]byte("00208070"), uint8(20), uint8(6))
+	// One per path past the divergence, as in
+	// TestDistMatrixCleanSuffixBuiltCases: a clean merge kept after it;
+	// a recorded step skipped; an absorbed clean cluster's entry read
+	// from the other survivor's run; a clean column's entry read from
+	// its fold log, on a rebuild and on a rebuilt row; a kept step's run
+	// copied with fold-logged entries.
+	f.Add([]byte{0xbf, 1, 0xc0, 1, 0xc7, 0, 0xc0, 1}, uint8(2), uint8(6))
+	f.Add([]byte{0xaf, 1, 0xcb, 1, 0xdd, 0, 0xcb, 0}, uint8(0), uint8(16))
+	f.Add([]byte{0x2c, 1, 0x6e, 1, 0x62, 0, 0xa3, 1}, uint8(0), uint8(11))
+	f.Add([]byte{0x26, 1, 0xad, 0, 0xa1, 0, 0xa6, 0}, uint8(0), uint8(7))
+	f.Add([]byte{0x87, 1, 0x86, 0, 0x5f, 0, 0x87, 0}, uint8(0), uint8(18))
+	f.Add([]byte{0x05, 1, 0x4b, 1, 0xb3, 0, 0xe4, 0, 0xb3, 0, 0x09, 0}, uint8(0), uint8(14))
 	f.Fuzz(func(t *testing.T, data []byte, lkRaw, thRaw uint8) {
 		if len(data) > 128 {
 			data = data[:128]

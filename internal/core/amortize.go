@@ -681,7 +681,7 @@ func (g *Globalizer) updateSurface(sa *surfaceAmort) (kept int) {
 	tc := o.now()
 	sa.dist.Grow(sa.embs, g.pool)
 	clustering := sa.dist.Cluster()
-	o.clusteringDone(tc, len(ms), clustering.Count, sa.dist.Replayed())
+	o.clusteringDone(tc, len(ms), clustering.Count, sa.dist.Kept())
 	sa.outcome = g.outcomeFromEmbeddings(sa.surface, ms, sa.embs, clustering, &sa.outcome, kept)
 	return kept
 }

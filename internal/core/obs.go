@@ -111,7 +111,7 @@ func newPipeObs(reg *obs.Registry) *pipeObs {
 		surfacesReused:     reg.Counter("ner_surface_outcomes_reused_total", "surface outcomes served from the cross-cycle cache"),
 		clustersFormed:     reg.Counter("ner_clusters_formed_total", "candidate clusters produced by agglomerative clustering"),
 		clusterMerges:      reg.Counter("ner_cluster_merges_total", "agglomerative merge steps performed"),
-		mergesReplayed:     reg.Counter("ner_cluster_merges_replayed_total", "merge steps taken from a surface's recorded merge sequence instead of selected again"),
+		mergesReplayed:     reg.Counter("ner_cluster_merges_replayed_total", "merge steps kept from a surface's recorded merge sequence instead of selected again: the prefix the new mentions leave alone and every later recorded merge of clusters they leave clean"),
 		clustersClassified: reg.Counter("ner_clusters_classified_total", "cluster type decisions computed"),
 		verdictCacheHits:   reg.Counter("ner_cluster_verdict_cache_hits_total", "cluster verdicts carried from the surface's previous outcome"),
 
@@ -264,8 +264,8 @@ func (o *pipeObs) publishAmort(st amortStats) {
 
 // clusteringDone records one surface's agglomerative clustering:
 // busy time, clusters formed, merge steps (mentions − clusters), and
-// how many of those steps were replayed from the surface's recording.
-func (o *pipeObs) clusteringDone(t0 time.Time, mentions, clusters, replayed int) {
+// how many of those steps were kept from the surface's recording.
+func (o *pipeObs) clusteringDone(t0 time.Time, mentions, clusters, kept int) {
 	if o == nil {
 		return
 	}
@@ -274,11 +274,11 @@ func (o *pipeObs) clusteringDone(t0 time.Time, mentions, clusters, replayed int)
 	if merges := mentions - clusters; merges > 0 {
 		o.clusterMerges.Add(int64(merges))
 	}
-	o.mergesReplayed.Add(int64(replayed))
+	o.mergesReplayed.Add(int64(kept))
 }
 
 // ClusterReplayedShare is the fraction of all merge steps so far that
-// were replayed from a recording (0 when uninstrumented or before the
+// were kept from a recording (0 when uninstrumented or before the
 // first merge) — the /statusz readout of how much re-clustering work
 // the recordings save.
 func (g *Globalizer) ClusterReplayedShare() float64 {

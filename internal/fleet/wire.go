@@ -108,7 +108,7 @@ type ShardStatus struct {
 	SIMD       string            `json:"simd"`
 	Settings   map[string]string `json:"settings"`
 	// ClusterReplayedShare is the fraction of the shard engine's merge
-	// steps replayed from recordings (see server.StatuszResponse).
+	// steps kept from recordings (see server.StatuszResponse).
 	ClusterReplayedShare float64 `json:"cluster_merges_replayed_share"`
 	// Durability summarizes the shard's commit path; nil without
 	// -data-dir.

@@ -260,8 +260,10 @@ type StatuszResponse struct {
 	SIMDSupported []string `json:"simd_supported"`
 	// ClusterReplayedShare is ner_cluster_merges_replayed_total over
 	// ner_cluster_merges_total: the fraction of agglomerative merge
-	// steps taken from a surface's recorded merge sequence instead of
-	// selected again (0 without a registry attached).
+	// steps kept from a surface's recorded merge sequence instead of
+	// selected again — the prefix before the new mentions' first merge
+	// and every later recorded merge of two clusters they left clean
+	// (0 without a registry attached).
 	ClusterReplayedShare float64 `json:"cluster_merges_replayed_share"`
 	// Durability summarizes the commit path (fsync policy, WAL backlog,
 	// snapshot-writer depth); nil when the server runs without -data-dir.
