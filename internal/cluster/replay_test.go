@@ -99,14 +99,18 @@ func TestDistMatrixReplayBuiltCases(t *testing.T) {
 		{"empty recording", [][]float64{x, y, z}, []int{2, 3}, 0.5, 0},
 		// One mention at a time from the start.
 		{"one at a time", groups, []int{1, 2, 3, 4, 5, 6}, 0.3, 3},
-		// Rolls back a step an earlier call kept. The first call records
-		// (0,1) at ≈ 1.5e-4. The second appends mentions at -4° and 5°,
-		// ≥ 2.4e-3 from everything, so it keeps step 0 — folding both
-		// columns through it — and merges them in after it. The third
-		// appends one at 0.3°, closer to mention 0 than step 0's height,
-		// so it rolls back every step: the second call's own, then step
-		// 0, whose entries in the two folded columns only their fold log
-		// holds.
+		// The new mention reaches a step an earlier call kept. The first
+		// call records (0,1) at ≈ 1.5e-4. The second appends mentions at
+		// -4° and 5°, ≥ 2.4e-3 from everything, so it keeps step 0 —
+		// folding both columns through it, which logs their entries from
+		// before the step in their fold logs — and merges them in after
+		// it. The third appends one at 0.3°, closer to mention 0 than
+		// step 0's height: the fold stops before step 0, so nothing is
+		// replayed, and the loop's first merge takes mention 0 into the
+		// new mention. Mention 0 turns dirty before step 0 while the two
+		// folded columns are still clean, so its distances to them must
+		// be the ones from before step 0, which only their fold logs
+		// hold.
 		{"rolls back a step an earlier call kept", [][]float64{unit(0), unit(1), unit(-4), unit(5), unit(0.3)}, []int{2, 4, 5}, 0.3, 0},
 	}
 	for _, tc := range cases {
@@ -419,15 +423,20 @@ func TestDistMatrixStoresEachPairOnce(t *testing.T) {
 	}
 }
 
-// TestDistMatrixRollbackRestoresSurvivorOnce builds a rollback in which
-// one survivor absorbed two of the undone steps, so only the earlier of
-// them may put its entries back. Mentions 0°, 1° and 3° merge as (0,1)
-// then (0,2); the second call appends 60° and 65°, far from the rest,
-// folds them through both steps and merges them as (3,4); the third
-// appends 0.5°, closer to mention 0 than step 0's height, so every step
-// is undone. Step 1 would write d(0, k) from before step 1, in both the
-// merge-time log and the fold log of columns 3 and 4; the result must
-// hold step 0's values.
+// TestDistMatrixRollbackRestoresSurvivorOnce builds a re-clustering in
+// which the new mention turns dirty a cluster that survived two recorded
+// steps, so its distances to the clean clusters must come from the
+// earlier step's log. Mentions 0°, 1° and 3° merge as (0,1) then (0,2);
+// the second call appends 60° and 65°, far from the rest, folds them
+// through both steps and merges them as (3,4); the third appends 0.5°,
+// closer to mention 0 than step 0's height, so the fold stops before
+// step 0 and the first merge takes mention 0 into the new mention.
+// Mention 0 turns dirty before step 0, and each d(0, k) with a clean k
+// is what the recording held before that step: step 0's log has it (the
+// merge-time run for column 2, the fold logs of columns 3 and 4), while
+// step 1's holds d(0, k) after step 0. The recorded (3,4), whose
+// clusters the new mention leaves clean, is kept. The result must hold
+// step 0's values.
 func TestDistMatrixRollbackRestoresSurvivorOnce(t *testing.T) {
 	embs := [][]float64{unit(0), unit(1), unit(3), unit(60), unit(65), unit(0.5)}
 	cuts := []int{3, 5, 6}

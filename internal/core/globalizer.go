@@ -397,7 +397,7 @@ func (g *Globalizer) Run(sents []*types.Sentence, mode Mode) *RunResult {
 // setup — candidates gather more mentions (and more reliable global
 // embeddings) with every cycle.
 func (g *Globalizer) ProcessBatch(batch []*types.Sentence, mode Mode) map[types.SentenceKey][]types.Entity {
-	g.runCycle(batch, nil, mode)
+	g.runCycle(batch, nil, 0, mode)
 	if mode == ModeLocalOnly {
 		return g.tweetBase.LocalEntityMap()
 	}
@@ -407,8 +407,16 @@ func (g *Globalizer) ProcessBatch(batch []*types.Sentence, mode Mode) map[types.
 // TagBatch runs Local NER tagging — the encoder forward and BIO decode
 // — over a batch without touching stream state. Per-sentence results
 // are byte-identical at any batch composition (the batching contract),
-// so a fleet shard tags a commit's batch with it ahead of the cycle and
-// hands the results to ProcessTagged.
+// so a serving process tags a batch with it ahead of the cycle and
+// hands the results to ProcessTagged or ServeCycle.
+//
+// TagBatch reads only the frozen model (the tagger's weights and their
+// packed mirrors) and the configuration set before serving (pool width,
+// precision tier, packing cap), never the stream. It is therefore safe
+// to call from several goroutines at once and beside a running cycle,
+// without the lock that serializes cycles; only SetWorkers,
+// SetInferBatch, SetPrecision and training must not run concurrently
+// with it.
 func (g *Globalizer) TagBatch(batch []*types.Sentence) []*localner.Result {
 	toks := make([][]string, len(batch))
 	for i, s := range batch {
@@ -426,24 +434,37 @@ func (g *Globalizer) TagBatch(batch []*types.Sentence) []*localner.Result {
 // byte-identical either way when they came from an identically
 // configured engine.
 func (g *Globalizer) ProcessTagged(batch []*types.Sentence, tagged []*localner.Result, mode Mode) map[types.SentenceKey][]types.Entity {
-	g.runCycle(batch, tagged, mode)
+	g.runCycle(batch, tagged, 0, mode)
 	return g.batchEntities(batch, mode)
 }
 
-// runCycle is the shared cycle body of ProcessBatch and ProcessTagged.
-// The amortizer follows ModeFull cycles only: a cycle at any other mode
-// drops it, and a stream without one recomputes the global phase from
-// scratch.
-func (g *Globalizer) runCycle(batch []*types.Sentence, tagged []*localner.Result, mode Mode) {
+// ServeCycle is a serving replica's cycle: ProcessTagged at ModeFull
+// without rendering the batch's entities, which the replica reads off
+// the records. tagTime is how long tagging the batch took when it ran
+// ahead of the cycle and the caller timed it (zero otherwise): the
+// cycle's ner_stage_local_seconds and ner_cycle_seconds include it, so
+// the engine's instruments still account for the batch's tagging.
+func (g *Globalizer) ServeCycle(batch []*types.Sentence, tagged []*localner.Result, tagTime time.Duration) {
+	g.runCycle(batch, tagged, tagTime, ModeFull)
+}
+
+// runCycle is the shared cycle body of ProcessBatch, ProcessTagged and
+// ServeCycle. The amortizer follows ModeFull cycles only: a cycle at
+// any other mode drops it, and a stream without one recomputes the
+// global phase from scratch.
+func (g *Globalizer) runCycle(batch []*types.Sentence, tagged []*localner.Result, tagTime time.Duration, mode Mode) {
 	defer clear(g.states)
 	if mode != ModeFull {
 		g.amort = nil
 	}
 	tr := g.o.beginCycle(g.tweetBase.Len())
-	t0 := g.o.now()
+	// Tagging done ahead of the cycle began tagTime before it: the cycle
+	// and its Local NER stage are timed from there (the trace's local
+	// span starts that far before the cycle's).
+	t0 := g.o.now().Add(-tagTime)
 	var newSurfaces [][]string
 	if tagged != nil {
-		newSurfaces = g.applyTagged(batch, tagged, tr, g.o.now())
+		newSurfaces = g.applyTagged(batch, tagged, tr, t0)
 	} else {
 		newSurfaces = g.localPhase(batch, tr)
 	}

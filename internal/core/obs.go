@@ -90,9 +90,9 @@ func newPipeObs(reg *obs.Registry) *pipeObs {
 		spans: obs.NewSpanRecorder(8),
 
 		cycles:       reg.Counter("ner_cycles_total", "execution cycles run (all engines)"),
-		cycleSeconds: reg.Histogram("ner_cycle_seconds", "wall time of one execution cycle", nil),
+		cycleSeconds: reg.Histogram("ner_cycle_seconds", "engine time of one execution cycle, including the batch's tagging done at admission", nil),
 
-		stageLocal:    reg.Histogram("ner_stage_local_seconds", "Local NER tagging wall time per batch", nil),
+		stageLocal:    reg.Histogram("ner_stage_local_seconds", "Local NER time per batch, including the batch's tagging done at admission", nil),
 		stageExtract:  reg.Histogram("ner_stage_extract_seconds", "CTrie mention re-mining wall time per cycle", nil),
 		stageSurfaces: reg.Histogram("ner_stage_surfaces_seconds", "surface fan-out (embed+cluster+classify) wall time per cycle", nil),
 		stageEmbed:    reg.Histogram("ner_stage_embed_seconds", "phrase embedding busy time per work unit", nil),

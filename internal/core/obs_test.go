@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/stream"
@@ -230,4 +231,36 @@ func BenchmarkCycleObservability(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestServeCycleCountsTagTimeAhead pins the ledger of a cycle whose
+// batch was tagged ahead of it: the tagging time the caller hands in
+// lands inside the cycle's one ner_stage_local_seconds and one
+// ner_cycle_seconds observation, and the annotations are those of a
+// cycle that tags its own batch.
+func TestServeCycleCountsTagTimeAhead(t *testing.T) {
+	g := trainedGlobalizer(t)
+	defer g.SetObserver(nil)
+	batch := smallStream("serve-cycle", 20, 93).Sentences
+	g.SetObserver(nil)
+	g.Reset()
+	want := g.ProcessTagged(batch, nil, ModeFull)
+
+	reg := obs.NewRegistry()
+	g.SetObserver(reg)
+	g.Reset()
+	const ahead = 3 * time.Second
+	g.ServeCycle(batch, g.TagBatch(batch), ahead)
+	if got := g.batchEntities(batch, ModeFull); !reflect.DeepEqual(got, want) {
+		t.Fatal("ServeCycle over results tagged ahead annotated differently from an in-cycle tagging")
+	}
+	s := reg.Snapshot()
+	local, cycle := s.Histograms["ner_stage_local_seconds"], s.Histograms["ner_cycle_seconds"]
+	if local.Count != 1 || cycle.Count != 1 {
+		t.Fatalf("observations: local %d, cycle %d, want 1 each", local.Count, cycle.Count)
+	}
+	if local.Sum < ahead.Seconds() || cycle.Sum < local.Sum {
+		t.Fatalf("local %.3fs, cycle %.3fs: want local >= %v (the tagging ahead) and cycle >= local", local.Sum, cycle.Sum, ahead)
+	}
+	g.Reset()
 }

@@ -364,7 +364,7 @@ func (s *Shard) serveCommit(body []byte, t0 time.Time) reply {
 	// is released — the response still never outruns the shard's disk,
 	// but the next cycle's commit can start while this cycle's flush
 	// completes. A failure of either has tripped the gate.
-	out, err := s.rep.Apply(req.Sentences, tagged)
+	out, err := s.rep.Apply(req.Sentences, tagged, 0)
 	if err != nil {
 		s.mu.Unlock()
 		return failReply(statusInternal, "durability failure: "+err.Error())

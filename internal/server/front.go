@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"nerglobalizer/internal/durable"
+	"nerglobalizer/internal/localner"
 	"nerglobalizer/internal/obs"
 	"nerglobalizer/internal/tokenizer"
 )
@@ -28,13 +29,20 @@ const queueDepth = 128
 const retryAfterSeconds = 1
 
 // Job is one admitted /annotate request: its tweets, already tokenized
-// and sentence-split (pure per-request work kept out of the serial
-// section), and the one-shot channel its answer comes back on. The
-// cycle that takes a job answers it exactly once: Reply, or an HTTP
-// error for the whole cycle (Front.Reject).
+// and sentence-split, on the single server its Local NER results too
+// (pure per-request work kept out of the serial section), and the
+// one-shot channel its answer comes back on. The cycle that takes a job
+// answers it exactly once: Reply, or an HTTP error for the whole cycle
+// (Front.Reject).
 type Job struct {
 	Tweets [][][]string // per tweet, per sentence, tokens
 	done   chan jobResult
+
+	// tagged holds the job's Local NER results in sentence order, and
+	// tagTime how long tagging them took (zero unless a registry is
+	// attached). The single server's prepare step fills both.
+	tagged  []*localner.Result
+	tagTime time.Duration
 }
 
 // jobResult is a cycle's answer to one job: a response, or (status != 0)
@@ -104,6 +112,12 @@ func fail(jobs []*Job, status, retryAfter int, msg string) {
 // A process supplies only what one cycle does with its jobs, and its
 // own read endpoints.
 //
+// An optional prepare step runs per job on its request goroutine, after
+// the job has taken its queue slot (a rejected request costs none of
+// it) and beside whatever cycle the scheduler is in; the job joins the
+// scheduler's queue once it is done. The single server tags the job's
+// sentences there; the router has none.
+//
 // A cycle has two stages. Stage one (run) executes on the scheduler
 // goroutine, one cycle at a time: it is where the stream advances. What
 // it returns (finish) — the wait for durability or for the shards, the
@@ -116,8 +130,12 @@ type Front struct {
 	// and trips it when a commit cannot be made durable.
 	Gate durable.Gate
 
-	run  func([]*Job) (finish func())
-	jobs chan *Job
+	run     func([]*Job) (finish func())
+	prepare func(*Job) // optional; set before serving
+	// slots counts the admitted jobs the scheduler has not taken yet,
+	// queued or still in their prepare step; at most queueDepth.
+	slots atomic.Int64
+	jobs  chan *Job
 	// tail carries each cycle's finish to the tail goroutine. The
 	// scheduler is its only sender, so queue order is cycle order.
 	tail     chan func()
@@ -257,8 +275,8 @@ func (f *Front) drainTail() {
 
 // loop is the scheduler: it blocks for the first queued request, takes
 // everything else that queued meanwhile — while the previous cycle ran —
-// runs them as one execution cycle and queues the cycle's finish on the
-// tail.
+// frees their slots, runs them as one execution cycle and queues the
+// cycle's finish on the tail.
 func (f *Front) loop() {
 	defer close(f.loopDone)
 	for {
@@ -273,6 +291,7 @@ func (f *Front) loop() {
 				fo.queueDepth.Set(int64(len(f.jobs)))
 				fo.jobsPerCycle.Observe(float64(len(batch)))
 			}
+			f.slots.Add(-int64(len(batch)))
 			if finish := f.run(batch); finish != nil {
 				f.tail <- finish
 			}
@@ -332,6 +351,11 @@ type AnnotateResponse struct {
 	Candidates int            `json:"candidates"`
 }
 
+// handleAnnotate admits one request: it tokenizes the tweets, takes a
+// queue slot (or answers 503 at once), runs the prepare step on the
+// job, and waits for the cycle that answers it. Everything before the
+// wait is per-request work on the request goroutine, outside the
+// scheduler's serial section.
 func (f *Front) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	if f.Gate.Reject(w) {
 		return
@@ -367,9 +391,10 @@ func (f *Front) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 		job.Tweets = append(job.Tweets, sents)
 	}
 
-	// Bounded admission: a full queue answers 503 immediately instead of
-	// parking the request goroutine, so overload degrades into fast
-	// rejections the client can back off from.
+	// Bounded admission: with every slot taken the request answers 503
+	// immediately instead of parking its goroutine, so overload degrades
+	// into fast rejections the client can back off from. The slot is
+	// taken before the prepare step, so a rejection costs none of it.
 	select {
 	case <-f.quit:
 		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
@@ -378,18 +403,22 @@ func (f *Front) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 		return
 	default:
 	}
-	select {
-	case f.jobs <- job:
-		if fo != nil {
-			fo.queueDepth.Set(int64(len(f.jobs)))
-		}
-	default:
+	if f.slots.Add(1) > queueDepth {
+		f.slots.Add(-1)
 		if fo != nil {
 			fo.rejected.Inc()
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 		http.Error(w, "annotate queue saturated", http.StatusServiceUnavailable)
 		return
+	}
+	if f.prepare != nil {
+		f.prepare(job)
+	}
+	// Never blocks: the queue holds at most one job per slot.
+	f.jobs <- job
+	if fo != nil {
+		fo.queueDepth.Set(int64(len(f.jobs)))
 	}
 	select {
 	case res := <-job.done:

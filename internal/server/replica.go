@@ -96,12 +96,13 @@ func (r *Replica) Reset() {
 	r.seq = 0
 }
 
-// Tag runs Local NER over sentences, under the engine lock, without
-// touching the stream: a fleet shard tags a commit's batch with it
-// before applying the cycle.
+// Tag runs Local NER over sentences without touching the stream, and
+// so without the engine lock: tagging reads only the frozen model (see
+// core's TagBatch), which lets it run beside a cycle. Only the tokens
+// are read. A fleet shard tags a commit's batch with it before applying
+// the cycle; the single server tags each admitted job with it on the
+// job's request goroutine.
 func (r *Replica) Tag(sents []durable.CycleSentence) []*localner.Result {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.g.TagBatch(durable.ToSentences(sents))
 }
 
@@ -123,20 +124,23 @@ type Applied struct {
 
 // Apply runs the next cycle over sentences. tagged carries the batch's
 // Local NER results when the caller computed them ahead (Tag); nil has
-// the engine tag the batch inside the cycle. A durable replica appends
-// the cycle's record under the engine lock — with more than one caller
+// the engine tag the batch inside the cycle. tagTime is how long the
+// tagging ahead took, for the cycle to count as its Local NER time;
+// zero leaves it out (untimed, or — on a shard — timed apart from the
+// cycle). A durable replica appends the cycle's record under the engine
+// lock — with more than one caller
 // admitted, WAL order is commit order — and a failure of the append, or
 // later of the wait, trips the gate: the stream has advanced past its
 // disk, so acking this cycle or taking another would let a restart
 // silently drop it. A cycle refused at a closed gate returns a zero Applied; one whose
 // append failed returns its Seq alone, since it did run.
-func (r *Replica) Apply(sentences []durable.CycleSentence, tagged []*localner.Result) (Applied, error) {
+func (r *Replica) Apply(sentences []durable.CycleSentence, tagged []*localner.Result, tagTime time.Duration) (Applied, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if why, _ := r.gate.Unready(); why != "" {
 		return Applied{}, errors.New(why)
 	}
-	out := r.apply(r.seq+1, sentences, tagged)
+	out := r.apply(r.seq+1, sentences, tagged, tagTime)
 	if r.dl == nil {
 		return out, nil
 	}
@@ -166,8 +170,8 @@ func (r *Replica) Apply(sentences []durable.CycleSentence, tagged []*localner.Re
 
 // apply is the cycle itself, live or replayed: always the complete
 // pipeline. Called under mu.
-func (r *Replica) apply(seq uint64, sentences []durable.CycleSentence, tagged []*localner.Result) Applied {
-	r.g.ProcessTagged(durable.ToSentences(sentences), tagged, core.ModeFull)
+func (r *Replica) apply(seq uint64, sentences []durable.CycleSentence, tagged []*localner.Result, tagTime time.Duration) Applied {
+	r.g.ServeCycle(durable.ToSentences(sentences), tagged, tagTime)
 	r.seq = seq
 	out := Applied{
 		Seq:         seq,
@@ -292,7 +296,7 @@ func (r *Replica) Replay(rec *durable.Recovery) (Applied, error) {
 			return Applied{}, fmt.Errorf("server: logged cycle %d ran at mode %d, a replica only runs %d (%v)", cr.Seq, cr.Mode, int(core.ModeFull), core.ModeFull)
 		}
 		r.mu.Lock()
-		last = r.apply(cr.Seq, cr.Sentences, nil)
+		last = r.apply(cr.Seq, cr.Sentences, nil, 0)
 		r.mu.Unlock()
 		if !durable.AnnotationsEqual(last.Annotations, cr.Annotations) {
 			return Applied{}, fmt.Errorf("server: replay of cycle %d diverged from the logged annotations — model or configuration mismatch", cr.Seq)

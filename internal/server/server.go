@@ -5,7 +5,8 @@
 // stream), and returns the current annotations. The stream state grows
 // across requests until /reset.
 //
-// Concurrent /annotate requests are micro-batched: a single scheduler
+// Concurrent /annotate requests are micro-batched: each is tokenized
+// and tagged (Local NER) on its own goroutine, and a single scheduler
 // goroutine coalesces everything queued while a cycle is in flight
 // into the next execution cycle, so N concurrent clients cost one
 // Global NER refresh instead of N serialized ones.
@@ -39,18 +40,21 @@ import (
 	"net/http"
 	"runtime"
 	"sync/atomic"
+	"time"
 
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/durable"
+	"nerglobalizer/internal/localner"
 	"nerglobalizer/internal/nn"
 	"nerglobalizer/internal/obs"
 )
 
 // Server wraps a trained pipeline with HTTP handlers: a Front in front
-// of one Replica. All pipeline execution happens on the front's
-// scheduler goroutine, and a durable cycle's acknowledgement on the
-// front's tail; the replica's engine lock guards the read-side
-// endpoints (/candidates, /entities) against a cycle in flight. The
+// of one Replica. Each admitted request is tagged (Local NER) on its own
+// goroutine; every stream-advancing cycle runs on the front's scheduler
+// goroutine, and a durable cycle's acknowledgement on the front's tail.
+// The replica's engine lock guards the read-side endpoints
+// (/candidates, /entities) against a cycle in flight. The
 // pipeline is configured (workers, inference batching, precision)
 // before New.
 type Server struct {
@@ -124,7 +128,39 @@ func New(g *core.Globalizer) *Server {
 	s := &Server{}
 	s.front = NewFront(s.runCycle, ackQueueDepth)
 	s.rep = NewReplica(g, &s.front.Gate, -1)
+	s.front.prepare = s.tag
 	return s
+}
+
+// tag is the front's prepare step: Local NER over the job's sentences
+// on its request goroutine, beside whatever cycle the scheduler is in —
+// tagging reads no stream state, so it takes no engine lock. With a
+// registry attached the job carries how long tagging took, for its
+// cycle to count as Local NER time; detached, no clock is read.
+func (s *Server) tag(job *Job) {
+	var sents []durable.CycleSentence
+	for _, sentTokens := range job.Tweets {
+		for _, toks := range sentTokens {
+			sents = append(sents, durable.CycleSentence{Tokens: toks})
+		}
+	}
+	if s.o.Load() == nil {
+		job.tagged = s.rep.Tag(sents)
+		return
+	}
+	t0 := time.Now()
+	job.tagged = s.rep.Tag(sents)
+	job.tagTime = time.Since(t0)
+}
+
+// joinTagged lays the jobs' Local NER results out in batch order, with
+// their summed tagging time.
+func joinTagged(jobs []*Job) (tagged []*localner.Result, tagTime time.Duration) {
+	for _, j := range jobs {
+		tagged = append(tagged, j.tagged...)
+		tagTime += j.tagTime
+	}
+	return tagged, tagTime
 }
 
 // Close stops the scheduler. In-flight and queued requests receive 503;
@@ -170,9 +206,10 @@ func (s *Server) StartDurable(dir string, opts durable.Options) error {
 func (s *Server) WaitWarm() error { return s.front.Gate.WaitWarm() }
 
 // runCycle is stage one of a micro-batched execution cycle: tweet IDs
-// are assigned in queue order and the coalesced batch runs through the
-// replica once. Without a data dir each request is answered here from
-// its own slice of the result. The cycle counts, and its IDs are spent,
+// are assigned in queue order, and the coalesced batch, with the tags
+// its jobs brought from admission joined in the same order, runs
+// through the replica once. Without a data dir each request is answered
+// here from its own slice of the result. The cycle counts, and its IDs are spent,
 // only if the replica took its seq: a cycle refused at a closed gate
 // leaves no trace.
 //
@@ -188,7 +225,8 @@ func (s *Server) WaitWarm() error { return s.front.Gate.WaitWarm() }
 // can mutate.
 func (s *Server) runCycle(jobs []*Job) (finish func()) {
 	batch, perJob, nextID := Batch(jobs, s.nextID)
-	out, err := s.rep.Apply(batch, nil)
+	tagged, tagTime := joinTagged(jobs)
+	out, err := s.rep.Apply(batch, tagged, tagTime)
 	if out.Seq != 0 {
 		s.nextID = nextID
 		s.cycles.Add(1)

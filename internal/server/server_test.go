@@ -4,14 +4,20 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"nerglobalizer/internal/core"
 	"nerglobalizer/internal/corpus"
+	"nerglobalizer/internal/durable"
+	"nerglobalizer/internal/obs"
+	"nerglobalizer/internal/tokenizer"
 	"nerglobalizer/internal/transformer"
 )
 
@@ -276,5 +282,143 @@ func TestCloseRejectsRequests(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status after Close = %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestAdmissionTaggingMatchesInCycleTagging serves rounds of
+// concurrent clients against a held-then-released scheduler, so every
+// cycle holds several jobs each tagged on its own request goroutine.
+// Every reply and the final /entities must be byte-identical to a
+// replica that tags inside each cycle over the same ordered batches.
+func TestAdmissionTaggingMatchesInCycleTagging(t *testing.T) {
+	ts, srv := newTestServerFull(t)
+	srv.SetObserver(obs.NewRegistry()) // the timed tagging path
+	tweets := streamTweets(40, 83)
+
+	type request struct {
+		texts []string
+		body  []byte
+		first int // the tweet ID its reply starts at
+	}
+	var rounds [][]*request
+	next := 0
+	for round, clients := range []int{3, 5, 2, 6} {
+		release, held := make(chan struct{}), make(chan struct{})
+		go srv.Front().Exclusive(func() { close(held); <-release })
+		<-held
+		reqs := make([]*request, clients)
+		var wg sync.WaitGroup
+		for c := range reqs {
+			n := 1 + (round+c)%3
+			reqs[c] = &request{texts: tweets[next : next+n]}
+			next += n
+			body := mustMarshal(t, annotateRequest{Tweets: reqs[c].texts})
+			wg.Add(1)
+			go func(r *request) {
+				defer wg.Done()
+				resp, err := http.Post(ts.URL+"/annotate", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				r.body, _ = io.ReadAll(resp.Body)
+				var out AnnotateResponse
+				if resp.StatusCode != http.StatusOK || json.Unmarshal(r.body, &out) != nil || len(out.Sentences) == 0 {
+					t.Errorf("round %d: status %d: %s", round, resp.StatusCode, r.body)
+					return
+				}
+				r.first = out.Sentences[0].TweetID
+			}(reqs[c])
+		}
+		for len(srv.front.jobs) < clients {
+			time.Sleep(time.Millisecond)
+		}
+		before := srv.Cycles()
+		close(release)
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		if got := srv.Cycles() - before; got != 1 {
+			t.Fatalf("round %d: %d queued requests ran as %d cycles, want 1", round, clients, got)
+		}
+		sort.Slice(reqs, func(i, j int) bool { return reqs[i].first < reqs[j].first })
+		rounds = append(rounds, reqs)
+	}
+	_, entities := getBody(t, ts.URL+"/entities")
+	srv.Close()
+
+	g := trainedPipeline(t)
+	g.Reset()
+	ref := NewReplica(g, &durable.Gate{}, -1)
+	id := 0
+	for round, reqs := range rounds {
+		jobs := make([]*Job, len(reqs))
+		for i, r := range reqs {
+			jobs[i] = &Job{done: make(chan jobResult, 1)}
+			for _, raw := range r.texts {
+				jobs[i].Tweets = append(jobs[i].Tweets, tokenizer.SplitSentences(tokenizer.Tokenize(raw)))
+			}
+		}
+		batch, perJob, nextID := Batch(jobs, id)
+		id = nextID
+		out, err := ref.Apply(batch, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Answer(jobs, perJob, batch, out.Annotations, out.StreamSize, out.Candidates)
+		for i, job := range jobs {
+			var want bytes.Buffer
+			json.NewEncoder(&want).Encode((<-job.done).resp)
+			if !bytes.Equal(reqs[i].body, want.Bytes()) {
+				t.Fatalf("round %d, job %d: reply differs from in-cycle tagging:\n got %s\nwant %s", round, i, reqs[i].body, want.Bytes())
+			}
+		}
+	}
+	var want bytes.Buffer
+	json.NewEncoder(&want).Encode(EntitiesJSON(ref.Entities()))
+	if !bytes.Equal(entities, want.Bytes()) {
+		t.Fatalf("/entities differs from in-cycle tagging:\n got %s\nwant %s", entities, want.Bytes())
+	}
+}
+
+// TestOverflowRejectedBeforeTagging: with the scheduler held and every
+// queue slot taken, the overflow request answers 503 without reaching
+// the tagging step — admission is decided before any encoder work.
+func TestOverflowRejectedBeforeTagging(t *testing.T) {
+	_, s := newTestServerFull(t)
+	h := s.Handler()
+	var tagged atomic.Int64
+	tag := s.front.prepare
+	s.front.prepare = func(j *Job) { tagged.Add(1); tag(j) }
+	body := mustMarshal(t, annotateRequest{Tweets: []string{"overflow tweet in Italy"}})
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/annotate", bytes.NewReader(body)))
+		return rec
+	}
+	release, held := make(chan struct{}), make(chan struct{})
+	go s.Front().Exclusive(func() { close(held); <-release })
+	<-held
+	answers := make(chan *httptest.ResponseRecorder, queueDepth)
+	for i := 0; i < queueDepth; i++ {
+		go func() { answers <- post() }()
+	}
+	for tagged.Load() < queueDepth {
+		time.Sleep(time.Millisecond)
+	}
+	rec, got := post(), tagged.Load()
+	close(release) // before any Fatal: Close waits for the held scheduler
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("overflow status = %d, want 503", rec.Code)
+	}
+	if got != queueDepth {
+		t.Fatalf("%d requests reached the tagging step, want the %d admitted ones only", got, queueDepth)
+	}
+	for i := 0; i < queueDepth; i++ {
+		if rec := <-answers; rec.Code != http.StatusOK {
+			t.Fatalf("admitted request: status %d: %s", rec.Code, rec.Body)
+		}
 	}
 }

@@ -153,6 +153,9 @@ func (c *Candidate) MentionCount() int { return len(c.Mentions) }
 // that is the whole point of candidate clusters).
 type CandidateBase struct {
 	bySurface map[string][]*Candidate
+	// n is the candidate count over every surface, kept by SetClusters
+	// and Delete so Len does not walk the map.
+	n int
 }
 
 // NewCandidateBase returns an empty CandidateBase.
@@ -167,6 +170,7 @@ func (cb *CandidateBase) ForSurface(surface string) []*Candidate {
 
 // SetClusters replaces the candidate clusters of a surface form.
 func (cb *CandidateBase) SetClusters(surface string, cands []*Candidate) {
+	cb.n += len(cands) - len(cb.bySurface[surface])
 	cb.bySurface[surface] = cands
 }
 
@@ -175,6 +179,7 @@ func (cb *CandidateBase) SetClusters(surface string, cands []*Candidate) {
 // pool empties (a longer late surface shadowing every match) or when
 // its support drops below the local-evidence floor.
 func (cb *CandidateBase) Delete(surface string) {
+	cb.n -= len(cb.bySurface[surface])
 	delete(cb.bySurface, surface)
 }
 
@@ -200,10 +205,4 @@ func (cb *CandidateBase) All() []*Candidate {
 }
 
 // Len returns the total number of candidates.
-func (cb *CandidateBase) Len() int {
-	n := 0
-	for _, cs := range cb.bySurface {
-		n += len(cs)
-	}
-	return n
-}
+func (cb *CandidateBase) Len() int { return cb.n }

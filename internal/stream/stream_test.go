@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math/rand"
 	"testing"
 
 	"nerglobalizer/internal/types"
@@ -104,5 +105,41 @@ func TestLocalEntityMap(t *testing.T) {
 	m := tb.LocalEntityMap()
 	if len(m[r.Sentence.Key()]) != 1 {
 		t.Fatal("LocalEntityMap missing entities")
+	}
+}
+
+// TestCandidateBaseLenMatchesWalk checks the running count against a
+// full walk of the surfaces after random SetClusters/Delete sequences,
+// including lists replaced by longer, shorter and empty ones and
+// deletes of surfaces the base does not hold.
+func TestCandidateBaseLenMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	surfaces := []string{"italy", "us", "rome", "who", "nba"}
+	for seq := 0; seq < 50; seq++ {
+		cb := NewCandidateBase()
+		for step := 0; step < 40; step++ {
+			s := surfaces[rng.Intn(len(surfaces))]
+			if rng.Intn(3) == 0 {
+				cb.Delete(s)
+			} else {
+				cands := make([]*Candidate, rng.Intn(4))
+				for i := range cands {
+					cands[i] = &Candidate{Surface: s, ClusterID: i}
+				}
+				cb.SetClusters(s, cands)
+			}
+			walk := 0
+			for _, surf := range cb.Surfaces() {
+				walk += len(cb.ForSurface(surf))
+			}
+			if cb.Len() != walk {
+				t.Fatalf("sequence %d step %d: Len = %d, walk = %d", seq, step, cb.Len(), walk)
+			}
+		}
+	}
+	cb := NewCandidateBase()
+	cb.Delete("absent")
+	if cb.Len() != 0 {
+		t.Fatalf("Len after deleting an absent surface = %d", cb.Len())
 	}
 }
