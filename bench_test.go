@@ -579,9 +579,9 @@ func BenchmarkPairwiseDistances(b *testing.B) {
 // sequence, tight ones (noise 0.1) late. The served cases add what a
 // served hot pool has and the others lack: each mention copies an
 // earlier one with probability 0.37 (a repeated tweet embeds
-// identically; 204 of the 512 here), so 303 mentions (59 %) have a
-// nearest neighbour at distance 0 and a new mention leaves most
-// recorded merges clean. One grows a mention per call, as a one-tweet
+// identically; 204 of the 512 here). A copy raises its row's weight
+// and adds no row, so the matrix holds 308 distinct rows, which each
+// case reports as rows. One grows a mention per call, as a one-tweet
 // cycle does; one grows 32, as a bulk request does.
 func BenchmarkDistMatrixGrowCluster(b *testing.B) {
 	for _, bc := range []struct {
@@ -616,6 +616,7 @@ func BenchmarkDistMatrixGrowCluster(b *testing.B) {
 		}
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			rows := 0
 			for i := 0; i < b.N; i++ {
 				m := cluster.NewDistMatrix(cluster.DefaultThreshold, cluster.AverageLinkage)
 				var res cluster.Result
@@ -630,7 +631,9 @@ func BenchmarkDistMatrixGrowCluster(b *testing.B) {
 				if len(res.Assignments) != len(embs) {
 					b.Fatal("bad clustering")
 				}
+				rows = m.Rows()
 			}
+			b.ReportMetric(float64(rows), "rows")
 		})
 	}
 }

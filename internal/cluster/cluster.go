@@ -82,19 +82,11 @@ func Agglomerative(embs [][]float64, threshold float64) Result {
 }
 
 // AgglomerativeWithLinkage is Agglomerative with an explicit linkage
-// criterion.
+// criterion: one Cluster call on a fresh DistMatrix, so there is one
+// merge loop.
 func AgglomerativeWithLinkage(embs [][]float64, threshold float64, linkage Linkage) Result {
-	return AgglomerativePool(embs, threshold, linkage, nil)
-}
-
-// AgglomerativePool is AgglomerativeWithLinkage with the O(n²)
-// distance-matrix construction sharded over pool: one Cluster call on a
-// fresh DistMatrix, so there is one merge loop. It stays serial, so
-// merge order — and therefore the clustering — is unchanged at any
-// worker count.
-func AgglomerativePool(embs [][]float64, threshold float64, linkage Linkage, pool *parallel.Pool) Result {
 	m := NewDistMatrix(threshold, linkage)
-	m.Grow(embs, pool)
+	m.Grow(embs, nil)
 	return m.Cluster()
 }
 
@@ -115,23 +107,31 @@ func lanceWilliams(linkage Linkage, dik, djk, si, sj float64) float64 {
 	}
 }
 
-// denseIDs turns a merge forest (parent[i] == i at roots) into dense
-// cluster ids numbered by first member. A merge hangs bj under bi < bj,
-// so every root is its cluster's first member and is numbered before
-// any other member reads its id from the root's entry.
-func denseIDs(parent []int) Result {
-	res := Result{Assignments: make([]int, len(parent))}
-	for i := range parent {
-		root := i
+// denseIDs turns a merge forest over rows (parent[i] == i at roots)
+// into dense cluster ids numbered by first member, and gives each
+// mention its row's id. A merge hangs bj under bi < bj, so every root is
+// its cluster's first member and is numbered before any other member
+// reads its id from the root's entry. Rows are numbered by their first
+// mention, so the ids are the ones numbering by first mention gives.
+// Row r's id is written at its first mention, which every other
+// mention of the row follows.
+func denseIDs(parent []int, rows []rowInfo, rowOf []int) Result {
+	res := Result{Assignments: make([]int, len(rowOf))}
+	a := res.Assignments
+	for r := range parent {
+		root := r
 		for parent[root] != root {
 			root = parent[root]
 		}
-		if root == i {
-			res.Assignments[i] = res.Count
+		if root == r {
+			a[rows[r].first] = res.Count
 			res.Count++
 		} else {
-			res.Assignments[i] = res.Assignments[root]
+			a[rows[r].first] = a[rows[root].first]
 		}
+	}
+	for i, r := range rowOf {
+		a[i] = a[rows[r].first]
 	}
 	return res
 }
@@ -146,9 +146,13 @@ type mergeStep struct {
 // DistMatrix is a growable pairwise cosine-distance matrix with a fixed
 // threshold and linkage that holds the state its last Cluster call
 // ended in. It amortizes re-clustering of a mention pool that only ever
-// gains members across execution cycles. Grow appends only the new
-// mentions' columns; the old ones are never rebuilt or copied. Cluster
-// keeps every recorded merge the new mentions leave alone and selects
+// gains members across execution cycles. It has one row per distinct
+// embedding, weighted by how many mentions share it: average linkage
+// over a multiset is average linkage over its distinct points, each
+// starting at its multiplicity, so a repeated mention adds no column
+// and no merge. Grow appends only the new embeddings' columns; the old
+// ones are never rebuilt or copied. Cluster keeps every recorded merge
+// the new mentions leave alone and selects
 // only the ones they change: a cluster stays clean while its merge
 // history is the recording's, and the distance between two clean
 // clusters is then the recorded one bit for bit, so the state already
@@ -161,9 +165,18 @@ type mergeStep struct {
 type DistMatrix struct {
 	threshold float64
 	linkage   Linkage
-	// n embeddings are covered; the last Cluster call covered the
-	// first recN of them.
+	// n rows are covered; the last Cluster call covered the first recN
+	// of them.
 	n, recN int
+	// rowOf maps each mention covered to its row, and rows describes
+	// each row. index finds a row by its embedding's hash: an
+	// open-addressed table at most half full, probed linearly from the
+	// hash's low bits, whose slots hold a row + 1, or 0 when empty.
+	rowOf, index []int
+	rows         []rowInfo
+	// bumped lists the rows below recN whose weight Grow raised since
+	// the last Cluster call, a row once per raise.
+	bumped []int
 	// d is the distance state, each pair stored once: the strict upper
 	// triangle packed by column, d(i, j) for i < j at j(j−1)/2 + i, so
 	// column j is one contiguous run (col). Among the first recN
@@ -171,7 +184,7 @@ type DistMatrix struct {
 	// cluster's entries frozen at its merge); in columns recN..n-1,
 	// Grow's distances.
 	d []float64
-	// norms holds each embedding's L2 norm, computed once by Grow.
+	// norms holds each row's L2 norm, computed once by Grow.
 	norms []float64
 	// live lists the clusters not yet merged away, ascending; size and
 	// parent are per cluster.
@@ -196,6 +209,14 @@ type DistMatrix struct {
 	replayed, kept int
 }
 
+// rowInfo describes a row: the mention whose embedding it holds (its
+// first occurrence), how many mentions share that embedding, and the
+// hash of its bits.
+type rowInfo struct {
+	first, weight int
+	hash          uint64
+}
+
 // NewDistMatrix returns an empty growable distance matrix that clusters
 // at the given threshold and linkage. Fixing both for the matrix's life
 // is what lets a recorded merge sequence be kept without a key.
@@ -204,33 +225,103 @@ func NewDistMatrix(threshold float64, linkage Linkage) *DistMatrix {
 }
 
 // Len returns the number of embeddings covered so far.
-func (m *DistMatrix) Len() int { return m.n }
+func (m *DistMatrix) Len() int { return len(m.rowOf) }
+
+// Rows returns the number of distinct embeddings covered so far: the
+// rows Cluster merges.
+func (m *DistMatrix) Rows() int { return m.n }
 
 // Grow extends the matrix to cover all of embs, whose first Len()
-// entries must be the same embeddings previous Grow calls saw. It
-// appends one column per new embedding, holding its distance to every
-// earlier one. Columns shard over pool: each worker fills the columns
-// it owns and nothing else, so the matrix is identical at any worker
-// count. A nil pool runs serially.
+// entries must be the same embeddings previous Grow calls saw. A new
+// embedding bit-equal to a covered one raises that row's weight; any
+// other appends a row, whose column holds its distance to every earlier
+// row. Columns shard over pool: each worker fills the columns it owns
+// and nothing else, so the matrix is identical at any worker count. A
+// nil pool runs serially.
 func (m *DistMatrix) Grow(embs [][]float64, pool *parallel.Pool) {
-	oldN, newN := m.n, len(embs)
-	if newN <= oldN {
+	k := len(embs) - len(m.rowOf)
+	if k <= 0 {
 		return
 	}
-	for _, e := range embs[oldN:] {
-		m.norms = append(m.norms, nn.L2Norm(e))
+	m.rowOf = slices.Grow(m.rowOf, k)
+	m.rows, m.norms = slices.Grow(m.rows, k), slices.Grow(m.norms, k)
+	oldN := m.n
+	for i := len(m.rowOf); i < len(embs); i++ {
+		r := m.rowFor(embs, i)
+		if r < m.recN {
+			m.bumped = append(m.bumped, r)
+		}
+		m.rows[r].weight++
+		m.rowOf = append(m.rowOf, r)
 	}
-	pairs := newN * (newN - 1) / 2
-	m.d = slices.Grow(m.d, pairs-len(m.d))[:pairs]
-	m.n = newN
+	newN := m.n
+	if newN == oldN {
+		return
+	}
+	m.d = extend(m.d, newN*(newN-1)/2)
 	m.folded = append(m.folded, make([][]float64, newN-oldN)...)
 	pool.ForEach(newN-oldN, func(k int) {
 		j := oldN + k
 		col := m.col(j)
+		ej := embs[m.rows[j].first]
 		for i := range col {
-			col[i] = 1 - nn.CosineSimilarityNorms(embs[i], embs[j], m.norms[i], m.norms[j])
+			col[i] = 1 - nn.CosineSimilarityNorms(embs[m.rows[i].first], ej, m.norms[i], m.norms[j])
 		}
 	})
+}
+
+// rowFor returns the row of mention i's embedding, appending a row of
+// weight 0 when no covered row holds those bits. Rows whose embeddings
+// share a hash are told apart by comparing the bits.
+func (m *DistMatrix) rowFor(embs [][]float64, i int) int {
+	e := embs[i]
+	h := uint64(len(e))
+	for _, x := range e {
+		h = (h ^ math.Float64bits(x)) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	if 2*(m.n+1) > len(m.index) {
+		m.index = make([]int, max(8, 2*len(m.index)))
+		for r := range m.rows {
+			m.index[m.free(m.rows[r].hash)] = r + 1
+		}
+	}
+	mask := len(m.index) - 1
+	p := int(h & uint64(mask))
+	for ; m.index[p] != 0; p = (p + 1) & mask {
+		if ri := m.rows[m.index[p]-1]; ri.hash == h && bitsEqual(embs[ri.first], e) {
+			return m.index[p] - 1
+		}
+	}
+	r := m.n
+	m.n++
+	m.index[p] = r + 1
+	m.rows = append(m.rows, rowInfo{first: i, hash: h})
+	m.norms = append(m.norms, nn.L2Norm(e))
+	return r
+}
+
+// free returns the first empty slot on hash h's probe sequence.
+func (m *DistMatrix) free(h uint64) int {
+	mask := len(m.index) - 1
+	p := int(h & uint64(mask))
+	for m.index[p] != 0 {
+		p = (p + 1) & mask
+	}
+	return p
+}
+
+// bitsEqual reports whether a and b hold the same float64 bits.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // col returns column j of the state: d(i, j) for every i < j.
@@ -266,6 +357,11 @@ type scratch struct {
 	// steps; this call's merge sequence parts from it at step t, and r
 	// is the first recorded step the loop has not yet kept or skipped.
 	oldN, t, steps, r int
+	// bump marks the recorded rows whose weight rose since the
+	// recording: the Lance–Williams updates of a bumped row's first
+	// recorded merge and of every later merge of its cluster used the
+	// old weight.
+	bump []bool
 	// dirty marks the clusters whose merge history has left the
 	// recording; dlist lists the live ones ascending, and gone the
 	// recorded clusters a dirty merge took away, ascending.
@@ -333,6 +429,19 @@ func resize[E any](s []E, n int) []E {
 	return slices.Grow(s[:0], n)[:n]
 }
 
+// extend returns s lengthened to n, its contents kept. When it must
+// reallocate it at least doubles the capacity: slices.Grow's 1.25×
+// steps on a large slice would copy the whole triangle or log again
+// every few calls of a pool grown a mention at a time.
+func extend(s []float64, n int) []float64 {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	t := make([]float64, n, max(n, 2*cap(s)))
+	copy(t, s)
+	return t
+}
+
 // Cluster agglomerates the grown pool. It folds the appended columns
 // through the leading recorded merges for as long as those are what the
 // from-singletons loop selects, then runs one loop from where the
@@ -340,21 +449,30 @@ func resize[E any](s []E, n int) []E {
 // every other one stays clean, and each step takes the smaller of the
 // next recorded merge of two clean clusters, which it keeps, and the
 // best pair with a dirty cluster, which it merges as the loop always
-// has. On a new matrix every mention is dirty and it is the plain loop.
+// has. A row whose weight Grow raised keeps its recorded history up to
+// and including the selection of its first recorded merge, whose update
+// used the old weight: there the fold stops, and both clusters turn
+// dirty. On a new matrix every row is dirty and it is the plain loop.
 func (m *DistMatrix) Cluster() Result {
 	if m.n == 0 {
 		return Result{}
 	}
-	if m.recN == m.n {
+	if m.recN == m.n && len(m.bumped) == 0 {
 		m.replayed, m.kept = len(m.rec), len(m.rec)
-		return denseIDs(m.parent)
+		return denseIDs(m.parent, m.rows, m.rowOf)
 	}
 	s := takeScratch()
 	defer releaseScratch(s)
 	m.size, m.parent = resize(m.size, m.n), resize(m.parent, m.n)
 	for c := range m.parent {
-		m.size[c], m.parent[c] = 1, c
+		m.size[c], m.parent[c] = m.rows[c].weight, c
 	}
+	s.bump = resize(s.bump, m.recN)
+	clear(s.bump)
+	for _, r := range m.bumped {
+		s.bump[r] = true
+	}
+	m.bumped = m.bumped[:0]
 	s.dirty = resize(s.dirty, m.n)
 	clear(s.dirty)
 	s.cmin, s.carg = resize(s.cmin, m.n), resize(s.carg, m.n)
@@ -368,12 +486,14 @@ func (m *DistMatrix) Cluster() Result {
 	t := m.foldAppended(s)
 	kept := m.resume(s, t)
 	m.replayed, m.kept, m.recN = t, t+kept, m.n
-	return denseIDs(m.parent)
+	return denseIDs(m.parent, m.rows, m.rowOf)
 }
 
 // foldAppended carries the appended columns recN..n-1 through the
 // recorded merges for as long as the from-singletons loop would have
-// selected exactly them, and returns how many it carried them through.
+// selected exactly them with unchanged sizes, and returns how many it
+// carried them through: it stops at the first recorded merge of a row
+// whose weight rose.
 // Step t applies the Lance–Williams update to entry (bi, c) of every
 // appended column c, as the merge would have, and logs the old value in
 // folded[c]. Merges among the first recN clusters read and write only
@@ -393,6 +513,9 @@ func (m *DistMatrix) foldAppended(s *scratch) int {
 		s.cmin[c], s.carg[c] = m.nearestLeft(c)
 	}
 	for t, st := range m.rec {
+		if s.bump[st.bi] || s.bump[st.bj] {
+			return t
+		}
 		for c := m.recN; c < m.n; c++ {
 			if d := s.cmin[c]; d < st.height || (d == st.height && s.carg[c] < st.bi) {
 				return t
@@ -473,7 +596,14 @@ func (m *DistMatrix) resume(s *scratch, t int) (kept int) {
 		for ; s.r < s.steps; s.r++ {
 			st := s.rec[s.r-t]
 			if !s.dirty[st.bi] && !s.dirty[st.bj] {
-				break
+				if !s.bump[st.bi] && !s.bump[st.bj] {
+					break
+				}
+				// A bumped row's first recorded merge is still the
+				// selection, but its update used the old weight.
+				m.makeDirty(s, st.bi)
+				m.makeDirty(s, st.bj)
+				continue
 			}
 			if !s.dirty[st.bi] {
 				m.makeDirty(s, st.bi)
@@ -546,7 +676,7 @@ func (m *DistMatrix) reserve(s *scratch, k int) []float64 {
 		s.q = append(s.q, m.undo[lo:hi]...)
 	}
 	if end > len(m.undo) {
-		m.undo = slices.Grow(m.undo, end-len(m.undo))[:end]
+		m.undo = extend(m.undo, end)
 	}
 	out := m.undo[s.w:end]
 	s.w = end

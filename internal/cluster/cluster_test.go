@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -263,19 +265,19 @@ func PairwiseCosineDistances(embs [][]float64, pool *parallel.Pool) [][]float64 
 // here to pin the cache to the reference merge order bit for bit; it
 // returns its merge sequence too, so a test can compare merge order and
 // heights, not only the partition (which often survives a wrong order
-// among tied pairs).
-func naiveMerges(dist [][]float64, threshold float64, linkage Linkage) (Result, []mergeStep) {
+// among tied pairs). Point i starts as a cluster of size sizes[i]; with
+// every size 1 it is the plain from-singletons loop.
+func naiveMerges(dist [][]float64, sizes []int, threshold float64, linkage Linkage) (Result, []mergeStep) {
 	n := len(dist)
 	if n == 0 {
 		return Result{}, nil
 	}
 	var steps []mergeStep
 	active := make([]bool, n)
-	size := make([]int, n)
+	size := slices.Clone(sizes)
 	parent := make([]int, n)
 	for i := range active {
 		active[i] = true
-		size[i] = 1
 		parent[i] = i
 	}
 	for {
@@ -338,6 +340,45 @@ func naiveMerges(dist [][]float64, threshold float64, linkage Linkage) (Result, 
 	return res, steps
 }
 
+// distinctRows splits embs into its distinct embeddings by bits, in
+// order of first occurrence, each one's multiplicity, and each
+// mention's row, keyed independently of DistMatrix's hash index.
+func distinctRows(embs [][]float64) (rows [][]float64, weight, rowOf []int) {
+	at := map[string]int{}
+	for _, e := range embs {
+		key := fmt.Sprint(len(e))
+		for _, x := range e {
+			key += fmt.Sprintf(",%x", math.Float64bits(x))
+		}
+		r, ok := at[key]
+		if !ok {
+			r = len(rows)
+			at[key] = r
+			rows = append(rows, e)
+			weight = append(weight, 0)
+		}
+		weight[r]++
+		rowOf = append(rowOf, r)
+	}
+	return rows, weight, rowOf
+}
+
+// naiveWeighted is the reference for clustering embs: the naive loop
+// over embs' distinct embeddings, each starting at its multiplicity,
+// with the partition expanded back to the mentions.
+func naiveWeighted(embs [][]float64, threshold float64, linkage Linkage) (Result, []mergeStep) {
+	rows, weight, rowOf := distinctRows(embs)
+	res, steps := naiveMerges(PairwiseCosineDistances(rows, nil), weight, threshold, linkage)
+	if len(embs) > 0 {
+		ids := res.Assignments
+		res.Assignments = make([]int, len(embs))
+		for i, r := range rowOf {
+			res.Assignments[i] = ids[r]
+		}
+	}
+	return res, steps
+}
+
 // TestAgglomerateMatchesNaiveReference pins the public clustering
 // function — a fresh DistMatrix and its nearest-neighbour-cached merge
 // loop — to the naive full-scan reference across linkages, thresholds
@@ -362,7 +403,7 @@ func TestAgglomerateMatchesNaiveReference(t *testing.T) {
 			for _, linkage := range allLinkages {
 				for _, th := range []float64{0.05, 0.3, 0.75, 1.5} {
 					got := AgglomerativeWithLinkage(embs, th, linkage)
-					want, _ := naiveMerges(PairwiseCosineDistances(embs, nil), th, linkage)
+					want, _ := naiveWeighted(embs, th, linkage)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("n=%d quantized=%v linkage=%s th=%.2f: cached merge loop diverged from naive reference\ngot  %+v\nwant %+v",
 							n, quantized, linkage, th, got, want)

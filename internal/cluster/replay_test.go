@@ -29,7 +29,7 @@ func checkGrowReplay(t testing.TB, embs [][]float64, cuts []int, th float64, lk 
 			t.Fatalf("Len = %d, want %d", m.Len(), n)
 		}
 		got := m.Cluster()
-		want, steps := naiveMerges(PairwiseCosineDistances(embs[:n], nil), th, lk)
+		want, steps := naiveWeighted(embs[:n], th, lk)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("linkage=%s th=%v cuts=%v: Cluster at n=%d diverged from the naive reference (replayed %d)\ngot  %+v\nwant %+v",
 				lk, th, cuts, n, m.Replayed(), got, want)
@@ -50,6 +50,17 @@ func checkGrowReplay(t testing.TB, embs [][]float64, cuts []int, th float64, lk 
 func unit(deg float64) []float64 {
 	r := deg * math.Pi / 180
 	return []float64{math.Cos(r), math.Sin(r), 0}
+}
+
+// scaled returns k·v. For k a power of two its cosine distance to v is
+// what v's distance to itself is, but its bits differ, so it takes a row
+// of its own where a copy of v would raise v's weight.
+func scaled(k float64, v []float64) []float64 {
+	out := make([]float64, len(v))
+	for i, x := range v {
+		out[i] = k * x
+	}
+	return out
 }
 
 var allLinkages = []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage}
@@ -85,14 +96,17 @@ func TestDistMatrixReplayBuiltCases(t *testing.T) {
 		{"joins midway", with(groups, unit(65)), []int{6, 7}, 0.3, 2},
 		// Two appended at once, one inert and one joining midway.
 		{"two appended", with(groups, z, unit(65)), []int{6, 8}, 0.3, 2},
-		// Exact zero distances. The recording is (0,1) then (2,3), both
-		// at height 0. A third x ties with step 0 through rows 0 and 1,
-		// neither left of bi = 0, so step 0 replays; at step 1 row 0
-		// still ties and is left of bi = 2, so (0,4) wins there.
-		{"duplicate ties, earlier row wins", [][]float64{x, x, y, y, x}, []int{4, 5}, 0.5, 1},
-		// A third y ties only through rows 2 and 3, never left of a
-		// recorded bi: both steps replay and (2,4) merges afterwards.
-		{"duplicate ties, recorded pair wins", [][]float64{x, x, y, y, y}, []int{4, 5}, 0.5, 2},
+		// Exact zero distances, between multiples of x and of y, which
+		// are rows of their own (exact copies would share one). The
+		// recording is (0,1) then (2,3), both at height 0. A third
+		// multiple of x ties with step 0 through rows 0 and 1, neither
+		// left of bi = 0, so step 0 replays; at step 1 row 0 still ties
+		// and is left of bi = 2, so (0,4) wins there.
+		{"duplicate ties, earlier row wins", [][]float64{x, scaled(2, x), y, scaled(2, y), scaled(4, x)}, []int{4, 5}, 0.5, 1},
+		// A third multiple of y ties only through rows 2 and 3, never
+		// left of a recorded bi: both steps replay and (2,4) merges
+		// afterwards.
+		{"duplicate ties, recorded pair wins", [][]float64{x, scaled(2, x), y, scaled(2, y), scaled(4, y)}, []int{4, 5}, 0.5, 2},
 		// Clustering again without growing replays everything.
 		{"no growth", groups, []int{6, 6}, 0.3, 4},
 		// Nothing ever merged: an empty recording, nothing to replay.
@@ -166,15 +180,15 @@ func TestDistMatrixCleanSuffixBuiltCases(t *testing.T) {
 		// survives: it is read at 2's rank there.
 		{"absorbs a clean cluster logged in the other survivor's run", with(groups, unit(2.1)), []int{6, 7}, 0.3, AverageLinkage, 0, 3},
 		// The first call records (0,1); the second appends 80°, folds it
-		// through (0,1) and merges it in. The third appends a copy of
-		// 80°, which takes clean mention 2 before step 0: d(2, 0) before
-		// step 0 is in 2's fold log, since column 2 did not exist when
-		// step 0 was recorded.
-		{"reads a clean column's entry back from its fold log", [][]float64{unit(0), unit(20), unit(80), unit(80)}, []int{2, 3, 4}, 0.75, AverageLinkage, 0, 1},
+		// through (0,1) and merges it in. The third appends twice 80°,
+		// which takes clean mention 2 before step 0: d(2, 0) before step 0
+		// is in 2's fold log, since column 2 did not exist when step 0
+		// was recorded.
+		{"reads a clean column's entry back from its fold log", [][]float64{unit(0), unit(20), unit(80), scaled(2, unit(80))}, []int{2, 3, 4}, 0.75, AverageLinkage, 0, 1},
 		// A kept step's run is rebuilt from the recorded one, and the
 		// entries of clean columns appended after that step was
 		// recorded come from their fold logs.
-		{"copies a kept step's fold-logged entries", [][]float64{unit(0), unit(10), unit(40), unit(20), unit(20), unit(10)}, []int{2, 3, 5, 6}, 1.5, AverageLinkage, 0, 1},
+		{"copies a kept step's fold-logged entries", [][]float64{unit(0), unit(10), unit(40), unit(20), scaled(2, unit(20)), scaled(2, unit(10))}, []int{2, 3, 5, 6}, 1.5, AverageLinkage, 0, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -183,6 +197,69 @@ func TestDistMatrixCleanSuffixBuiltCases(t *testing.T) {
 			for _, n := range tc.cuts {
 				m.Grow(tc.embs[:n], nil)
 				m.Cluster()
+			}
+			if m.Replayed() != tc.replayed || m.Kept() != tc.kept {
+				t.Fatalf("last call replayed %d and kept %d merges, want %d and %d", m.Replayed(), m.Kept(), tc.replayed, tc.kept)
+			}
+		})
+	}
+}
+
+// TestDistMatrixWeightBumpBuiltCases pins the weighted rows: a mention
+// whose embedding is bit-equal to a covered one raises that row's
+// weight instead of adding a row. The bumped row's recorded history
+// holds up to and including the selection of its first recorded merge,
+// whose update used the old weight, so the fold stops there and both
+// clusters turn dirty before it. Each case asserts how many merges the
+// last call replayed and kept under average linkage, where weights
+// change heights; every linkage must match the naive reference.
+func TestDistMatrixWeightBumpBuiltCases(t *testing.T) {
+	// The tight and loose groups of TestDistMatrixReplayBuiltCases. At
+	// the 0.75 threshold the recording is (0,1), (0,2), (3,4), (3,5)
+	// and, last, the two groups as (0,3).
+	groups := [][]float64{unit(0), unit(1), unit(2), unit(60), unit(70), unit(85)}
+	with := func(base [][]float64, more ...[]float64) [][]float64 {
+		return append(append([][]float64{}, base...), more...)
+	}
+	cases := []struct {
+		name string
+		embs [][]float64
+		cuts []int
+		th   float64
+		// rows is the matrix's row count at the end; replayed and kept
+		// are the last Cluster call's counts under average linkage.
+		rows, replayed, kept int
+	}{
+		// A copy of 60° (row 3, first merged at step 2 as the survivor):
+		// the fold carries the tight group's two steps and stops before
+		// (3,4), which merges again with row 3 at weight 2; every later
+		// step involves its cluster.
+		{"bumps a row before its first recorded merge", with(groups, unit(60)), []int{6, 7}, 0.75, 6, 2, 2},
+		// A copy of 1° (row 1, merged away at step 0) beside a new row
+		// orthogonal to everything: nothing replays, (0,1) and (0,2)
+		// merge again with row 1 at weight 2, the loose group's merges
+		// are kept, and the groups meet at a new height.
+		{"bumps a row already merged", with(groups, unit(1), []float64{0, 0, 1}), []int{6, 8}, 0.75, 7, 0, 2},
+		// 65° twice in one Grow: one new row of weight 2, which joins
+		// the loose group after the tight group's steps replay.
+		{"two copies arriving in one Grow", with(groups, unit(65), unit(65)), []int{6, 8}, 0.75, 7, 2, 2},
+		// Only a copy of 85° (row 5, merged away at step 3): no row is
+		// added, yet the groups' final merge height changes, so Cluster
+		// must not return the recorded result.
+		{"bumps a row with no new row", with(groups, unit(85)), []int{6, 7}, 0.75, 6, 3, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, lk := range allLinkages {
+				checkGrowReplay(t, tc.embs, tc.cuts, tc.th, lk, nil)
+			}
+			m := NewDistMatrix(tc.th, AverageLinkage)
+			for _, n := range tc.cuts {
+				m.Grow(tc.embs[:n], nil)
+				m.Cluster()
+			}
+			if m.Rows() != tc.rows || m.Len() != len(tc.embs) {
+				t.Fatalf("%d rows over %d mentions, want %d over %d", m.Rows(), m.Len(), tc.rows, len(tc.embs))
 			}
 			if m.Replayed() != tc.replayed || m.Kept() != tc.kept {
 				t.Fatalf("last call replayed %d and kept %d merges, want %d and %d", m.Replayed(), m.Kept(), tc.replayed, tc.kept)
@@ -265,7 +342,7 @@ func TestDistMatrixConcurrentMatrices(t *testing.T) {
 			for _, n := range p.cuts {
 				m.Grow(p.embs[:n], nil)
 				got := m.Cluster()
-				want, steps := naiveMerges(PairwiseCosineDistances(p.embs[:n], nil), 0.75, AverageLinkage)
+				want, steps := naiveWeighted(p.embs[:n], 0.75, AverageLinkage)
 				if !reflect.DeepEqual(got, want) || !slices.Equal(m.rec, steps) {
 					t.Errorf("n=%d: Cluster diverged from the naive reference", n)
 					return
@@ -357,6 +434,29 @@ func FuzzDistMatrixReplay(f *testing.F) {
 	f.Add([]byte{0x26, 1, 0xad, 0, 0xa1, 0, 0xa6, 0}, uint8(0), uint8(7))
 	f.Add([]byte{0x87, 1, 0x86, 0, 0x5f, 0, 0x87, 0}, uint8(0), uint8(18))
 	f.Add([]byte{0x05, 1, 0x4b, 1, 0xb3, 0, 0xe4, 0, 0xb3, 0, 0x09, 0}, uint8(0), uint8(14))
+	// One per case of TestDistMatrixWeightBumpBuiltCases, each a pool
+	// clustered once and then grown by copies (a repeated byte is a
+	// bit-equal embedding): a bumped row that survives its first
+	// recorded merge, past the first step; a bumped row merged away,
+	// beside a new row; a new embedding arriving twice in one Grow; and
+	// a bump with no new row that changes the merge sequence.
+	f.Add([]byte{0x04, 1, 0x84, 1, 0x39, 1, 0x79, 1, 0x65, 0, 0x04, 0}, uint8(0), uint8(7))
+	f.Add([]byte{0x00, 1, 0x51, 1, 0x12, 1, 0x35, 1, 0x02, 1, 0x26, 1, 0xbf, 0, 0x26, 1, 0xa8, 0}, uint8(0), uint8(7))
+	f.Add([]byte{0x09, 1, 0xb4, 1, 0x3e, 1, 0x6c, 1, 0x0a, 1, 0x8b, 0, 0x43, 1, 0x43, 0}, uint8(0), uint8(7))
+	f.Add([]byte{0x15, 1, 0x02, 1, 0xb9, 1, 0x9d, 1, 0x87, 0, 0x15, 0}, uint8(0), uint8(7))
+	// Since a repeated embedding shares its row, several seeds above
+	// that reached a path through exact copies no longer do. These reach
+	// them again: the fold's running-minimum updates, the log queue's
+	// compaction, a kept step's cache updates of dirty columns and rows,
+	// and a kept step's run copied with fold-logged entries.
+	f.Add([]byte{0xde, 1, 0x88, 0, 0xe8, 0}, uint8(1), uint8(5))
+	f.Add([]byte{0x08, 1, 0x21, 0, 0x09, 0, 0xfe, 0}, uint8(1), uint8(3))
+	f.Add([]byte{0xfc, 0, 0x3f, 1, 0x12, 1, 0xc9, 0, 0x23, 0}, uint8(2), uint8(13))
+	f.Add([]byte{0x67, 1, 0xbc, 1, 0x86, 0, 0xfc, 1}, uint8(1), uint8(3))
+	f.Add([]byte{0x09, 1, 0x94, 1, 0xdb, 0, 0xa9, 0, 0x9f, 1}, uint8(0), uint8(13))
+	f.Add([]byte{0xd8, 1, 0x02, 1, 0x37, 0, 0x85, 1}, uint8(1), uint8(7))
+	f.Add([]byte{0x52, 0, 0x84, 0, 0x3d, 0, 0xdc, 0, 0xf7, 0}, uint8(1), uint8(8))
+	f.Add([]byte{0xed, 0, 0xa7, 0, 0x0b, 0, 0x3c, 1, 0x29, 0}, uint8(1), uint8(14))
 	f.Fuzz(func(t *testing.T, data []byte, lkRaw, thRaw uint8) {
 		if len(data) > 128 {
 			data = data[:128]
@@ -387,10 +487,11 @@ func FuzzDistMatrixReplay(f *testing.F) {
 
 // TestDistMatrixStoresEachPairOnce pins the packed layout: after every
 // Grow, before any Cluster call, the state holds exactly n(n−1)/2
-// floats and d(i, j) sits at j(j−1)/2 + i, bit-equal to
-// nn.CosineDistance — on random vectors, duplicates, the zero vector
-// and a vector whose norm (1e-13) is below the zero-vector cut-off, at
-// any worker count.
+// floats for the n distinct embeddings, and d(i, j) sits at j(j−1)/2 + i,
+// bit-equal to nn.CosineDistance between the i-th and j-th distinct
+// embeddings in order of first occurrence — on random vectors,
+// duplicates, the zero vector and a vector whose norm (1e-13) is below
+// the zero-vector cut-off, at any worker count.
 func TestDistMatrixStoresEachPairOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	embs := [][]float64{make([]float64, 6), {1e-13, 0, 0, 0, 0, 0}}
@@ -408,12 +509,14 @@ func TestDistMatrixStoresEachPairOnce(t *testing.T) {
 		m := NewDistMatrix(0.75, AverageLinkage)
 		for _, n := range []int{1, 2, 7, 8, 19, len(embs)} {
 			m.Grow(embs[:n], parallel.New(workers))
-			if len(m.d) != n*(n-1)/2 {
-				t.Fatalf("workers=%d n=%d: state holds %d floats, want %d", workers, n, len(m.d), n*(n-1)/2)
+			rows, _, _ := distinctRows(embs[:n])
+			if r := len(rows); len(m.d) != r*(r-1)/2 || m.Rows() != r || m.Len() != n {
+				t.Fatalf("workers=%d n=%d: %d rows over %d mentions, state holds %d floats; want %d, %d, %d",
+					workers, n, m.Rows(), m.Len(), len(m.d), r, n, r*(r-1)/2)
 			}
-			for j := 0; j < n; j++ {
+			for j := range rows {
 				for i := 0; i < j; i++ {
-					got, want := m.d[j*(j-1)/2+i], nn.CosineDistance(embs[i], embs[j])
+					got, want := m.d[j*(j-1)/2+i], nn.CosineDistance(rows[i], rows[j])
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("workers=%d n=%d: d(%d, %d) = %v, nn.CosineDistance %v", workers, n, i, j, got, want)
 					}

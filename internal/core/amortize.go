@@ -163,6 +163,10 @@ type surfaceAmort struct {
 	// at holds the stream position of every pool entry, index-aligned
 	// with pool, so a sentence's run is found without a key lookup.
 	at []int
+	// local counts the pool's mentions Local NER typed, so the
+	// local-support verdict reads no pool. splicePool keeps it; a
+	// restore recounts it.
+	local int
 	// dirty marks a pool that changed since the outcome was computed;
 	// the entry is on amortizer.dirty exactly while it is set.
 	dirty bool
@@ -455,6 +459,7 @@ func (a *amortizer) splicePool(g *Globalizer, surface string, pos int, repl []ty
 	if slices.Equal(pool[lo:hi], repl) {
 		return
 	}
+	sa.local += localMentions(repl) - localMentions(pool[lo:hi])
 	if lo == len(pool) {
 		sa.pool = append(pool, repl...)
 		for range repl {
@@ -666,7 +671,7 @@ func (g *Globalizer) updateSurface(sa *surfaceAmort) (kept int) {
 	}
 	ms := sa.pool
 	sa.mentions = ms
-	if g.lacksLocalSupport(ms) {
+	if g.lacksSupport(len(ms), sa.local) {
 		sa.outcome = surfaceOutcome{surface: sa.surface, skip: true}
 		return kept
 	}
@@ -681,7 +686,7 @@ func (g *Globalizer) updateSurface(sa *surfaceAmort) (kept int) {
 	tc := o.now()
 	sa.dist.Grow(sa.embs, g.pool)
 	clustering := sa.dist.Cluster()
-	o.clusteringDone(tc, len(ms), clustering.Count, sa.dist.Kept())
+	o.clusteringDone(tc, sa.dist.Rows(), clustering.Count, sa.dist.Kept())
 	sa.outcome = g.outcomeFromEmbeddings(sa.surface, ms, sa.embs, clustering, &sa.outcome, kept)
 	return kept
 }

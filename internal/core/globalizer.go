@@ -708,12 +708,15 @@ func (g *Globalizer) processSurface(surface string, ms []types.Mention, mode Mod
 		return g.classifyEachMention(surface, ms, embs)
 	}
 
-	// Step 3: candidate cluster generation (Section V-C). The O(n²)
-	// distance matrix row-shards over the pool; the merge loop inside
-	// stays serial so merge order is unchanged.
+	// Step 3: candidate cluster generation (Section V-C): one Cluster
+	// call on a fresh distance matrix, the merge loop the amortized path
+	// runs. The O(n²) distance matrix shards its columns over the pool;
+	// the merge loop stays serial so merge order is unchanged.
 	tc := o.now()
-	clustering := cluster.AgglomerativePool(embs, g.cfg.ClusterThreshold, cluster.AverageLinkage, g.pool)
-	o.clusteringDone(tc, len(embs), clustering.Count, 0)
+	dist := cluster.NewDistMatrix(g.cfg.ClusterThreshold, cluster.AverageLinkage)
+	dist.Grow(embs, g.pool)
+	clustering := dist.Cluster()
+	o.clusteringDone(tc, dist.Rows(), clustering.Count, 0)
 	return g.outcomeFromEmbeddings(surface, ms, embs, clustering, nil, 0)
 }
 
@@ -916,20 +919,28 @@ func (g *Globalizer) guardOverrideConf() float64 {
 // large yet almost never confirmed by Local NER — the signature of a
 // stray false positive ("the", a hashtag) flooding occurrence mining.
 func (g *Globalizer) lacksLocalSupport(ms []types.Mention) bool {
+	return g.lacksSupport(len(ms), localMentions(ms))
+}
+
+// lacksSupport is lacksLocalSupport's verdict on a mention set of n
+// mentions, local of them typed by Local NER.
+func (g *Globalizer) lacksSupport(n, local int) bool {
 	minMentions := g.cfg.MinSupportMentions
-	if minMentions <= 0 || g.cfg.MinLocalSupport <= 0 {
+	if minMentions <= 0 || g.cfg.MinLocalSupport <= 0 || n < minMentions {
 		return false
 	}
-	if len(ms) < minMentions {
-		return false
-	}
+	return float64(local) < g.cfg.MinLocalSupport*float64(n)
+}
+
+// localMentions counts the mentions Local NER typed.
+func localMentions(ms []types.Mention) int {
 	local := 0
 	for _, m := range ms {
 		if m.FromLocalNER && m.Type != types.None {
 			local++
 		}
 	}
-	return float64(local) < g.cfg.MinLocalSupport*float64(len(ms))
+	return local
 }
 
 // localVote returns the majority Local NER type among a cluster's

@@ -263,15 +263,16 @@ func (o *pipeObs) publishAmort(st amortStats) {
 }
 
 // clusteringDone records one surface's agglomerative clustering:
-// busy time, clusters formed, merge steps (mentions − clusters), and
-// how many of those steps were kept from the surface's recording.
-func (o *pipeObs) clusteringDone(t0 time.Time, mentions, clusters, kept int) {
+// busy time, clusters formed, merge steps (rows − clusters, a row per
+// distinct embedding), and how many of those steps were kept from the
+// surface's recording.
+func (o *pipeObs) clusteringDone(t0 time.Time, rows, clusters, kept int) {
 	if o == nil {
 		return
 	}
 	o.stageCluster.Observe(time.Since(t0).Seconds())
 	o.clustersFormed.Add(int64(clusters))
-	if merges := mentions - clusters; merges > 0 {
+	if merges := rows - clusters; merges > 0 {
 		o.clusterMerges.Add(int64(merges))
 	}
 	o.mergesReplayed.Add(int64(kept))

@@ -545,6 +545,7 @@ func (g *Globalizer) restoreAmort(as *AmortState) error {
 		pool := st.Pool
 		sa := g.newSurfaceAmort(st.Surface)
 		sa.pool, sa.mentions = pool, pool
+		sa.local = localMentions(pool)
 		sa.at = make([]int, len(pool))
 		for j := range pool {
 			if sa.at[j] = g.tweetBase.IndexOf(pool[j].Key); sa.at[j] < 0 {

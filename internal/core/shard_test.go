@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -154,6 +156,58 @@ func TestPoolsMirrorGroups(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLocalSupportCountMirrorsPool pins the running count the
+// local-support verdict reads: each pool's count of mentions Local NER
+// typed equals a walk over the pool after every splice — appends and
+// interior replacements, typed and untyped, drawn at random — after
+// every cycle of a stream, and after a warm restore.
+func TestLocalSupportCountMirrorsPool(t *testing.T) {
+	g := trainedGlobalizer(t)
+	defer g.Reset()
+	g.SetWorkers(1)
+	g.Reset()
+	check := func(when string) {
+		t.Helper()
+		typed := 0
+		for _, s := range sortedSurfaces(g.amort.surfaces) {
+			sa := g.amort.surfaces[s]
+			if want := localMentions(sa.pool); sa.local != want {
+				t.Fatalf("%s: %q counts %d locally typed mentions, its pool holds %d", when, s, sa.local, want)
+			}
+			typed += sa.local
+		}
+		if typed == 0 {
+			t.Fatalf("%s: no pool holds a locally typed mention; the check needs some", when)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		pos := rng.Intn(12)
+		repl := make([]types.Mention, rng.Intn(3))
+		for k := range repl {
+			repl[k] = types.Mention{
+				Key: types.SentenceKey{TweetID: pos}, Span: types.Span{Start: k, End: k + 1}, Surface: "x",
+				Type: types.EntityType(rng.Intn(3)), FromLocalNER: rng.Intn(2) == 0,
+			}
+		}
+		g.amort.splicePool(g, "x", pos, repl)
+		check(fmt.Sprintf("splice %d", i))
+	}
+
+	g.Reset()
+	for ci, b := range stream.Batches(smallStream("localcount", 90, 71).Sentences, 15) {
+		g.ProcessBatch(b, ModeFull)
+		check(fmt.Sprintf("cycle %d", ci))
+	}
+	ws := g.CaptureWarmState()
+	g.Reset()
+	if err := g.RestoreWarmState(ws); err != nil {
+		t.Fatal(err)
+	}
+	check("restore")
 }
 
 // TestProcessTaggedScopedToBatch pins the scoped serving API: the

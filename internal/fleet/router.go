@@ -88,8 +88,9 @@ type Router struct {
 //
 // TagRPCSum and TagRPCMax read 0: a cycle has no tag RPC any more. They
 // stay because the benchmark's traced run (bench/tracerun.go) reads
-// them; they go when that run stops re-composing the serving path
-// (ROADMAP item 5).
+// them; they go when the benchmark is made to describe the program it
+// measures (ROADMAP, "One benchmark PR: make `bench/` describe the
+// program it measures").
 type CycleStat struct {
 	WallSeconds  float64
 	TagRPCSum    float64

@@ -352,10 +352,14 @@ func (s *Shard) serveCommit(body []byte, t0 time.Time) reply {
 	}
 	// The shard tags the batch itself, before the cycle: the engine's
 	// cycle clock times what the shard owns, and the tagging every shard
-	// replicates is timed here.
-	tagStart := time.Now()
+	// replicates is timed here, only with a registry attached.
+	so := s.o.Load()
+	var tagStart time.Time
+	if so != nil {
+		tagStart = time.Now()
+	}
 	tagged := s.rep.Tag(req.Sentences)
-	if so := s.o.Load(); so != nil {
+	if so != nil {
 		so.tagSeconds.Observe(time.Since(tagStart).Seconds())
 	}
 	// Ack-after-durable: the replica issues the WAL append under its
