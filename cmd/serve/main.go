@@ -5,11 +5,10 @@
 // and -role router fronts a set of shards with the deterministic
 // surface-ownership router — client-visible endpoints and payloads are
 // identical in all topologies. Every role exposes its metrics on
-// /metrics and /statusz. The kernel tier is the architecture's vector
-// tier (avx2-fma on amd64 with AVX2+FMA, neon on arm64) or generic
-// where the CPU lacks it; the NER_SIMD environment variable pins
-// another (generic, avx2, neon), and a level this host cannot run is a
-// start-up error.
+// /metrics and /statusz. The kernel tier is avx2-fma on amd64 with
+// AVX2+FMA and generic everywhere else, arm64 included; the NER_SIMD
+// environment variable pins another (generic, avx2), and a level this
+// host cannot run, or a retired one (sse2, neon), is a start-up error.
 //
 //	serve -scale small -addr :8080
 //	serve -scale small -save model.ckpt

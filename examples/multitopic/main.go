@@ -46,11 +46,11 @@ func main() {
 	quarter := stream.Size() / 4
 	for cycle := 0; cycle < 4; cycle++ {
 		batch := stream.Sentences[cycle*quarter : (cycle+1)*quarter]
-		final := g.ProcessBatch(batch, core.ModeFull)
+		g.ProcessTagged(batch, nil, core.ModeFull)
 		seen := stream.Sentences[:(cycle+1)*quarter]
 		sub := goldFor(seen, gold)
 		lf := metrics.Evaluate(sub, g.TweetBase().LocalEntityMap()).MacroF1()
-		gf := metrics.Evaluate(sub, final).MacroF1()
+		gf := metrics.Evaluate(sub, g.TweetBase().FinalEntityMap()).MacroF1()
 		fmt.Printf("cycle %d %10d %12d %12.3f %12.3f\n",
 			cycle+1, len(seen), g.CandidateBase().Len(), lf, gf)
 	}

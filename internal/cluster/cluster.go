@@ -32,9 +32,21 @@ type Result struct {
 	Count int
 }
 
-// Members returns, for each cluster, the input indices it contains.
+// Members returns, for each cluster, the input indices it contains,
+// ascending. Every cluster's indices are sliced out of one allocation,
+// each capped at its own length so an append to one cluster's slice
+// copies rather than overwriting the next cluster's.
 func (r Result) Members() [][]int {
 	out := make([][]int, r.Count)
+	flat := make([]int, len(r.Assignments))
+	end := make([]int, r.Count+1)
+	for _, c := range r.Assignments {
+		end[c+1]++
+	}
+	for c := range out {
+		end[c+1] += end[c]
+		out[c] = flat[end[c]:end[c]:end[c+1]]
+	}
 	for i, c := range r.Assignments {
 		out[c] = append(out[c], i)
 	}

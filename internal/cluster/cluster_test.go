@@ -86,6 +86,22 @@ func TestMembersPartition(t *testing.T) {
 	}
 }
 
+// Members slices every cluster out of one allocation: each cluster's
+// indices are ascending, and an append to one cluster's slice must not
+// write into the next cluster's.
+func TestMembersCappedPerCluster(t *testing.T) {
+	members := Result{Assignments: []int{1, 0, 1, 0, 2}, Count: 3}.Members()
+	want := [][]int{{1, 3}, {0, 2}, {4}}
+	if !reflect.DeepEqual(members, want) {
+		t.Fatalf("Members() = %v; want %v", members, want)
+	}
+	_ = append(members[0], 99)
+	_ = append(members[1], 99)
+	if !reflect.DeepEqual(members, want) {
+		t.Fatalf("append to a cluster changed another: %v; want %v", members, want)
+	}
+}
+
 // Property: assignments are a valid partition with dense cluster ids,
 // for random unit vectors and random thresholds.
 func TestAgglomerativePartitionProperty(t *testing.T) {

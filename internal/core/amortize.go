@@ -17,9 +17,10 @@ import (
 )
 
 // This file implements the cross-cycle amortization layer of the
-// continuous execution setup. ProcessBatch re-runs Global NER over the
-// accumulated stream every cycle, so without amortization the per-cycle
-// cost grows with stream length even when almost nothing changed. The
+// continuous execution setup. Every cycle (ProcessTagged, ServeCycle)
+// re-runs Global NER over the accumulated stream, so without
+// amortization the per-cycle cost grows with stream length even when
+// almost nothing changed. The
 // layer keeps two tables beside the paper's two stores and never
 // recomputes work whose inputs did not change:
 //

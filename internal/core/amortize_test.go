@@ -23,9 +23,10 @@ type cycleSnapshot struct {
 	cands []*stream.Candidate
 }
 
-// runCycles drives ProcessBatch over the stream in fixed-size cycles,
-// snapshotting each cycle's output. modeAt lets a test switch ablation
-// modes mid-stream (nil = ModeFull throughout).
+// runCycles drives ProcessTagged over the stream in fixed-size cycles,
+// snapshotting the whole stream's final entities and the candidates
+// after each cycle. modeAt lets a test switch ablation modes
+// mid-stream (nil = ModeFull throughout).
 func runCycles(g *Globalizer, sents []*types.Sentence, batchSize int, cached bool, workers int, modeAt func(cycle int) Mode) []cycleSnapshot {
 	g.setCaching(cached)
 	g.SetWorkers(workers)
@@ -36,8 +37,8 @@ func runCycles(g *Globalizer, sents []*types.Sentence, batchSize int, cached boo
 		if modeAt != nil {
 			mode = modeAt(ci)
 		}
-		final := g.ProcessBatch(b, mode)
-		out = append(out, cycleSnapshot{final: final, cands: g.CandidateBase().All()})
+		g.ProcessTagged(b, nil, mode)
+		out = append(out, cycleSnapshot{final: g.TweetBase().FinalEntityMap(), cands: g.CandidateBase().All()})
 	}
 	return out
 }
@@ -58,7 +59,7 @@ func compareCycles(t *testing.T, name string, got, want []cycleSnapshot) {
 }
 
 // TestCachedMatchesUncachedBatchEngine compares multi-cycle
-// ProcessBatch runs with amortization on against the scratch
+// ProcessTagged runs with amortization on against the scratch
 // recomputation, across worker counts.
 func TestCachedMatchesUncachedBatchEngine(t *testing.T) {
 	g := trainedGlobalizer(t)
@@ -121,7 +122,7 @@ func TestCachedModeSwitchMidStream(t *testing.T) {
 }
 
 // TestRunThenCyclesMatchesUncached continues a stream Run wrote with
-// ProcessBatch cycles. Run writes through the scratch path, so the
+// ProcessTagged cycles. Run writes through the scratch path, so the
 // cycles after it must end where the uncached engine's do, cycle for
 // cycle — no sentence may keep a typed mention the amortizer never saw.
 func TestRunThenCyclesMatchesUncached(t *testing.T) {
@@ -134,8 +135,8 @@ func TestRunThenCyclesMatchesUncached(t *testing.T) {
 			g.setCaching(cached)
 			g.Run(sents[:100], ModeFull)
 			for _, b := range stream.Batches(sents[100:], 20) {
-				final := g.ProcessBatch(b, ModeFull)
-				runs[i] = append(runs[i], cycleSnapshot{final: final, cands: g.CandidateBase().All()})
+				g.ProcessTagged(b, nil, ModeFull)
+				runs[i] = append(runs[i], cycleSnapshot{final: g.TweetBase().FinalEntityMap(), cands: g.CandidateBase().All()})
 			}
 		}
 		compareCycles(t, fmt.Sprintf("seed %d", seed), runs[1], runs[0])

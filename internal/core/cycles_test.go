@@ -8,7 +8,7 @@ import (
 	"nerglobalizer/internal/stream"
 )
 
-func TestProcessBatchAccumulatesState(t *testing.T) {
+func TestCyclesAccumulateState(t *testing.T) {
 	g := trainedGlobalizer(t)
 	g.Reset()
 	test := smallStream("inc", 120, 61)
@@ -16,10 +16,13 @@ func TestProcessBatchAccumulatesState(t *testing.T) {
 
 	var lastCandidates int
 	for i, b := range batches {
-		out := g.ProcessBatch(b, ModeFull)
+		out := g.ProcessTagged(b, nil, ModeFull)
+		if len(out) != len(b) {
+			t.Fatalf("cycle %d: output covers %d sentences, want the batch's %d", i, len(out), len(b))
+		}
 		seen := (i + 1) * 40
-		if len(out) != seen {
-			t.Fatalf("cycle %d: output covers %d sentences, want %d", i, len(out), seen)
+		if n := len(g.TweetBase().FinalEntityMap()); n != seen {
+			t.Fatalf("cycle %d: stream entity map covers %d sentences, want %d", i, n, seen)
 		}
 		if g.TweetBase().Len() != seen {
 			t.Fatalf("cycle %d: tweet base has %d records", i, g.TweetBase().Len())
@@ -35,16 +38,16 @@ func TestProcessBatchAccumulatesState(t *testing.T) {
 	}
 }
 
-func TestProcessBatchMatchesRunAtEnd(t *testing.T) {
+func TestCyclesMatchRunAtEnd(t *testing.T) {
 	g := trainedGlobalizer(t)
 	test := smallStream("inc2", 90, 63)
 	batches := stream.Batches(test.Sentences, 30)
 
 	g.Reset()
-	var got any
 	for _, b := range batches {
-		got = g.ProcessBatch(b, ModeFull)
+		g.ProcessTagged(b, nil, ModeFull)
 	}
+	got := g.TweetBase().FinalEntityMap()
 	runRes := g.Run(test.Sentences, ModeFull)
 	// The final incremental output must equal a fresh full run: the
 	// global phase always recomputes over the accumulated stream.
@@ -54,13 +57,16 @@ func TestProcessBatchMatchesRunAtEnd(t *testing.T) {
 	}
 }
 
-func TestProcessBatchLocalOnly(t *testing.T) {
+func TestLocalOnlyCycleBuildsNoCandidates(t *testing.T) {
 	g := trainedGlobalizer(t)
 	g.Reset()
 	test := smallStream("inc3", 40, 65)
-	out := g.ProcessBatch(test.Sentences, ModeLocalOnly)
+	out := g.ProcessTagged(test.Sentences, nil, ModeLocalOnly)
 	if len(out) != 40 {
 		t.Fatalf("local-only output covers %d sentences", len(out))
+	}
+	if !reflect.DeepEqual(out, g.TweetBase().LocalEntityMap()) {
+		t.Fatal("local-only cycle's entities differ from the stream's local entities")
 	}
 	if g.CandidateBase().Len() != 0 {
 		t.Fatal("local-only cycle must not build candidates")

@@ -388,22 +388,6 @@ func (g *Globalizer) Run(sents []*types.Sentence, mode Mode) *RunResult {
 	return res
 }
 
-// ProcessBatch consumes one execution cycle of the stream: it runs the
-// Local NER phase over the incoming batch (growing the CTrie and
-// TweetBase) and then refreshes the Global NER phase over the whole
-// accumulated stream, returning the current final entities for every
-// sentence seen so far. Unlike Run it does not reset state, so
-// repeated calls realize the paper's continuous, incremental execution
-// setup — candidates gather more mentions (and more reliable global
-// embeddings) with every cycle.
-func (g *Globalizer) ProcessBatch(batch []*types.Sentence, mode Mode) map[types.SentenceKey][]types.Entity {
-	g.runCycle(batch, nil, 0, mode)
-	if mode == ModeLocalOnly {
-		return g.tweetBase.LocalEntityMap()
-	}
-	return g.tweetBase.FinalEntityMap()
-}
-
 // TagBatch runs Local NER tagging — the encoder forward and BIO decode
 // — over a batch without touching stream state. Per-sentence results
 // are byte-identical at any batch composition (the batching contract),
@@ -425,10 +409,16 @@ func (g *Globalizer) TagBatch(batch []*types.Sentence) []*localner.Result {
 	return g.Tagger.RunBatch(toks, g.pool, g.prec)
 }
 
-// ProcessTagged consumes one execution cycle exactly like ProcessBatch
-// but returns entities for the batch's sentences only, skipping the
-// whole-stream entity map build — the shape serving paths want, since
-// /annotate answers for the submitted tweets. tagged, when non-nil,
+// ProcessTagged consumes one execution cycle of the stream: it runs the
+// Local NER phase over the incoming batch (growing the CTrie and
+// TweetBase) and then refreshes the Global NER phase over the whole
+// accumulated stream. Unlike Run it does not reset state, so repeated
+// calls realize the paper's continuous, incremental execution setup —
+// candidates gather more mentions (and more reliable global
+// embeddings) with every cycle. It returns the entities of the batch's
+// sentences only (their local entities at ModeLocalOnly); a caller
+// that wants the whole stream's reads TweetBase().FinalEntityMap() (or
+// LocalEntityMap()) after the cycle. tagged, when non-nil,
 // supplies the batch's tag results (index-aligned with batch, from
 // TagBatch ahead of the cycle) instead of tagging here; the cycle is
 // byte-identical either way when they came from an identically
@@ -448,10 +438,10 @@ func (g *Globalizer) ServeCycle(batch []*types.Sentence, tagged []*localner.Resu
 	g.runCycle(batch, tagged, tagTime, ModeFull)
 }
 
-// runCycle is the shared cycle body of ProcessBatch, ProcessTagged and
-// ServeCycle. The amortizer follows ModeFull cycles only: a cycle at
-// any other mode drops it, and a stream without one recomputes the
-// global phase from scratch.
+// runCycle is the shared cycle body of ProcessTagged and ServeCycle.
+// The amortizer follows ModeFull cycles only: a cycle at any other
+// mode drops it, and a stream without one recomputes the global phase
+// from scratch.
 func (g *Globalizer) runCycle(batch []*types.Sentence, tagged []*localner.Result, tagTime time.Duration, mode Mode) {
 	defer clear(g.states)
 	if mode != ModeFull {
@@ -760,7 +750,7 @@ func (g *Globalizer) classifyEachMention(surface string, ms []types.Mention, emb
 // new mentions reshaped are classified. The scratch path passes nil and
 // computes every cluster.
 func (g *Globalizer) outcomeFromEmbeddings(surface string, ms []types.Mention, embs [][]float64, clustering cluster.Result, prev *surfaceOutcome, kept int) surfaceOutcome {
-	members := membersOf(clustering)
+	members := clustering.Members()
 	oc := surfaceOutcome{
 		surface: surface,
 		cands:   make([]*stream.Candidate, len(members)),
@@ -805,25 +795,6 @@ func (oc *surfaceOutcome) carried(idxs []int, kept int) *stream.Candidate {
 		return nil
 	}
 	return oc.cands[k]
-}
-
-// membersOf returns clustering.Members() — each cluster's input
-// indices, ascending — sliced out of one allocation.
-func membersOf(clustering cluster.Result) [][]int {
-	out := make([][]int, clustering.Count)
-	flat := make([]int, len(clustering.Assignments))
-	end := make([]int, clustering.Count+1)
-	for _, c := range clustering.Assignments {
-		end[c+1]++
-	}
-	for c := range out {
-		end[c+1] += end[c]
-		out[c] = flat[end[c]:end[c]:end[c+1]]
-	}
-	for i, c := range clustering.Assignments {
-		out[c] = append(out[c], i)
-	}
-	return out
 }
 
 // assignMajorityTypes implements the first ablation baseline: every

@@ -63,8 +63,8 @@ type pipeObs struct {
 	// throughput shifts to precision changes.
 	inferPrecision *obs.Gauge
 	// kernelISA is the dispatched SIMD kernel tier's index (0 =
-	// generic, 2 = avx2-fma, 3 = neon; 1 was the retired amd64 sse2
-	// tier and is not reused) — the second axis
+	// generic, 2 = avx2-fma; 1 was the retired amd64 sse2 tier and 3
+	// the retired arm64 neon, and neither is reused) — the second axis
 	// dashboards need to compare throughput across heterogeneous
 	// machines, including mixed amd64/arm64 fleets.
 	kernelISA *obs.Gauge
@@ -118,7 +118,7 @@ func newPipeObs(reg *obs.Registry) *pipeObs {
 		streamSentences: reg.Gauge("ner_stream_sentences", "sentences in the accumulated stream"),
 		candClusters:    reg.Gauge("ner_candidate_clusters", "candidate clusters in the current CandidateBase"),
 		inferPrecision:  reg.Gauge("ner_infer_precision", "active inference precision tier (0=f64, 1=f32, 2=i8)"),
-		kernelISA:       reg.Gauge("ner_kernel_isa", "dispatched SIMD kernel tier (0=generic, 2=avx2-fma, 3=neon; 1 was the retired sse2)"),
+		kernelISA:       reg.Gauge("ner_kernel_isa", "dispatched SIMD kernel tier (0=generic, 2=avx2-fma; 1 was the retired sse2, 3 was the retired neon)"),
 
 		amortSentences: reg.Gauge("ner_amort_sentences", "stream length seen by the most recent amortized cycle"),
 		amortRescanned: reg.Gauge("ner_amort_rescanned", "sentences re-scanned in the most recent amortized cycle"),

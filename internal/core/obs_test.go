@@ -16,14 +16,15 @@ import (
 // the registered metric set covers the paper's stages plus the caches
 // and the pool, and the detached path records nothing.
 
-// runObserved drives ProcessBatch over the stream and returns the
-// per-cycle final entity tables.
+// runObserved drives ProcessTagged over the stream and returns the
+// whole stream's final entity table after each cycle.
 func runObserved(g *Globalizer, sents []*types.Sentence, batchSize int, reg *obs.Registry) []map[types.SentenceKey][]types.Entity {
 	g.SetObserver(reg)
 	g.Reset()
 	var out []map[types.SentenceKey][]types.Entity
 	for _, b := range stream.Batches(sents, batchSize) {
-		out = append(out, g.ProcessBatch(b, ModeFull))
+		g.ProcessTagged(b, nil, ModeFull)
+		out = append(out, g.TweetBase().FinalEntityMap())
 	}
 	return out
 }
@@ -193,7 +194,7 @@ func TestObserverRecordsPipelineActivity(t *testing.T) {
 	// Detaching stops recording.
 	g.SetObserver(nil)
 	before := reg.Snapshot().Counters["ner_cycles_total"]
-	g.ProcessBatch(sents[:10], ModeFull)
+	g.ProcessTagged(sents[:10], nil, ModeFull)
 	if after := reg.Snapshot().Counters["ner_cycles_total"]; after != before {
 		t.Fatalf("detached pipeline still recorded cycles: %d -> %d", before, after)
 	}
@@ -226,7 +227,7 @@ func BenchmarkCycleObservability(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g.Reset()
 				for _, batch := range batches {
-					g.ProcessBatch(batch, ModeFull)
+					g.ProcessTagged(batch, nil, ModeFull)
 				}
 			}
 		})

@@ -88,7 +88,7 @@ func outcomeOf(surface string, labels []int, typeOf func(label int) types.Entity
 		}
 		assign[i] = id
 	}
-	oc := surfaceOutcome{surface: surface, assign: assign, members: membersOf(cluster.Result{Assignments: assign, Count: len(ids)})}
+	oc := surfaceOutcome{surface: surface, assign: assign, members: cluster.Result{Assignments: assign, Count: len(ids)}.Members()}
 	for c, l := range byID {
 		oc.cands = append(oc.cands, &stream.Candidate{Surface: surface, ClusterID: c, Type: typeOf(l)})
 	}

@@ -18,16 +18,17 @@ import (
 // because the per-surface steps (embedding, clustering, classifying)
 // are pure functions of each surface's own mention pool.
 
-// shardCycles drives ProcessBatch over the stream under a given
-// ownership, snapshotting each cycle's final map and candidates.
+// shardCycles drives ProcessTagged over the stream under a given
+// ownership, snapshotting the whole stream's final map and the
+// candidates after each cycle.
 func shardCycles(g *Globalizer, sents []*types.Sentence, batchSize, index, count int, t *testing.T) []cycleSnapshot {
 	if err := g.SetShardOwnership(index, count); err != nil {
 		t.Fatal(err)
 	}
 	var out []cycleSnapshot
 	for _, b := range stream.Batches(sents, batchSize) {
-		final := g.ProcessBatch(b, ModeFull)
-		out = append(out, cycleSnapshot{final: final, cands: g.CandidateBase().All()})
+		g.ProcessTagged(b, nil, ModeFull)
+		out = append(out, cycleSnapshot{final: g.TweetBase().FinalEntityMap(), cands: g.CandidateBase().All()})
 	}
 	return out
 }
@@ -139,7 +140,7 @@ func TestPoolsMirrorGroups(t *testing.T) {
 	g.SetWorkers(1)
 	g.Reset()
 	for ci, b := range stream.Batches(test.Sentences, 15) {
-		g.ProcessBatch(b, ModeFull)
+		g.ProcessTagged(b, nil, ModeFull)
 		// Ground truth: every sentence's scan in stream order, grouped.
 		want := make(map[string][]types.Mention)
 		for _, row := range g.amort.rows {
@@ -199,7 +200,7 @@ func TestLocalSupportCountMirrorsPool(t *testing.T) {
 
 	g.Reset()
 	for ci, b := range stream.Batches(smallStream("localcount", 90, 71).Sentences, 15) {
-		g.ProcessBatch(b, ModeFull)
+		g.ProcessTagged(b, nil, ModeFull)
 		check(fmt.Sprintf("cycle %d", ci))
 	}
 	ws := g.CaptureWarmState()
@@ -210,10 +211,10 @@ func TestLocalSupportCountMirrorsPool(t *testing.T) {
 	check("restore")
 }
 
-// TestProcessTaggedScopedToBatch pins the scoped serving API: the
+// TestProcessTaggedScopedToBatch pins the scoped cycle API: the
 // per-batch entities ProcessTagged returns must be the exact per-key
-// values of ProcessBatch's full entity map, on both cached and uncached
-// paths.
+// values of the whole stream's FinalEntityMap after the cycle, on both
+// cached and uncached paths.
 func TestProcessTaggedScopedToBatch(t *testing.T) {
 	g := trainedGlobalizer(t)
 	defer g.setCaching(true)
@@ -222,15 +223,14 @@ func TestProcessTaggedScopedToBatch(t *testing.T) {
 		g.setCaching(cached)
 		g.SetWorkers(0)
 		g.Reset()
-		full := make([]map[types.SentenceKey][]types.Entity, 0)
-		for _, b := range stream.Batches(test.Sentences, 20) {
-			full = append(full, g.ProcessBatch(b, ModeFull))
-		}
-		g.Reset()
 		for ci, b := range stream.Batches(test.Sentences, 20) {
 			got := g.ProcessTagged(b, nil, ModeFull)
+			full := g.TweetBase().FinalEntityMap()
+			if len(got) != len(b) {
+				t.Fatalf("cached=%v cycle %d: %d scoped entries for a batch of %d", cached, ci, len(got), len(b))
+			}
 			for _, s := range b {
-				want := full[ci][s.Key()]
+				want := full[s.Key()]
 				if !reflect.DeepEqual(got[s.Key()], want) {
 					t.Fatalf("cached=%v cycle %d: scoped entities differ for %v", cached, ci, s.Key())
 				}

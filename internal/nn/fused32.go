@@ -17,8 +17,8 @@ import "math"
 // into the same pass. The per-row inner loops (dotRows32, i8Rows) are
 // dispatched through the active kernel set (simd.go): on amd64's
 // avx2-fma tier, 8-wide FMA f32 multiply-accumulate and PMADDWD
-// int16×int8 for the quantized tier; NEON FMLA and SMLAL on arm64; the
-// portable pure-Go bodies (kernels_ref.go) everywhere else.
+// int16×int8 for the quantized tier; the portable pure-Go bodies
+// (kernels_ref.go) everywhere else, arm64 included.
 
 // InferInto32 computes dst = x·W + b over the float32 weight mirror.
 // dst must be x.Rows×Out and must not alias x. Rows are sharded across

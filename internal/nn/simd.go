@@ -9,18 +9,19 @@ import (
 )
 
 // Runtime kernel dispatch. The reduced-precision inner loops and the
-// exact f64 tier's GEMMs, softmax exp and GELU come in two tiers per
-// architecture: the
-// portable Go reference (kernels_ref.go) and one vector tier — AVX2/FMA
-// assembly on amd64 (simd_avx2_amd64.s, plus the 4-lane softmax and
-// W8A16 bodies in simd_amd64.s) when CPUID and XGETBV allow it, and
-// NEON on arm64 (simd_arm64.s). The vector tier is selected once at init from CPU
-// feature bits and can be swapped at runtime through SetSIMD. This
-// file owns the level namespace and the dispatch machinery; each
-// architecture contributes its one tier as archTier (simd_amd64.go,
-// simd_arm64.go, simd_generic.go), so levels parse uniformly on every
-// platform and forcing a level the local architecture cannot run is a
-// loud error rather than a silent generic fallback.
+// exact f64 tier's GEMMs, softmax exp and GELU come in two tiers on
+// amd64: the portable Go reference (kernels_ref.go) and one vector
+// tier, AVX2/FMA assembly (simd_avx2_amd64.s, plus the 4-lane softmax
+// and W8A16 bodies in simd_amd64.s), dispatched when CPUID and XGETBV
+// allow it. Every other architecture, arm64 included, runs the
+// reference tier only. The vector tier is selected once at init from
+// CPU feature bits and can be swapped at runtime through SetSIMD. This
+// file owns the level namespace and the dispatch machinery; amd64
+// contributes its tier as archTier (simd_amd64.go) and every other
+// architecture declares none (simd_generic.go), so levels parse
+// uniformly on every platform and forcing a level the local
+// architecture cannot run is a loud error rather than a silent
+// generic fallback.
 //
 // The active tier lives in an atomic pointer to an immutable
 // kernelSet: every GEMM call loads the set once and uses it for the
@@ -61,33 +62,29 @@ import (
 //     math.Exp's FMA path, the one it runs on every host the amd64
 //     vector tier accepts, and hand every lane outside its plain path
 //     to math.Exp itself (exp64) or blend math.Tanh's branches
-//     (gelu64). On arm64 all four stay on the reference bodies: gc
-//     contracts x*y+z into FMADD there, so the reference's own bits
-//     are fused ones a FMUL+FADD body would not reproduce.
+//     (gelu64). On arm64, which runs the reference bodies only, gc
+//     contracts x*y+z into FMADD, so the f64 bits there are fused ones
+//     a FMUL+FADD body would not reproduce.
 //   - Only the layer-norm mean/variance reductions (lnSum/lnSq) and
 //     the softmax exp partial sum reassociate; those are pinned by
 //     analytic error bounds per tier (kernels_test.go).
 
 // SIMDLevel identifies one dispatched kernel tier. The values are the
 // ner_kernel_isa gauge's codes; code 1 named the retired amd64 sse2
-// tier and is not reused.
+// tier and code 3 the retired arm64 neon tier, and neither is reused.
 type SIMDLevel uint8
 
 const (
 	// SIMDGeneric is the portable pure-Go reference tier — the only
-	// tier on architectures without assembly kernels and on amd64
-	// hosts without AVX2+FMA, and a forcing target everywhere for
-	// differential testing.
+	// tier on every architecture but amd64 and on amd64 hosts without
+	// AVX2+FMA, and a forcing target everywhere for differential
+	// testing.
 	SIMDGeneric SIMDLevel = 0
 	// SIMDAVX2 is the amd64 vector tier: 8-wide AVX2/FMA bodies, plus
 	// 4-lane bodies for the W8A16 GEMM, the softmax passes and the
 	// f64 GEMMs, softmax exp and GELU.
 	// Requires AVX2+FMA and OS YMM state support.
 	SIMDAVX2 SIMDLevel = 2
-	// SIMDNEON is the arm64 vector tier (4-wide f32 via Advanced SIMD,
-	// SMLAL-based W8A16). Always available on arm64 — NEON is part of
-	// the aarch64 base ISA.
-	SIMDNEON SIMDLevel = 3
 )
 
 // String returns the level's reporting name, as surfaced in /statusz,
@@ -98,8 +95,6 @@ func (l SIMDLevel) String() string {
 		return "generic"
 	case SIMDAVX2:
 		return "avx2-fma"
-	case SIMDNEON:
-		return "neon"
 	}
 	return fmt.Sprintf("SIMDLevel(%d)", uint8(l))
 }
@@ -109,20 +104,19 @@ func (l SIMDLevel) String() string {
 // Every level name parses on every architecture — forcing a level the
 // local architecture cannot run fails later, in SetSIMD or init, with
 // an error that names the architecture and its supported levels. The
-// retired "sse2" level is an error naming what this host runs instead.
+// retired "sse2" and "neon" levels are errors naming what this host
+// runs instead.
 func ParseSIMD(s string) (SIMDLevel, error) {
 	switch s {
 	case "generic":
 		return SIMDGeneric, nil
 	case "avx2", "avx2-fma":
 		return SIMDAVX2, nil
-	case "neon":
-		return SIMDNEON, nil
-	case "sse2":
-		return 0, fmt.Errorf("nn: SIMD level sse2 was removed; amd64 runs avx2-fma or generic (supported levels on %s/%s: %s)",
-			runtime.GOOS, runtime.GOARCH, supportedNames())
+	case "sse2", "neon":
+		return 0, fmt.Errorf("nn: SIMD level %s was removed; amd64 runs avx2-fma or generic, every other architecture generic (supported levels on %s/%s: %s)",
+			s, runtime.GOOS, runtime.GOARCH, supportedNames())
 	}
-	return 0, fmt.Errorf("nn: unknown SIMD level %q (want generic, avx2, or neon)", s)
+	return 0, fmt.Errorf("nn: unknown SIMD level %q (want generic or avx2)", s)
 }
 
 // simdTier is an architecture's one vector tier: a feature gate and
@@ -254,7 +248,7 @@ func BestSIMD() SIMDLevel { return bestSIMD() }
 
 // SupportedSIMDLevels lists every tier SetSIMD would accept on this
 // machine, generic first. The set is architecture-specific: amd64
-// reports generic[/avx2-fma], arm64 reports generic/neon.
+// reports generic[/avx2-fma], every other architecture generic.
 func SupportedSIMDLevels() []SIMDLevel {
 	if best := bestSIMD(); best != SIMDGeneric {
 		return []SIMDLevel{SIMDGeneric, best}

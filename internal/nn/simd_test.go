@@ -56,7 +56,7 @@ func forEachKernelSet(t *testing.T, fn func(t *testing.T)) {
 }
 
 func TestParseSIMDRoundTrip(t *testing.T) {
-	for _, l := range []SIMDLevel{SIMDGeneric, SIMDAVX2, SIMDNEON} {
+	for _, l := range []SIMDLevel{SIMDGeneric, SIMDAVX2} {
 		got, err := ParseSIMD(l.String())
 		if err != nil || got != l {
 			t.Errorf("ParseSIMD(%q) = %v, %v; want %v", l.String(), got, err, l)
@@ -72,32 +72,40 @@ func TestParseSIMDRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRetiredSSE2LevelRefused pins that the removed amd64 sse2 tier is
-// a loud error, never a silent remap: ParseSIMD rejects it, its old
-// gauge code 1 is not a level, and a process booted with NER_SIMD=sse2
-// exits non-zero naming sse2 and the levels this host supports.
-func TestRetiredSSE2LevelRefused(t *testing.T) {
-	if _, err := ParseSIMD("sse2"); err == nil {
-		t.Fatal("ParseSIMD(sse2) accepted; want error")
-	}
-	if err := SetSIMD(SIMDLevel(1)); err == nil {
-		SetSIMDAuto()
-		t.Fatal("SetSIMD(1) accepted the retired sse2 code")
-	}
-	cmd := exec.Command(os.Args[0], "-test.run=^$")
-	cmd.Env = append(os.Environ(), "NER_SIMD=sse2")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("NER_SIMD=sse2 booted; output:\n%s", out)
-	}
-	want := []string{"sse2"}
-	for _, l := range SupportedSIMDLevels() {
-		want = append(want, l.String())
-	}
-	for _, w := range want {
-		if !strings.Contains(string(out), w) {
-			t.Fatalf("NER_SIMD=sse2 error does not name %q:\n%s", w, out)
-		}
+// TestRetiredSIMDLevelsRefused pins that the removed tiers — amd64's
+// sse2 and arm64's neon — are loud errors, never a silent remap:
+// ParseSIMD rejects each name, its old gauge code is not a level, and
+// a process booted with NER_SIMD=<name> exits non-zero naming the
+// level and every level this host supports.
+func TestRetiredSIMDLevelsRefused(t *testing.T) {
+	for _, retired := range []struct {
+		name string
+		code SIMDLevel
+	}{{"sse2", 1}, {"neon", 3}} {
+		t.Run(retired.name, func(t *testing.T) {
+			if _, err := ParseSIMD(retired.name); err == nil {
+				t.Fatalf("ParseSIMD(%s) accepted; want error", retired.name)
+			}
+			if err := SetSIMD(retired.code); err == nil {
+				SetSIMDAuto()
+				t.Fatalf("SetSIMD(%d) accepted the retired %s code", retired.code, retired.name)
+			}
+			cmd := exec.Command(os.Args[0], "-test.run=^$")
+			cmd.Env = append(os.Environ(), "NER_SIMD="+retired.name)
+			out, err := cmd.CombinedOutput()
+			if err == nil {
+				t.Fatalf("NER_SIMD=%s booted; output:\n%s", retired.name, out)
+			}
+			want := []string{retired.name}
+			for _, l := range SupportedSIMDLevels() {
+				want = append(want, l.String())
+			}
+			for _, w := range want {
+				if !strings.Contains(string(out), w) {
+					t.Fatalf("NER_SIMD=%s error does not name %q:\n%s", retired.name, w, out)
+				}
+			}
+		})
 	}
 }
 
@@ -126,7 +134,7 @@ func TestSIMDLevelSelection(t *testing.T) {
 		}
 	}
 	SetSIMDAuto()
-	if unknown := SIMDNEON + 1; SetSIMD(unknown) == nil {
+	if unknown := SIMDLevel(4); SetSIMD(unknown) == nil {
 		t.Fatal("SetSIMD accepted an unknown level")
 	}
 }

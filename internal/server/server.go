@@ -287,8 +287,8 @@ type StatuszResponse struct {
 	Candidates int    `json:"candidates"`
 	Precision  string `json:"precision"`
 	// GOARCH names the architecture so dashboards can tell an amd64
-	// fleet member (avx2-fma tier) from an arm64 one (neon). SIMD is
-	// the dispatched kernel tier (generic, avx2-fma, neon); SIMDBest is
+	// fleet member (avx2-fma tier) from an arm64 one (generic). SIMD
+	// is the dispatched kernel tier (generic, avx2-fma); SIMDBest is
 	// the architecture's vector tier when this CPU runs it, generic
 	// otherwise — they differ when an operator pinned generic via
 	// NER_SIMD. SIMDSupported lists every tier this host can run.
